@@ -30,6 +30,14 @@ echo "== test =="
 # --workspace for the same reason as the build above.
 timeout --kill-after=30s 900s cargo test -q --workspace
 
+echo "== benchmark self-test =="
+# The benchmark is a package of its own (outside the workspace) that
+# replays the compile through each crate's public entry points, so this is
+# what catches a public-API change that breaks `benchmark/src/stages.rs`;
+# its self-test also runs every workload at quick sizes and checks that a
+# spoiled expectation is reported as a failed operation.
+timeout --kill-after=30s 600s cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== fuzz smoke =="
 # Bounded differential fuzzing: every ladder rung and exec tier must be
 # bit-identical to the reference on seeded random stencils, and malformed

@@ -6,6 +6,7 @@
 //! [`Attribute::IndexList`].
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::types::Type;
 
@@ -120,6 +121,36 @@ impl Attribute {
         match self {
             Attribute::Array(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// Whether both denote the same constant: `==`, except that floats
+    /// compare by bit pattern, so `0.0` and `-0.0` differ and a NaN equals
+    /// itself — what merging two ops into one needs.
+    pub fn identical(&self, other: &Attribute) -> bool {
+        match (self, other) {
+            (Attribute::Float(a, ta), Attribute::Float(b, tb)) => {
+                a.to_bits() == b.to_bits() && ta == tb
+            }
+            (Attribute::Array(a), Attribute::Array(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.identical(y))
+            }
+            _ => self == other,
+        }
+    }
+
+    /// Feed `state` a hash that agrees with [`Attribute::identical`].
+    pub fn hash_identity<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Attribute::Int(v, t) => (v, t).hash(state),
+            Attribute::Float(v, t) => (v.to_bits(), t).hash(state),
+            Attribute::String(s) | Attribute::Symbol(s) => s.hash(state),
+            Attribute::Bool(b) => b.hash(state),
+            Attribute::Unit => {}
+            Attribute::Type(t) => t.hash(state),
+            Attribute::Array(items) => items.iter().for_each(|a| a.hash_identity(state)),
+            Attribute::IndexList(v) => v.hash(state),
         }
     }
 }

@@ -5,6 +5,16 @@
 //! keeps ids stable across rewrites, which matters because the paper's
 //! stencil-discovery pass gathers ids in one sweep (loops, stores, reads)
 //! and mutates the IR afterwards.
+//!
+//! Like MLIR, the module keeps use-def chains: every operand slot of a live
+//! op is linked into the use list of the value it reads, and every attached
+//! op is linked to its block neighbours. Both are intrusive lists over flat
+//! arenas, so "who uses this value", insertion and erasure cost what they
+//! touch, and a clone stays a handful of `memcpy`s. The invariant — *slot
+//! `i` of a live op is on the use list of `operands[i]`, and of nothing
+//! else* — is kept by [`Module::create_op`], [`Module::set_operand`],
+//! [`Module::replace_all_uses`] and [`Module::erase_op`]; nothing else can
+//! write an operand ([`Module::op_mut`] hands out name and attributes only).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -86,10 +96,25 @@ pub enum ValueDef {
     },
 }
 
+/// "No entry" in the intrusive lists below.
+const NONE: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct ValueData {
     def: ValueDef,
     ty: Type,
+    /// Head of the value's use list (an index into `Module::uses`).
+    first_use: u32,
+}
+
+/// One operand slot of one op, linked into the use list of the value it
+/// reads. Operand `i` of an op owns slot `OpData::first_use + i` for the
+/// op's whole life (an op's operand count never changes).
+#[derive(Debug, Clone, Copy)]
+struct UseLink {
+    user: OpId,
+    prev: u32,
+    next: u32,
 }
 
 /// Payload of one operation. Exposed read-only through [`Module::op`].
@@ -108,6 +133,22 @@ pub struct OpData {
     /// The block the op currently lives in, if attached.
     pub parent: Option<BlockId>,
     alive: bool,
+    /// The op's first operand slot in `Module::uses`.
+    first_use: u32,
+    /// Neighbours in the parent block's op list.
+    prev: u32,
+    next: u32,
+}
+
+/// What [`Module::op_mut`] lets a pass rewrite in place. Operands are not
+/// here: they change through [`Module::set_operand`], which keeps the use
+/// lists right.
+#[derive(Debug)]
+pub struct OpMut<'a> {
+    /// Dialect-qualified name.
+    pub name: &'a mut OpName,
+    /// Attribute dictionary.
+    pub attrs: &'a mut BTreeMap<String, Attribute>,
 }
 
 impl OpData {
@@ -125,7 +166,9 @@ impl OpData {
 #[derive(Debug, Clone)]
 struct BlockData {
     args: Vec<ValueId>,
-    ops: Vec<OpId>,
+    /// Ends of the block's op list (linked through `OpData::prev/next`).
+    first: u32,
+    last: u32,
     parent: Option<RegionId>,
     alive: bool,
 }
@@ -146,6 +189,7 @@ pub struct Module {
     blocks: Vec<BlockData>,
     regions: Vec<RegionData>,
     values: Vec<ValueData>,
+    uses: Vec<UseLink>,
     /// The module-level region.
     pub body: RegionId,
 }
@@ -164,6 +208,7 @@ impl Module {
             blocks: Vec::new(),
             regions: Vec::new(),
             values: Vec::new(),
+            uses: Vec::new(),
             body: RegionId(0),
         };
         let region = m.new_region(None);
@@ -218,7 +263,8 @@ impl Module {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BlockData {
             args: Vec::new(),
-            ops: Vec::new(),
+            first: NONE,
+            last: NONE,
             parent: Some(region),
             alive: true,
         });
@@ -251,12 +297,24 @@ impl Module {
 
     /// Live operations of a block, in order.
     pub fn block_ops(&self, block: BlockId) -> Vec<OpId> {
-        self.blocks[block.0 as usize]
-            .ops
-            .iter()
-            .copied()
-            .filter(|o| self.ops[o.0 as usize].alive)
-            .collect()
+        self.ops_from(self.blocks[block.0 as usize].first)
+    }
+
+    /// Live ops following `op` in its block, in order (none if detached).
+    pub fn ops_after(&self, op: OpId) -> Vec<OpId> {
+        self.ops_from(self.ops[op.0 as usize].next)
+    }
+
+    fn ops_from(&self, mut cur: u32) -> Vec<OpId> {
+        let mut out = Vec::new();
+        while cur != NONE {
+            let data = &self.ops[cur as usize];
+            if data.alive {
+                out.push(OpId(cur));
+            }
+            cur = data.next;
+        }
+        out
     }
 
     /// The region a block belongs to.
@@ -267,14 +325,19 @@ impl Module {
     /// The last live operation of a block (its terminator if the dialect
     /// requires one).
     pub fn block_terminator(&self, block: BlockId) -> Option<OpId> {
-        self.block_ops(block).last().copied()
+        let last = self.blocks[block.0 as usize].last;
+        (last != NONE && self.ops[last as usize].alive).then_some(OpId(last))
     }
 
     // ----------------------------------------------------------------- values
 
     fn new_value(&mut self, def: ValueDef, ty: Type) -> ValueId {
         let id = ValueId(self.values.len() as u32);
-        self.values.push(ValueData { def, ty });
+        self.values.push(ValueData {
+            def,
+            ty,
+            first_use: NONE,
+        });
         id
     }
 
@@ -314,6 +377,15 @@ impl Module {
         attrs: Vec<(&str, Attribute)>,
     ) -> OpId {
         let id = OpId(self.ops.len() as u32);
+        let first_use = self.uses.len() as u32;
+        for (i, &v) in operands.iter().enumerate() {
+            self.uses.push(UseLink {
+                user: id,
+                prev: NONE,
+                next: NONE,
+            });
+            self.link_use(first_use + i as u32, v);
+        }
         self.ops.push(OpData {
             name: name.into(),
             operands,
@@ -322,16 +394,12 @@ impl Module {
             regions: Vec::new(),
             parent: None,
             alive: true,
+            first_use,
+            prev: NONE,
+            next: NONE,
         });
-        for (i, ty) in result_types.into_iter().enumerate() {
-            let v = self.new_value(
-                ValueDef::OpResult {
-                    op: id,
-                    index: i as u32,
-                },
-                ty,
-            );
-            self.ops[id.0 as usize].results.push(v);
+        for ty in result_types {
+            self.add_op_result(id, ty);
         }
         id
     }
@@ -352,9 +420,13 @@ impl Module {
         &self.ops[op.0 as usize]
     }
 
-    /// Mutable access to an operation's name/operands/attributes.
-    pub fn op_mut(&mut self, op: OpId) -> &mut OpData {
-        &mut self.ops[op.0 as usize]
+    /// Mutable access to an operation's name and attributes.
+    pub fn op_mut(&mut self, op: OpId) -> OpMut<'_> {
+        let data = &mut self.ops[op.0 as usize];
+        OpMut {
+            name: &mut data.name,
+            attrs: &mut data.attrs,
+        }
     }
 
     /// Shorthand: the single result of an op (panics if not exactly one).
@@ -372,83 +444,97 @@ impl Module {
 
     /// Append an op at the end of a block.
     pub fn append_op(&mut self, block: BlockId, op: OpId) {
-        assert!(
-            self.ops[op.0 as usize].parent.is_none(),
-            "op already attached"
-        );
-        self.ops[op.0 as usize].parent = Some(block);
-        self.blocks[block.0 as usize].ops.push(op);
+        let last = self.blocks[block.0 as usize].last;
+        self.link_op(block, op, last, NONE);
     }
 
     /// Insert `new` directly before `anchor` in the anchor's block.
     pub fn insert_op_before(&mut self, anchor: OpId, new: OpId) {
-        let block = self.ops[anchor.0 as usize]
-            .parent
-            .expect("anchor not attached");
-        assert!(
-            self.ops[new.0 as usize].parent.is_none(),
-            "op already attached"
-        );
-        let ops = &mut self.blocks[block.0 as usize].ops;
-        let pos = ops
-            .iter()
-            .position(|&o| o == anchor)
-            .expect("anchor not in block");
-        ops.insert(pos, new);
-        self.ops[new.0 as usize].parent = Some(block);
+        let a = &self.ops[anchor.0 as usize];
+        let block = a.parent.expect("anchor not attached");
+        let prev = a.prev;
+        self.link_op(block, new, prev, anchor.0);
     }
 
     /// Insert `new` directly after `anchor` in the anchor's block.
     pub fn insert_op_after(&mut self, anchor: OpId, new: OpId) {
-        let block = self.ops[anchor.0 as usize]
-            .parent
-            .expect("anchor not attached");
-        assert!(
-            self.ops[new.0 as usize].parent.is_none(),
-            "op already attached"
-        );
-        let ops = &mut self.blocks[block.0 as usize].ops;
-        let pos = ops
-            .iter()
-            .position(|&o| o == anchor)
-            .expect("anchor not in block");
-        ops.insert(pos + 1, new);
-        self.ops[new.0 as usize].parent = Some(block);
+        let a = &self.ops[anchor.0 as usize];
+        let block = a.parent.expect("anchor not attached");
+        let next = a.next;
+        self.link_op(block, new, anchor.0, next);
+    }
+
+    /// Attach the detached `op` to `block` between neighbours `prev` and
+    /// `next` (either may be `NONE` at the block's ends).
+    fn link_op(&mut self, block: BlockId, op: OpId, prev: u32, next: u32) {
+        let data = &mut self.ops[op.0 as usize];
+        assert!(data.parent.is_none(), "op already attached");
+        data.parent = Some(block);
+        data.prev = prev;
+        data.next = next;
+        match prev {
+            NONE => self.blocks[block.0 as usize].first = op.0,
+            p => self.ops[p as usize].next = op.0,
+        }
+        match next {
+            NONE => self.blocks[block.0 as usize].last = op.0,
+            n => self.ops[n as usize].prev = op.0,
+        }
     }
 
     /// Detach an op from its block without erasing it (it can be re-attached).
     pub fn detach_op(&mut self, op: OpId) {
-        if let Some(block) = self.ops[op.0 as usize].parent.take() {
-            self.blocks[block.0 as usize].ops.retain(|&o| o != op);
+        let data = &mut self.ops[op.0 as usize];
+        let Some(block) = data.parent.take() else {
+            return;
+        };
+        let (prev, next) = (data.prev, data.next);
+        data.prev = NONE;
+        data.next = NONE;
+        match prev {
+            NONE => self.blocks[block.0 as usize].first = next,
+            p => self.ops[p as usize].next = next,
+        }
+        match next {
+            NONE => self.blocks[block.0 as usize].last = prev,
+            n => self.ops[n as usize].prev = prev,
         }
     }
 
-    /// Erase an op and everything nested inside its regions.
+    /// Erase an op and everything nested inside its regions, releasing
+    /// every operand they held. Erasing a dead op does nothing.
     pub fn erase_op(&mut self, op: OpId) {
-        self.detach_op(op);
-        self.ops[op.0 as usize].alive = false;
-        let regions = self.ops[op.0 as usize].regions.clone();
-        for region in regions {
-            self.erase_region_contents(region);
-            self.regions[region.0 as usize].alive = false;
+        if !self.ops[op.0 as usize].alive {
+            return;
         }
+        self.detach_op(op);
+        self.kill_op(op);
     }
 
-    fn erase_region_contents(&mut self, region: RegionId) {
-        let blocks = self.regions[region.0 as usize].blocks.clone();
-        for block in blocks {
-            let ops = self.blocks[block.0 as usize].ops.clone();
-            for op in ops {
-                if self.ops[op.0 as usize].alive {
-                    self.ops[op.0 as usize].alive = false;
-                    let rs = self.ops[op.0 as usize].regions.clone();
-                    for r in rs {
-                        self.erase_region_contents(r);
-                        self.regions[r.0 as usize].alive = false;
+    /// Tombstone `op` and its regions' contents; block lists of the dead
+    /// blocks are left as they are.
+    fn kill_op(&mut self, op: OpId) {
+        let data = &mut self.ops[op.0 as usize];
+        data.alive = false;
+        let first_use = data.first_use;
+        for i in 0..data.operands.len() {
+            let v = self.ops[op.0 as usize].operands[i];
+            self.unlink_use(first_use + i as u32, v);
+        }
+        for r in 0..self.ops[op.0 as usize].regions.len() {
+            let region = self.ops[op.0 as usize].regions[r];
+            self.regions[region.0 as usize].alive = false;
+            for b in 0..self.regions[region.0 as usize].blocks.len() {
+                let block = self.regions[region.0 as usize].blocks[b];
+                self.blocks[block.0 as usize].alive = false;
+                let mut cur = self.blocks[block.0 as usize].first;
+                while cur != NONE {
+                    if self.ops[cur as usize].alive {
+                        self.kill_op(OpId(cur));
                     }
+                    cur = self.ops[cur as usize].next;
                 }
             }
-            self.blocks[block.0 as usize].alive = false;
         }
     }
 
@@ -459,36 +545,80 @@ impl Module {
 
     // -------------------------------------------------------------- use lists
 
+    fn link_use(&mut self, slot: u32, value: ValueId) {
+        let head = std::mem::replace(&mut self.values[value.0 as usize].first_use, slot);
+        self.uses[slot as usize].prev = NONE;
+        self.uses[slot as usize].next = head;
+        if head != NONE {
+            self.uses[head as usize].prev = slot;
+        }
+    }
+
+    fn unlink_use(&mut self, slot: u32, value: ValueId) {
+        let UseLink { prev, next, .. } = self.uses[slot as usize];
+        match prev {
+            NONE => self.values[value.0 as usize].first_use = next,
+            p => self.uses[p as usize].next = next,
+        }
+        if next != NONE {
+            self.uses[next as usize].prev = prev;
+        }
+    }
+
     /// All live ops (anywhere in the module) that use `value` as an operand,
-    /// together with the operand positions.
+    /// together with the operand positions, ordered by op then position.
     pub fn uses(&self, value: ValueId) -> Vec<(OpId, usize)> {
         let mut out = Vec::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            if !op.alive {
-                continue;
-            }
-            for (pos, &operand) in op.operands.iter().enumerate() {
-                if operand == value {
-                    out.push((OpId(i as u32), pos));
-                }
-            }
+        let mut slot = self.values[value.0 as usize].first_use;
+        while slot != NONE {
+            let link = self.uses[slot as usize];
+            let pos = slot - self.ops[link.user.0 as usize].first_use;
+            out.push((link.user, pos as usize));
+            slot = link.next;
         }
+        out.sort_unstable();
         out
     }
 
     /// True if the value has no live uses.
     pub fn is_unused(&self, value: ValueId) -> bool {
-        self.uses(value).is_empty()
+        self.values[value.0 as usize].first_use == NONE
+    }
+
+    /// Make operand `index` of the live op `op` read `value`.
+    pub fn set_operand(&mut self, op: OpId, index: usize, value: ValueId) {
+        let data = &mut self.ops[op.0 as usize];
+        assert!(data.alive, "set_operand on an erased op");
+        let slot = data.first_use + index as u32;
+        let old = std::mem::replace(&mut data.operands[index], value);
+        self.unlink_use(slot, old);
+        self.link_use(slot, value);
     }
 
     /// Replace every use of `old` by `new` across the whole module.
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) {
-        for op in self.ops.iter_mut().filter(|o| o.alive) {
-            for operand in op.operands.iter_mut() {
-                if *operand == old {
-                    *operand = new;
-                }
-            }
+        if old == new {
+            return;
+        }
+        let head = std::mem::replace(&mut self.values[old.0 as usize].first_use, NONE);
+        let mut slot = head;
+        let mut tail = NONE;
+        while slot != NONE {
+            let link = self.uses[slot as usize];
+            let user = &mut self.ops[link.user.0 as usize];
+            let pos = slot - user.first_use;
+            user.operands[pos as usize] = new;
+            tail = slot;
+            slot = link.next;
+        }
+        if tail == NONE {
+            return;
+        }
+        // Splice old's whole list in front of new's.
+        let new_head = std::mem::replace(&mut self.values[new.0 as usize].first_use, head);
+        self.uses[tail as usize].next = new_head;
+        if new_head != NONE {
+            self.uses[new_head as usize].prev = tail;
         }
     }
 
@@ -535,8 +665,27 @@ impl Module {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl Module {
+        /// [`Module::uses`] by scanning the whole op arena: the definition the
+        /// use lists must agree with, kept as the tests' oracle.
+        pub(crate) fn scan_uses(&self, value: ValueId) -> Vec<(OpId, usize)> {
+            let mut out = Vec::new();
+            for (i, op) in self.ops.iter().enumerate() {
+                if !op.alive {
+                    continue;
+                }
+                for (pos, &operand) in op.operands.iter().enumerate() {
+                    if operand == value {
+                        out.push((OpId(i as u32), pos));
+                    }
+                }
+            }
+            out
+        }
+    }
 
     #[test]
     fn op_name_parts() {
@@ -674,5 +823,180 @@ mod tests {
         m.append_op(top, g);
         assert_eq!(m.top_level_ops_named("func.func").len(), 3);
         assert_eq!(m.top_level_ops_named("fir.global").len(), 1);
+    }
+
+    /// SplitMix64: the seeded stream behind the randomized tests.
+    pub(crate) struct Rng(pub u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        pub(crate) fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// The block lists as the old `Vec<OpId>` per block kept them, and every
+    /// value ever made: what the randomized test checks the module against.
+    #[derive(Default)]
+    struct Shadow {
+        blocks: Vec<(BlockId, Vec<OpId>)>,
+        values: Vec<ValueId>,
+        ops: Vec<OpId>,
+    }
+
+    impl Shadow {
+        fn list(&mut self, block: BlockId) -> &mut Vec<OpId> {
+            let at = self.blocks.iter().position(|(b, _)| *b == block).unwrap();
+            &mut self.blocks[at].1
+        }
+
+        fn detach(&mut self, op: OpId) {
+            for (_, ops) in &mut self.blocks {
+                ops.retain(|&o| o != op);
+            }
+        }
+
+        fn check(&self, m: &Module, step: usize) {
+            for &v in &self.values {
+                assert_eq!(m.uses(v), m.scan_uses(v), "step {step}: uses of {v:?}");
+                assert_eq!(m.is_unused(v), m.scan_uses(v).is_empty(), "step {step}");
+            }
+            for (block, ops) in &self.blocks {
+                // A block lives and dies with the op that holds it, and
+                // takes its ops with it.
+                let owner = m.block_parent(*block).and_then(|r| m.region_parent(r));
+                let block_alive = m.blocks[block.0 as usize].alive;
+                assert_eq!(block_alive, owner.is_none_or(|o| m.is_alive(o)));
+                assert!(block_alive || ops.iter().all(|&o| !m.is_alive(o)));
+                let live: Vec<OpId> = ops.iter().copied().filter(|&o| m.is_alive(o)).collect();
+                assert_eq!(m.block_ops(*block), live, "step {step}: {block:?}");
+                assert_eq!(m.block_terminator(*block), live.last().copied());
+                for (i, &op) in live.iter().enumerate() {
+                    assert_eq!(m.op(op).parent, Some(*block));
+                    assert_eq!(m.ops_after(op), live[i + 1..], "step {step}: after {op:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn use_lists_and_block_lists_match_a_brute_force_scan() {
+        for seed in 0..6u64 {
+            let mut rng = Rng(seed);
+            let mut m = Module::new();
+            let mut shadow = Shadow::default();
+            shadow.blocks.push((m.top_block(), Vec::new()));
+            for step in 0..300 {
+                let live_ops: Vec<OpId> = shadow
+                    .ops
+                    .iter()
+                    .copied()
+                    .filter(|&o| m.is_alive(o))
+                    .collect();
+                let live_blocks: Vec<BlockId> = shadow
+                    .blocks
+                    .iter()
+                    .map(|(b, _)| *b)
+                    .filter(|b| m.blocks[b.0 as usize].alive)
+                    .collect();
+                match rng.below(10) {
+                    // Create an op, sometimes with a region, and attach it.
+                    0..=4 => {
+                        let operands: Vec<ValueId> = (0..rng.below(4))
+                            .filter(|_| !shadow.values.is_empty())
+                            .map(|_| rng.pick(&shadow.values))
+                            .collect();
+                        let results = vec![Type::i64(); rng.below(3)];
+                        let op = m.create_op("t.op", operands, results, vec![]);
+                        shadow.ops.push(op);
+                        shadow.values.extend(&m.op(op).results);
+                        if rng.below(4) == 0 {
+                            let region = m.add_region(op);
+                            let block = m.add_block(region, &[Type::Index]);
+                            shadow.values.extend(m.block_args(block));
+                            shadow.blocks.push((block, Vec::new()));
+                        }
+                        let attached: Vec<OpId> = live_ops
+                            .iter()
+                            .copied()
+                            .filter(|&o| m.op(o).parent.is_some())
+                            .collect();
+                        match rng.below(4) {
+                            0 if !attached.is_empty() => {
+                                let anchor = rng.pick(&attached);
+                                m.insert_op_before(anchor, op);
+                                let list = shadow.list(m.op(anchor).parent.unwrap());
+                                let at = list.iter().position(|&o| o == anchor).unwrap();
+                                list.insert(at, op);
+                            }
+                            1 if !attached.is_empty() => {
+                                let anchor = rng.pick(&attached);
+                                m.insert_op_after(anchor, op);
+                                let list = shadow.list(m.op(anchor).parent.unwrap());
+                                let at = list.iter().position(|&o| o == anchor).unwrap();
+                                list.insert(at + 1, op);
+                            }
+                            2 => {} // stays detached, its operands still count
+                            _ => {
+                                let block = rng.pick(&live_blocks);
+                                m.append_op(block, op);
+                                shadow.list(block).push(op);
+                            }
+                        }
+                    }
+                    5 if !live_ops.is_empty() => {
+                        let op = rng.pick(&live_ops);
+                        let n = m.op(op).operands.len();
+                        if n > 0 {
+                            let v = rng.pick(&shadow.values);
+                            m.set_operand(op, rng.below(n), v);
+                        }
+                    }
+                    6 if !shadow.values.is_empty() => {
+                        let (old, new) = (rng.pick(&shadow.values), rng.pick(&shadow.values));
+                        m.replace_all_uses(old, new);
+                        assert!(old == new || m.is_unused(old));
+                    }
+                    7 if !live_ops.is_empty() => {
+                        // Detach, and half the time re-attach elsewhere.
+                        let op = rng.pick(&live_ops);
+                        m.detach_op(op);
+                        shadow.detach(op);
+                        // Not into its own regions: an op cannot hold itself.
+                        let block = rng.pick(&live_blocks);
+                        let inside = std::iter::successors(m.block_parent(block), |&r| {
+                            let owner = m.region_parent(r)?;
+                            m.block_parent(m.op(owner).parent?)
+                        })
+                        .any(|r| m.region_parent(r) == Some(op));
+                        if rng.below(2) == 0 && !inside {
+                            m.append_op(block, op);
+                            shadow.list(block).push(op);
+                        }
+                    }
+                    8 if !live_ops.is_empty() => {
+                        let op = rng.pick(&live_ops);
+                        m.erase_op(op);
+                        shadow.detach(op);
+                        assert!(!m.is_alive(op));
+                    }
+                    _ => {}
+                }
+                shadow.check(&m, step);
+            }
+            // A clone carries the same lists.
+            shadow.check(&m.clone(), usize::MAX);
+        }
     }
 }

@@ -8,29 +8,31 @@
 //!   separate module (a clone-with-remap across modules);
 //! * fusion splices one apply region into another.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::module::{BlockId, Module, OpId, ValueId};
+use crate::walk::collect_nested_ops;
 
 /// A mapping from values in a source context to values in a destination
 /// context, used when cloning or outlining IR.
 pub type ValueMap = HashMap<ValueId, ValueId>;
 
-/// Clone `op` (with all nested regions) into `dest_block` of `dest`,
-/// remapping operand values through `map`. Result values of cloned ops are
-/// added to `map` so later clones see them. Returns the new op id.
+/// Clone `src_op` (with all nested regions) from `src` into `dest_block` of
+/// the separate module `dest`, remapping operand values through `map`.
+/// Result values of cloned ops are added to `map` so later clones see them.
+/// Returns the new op id.
 ///
-/// `src` and `dest` may be the same module (pass the same module for an
-/// intra-module clone) — the implementation only reads from `src_snapshot`,
-/// a pre-cloned copy, to avoid aliasing issues.
+/// Within one module nothing needs cloning: passes move ops between blocks
+/// ([`move_op_to_end`], [`move_op_before`]) and rewire block arguments with
+/// [`Module::replace_all_uses`].
 pub fn clone_op_into(
-    src_snapshot: &Module,
+    src: &Module,
     src_op: OpId,
     dest: &mut Module,
     dest_block: BlockId,
     map: &mut ValueMap,
 ) -> OpId {
-    let data = src_snapshot.op(src_op);
+    let data = src.op(src_op);
     let operands: Vec<ValueId> = data
         .operands
         .iter()
@@ -39,39 +41,33 @@ pub fn clone_op_into(
     let result_types: Vec<_> = data
         .results
         .iter()
-        .map(|&r| src_snapshot.value_type(r).clone())
+        .map(|&r| src.value_type(r).clone())
         .collect();
     let attrs: Vec<(&str, _)> = data
         .attrs
         .iter()
         .map(|(k, v)| (k.as_str(), v.clone()))
         .collect();
-    let name = data.name.clone();
-    let src_results = data.results.clone();
-    let src_regions = data.regions.clone();
 
-    let new_op = dest.create_op(name, operands, result_types, attrs);
+    let new_op = dest.create_op(data.name.clone(), operands, result_types, attrs);
     dest.append_op(dest_block, new_op);
-    for (i, &src_r) in src_results.iter().enumerate() {
-        let dest_r = dest.op(new_op).results[i];
+    for (&src_r, &dest_r) in data.results.iter().zip(&dest.op(new_op).results) {
         map.insert(src_r, dest_r);
     }
-    for src_region in src_regions {
+    for &src_region in &data.regions {
         let dest_region = dest.add_region(new_op);
-        for src_block in src_snapshot.region_blocks(src_region) {
-            let arg_types: Vec<_> = src_snapshot
-                .block_args(src_block)
+        for src_block in src.region_blocks(src_region) {
+            let src_args = src.block_args(src_block);
+            let arg_types: Vec<_> = src_args
                 .iter()
-                .map(|&a| src_snapshot.value_type(a).clone())
+                .map(|&a| src.value_type(a).clone())
                 .collect();
             let dest_blk = dest.add_block(dest_region, &arg_types);
-            let src_args = src_snapshot.block_args(src_block).to_vec();
-            let dest_args = dest.block_args(dest_blk).to_vec();
-            for (sa, da) in src_args.iter().zip(dest_args.iter()) {
+            for (sa, da) in src_args.iter().zip(dest.block_args(dest_blk)) {
                 map.insert(*sa, *da);
             }
-            for inner in src_snapshot.block_ops(src_block) {
-                clone_op_into(src_snapshot, inner, dest, dest_blk, map);
+            for inner in src.block_ops(src_block) {
+                clone_op_into(src, inner, dest, dest_blk, map);
             }
         }
     }
@@ -106,29 +102,26 @@ pub fn replace_op(module: &mut Module, op: OpId, replacement_values: &[ValueId])
     module.erase_op(op);
 }
 
-/// If `value`'s defining op sits after `anchor` in the same block, move it
-/// (and transitively its operand definitions) to just before `anchor`.
-/// No-op when the definition already dominates the anchor or lives in a
-/// different block.
-pub fn hoist_def_before(m: &mut Module, value: ValueId, anchor: OpId) {
+/// For each of `values` whose defining op sits after `anchor` in the same
+/// block, move it (and transitively its operand definitions) to just before
+/// `anchor`. Definitions that already dominate the anchor or live in a
+/// different block stay put.
+pub fn hoist_defs_before(m: &mut Module, values: &[ValueId], anchor: OpId) {
+    let mut after: HashSet<OpId> = m.ops_after(anchor).into_iter().collect();
+    for &value in values {
+        hoist_def(m, value, anchor, &mut after);
+    }
+}
+
+fn hoist_def(m: &mut Module, value: ValueId, anchor: OpId, after: &mut HashSet<OpId>) {
     let Some(def) = m.defining_op(value) else {
         return;
     };
-    let anchor_block = m.op(anchor).parent;
-    if m.op(def).parent != anchor_block || anchor_block.is_none() {
-        return;
-    }
-    let block = anchor_block.unwrap();
-    let ops = m.block_ops(block);
-    let def_pos = ops.iter().position(|&o| o == def);
-    let anchor_pos = ops.iter().position(|&o| o == anchor);
-    if let (Some(d), Some(a)) = (def_pos, anchor_pos) {
-        if d > a {
-            for operand in m.op(def).operands.clone() {
-                hoist_def_before(m, operand, anchor);
-            }
-            move_op_before(m, def, anchor);
+    if after.remove(&def) {
+        for operand in m.op(def).operands.clone() {
+            hoist_def(m, operand, anchor, after);
         }
+        move_op_before(m, def, anchor);
     }
 }
 
@@ -151,29 +144,73 @@ pub fn is_pure(name: &str) -> bool {
     )
 }
 
+/// A live, attached, pure op none of whose results is used.
+fn is_dead_pure(module: &Module, op: OpId) -> bool {
+    let data = module.op(op);
+    data.is_alive()
+        && data.parent.is_some()
+        && is_pure(data.name.full())
+        && !data.results.is_empty()
+        && data.results.iter().all(|&r| module.is_unused(r))
+}
+
 /// Sweep the module erasing pure ops whose results are all unused, repeating
 /// until a fixed point. Returns the number of erased ops.
 pub fn erase_dead_pure_ops(module: &mut Module) -> usize {
-    let mut erased = 0;
-    loop {
-        let candidates: Vec<OpId> = module
-            .all_live_ops()
-            .filter(|&op| {
-                let data = module.op(op);
-                data.parent.is_some()
-                    && is_pure(data.name.full())
-                    && !data.results.is_empty()
-                    && data.results.iter().all(|&r| module.is_unused(r))
-            })
-            .collect();
-        if candidates.is_empty() {
-            return erased;
-        }
-        for op in candidates {
-            module.erase_op(op);
-            erased += 1;
-        }
+    let dead: Vec<OpId> = module
+        .all_live_ops()
+        .filter(|&op| is_dead_pure(module, op))
+        .collect();
+    erase_dead_from(module, dead)
+}
+
+/// Erase `op` (pure or not), then sweep what that left dead. In a module
+/// already swept, this is the whole of [`erase_dead_pure_ops`]: an op can
+/// only die when an erased op, or one nested in it, releases it.
+pub fn erase_op_and_dead_defs(module: &mut Module, op: OpId) -> usize {
+    let mut released = Vec::new();
+    release_and_erase(module, op, &mut released);
+    erase_dead_from(module, dead_defs(module, &released))
+}
+
+/// Erase `op`, adding every operand it and its nested ops held to `released`.
+fn release_and_erase(module: &mut Module, op: OpId, released: &mut Vec<ValueId>) {
+    released.extend_from_slice(&module.op(op).operands);
+    for nested in collect_nested_ops(module, op) {
+        released.extend_from_slice(&module.op(nested).operands);
     }
+    module.erase_op(op);
+}
+
+/// The dead pure definitions among `values`, in op order, each once.
+fn dead_defs(module: &Module, values: &[ValueId]) -> Vec<OpId> {
+    let mut defs: Vec<OpId> = values
+        .iter()
+        .filter_map(|&v| module.defining_op(v))
+        .filter(|&def| is_dead_pure(module, def))
+        .collect();
+    defs.sort_unstable();
+    defs.dedup();
+    defs
+}
+
+/// Erase the dead pure ops of `round`, then in rounds whatever those
+/// erasures left dead.
+fn erase_dead_from(module: &mut Module, mut round: Vec<OpId>) -> usize {
+    let mut erased = 0;
+    while !round.is_empty() {
+        erased += round.len();
+        let mut released = Vec::new();
+        for &op in &round {
+            // Dead already (but counted, as it always was) when an earlier
+            // op of the round enclosed it.
+            if module.is_alive(op) {
+                release_and_erase(module, op, &mut released);
+            }
+        }
+        round = dead_defs(module, &released);
+    }
+    erased
 }
 
 #[cfg(test)]
@@ -197,12 +234,11 @@ mod tests {
         let add = src.create_op("arith.addf", vec![va, va], vec![Type::f64()], vec![]);
         src.append_op(top, add);
 
-        let snapshot = src.clone();
         let mut dest = Module::new();
         let dtop = dest.top_block();
         let mut map = ValueMap::new();
-        let ca = clone_op_into(&snapshot, a, &mut dest, dtop, &mut map);
-        let cadd = clone_op_into(&snapshot, add, &mut dest, dtop, &mut map);
+        let ca = clone_op_into(&src, a, &mut dest, dtop, &mut map);
+        let cadd = clone_op_into(&src, add, &mut dest, dtop, &mut map);
         let cva = dest.result(ca);
         assert_eq!(dest.op(cadd).operands, vec![cva, cva]);
     }
@@ -219,11 +255,10 @@ mod tests {
         let use_iv = src.create_op("t.use", vec![iv], vec![], vec![]);
         src.append_op(b, use_iv);
 
-        let snapshot = src.clone();
         let mut dest = Module::new();
         let dtop = dest.top_block();
         let mut map = ValueMap::new();
-        let clp = clone_op_into(&snapshot, lp, &mut dest, dtop, &mut map);
+        let clp = clone_op_into(&src, lp, &mut dest, dtop, &mut map);
         let dregion = dest.op(clp).regions[0];
         let dblock = dest.region_blocks(dregion)[0];
         let dargs = dest.block_args(dblock).to_vec();
@@ -292,5 +327,101 @@ mod tests {
         move_op_to_end(&mut m, x, inner);
         assert_eq!(m.block_ops(inner), vec![x]);
         assert_eq!(m.block_ops(top), vec![f]);
+    }
+
+    /// The round-based fixed point `erase_dead_pure_ops` used to be, asking
+    /// the arena scan who uses what: the worklist's oracle.
+    fn erase_dead_pure_ops_by_rounds(module: &mut Module) -> usize {
+        let mut erased = 0;
+        loop {
+            let candidates: Vec<OpId> = module
+                .all_live_ops()
+                .filter(|&op| {
+                    let data = module.op(op);
+                    data.parent.is_some()
+                        && is_pure(data.name.full())
+                        && !data.results.is_empty()
+                        && data.results.iter().all(|&r| module.scan_uses(r).is_empty())
+                })
+                .collect();
+            if candidates.is_empty() {
+                return erased;
+            }
+            for op in candidates {
+                module.erase_op(op);
+                erased += 1;
+            }
+        }
+    }
+
+    fn assert_same_sweep(m: &Module, what: &str) {
+        let (mut by_rounds, mut by_worklist) = (m.clone(), m.clone());
+        let want = erase_dead_pure_ops_by_rounds(&mut by_rounds);
+        let got = erase_dead_pure_ops(&mut by_worklist);
+        assert_eq!(got, want, "{what}: erased count");
+        for i in 0..m.live_op_count() as u32 {
+            let op = OpId(i);
+            assert_eq!(
+                by_worklist.is_alive(op),
+                by_rounds.is_alive(op),
+                "{what}: {} {op:?}",
+                m.op(op).name
+            );
+        }
+        assert_eq!(
+            erase_dead_pure_ops(&mut by_worklist),
+            0,
+            "{what}: fixed point"
+        );
+    }
+
+    #[test]
+    fn dead_sweep_follows_uses_out_of_an_erased_region() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        // `d` is read only by an impure op inside the dead, pure `scope`.
+        let d = m.create_op("arith.constant", vec![], vec![Type::f64()], vec![]);
+        m.append_op(top, d);
+        let scope = m.create_op("arith.scope", vec![], vec![Type::f64()], vec![]);
+        m.append_op(top, scope);
+        let region = m.add_region(scope);
+        let body = m.add_block(region, &[]);
+        let user = m.create_op("test.use", vec![m.result(d)], vec![], vec![]);
+        m.append_op(body, user);
+        assert_same_sweep(&m, "nested user");
+        assert_eq!(erase_dead_pure_ops(&mut m), 2);
+        assert_eq!(m.live_op_count(), 0);
+    }
+
+    #[test]
+    fn worklist_sweep_erases_what_the_rounds_did_on_random_dags() {
+        use crate::module::tests::Rng;
+        for seed in 0..40u64 {
+            let mut rng = Rng(seed);
+            let mut m = Module::new();
+            let mut blocks = vec![m.top_block()];
+            let mut values: Vec<ValueId> = Vec::new();
+            for _ in 0..120 {
+                let operands: Vec<ValueId> = (0..rng.below(3))
+                    .filter(|_| !values.is_empty())
+                    .map(|_| rng.pick(&values))
+                    .collect();
+                let name = rng.pick(&["arith.addf", "arith.constant", "fir.load", "test.keep"]);
+                let results = vec![Type::f64(); rng.pick(&[0, 1, 1, 1, 2])];
+                let op = m.create_op(name, operands, results, vec![]);
+                // One op in ten stays detached: never swept, its operands
+                // still pin their definitions.
+                if rng.below(10) > 0 {
+                    let block = rng.pick(&blocks);
+                    m.append_op(block, op);
+                }
+                values.extend(&m.op(op).results);
+                if rng.below(6) == 0 {
+                    let region = m.add_region(op);
+                    blocks.push(m.add_block(region, &[]));
+                }
+            }
+            assert_same_sweep(&m, &format!("seed {seed}"));
+        }
     }
 }

@@ -10,7 +10,7 @@ pub fn walk_region_preorder(module: &Module, region: RegionId, f: &mut impl FnMu
     for block in module.region_blocks(region) {
         for op in module.block_ops(block) {
             f(op);
-            for nested in module.op(op).regions.clone() {
+            for &nested in &module.op(op).regions {
                 walk_region_preorder(module, nested, f);
             }
         }
@@ -21,7 +21,7 @@ pub fn walk_region_preorder(module: &Module, region: RegionId, f: &mut impl FnMu
 pub fn walk_region_postorder(module: &Module, region: RegionId, f: &mut impl FnMut(OpId)) {
     for block in module.region_blocks(region) {
         for op in module.block_ops(block) {
-            for nested in module.op(op).regions.clone() {
+            for &nested in &module.op(op).regions {
                 walk_region_postorder(module, nested, f);
             }
             f(op);
@@ -48,7 +48,7 @@ pub fn collect_ops_named(module: &Module, name: &str) -> Vec<OpId> {
 /// Collect all live ops inside `op`'s regions (not including `op` itself).
 pub fn collect_nested_ops(module: &Module, op: OpId) -> Vec<OpId> {
     let mut out = Vec::new();
-    for region in module.op(op).regions.clone() {
+    for &region in &module.op(op).regions {
         walk_region_preorder(module, region, &mut |o| out.push(o));
     }
     out

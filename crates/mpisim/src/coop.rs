@@ -1364,7 +1364,10 @@ mod tests {
 
     #[test]
     fn aggregation_coalesces_same_edge_messages() {
+        // One worker: with two, the receivers can all park while senders
+        // are still queued, and the idle flush splits the envelope in two.
         let cfg = CoopConfig {
+            workers: 1,
             node_size: 8,
             ..CoopConfig::default()
         };

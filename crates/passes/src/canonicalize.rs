@@ -2,7 +2,9 @@
 //! identities + DCE), `cse` and `dce` — the "existing MLIR miscellaneous
 //! passes" slots of the paper's pipeline.
 
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use fsc_ir::rewrite::{erase_dead_pure_ops, is_pure, replace_op};
 use fsc_ir::walk::collect_ops_where;
@@ -209,33 +211,55 @@ fn const_is_one(m: &Module, v: fsc_ir::ValueId) -> bool {
     }
 }
 
+/// A hash of what [`same_computation`] compares.
+fn computation_hash(m: &Module, op: OpId) -> u64 {
+    let data = m.op(op);
+    let mut h = DefaultHasher::new();
+    (&data.name, &data.operands, m.value_type(data.results[0])).hash(&mut h);
+    for (key, attr) in &data.attrs {
+        key.hash(&mut h);
+        attr.hash_identity(&mut h);
+    }
+    h.finish()
+}
+
+/// Two single-result ops with the same name, operands, attributes and
+/// result type.
+fn same_computation(m: &Module, a: OpId, b: OpId) -> bool {
+    let (x, y) = (m.op(a), m.op(b));
+    x.name == y.name
+        && x.operands == y.operands
+        && m.value_type(x.results[0]) == m.value_type(y.results[0])
+        && x.attrs.len() == y.attrs.len()
+        && x.attrs
+            .iter()
+            .zip(&y.attrs)
+            .all(|((ka, va), (kb, vb))| ka == kb && va.identical(vb))
+}
+
 /// CSE over pure ops, scoped per block.
 fn run_cse(m: &mut Module) -> bool {
     let mut changed = false;
-    // Group live pure ops by parent block.
+    // Blocks holding live ops, in order of their first op's creation.
     let mut blocks: Vec<fsc_ir::BlockId> = Vec::new();
+    let mut listed = HashSet::new();
     for op in m.all_live_ops() {
         if let Some(b) = m.op(op).parent {
-            if !blocks.contains(&b) {
+            if listed.insert(b) {
                 blocks.push(b);
             }
         }
     }
     for block in blocks {
-        let mut seen: HashMap<String, fsc_ir::OpId> = HashMap::new();
+        // Earlier ops of the block, bucketed by computation hash.
+        let mut seen: HashMap<u64, Vec<OpId>> = HashMap::new();
         for op in m.block_ops(block) {
             let data = m.op(op);
             if !is_pure(data.name.full()) || data.results.len() != 1 || !data.regions.is_empty() {
                 continue;
             }
-            let key = format!(
-                "{}|{:?}|{:?}|{}",
-                data.name,
-                data.operands,
-                data.attrs,
-                m.value_type(data.results[0])
-            );
-            match seen.get(&key) {
+            let bucket = seen.entry(computation_hash(m, op)).or_default();
+            match bucket.iter().find(|&&prev| same_computation(m, prev, op)) {
                 Some(&prev) => {
                     let old = m.result(op);
                     let new = m.result(prev);
@@ -243,9 +267,7 @@ fn run_cse(m: &mut Module) -> bool {
                     m.erase_op(op);
                     changed = true;
                 }
-                None => {
-                    seen.insert(key, op);
-                }
+                None => bucket.push(op),
             }
         }
     }

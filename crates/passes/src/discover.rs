@@ -17,10 +17,10 @@
 //! Listing 2 where `data(-1:256)` iterated over `1..256` yields
 //! `!stencil.temp<[-1,255]x...>` (zero-based there because C-style bounds).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use fsc_dialects::{fir, stencil};
-use fsc_ir::rewrite::erase_dead_pure_ops;
+use fsc_ir::rewrite::{erase_dead_pure_ops, erase_op_and_dead_defs};
 use fsc_ir::types::DimBound;
 use fsc_ir::walk::{collect_nested_ops, collect_ops_named};
 use fsc_ir::{
@@ -71,21 +71,31 @@ pub fn discover_stencils(module: &mut Module) -> Result<usize> {
         .into_iter()
         .filter(|&s| module.value_type(module.op(s).operands[0]).is_float())
         .collect();
+    // Scalars stored to inside each loop nest, gathered once per nest:
+    // discovery erases array stores only, so the set holds for every
+    // candidate of the nest.
+    let mut nest_stores: HashMap<OpId, HashSet<ValueId>> = HashMap::new();
     for store in stores {
         if !module.is_alive(store) {
             continue;
         }
-        if let Some(cand) = analyze_candidate(module, store, &loops) {
+        if let Some(cand) = analyze_candidate(module, store, &loops, &mut nest_stores) {
             build_stencil(module, &cand)?;
             module.erase_op(store);
             built += 1;
         }
     }
     if built > 0 {
-        erase_dead_pure_ops(module);
         remove_empty_loops(module);
     }
     Ok(built)
+}
+
+/// One array read of a candidate's slice: the array and the constant added
+/// to the loop variable in each subscript.
+struct Read {
+    base: ValueId,
+    offsets: Vec<i64>,
 }
 
 /// Everything needed to materialise one stencil.
@@ -108,9 +118,17 @@ struct Candidate {
     read_bases: Vec<ValueId>,
     /// Representative access per read base (for bounds).
     read_info: HashMap<ValueId, ArrayAccess>,
+    /// Every array `fir.load` of the slice, by its result, as decoded
+    /// during validation.
+    reads: HashMap<ValueId, Read>,
 }
 
-fn analyze_candidate(m: &Module, store: OpId, loops: &[LoopInfo]) -> Option<Candidate> {
+fn analyze_candidate(
+    m: &Module,
+    store: OpId,
+    loops: &[LoopInfo],
+    nest_stores: &mut HashMap<OpId, HashSet<ValueId>>,
+) -> Option<Candidate> {
     let target = decode_access(m, m.op(store).operands[1])?;
     if !target.is_loop_indexed() {
         return None;
@@ -155,14 +173,22 @@ fn analyze_candidate(m: &Module, store: OpId, loops: &[LoopInfo]) -> Option<Cand
     }
 
     // Validate the RHS slice and collect reads/captures.
+    let mutated = nest_stores.entry(top_loop).or_insert_with(|| {
+        collect_nested_ops(m, top_loop)
+            .into_iter()
+            .filter(|&op| m.op(op).name.full() == fir::STORE)
+            .map(|op| m.op(op).operands[1])
+            .collect()
+    });
     let mut ctx = SliceCtx {
         m,
         var_dims: &var_dims,
         target_rank: target.extents.len(),
-        top_loop,
+        mutated,
         captured: Vec::new(),
         read_bases: Vec::new(),
         read_info: HashMap::new(),
+        reads: HashMap::new(),
     };
     if !ctx.validate(m.op(store).operands[0]) {
         return None;
@@ -171,6 +197,7 @@ fn analyze_candidate(m: &Module, store: OpId, loops: &[LoopInfo]) -> Option<Cand
         captured,
         read_bases,
         read_info,
+        reads,
         ..
     } = ctx;
     Some(Candidate {
@@ -182,6 +209,7 @@ fn analyze_candidate(m: &Module, store: OpId, loops: &[LoopInfo]) -> Option<Cand
         captured,
         read_bases,
         read_info,
+        reads,
         target,
     })
 }
@@ -190,10 +218,12 @@ struct SliceCtx<'a> {
     m: &'a Module,
     var_dims: &'a HashMap<ValueId, usize>,
     target_rank: usize,
-    top_loop: OpId,
+    /// Scalars written anywhere inside the loop nest: not capturable.
+    mutated: &'a HashSet<ValueId>,
     captured: Vec<ValueId>,
     read_bases: Vec<ValueId>,
     read_info: HashMap<ValueId, ArrayAccess>,
+    reads: HashMap<ValueId, Read>,
 }
 
 impl<'a> SliceCtx<'a> {
@@ -214,17 +244,21 @@ impl<'a> SliceCtx<'a> {
                     if access.index_exprs.len() != self.target_rank {
                         return false;
                     }
+                    let mut offsets = Vec::with_capacity(self.target_rank);
                     for (d, e) in access.index_exprs.iter().enumerate() {
-                        let IndexExpr::LoopVar { alloca, .. } = e else {
+                        let IndexExpr::LoopVar { alloca, offset } = e else {
                             return false;
                         };
                         if self.var_dims.get(alloca) != Some(&d) {
                             return false;
                         }
+                        offsets.push(*offset);
                     }
-                    if !self.read_bases.contains(&access.base) {
-                        self.read_bases.push(access.base);
-                        self.read_info.insert(access.base, access.clone());
+                    let base = access.base;
+                    self.reads.insert(v, Read { base, offsets });
+                    if !self.read_bases.contains(&base) {
+                        self.read_bases.push(base);
+                        self.read_info.insert(base, access);
                     }
                     true
                 } else {
@@ -236,7 +270,7 @@ impl<'a> SliceCtx<'a> {
                     if !matches!(m.value_type(src), Type::FirRef(_)) {
                         return false;
                     }
-                    if self.is_mutated_inside_nest(src) {
+                    if self.mutated.contains(&src) {
                         return false;
                     }
                     if !self.captured.contains(&src) {
@@ -252,14 +286,6 @@ impl<'a> SliceCtx<'a> {
             }
             _ => false,
         }
-    }
-
-    /// A captured scalar must not be written anywhere inside the loop nest.
-    fn is_mutated_inside_nest(&self, alloca: ValueId) -> bool {
-        let m = self.m;
-        collect_nested_ops(m, self.top_loop)
-            .iter()
-            .any(|&op| m.op(op).name.full() == fir::STORE && m.op(op).operands[1] == alloca)
     }
 }
 
@@ -384,23 +410,17 @@ impl<'a> BodyEmitter<'a> {
         let name = m.op(def).name.full().to_string();
         let out = match name.as_str() {
             fir::LOAD => {
-                let addr = m.op(def).operands[0];
-                if let Some(access) = decode_access(m, addr) {
+                if let Some(read) = self.cand.reads.get(&v) {
                     // Relative offsets versus the store position.
-                    let mut offsets = Vec::with_capacity(access.index_exprs.len());
-                    for (d, e) in access.index_exprs.iter().enumerate() {
-                        match e {
-                            IndexExpr::LoopVar { offset, .. } => {
-                                offsets.push(offset - self.cand.store_offsets[d]);
-                            }
-                            _ => {
-                                return Err(IrError::new("stencil read index is not loop-indexed"))
-                            }
-                        }
-                    }
+                    let offsets = read
+                        .offsets
+                        .iter()
+                        .zip(&self.cand.store_offsets)
+                        .map(|(offset, store_offset)| offset - store_offset)
+                        .collect();
                     let temp = *self
                         .temp_args
-                        .get(&access.base)
+                        .get(&read.base)
                         .ok_or_else(|| IrError::new("stencil read base missing a temp argument"))?;
                     let mut b = OpBuilder::at_end(m, body);
                     stencil::access(&mut b, temp, offsets)
@@ -510,43 +530,31 @@ fn emit_standard_convert(
 }
 
 /// Delete loops whose bodies contain only induction-variable bookkeeping
-/// (lines 25–27 of Listing 3). Innermost loops go first; outer loops that
-/// then become empty are removed on later sweeps.
+/// (lines 25–27 of Listing 3), inner loops before the loops around them:
+/// the bound constants of an erased inner loop sit in the outer body and
+/// are swept as they die, so the outer loop can be recognised as empty in
+/// the same walk.
 pub fn remove_empty_loops(m: &mut Module) {
-    loop {
-        let mut changed = false;
-        // Bound constants of an erased inner loop sit in the outer body;
-        // sweep them so the outer loop can be recognised as empty too.
-        erase_dead_pure_ops(m);
-        for lp_op in collect_ops_named(m, fir::DO_LOOP) {
-            if !m.is_alive(lp_op) {
-                continue;
-            }
-            let lp = fir::DoLoopOp(lp_op);
-            let iv = lp.iv(m);
-            let body_ops = lp.body_ops(m);
-            let only_bookkeeping = body_ops.iter().all(|&op| {
-                let data = m.op(op);
-                match data.name.full() {
-                    fir::CONVERT => data.operands == vec![iv],
-                    fir::STORE => {
-                        // A store of the converted iv into a scalar ref.
-                        m.defining_op(data.operands[0])
-                            .map(|d| {
-                                m.op(d).name.full() == fir::CONVERT && m.op(d).operands == vec![iv]
-                            })
-                            .unwrap_or(false)
-                    }
-                    _ => false,
+    erase_dead_pure_ops(m);
+    // Pre-order backwards: every loop comes before its ancestors.
+    for lp_op in collect_ops_named(m, fir::DO_LOOP).into_iter().rev() {
+        let lp = fir::DoLoopOp(lp_op);
+        let iv = lp.iv(m);
+        let only_bookkeeping = lp.body_ops(m).iter().all(|&op| {
+            let data = m.op(op);
+            match data.name.full() {
+                fir::CONVERT => data.operands == [iv],
+                fir::STORE => {
+                    // A store of the converted iv into a scalar ref.
+                    m.defining_op(data.operands[0]).is_some_and(|d| {
+                        m.op(d).name.full() == fir::CONVERT && m.op(d).operands == [iv]
+                    })
                 }
-            });
-            if only_bookkeeping {
-                m.erase_op(lp_op);
-                changed = true;
+                _ => false,
             }
-        }
-        if !changed {
-            return;
+        });
+        if only_bookkeeping {
+            erase_op_and_dead_defs(m, lp_op);
         }
     }
 }

@@ -174,9 +174,8 @@ fn extract_cluster(
     for (i, &s) in scalar_inputs.iter().enumerate() {
         map.insert(s, args[ptr_inputs.len() + i]);
     }
-    let snapshot = main.clone();
     for &op in cluster {
-        clone_op_into(&snapshot, op, stencil_module, entry, &mut map);
+        clone_op_into(main, op, stencil_module, entry, &mut map);
     }
     {
         let mut b = OpBuilder::at_end(stencil_module, entry);

@@ -152,14 +152,14 @@ fn convert(module: &mut Module) -> Result<()> {
             let one = fsc_dialects::arith::const_index(&mut b, 1);
             fsc_dialects::arith::addi(&mut b, ub, one)
         };
-        module.op_mut(op).operands[1] = new_ub;
-        module.op_mut(op).name = "scf.for".into();
+        module.set_operand(op, 1, new_ub);
+        *module.op_mut(op).name = "scf.for".into();
     }
     for op in collect_ops_named(module, fir::IF) {
-        module.op_mut(op).name = "scf.if".into();
+        *module.op_mut(op).name = "scf.if".into();
     }
     for op in collect_ops_named(module, fir::RESULT) {
-        module.op_mut(op).name = "scf.yield".into();
+        *module.op_mut(op).name = "scf.yield".into();
     }
 
     // 4. Converts: numeric casts or forwarding.
@@ -203,7 +203,7 @@ fn convert(module: &mut Module) -> Result<()> {
 
     // 5. Calls.
     for op in collect_ops_named(module, fir::CALL) {
-        module.op_mut(op).name = func::CALL.into();
+        *module.op_mut(op).name = func::CALL.into();
     }
     fsc_ir::rewrite::erase_dead_pure_ops(module);
     Ok(())

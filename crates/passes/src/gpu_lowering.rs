@@ -20,7 +20,7 @@
 //!   lazily when the FIR side touches the result.
 
 use fsc_dialects::{arith, func, gpu, scf};
-use fsc_ir::rewrite::clone_op_into;
+use fsc_ir::rewrite::move_op_to_end;
 use fsc_ir::walk::{collect_nested_ops, collect_ops_named};
 use fsc_ir::{
     Attribute, IrError, Module, OpBuilder, OpId, Pass, PassResult, Result, Type, ValueId,
@@ -111,8 +111,8 @@ fn outline_func(module: &mut Module, f_op: OpId) -> Result<bool> {
     let args = f.arguments(module);
     let (read_args, written_args) = classify_arg_uses(module, f_op, &args);
 
-    // Build the kernel: a gpu.func with the same signature, whose body is a
-    // clone of the *entire* entry block (from_ptr views included) minus the
+    // Build the kernel: a gpu.func with the same signature, which takes
+    // over the *entire* entry block (from_ptr views included) minus the
     // func.return.
     let (_, gpu_body) = {
         // One gpu.module per module, created on demand.
@@ -146,32 +146,25 @@ fn outline_func(module: &mut Module, f_op: OpId) -> Result<bool> {
     let kregion = module.add_region(kernel);
     let kentry = module.add_block(kregion, &ins);
 
-    let mut map = std::collections::HashMap::new();
+    // Move the body across, reading the kernel's arguments.
     let kargs = module.block_args(kentry).to_vec();
     for (a, ka) in args.iter().zip(&kargs) {
-        map.insert(*a, *ka);
+        module.replace_all_uses(*a, *ka);
     }
-    let snapshot = module.clone();
-    for op in snapshot.block_ops(entry) {
-        if snapshot.op(op).name.full() == func::RETURN {
-            continue;
+    let ret = module
+        .block_terminator(entry)
+        .ok_or_else(|| IrError::new("function without terminator"))?;
+    for op in module.block_ops(entry) {
+        if op != ret {
+            move_op_to_end(module, op, kentry);
         }
-        clone_op_into(&snapshot, op, module, kentry, &mut map);
     }
     {
         let mut b = OpBuilder::at_end(module, kentry);
         b.op(gpu::RETURN, vec![], vec![], vec![]);
     }
 
-    // Replace the original body with a launch.
-    let ret = module
-        .block_terminator(entry)
-        .ok_or_else(|| IrError::new("function without terminator"))?;
-    for op in module.block_ops(entry) {
-        if op != ret {
-            module.erase_op(op);
-        }
-    }
+    // What is left of the original body is a launch.
     {
         let mut b = OpBuilder::before(module, ret);
         let launch = gpu::build_launch_func(&mut b, &kernel_name, grid, block, args);

@@ -6,11 +6,13 @@
 //! "three separate stencil computations across three fields which are then
 //! fused by our stencil transformation into a single stencil region" (§4.1).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use fsc_dialects::stencil;
+use fsc_ir::rewrite::{hoist_defs_before, move_op_to_end};
 use fsc_ir::walk::collect_ops_named;
-use fsc_ir::{IrError, Module, OpBuilder, OpId, Pass, PassResult, Result, ValueId};
+use fsc_ir::{IrError, Module, OpBuilder, OpId, Pass, PassResult, Result, Type, ValueId};
 
 /// The merge pass. Registered as `merge-stencils`.
 #[derive(Debug, Default, Clone, Copy)]
@@ -64,24 +66,28 @@ fn dedupe_loads(module: &mut Module) -> bool {
         out
     };
     for block in blocks {
-        let mut first: HashMap<(String, ValueId, String), ValueId> = HashMap::new();
+        // (is an external_load, source, result type) -> first such load.
+        let mut first: HashMap<(bool, ValueId, Type), ValueId> = HashMap::new();
         for op in module.block_ops(block) {
-            let name = module.op(op).name.full().to_string();
-            if name != stencil::EXTERNAL_LOAD && name != stencil::LOAD {
-                continue;
-            }
-            let source = module.op(op).operands[0];
-            let ty = module.value_type(module.result(op)).to_string();
-            let key = (name, source, ty);
-            match first.get(&key) {
-                Some(&canonical) => {
-                    let result = module.result(op);
-                    module.replace_all_uses(result, canonical);
+            let external = match module.op(op).name.full() {
+                stencil::EXTERNAL_LOAD => true,
+                stencil::LOAD => false,
+                _ => continue,
+            };
+            let result = module.result(op);
+            let key = (
+                external,
+                module.op(op).operands[0],
+                module.value_type(result).clone(),
+            );
+            match first.entry(key) {
+                Entry::Occupied(canonical) => {
+                    module.replace_all_uses(result, *canonical.get());
                     module.erase_op(op);
                     changed = true;
                 }
-                None => {
-                    first.insert(key, module.result(op));
+                Entry::Vacant(slot) => {
+                    slot.insert(result);
                 }
             }
         }
@@ -91,23 +97,16 @@ fn dedupe_loads(module: &mut Module) -> bool {
 
 /// Find one fusible adjacent pair of applies and fuse it.
 fn fuse_one_pair(module: &mut Module) -> Result<bool> {
-    let applies = collect_ops_named(module, stencil::APPLY);
-    for &a in &applies {
-        let Some(block) = module.op(a).parent else {
-            continue;
-        };
+    for a in collect_ops_named(module, stencil::APPLY) {
         // The next apply in the same block, if any.
-        let siblings = module.block_ops(block);
-        let Some(a_pos) = siblings.iter().position(|&o| o == a) else {
-            continue;
-        };
-        let Some(&b) = siblings[a_pos + 1..]
+        let after = module.ops_after(a);
+        let Some(&b) = after
             .iter()
             .find(|&&o| module.op(o).name.full() == stencil::APPLY)
         else {
             continue;
         };
-        if can_fuse(module, a, b, &siblings[a_pos + 1..]) {
+        if can_fuse(module, a, b, &after) {
             fuse(module, a, b)?;
             return Ok(true);
         }
@@ -156,8 +155,6 @@ fn can_fuse(m: &Module, a: OpId, b: OpId, between_and_after: &[OpId]) -> bool {
     true
 }
 
-use fsc_ir::rewrite::hoist_def_before;
-
 /// The external storage value behind a field.
 fn field_source(m: &Module, field: ValueId) -> Option<ValueId> {
     let def = m.defining_op(field)?;
@@ -205,18 +202,14 @@ fn fuse(module: &mut Module, a: OpId, b: OpId) -> Result<()> {
     // `b`'s inputs (field/temp loads, captured scalar loads) were created
     // after `a`; hoist them (and their pure dependencies) above the fused
     // apply so SSA dominance holds.
-    for &input in &inputs {
-        hoist_def_before(module, input, fused.0);
-    }
+    hoist_defs_before(module, &inputs, fused.0);
     let fused_body = fused.body(module);
 
-    // Map each original apply's block args onto the fused block args, then
-    // move (clone) the body ops across.
+    // Point each original apply's block args at the fused block args, then
+    // move the body ops across; the originals keep only their returns.
     let mut return_values = Vec::new();
     for &src_apply in &[a, b] {
-        let view = stencil::ApplyOp(src_apply);
-        let src_body = view.body(module);
-        let mut map: fsc_ir::rewrite::ValueMap = HashMap::new();
+        let src_body = stencil::ApplyOp(src_apply).body(module);
         let src_inputs = module.op(src_apply).operands.clone();
         let src_args = module.block_args(src_body).to_vec();
         for (arg, input) in src_args.iter().zip(&src_inputs) {
@@ -225,19 +218,15 @@ fn fuse(module: &mut Module, a: OpId, b: OpId) -> Result<()> {
                 .position(|v| v == input)
                 .ok_or_else(|| IrError::new("fused apply lost an input"))?;
             let fused_arg = module.block_args(fused_body)[fused_idx];
-            map.insert(*arg, fused_arg);
+            module.replace_all_uses(*arg, fused_arg);
         }
-        let snapshot = module.clone();
-        for op in snapshot.block_ops(src_body) {
-            if snapshot.op(op).name.full() == stencil::RETURN {
-                for &v in &snapshot.op(op).operands {
-                    return_values.push(*map.get(&v).unwrap_or(&v));
-                }
+        for op in module.block_ops(src_body) {
+            if module.op(op).name.full() == stencil::RETURN {
+                return_values.extend_from_slice(&module.op(op).operands);
             } else {
-                fsc_ir::rewrite::clone_op_into(&snapshot, op, module, fused_body, &mut map);
+                move_op_to_end(module, op, fused_body);
             }
         }
-        let _ = view;
     }
     {
         let mut builder = OpBuilder::at_end(module, fused_body);

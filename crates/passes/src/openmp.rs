@@ -5,11 +5,9 @@
 //! Fortran source was serial, the parallel loop came from the stencil
 //! lowering, and the OpenMP mapping here is what Figures 3 and 4 measure.
 
-use std::collections::HashMap;
-
 use fsc_dialects::{omp, scf};
 use fsc_ir::pass::PassOptions;
-use fsc_ir::rewrite::clone_op_into;
+use fsc_ir::rewrite::move_op_before;
 use fsc_ir::walk::collect_ops_named;
 use fsc_ir::{IrError, Module, OpBuilder, Pass, PassResult, Result};
 
@@ -92,23 +90,17 @@ fn convert_one(module: &mut Module, par_op: fsc_ir::OpId, num_threads: u32) -> R
     let ws_body = ws.body(module);
     let ws_ivs = ws.ivs(module);
 
-    // Move the loop body across (clone + erase original).
-    let mut map: HashMap<fsc_ir::ValueId, fsc_ir::ValueId> = HashMap::new();
+    // Move the loop body across under the new induction variables.
     for (old, new) in src_ivs.iter().zip(&ws_ivs) {
-        map.insert(*old, *new);
+        module.replace_all_uses(*old, *new);
     }
     let term = module
         .block_terminator(ws_body)
         .ok_or_else(|| IrError::new("omp.wsloop body lost its terminator"))?;
-    let snapshot = module.clone();
-    for op in snapshot.block_ops(src_body) {
-        if snapshot.op(op).name.full() == scf::YIELD {
-            continue;
+    for op in module.block_ops(src_body) {
+        if module.op(op).name.full() != scf::YIELD {
+            move_op_before(module, op, term);
         }
-        let cloned = clone_op_into(&snapshot, op, module, ws_body, &mut map);
-        // clone_op_into appends; keep the terminator last.
-        module.detach_op(cloned);
-        module.insert_op_before(term, cloned);
     }
     module.erase_op(par_op);
     Ok(())

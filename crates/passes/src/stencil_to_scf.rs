@@ -21,6 +21,7 @@ use std::collections::HashMap;
 
 use fsc_dialects::{arith, memref, scf, stencil};
 use fsc_ir::pass::PassOptions;
+use fsc_ir::rewrite::hoist_defs_before;
 use fsc_ir::types::DimBound;
 use fsc_ir::walk::collect_ops_named;
 use fsc_ir::{
@@ -139,8 +140,8 @@ pub fn lower_stencils(module: &mut Module, target: LoweringTarget) -> Result<boo
                 let buffer = module.op(op).operands[i];
                 if let Some(view) = views.get(&buffer) {
                     let mr = view.memref;
-                    module.op_mut(op).operands[i] = mr;
-                    fsc_ir::rewrite::hoist_def_before(module, mr, op);
+                    module.set_operand(op, i, mr);
+                    hoist_defs_before(module, &[mr], op);
                 }
             }
         }
@@ -191,9 +192,8 @@ fn lower_apply(
 
     // The from_ptr views for fields loaded *after* this apply in the block
     // (an artefact of fusion ordering) must dominate the loop nest.
-    for v in &out_views {
-        fsc_ir::rewrite::hoist_def_before(module, v.memref, apply_op);
-    }
+    let out_memrefs: Vec<ValueId> = out_views.iter().map(|v| v.memref).collect();
+    hoist_defs_before(module, &out_memrefs, apply_op);
 
     // Map apply inputs: temps → views (with copies where an input aliases an
     // output), scalars → the operand value itself.

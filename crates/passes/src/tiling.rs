@@ -5,12 +5,10 @@
 //! that performance is sensitive to these values and that bad values can
 //! fail at runtime — our Figure-5 ablation bench sweeps them.
 
-use std::collections::HashMap;
-
 use fsc_dialects::{arith, scf};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::pass::PassOptions;
-use fsc_ir::rewrite::clone_op_into;
+use fsc_ir::rewrite::move_op_before;
 use fsc_ir::walk::collect_ops_named;
 use fsc_ir::{IrError, Module, OpBuilder, OpId, Pass, PassResult, Result, ValueId};
 
@@ -170,22 +168,17 @@ fn tile_one(module: &mut Module, par_op: OpId, cfg: &ParallelLoopTiling) -> Resu
         current = f.body(m2);
     }
 
-    // Move the body.
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
+    // Move the body under the new induction variables.
     for (old, new) in src_ivs.iter().zip(&inner_ivs) {
-        map.insert(*old, *new);
+        module.replace_all_uses(*old, *new);
     }
     let term = module
         .block_terminator(current)
         .ok_or_else(|| IrError::new("tiled loop body lost its terminator"))?;
-    let snapshot = module.clone();
-    for op in snapshot.block_ops(src_body) {
-        if snapshot.op(op).name.full() == scf::YIELD {
-            continue;
+    for op in module.block_ops(src_body) {
+        if module.op(op).name.full() != scf::YIELD {
+            move_op_before(module, op, term);
         }
-        let cloned = clone_op_into(&snapshot, op, module, current, &mut map);
-        module.detach_op(cloned);
-        module.insert_op_before(term, cloned);
     }
     module.erase_op(par_op);
     Ok(())
