@@ -47,8 +47,10 @@ timeout --kill-after=30s 300s cargo run -q -p fsc-bench --bin fuzz_diff -- --cas
 
 echo "== distributed smoke =="
 # Executed distributed run on a 2x2 process grid: rank bodies on the MPI
-# micro-sim must produce a bit-identical result to single-rank serial and
-# attest a non-zero halo-overlap fraction (asserted inside the binary).
+# micro-sim must produce a bit-identical result to single-rank serial,
+# attest a non-zero halo-overlap fraction, and scatter and gather each
+# rank's resident windows exactly once per run (asserted inside the
+# binary).
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig6_distributed -- --smoke
 

@@ -135,7 +135,7 @@ fn gs_rank_body_resilient(
     let mut it = 0usize;
     while it < iters {
         if checkpoint_interval > 0 && it.is_multiple_of(checkpoint_interval) {
-            ctx.save_checkpoint(it, std::slice::from_ref(&u));
+            ctx.save_checkpoint(it, || vec![u.clone()]);
         }
         if ctx.crash_pending(it) {
             let (restored_it, state) = ctx.crash_and_restore(it)?;

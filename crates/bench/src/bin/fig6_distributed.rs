@@ -12,7 +12,7 @@
 //!
 //! `--smoke` runs the CI gate instead: a small 2×2-grid run that must be
 //! bit-identical to single-rank serial with a non-zero attested overlap
-//! fraction.
+//! fraction and exactly one scatter and one gather per rank.
 
 use fsc_baselines::mpi as hand_mpi;
 use fsc_bench::{mcells_per_sec, measure, print_rows, Row};
@@ -138,6 +138,13 @@ fn smoke() {
         );
     }
     assert!(d.bytes_exchanged > 0, "smoke: no halo traffic: {d:?}");
+    // Ranks stay resident across the run's dispatches: each rank's windows
+    // are scattered once and gathered once, whatever the iteration count.
+    assert_eq!(
+        (d.scatters, d.gathers, d.resident_hits),
+        (4, 4, 4 * (iters as u64 - 1)),
+        "smoke: one scatter and one gather per rank per run: {d:?}"
+    );
     println!(
         "distributed smoke PASS: GS {n}^3 on 2x2 grid bit-identical to serial, \
          overlap fraction {:.3}, {} halo bytes",

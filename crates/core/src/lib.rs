@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use fsc_exec::autotune::{self, TuneConfig, TuningReport};
 use fsc_exec::budget::{MemoryBudget, MemoryEstimate};
-use fsc_exec::distexec::{self, DeepHaloSession, DistOutcome};
+use fsc_exec::distexec::{self, DistOutcome, DistSession};
 pub use fsc_exec::distexec::{DistMode, DistOptions};
 use fsc_exec::interp::{Interpreter, RegionDispatcher, RunStats};
 use fsc_exec::kernel::{
@@ -308,7 +308,9 @@ pub struct DistributedReport {
     /// The halo schedule the exchanging nests ran under (`None` until a
     /// real dispatch happens).
     pub schedule: Option<HaloSchedule>,
-    /// Measured wall seconds per rank, summed across dispatches.
+    /// All measured wall seconds spent for each rank, summed across
+    /// dispatches: its rank bodies plus the driver's scatter and gather of
+    /// its windows.
     pub per_rank_wall: Vec<f64>,
     /// Total halo payload bytes exchanged across all ranks and dispatches.
     pub bytes_exchanged: u64,
@@ -323,7 +325,8 @@ pub struct DistributedReport {
     /// Boundary (overlap) or whole-block (blocking) compute seconds.
     pub boundary_seconds: f64,
     /// Measured distributed seconds: the sum of per-dispatch makespans
-    /// (slowest rank each time).
+    /// (slowest rank body each time) plus every second the driver spent
+    /// scattering and gathering rank windows.
     pub measured_seconds: f64,
     /// What the analytic cost model charges for the same dispatches
     /// (mean per-rank compute + modeled halo communication) — kept as a
@@ -360,6 +363,21 @@ pub struct DistributedReport {
     /// Halo-exchange rounds actually performed: deep halos make this grow
     /// slower than `dispatches` (one round feeds `k` dispatches).
     pub exchange_rounds: u64,
+    /// Driver seconds building and seeding rank windows, summed over ranks.
+    pub scatter_seconds: f64,
+    /// Driver seconds copying owned slabs back to the program's arrays,
+    /// summed over ranks.
+    pub gather_seconds: f64,
+    /// Rank windows scattered: `ranks` per session miss. A run whose
+    /// arrays only its distributed kernel touches scatters once.
+    pub scatters: u64,
+    /// Rank windows gathered: `ranks` each time something outside the
+    /// resident session needed the results (once, at the end, for such a
+    /// run).
+    pub gathers: u64,
+    /// Rank dispatches that found their windows resident and moved only
+    /// halo faces.
+    pub resident_hits: u64,
 }
 
 /// Provenance of the distributed timing numbers in a
@@ -914,9 +932,10 @@ impl Compiled {
                     halo = halo.saturating_add(face.saturating_mul(8 * 2));
                 }
             }
-            // Distributed replication: every real rank holds full-size,
-            // globally addressed copies of the argument and snapshot
-            // buffers, plus per-phase checkpoint clones of each (~2x).
+            // Distributed replication: every real rank holds (at most)
+            // full-size, globally addressed copies of the argument and
+            // snapshot buffers, resident for the whole run, and a rank
+            // with a crash planned holds a checkpoint clone of each (2x).
             if kernel.is_distributed() {
                 let real_ranks = ranks.min(32);
                 replication = replication.saturating_add(
@@ -988,6 +1007,9 @@ impl Compiled {
             interp.memory = fsc_exec::Memory::with_budget(Arc::clone(b));
         }
         interp.run_func(&self.entry, vec![])?;
+        // Results still resident in rank windows land before anything reads
+        // the program's arrays.
+        interp.sync();
         let wall = start.elapsed();
 
         // Gather array bindings before dismantling the interpreter.
@@ -1095,10 +1117,9 @@ pub struct KernelDispatcher<'k> {
     dispatch_index: usize,
     /// Substrate/worker/aggregation knobs for distributed dispatches.
     pub dist_options: DistOptions,
-    /// Open deep-halo amortisation windows, keyed by kernel name: a kernel
-    /// compiled with `halo_depth = k` exchanges on one dispatch and runs
-    /// the next `k − 1` communication-free from its session.
-    deep_sessions: HashMap<String, DeepHaloSession>,
+    /// Resident rank memory per distributed kernel, keyed by kernel name
+    /// (ordered, so a sync gathers in the same order every run).
+    sessions: std::collections::BTreeMap<String, DistSession>,
     /// Buffers written on the device (for final d2h accounting).
     written_buffers: HashMap<u64, u64>,
 }
@@ -1158,7 +1179,7 @@ impl<'k> KernelDispatcher<'k> {
             resilience: FaultStats::default(),
             dispatch_index: 0,
             dist_options: DistOptions::default(),
-            deep_sessions: HashMap::new(),
+            sessions: std::collections::BTreeMap::new(),
             written_buffers: HashMap::new(),
         }
     }
@@ -1188,9 +1209,9 @@ impl<'k> KernelDispatcher<'k> {
     fn charge_resilient_exchange(
         &mut self,
         kernel: &CompiledKernel,
+        grid: &ProcessGrid,
         dispatch: usize,
     ) -> Result<f64> {
-        let grid = self.grid.as_ref().expect("distributed target has a grid");
         let gsize = grid.size() as usize;
         let face = kernel
             .nests
@@ -1229,7 +1250,7 @@ impl<'k> KernelDispatcher<'k> {
             let mut field = vec![rank as f64 + 1.0; elems];
             let mut it = 0usize;
             while it < SIM_ITERS {
-                ctx.save_checkpoint(it, std::slice::from_ref(&field));
+                ctx.save_checkpoint(it, || vec![field.clone()]);
                 if ctx.crash_pending(it) {
                     let (restored, state) = ctx.crash_and_restore(it)?;
                     it = restored;
@@ -1298,9 +1319,48 @@ impl<'k> KernelDispatcher<'k> {
         comm
     }
 
+    /// The process grid of a distributed dispatch. Kernels only carry a
+    /// decomposition under a distributed target, which always has one.
+    fn dist_grid(&self) -> Result<ProcessGrid> {
+        self.grid.clone().ok_or_else(|| {
+            IrError::from_diagnostic(Diagnostic::error(
+                codes::EXEC,
+                "distributed kernel dispatched without a process grid",
+            ))
+        })
+    }
+
+    /// Gather every session `which` selects: the owned slabs its ranks
+    /// still hold land in `memory`, and the driver time this takes is
+    /// measured distributed time like the rank bodies'.
+    fn gather_sessions(&mut self, memory: &mut Memory, which: impl Fn(&str, &DistSession) -> bool) {
+        for (name, session) in &mut self.sessions {
+            if !which(name, session) {
+                continue;
+            }
+            let secs = session.gather(memory);
+            let d = &mut self.dist;
+            if d.per_rank_wall.len() < secs.len() {
+                d.per_rank_wall.resize(secs.len(), 0.0);
+            }
+            for (acc, s) in d.per_rank_wall.iter_mut().zip(&secs) {
+                *acc += s;
+            }
+            let total: f64 = secs.iter().sum();
+            d.gather_seconds += total;
+            d.gathers += secs.len() as u64;
+            d.measured_seconds += total;
+            self.distributed_seconds += total;
+        }
+    }
+
     /// Fold one real distributed dispatch into the accumulated attestation.
-    fn record_distributed(&mut self, kernel: &CompiledKernel, outcome: &DistOutcome) {
-        let grid = self.grid.as_ref().expect("distributed target has a grid");
+    fn record_distributed(
+        &mut self,
+        kernel: &CompiledKernel,
+        grid: &ProcessGrid,
+        outcome: &DistOutcome,
+    ) {
         let modeled_comm = self.modeled_comm(kernel, grid, self.cost.offnode_fraction(grid));
         let ranks = grid.size();
         let d = &mut self.dist;
@@ -1323,6 +1383,11 @@ impl<'k> KernelDispatcher<'k> {
             d.interior_seconds += r.interior_seconds;
             d.wait_seconds += r.wait_seconds;
             d.boundary_seconds += r.boundary_seconds;
+            d.scatter_seconds += r.scatter_seconds;
+            d.gather_seconds += r.gather_seconds;
+            d.scatters += r.scatters;
+            d.gathers += r.gathers;
+            d.resident_hits += r.resident_hits;
             compute += r.interior_seconds + r.boundary_seconds;
         }
         d.bytes_exchanged += outcome.bytes_exchanged;
@@ -1388,14 +1453,19 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
             .ok_or_else(|| IrError::new(format!("no compiled kernel '{callee}'")))?;
         let kargs = Self::convert_args(args)?;
         let start = Instant::now();
+        // Another kernel's resident ranks may hold newer contents of this
+        // kernel's arrays than `memory` does.
+        self.gather_sessions(memory, |name, s| {
+            name != callee && s.holds_results_for(&kargs)
+        });
         match &kernel.kind {
             PlanKind::Cpu => {
                 if kernel.is_distributed() {
-                    let grid = self.grid.clone().expect("distributed target has a grid");
+                    let grid = self.dist_grid()?;
                     let dispatch = self.dispatch_index;
                     self.dispatch_index += 1;
                     let plan = self.dispatch_plan(dispatch, grid.size() as usize);
-                    let mut session = self.deep_sessions.remove(callee);
+                    let mut session = self.sessions.remove(callee);
                     let ran = distexec::run_distributed(
                         kernel,
                         memory,
@@ -1406,7 +1476,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                         &mut session,
                     )?;
                     if let Some(s) = session {
-                        self.deep_sessions.insert(callee.to_string(), s);
+                        self.sessions.insert(callee.to_string(), s);
                     }
                     match ran {
                         Some(outcome) => {
@@ -1417,14 +1487,19 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                             // as a cross-check inside the report.
                             self.resilience.merge(&outcome.fault_stats);
                             self.distributed_seconds += outcome.makespan_seconds;
-                            self.record_distributed(kernel, &outcome);
+                            self.record_distributed(kernel, &grid, &outcome);
                         }
                         None => {
                             // Outside the supported shape: execute locally
-                            // and charge the modeled distributed iteration
-                            // (per-rank compute + halo communication), with
-                            // the resilient-transport micro-sim attesting
-                            // the protocol.
+                            // — on current data, so a session this kernel
+                            // left from supported dispatches hands its
+                            // results back and goes — and charge the
+                            // modeled distributed iteration (per-rank
+                            // compute + halo communication), with the
+                            // resilient-transport micro-sim attesting the
+                            // protocol.
+                            self.gather_sessions(memory, |name, _| name == callee);
+                            self.sessions.remove(callee);
                             kernel::run_kernel(
                                 kernel,
                                 memory,
@@ -1439,7 +1514,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                                 self.modeled_comm(kernel, &grid, self.cost.offnode_fraction(&grid));
                             self.distributed_seconds += compute + comm;
                             self.distributed_seconds +=
-                                self.charge_resilient_exchange(kernel, dispatch)?;
+                                self.charge_resilient_exchange(kernel, &grid, dispatch)?;
                             DistProvenance::fold(
                                 &mut self.dist.provenance,
                                 DistProvenance::Modeled,
@@ -1521,11 +1596,12 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                     // Inter-GPU halo exchange (host-staged over the
                     // interconnect; NVLink/GPUDirect would lower this —
                     // exactly the tuning §6 proposes).
-                    let grid = self.grid.clone().expect("distributed target has a grid");
+                    let grid = self.dist_grid()?;
                     let dispatch = self.dispatch_index;
                     self.dispatch_index += 1;
                     self.distributed_seconds += self.modeled_comm(kernel, &grid, 1.0);
-                    self.distributed_seconds += self.charge_resilient_exchange(kernel, dispatch)?;
+                    self.distributed_seconds +=
+                        self.charge_resilient_exchange(kernel, &grid, dispatch)?;
                 }
             }
         }
@@ -1544,6 +1620,10 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
         self.cells += kernel.stats().cells;
         self.kernel_wall += start.elapsed();
         Ok(())
+    }
+
+    fn sync(&mut self, memory: &mut Memory) {
+        self.gather_sessions(memory, |_, _| true);
     }
 }
 

@@ -55,6 +55,11 @@ pub fn copy(b: &mut OpBuilder, src: ValueId, dst: ValueId) -> OpId {
     b.op(COPY, vec![src, dst], vec![], vec![])
 }
 
+/// Attribute of a [`FROM_PTR`] view: the global coordinate of its first
+/// element per dimension. Addresses already fold it in; the distributed
+/// executor needs it to turn iteration coordinates into slab indices.
+pub const LOWER_BOUNDS: &str = "lower_bounds";
+
 /// Rebuild a typed memref from a bare pointer argument (the hand-off from
 /// the FIR module described in §3). The target shape is carried on the op.
 pub fn from_ptr(b: &mut OpBuilder, ptr: ValueId, memref_ty: Type) -> ValueId {

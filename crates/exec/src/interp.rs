@@ -37,6 +37,11 @@ pub struct RunStats {
 pub trait RegionDispatcher {
     /// Execute `callee` with the given argument values.
     fn call(&mut self, callee: &str, args: &[Value], memory: &mut Memory) -> Result<()>;
+
+    /// Write back every result the dispatcher still holds outside `memory`
+    /// (buffers it marked stale). The interpreter calls this before host
+    /// code touches a stale buffer and when the run ends.
+    fn sync(&mut self, _memory: &mut Memory) {}
 }
 
 /// A dispatcher that rejects all external calls.
@@ -82,6 +87,20 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
     /// dispatcher (whose own accounting the driver reads back).
     pub fn into_parts(self) -> (Memory, RunStats, D) {
         (self.memory, self.stats, self.dispatcher)
+    }
+
+    /// Land every result the dispatcher deferred; call once the program has
+    /// run and before reading [`Interpreter::memory`].
+    pub fn sync(&mut self) {
+        self.dispatcher.sync(&mut self.memory);
+    }
+
+    /// Host code is about to read, write or release `buf`.
+    #[inline]
+    fn host_access(&mut self, buf: crate::BufId) {
+        if self.memory.is_stale(buf) {
+            self.dispatcher.sync(&mut self.memory);
+        }
     }
 
     /// Run the function with the given symbol name.
@@ -335,6 +354,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                 // storage itself is retained (ids stay valid for post-run
                 // array bindings), but the bytes stop counting as live.
                 if let Ref::Array { buf, .. } = self.get_ref(data.operands[0])? {
+                    self.host_access(buf);
                     self.memory.release_buffer(buf);
                 }
             }
@@ -348,6 +368,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                         Scalar::Bool(b) => Value::Bool(b),
                     },
                     Ref::Elem { buf, linear } => {
+                        self.host_access(buf);
                         Value::F64(self.memory.buffer(buf)[linear as usize])
                     }
                     Ref::Array { .. } => return Err(err("fir.load of whole array")),
@@ -371,6 +392,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     }
                     Ref::Elem { buf, linear } => {
                         let f = value.as_number().ok_or_else(|| err("non-numeric store"))?;
+                        self.host_access(buf);
                         self.memory.buffer_mut(buf)[linear as usize] = f;
                     }
                     Ref::Array { .. } => return Err(err("fir.store to whole array")),
@@ -549,6 +571,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                 // Release accounting (the storage stays resident for id
                 // stability; its byte charge returns to the ledger).
                 if let Ref::Array { buf, .. } = self.get_ref(data.operands[0])? {
+                    self.host_access(buf);
                     self.memory.release_buffer(buf);
                 }
             }
@@ -572,6 +595,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
             "memref.load" => {
                 self.stats.loads += 1;
                 let (buf, linear) = self.memref_address(op, 0)?;
+                self.host_access(buf);
                 let v = self.memory.buffer(buf)[linear as usize];
                 // Integer-element memrefs (scalars lowered by
                 // convert-fir-to-standard) read back as integers.
@@ -591,6 +615,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     .as_number()
                     .ok_or_else(|| err("non-numeric memref.store"))?;
                 let (buf, linear) = self.memref_address(op, 1)?;
+                self.host_access(buf);
                 self.memory.buffer_mut(buf)[linear as usize] = value;
             }
             "memref.copy" => {
@@ -600,6 +625,8 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     return Err(err("memref.copy of non-arrays"));
                 };
                 if sb != db {
+                    self.host_access(sb);
+                    self.host_access(db);
                     let (s, d) = self.memory.buffer_pair_mut(sb, db);
                     d.copy_from_slice(s);
                 }

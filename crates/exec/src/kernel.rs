@@ -71,6 +71,11 @@ pub struct ViewSpec {
     pub extents: Vec<i64>,
     /// Column-major strides.
     pub strides: Vec<i64>,
+    /// Global coordinate of element 0 per dimension, when the lowering
+    /// carried it (`memref::LOWER_BOUNDS`): iteration coordinate `c` of
+    /// dimension `d` addresses slab `c - lbs[d]`. Accesses already fold it
+    /// into their offsets; only the distributed executor needs it apart.
+    pub lbs: Option<Vec<i64>>,
 }
 
 impl ViewSpec {
@@ -513,6 +518,10 @@ fn compile_nests(
                     source: ViewSource::Arg(idx),
                     strides: column_major_strides(shape),
                     extents: shape.clone(),
+                    lbs: data
+                        .attr(memref::LOWER_BOUNDS)
+                        .and_then(Attribute::as_index_list)
+                        .map(<[i64]>::to_vec),
                 });
             }
             memref::ALLOC => {
@@ -524,6 +533,7 @@ fn compile_nests(
                     source: ViewSource::SnapshotOf(usize::MAX),
                     strides: column_major_strides(shape),
                     extents: shape.clone(),
+                    lbs: None,
                 });
             }
             memref::COPY => {
@@ -534,6 +544,7 @@ fn compile_nests(
                     .get(&data.operands[1])
                     .ok_or_else(|| err("copy to unknown view"))?;
                 views[dst].source = ViewSource::SnapshotOf(src);
+                views[dst].lbs = views[src].lbs.clone();
                 pending_snapshots.push(dst);
             }
             mpi::PACK | mpi::HALO_BUFFER => {

@@ -36,7 +36,7 @@ pub mod value;
 
 pub use autotune::{TuneConfig, TuningReport};
 pub use budget::{MemoryBudget, MemoryEstimate};
-pub use distexec::{DeepHaloSession, DistMode, DistOptions, DistOutcome, RankMetrics};
+pub use distexec::{DistMode, DistOptions, DistOutcome, DistSession, RankMetrics};
 pub use interp::{Interpreter, RunStats};
 pub use jit::{JitArtifact, JitCacheStats, JitSkip};
 pub use kernel::{CompiledKernel, HaloSchedule, KernelArg, KernelStats};

@@ -782,14 +782,33 @@ pub fn run_spec_row(
             let [g0, g1] = [&flux[0], &flux[1]]
                 .map(|g| [row(g.a), row(g.b), row(g.c), row(g.d), row(g.e), row(g.f)]);
             let [eu, ed] = [up, down].map(|e| [row(e.w), row(e.b), row(e.c)]);
-            for x in 0..w {
-                let f0 = g0[0][x] * (g0[1][x] + g0[2][x]) - g0[3][x] * (g0[4][x] + g0[5][x]);
-                let f1 = g1[0][x] * (g1[1][x] + g1[2][x]) - g1[3][x] * (g1[4][x] + g1[5][x]);
-                let fu = (cu * eu[0][x]) * (eu[1][x] + eu[2][x]);
-                let fd = (cd * ed[0][x]) * (ed[1][x] + ed[2][x]);
-                out[x] = ((c0 * f0 + c1 * f1) + fu) - fd;
-            }
+            pw_advect_row(out, g0, g1, eu, ed, [c0, c1, cu, cd]);
         }
+    }
+}
+
+/// The PW advection row loop, every input row as long as `out`. Kept out
+/// of line: inlined into [`run_spec_row`], thin LTO vectorised it or left
+/// it scalar (2x apart) depending on unrelated code elsewhere in the
+/// binary — see EXPERIMENTS.md, "Where a distributed run goes".
+#[inline(never)]
+fn pw_advect_row(
+    out: &mut [f64],
+    g0: [&[f64]; 6],
+    g1: [&[f64]; 6],
+    eu: [&[f64]; 3],
+    ed: [&[f64]; 3],
+    [c0, c1, cu, cd]: [f64; 4],
+) {
+    let w = out.len();
+    let (g0, g1) = (g0.map(|r| &r[..w]), g1.map(|r| &r[..w]));
+    let (eu, ed) = (eu.map(|r| &r[..w]), ed.map(|r| &r[..w]));
+    for x in 0..w {
+        let f0 = g0[0][x] * (g0[1][x] + g0[2][x]) - g0[3][x] * (g0[4][x] + g0[5][x]);
+        let f1 = g1[0][x] * (g1[1][x] + g1[2][x]) - g1[3][x] * (g1[4][x] + g1[5][x]);
+        let fu = (cu * eu[0][x]) * (eu[1][x] + eu[2][x]);
+        let fd = (cd * ed[0][x]) * (ed[1][x] + ed[2][x]);
+        out[x] = ((c0 * f0 + c1 * f1) + fu) - fd;
     }
 }
 

@@ -148,9 +148,25 @@ pub fn checked_column_major_strides(extents: &[i64]) -> fsc_ir::Result<Vec<i64>>
 /// bytes to the ledger even though the storage is retained for reuse (a
 /// later same-size allocation re-charges it), so `live_bytes` means "bytes
 /// the program currently holds", not "bytes the arena has ever touched".
+///
+/// Every buffer carries a **write generation**, bumped by each entry point
+/// that can change its contents or identity (`buffer_mut`,
+/// `buffer_pair_mut`, `take_buffer`, `restore_buffer`, release, reuse,
+/// `mark_stale`). A cache of a buffer's contents — the distributed
+/// executor's resident rank windows — is valid exactly while the
+/// generation it recorded still matches. A buffer may also be marked
+/// **stale**: its current contents live elsewhere (in those windows) and
+/// must be synced back before anything reads or writes it here.
 #[derive(Debug, Default)]
 pub struct Memory {
     buffers: Vec<Vec<f64>>,
+    /// Write generation per buffer id (same length as `buffers`).
+    gens: Vec<u64>,
+    /// Stale flag per buffer id (same length as `buffers`).
+    stale: Vec<bool>,
+    /// Number of `true` entries in `stale`: keeps [`Memory::is_stale`] one
+    /// flag test on the host load/store path of runs that defer nothing.
+    stale_count: usize,
     scalars: Vec<Scalar>,
     /// Released buffer ids available for reuse (scratch buffers allocated
     /// inside kernels, e.g. value-semantics snapshots in time loops).
@@ -210,6 +226,7 @@ impl Memory {
         {
             let buf = self.free.swap_remove(pos);
             self.buffers[buf.0 as usize].fill(0.0);
+            self.gens[buf.0 as usize] += 1;
             self.charge(buf, bytes);
             return Ok(buf);
         }
@@ -228,6 +245,8 @@ impl Memory {
         }
         storage.resize(len, 0.0);
         self.buffers.push(storage);
+        self.gens.push(0);
+        self.stale.push(false);
         let buf = BufId(self.buffers.len() as u32 - 1);
         self.charge(buf, bytes);
         Ok(buf)
@@ -256,9 +275,11 @@ impl Memory {
     /// byte charge is returned to the ledger and dropped from
     /// [`Memory::live_bytes`].
     pub fn release_buffer(&mut self, buf: BufId) {
+        debug_assert!(!self.is_stale(buf), "release of stale buffer {buf:?}");
         if !self.free.contains(&buf) {
             self.free.push(buf);
             let idx = buf.0 as usize;
+            self.gens[idx] += 1;
             let bytes = self.charged.get(idx).copied().unwrap_or(0);
             if let Some(c) = self.charged.get_mut(idx) {
                 *c = 0;
@@ -288,12 +309,43 @@ impl Memory {
 
     /// Immutable view of a buffer.
     pub fn buffer(&self, buf: BufId) -> &[f64] {
+        debug_assert!(!self.is_stale(buf), "read of stale buffer {buf:?}");
         &self.buffers[buf.0 as usize]
     }
 
     /// Mutable view of a buffer.
     pub fn buffer_mut(&mut self, buf: BufId) -> &mut [f64] {
+        debug_assert!(!self.is_stale(buf), "write to stale buffer {buf:?}");
+        self.gens[buf.0 as usize] += 1;
         &mut self.buffers[buf.0 as usize]
+    }
+
+    /// Write generation of a buffer: changes whenever its contents may have.
+    pub fn generation(&self, buf: BufId) -> u64 {
+        self.gens[buf.0 as usize]
+    }
+
+    /// True when the buffer's current contents live outside this arena.
+    #[inline]
+    pub fn is_stale(&self, buf: BufId) -> bool {
+        self.stale_count != 0 && self.stale[buf.0 as usize]
+    }
+
+    /// Declare that the buffer's current contents now live outside this
+    /// arena (a write as far as any other cache of it is concerned).
+    pub fn mark_stale(&mut self, buf: BufId) {
+        let idx = buf.0 as usize;
+        self.gens[idx] += 1;
+        if !std::mem::replace(&mut self.stale[idx], true) {
+            self.stale_count += 1;
+        }
+    }
+
+    /// The holder of a stale buffer's contents is about to write them back.
+    pub fn clear_stale(&mut self, buf: BufId) {
+        if std::mem::replace(&mut self.stale[buf.0 as usize], false) {
+            self.stale_count -= 1;
+        }
     }
 
     /// Two distinct buffers, one mutable — for copies and halo exchange.
@@ -301,7 +353,9 @@ impl Memory {
     /// Panics if `a == b`.
     pub fn buffer_pair_mut(&mut self, a: BufId, b: BufId) -> (&[f64], &mut [f64]) {
         assert_ne!(a, b, "buffer_pair_mut needs distinct buffers");
+        debug_assert!(!self.is_stale(a) && !self.is_stale(b), "stale pair");
         let (ai, bi) = (a.0 as usize, b.0 as usize);
+        self.gens[bi] += 1;
         if ai < bi {
             let (lo, hi) = self.buffers.split_at_mut(bi);
             (lo[ai].as_slice(), &mut hi[0])
@@ -320,11 +374,14 @@ impl Memory {
     /// kernel runners to hold mutable output slabs while inputs stay
     /// shareable. Pair with [`Memory::restore_buffer`].
     pub fn take_buffer(&mut self, buf: BufId) -> Vec<f64> {
+        debug_assert!(!self.is_stale(buf), "take of stale buffer {buf:?}");
+        self.gens[buf.0 as usize] += 1;
         std::mem::take(&mut self.buffers[buf.0 as usize])
     }
 
     /// Put back a buffer taken with [`Memory::take_buffer`].
     pub fn restore_buffer(&mut self, buf: BufId, data: Vec<f64>) {
+        self.gens[buf.0 as usize] += 1;
         self.buffers[buf.0 as usize] = data;
     }
 }
@@ -422,6 +479,67 @@ mod tests {
         );
         let err = checked_column_major_strides(&[i64::MAX, i64::MAX]).unwrap_err();
         assert!(err.diagnostics[0].render().contains("E0807"), "{err}");
+    }
+
+    #[test]
+    fn every_mutating_entry_point_bumps_the_write_generation() {
+        let mut m = Memory::new();
+        let a = m.alloc_buffer(4);
+        let b = m.alloc_buffer(4);
+        // Reads never move it.
+        let g0 = m.generation(a);
+        let _ = (m.buffer(a), m.buffer_count(), m.live_bytes());
+        assert_eq!(m.generation(a), g0);
+        let bumped = |what: &str, m: &mut Memory, f: &mut dyn FnMut(&mut Memory)| {
+            let before = m.generation(a);
+            f(m);
+            assert!(m.generation(a) > before, "{what} must bump the generation");
+        };
+        bumped("buffer_mut", &mut m, &mut |m| m.buffer_mut(a)[0] = 1.0);
+        bumped("buffer_pair_mut (destination)", &mut m, &mut |m| {
+            m.buffer_pair_mut(b, a).1[1] = 2.0;
+        });
+        let mut held = Vec::new();
+        bumped("take_buffer", &mut m, &mut |m| held = m.take_buffer(a));
+        bumped("restore_buffer", &mut m, &mut |m| {
+            m.restore_buffer(a, std::mem::take(&mut held))
+        });
+        bumped("mark_stale", &mut m, &mut |m| m.mark_stale(a));
+        m.clear_stale(a);
+        bumped("release_buffer", &mut m, &mut |m| m.release_buffer(a));
+        bumped("reuse by try_alloc_buffer", &mut m, &mut |m| {
+            assert_eq!(m.try_alloc_buffer(4).unwrap(), a);
+        });
+        // The source of a pair copy is only read.
+        let gb = m.generation(b);
+        let _ = m.buffer_pair_mut(b, a);
+        assert_eq!(m.generation(b), gb);
+    }
+
+    #[test]
+    fn stale_marks_are_counted_and_cleared() {
+        let mut m = Memory::new();
+        let a = m.alloc_buffer(2);
+        let b = m.alloc_buffer(2);
+        assert!(!m.is_stale(a) && !m.is_stale(b));
+        m.mark_stale(a);
+        m.mark_stale(a);
+        assert!(m.is_stale(a) && !m.is_stale(b));
+        m.clear_stale(a);
+        m.clear_stale(a);
+        assert!(!m.is_stale(a));
+        m.mark_stale(b);
+        assert!(m.is_stale(b) && !m.is_stale(a));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read of stale buffer")]
+    fn reading_a_stale_buffer_is_a_debug_assertion() {
+        let mut m = Memory::new();
+        let a = m.alloc_buffer(2);
+        m.mark_stale(a);
+        let _ = m.buffer(a);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property tests for the distributed executor's region arithmetic: the
 //! face pack/unpack wire format must round-trip arbitrary bit patterns
-//! exactly, and the interior/boundary split must tile the owned box exactly
-//! once for any bounds and halo shrink — these two invariants are what the
-//! end-to-end bit-identity of distributed runs rests on.
+//! exactly, the row-wise copies must move exactly the cells a per-cell walk
+//! would, for any layout, and the interior/boundary split must tile the
+//! owned box exactly once for any bounds and halo shrink — these invariants
+//! are what the end-to-end bit-identity of distributed runs rests on.
 
 use std::collections::HashMap;
 
-use fsc_exec::distexec::{pack_region, region_cells, split_interior_boundary, unpack_region};
+use fsc_exec::distexec::{
+    copy_region, pack_region_based, region_cells, split_interior_boundary, unpack_region_based,
+};
 use proptest::prelude::*;
 
 /// Column-major strides for the given extents; returns (strides, total).
@@ -52,6 +55,10 @@ fn for_each_coord(region: &[(i64, i64)], mut f: impl FnMut(&[i64])) {
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     /// Pack → unpack over any region of any 1-D/2-D/3-D box is a bitwise
     /// identity on the region and leaves every other cell untouched — for
@@ -76,11 +83,11 @@ proptest! {
             f64::from_bits(s ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
         };
         let data: Vec<f64> = (0..total).map(|i| mix(i, seed)).collect();
-        let payload = pack_region(&data, &strides, &region);
+        let payload = pack_region_based(&data, &strides, &region, 0);
         prop_assert_eq!(payload.len(), region_cells(&region));
         let mut dst: Vec<f64> = (0..total).map(|i| mix(i, !seed)).collect();
         let before = dst.clone();
-        unpack_region(&mut dst, &strides, &region, &payload);
+        unpack_region_based(&mut dst, &strides, &region, 0, &payload);
         for i in 0..total {
             if in_region(i, &strides, &extents, &region) {
                 prop_assert_eq!(dst[i].to_bits(), data[i].to_bits(), "cell {} in-region", i);
@@ -88,6 +95,65 @@ proptest! {
                 prop_assert_eq!(dst[i].to_bits(), before[i].to_bits(), "cell {} outside", i);
             }
         }
+    }
+
+    /// Row-wise pack, unpack and window-to-window copy touch exactly the
+    /// cells of the per-cell reference walk, in its order — for dense
+    /// column-major layouts, padded (non-dense) ones, and layouts whose
+    /// dimension 0 is not unit-stride (where a "row" is one cell) — through
+    /// windows whose flat base offset is not zero.
+    #[test]
+    fn row_wise_copies_equal_the_per_cell_reference(
+        dims in prop::collection::vec((1i64..6, 0i64..6, 0i64..6, 0i64..3), 1..4),
+        stride0 in 1i64..4,
+        seed in any::<u64>(),
+    ) {
+        // Strides: dimension 0 steps by `stride0`, every further dimension
+        // by the padded span of the one below it.
+        let extents: Vec<i64> = dims.iter().map(|&(e, _, _, _)| e).collect();
+        let mut strides = Vec::new();
+        let mut acc = stride0;
+        for &(e, _, _, pad) in &dims {
+            strides.push(acc);
+            acc = acc * e + pad;
+        }
+        let total = acc as usize;
+        let region: Vec<(i64, i64)> = dims
+            .iter()
+            .map(|&(e, a, w, _)| {
+                let lb = a.min(e - 1);
+                (lb, (lb + w).min(e))
+            })
+            .collect();
+        prop_assert!(region.iter().zip(&extents).all(|(r, &e)| r.1 <= e));
+        // The reference: one cell at a time, dimension 0 fastest.
+        let mut cells = Vec::new();
+        for_each_coord(&region, |c| {
+            cells.push(c.iter().zip(&strides).map(|(i, s)| i * s).sum::<i64>() as usize);
+        });
+        let mix = |i: usize, s: u64| {
+            f64::from_bits(s ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
+        };
+        let full: Vec<f64> = (0..total).map(|i| mix(i, seed)).collect();
+        // A window holding `lo..hi` of the flat array, enough for the region.
+        let lo = cells.iter().copied().min().unwrap_or(0);
+        let hi = cells.iter().copied().max().map_or(lo, |m| m + 1);
+        let window = full[lo..hi].to_vec();
+
+        let packed = pack_region_based(&window, &strides, &region, lo as i64);
+        let want: Vec<f64> = cells.iter().map(|&c| full[c]).collect();
+        prop_assert_eq!(bits(&packed), bits(&want));
+
+        let mut unpacked = vec![0.0; hi - lo];
+        unpack_region_based(&mut unpacked, &strides, &region, lo as i64, &packed);
+        let mut copied = vec![0.0; total];
+        copy_region(&mut copied, 0, &window, lo as i64, &strides, &region);
+        let mut want_full = vec![0.0; total];
+        for &c in &cells {
+            want_full[c] = full[c];
+        }
+        prop_assert_eq!(bits(&copied), bits(&want_full));
+        prop_assert_eq!(bits(&unpacked), bits(&want_full[lo..hi]));
     }
 
     /// Interior + boundary shells tile the owned box exactly once, for any

@@ -281,16 +281,24 @@ impl Net {
         }
     }
 
+    /// Count one user-level message in the logical ledger. Called once per
+    /// message, when it is first sent: whatever the transport then does to
+    /// deliver it (retransmit, duplicate, delay) is physical traffic only,
+    /// so the ledger does not depend on timing or on the fault plan.
+    fn count_logical(&self, tag: i64, elems: usize) {
+        if tag >= 0 {
+            self.logical_messages.fetch_add(1, Ordering::Relaxed);
+            self.logical_bytes
+                .fetch_add((elems * 8) as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Route one message: direct to the mailbox, or into the inter-node
     /// aggregation buffer for user-tag traffic crossing a node boundary.
     /// Protocol tags (< 0) and retransmissions (`direct`) always bypass
     /// aggregation — they are latency-critical.
     fn send(&self, wid: usize, from: usize, dest: usize, tag: i64, data: Vec<f64>, direct: bool) {
         let bytes = (data.len() * 8) as u64;
-        if tag >= 0 {
-            self.logical_messages.fetch_add(1, Ordering::Relaxed);
-            self.logical_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
         let (sn, dn) = (self.node_of(from), self.node_of(dest));
         if !direct && tag >= 0 && self.node_size > 1 && sn != dn {
             let flush = {
@@ -399,13 +407,21 @@ impl CoopCtx<'_> {
     /// Send `data` to `dest` (possibly via the node-level aggregation
     /// buffer; per-(sender, destination, tag) order is preserved).
     pub fn send(&mut self, dest: usize, tag: i64, data: Vec<f64>) {
-        self.net.send(self.wid, self.rank, dest, tag, data, false);
+        self.net.count_logical(tag, data.len());
+        self.route(dest, tag, data, false);
     }
 
-    /// Send bypassing aggregation (retransmissions, latency-critical
-    /// control traffic).
+    /// Send bypassing aggregation (latency-critical control traffic).
     pub fn send_direct(&mut self, dest: usize, tag: i64, data: Vec<f64>) {
-        self.net.send(self.wid, self.rank, dest, tag, data, true);
+        self.net.count_logical(tag, data.len());
+        self.route(dest, tag, data, true);
+    }
+
+    /// Hand one transmission to the network without counting a logical
+    /// message: the resilient protocol counts each message once in
+    /// `send_tagged` and routes every (re)transmission of it through here.
+    fn route(&mut self, dest: usize, tag: i64, data: Vec<f64>, direct: bool) {
+        self.net.send(self.wid, self.rank, dest, tag, data, direct);
     }
 
     /// Non-blocking selective receive with out-of-order stashing: returns
@@ -845,6 +861,7 @@ impl CoopResilient {
         encoded.push(f64::from_bits(checksum(self.rank, tag, seq, &data)));
         encoded.extend_from_slice(&data);
         self.stats.data_msgs += 1;
+        ctx.net.count_logical(tag, encoded.len());
         self.unacked.push(Pending {
             dest,
             tag,
@@ -916,11 +933,7 @@ impl CoopResilient {
             self.unacked.retain(|p| p.dest != dest);
             return;
         }
-        if direct {
-            ctx.send_direct(dest, tag, data);
-        } else {
-            ctx.send(dest, tag, data);
-        }
+        ctx.route(dest, tag, data, direct);
     }
 
     fn send_ack(&mut self, ctx: &mut CoopCtx<'_>, dest: usize, orig_tag: i64, seq: u64) {
@@ -1175,8 +1188,10 @@ impl CoopResilient {
     }
 
     /// Take a local checkpoint of `state` at iteration `iter` and
-    /// garbage-collect the delivered prefix of the receive log.
-    pub fn save_checkpoint(&mut self, iter: usize, state: &[Vec<f64>]) {
+    /// garbage-collect the delivered prefix of the receive log. `state` is
+    /// only called when a restore could read the copy (see
+    /// [`FaultInjector::checkpoint_state`]).
+    pub fn save_checkpoint(&mut self, iter: usize, state: impl FnOnce() -> Vec<Vec<f64>>) {
         self.stats.checkpoints += 1;
         for (key, slot) in self.received.iter_mut() {
             let exp = *self.expected.get(key).unwrap_or(&0);
@@ -1184,7 +1199,7 @@ impl CoopResilient {
         }
         self.checkpoint = Some(Checkpoint {
             iter,
-            state: state.to_vec(),
+            state: self.injector.checkpoint_state(state),
             next_seq: self.next_seq.clone(),
             expected: self.expected.clone(),
             barrier_epoch: self.barrier_epoch,
@@ -1494,7 +1509,8 @@ mod tests {
                             self.value = state[0][0];
                         }
                         if self.iter.is_multiple_of(2) {
-                            self.res.save_checkpoint(self.iter, &[vec![self.value]]);
+                            let value = self.value;
+                            self.res.save_checkpoint(self.iter, || vec![vec![value]]);
                         }
                         let peer = ctx.size() - 1 - ctx.rank();
                         if peer != ctx.rank() {
@@ -1566,6 +1582,54 @@ mod tests {
         assert_eq!(stats.injected_crashes, 1);
         assert_eq!(stats.restores, 1);
         assert!(stats.checkpoints > 0);
+    }
+
+    /// Rank 0 sends one message to rank 1 and at once fires the retransmit
+    /// timer by hand (no fault plan, no waiting on a clock); rank 1
+    /// receives it. Both drain.
+    struct Resend {
+        res: CoopResilient,
+        sent: bool,
+        got: bool,
+    }
+
+    impl CoopTask for Resend {
+        type Out = FaultStats;
+        fn step(&mut self, ctx: &mut CoopCtx<'_>) -> Result<Step<FaultStats>, MpiSimError> {
+            if self.res.rank() == 0 && !self.sent {
+                self.sent = true;
+                self.res.send(ctx, 1, 5, vec![1.0, 2.0, 3.0]);
+                let overdue = Instant::now() + Duration::from_secs(60);
+                self.res.retransmit_due(ctx, overdue)?;
+            }
+            if self.res.rank() == 1 && !self.got {
+                match self.res.recv_poll(ctx, 0, 5)? {
+                    Some(data) => assert_eq!(data, vec![1.0, 2.0, 3.0]),
+                    None => return Ok(Step::Blocked),
+                }
+                self.got = true;
+            }
+            if !self.res.drain_poll(ctx)? {
+                return Ok(Step::Blocked);
+            }
+            Ok(Step::Done(self.res.stats))
+        }
+    }
+
+    #[test]
+    fn logical_ledger_counts_a_message_once_however_often_it_is_sent() {
+        let (out, run) = run_tasks(2, CoopConfig::default(), |r| Resend {
+            res: CoopResilient::new(r, 2, &FaultPlan::none(7), ResilientConfig::default()),
+            sent: false,
+            got: false,
+        })
+        .unwrap();
+        assert_eq!(out[0].retries, 1, "the retransmit must have fired");
+        assert_eq!(out[0].data_msgs, 1);
+        // One logical message of 3 payload + 2 header words; the forced
+        // retransmission is physical traffic only.
+        assert_eq!((run.logical_messages, run.logical_bytes), (1, 5 * 8));
+        assert!(run.physical_envelopes >= 2, "{run:?}");
     }
 
     #[test]

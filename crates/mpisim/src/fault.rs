@@ -232,6 +232,19 @@ impl FaultInjector {
         }
     }
 
+    /// The user state a checkpoint must hold. The state copy is read only
+    /// by `crash_and_restore`, which only a rank whose planned crash has not
+    /// fired yet can reach — so `state` is called while that crash is still
+    /// armed and every other checkpoint (all of them, in a fault-free run)
+    /// stores no copy. Protocol counters are checkpointed regardless.
+    pub fn checkpoint_state(&self, state: impl FnOnce() -> Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        if self.crash_armed {
+            state()
+        } else {
+            Vec::new()
+        }
+    }
+
     /// True exactly once, at the start of the crash iteration of the
     /// crashing rank.
     pub fn should_crash(&mut self, iteration: usize) -> bool {

@@ -520,8 +520,10 @@ impl<'a> ResilientCtx<'a> {
 
     /// Take a local checkpoint of the caller's `state` arrays at iteration
     /// `iter`, snapshotting the protocol's stream counters alongside, and
-    /// garbage-collect the delivered prefix of the receive log.
-    pub fn save_checkpoint(&mut self, iter: usize, state: &[Vec<f64>]) {
+    /// garbage-collect the delivered prefix of the receive log. `state` is
+    /// only called when a restore could read the copy (see
+    /// [`FaultInjector::checkpoint_state`]).
+    pub fn save_checkpoint(&mut self, iter: usize, state: impl FnOnce() -> Vec<Vec<f64>>) {
         self.stats.checkpoints += 1;
         for (key, slot) in self.received.iter_mut() {
             let exp = *self.expected.get(key).unwrap_or(&0);
@@ -529,7 +531,7 @@ impl<'a> ResilientCtx<'a> {
         }
         self.checkpoint = Some(CheckpointState {
             iter,
-            state: state.to_vec(),
+            state: self.injector.checkpoint_state(state),
             next_seq: self.next_seq.clone(),
             expected: self.expected.clone(),
             barrier_epoch: self.barrier_epoch,
@@ -780,7 +782,7 @@ mod tests {
             let mut it = 0usize;
             while it < 8 {
                 if it.is_multiple_of(2) {
-                    ctx.save_checkpoint(it, std::slice::from_ref(&x));
+                    ctx.save_checkpoint(it, || vec![x.clone()]);
                 }
                 if ctx.crash_pending(it) {
                     let (restored_it, state) = ctx.crash_and_restore(it)?;

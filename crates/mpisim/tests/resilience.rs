@@ -25,7 +25,7 @@ fn halo_body(
     let mut it = 0usize;
     while it < iters {
         if ckpt > 0 && it.is_multiple_of(ckpt) {
-            ctx.save_checkpoint(it, std::slice::from_ref(&field));
+            ctx.save_checkpoint(it, || vec![field.clone()]);
         }
         if ctx.crash_pending(it) {
             let (restored, state) = ctx.crash_and_restore(it)?;

@@ -103,6 +103,12 @@ pub fn lower_stencils(module: &mut Module, target: LoweringTarget) -> Result<boo
             let mut b = OpBuilder::before(module, op);
             memref::from_ptr(&mut b, source, Type::memref(extents, elem))
         };
+        if let Some(def) = module.defining_op(mr) {
+            module.op_mut(def).attrs.insert(
+                memref::LOWER_BOUNDS.into(),
+                Attribute::IndexList(lbs.clone()),
+            );
+        }
         views.insert(field, View { memref: mr, lbs });
     }
 
