@@ -789,18 +789,20 @@ fn try_rung(
         hp
     };
 
-    let mut fir = pristine.clone();
     let discovery = if options.target == Target::UnoptimizedCpu {
         pipelines::discovery_pipeline_unfused()
     } else {
         pipelines::discovery_pipeline()
     };
-    let report = harden(discovery).run(&mut fir);
-    if let Some(f) = report.failure {
-        return Err(attempt("discovery", Some(f.pass), f.diagnostics));
-    }
+    // The rung's one module copy: each pipeline takes its working module
+    // by value and drops it on a failure, and `pristine` stays with the
+    // ladder for the next rung.
+    let mut fir = harden(discovery)
+        .run_owned(pristine.clone())
+        .0
+        .map_err(|f| attempt("discovery", Some(f.pass), f.diagnostics))?;
 
-    let mut stencil = guarded("stencil extraction", || {
+    let stencil = guarded("stencil extraction", || {
         fsc_passes::extract::extract_stencils(&mut fir)
     })
     .map_err(|e| attempt("extract", None, error_diags(e)))?;
@@ -811,10 +813,10 @@ fn try_rung(
         DegradationRung::FirInterp => Err(IrError::new("FIR interpretation runs no pipeline")),
     }
     .map_err(|e| attempt("target-pipeline", None, error_diags(e)))?;
-    let report = harden(pm).run(&mut stencil);
-    if let Some(f) = report.failure {
-        return Err(attempt("target-pipeline", Some(f.pass), f.diagnostics));
-    }
+    let stencil = harden(pm)
+        .run_owned(stencil)
+        .0
+        .map_err(|f| attempt("target-pipeline", Some(f.pass), f.diagnostics))?;
 
     let kernels = guarded("kernel compilation", || compile_regions(&stencil))
         .map_err(|e| attempt("kernel-compile", None, error_diags(e)))?;

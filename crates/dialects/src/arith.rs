@@ -88,7 +88,7 @@ pub fn const_f64(b: &mut OpBuilder, value: f64) -> ValueId {
 
 /// Build a binary op (`arith.addf`, `arith.muli`, ...); the result type is
 /// the lhs type.
-pub fn binary(b: &mut OpBuilder, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub fn binary(b: &mut OpBuilder, name: &'static str, lhs: ValueId, rhs: ValueId) -> ValueId {
     let ty = b.module_ref().value_type(lhs).clone();
     b.op1(name, vec![lhs, rhs], ty, vec![]).1
 }

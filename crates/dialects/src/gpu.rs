@@ -141,7 +141,7 @@ pub fn memcpy_direction(m: &Module, op: OpId) -> Option<CopyDirection> {
 
 /// Build `gpu.thread_id`/`gpu.block_id`/`gpu.block_dim` for dimension
 /// `dim` (0 = x, 1 = y, 2 = z).
-pub fn id_op(b: &mut OpBuilder, name: &str, dim: i64) -> ValueId {
+pub fn id_op(b: &mut OpBuilder, name: &'static str, dim: i64) -> ValueId {
     debug_assert!(matches!(name, THREAD_ID | BLOCK_ID | BLOCK_DIM));
     b.op1(
         name,

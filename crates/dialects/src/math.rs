@@ -21,14 +21,14 @@ pub const UNARY_OPS: &[&str] = &[
 pub const BINARY_OPS: &[&str] = &["math.powf", "math.atan2", "math.copysign"];
 
 /// Build a unary math op; result type matches the operand.
-pub fn unary(b: &mut OpBuilder, name: &str, value: ValueId) -> ValueId {
+pub fn unary(b: &mut OpBuilder, name: &'static str, value: ValueId) -> ValueId {
     debug_assert!(UNARY_OPS.contains(&name), "unknown math unary op {name}");
     let ty = b.module_ref().value_type(value).clone();
     b.op1(name, vec![value], ty, vec![]).1
 }
 
 /// Build a binary math op; result type matches the lhs.
-pub fn binary(b: &mut OpBuilder, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub fn binary(b: &mut OpBuilder, name: &'static str, lhs: ValueId, rhs: ValueId) -> ValueId {
     debug_assert!(BINARY_OPS.contains(&name), "unknown math binary op {name}");
     let ty = b.module_ref().value_type(lhs).clone();
     b.op1(name, vec![lhs, rhs], ty, vec![]).1

@@ -494,3 +494,27 @@ pub fn tune_one(
 ) -> TuningReport {
     tune_kernels(std::iter::once(kernel), threads, pool, config)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Why a tuned plan cannot lose to the default beyond timing noise: the
+    /// sweep's argmin starts from the default itself.
+    #[test]
+    fn the_default_plan_is_the_first_candidate_and_none_repeats() {
+        let seeded = ExecPlan::from_ir_tiles(vec![0, 16, 16]);
+        for default in [ExecPlan::default(), seeded] {
+            for rank in 1..=3 {
+                for threads in [1, 8] {
+                    let all = candidates(&default, rank, threads);
+                    assert_eq!(all[0], default);
+                    let mut unique = all.clone();
+                    unique.sort();
+                    unique.dedup();
+                    assert_eq!(unique.len(), all.len(), "{all:?}");
+                }
+            }
+        }
+    }
+}

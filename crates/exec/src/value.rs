@@ -1,5 +1,6 @@
 //! Runtime values and the flat-buffer memory model.
 
+use std::alloc::{alloc_zeroed, Layout};
 use std::sync::Arc;
 
 use fsc_ir::diag::{codes, Diagnostic};
@@ -139,6 +140,26 @@ pub fn checked_column_major_strides(extents: &[i64]) -> fsc_ir::Result<Vec<i64>>
     Ok(strides)
 }
 
+/// `len` zeroed doubles straight from the allocator, or `None` when it
+/// refuses them. A large block arrives as untouched zero pages, so nothing
+/// is written here and the first touch is the program's own (`vec![0.0;
+/// len]` gets the same pages but aborts on refusal; `try_reserve` then
+/// `resize` writes every byte of them).
+fn zeroed_f64s(len: usize) -> Option<Vec<f64>> {
+    let layout = Layout::array::<f64>(len).ok()?;
+    if layout.size() == 0 {
+        return Some(Vec::new());
+    }
+    // SAFETY: `layout` has a non-zero size, as `alloc_zeroed` requires. A
+    // non-null block from it comes from the global allocator with the layout
+    // of `[f64; len]` — what a `Vec<f64>` of capacity `len` frees with — and
+    // its all-zero bytes are `len` initialised `0.0`s.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<f64>();
+        (!ptr.is_null()).then(|| Vec::from_raw_parts(ptr, len, len))
+    }
+}
+
 /// Owner of all runtime storage for one program execution.
 ///
 /// Allocation is *governed*: every buffer charges its byte size against an
@@ -230,8 +251,7 @@ impl Memory {
             self.charge(buf, bytes);
             return Ok(buf);
         }
-        let mut storage: Vec<f64> = Vec::new();
-        if storage.try_reserve_exact(len).is_err() {
+        let Some(storage) = zeroed_f64s(len) else {
             if let Some(b) = &self.budget {
                 b.release(bytes);
             }
@@ -242,8 +262,7 @@ impl Memory {
                 )
                 .note("the request fails cleanly; the process keeps serving"),
             ));
-        }
-        storage.resize(len, 0.0);
+        };
         self.buffers.push(storage);
         self.gens.push(0);
         self.stale.push(false);
@@ -457,6 +476,38 @@ mod tests {
         m.release_buffer(b);
         assert_eq!(m.live_bytes(), 0);
         assert_eq!(budget.used(), 0);
+    }
+
+    #[test]
+    fn fresh_and_reused_buffers_are_all_zeros() {
+        let mut m = Memory::new();
+        // Small, and large enough to come from fresh pages.
+        for len in [0, 1, 10, 1 << 20] {
+            let b = m.alloc_buffer(len);
+            assert_eq!(m.buffer(b).len(), len);
+            assert!(m.buffer(b).iter().all(|v| v.to_bits() == 0), "len {len}");
+            // Dirty it, hand it back, and take it again through the free list.
+            m.buffer_mut(b).fill(f64::NAN);
+            m.release_buffer(b);
+            let again = m.alloc_buffer(len);
+            assert_eq!(again, b, "len {len} reuses the freed storage");
+            assert!(m.buffer(again).iter().all(|v| v.to_bits() == 0));
+        }
+    }
+
+    #[test]
+    fn host_refusal_is_a_coded_error_and_returns_the_reservation() {
+        // 2^48 bytes: the ledger admits it, no host address space holds it.
+        let len = 1usize << 45;
+        let budget = MemoryBudget::unlimited();
+        let mut m = Memory::with_budget(budget.clone());
+        let err = m.try_alloc_buffer(len).unwrap_err();
+        assert_eq!(err.diagnostics[0].code, codes::MEM_BUDGET, "{err}");
+        assert!(err.message.contains("host refused"), "{err}");
+        assert_eq!((budget.used(), m.live_bytes(), m.buffer_count()), (0, 0, 0));
+        // The arena still serves.
+        let b = m.try_alloc_buffer(4).unwrap();
+        assert_eq!(m.buffer(b), [0.0; 4]);
     }
 
     #[test]

@@ -18,12 +18,30 @@ use crate::lexer::{Token, TokenKind};
 /// usually one mistake cascading, and recovery time stays bounded.
 const MAX_ERRORS: usize = 25;
 
+/// Bound on how deep an expression may nest: parentheses (and prefix
+/// operators) inside one another, and the height of the tree an operator
+/// chain builds (`a + a + ...` is left-deep, one level per term). The
+/// parser, sema, lowering, the passes that walk a def chain and `Drop` all
+/// recurse once per level, and a stack overflow is a process abort that no
+/// `catch_unwind` contains, so the bound is enforced here, where the tree
+/// is built: no later stage ever sees a deeper one. Sized for a debug build
+/// on a 2 MiB thread (the stack of an `fsc-serve` worker), where a level
+/// costs up to 10.4 KiB (one parenthesis through the ten precedence
+/// frames): 128 levels use 1.3 MiB, and the first overflow measured was at
+/// 195 parentheses and at 225 chained terms. A release build uses a
+/// fraction of that.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// An expression and the height of its tree (a leaf is 1).
+type Measured = (Expr, usize);
+
 /// Parse a token stream into a [`SourceFile`].
 pub fn parse_source(tokens: &[Token]) -> Result<SourceFile> {
     let mut p = Parser {
         tokens,
         pos: 0,
         diags: Vec::new(),
+        nesting: 0,
     };
     let mut units = Vec::new();
     p.skip_eos();
@@ -53,6 +71,8 @@ struct Parser<'t> {
     tokens: &'t [Token],
     pos: usize,
     diags: Vec<Diagnostic>,
+    /// Expression sub-parsers currently open inside one another.
+    nesting: usize,
 }
 
 /// Human-readable description of a token for error messages.
@@ -664,37 +684,70 @@ impl<'t> Parser<'t> {
     // ------------------------------------------------------- expressions
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        Ok(self.parse_or()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
+    fn too_deep(&self) -> IrError {
+        self.err_code(
+            codes::PARSE_EXPR_TOO_DEEP,
+            format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+        )
+    }
+
+    /// Run an expression sub-parser from inside another one (an operand in
+    /// parentheses, an index, the operand of a prefix operator), refusing to
+    /// recurse past [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, sub: fn(&mut Self) -> Result<Measured>) -> Result<Measured> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = sub(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    /// A node over children of height `below`, unless that makes the tree
+    /// higher than [`MAX_EXPR_DEPTH`].
+    fn node(&self, expr: Expr, below: usize) -> Result<Measured> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, below + 1))
+    }
+
+    fn bin(&self, op: BinOp, lhs: Measured, rhs: Measured) -> Result<Measured> {
+        self.node(Expr::bin(op, lhs.0, rhs.0), lhs.1.max(rhs.1))
+    }
+
+    fn parse_or(&mut self) -> Result<Measured> {
         let mut lhs = self.parse_and()?;
         while self.eat(&TokenKind::Or) {
             let rhs = self.parse_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            lhs = self.bin(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr> {
+    fn parse_and(&mut self) -> Result<Measured> {
         let mut lhs = self.parse_not()?;
         while self.eat(&TokenKind::And) {
             let rhs = self.parse_not()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.bin(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_not(&mut self) -> Result<Expr> {
+    fn parse_not(&mut self) -> Result<Measured> {
         if self.eat(&TokenKind::Not) {
-            let e = self.parse_not()?;
-            Ok(Expr::un(UnOp::Not, e))
+            let (e, height) = self.nested(Self::parse_not)?;
+            self.node(Expr::un(UnOp::Not, e), height)
         } else {
             self.parse_comparison()
         }
     }
 
-    fn parse_comparison(&mut self) -> Result<Expr> {
+    fn parse_comparison(&mut self) -> Result<Measured> {
         let lhs = self.parse_addsub()?;
         let op = match self.peek() {
             TokenKind::Eq => BinOp::Eq,
@@ -707,10 +760,10 @@ impl<'t> Parser<'t> {
         };
         self.bump();
         let rhs = self.parse_addsub()?;
-        Ok(Expr::bin(op, lhs, rhs))
+        self.bin(op, lhs, rhs)
     }
 
-    fn parse_addsub(&mut self) -> Result<Expr> {
+    fn parse_addsub(&mut self) -> Result<Measured> {
         let mut lhs = self.parse_muldiv()?;
         loop {
             let op = match self.peek() {
@@ -720,11 +773,11 @@ impl<'t> Parser<'t> {
             };
             self.bump();
             let rhs = self.parse_muldiv()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn parse_muldiv(&mut self) -> Result<Expr> {
+    fn parse_muldiv(&mut self) -> Result<Measured> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -734,34 +787,34 @@ impl<'t> Parser<'t> {
             };
             self.bump();
             let rhs = self.parse_unary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self) -> Result<Measured> {
         if self.eat(&TokenKind::Minus) {
             // Fortran: -a**b parses as -(a**b).
-            let e = self.parse_unary()?;
-            Ok(Expr::un(UnOp::Neg, e))
+            let (e, height) = self.nested(Self::parse_unary)?;
+            self.node(Expr::un(UnOp::Neg, e), height)
         } else if self.eat(&TokenKind::Plus) {
-            self.parse_unary()
+            self.nested(Self::parse_unary)
         } else {
             self.parse_power()
         }
     }
 
-    fn parse_power(&mut self) -> Result<Expr> {
+    fn parse_power(&mut self) -> Result<Measured> {
         let base = self.parse_primary()?;
         if self.eat(&TokenKind::Pow) {
             // Right-associative; exponent may itself be unary.
-            let exp = self.parse_unary()?;
-            Ok(Expr::bin(BinOp::Pow, base, exp))
+            let exp = self.nested(Self::parse_unary)?;
+            self.bin(BinOp::Pow, base, exp)
         } else {
             Ok(base)
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
+    fn parse_primary(&mut self) -> Result<Measured> {
         // Peek before committing: erroring *without* consuming keeps the
         // diagnostic span on the offending token, not the one after it.
         if !matches!(
@@ -778,29 +831,32 @@ impl<'t> Parser<'t> {
             )));
         }
         match self.bump() {
-            TokenKind::Int(v) => Ok(Expr::Int(v)),
-            TokenKind::Real(v) => Ok(Expr::Real(v)),
-            TokenKind::Logical(v) => Ok(Expr::Logical(v)),
+            TokenKind::Int(v) => Ok((Expr::Int(v), 1)),
+            TokenKind::Real(v) => Ok((Expr::Real(v), 1)),
+            TokenKind::Logical(v) => Ok((Expr::Logical(v), 1)),
             TokenKind::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_or)?;
                 self.expect_tok(TokenKind::RParen)?;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
                 if self.eat(&TokenKind::LParen) {
                     let mut indices = Vec::new();
+                    let mut below = 0;
                     if !self.eat(&TokenKind::RParen) {
                         loop {
-                            indices.push(self.parse_expr()?);
+                            let (index, height) = self.nested(Self::parse_or)?;
+                            indices.push(index);
+                            below = below.max(height);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
                         self.expect_tok(TokenKind::RParen)?;
                     }
-                    Ok(Expr::Index { name, indices })
+                    self.node(Expr::Index { name, indices }, below)
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => Err(self.err(format!("unexpected {} in expression", tok_desc(&other)))),
@@ -1018,6 +1074,34 @@ end program t",
         };
         // -(x**2)
         assert!(matches!(value, Expr::Un { op: UnOp::Neg, .. }));
+    }
+
+    #[test]
+    fn expression_depth_is_bounded_where_the_tree_is_built() {
+        let outcome = |rhs: String| {
+            let src = format!("program t\nreal(kind=8) :: x\nx = {rhs}\nend program t");
+            parse_source(&lex(&src).unwrap())
+                .map(|_| ())
+                .map_err(|e| e.diagnostics.iter().map(|d| d.code).collect::<Vec<_>>())
+        };
+        let too_deep = Err(vec![fsc_ir::diag::codes::PARSE_EXPR_TOO_DEEP]);
+        let wrapped =
+            |open: &str, n: usize, close: &str| format!("{}x{}", open.repeat(n), close.repeat(n));
+        // A left-deep chain of n scalar terms is a tree n levels high.
+        let chain = |n: usize| vec!["x"; n].join(" * ");
+        assert_eq!(outcome(chain(MAX_EXPR_DEPTH)), Ok(()));
+        assert_eq!(outcome(chain(MAX_EXPR_DEPTH + 1)), too_deep);
+        // Parentheses build no node, only recursion: n of them nest n deep.
+        assert_eq!(outcome(wrapped("(", MAX_EXPR_DEPTH, ")")), Ok(()));
+        assert_eq!(outcome(wrapped("(", MAX_EXPR_DEPTH + 1, ")")), too_deep);
+        // A prefix operator is both; the leaf under n of them is level n + 1.
+        assert_eq!(outcome(wrapped("-", MAX_EXPR_DEPTH - 1, "")), Ok(()));
+        assert_eq!(outcome(wrapped("-", MAX_EXPR_DEPTH, "")), too_deep);
+        // The height is the tree's, however the levels are spelt.
+        let half = MAX_EXPR_DEPTH / 2;
+        let mixed = |n: usize| format!("{} + {}", wrapped("-(", half, ")"), chain(n));
+        assert_eq!(outcome(mixed(MAX_EXPR_DEPTH - 1)), Ok(()));
+        assert_eq!(outcome(mixed(MAX_EXPR_DEPTH)), too_deep);
     }
 
     #[test]

@@ -181,6 +181,8 @@ pub mod codes {
     pub const PARSE_EMPTY_SOURCE: &str = "E0104";
     /// Parser: malformed declaration.
     pub const PARSE_BAD_DECL: &str = "E0105";
+    /// Parser: an expression nests deeper than the frontend's bound.
+    pub const PARSE_EXPR_TOO_DEEP: &str = "E0106";
     /// Sema: name used but not declared.
     pub const SEMA_UNDECLARED: &str = "E0201";
     /// Sema: name declared twice.
@@ -281,6 +283,7 @@ pub mod codes {
             "E0103" => "unterminated construct (missing end)",
             "E0104" => "no program units in source",
             "E0105" => "malformed declaration",
+            "E0106" => "expression nests deeper than the frontend's bound",
             "E0201" => "name used but not declared",
             "E0202" => "name declared twice",
             "E0203" => "array rank mismatch",
@@ -322,11 +325,11 @@ pub mod codes {
 
     /// Every registered code, for exhaustiveness tests.
     pub const ALL: &[&str] = &[
-        "E0001", "E0002", "E0101", "E0102", "E0103", "E0104", "E0105", "E0201", "E0202", "E0203",
-        "E0204", "E0205", "E0206", "E0207", "E0208", "E0301", "E0302", "E0303", "E0304", "E0305",
-        "E0401", "E0402", "E0501", "E0502", "E0503", "E0504", "E0505", "E0506", "E0601", "E0602",
-        "E0701", "E0702", "E0703", "E0704", "E0705", "E0801", "E0802", "E0803", "E0804", "E0805",
-        "E0806", "E0807",
+        "E0001", "E0002", "E0101", "E0102", "E0103", "E0104", "E0105", "E0106", "E0201", "E0202",
+        "E0203", "E0204", "E0205", "E0206", "E0207", "E0208", "E0301", "E0302", "E0303", "E0304",
+        "E0305", "E0401", "E0402", "E0501", "E0502", "E0503", "E0504", "E0505", "E0506", "E0601",
+        "E0602", "E0701", "E0702", "E0703", "E0704", "E0705", "E0801", "E0802", "E0803", "E0804",
+        "E0805", "E0806", "E0807",
     ];
 }
 

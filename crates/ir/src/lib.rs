@@ -28,6 +28,14 @@
 //! and treats every op generically — exactly the property that lets the
 //! paper's passes mix `fir`, `stencil` and standard dialects in one module.
 
+// Every layer above builds on this crate, on input-derived IR and text: a
+// failure here is an `IrError`, or an assertion that names the invariant a
+// caller broke. Keep the lint pressure on in non-test code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod attributes;
 pub mod builder;
 pub mod diag;

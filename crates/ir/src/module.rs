@@ -1,10 +1,10 @@
 //! The [`Module`] arena: operations, blocks, regions and SSA values.
 //!
 //! A module owns four flat arenas indexed by copyable ids. Erasure is by
-//! tombstoning (`alive = false`); iteration APIs skip dead entities. This
-//! keeps ids stable across rewrites, which matters because the paper's
-//! stencil-discovery pass gathers ids in one sweep (loops, stores, reads)
-//! and mutates the IR afterwards.
+//! tombstoning (`alive = false`, payload released); iteration APIs skip
+//! dead entities. This keeps ids stable across rewrites, which matters
+//! because the paper's stencil-discovery pass gathers ids in one sweep
+//! (loops, stores, reads) and mutates the IR afterwards.
 //!
 //! Like MLIR, the module keeps use-def chains: every operand slot of a live
 //! op is linked into the use list of the value it reads, and every attached
@@ -16,6 +16,8 @@
 //! [`Module::replace_all_uses`] and [`Module::erase_op`]; nothing else can
 //! write an operand ([`Module::op_mut`] hands out name and attributes only).
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,12 +41,18 @@ pub struct RegionId(pub u32);
 pub struct ValueId(pub u32);
 
 /// Fully qualified operation name such as `fir.store` or `stencil.apply`.
+///
+/// Passes and the lowering name the ops they create with string literals,
+/// which are borrowed for the life of the program: such a name costs no
+/// allocation to create, copy or drop. Only names read from text
+/// ([`crate::parse`]) or built at run time own their spelling.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpName(String);
+pub struct OpName(Cow<'static, str>);
 
 impl OpName {
-    /// Create an op name from its full `dialect.op` spelling.
-    pub fn new(full: impl Into<String>) -> Self {
+    /// Create an op name from its full `dialect.op` spelling: a literal is
+    /// borrowed, a `String` is owned.
+    pub fn new(full: impl Into<Cow<'static, str>>) -> Self {
         Self(full.into())
     }
 
@@ -61,18 +69,24 @@ impl OpName {
 
     /// The op suffix (`store` in `fir.store`).
     pub fn op(&self) -> &str {
-        self.0.split_once('.').map_or(self.0.as_str(), |(_, o)| o)
+        self.0.split_once('.').map_or(self.full(), |(_, o)| o)
     }
 }
 
 impl fmt::Display for OpName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.full())
     }
 }
 
-impl From<&str> for OpName {
-    fn from(s: &str) -> Self {
+impl From<&'static str> for OpName {
+    fn from(s: &'static str) -> Self {
+        OpName::new(s)
+    }
+}
+
+impl From<String> for OpName {
+    fn from(s: String) -> Self {
         OpName::new(s)
     }
 }
@@ -183,7 +197,7 @@ struct RegionData {
 /// An IR module: the owner of all IR entities plus a distinguished top-level
 /// region (with a single entry block) that holds module-scope operations
 /// such as `func.func`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Module {
     ops: Vec<OpData>,
     blocks: Vec<BlockData>,
@@ -197,6 +211,31 @@ pub struct Module {
 impl Default for Module {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+thread_local! {
+    static MODULE_CLONES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times this thread has deep-copied a [`Module`]. The copy is the
+/// one super-unit cost of handing a module from stage to stage, so tests pin
+/// how many a compile makes by reading this before and after.
+pub fn module_clone_count() -> u64 {
+    MODULE_CLONES.with(Cell::get)
+}
+
+impl Clone for Module {
+    fn clone(&self) -> Self {
+        MODULE_CLONES.with(|n| n.set(n.get() + 1));
+        Module {
+            ops: self.ops.clone(),
+            blocks: self.blocks.clone(),
+            regions: self.regions.clone(),
+            values: self.values.clone(),
+            uses: self.uses.clone(),
+            body: self.body,
+        }
     }
 }
 
@@ -450,18 +489,26 @@ impl Module {
 
     /// Insert `new` directly before `anchor` in the anchor's block.
     pub fn insert_op_before(&mut self, anchor: OpId, new: OpId) {
-        let a = &self.ops[anchor.0 as usize];
-        let block = a.parent.expect("anchor not attached");
-        let prev = a.prev;
+        let block = self.anchor_block(anchor);
+        let prev = self.ops[anchor.0 as usize].prev;
         self.link_op(block, new, prev, anchor.0);
     }
 
     /// Insert `new` directly after `anchor` in the anchor's block.
     pub fn insert_op_after(&mut self, anchor: OpId, new: OpId) {
-        let a = &self.ops[anchor.0 as usize];
-        let block = a.parent.expect("anchor not attached");
-        let next = a.next;
+        let block = self.anchor_block(anchor);
+        let next = self.ops[anchor.0 as usize].next;
         self.link_op(block, new, anchor.0, next);
+    }
+
+    /// The block an insertion anchor sits in. Only an attached op has a
+    /// "before" and an "after": a detached anchor is a bug in the calling
+    /// pass, which the hardened driver contains like any other.
+    fn anchor_block(&self, anchor: OpId) -> BlockId {
+        match self.ops[anchor.0 as usize].parent {
+            Some(block) => block,
+            None => unreachable!("insertion anchor {anchor:?} is not attached to a block"),
+        }
     }
 
     /// Attach the detached `op` to `block` between neighbours `prev` and
@@ -512,17 +559,21 @@ impl Module {
     }
 
     /// Tombstone `op` and its regions' contents; block lists of the dead
-    /// blocks are left as they are.
+    /// blocks are left as they are. A tombstone keeps its name and list
+    /// links and gives back what only a live op needs — attributes, operand,
+    /// result and region lists — so it costs its fixed-size header to copy,
+    /// keep and drop.
     fn kill_op(&mut self, op: OpId) {
         let data = &mut self.ops[op.0 as usize];
         data.alive = false;
+        data.attrs = BTreeMap::new();
+        data.results = Vec::new();
         let first_use = data.first_use;
-        for i in 0..data.operands.len() {
-            let v = self.ops[op.0 as usize].operands[i];
+        let operands = std::mem::take(&mut data.operands);
+        for (i, &v) in operands.iter().enumerate() {
             self.unlink_use(first_use + i as u32, v);
         }
-        for r in 0..self.ops[op.0 as usize].regions.len() {
-            let region = self.ops[op.0 as usize].regions[r];
+        for region in std::mem::take(&mut self.ops[op.0 as usize].regions) {
             self.regions[region.0 as usize].alive = false;
             for b in 0..self.regions[region.0 as usize].blocks.len() {
                 let block = self.regions[region.0 as usize].blocks[b];
@@ -696,6 +747,15 @@ pub(crate) mod tests {
         let m = OpName::new("module");
         assert_eq!(m.dialect(), "builtin");
         assert_eq!(m.op(), "module");
+        // A name read from text owns its spelling; it is the same name.
+        let owned = OpName::new(String::from("fir.store"));
+        assert_eq!(owned, n);
+        assert_eq!(owned.cmp(&n), std::cmp::Ordering::Equal);
+        assert_eq!((owned.dialect(), owned.op()), ("fir", "store"));
+        assert_eq!(
+            OpName::from("fir.store"),
+            OpName::from(String::from("fir.store"))
+        );
     }
 
     #[test]
@@ -742,6 +802,93 @@ pub(crate) mod tests {
         assert_eq!(m.live_op_count(), 0);
         assert!(!m.is_alive(inner));
         assert!(m.block_ops(top).is_empty());
+    }
+
+    #[test]
+    fn erasing_an_op_releases_everything_only_a_live_op_needs() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let c = m.create_op(
+            "arith.constant",
+            vec![],
+            vec![Type::i64()],
+            vec![("value", Attribute::int(4))],
+        );
+        m.append_op(top, c);
+        let v = m.result(c);
+        let outer = m.create_op(
+            "scf.for",
+            vec![v],
+            vec![],
+            vec![("tiled", Attribute::int(1))],
+        );
+        m.append_op(top, outer);
+        let region = m.add_region(outer);
+        let body = m.add_block(region, &[Type::Index]);
+        let inner = m.create_op(
+            "t.inner",
+            vec![v],
+            vec![Type::i64()],
+            vec![("k", Attribute::int(2))],
+        );
+        m.append_op(body, inner);
+        assert_eq!(m.uses(v).len(), 2);
+        m.erase_op(outer);
+        // Both tombstones keep their name and nothing else.
+        for dead in [outer, inner] {
+            let data = m.op(dead);
+            assert!(!data.is_alive());
+            assert!(data.attrs.is_empty(), "{}", data.name);
+            assert!(data.operands.is_empty() && data.results.is_empty());
+            assert!(data.regions.is_empty());
+        }
+        assert_eq!(m.op(outer).name.full(), "scf.for");
+        assert!(
+            m.is_unused(v),
+            "the operands were unlinked before they went"
+        );
+        // The survivor keeps its payload.
+        assert_eq!(m.op(c).attr("value").and_then(Attribute::as_int), Some(4));
+        m.erase_op(outer); // a dead op stays dead
+        assert_eq!(m.live_op_count(), 1);
+    }
+
+    #[test]
+    fn a_clone_full_of_tombstones_prints_like_the_original() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let mut values = Vec::new();
+        for i in 0..40 {
+            let operands = values.iter().rev().take(i % 3).copied().collect();
+            let name = if i % 2 == 0 {
+                OpName::from("t.lit")
+            } else {
+                OpName::from(format!("t.made{i}"))
+            };
+            let op = m.create_op(
+                name,
+                operands,
+                vec![Type::i64()],
+                vec![("i", Attribute::int(i as i64))],
+            );
+            m.append_op(top, op);
+            values.push(m.result(op));
+        }
+        // Erase from the back, so no survivor reads an erased value.
+        let ops = m.block_ops(top);
+        for &op in ops.iter().rev().take(30) {
+            m.erase_op(op);
+        }
+        assert_eq!(m.live_op_count(), 10);
+        let before = module_clone_count();
+        let copy = m.clone();
+        assert_eq!(module_clone_count(), before + 1);
+        assert_eq!(
+            crate::print::print_module(&copy),
+            crate::print::print_module(&m)
+        );
+        assert_eq!(copy.live_op_count(), 10);
+        crate::verifier::verify_module(&copy).expect("the copy verifies");
     }
 
     #[test]
@@ -918,7 +1065,14 @@ pub(crate) mod tests {
                             .map(|_| rng.pick(&shadow.values))
                             .collect();
                         let results = vec![Type::i64(); rng.below(3)];
-                        let op = m.create_op("t.op", operands, results, vec![]);
+                        // Borrowed and owned names mixed, as a parsed
+                        // module rewritten by passes holds them.
+                        let name = if step % 2 == 0 {
+                            OpName::from("t.op")
+                        } else {
+                            OpName::from(format!("t.op{}", step % 7))
+                        };
+                        let op = m.create_op(name, operands, results, vec![]);
                         shadow.ops.push(op);
                         shadow.values.extend(&m.op(op).results);
                         if rng.below(4) == 0 {

@@ -657,7 +657,7 @@ impl<'a> Parser<'a> {
         // but regions appear *before* the signature in the generic syntax.
         // Strategy: skip ahead is complex; instead parse regions into a
         // temporary op, then parse the signature, then fix result types.
-        let op = module.create_op(name.as_str(), operands.clone(), vec![], vec![]);
+        let op = module.create_op(name.clone(), operands.clone(), vec![], vec![]);
 
         if pending_regions > 0 {
             self.expect_char(b'(')?;

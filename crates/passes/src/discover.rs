@@ -407,8 +407,8 @@ impl<'a> BodyEmitter<'a> {
         let def = m
             .defining_op(v)
             .ok_or_else(|| IrError::new("slice value without defining op"))?;
-        let name = m.op(def).name.full().to_string();
-        let out = match name.as_str() {
+        let name = m.op(def).name.clone();
+        let out = match name.full() {
             fir::LOAD => {
                 if let Some(read) = self.cand.reads.get(&v) {
                     // Relative offsets versus the store position.
@@ -469,7 +469,7 @@ impl<'a> BodyEmitter<'a> {
                 let iv = self.emit(m, body, inner)?;
                 emit_standard_convert(m, body, iv, &from, &to)
             }
-            _ if name.starts_with("arith.") || name.starts_with("math.") => {
+            other if other.starts_with("arith.") || other.starts_with("math.") => {
                 let operands = m.op(def).operands.clone();
                 let mut emitted = Vec::with_capacity(operands.len());
                 for o in operands {
@@ -484,7 +484,7 @@ impl<'a> BodyEmitter<'a> {
                     .collect();
                 let mut b = OpBuilder::at_end(m, body);
                 let op = b.op(
-                    name.as_str(),
+                    name.clone(),
                     emitted,
                     vec![ty],
                     attrs.iter().map(|(k, a)| (k.as_str(), a.clone())).collect(),

@@ -209,7 +209,13 @@ fn convert(module: &mut Module) -> Result<()> {
     Ok(())
 }
 
-fn cast(module: &mut Module, anchor: OpId, operand: ValueId, name: &str, to: Type) -> ValueId {
+fn cast(
+    module: &mut Module,
+    anchor: OpId,
+    operand: ValueId,
+    name: &'static str,
+    to: Type,
+) -> ValueId {
     let mut b = OpBuilder::before(module, anchor);
     b.op1(name, vec![operand], to, vec![]).1
 }

@@ -1,22 +1,27 @@
-//! Hardened pass-pipeline driver: snapshot → run → verify → rollback.
+//! Hardened pass-pipeline driver: run → verify → contain.
 //!
 //! The plain [`PassManager`] aborts compilation on the first pass error and
 //! offers no protection against a pass that *panics* or silently corrupts
 //! the module. This driver wraps a pass list with a containment protocol:
 //!
-//! 1. snapshot the module (cheap arena clone) before each pass;
-//! 2. run the pass under [`std::panic::catch_unwind`], so a buggy pass
+//! 1. take the working module *by value* ([`HardenedPipeline::run_owned`]):
+//!    the driver owns what the passes rewrite, and whoever wants the input
+//!    back after a failure keeps it (or a copy of it) themselves;
+//! 2. run each pass under [`std::panic::catch_unwind`], so a buggy pass
 //!    cannot take the whole compiler down;
 //! 3. re-verify the module (structural + dialect checks) after each pass,
 //!    so a pass that "succeeded" but broke an invariant is caught at the
 //!    pass that broke it;
-//! 4. on any failure, restore the snapshot — the module is left in the
-//!    last known-verified state — and stop, attesting *which* pass failed,
-//!    *how* (error / panic / broke-IR) and *why* in a [`PassFailure`].
+//! 4. on the first failure, drop the working module and stop, attesting
+//!    *which* pass failed, *how* (error / panic / broke-IR) and *why* in a
+//!    [`PassFailure`]. Rollback is a matter of ownership, not snapshots:
+//!    nothing a rejected pass touched outlives it, so no copy is taken
+//!    between passes and a pipeline of any length costs its caller at most
+//!    the one copy it chose to keep.
 //!
 //! The driver never turns a pass failure into a process abort: the caller
-//! (the degradation ladder in `fsc-core`) receives a [`PipelineReport`] and
-//! decides whether to reroute down a simpler pipeline.
+//! (the degradation ladder in `fsc-core`) receives the failure and decides
+//! whether to reroute down a simpler pipeline from its pristine module.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
@@ -70,7 +75,7 @@ impl PassFailure {
             kind.code(),
             format!("pass '{}' {verb}: {detail}", pass.name()),
         )
-        .note("the module was rolled back to its state before this pass");
+        .note("the module was rolled back to its state on entry to the pipeline");
         Self {
             pass: pass.name().to_string(),
             kind,
@@ -91,7 +96,8 @@ pub struct PipelineReport {
     pub stats: Vec<PassStat>,
     /// The first failure, if any; the pipeline stops at it.
     pub failure: Option<PassFailure>,
-    /// Whether a snapshot rollback was performed.
+    /// Whether the module was left at its state on entry to the pipeline
+    /// because a pass was rejected.
     pub rolled_back: bool,
 }
 
@@ -102,8 +108,8 @@ impl PipelineReport {
     }
 }
 
-/// A pass pipeline driven with snapshots, panic containment, post-pass
-/// verification and rollback.
+/// A pass pipeline driven with panic containment, post-pass verification
+/// and rollback by ownership.
 pub struct HardenedPipeline {
     passes: Vec<Box<dyn Pass>>,
     /// Name of a pass whose output is deliberately corrupted after it runs
@@ -132,38 +138,29 @@ impl HardenedPipeline {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Run the passes in order under the containment protocol. A failure
-    /// does not return `Err`: the module is rolled back to its state before
-    /// the offending pass and the failure is attested in the report, so the
-    /// caller can reroute to a fallback pipeline.
-    pub fn run(&self, module: &mut Module) -> PipelineReport {
-        let mut report = PipelineReport::default();
+    /// Run the passes in order under the containment protocol, owning the
+    /// working module. Returns the rewritten module when every pass ran and
+    /// verified; on the first failure the working module is dropped — no
+    /// later pass runs — and the attested failure is returned instead. The
+    /// stats cover the accepted passes only, in order.
+    pub fn run_owned(
+        &self,
+        mut module: Module,
+    ) -> (std::result::Result<Module, PassFailure>, Vec<PassStat>) {
+        let mut stats = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
-            let snapshot = module.clone();
             let start = Instant::now();
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| pass.run(module)));
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| pass.run(&mut module)));
             if self.sabotage.as_deref() == Some(pass.name()) {
-                corrupt_module(module);
+                corrupt_module(&mut module);
             }
-            let failure = match outcome {
-                Err(payload) => Some(PassFailure::new(
-                    pass.as_ref(),
-                    FailureKind::Panicked,
-                    payload_message(payload.as_ref()),
-                )),
-                Ok(Err(e)) => Some(PassFailure::new(
-                    pass.as_ref(),
-                    FailureKind::Failed,
-                    e.message.clone(),
-                )),
-                Ok(Ok(result)) => match fsc_dialects::verify::verify(module) {
-                    Err(e) => Some(PassFailure::new(
-                        pass.as_ref(),
-                        FailureKind::BrokeIr,
-                        e.message.clone(),
-                    )),
+            let rejected = match outcome {
+                Err(payload) => Some((FailureKind::Panicked, payload_message(payload.as_ref()))),
+                Ok(Err(e)) => Some((FailureKind::Failed, e.message)),
+                Ok(Ok(result)) => match fsc_dialects::verify::verify(&module) {
+                    Err(e) => Some((FailureKind::BrokeIr, e.message)),
                     Ok(()) => {
-                        report.stats.push(PassStat {
+                        stats.push(PassStat {
                             name: pass.name().to_string(),
                             duration: start.elapsed(),
                             changed: result == PassResult::Changed,
@@ -172,18 +169,36 @@ impl HardenedPipeline {
                     }
                 },
             };
-            if let Some(failure) = failure {
-                *module = snapshot;
-                report.rolled_back = true;
-                report.failure = Some(failure);
-                break;
+            if let Some((kind, detail)) = rejected {
+                return (Err(PassFailure::new(pass.as_ref(), kind, detail)), stats);
             }
         }
-        report
+        (Ok(module), stats)
+    }
+
+    /// [`run_owned`](Self::run_owned) for a caller that keeps the module in
+    /// place: the pipeline works on a copy, which replaces `*module` when
+    /// every pass was accepted. A failure does not return `Err`: `*module`
+    /// is left exactly as it was on entry and the failure is attested in
+    /// the report, so the caller can reroute to a fallback pipeline.
+    pub fn run(&self, module: &mut Module) -> PipelineReport {
+        let (result, stats) = self.run_owned(module.clone());
+        let failure = match result {
+            Ok(done) => {
+                *module = done;
+                None
+            }
+            Err(failure) => Some(failure),
+        };
+        PipelineReport {
+            stats,
+            rolled_back: failure.is_some(),
+            failure,
+        }
     }
 
     /// Strict mode: like [`run`](Self::run), but a failure is returned as
-    /// an error (the module is still rolled back first).
+    /// an error (the module is still left as it was on entry).
     pub fn run_strict(&self, module: &mut Module) -> Result<Vec<PassStat>> {
         let report = self.run(module);
         match report.failure {
@@ -307,9 +322,11 @@ mod tests {
         assert_eq!(failure.kind, FailureKind::Panicked);
         assert_eq!(failure.pass, "panicker");
         assert!(report.rolled_back);
-        // Only the accepted pass's op survives: the panicker's half-done
-        // mutation was rolled back.
-        assert_eq!(m.live_op_count(), 1);
+        // The module is as it was on entry to the pipeline: neither the
+        // panicker's half-done mutation nor the accepted pass before it
+        // survives, though that pass is still reported.
+        assert_eq!(m.live_op_count(), 0);
+        assert_eq!(report.stats.len(), 1);
         let rendered = failure.diagnostics[0].render();
         assert!(rendered.contains("E0502"), "{rendered}");
         assert!(rendered.contains("simulated pass bug"), "{rendered}");
@@ -359,6 +376,80 @@ mod tests {
         let err = hp.run_strict(&mut m).expect_err("strict mode errors");
         assert!(err.message.contains("deliberate failure"), "{err}");
         assert_eq!(err.primary().map(|d| d.code), Some(codes::PASS_FAILED));
+    }
+
+    type MakePass = fn() -> Box<dyn Pass>;
+
+    /// One pass per way of being rejected.
+    const FAILING: [(MakePass, FailureKind); 3] = [
+        (|| Box::new(Erroring), FailureKind::Failed),
+        (|| Box::new(Panicker), FailureKind::Panicked),
+        (|| Box::new(Breaker), FailureKind::BrokeIr),
+    ];
+
+    /// A pass that counts its runs: shows what the driver ran, not just
+    /// what it reported.
+    struct Counting(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+    impl Pass for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn run(&self, _m: &mut Module) -> Result<PassResult> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(PassResult::Unchanged)
+        }
+    }
+
+    #[test]
+    fn owning_form_stops_at_the_first_failure_and_reports_accepted_passes_only() {
+        for (make, _) in FAILING {
+            let runs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let hp = pipeline_of(vec![
+                Box::new(AddMarker),
+                Box::new(Counting(runs.clone())),
+                make(),
+                Box::new(Counting(runs.clone())),
+                Box::new(AddMarker),
+            ]);
+            let failed = hp.pass_names()[2].to_string();
+            let (result, stats) = hp.run_owned(Module::new());
+            let failure = result.expect_err("the third pass is rejected");
+            assert_eq!(failure.pass, failed);
+            let accepted: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(accepted, ["add-marker", "counting"]);
+            let runs = runs.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(runs, 1, "no pass runs after '{failed}' fails");
+        }
+        // Nothing fails: the rewritten module comes back with every stat.
+        let hp = pipeline_of(vec![Box::new(AddMarker), Box::new(AddMarker)]);
+        let (result, stats) = hp.run_owned(Module::new());
+        assert_eq!(result.expect("completes").live_op_count(), 2);
+        assert_eq!(stats.len(), 2);
+    }
+
+    #[test]
+    fn run_leaves_the_callers_module_byte_identical_after_any_failure() {
+        let src = "program t
+integer, parameter :: n = 8
+integer :: i
+real(kind=8) :: a(0:n+1), r(0:n+1)
+do i = 1, n
+  r(i) = 0.5 * (a(i-1) + a(i+1))
+end do
+end program t";
+        for (make, kind) in FAILING {
+            let mut m = fsc_fortran::compile_to_fir(src).expect("compiles");
+            let before = fsc_ir::print::print_module(&m);
+            // Real rewriting first, so there is something to lose.
+            let mut pm = crate::pipelines::discovery_pipeline();
+            pm.add_boxed(make());
+            let report = HardenedPipeline::new(pm).run(&mut m);
+            assert_eq!(report.failure.as_ref().map(|f| f.kind), Some(kind));
+            assert!(report.rolled_back);
+            assert_eq!(report.stats.len(), 2, "discovery itself was accepted");
+            assert_eq!(fsc_ir::print::print_module(&m), before, "{kind:?}");
+            fsc_dialects::verify::verify(&m).expect("still verifies");
+        }
     }
 
     #[test]

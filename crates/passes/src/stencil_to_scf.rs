@@ -310,8 +310,8 @@ fn lower_apply(
         .block_terminator(innermost)
         .ok_or_else(|| IrError::new("innermost loop body lost its terminator"))?;
     for op in body_ops {
-        let name = module.op(op).name.full().to_string();
-        match name.as_str() {
+        let name = module.op(op).name.clone();
+        match name.full() {
             stencil::ACCESS => {
                 let temp_arg = module.op(op).operands[0];
                 let offsets = stencil::access_offset(module, op)
@@ -367,7 +367,7 @@ fn lower_apply(
                 let old_results = module.op(op).results.clone();
                 let mut b = OpBuilder::before(module, term);
                 let new_op = b.op(
-                    name.as_str(),
+                    name,
                     operands,
                     result_tys,
                     attrs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect(),

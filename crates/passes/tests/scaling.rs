@@ -18,9 +18,9 @@ use fsc_passes::{extract_stencils, pipelines, DiscoverStencils};
 const CELLS: usize = 16;
 
 /// The sum of terms `k` in `lo..hi`, each `c_k * a(i + k - terms/2)`,
-/// parenthesised as a balanced tree: the frontend recurses on expression
-/// depth, and 512 terms in a left-leaning chain overflow a test thread's
-/// stack.
+/// parenthesised as a balanced tree: the frontend bounds expression depth
+/// (`fsc_fortran::parser::MAX_EXPR_DEPTH`), and 512 terms in a left-leaning
+/// chain are far past it; balanced, they nest ten deep.
 fn sum(lo: usize, hi: usize, terms: usize) -> String {
     if hi - lo == 1 {
         let coefficient = 0.125 * (lo % 7 + 1) as f64;
