@@ -15,6 +15,12 @@ cargo fmt --all --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== duplicate-helper gate =="
+# One FNV-1a-64 (fsc_ir::hash) and one histogram (fsc_ir::hist): a second
+# copy of either fails here instead of regrowing per crate.
+[[ $(grep -rli 'cbf2_9ce4_8422_2325' crates/ | wc -l) -le 1 ]] || { echo "FNV offset basis in more than one file under crates/"; exit 1; }
+! grep -rn 'struct .*Histogram' crates/ --include='*.rs' | grep -v '^crates/ir/' || { echo "histogram defined outside crates/ir/"; exit 1; }
+
 if [[ $quick -eq 0 ]]; then
   echo "== build (release) =="
   # --workspace: the root manifest is also a package, so a bare build
@@ -75,9 +81,8 @@ timeout --kill-after=30s 300s \
 echo "== jit smoke =="
 # The stitched jit tier (DESIGN.md §14): the three non-template kernels
 # must land on the jit by default and stay bit-identical to both VM
-# tiers, Gauss–Seidel forced onto the jit must stay within 1.2x of the
-# hand-specialized template, and a purge/recompile cycle must attest a
-# fresh artifact then a cached one (all asserted inside the binary).
+# tiers, and Gauss–Seidel forced onto the jit must stay within 1.2x of
+# the hand-specialized template (all asserted inside the binary).
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig8_jit_tier -- --smoke
 

@@ -12,14 +12,13 @@
 //!
 //! Every point is verified **bit-identical** to the generic VM before it
 //! is reported, and the run report must attest the tier that executed.
-//! A cold-vs-warm section measures compile latency with the shared jit
-//! artifact cache purged vs warm (the warm compile must attest `cached`).
+//! A closing line reports the process-wide stitch counters (every compile
+//! stitches its own programs; there is no jit cache — DESIGN.md §14).
 //!
 //! `--smoke` runs the CI gate instead: the three non-template kernels
 //! must land on the jit tier by default and stay bit-identical across
 //! all tiers; Gauss–Seidel forced onto the jit must stay within 1.2× of
-//! the hand-specialized template; a purge/recompile cycle must attest
-//! `fresh` then `cached`.
+//! the hand-specialized template.
 //!
 //! `FSC_FORCE_EXEC_PATH=<specialized|jit|fused-vm|generic-vm>` restricts
 //! the sweep to one tier (the env var is parsed *here*, in the binary —
@@ -29,7 +28,7 @@ use std::time::Instant;
 
 use fsc_bench::{mcells_per_sec, print_rows, Row};
 use fsc_core::{CompileOptions, Compiled, Compiler, Target};
-use fsc_exec::{jit, ExecPath, JitArtifact};
+use fsc_exec::ExecPath;
 use fsc_workloads::{gauss_seidel, jit_kernels, pw_advection};
 
 const TIERS: [ExecPath; 4] = [
@@ -142,19 +141,6 @@ fn tier_set(compiled: &Compiled) -> Vec<ExecPath> {
     out
 }
 
-/// The jit artifact sources the compile attested, deduplicated.
-fn artifact_sources(compiled: &Compiled) -> Vec<JitArtifact> {
-    let mut out: Vec<JitArtifact> = compiled
-        .kernels
-        .values()
-        .flat_map(|k| &k.nests)
-        .filter_map(|nest| nest.jit_source)
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// The throughput sweep: every workload × tier at one size. Each tier's
 /// result is bit-compared against the generic VM before it is reported.
 fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
@@ -196,55 +182,8 @@ fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
     }
 }
 
-/// Cold-vs-warm artifact-cache compile latency: purge the shared cache,
-/// compile (stitches `fresh`), then recompile a renamed-but-bit-identical
-/// program (content key matches → `cached`).
-fn cold_warm(n: usize) {
-    println!("\ncold vs warm artifact cache (compile latency, {n}^3 sources)");
-    for (name, source) in [
-        ("sqrt", jit_kernels::sqrt_source(n, ITERS)),
-        ("varcoef", jit_kernels::varcoef_source(n, ITERS)),
-        ("minmax", jit_kernels::minmax_source(n, ITERS)),
-    ] {
-        jit::shared_cache().purge();
-        let t = Instant::now();
-        let cold_c = Compiler::compile(&source, &opts(None)).expect("cold compile");
-        let cold = t.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            artifact_sources(&cold_c).contains(&JitArtifact::Fresh),
-            "{name}: cold compile after a purge must stitch a fresh artifact"
-        );
-        // Different session fingerprint, identical bytecode: same extents,
-        // renamed program.
-        let renamed = source.replace(&format!("program jit_{name}"), "program warm_probe");
-        let t = Instant::now();
-        let warm_c = Compiler::compile(&renamed, &opts(None)).expect("warm compile");
-        let warm = t.elapsed().as_secs_f64() * 1e3;
-        let sources = artifact_sources(&warm_c);
-        assert!(
-            sources.contains(&JitArtifact::Cached) && !sources.contains(&JitArtifact::Fresh),
-            "{name}: warm recompile must reuse the cached artifact, got {sources:?}"
-        );
-        println!("  {name:>8}: cold {cold:>7.2} ms -> warm {warm:>7.2} ms (attested cached)");
-    }
-    let s = fsc_core::jit_cache_stats();
-    println!(
-        "  cache: {} entries / {} B, {} builds, {} hits, {} deduped, \
-         codegen mean {:.3} ms (p50 {:.3}, p99 {:.3}, {} stitches)",
-        s.entries,
-        s.bytes,
-        s.builds,
-        s.hits,
-        s.deduped,
-        s.codegen_mean_ms,
-        s.codegen_p50_ms,
-        s.codegen_p99_ms,
-        s.codegen_count
-    );
-}
-
 /// CI gate: bit-identity everywhere, jit within 1.2× of the specialized
-/// template on Gauss–Seidel, fresh→cached across a purge/recompile.
+/// template on Gauss–Seidel.
 fn smoke() {
     const JIT_BUDGET: f64 = 1.2;
     let t0 = Instant::now();
@@ -305,26 +244,10 @@ fn smoke() {
          {jit_s:.6}s vs {spec_s:.6}s"
     );
 
-    // 3) Artifact-cache round trip: purge → fresh, recompile → cached.
-    jit::shared_cache().purge();
-    let probe = jit_kernels::sqrt_source(11, 1);
-    let cold = Compiler::compile(&probe, &opts(None)).expect("cold compile");
-    assert!(artifact_sources(&cold).contains(&JitArtifact::Fresh));
-    let warm = Compiler::compile(
-        &probe.replace("program jit_sqrt", "program warm_probe"),
-        &opts(None),
-    )
-    .expect("warm compile");
-    let sources = artifact_sources(&warm);
-    assert!(
-        sources.contains(&JitArtifact::Cached) && !sources.contains(&JitArtifact::Fresh),
-        "warm recompile must attest cached, got {sources:?}"
-    );
-
     println!(
         "jit smoke PASS: 3 non-template kernels on the jit tier bit-identical \
          across all tiers, GS jit at {ratio:.2}x specialized (budget {JIT_BUDGET}x), \
-         fresh->cached across purge/recompile, {:.1}s wall",
+         {:.1}s wall",
         t0.elapsed().as_secs_f64()
     );
 }
@@ -349,7 +272,10 @@ fn main() {
         "size",
         &rows,
     );
-    cold_warm(24);
-    println!("\nevery point verified bit-identical to the generic VM before reporting");
-    println!("warm recompiles attested `cached` out of the shared artifact cache");
+    let s = fsc_core::jit_cache_stats();
+    println!(
+        "\nstitching: {} programs built, {} skipped, mean {:.3} ms (p50 {:.3}, p99 {:.3})",
+        s.builds, s.skips, s.codegen_mean_ms, s.codegen_p50_ms, s.codegen_p99_ms
+    );
+    println!("every point verified bit-identical to the generic VM before reporting");
 }

@@ -30,13 +30,15 @@ use fsc_exec::budget::{MemoryBudget, MemoryEstimate};
 use fsc_exec::distexec::{self, DistOutcome, DistSession};
 pub use fsc_exec::distexec::{DistMode, DistOptions};
 use fsc_exec::interp::{Interpreter, RegionDispatcher, RunStats};
+/// The process-wide jit stitch counters (every compile in this process,
+/// all `fsc-serve` sessions included). `benchmark/` calls it by this name.
+pub use fsc_exec::jit::stats as jit_cache_stats;
 use fsc_exec::kernel::{
     self, CompiledKernel, GpuStrategy, HaloSchedule, KernelArg, PlanKind, ViewSource,
 };
 use fsc_exec::plan::{ExecPlan, PlanProvenance};
 use fsc_exec::value::{Memory, Ref, Value};
-pub use fsc_exec::JitArtifact;
-use fsc_exec::{ExecPath, JitCacheStats};
+use fsc_exec::ExecPath;
 use fsc_gpusim::{BufferUse, GpuCounters, GpuSession, KernelLoad, V100Model};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{Attribute, IrError, Module, Result, Type};
@@ -473,12 +475,8 @@ pub struct RunReport {
     /// empty for Flang-only and naive-tier runs, which bypass the
     /// specialization ladder).
     pub exec_paths: Vec<ExecPath>,
-    /// Distinct jit artifact sources of the nests that carried a stitched
-    /// object (sorted; empty when no nest had one). `Cached` here attests
-    /// that a recompile reused a warm artifact without codegen.
-    pub jit_artifacts: Vec<JitArtifact>,
-    /// Coded jit warnings from compilation (`E0704` integrity rebuilds,
-    /// `E0705` stitching skips) — degradations, never failures.
+    /// Coded jit warnings from compilation (`E0705` stitching skips) —
+    /// degradations, never failures.
     pub jit_warnings: Vec<Diagnostic>,
     /// Fault-injection / recovery attestation of the resilient halo
     /// transport (distributed targets only; zero counters for a
@@ -517,18 +515,6 @@ impl RunReport {
     pub fn attests_plan(&self, provenance: PlanProvenance) -> bool {
         self.plans.iter().any(|p| p.provenance == provenance)
     }
-
-    /// True when at least one nest carried a jit object from `source`
-    /// (`fresh` codegen, `deduped` concurrent build, `cached` reuse).
-    pub fn attests_artifact(&self, source: JitArtifact) -> bool {
-        self.jit_artifacts.contains(&source)
-    }
-}
-
-/// Snapshot of the process-wide jit artifact cache (shared across every
-/// compile in this process, including all `fsc-serve` sessions).
-pub fn jit_cache_stats() -> JitCacheStats {
-    fsc_exec::jit::shared_cache().stats()
 }
 
 /// A finished execution: memory plus accounting.
@@ -585,7 +571,7 @@ impl Compiler {
             }
         }
         // Tier override last, so forced paths survive the autotuner's plan
-        // installation (which re-acquires jit artifacts per new plan).
+        // installation (which re-stitches each jit nest under the new plan).
         if let Some(path) = options.force_exec_path {
             for k in compiled.kernels.values_mut() {
                 k.force_exec_path(path);
@@ -962,8 +948,9 @@ impl Compiled {
     }
 
     /// Heuristic in-memory size of this artifact (modules + compiled
-    /// kernels), for byte-accounted artifact caching. Stable for a given
-    /// compile; cheap to compute.
+    /// kernels, stitched jit programs included — the artifact owns them),
+    /// for byte-accounted artifact caching. Stable for a given compile;
+    /// cheap to compute.
     pub fn approx_bytes(&self) -> u64 {
         let mut ops = 0u64;
         fsc_ir::walk::walk_module(&self.fir_module, &mut |_| ops += 1);
@@ -974,6 +961,7 @@ impl Compiled {
         for k in self.kernels.values() {
             for n in &k.nests {
                 kernel_bytes += (n.program.instrs.len() as u64).saturating_mul(2 * 64);
+                kernel_bytes += n.jit.as_ref().map_or(0, |j| j.approx_bytes());
             }
             kernel_bytes += (k.views.len() as u64).saturating_mul(96);
         }
@@ -1039,7 +1027,6 @@ impl Compiled {
                 d
             }),
             exec_paths: dispatcher.exec_paths.iter().copied().collect(),
-            jit_artifacts: dispatcher.jit_artifacts.iter().copied().collect(),
             jit_warnings: self
                 .kernels
                 .values()
@@ -1107,8 +1094,6 @@ pub struct KernelDispatcher<'k> {
     /// Distinct execution plans observed across dispatched nests (only
     /// recorded for runs through the optimised runner).
     pub plans: std::collections::BTreeSet<ExecPlan>,
-    /// Distinct jit artifact sources observed across dispatched nests.
-    pub jit_artifacts: std::collections::BTreeSet<JitArtifact>,
     /// Fault plan injected into the resilient halo transport (distributed
     /// targets; defaults to a fault-free plan).
     pub fault_plan: FaultPlan,
@@ -1176,7 +1161,6 @@ impl<'k> KernelDispatcher<'k> {
             dist: DistributedReport::default(),
             exec_paths: std::collections::BTreeSet::new(),
             plans: std::collections::BTreeSet::new(),
-            jit_artifacts: std::collections::BTreeSet::new(),
             fault_plan: FaultPlan::none(0xF5C),
             resilience: FaultStats::default(),
             dispatch_index: 0,
@@ -1614,9 +1598,6 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
             for nest in &kernel.nests {
                 self.exec_paths.insert(nest.path);
                 self.plans.insert(nest.plan.clone());
-                if let Some(src) = nest.jit_source {
-                    self.jit_artifacts.insert(src);
-                }
             }
         }
         self.cells += kernel.stats().cells;
@@ -1967,10 +1948,6 @@ mod tests {
                 exec.report.attests(ExecPath::Jit),
                 "compute sweep must run jit: {:?}",
                 exec.report.exec_paths
-            );
-            assert!(
-                !exec.report.jit_artifacts.is_empty(),
-                "jit nests must attest their artifact source"
             );
             let reference: Vec<f64> = exec.array("u").unwrap().to_vec();
             for forced in [ExecPath::Jit, ExecPath::FusedVm, ExecPath::GenericVm] {

@@ -44,6 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fsc_ir::diag::{codes, Diagnostic};
+use fsc_ir::hash::Fnv64;
 use fsc_ir::{IrError, Result};
 
 use crate::{CompileOptions, Compiled, Compiler, Execution};
@@ -98,18 +99,10 @@ impl CompileRequest {
     /// Identical fingerprints mean "the same compile would run", which is
     /// exactly the singleflight/caching equivalence the service needs.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for &b in self.source.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        for &b in format!("{:?}", self.options).as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        let mut h = Fnv64::new();
+        h.write(self.source.as_bytes());
+        h.write(format!("{:?}", self.options).as_bytes());
+        h.finish()
     }
 }
 
@@ -743,6 +736,14 @@ mod tests {
         assert_eq!(a.fingerprint(), request(4).fingerprint(), "must be stable");
     }
 
+    /// Pins the hash itself, not just its sensitivity. (An added
+    /// `CompileOptions` field changes the `Debug` text and this value.)
+    #[test]
+    fn fingerprint_is_pinned() {
+        let req = CompileRequest::new("program p\nend program p\n");
+        assert_eq!(req.fingerprint(), 0x6459_6dd0_13c4_9a31);
+    }
+
     #[test]
     fn repeat_requests_hit_the_artifact_cache() {
         let service = Arc::new(CompileService::default());
@@ -1008,6 +1009,32 @@ mod tests {
         assert!(cache.get(2).is_some() && cache.get(4).is_some());
         assert_eq!((cache.bytes, cache.evicted_artifacts), (800, 1));
         assert_eq!(cache.evicted_bytes, 400);
+    }
+
+    /// Each artifact owns its stitched jit programs, so they are priced
+    /// into its charge: a cap the artifact would have met without them
+    /// refuses it.
+    #[test]
+    fn stitched_programs_count_towards_the_artifact_charge() {
+        let req = request(4);
+        let artifact = Compiler::compile(&req.source, &req.options).unwrap();
+        let stitched: u64 = artifact
+            .kernels
+            .values()
+            .flat_map(|k| &k.nests)
+            .filter_map(|n| n.jit.as_ref())
+            .map(|j| j.approx_bytes())
+            .sum();
+        assert!(stitched > 0, "GS nests must carry stitched programs");
+        let cap = artifact.approx_bytes() - 1;
+        assert!(cap >= artifact.approx_bytes() - stitched);
+
+        let service = CompileService::with_limits(8, cap);
+        service.compile(&req).unwrap();
+        let again = service.compile(&req).unwrap();
+        assert_eq!(again.source, ArtifactSource::Fresh, "never admitted");
+        let m = service.metrics();
+        assert_eq!((m.oversize_rejects, m.artifact_bytes), (2, 0), "{m:?}");
     }
 
     /// Byte-cap eviction through the full service path keeps the hit

@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use fsc_ir::diag::{codes, Diagnostic};
+use fsc_ir::hash::Fnv64;
 
 use crate::kernel::{run_kernel, ArgKind, CompiledKernel, KernelArg, PlanKind, ViewSource};
 use crate::plan::{ExecPlan, PlanProvenance};
@@ -155,44 +156,33 @@ pub fn reset_in_process_cache() {
 // Fingerprinting
 // --------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// Fingerprint a kernel for plan-cache keying: FNV-1a-64 over the body
 /// bytecode, iteration bounds and view geometry, suffixed with the
 /// human-readable grid extents and thread count (so cache files stay
 /// greppable). Debug formatting of the bytecode is deterministic and
 /// covers every instruction field, including float immediates.
 pub fn fingerprint(kernel: &CompiledKernel, threads: usize) -> String {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for nest in &kernel.nests {
-        fnv1a(&mut h, b"nest");
+        h.write(b"nest");
         for &(lb, ub) in &nest.bounds {
-            fnv1a(&mut h, &lb.to_le_bytes());
-            fnv1a(&mut h, &ub.to_le_bytes());
+            h.write_u64(lb as u64);
+            h.write_u64(ub as u64);
         }
         for instr in &nest.program.instrs {
-            fnv1a(&mut h, format!("{instr:?}").as_bytes());
+            h.write(format!("{instr:?}").as_bytes());
         }
         for &v in &nest.out_views {
-            fnv1a(&mut h, &(v as u64).to_le_bytes());
+            h.write_u64(v as u64);
         }
     }
     for view in &kernel.views {
-        fnv1a(&mut h, b"view");
+        h.write(b"view");
         for &e in &view.extents {
-            fnv1a(&mut h, &e.to_le_bytes());
+            h.write_u64(e as u64);
         }
         for &s in &view.strides {
-            fnv1a(&mut h, &s.to_le_bytes());
+            h.write_u64(s as u64);
         }
     }
     let kind_tag: &[u8] = match kernel.kind {
@@ -200,7 +190,7 @@ pub fn fingerprint(kernel: &CompiledKernel, threads: usize) -> String {
         PlanKind::Omp { .. } => b"omp",
         PlanKind::Gpu { .. } => b"gpu",
     };
-    fnv1a(&mut h, kind_tag);
+    h.write(kind_tag);
     let extents = kernel
         .nests
         .first()
@@ -212,7 +202,7 @@ pub fn fingerprint(kernel: &CompiledKernel, threads: usize) -> String {
                 .join("x")
         })
         .unwrap_or_default();
-    format!("{h:016x}:{extents}:t{threads}")
+    format!("{:016x}:{extents}:t{threads}", h.finish())
 }
 
 // --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{Attribute, BlockId, IrError, Module, OpId, Result, Type, ValueId};
 
 use crate::bytecode::{BinKind, BodyProgram, CmpKind, Instr, UnKind};
-use crate::jit::{self, JitArtifact, JitProgram};
+use crate::jit::{self, JitProgram};
 use crate::plan::ExecPlan;
 use crate::specialize::{self, ExecPath, SpecProgram};
 use crate::value::{column_major_strides, BufId, Memory};
@@ -141,14 +141,10 @@ pub struct Nest {
     /// (the Specialized path); see `specialize::specialize_program`.
     pub specialized: Option<SpecProgram>,
     /// Stitched dispatch-free realisation of `fused` (the Jit path),
-    /// acquired from the shared content-addressed artifact cache. `None`
-    /// when stitching was skipped (see [`crate::jit::JitSkip`]); the skip
-    /// is reported as an `E0705` warning on the kernel, never an error.
+    /// built for and owned by this nest (clones of the nest share it).
+    /// `None` when stitching was skipped (see [`crate::jit::JitSkip`]); the
+    /// skip is reported as an `E0705` warning on the kernel, never an error.
     pub jit: Option<Arc<JitProgram>>,
-    /// Where the jit object came from — `fresh` codegen, `deduped` behind
-    /// a concurrent build of the same content hash, or `cached` artifact
-    /// reuse. Attested per nest in run reports.
-    pub jit_source: Option<JitArtifact>,
     /// Execution path this nest runs through. Defaults to the fastest
     /// available tier; tests override via
     /// [`CompiledKernel::force_exec_path`].
@@ -229,9 +225,6 @@ pub struct KernelStats {
     pub paths: Vec<ExecPath>,
     /// Execution plan of each nest, in nest order.
     pub plans: Vec<ExecPlan>,
-    /// Jit artifact provenance of each nest, in nest order (`None` when
-    /// stitching was skipped for that nest).
-    pub jit_artifacts: Vec<Option<JitArtifact>>,
 }
 
 /// A fully compiled region, callable through [`run_kernel`].
@@ -253,9 +246,9 @@ pub struct CompiledKernel {
     /// the exchange attrs are already multiplied by `k`, and the executor
     /// may amortise one exchange over `k` dispatches. `1` = classic halos.
     pub halo_depth: u32,
-    /// Coded warnings raised while acquiring jit artifacts (`E0704` for
-    /// integrity rebuilds, `E0705` for stitching skips). Never fatal —
-    /// surfaced through run reports so callers can attest degradation.
+    /// Coded `E0705` warnings for nests whose stitching was skipped. Never
+    /// fatal — surfaced through run reports so callers can attest
+    /// degradation.
     pub jit_warnings: Vec<Diagnostic>,
 }
 
@@ -274,7 +267,6 @@ impl CompiledKernel {
             s.bytes_written += cells * nest.program.stores_per_cell * 8;
             s.paths.push(nest.path);
             s.plans.push(nest.plan.clone());
-            s.jit_artifacts.push(nest.jit_source);
         }
         s
     }
@@ -310,28 +302,17 @@ impl CompiledKernel {
     /// calibration winner (or a cache hit) replaces the default, and by
     /// benches/tests to force specific tile/unroll/slab shapes.
     ///
-    /// Jit artifacts are content-addressed by `(bytecode, plan, version)`,
-    /// so a plan change re-acquires each nest's stitched object under the
-    /// new key (warm plans hit the shared cache). A nest whose stitching
-    /// is skipped under the new plan degrades to the fused VM.
+    /// The stitcher reads the plan (its unroll knob picks the chain
+    /// skeleton), so a plan change re-stitches each jit-capable nest. A
+    /// nest whose stitching is skipped under the new plan degrades to the
+    /// fused VM.
     pub fn force_plan(&mut self, plan: &ExecPlan) {
         for nest in &mut self.nests {
             nest.plan = plan.clone();
             if nest.jit.is_some() || nest.path == ExecPath::Jit {
-                let acq = jit::shared_cache().acquire(&nest.fused, plan);
-                self.jit_warnings.extend(acq.warnings);
-                match acq.outcome {
-                    Ok(p) => {
-                        nest.jit = Some(p);
-                        nest.jit_source = Some(acq.source);
-                    }
-                    Err(_) => {
-                        nest.jit = None;
-                        nest.jit_source = None;
-                        if nest.path == ExecPath::Jit {
-                            nest.path = ExecPath::FusedVm;
-                        }
-                    }
+                nest.jit = JitProgram::build(&nest.fused, plan).ok().map(Arc::new);
+                if nest.jit.is_none() && nest.path == ExecPath::Jit {
+                    nest.path = ExecPath::FusedVm;
                 }
             }
         }
@@ -696,13 +677,10 @@ fn compile_one_nest(
         plan.unroll = u.clamp(1, 8) as u8;
     }
 
-    // Stitch the jit realisation now that the plan (the second half of the
-    // artifact key) is known. Skips degrade to the fused VM with a coded
-    // warning — never an error.
-    let acq = jit::shared_cache().acquire(&fused, &plan);
-    jit_warnings.extend(acq.warnings);
-    let (jit, jit_source) = match acq.outcome {
-        Ok(p) => (Some(p), Some(acq.source)),
+    // Stitch the jit realisation now that the plan is known. Skips
+    // degrade to the fused VM with a coded warning — never an error.
+    let jit = match JitProgram::build(&fused, &plan) {
+        Ok(p) => Some(Arc::new(p)),
         Err(skip) => {
             jit_warnings.push(Diagnostic::warning(
                 codes::JIT_FALLBACK,
@@ -711,7 +689,7 @@ fn compile_one_nest(
                     skip.describe()
                 ),
             ));
-            (None, None)
+            None
         }
     };
     // Path ladder: Specialized > Jit > FusedVm (GenericVm is override-only).
@@ -738,7 +716,6 @@ fn compile_one_nest(
         fused,
         specialized,
         jit,
-        jit_source,
         path,
         exchanges,
         halo_schedule,
@@ -1999,6 +1976,14 @@ end program average
         let stats = k.stats();
         assert_eq!(stats.cells, 256);
         assert_eq!(stats.flops, 1024);
+    }
+
+    /// Plan-cache keys are persisted on disk (`CACHE_VERSION` 1): the
+    /// hash over bytecode, bounds and view geometry must not drift.
+    #[test]
+    fn plan_cache_key_is_pinned() {
+        let key = crate::autotune::fingerprint(&compile(LISTING1), 2);
+        assert_eq!(key, "5498ba8931486ef3:16x16:t2");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use autotune::{TuneConfig, TuningReport};
 pub use budget::{MemoryBudget, MemoryEstimate};
 pub use distexec::{DistMode, DistOptions, DistOutcome, DistSession, RankMetrics};
 pub use interp::{Interpreter, RunStats};
-pub use jit::{JitArtifact, JitCacheStats, JitSkip};
+pub use jit::{JitSkip, JitStats};
 pub use kernel::{CompiledKernel, HaloSchedule, KernelArg, KernelStats};
 pub use plan::{ExecPlan, PlanProvenance};
 pub use plancache::{env_cache_path, resolve_cache_path, PlanCache};

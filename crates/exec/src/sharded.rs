@@ -26,10 +26,19 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use fsc_ir::hash::Fnv64;
+
 use crate::plancache::{PlanCache, PlanRecord};
 
 /// Shard count (power of two; keys spread by FNV-1a hash).
 pub const SHARDS: usize = 16;
+
+/// FNV-1a over the key selects the shard.
+fn shard_index(key: &str) -> usize {
+    let mut h = Fnv64::new();
+    h.write(key.as_bytes());
+    (h.finish() as usize) & (SHARDS - 1)
+}
 
 /// One shard: an immutable published snapshot plus a writer mutex.
 struct Shard {
@@ -101,13 +110,7 @@ impl SharedPlanCache {
     }
 
     fn shard(&self, key: &str) -> &Shard {
-        // FNV-1a over the key selects the shard.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h as usize) & (SHARDS - 1)]
+        &self.shards[shard_index(key)]
     }
 
     /// Look up a fingerprint. Never blocks behind writers or sweeps; the
@@ -140,12 +143,7 @@ impl SharedPlanCache {
         let mut per_shard: Vec<Vec<(String, PlanRecord)>> =
             (0..SHARDS).map(|_| Vec::new()).collect();
         for (k, v) in image.entries {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in k.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            per_shard[(h as usize) & (SHARDS - 1)].push((k, v));
+            per_shard[shard_index(&k)].push((k, v));
         }
         for (shard, entries) in self.shards.iter().zip(per_shard) {
             if entries.is_empty() {
@@ -203,6 +201,15 @@ mod tests {
             slabs: 1,
             micros,
         }
+    }
+
+    #[test]
+    fn shard_selection_is_pinned() {
+        let picked: Vec<usize> = ["", "a", "key-7:8x8:t1", "00c0ffee:16x16:t2"]
+            .iter()
+            .map(|k| shard_index(k))
+            .collect();
+        assert_eq!(picked, vec![5, 12, 11, 4]);
     }
 
     #[test]

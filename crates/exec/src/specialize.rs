@@ -545,8 +545,11 @@ fn resolve<'a>(inputs: &[&'a [f64]], cursors: &[i64], a: Access) -> (&'a [f64], 
 /// Sum `K` unit-stride sources left-to-right with a final scale — the
 /// monomorphised hot loop behind [`SpecBody::ScaledSum`]. `K` is a
 /// compile-time constant so rustc fully unrolls the inner accumulation and
-/// vectorises the row loop.
-#[inline]
+/// vectorises the row loop. Out of line for [`pw_advect_row`]'s reason:
+/// inlined into [`run_spec_row`], how many of these loops thin LTO
+/// vectorised (`divpd` or `divsd`) moved with unrelated code elsewhere in
+/// the crate, and `dist_gs` with it (EXPERIMENTS.md, Figure 8).
+#[inline(never)]
 fn scaled_sum_row<const K: usize>(
     out: &mut [f64],
     srcs: &[(&[f64], usize)],
@@ -607,7 +610,8 @@ fn scaled_sum_row<const K: usize>(
 /// exactly the unit-stride loop's, so results stay bit-identical; the four
 /// independent chains overlap in the pipeline, which matters most for the
 /// serial divide chain of `Scale::DivRight` (the Gauss–Seidel kernel).
-#[inline]
+/// Out of line like [`scaled_sum_row`].
+#[inline(never)]
 fn scaled_sum_row_x4<const K: usize>(
     out: &mut [f64],
     srcs: &[(&[f64], usize)],

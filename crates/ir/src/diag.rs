@@ -232,9 +232,6 @@ pub mod codes {
     pub const PLAN_CACHE: &str = "E0702";
     /// Autotune calibration failed or was skipped — default plan kept.
     pub const AUTOTUNE: &str = "E0703";
-    /// A cached jit artifact failed its integrity check; it was evicted
-    /// and the kernel was recompiled fresh (warning — never a miscompile).
-    pub const JIT_ARTIFACT: &str = "E0704";
     /// Jit stitching skipped this nest; it runs on the fused VM tier
     /// (warning — degradation, not failure).
     pub const JIT_FALLBACK: &str = "E0705";
@@ -310,7 +307,6 @@ pub mod codes {
             "E0701" => "runtime execution error",
             "E0702" => "plan cache unreadable; default plans used",
             "E0703" => "autotune calibration failed; default plan kept",
-            "E0704" => "jit artifact failed integrity check; recompiled fresh",
             "E0705" => "jit stitching skipped; nest runs on the fused VM",
             "E0801" => "compile server at capacity; request rejected",
             "E0802" => "malformed or unsupported server request",
@@ -328,8 +324,8 @@ pub mod codes {
         "E0001", "E0002", "E0101", "E0102", "E0103", "E0104", "E0105", "E0106", "E0201", "E0202",
         "E0203", "E0204", "E0205", "E0206", "E0207", "E0208", "E0301", "E0302", "E0303", "E0304",
         "E0305", "E0401", "E0402", "E0501", "E0502", "E0503", "E0504", "E0505", "E0506", "E0601",
-        "E0602", "E0701", "E0702", "E0703", "E0704", "E0705", "E0801", "E0802", "E0803", "E0804",
-        "E0805", "E0806", "E0807",
+        "E0602", "E0701", "E0702", "E0703", "E0705", "E0801", "E0802", "E0803", "E0804", "E0805",
+        "E0806", "E0807",
     ];
 }
 

@@ -39,6 +39,8 @@
 pub mod attributes;
 pub mod builder;
 pub mod diag;
+pub mod hash;
+pub mod hist;
 pub mod json;
 pub mod module;
 pub mod parse;

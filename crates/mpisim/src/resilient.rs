@@ -29,6 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::RecvTimeoutError;
+use fsc_ir::hash::Fnv64;
 
 use crate::error::MpiSimError;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats, SendAction};
@@ -120,22 +121,17 @@ pub struct ResilientCtx<'a> {
     pub stats: FaultStats,
 }
 
-/// FNV-1a over the header fields and payload bits.
+/// FNV-1a over the header fields and payload bits. Sender and receiver
+/// are this one function in one process; the value never persists.
 pub(crate) fn checksum(from: usize, tag: i64, seq: u64, payload: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(from as u64);
-    mix(tag as u64);
-    mix(seq);
+    let mut h = Fnv64::new();
+    h.write_u64(from as u64);
+    h.write_u64(tag as u64);
+    h.write_u64(seq);
     for &x in payload {
-        mix(x.to_bits());
+        h.write_u64(x.to_bits());
     }
-    h
+    h.finish()
 }
 
 impl<'a> ResilientCtx<'a> {
@@ -637,6 +633,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn envelope_checksum_is_pinned() {
+        assert_eq!(checksum(1, -2, 3, &[1.0, -0.5]), 0x2922_325e_5643_5bae);
+    }
 
     #[test]
     fn resilient_ring_no_faults() {

@@ -39,36 +39,44 @@ pub mod server;
 
 pub use chaos::{ChaosInjector, ChaosPlan, ChaosStats};
 pub use client::{Client, ResilientClient, RetryPolicy};
-pub use metrics::{LatencyHistogram, ServerMetrics};
+pub use metrics::ServerMetrics;
 pub use proto::{parse_target, CompileSpec, Op, Request};
 pub use server::{BrownoutLevel, Server, ServerConfig};
 
 use fsc_core::Execution;
+use fsc_ir::hash::Fnv64;
 
 /// Order- and name-sensitive FNV-1a-64 checksum over the *bit patterns*
 /// of the named arrays' final contents. The e2e suite compares a server
 /// run's checksum against a direct in-process library run — equality
 /// means bit-identical results, independent of JSON float formatting.
 pub fn checksum_arrays(execution: &Execution, names: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv64::new();
     for name in names {
-        eat(name.as_bytes());
+        h.write(name.as_bytes());
         match execution.array(name) {
             Some(data) => {
                 for v in data {
-                    eat(&v.to_bits().to_le_bytes());
+                    h.write_u64(v.to_bits());
                 }
             }
-            None => eat(b"<absent>"),
+            None => h.write(b"<absent>"),
         }
     }
-    h
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fsc_core::{CompileOptions, Compiler};
+
+    /// Clients compare this value across the wire: it must not drift.
+    #[test]
+    fn checksum_arrays_is_pinned() {
+        let source = fsc_workloads::gauss_seidel::fortran_source(4, 1);
+        let exec = Compiler::run(&source, &CompileOptions::default()).unwrap();
+        let names = ["u".to_string(), "nope".to_string()];
+        assert_eq!(checksum_arrays(&exec, &names), 0xd993_ea72_aac6_79c5);
+    }
 }

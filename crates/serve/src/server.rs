@@ -1160,9 +1160,9 @@ fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuil
         provenances.into_iter().map(Json::Str).collect()
     };
     // Coded warnings accumulated during compilation (e.g. E0702 plan-cache
-    // degradation, E0703 calibration failure, E0704/E0705 jit artifact
-    // degradations) — visible to the client, so "degraded but served" is
-    // attested, not silent.
+    // degradation, E0703 calibration failure, E0705 jit stitching skips) —
+    // visible to the client, so "degraded but served" is attested, not
+    // silent.
     let warnings: Vec<Json> = {
         let mut codes: Vec<&str> = compiled
             .tuning
@@ -1182,9 +1182,8 @@ fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuil
             .map(|c| Json::Str(c.to_string()))
             .collect()
     };
-    // Tier + jit artifact attestation: which rungs of the specialization
-    // ladder the compiled nests will run through, and where their stitched
-    // objects came from (`fresh` codegen vs shared-cache `cached` reuse).
+    // Tier attestation: which rungs of the specialization ladder the
+    // compiled nests will run through.
     let exec_tiers: Vec<Json> = {
         let mut tiers: Vec<String> = compiled
             .kernels
@@ -1196,20 +1195,6 @@ fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuil
         tiers.dedup();
         tiers.into_iter().map(Json::Str).collect()
     };
-    let jit_artifacts: Vec<Json> = {
-        let mut sources: Vec<&str> = compiled
-            .kernels
-            .values()
-            .flat_map(|k| k.nests.iter())
-            .filter_map(|n| n.jit_source.map(|s| s.describe()))
-            .collect();
-        sources.sort();
-        sources.dedup();
-        sources
-            .into_iter()
-            .map(|s| Json::Str(s.to_string()))
-            .collect()
-    };
     ObjBuilder::new()
         .num("id", id as f64)
         .bool("ok", true)
@@ -1220,7 +1205,6 @@ fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuil
         .str("brownout", brownout.describe())
         .set("plans", Json::Arr(plans))
         .set("exec_tiers", Json::Arr(exec_tiers))
-        .set("jit_artifacts", Json::Arr(jit_artifacts))
         .set("warnings", Json::Arr(warnings))
         .num("compile_ms", outcome.wall.as_secs_f64() * 1000.0)
         .num(
@@ -1341,8 +1325,8 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
         .num("p99_ms", m.latency.quantile_ms(0.99))
         .num("mean_ms", m.latency.mean_ms())
         .num("queue_wait_p99_ms", m.queue_wait.quantile_ms(0.99));
-    // Per-tier execution counts and the process-wide jit artifact cache
-    // (shared by every session this server compiles for).
+    // Per-tier execution counts and the process-wide jit stitch counters
+    // (every session this server compiles for).
     let j = fsc_core::jit_cache_stats();
     b = b
         .num(
@@ -1358,19 +1342,7 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
             "exec_generic_vm",
             m.exec_generic_vm.load(Ordering::Relaxed) as f64,
         )
-        .num("jit_entries", j.entries as f64)
-        .num("jit_bytes", j.bytes as f64)
-        .num("jit_hits", j.hits as f64)
-        .num("jit_misses", j.misses as f64)
         .num("jit_builds", j.builds as f64)
-        .num("jit_deduped", j.deduped as f64)
-        .num("jit_evictions", j.evictions as f64)
-        .num("jit_evicted_bytes", j.evicted_bytes as f64)
-        .num("jit_oversize_rejects", j.oversize_rejects as f64)
-        .num(
-            "jit_integrity_invalidations",
-            j.integrity_invalidations as f64,
-        )
         .num("jit_skips", j.skips as f64)
         .num("jit_codegen_count", j.codegen_count as f64)
         .num("jit_codegen_mean_ms", j.codegen_mean_ms)

@@ -200,15 +200,6 @@ fn main() {
             .collect();
         eprintln!("exec paths: {}", paths.join(", "));
     }
-    if !exec.report.jit_artifacts.is_empty() {
-        let sources: Vec<&str> = exec
-            .report
-            .jit_artifacts
-            .iter()
-            .map(|s| s.describe())
-            .collect();
-        eprintln!("jit artifacts: {}", sources.join(", "));
-    }
     for d in &exec.report.jit_warnings {
         eprintln!("{d}");
     }
