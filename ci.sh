@@ -20,6 +20,11 @@ echo "== duplicate-helper gate =="
 # copy of either fails here instead of regrowing per crate.
 [[ $(grep -rli 'cbf2_9ce4_8422_2325' crates/ | wc -l) -le 1 ]] || { echo "FNV offset basis in more than one file under crates/"; exit 1; }
 ! grep -rn 'struct .*Histogram' crates/ --include='*.rs' | grep -v '^crates/ir/' || { echo "histogram defined outside crates/ir/"; exit 1; }
+# One resilient wire protocol (fsc_mpisim::resilient::Transport): both rank
+# substrates drive it through `Link`, neither carries a copy.
+for f in retransmit_due send_ack crash_and_restore; do
+  [[ $(grep -rlE "fn $f\b" crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn $f defined in other than exactly one file under crates/"; exit 1; }
+done
 
 if [[ $quick -eq 0 ]]; then
   echo "== build (release) =="
@@ -35,6 +40,16 @@ echo "== test =="
 # instead of hanging it. SIGKILL follows 30s after SIGTERM if needed.
 # --workspace for the same reason as the build above.
 timeout --kill-after=30s 900s cargo test -q --workspace
+
+if [[ $quick -eq 0 ]]; then
+  echo "== mpisim soak =="
+  # The transport's tests race real timers (retry backoff against the
+  # deadlock watchdog's grace): five consecutive green runs, ~8 s each, so
+  # a timing flake there shows up here and not one run in thirty elsewhere.
+  for i in 1 2 3 4 5; do
+    timeout --kill-after=30s 300s cargo test -q -p fsc-mpisim
+  done
+fi
 
 echo "== benchmark self-test =="
 # The benchmark is a package of its own (outside the workspace) that

@@ -31,7 +31,6 @@ fn ablation_fusion(c: &mut Criterion) {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -87,7 +86,6 @@ fn ablation_tiling(c: &mut Criterion) {
                     explicit_data: true,
                     tile,
                 },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -137,7 +135,6 @@ fn ablation_cpu_tiling(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target: Target::StencilOpenMp { threads: 8 },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -167,7 +164,6 @@ fn ablation_exec_tier(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target: Target::StencilCpu,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -187,7 +183,6 @@ fn ablation_exec_tier(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -227,7 +222,6 @@ fn ablation_distributed_overlap(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target: Target::StencilDistributed { grid: vec![2, 2] },
-                verify_each_pass: false,
                 overlap_halos: overlap,
                 ..Default::default()
             },

@@ -23,7 +23,6 @@ fn bench_gs_threads(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target: Target::StencilOpenMp { threads },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -47,7 +46,6 @@ fn bench_pw_threads(c: &mut Criterion) {
             &source,
             &CompileOptions {
                 target: Target::StencilOpenMp { threads },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )

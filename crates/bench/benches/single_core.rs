@@ -23,7 +23,6 @@ fn bench_gs(c: &mut Criterion) {
         &source,
         &CompileOptions {
             target: Target::UnoptimizedCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -35,7 +34,6 @@ fn bench_gs(c: &mut Criterion) {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -57,7 +55,6 @@ fn bench_pw(c: &mut Criterion) {
         &source,
         &CompileOptions {
             target: Target::UnoptimizedCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -69,7 +66,6 @@ fn bench_pw(c: &mut Criterion) {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -91,7 +87,6 @@ fn bench_compilation(c: &mut Criterion) {
                 &source,
                 &CompileOptions {
                     target: Target::StencilCpu,
-                    verify_each_pass: false,
                     ..Default::default()
                 },
             )

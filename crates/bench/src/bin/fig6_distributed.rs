@@ -25,7 +25,6 @@ fn run_serial(n: usize, iters: usize) -> Execution {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -47,7 +46,6 @@ fn run_distributed(
         target: Target::StencilDistributed {
             grid: grid.to_vec(),
         },
-        verify_each_pass: false,
         overlap_halos: overlap,
         ..Default::default()
     };

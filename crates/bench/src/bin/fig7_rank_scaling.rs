@@ -35,7 +35,6 @@ fn run_serial(n: usize, iters: usize) -> Execution {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -56,7 +55,6 @@ fn run_ranks(
         target: Target::StencilDistributed {
             grid: grid.to_vec(),
         },
-        verify_each_pass: false,
         ..Default::default()
     };
     tweak(&mut opts);

@@ -87,7 +87,6 @@ fn workloads() -> Vec<Workload> {
 fn opts(force: Option<ExecPath>) -> CompileOptions {
     CompileOptions {
         target: Target::StencilCpu,
-        verify_each_pass: false,
         force_exec_path: force,
         ..Default::default()
     }

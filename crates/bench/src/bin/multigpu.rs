@@ -25,7 +25,6 @@ fn main() {
                     grid,
                     tile: [32, 32, 1],
                 },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )

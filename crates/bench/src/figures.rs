@@ -22,7 +22,6 @@ fn compile_target(source: &str, target: Target) -> fsc_core::Compiled {
         source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -34,7 +33,6 @@ fn run_target(source: &str, target: Target) -> Execution {
         source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -342,7 +340,6 @@ pub fn fig6(nodes: &[i64], measure_n: usize, global_n: u64) -> Vec<Row> {
         &source,
         &CompileOptions {
             target: Target::StencilDistributed { grid: vec![2, 2] },
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -454,7 +451,6 @@ pub fn cpu_tile_sweep(n: usize, iters: usize, threads: u32, reps: usize) -> Vec<
         &source,
         &CompileOptions {
             target: target.clone(),
-            verify_each_pass: false,
             autotune: Some(TuneConfig {
                 cache_path: Some(
                     std::env::temp_dir()

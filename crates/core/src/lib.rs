@@ -96,16 +96,6 @@ pub enum Target {
 pub struct CompileOptions {
     /// Execution target.
     pub target: Target,
-    /// In the non-hardened (strict) flow: run the structural + dialect
-    /// verifier after every pass. The hardened flow always verifies after
-    /// every pass, so this flag only matters when `harden` is off.
-    pub verify_each_pass: bool,
-    /// Drive the pass pipelines under the hardened snapshot / panic-catch /
-    /// verify / rollback driver, degrading down the fallback ladder
-    /// (stencil → sequential scf → direct FIR interpretation) instead of
-    /// failing the compile. On by default; turn off to get the strict
-    /// fail-fast behaviour.
-    pub harden: bool,
     /// Fault-injection hook: deliberately corrupt the module right after
     /// the named pass runs, forcing its post-pass verification to fail.
     /// Exercises the rollback + degradation path end to end in tests.
@@ -154,8 +144,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             target: Target::StencilCpu,
-            verify_each_pass: false,
-            harden: true,
             sabotage_pass: None,
             force_rung: None,
             autotune: None,
@@ -542,9 +530,10 @@ pub struct Compiler;
 impl Compiler {
     /// Compile Fortran source for the given target. Frontend errors (lex,
     /// parse, sema, lowering) are always fatal — there is nothing to run.
-    /// With `options.harden` (the default), pass-pipeline failures are not:
-    /// the compile degrades down the fallback ladder and the outcome is
-    /// attested in [`Compiled::degradation`].
+    /// Pass-pipeline failures are not: the pipelines run under the hardened
+    /// verify / rollback driver and the compile degrades down the fallback
+    /// ladder (stencil → sequential scf → direct FIR interpretation), with
+    /// the outcome attested in [`Compiled::degradation`].
     pub fn compile(source: &str, options: &CompileOptions) -> Result<Compiled> {
         let fir = fsc_fortran::compile_to_fir(source)?;
         let entry = find_program(&fir)?;
@@ -560,11 +549,7 @@ impl Compiler {
                 dist_options: options.dist_options(),
             });
         }
-        let mut compiled = if options.harden {
-            Self::compile_ladder(fir, entry, options)?
-        } else {
-            Self::compile_strict(fir, entry, options)?
-        };
+        let mut compiled = Self::compile_ladder(fir, entry, options)?;
         if let Some(cfg) = &options.autotune {
             if !compiled.kernels.is_empty() {
                 autotune_compiled(&mut compiled, cfg);
@@ -578,50 +563,6 @@ impl Compiler {
             }
         }
         Ok(compiled)
-    }
-
-    /// The strict fail-fast flow: any pass error aborts the compile.
-    fn compile_strict(
-        mut fir: Module,
-        entry: String,
-        options: &CompileOptions,
-    ) -> Result<Compiled> {
-        // Figure 1: discovery (+fusion) on FIR, then extraction. The
-        // unoptimised tier models Flang's own codegen, which neither fuses
-        // nor CSEs across statements.
-        let mut discovery = if options.target == Target::UnoptimizedCpu {
-            pipelines::discovery_pipeline_unfused()
-        } else {
-            pipelines::discovery_pipeline()
-        };
-        if options.verify_each_pass {
-            discovery.enable_verifier();
-        }
-        discovery.run(&mut fir)?;
-        if options.verify_each_pass {
-            fsc_dialects::verify::verify(&fir)?;
-        }
-        let mut stencil = fsc_passes::extract::extract_stencils(&mut fir)?;
-        // Target-specific lowering of the stencil module.
-        let mut pm = target_pipeline(options)?;
-        if options.verify_each_pass {
-            pm.enable_verifier();
-        }
-        pm.run(&mut stencil)?;
-        if options.verify_each_pass {
-            fsc_dialects::verify::verify(&stencil)?;
-        }
-        let kernels = compile_regions(&stencil)?;
-        Ok(Compiled {
-            fir_module: fir,
-            stencil_module: Some(stencil),
-            kernels,
-            target: options.target.clone(),
-            entry,
-            degradation: DegradationReport::default(),
-            tuning: None,
-            dist_options: options.dist_options(),
-        })
     }
 
     /// The hardened flow: walk the degradation ladder from the requested
@@ -1647,7 +1588,6 @@ mod tests {
             &src,
             &CompileOptions {
                 target: Target::FlangOnly,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -1678,7 +1618,6 @@ mod tests {
                 &src,
                 &CompileOptions {
                     target: target.clone(),
-                    verify_each_pass: false,
                     ..Default::default()
                 },
             )
@@ -1706,7 +1645,6 @@ mod tests {
             &src,
             &CompileOptions {
                 target: Target::StencilDistributed { grid: vec![3, 2] },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -1715,7 +1653,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_each_pass_accepts_all_targets() {
+    fn every_target_compiles_on_the_top_rung() {
         let src = fsc_workloads::gauss_seidel::fortran_source(4, 1);
         for target in [
             Target::StencilCpu,
@@ -1726,12 +1664,10 @@ mod tests {
             },
             Target::StencilDistributed { grid: vec![2] },
         ] {
-            let opts = CompileOptions {
-                target,
-                verify_each_pass: true,
-                ..Default::default()
-            };
-            Compiler::compile(&src, &opts).unwrap();
+            // The hardened driver verifies after every pass: no rejected
+            // attempt means every pass of the target's pipeline verified.
+            let compiled = Compiler::compile(&src, &CompileOptions::for_target(target)).unwrap();
+            assert!(!compiled.degradation.degraded());
         }
     }
 
@@ -1898,15 +1834,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_fails_fast_on_sabotage() {
+    fn unknown_sabotage_name_never_fires() {
         let src = fsc_workloads::gauss_seidel::fortran_source(4, 1);
-        let opts = CompileOptions {
-            harden: false,
-            ..CompileOptions::for_target(Target::StencilCpu)
-        };
-        // Strict mode has no sabotage hook path — it compiles fine...
-        assert!(Compiler::compile(&src, &opts).is_ok());
-        // ...and hardened mode with an unknown sabotage name never fires.
         let opts = CompileOptions {
             sabotage_pass: Some("no-such-pass".into()),
             ..CompileOptions::for_target(Target::StencilCpu)
@@ -2143,7 +2072,6 @@ end program two_stores";
             src,
             &CompileOptions {
                 target: Target::FlangOnly,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )

@@ -736,12 +736,12 @@ mod tests {
         assert_eq!(a.fingerprint(), request(4).fingerprint(), "must be stable");
     }
 
-    /// Pins the hash itself, not just its sensitivity. (An added
+    /// Pins the hash itself, not just its sensitivity. (An added or removed
     /// `CompileOptions` field changes the `Debug` text and this value.)
     #[test]
     fn fingerprint_is_pinned() {
         let req = CompileRequest::new("program p\nend program p\n");
-        assert_eq!(req.fingerprint(), 0x6459_6dd0_13c4_9a31);
+        assert_eq!(req.fingerprint(), 0x1b7d_23c0_f78c_9d59);
     }
 
     #[test]

@@ -16,16 +16,18 @@
 //! with the blocking variant (overlap pass disabled) receiving every face
 //! before computing the whole owned block.
 //!
-//! **Two substrates.** [`DistMode::Threads`] runs one OS thread per rank on
-//! the resilient transport ([`fsc_mpisim::resilient::run_resilient`]) and is
-//! capped at [`MAX_THREAD_RANKS`]. [`DistMode::Coop`] (the default) runs
-//! every rank as a resumable state-machine task on the work-stealing
-//! cooperative scheduler ([`fsc_mpisim::coop::run_tasks`]): thousands of
-//! virtual ranks multiplex over a fixed worker pool, parking on blocking
-//! receives instead of holding a thread, with optional node-level
-//! aggregation coalescing same-edge halo messages between rank groups into
-//! single envelopes. Both substrates execute the identical schedule and are
-//! bit-identical by construction (the differential proptests enforce it).
+//! **One rank task, two links.** The per-rank schedule exists once, as the
+//! poll-form [`DistTask`] over the resilient [`Transport`]
+//! (`fsc_mpisim::resilient`). [`DistMode::Coop`] (the default) runs every
+//! rank as a resumable task on the work-stealing cooperative scheduler
+//! ([`fsc_mpisim::coop::run_tasks`]): thousands of virtual ranks multiplex
+//! over a fixed worker pool, parking on blocking receives instead of
+//! holding a thread, with optional node-level aggregation coalescing
+//! same-edge halo messages between rank groups into single envelopes.
+//! [`DistMode::Threads`] runs the same task to completion on one OS thread
+//! per rank (`run_resilient` + `block_on`, capped at [`MAX_THREAD_RANKS`])
+//! and is kept for differential testing: only the link differs, and the
+//! differential proptests hold the two bit-identical.
 //!
 //! **Memory model — globally addressed, locally windowed.** Every rank
 //! addresses each view with *global* column-major strides, so the compiled
@@ -90,9 +92,9 @@ use crate::kernel::{
 use crate::value::{BufId, Memory};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{IrError, Result};
-use fsc_mpisim::coop::{run_tasks, CoopConfig, CoopCtx, CoopResilient, CoopTask, Step};
+use fsc_mpisim::coop::{run_tasks, CoopConfig, Resilient, Step};
 use fsc_mpisim::fault::{FaultPlan, FaultStats};
-use fsc_mpisim::resilient::{run_resilient, ResilientConfig, ResilientCtx};
+use fsc_mpisim::resilient::{run_resilient, Link, RankTask, ResilientConfig, Transport};
 use fsc_mpisim::{MpiSimError, ProcessGrid};
 /// Largest rank count the thread-per-rank substrate is asked to host.
 pub const MAX_THREAD_RANKS: i64 = 32;
@@ -983,7 +985,7 @@ impl DistSession {
 }
 
 // --------------------------------------------------------------------------
-// Rank body building blocks (shared by both substrates)
+// Rank body building blocks
 // --------------------------------------------------------------------------
 
 /// What one rank hands back: its metrics and its (still resident) memory.
@@ -1139,7 +1141,7 @@ fn refresh_snapshots(sh: &Shared, nest: &Nest, rm: &mut RankMem, rank: usize) ->
 }
 
 /// Post every halo send of `nest`: my face in `e.direction` to that
-/// neighbour, through the substrate-specific `send`. Tags repeat
+/// neighbour, through the transport's `send`. Tags repeat
 /// deterministically on both sides, so FIFO per (peer, tag) stream keeps
 /// multi-view exchanges paired.
 fn post_halo_sends(
@@ -1314,82 +1316,30 @@ fn finish_phase(
 }
 
 // --------------------------------------------------------------------------
-// Thread-per-rank substrate
+// The rank task
 // --------------------------------------------------------------------------
 
-fn rank_body(ctx: &mut ResilientCtx, sh: &Shared) -> Result2<RankOutput> {
-    let t_start = Instant::now();
-    let rank = ctx.rank();
-    let p = &*sh.plan;
-    let coords = p.grid.coords(rank as i64);
-    let own = owned_box(&p.bounds, &p.kernel.decomposition, &coords, p.from);
-    let mut rm = enter_rank(sh, rank)?;
-    let mut metrics = RankMetrics::default();
-
-    // ---- phases: one per nest, plus a final commit barrier ----
-    let mut phase = 0usize;
-    while phase <= p.kernel.nests.len() {
-        ctx.save_checkpoint(phase, || rm.windows());
-        if ctx.crash_pending(phase) {
-            let (restored, state) = ctx.crash_and_restore(phase)?;
-            phase = restored;
-            rm.restore(state);
-            continue;
-        }
-        let nest = p.kernel.nests.get(phase);
-        if let Some(nest) = nest.filter(|n| n.domain_cells() > 0) {
-            let send = |dst, tag, payload| ctx.send(dst, tag, payload);
-            let (recvs, boxes) =
-                begin_phase(sh, nest, rank, &coords, &own, &mut rm, &mut metrics, send)?;
-            let t = Instant::now();
-            for r in &recvs {
-                let payload = ctx.recv(r.src, r.tag)?;
-                unpack_halo(sh, nest, &mut rm, r, &payload);
-            }
-            metrics.wait_seconds += t.elapsed().as_secs_f64();
-            finish_phase(sh, nest, rank, &mut rm, &mut metrics, &boxes)?;
-        }
-        // After the last nest this is the commit barrier: every rank's
-        // faces are consumed before anyone leaves.
-        ctx.barrier()?;
-        phase += 1;
-    }
-    leave_rank(sh, &coords, &mut rm, &mut metrics, t_start);
-    Ok(RankOutput { metrics, rm })
-}
-
-// --------------------------------------------------------------------------
-// Cooperative-scheduler substrate
-// --------------------------------------------------------------------------
-
-/// Resumable control state of one rank task — the thread body's control
-/// flow flattened into the points where it can block.
+/// Where a rank task resumes: the per-rank schedule, flattened into the
+/// points where it can block.
+#[derive(Clone, Copy)]
 enum TaskState {
     /// Take the resident memory on first step (the factory runs serially).
     Start,
     /// Top of the phase loop: checkpoint, crash check, dispatch.
     PhaseEntry,
-    /// Waiting for halo receives `idx..` of this phase; `boxes` are swept
-    /// once they have all landed.
-    Wait {
-        recvs: Vec<PendingRecv>,
-        idx: usize,
-        boxes: Vec<Vec<(i64, i64)>>,
-        since: Instant,
-    },
-    /// In the after-phase (or commit) barrier.
+    /// Waiting for the halo receives of this phase.
+    Wait,
+    /// In the after-phase barrier. After the last nest this is the commit
+    /// barrier: every rank's faces are consumed before anyone leaves.
     Barrier,
-    /// Body complete; draining unacked protocol traffic.
-    Drain,
-    /// Transient placeholder while an arm executes; never observed.
-    Poisoned,
 }
 
-/// One virtual rank as a cooperative task: the same schedule as
-/// [`rank_body`], resumable at every blocking receive and barrier.
+/// One rank of a dispatch in poll form, resumable at every blocking
+/// receive and barrier — the only rank schedule there is: a cooperative
+/// task under [`DistMode::Coop`], run to completion on the rank's own
+/// thread under [`DistMode::Threads`].
 struct DistTask {
     sh: Arc<Shared>,
-    res: CoopResilient,
     coords: Vec<i64>,
     own: Vec<(i64, i64)>,
     rm: Option<RankMem>,
@@ -1397,21 +1347,21 @@ struct DistTask {
     t_start: Instant,
     phase: usize,
     st: TaskState,
+    /// [`TaskState::Wait`]: this phase's halo receives (`next_recv..` still
+    /// outstanding), the boxes to sweep once they have all landed, and when
+    /// the wait began.
+    recvs: Vec<PendingRecv>,
+    next_recv: usize,
+    boxes: Vec<Vec<(i64, i64)>>,
+    wait_since: Instant,
 }
 
 impl DistTask {
-    fn new(
-        rank: usize,
-        size: usize,
-        sh: Arc<Shared>,
-        plan: &FaultPlan,
-        cfg: ResilientConfig,
-    ) -> Self {
+    fn new(rank: usize, sh: Arc<Shared>) -> Self {
         let p = &*sh.plan;
         let coords = p.grid.coords(rank as i64);
         let own = owned_box(&p.bounds, &p.kernel.decomposition, &coords, p.from);
         Self {
-            res: CoopResilient::new(rank, size, plan, cfg),
             sh,
             coords,
             own,
@@ -1420,6 +1370,10 @@ impl DistTask {
             t_start: Instant::now(),
             phase: 0,
             st: TaskState::Start,
+            recvs: Vec::new(),
+            next_recv: 0,
+            boxes: Vec::new(),
+            wait_since: Instant::now(),
         }
     }
 }
@@ -1430,15 +1384,15 @@ fn resident(rm: &mut Option<RankMem>, rank: usize) -> Result2<&mut RankMem> {
         .ok_or_else(|| exec_err(rank, "rank task ran without its memory"))
 }
 
-impl CoopTask for DistTask {
-    type Out = (RankOutput, FaultStats);
+impl RankTask for DistTask {
+    type Out = RankOutput;
 
-    fn step(&mut self, ctx: &mut CoopCtx<'_>) -> Result2<Step<Self::Out>> {
-        let rank = self.res.rank();
+    fn step<L: Link>(&mut self, res: &mut Transport, link: &mut L) -> Result2<Step<RankOutput>> {
+        let rank = res.rank();
         let sh = Arc::clone(&self.sh);
         let nests = &sh.plan.kernel.nests;
         loop {
-            match std::mem::replace(&mut self.st, TaskState::Poisoned) {
+            match self.st {
                 TaskState::Start => {
                     self.t_start = Instant::now();
                     self.rm = Some(enter_rank(&sh, rank)?);
@@ -1449,15 +1403,16 @@ impl CoopTask for DistTask {
                     if self.phase > nests.len() {
                         // All phases (incl. commit barrier) done.
                         leave_rank(&sh, &self.coords, rm, &mut self.metrics, self.t_start);
-                        self.st = TaskState::Drain;
-                        continue;
+                        let metrics = std::mem::take(&mut self.metrics);
+                        let rm = self.rm.take();
+                        let rm = rm.ok_or_else(|| exec_err(rank, "rank task finished twice"))?;
+                        return Ok(Step::Done(RankOutput { metrics, rm }));
                     }
-                    self.res.save_checkpoint(self.phase, || rm.windows());
-                    if self.res.crash_pending(self.phase) {
-                        let (restored, state) = self.res.crash_and_restore(self.phase)?;
+                    res.save_checkpoint(self.phase, || rm.windows());
+                    if res.crash_pending(self.phase) {
+                        let (restored, state) = res.crash_and_restore(self.phase)?;
                         self.phase = restored;
                         rm.restore(state);
-                        self.st = TaskState::PhaseEntry;
                         continue;
                     }
                     let nest = nests.get(self.phase).filter(|n| n.domain_cells() > 0);
@@ -1465,71 +1420,35 @@ impl CoopTask for DistTask {
                         self.st = TaskState::Barrier;
                         continue;
                     };
-                    let res = &mut self.res;
-                    let send = |dst, tag, payload| res.send(ctx, dst, tag, payload);
+                    let send = |dst, tag, payload| res.send(link, dst, tag, payload);
                     let (coords, own, metrics) = (&self.coords, &self.own, &mut self.metrics);
-                    let (recvs, boxes) =
+                    (self.recvs, self.boxes) =
                         begin_phase(&sh, nest, rank, coords, own, rm, metrics, send)?;
-                    self.st = TaskState::Wait {
-                        recvs,
-                        idx: 0,
-                        boxes,
-                        since: Instant::now(),
-                    };
+                    (self.next_recv, self.wait_since) = (0, Instant::now());
+                    self.st = TaskState::Wait;
                 }
-                TaskState::Wait {
-                    recvs,
-                    mut idx,
-                    boxes,
-                    since,
-                } => {
+                TaskState::Wait => {
                     let nest = &nests[self.phase];
                     let rm = resident(&mut self.rm, rank)?;
-                    while idx < recvs.len() {
-                        let r = &recvs[idx];
-                        match self.res.recv_poll(ctx, r.src, r.tag)? {
-                            Some(payload) => {
-                                unpack_halo(&sh, nest, rm, r, &payload);
-                                idx += 1;
-                            }
-                            None => {
-                                self.st = TaskState::Wait {
-                                    recvs,
-                                    idx,
-                                    boxes,
-                                    since,
-                                };
-                                return Ok(Step::Blocked);
-                            }
-                        }
+                    while let Some(r) = self.recvs.get(self.next_recv) {
+                        let Some(payload) = res.recv_poll(link, r.src, r.tag)? else {
+                            return Ok(Step::Blocked);
+                        };
+                        unpack_halo(&sh, nest, rm, r, &payload);
+                        self.next_recv += 1;
                     }
                     // Wait time includes parked time: the latency the
                     // overlap schedule exists to hide.
-                    self.metrics.wait_seconds += since.elapsed().as_secs_f64();
-                    finish_phase(&sh, nest, rank, rm, &mut self.metrics, &boxes)?;
+                    self.metrics.wait_seconds += self.wait_since.elapsed().as_secs_f64();
+                    finish_phase(&sh, nest, rank, rm, &mut self.metrics, &self.boxes)?;
                     self.st = TaskState::Barrier;
                 }
                 TaskState::Barrier => {
-                    if self.res.barrier_poll(ctx)? {
-                        self.phase += 1;
-                        self.st = TaskState::PhaseEntry;
-                    } else {
-                        self.st = TaskState::Barrier;
+                    if !res.barrier_poll(link)? {
                         return Ok(Step::Blocked);
                     }
-                }
-                TaskState::Drain => {
-                    if !self.res.drain_poll(ctx)? {
-                        self.st = TaskState::Drain;
-                        return Ok(Step::Blocked);
-                    }
-                    let metrics = std::mem::take(&mut self.metrics);
-                    let rm = self.rm.take();
-                    let rm = rm.ok_or_else(|| exec_err(rank, "rank task finished twice"))?;
-                    return Ok(Step::Done((RankOutput { metrics, rm }, self.res.stats)));
-                }
-                TaskState::Poisoned => {
-                    return Err(exec_err(rank, "rank task resumed after a failed step"))
+                    self.phase += 1;
+                    self.st = TaskState::PhaseEntry;
                 }
             }
         }
@@ -1614,8 +1533,10 @@ pub fn run_distributed(
     let body_shared = Arc::clone(&shared);
     let (results, workers, steals, parks, traffic) = match opts.mode {
         DistMode::Threads => {
-            let results = run_resilient(size, plan, cfg, move |ctx| rank_body(ctx, &body_shared))
-                .map_err(map_err)?;
+            let results = run_resilient(size, plan, cfg, move |ctx| {
+                ctx.block_on(&mut DistTask::new(ctx.rank(), Arc::clone(&body_shared)))
+            })
+            .map_err(map_err)?;
             (results, size, 0u64, 0u64, None)
         }
         DistMode::Coop => {
@@ -1624,9 +1545,9 @@ pub fn run_distributed(
                 node_size: opts.node_size,
                 agg_flush_messages: 0,
             };
-            let plan = plan.clone();
             let (outs, stats) = run_tasks(size, ccfg, move |rank| {
-                DistTask::new(rank, size, Arc::clone(&body_shared), &plan, cfg)
+                let task = DistTask::new(rank, Arc::clone(&body_shared));
+                Resilient::new(task, rank, size, &plan, cfg)
             })
             .map_err(map_err)?;
             (outs, stats.workers, stats.steals, stats.parks, Some(stats))

@@ -1,5 +1,5 @@
-//! Pass infrastructure: the [`Pass`] trait, a [`PassManager`] with optional
-//! verification between passes, and a [`PassRegistry`] that resolves textual
+//! Pass infrastructure: the [`Pass`] trait, a [`PassManager`], and a
+//! [`PassRegistry`] that resolves textual
 //! pipelines such as the paper's Listing 4
 //! (`"scf-parallel-loop-tiling{...},canonicalize,..."`).
 
@@ -7,7 +7,6 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use crate::module::Module;
-use crate::verifier::verify_module;
 use crate::{IrError, Result};
 
 /// Errors produced while running passes (alias of the crate error type).
@@ -198,23 +197,12 @@ pub struct PassStat {
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    verify_each: bool,
 }
 
 impl PassManager {
     /// Empty pass manager.
     pub fn new() -> Self {
-        Self {
-            passes: Vec::new(),
-            verify_each: false,
-        }
-    }
-
-    /// Run the structural verifier after every pass (catches pass bugs at
-    /// the pass that introduced them).
-    pub fn enable_verifier(&mut self) -> &mut Self {
-        self.verify_each = true;
-        self
+        Self::default()
     }
 
     /// Append a pass.
@@ -249,15 +237,6 @@ impl PassManager {
             let result = pass.run(module).map_err(|e| {
                 IrError::new(format!("pass '{}' failed: {}", pass.name(), e.message))
             })?;
-            if self.verify_each {
-                verify_module(module).map_err(|e| {
-                    IrError::new(format!(
-                        "verifier failed after pass '{}': {}",
-                        pass.name(),
-                        e.message
-                    ))
-                })?;
-            }
             stats.push(PassStat {
                 name: pass.name().to_string(),
                 duration: start.elapsed(),
@@ -271,7 +250,6 @@ impl PassManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attributes::Attribute;
 
     struct AddMarker;
     impl Pass for AddMarker {
@@ -348,35 +326,5 @@ mod tests {
         assert_eq!(opts.get_bool("use-opaque-pointers"), Some(false));
         let (_, opts) = parse_entry("p{flag}").unwrap();
         assert_eq!(opts.get_bool("flag"), Some(true));
-    }
-
-    #[test]
-    fn verifier_between_passes_catches_breakage() {
-        struct Breaker;
-        impl Pass for Breaker {
-            fn name(&self) -> &str {
-                "breaker"
-            }
-            fn run(&self, module: &mut Module) -> Result<PassResult> {
-                // Create a user of a value defined by a detached op: invalid.
-                let top = module.top_block();
-                let c = module.create_op(
-                    "t.c",
-                    vec![],
-                    vec![crate::Type::i64()],
-                    vec![("value", Attribute::int(0))],
-                );
-                let v = module.result(c);
-                let u = module.create_op("t.use", vec![v], vec![], vec![]);
-                module.append_op(top, u);
-                Ok(PassResult::Changed)
-            }
-        }
-        let mut pm = PassManager::new();
-        pm.enable_verifier();
-        pm.add(Breaker);
-        let mut m = Module::new();
-        let err = pm.run(&mut m).unwrap_err();
-        assert!(err.message.contains("verifier failed after pass"), "{err}");
     }
 }

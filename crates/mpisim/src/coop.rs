@@ -25,14 +25,15 @@
 //!   worker goes idle. Logical vs physical message/byte counts are attested
 //!   so the aggregation ratio is measured, not assumed.
 //!
-//! [`CoopResilient`] ports the full resilient protocol
-//! ([`resilient`](crate::resilient): sequenced + checksummed envelopes,
-//! ack/retry, checkpoint/restore-and-replay, message-based barrier) to
-//! poll-based form so fault plans, crash recovery and deadlock detection
-//! keep working under cooperative scheduling.
+//! [`CoopCtx`] is one of the two [`Link`]s of the resilient
+//! [`Transport`](crate::resilient): the protocol (sequenced + checksummed
+//! envelopes, ack/retry, checkpoint/restore-and-replay, message-based
+//! barrier) lives there once, and [`Resilient`] runs a poll-form rank body
+//! over it as a cooperative task, so fault plans, crash recovery and
+//! deadlock detection behave exactly as on the thread-per-rank link.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -40,9 +41,9 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{BlockedRank, MpiSimError};
-use crate::fault::{FaultInjector, FaultPlan, FaultStats, SendAction};
-use crate::resilient::{checksum, ResilientConfig, ACK_TAG, BACKOFF_CAP, BARRIER_TAG};
-use crate::runtime::{panic_payload_to_error, Message};
+use crate::fault::{FaultPlan, FaultStats};
+use crate::resilient::{Link, RankTask, ResilientConfig, Transport};
+use crate::runtime::{panic_payload_to_error, Message, DEADLOCK_GRACE};
 
 /// Modelled wire overhead of one point-to-point message (routing header).
 const MSG_HEADER_BYTES: u64 = 24;
@@ -52,10 +53,6 @@ const MSG_HEADER_BYTES: u64 = 24;
 type AggBuffer = Vec<(usize, Message)>;
 /// Modelled wire overhead of one aggregated inter-node envelope.
 const ENVELOPE_HEADER_BYTES: u64 = 24;
-/// Grace period before a globally-stalled communicator is declared
-/// deadlocked by [`CoopCtx::deadlock_check`] (mirrors the thread runtime's
-/// watchdog grace).
-pub const DEADLOCK_GRACE: Duration = Duration::from_millis(250);
 
 /// Outcome of one cooperative step.
 pub enum Step<T> {
@@ -248,10 +245,6 @@ impl Net {
         }
     }
 
-    fn peer_done(&self, rank: usize) -> bool {
-        self.slots[rank].ctl.lock().status == Status::Done
-    }
-
     /// Push a message into `dest`'s mailbox and wake it.
     fn deliver(&self, wid: usize, dest: usize, msg: Message) {
         self.slots[dest].mailbox.lock().push_back(msg);
@@ -408,20 +401,7 @@ impl CoopCtx<'_> {
     /// buffer; per-(sender, destination, tag) order is preserved).
     pub fn send(&mut self, dest: usize, tag: i64, data: Vec<f64>) {
         self.net.count_logical(tag, data.len());
-        self.route(dest, tag, data, false);
-    }
-
-    /// Send bypassing aggregation (latency-critical control traffic).
-    pub fn send_direct(&mut self, dest: usize, tag: i64, data: Vec<f64>) {
-        self.net.count_logical(tag, data.len());
-        self.route(dest, tag, data, true);
-    }
-
-    /// Hand one transmission to the network without counting a logical
-    /// message: the resilient protocol counts each message once in
-    /// `send_tagged` and routes every (re)transmission of it through here.
-    fn route(&mut self, dest: usize, tag: i64, data: Vec<f64>, direct: bool) {
-        self.net.send(self.wid, self.rank, dest, tag, data, direct);
+        self.net.send(self.wid, self.rank, dest, tag, data, false);
     }
 
     /// Non-blocking selective receive with out-of-order stashing: returns
@@ -442,21 +422,6 @@ impl CoopCtx<'_> {
         None
     }
 
-    /// Drain every arrived message (stash first, preserving arrival
-    /// order) — the resilient layer does its own matching.
-    pub fn drain_messages(&mut self) -> Vec<Message> {
-        let slot = &self.net.slots[self.rank];
-        let mut out: Vec<Message> = self.net.slots[self.rank].stash.lock().drain(..).collect();
-        out.extend(slot.mailbox.lock().drain(..));
-        out
-    }
-
-    /// True once `rank`'s task has completed (its result is committed; it
-    /// will never ack or receive again).
-    pub fn peer_done(&self, rank: usize) -> bool {
-        self.net.peer_done(rank)
-    }
-
     /// Record why this task is about to return [`Step::Blocked`] and when
     /// the scheduler should wake it even without a message (`None`: only a
     /// message wakes it).
@@ -464,19 +429,42 @@ impl CoopCtx<'_> {
         self.block_op = Some(op.into());
         self.wake_at = wake_at;
     }
+}
 
-    /// Record protocol progress (delivery, ack) for the stall watchdog.
-    pub fn progress(&self) {
+/// The cooperative [`Link`]: wire messages go through the (possibly
+/// aggregating) mailboxes, liveness is the scheduler's task table, and
+/// parking hands the worker back until a message or the wake timer.
+impl Link for CoopCtx<'_> {
+    /// Direct to the mailbox, or — first transmissions of user-tag traffic
+    /// crossing a node boundary — via the aggregation buffer.
+    fn wire(&mut self, dest: usize, tag: i64, data: Vec<f64>, direct: bool) {
+        self.net.send(self.wid, self.rank, dest, tag, data, direct);
+    }
+
+    /// Stash first, preserving arrival order.
+    fn arrivals(&mut self) -> Vec<Message> {
+        let slot = &self.net.slots[self.rank];
+        let mut out: Vec<Message> = slot.stash.lock().drain(..).collect();
+        out.extend(slot.mailbox.lock().drain(..));
+        out
+    }
+
+    fn peer_done(&self, rank: usize) -> bool {
+        self.net.slots[rank].ctl.lock().status == Status::Done
+    }
+
+    fn progress(&self) {
         self.net.bump_progress();
     }
 
-    /// Grace-based deadlock check for protocol layers whose parked tasks
-    /// always hold wake timers (which mute the scheduler's structural
-    /// check): reports a deadlock when nothing has progressed for `grace`
-    /// and every other live task is parked. `my_op` names this task's
-    /// pending operation in the report.
-    pub fn deadlock_check(&self, grace: Duration, my_op: &str) -> Option<Vec<BlockedRank>> {
-        if self.net.last_progress.lock().elapsed() < grace {
+    fn deadlock_grace(&self) -> Duration {
+        DEADLOCK_GRACE
+    }
+
+    /// Grace-based check: tasks parked by the transport always hold wake
+    /// timers, which mute the scheduler's structural check.
+    fn deadlock_check(&self, op: &str) -> Option<Vec<BlockedRank>> {
+        if self.net.last_progress.lock().elapsed() < DEADLOCK_GRACE {
             return None;
         }
         // Only this task runs; everyone else must be parked (a queued or
@@ -492,11 +480,19 @@ impl CoopCtx<'_> {
         let mut blocked = self.net.blocked_ranks();
         blocked.push(BlockedRank {
             rank: self.rank,
-            op: my_op.to_string(),
-            blocked_ms: grace.as_millis() as u64,
+            op: op.to_string(),
+            blocked_ms: DEADLOCK_GRACE.as_millis() as u64,
         });
         blocked.sort_by_key(|b| b.rank);
         Some(blocked)
+    }
+
+    fn park(&mut self, op: String, wake_at: Instant) {
+        CoopCtx::park(self, op, Some(wake_at));
+    }
+
+    fn count_logical(&self, tag: i64, elems: usize) {
+        self.net.count_logical(tag, elems);
     }
 }
 
@@ -749,537 +745,52 @@ fn idle(net: &Net, wid: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Resilient protocol, poll-based.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Pending {
-    dest: usize,
-    tag: i64,
-    seq: u64,
-    data: Vec<f64>,
-    next_retry: Instant,
-    retries: u32,
+/// A [`RankTask`] as a cooperative task: owns the rank's [`Transport`],
+/// steps the body over the worker's [`CoopCtx`] link, and drains the
+/// protocol once the body is done — what
+/// [`run_resilient`](crate::resilient::run_resilient) does around a
+/// blocking body on a rank thread.
+pub struct Resilient<K: RankTask> {
+    task: K,
+    transport: Transport,
+    /// The body's result, held while the protocol drains.
+    out: Option<K::Out>,
 }
 
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    iter: usize,
-    state: Vec<Vec<f64>>,
-    next_seq: HashMap<(usize, i64), u64>,
-    expected: HashMap<(usize, i64), u64>,
-    barrier_epoch: u64,
-    saved_at: Instant,
-}
-
-#[derive(Debug, Clone)]
-enum BarrierPhase {
-    /// Rank 0: gathering arrivals from ranks `1..size`; `next` is the next
-    /// rank still awaited.
-    Gather { next: usize },
-    /// Non-root: notified rank 0, awaiting the release broadcast.
-    AwaitRelease,
-}
-
-/// Poll-based port of [`ResilientCtx`](crate::resilient::ResilientCtx) for
-/// cooperative tasks: identical wire protocol (sequenced + checksummed
-/// envelopes, always-ack, bounded exponential retry, pessimistic receive
-/// logging, checkpoint/restore-and-replay, message-based barrier), but
-/// every blocking operation becomes a `*_poll` method that either
-/// completes or records park hints on the [`CoopCtx`] and asks the caller
-/// to return [`Step::Blocked`].
-pub struct CoopResilient {
-    rank: usize,
-    size: usize,
-    cfg: ResilientConfig,
-    injector: FaultInjector,
-    next_seq: HashMap<(usize, i64), u64>,
-    expected: HashMap<(usize, i64), u64>,
-    received: HashMap<(usize, i64), BTreeMap<u64, Vec<f64>>>,
-    unacked: Vec<Pending>,
-    delayed: Vec<(Instant, usize, i64, Vec<f64>)>,
-    held: Vec<(Instant, usize, i64, Vec<f64>)>,
-    checkpoint: Option<Checkpoint>,
-    barrier_epoch: u64,
-    barrier: Option<(u64, BarrierPhase)>,
-    /// Deadline of the blocking operation currently in progress (armed on
-    /// the first unsatisfied poll, cleared on completion).
-    op_deadline: Option<Instant>,
-    /// Injected-fault and recovery counters for this rank.
-    pub stats: FaultStats,
-}
-
-impl CoopResilient {
-    /// Protocol state for one cooperative rank under fault plan `plan`.
-    pub fn new(rank: usize, size: usize, plan: &FaultPlan, cfg: ResilientConfig) -> Self {
+impl<K: RankTask> Resilient<K> {
+    /// `task` as rank `rank` of `size` under fault plan `plan`.
+    pub fn new(task: K, rank: usize, size: usize, plan: &FaultPlan, cfg: ResilientConfig) -> Self {
         Self {
-            rank,
-            size,
-            cfg,
-            injector: FaultInjector::new(plan, rank),
-            next_seq: HashMap::new(),
-            expected: HashMap::new(),
-            received: HashMap::new(),
-            unacked: Vec::new(),
-            delayed: Vec::new(),
-            held: Vec::new(),
-            checkpoint: None,
-            barrier_epoch: 0,
-            barrier: None,
-            op_deadline: None,
-            stats: FaultStats::default(),
+            task,
+            transport: Transport::new(rank, size, plan, cfg),
+            out: None,
         }
     }
+}
 
-    /// This rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
+impl<K: RankTask> CoopTask for Resilient<K> {
+    type Out = (K::Out, FaultStats);
 
-    /// Total ranks.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Reliable send: sequence, remember until acked, hand to the (possibly
-    /// faulty) network. Never blocks.
-    pub fn send(&mut self, ctx: &mut CoopCtx<'_>, dest: usize, tag: i64, data: Vec<f64>) {
-        assert!(
-            tag >= 0,
-            "user tags must be non-negative (negative tags are protocol-reserved)"
-        );
-        self.send_tagged(ctx, dest, tag, data);
-    }
-
-    fn send_tagged(&mut self, ctx: &mut CoopCtx<'_>, dest: usize, tag: i64, data: Vec<f64>) {
-        let seq_slot = self.next_seq.entry((dest, tag)).or_insert(0);
-        let seq = *seq_slot;
-        *seq_slot += 1;
-        let mut encoded = Vec::with_capacity(data.len() + 2);
-        encoded.push(f64::from_bits(seq));
-        encoded.push(f64::from_bits(checksum(self.rank, tag, seq, &data)));
-        encoded.extend_from_slice(&data);
-        self.stats.data_msgs += 1;
-        ctx.net.count_logical(tag, encoded.len());
-        self.unacked.push(Pending {
-            dest,
-            tag,
-            seq,
-            data: encoded.clone(),
-            next_retry: Instant::now() + self.cfg.rto,
-            retries: 0,
-        });
-        self.transmit(ctx, dest, tag, encoded, false);
-    }
-
-    fn transmit(
-        &mut self,
-        ctx: &mut CoopCtx<'_>,
-        dest: usize,
-        tag: i64,
-        mut encoded: Vec<f64>,
-        retransmit: bool,
-    ) {
-        let action = self.injector.on_send(retransmit);
-        match action {
-            SendAction::Drop => {
-                self.stats.injected_drops += 1;
-            }
-            SendAction::Duplicate => {
-                self.stats.injected_dups += 1;
-                self.raw_send(ctx, dest, tag, encoded.clone(), retransmit);
-                self.raw_send(ctx, dest, tag, encoded, retransmit);
-            }
-            SendAction::Corrupt => {
-                self.stats.injected_corruptions += 1;
-                if encoded.len() > 2 {
-                    let w = 2 + self.injector.corrupt_word(encoded.len() - 2);
-                    encoded[w] = f64::from_bits(encoded[w].to_bits() ^ 1);
-                } else {
-                    encoded[1] = f64::from_bits(encoded[1].to_bits() ^ 1);
-                }
-                self.raw_send(ctx, dest, tag, encoded, retransmit);
-            }
-            SendAction::Delay(d) => {
-                self.stats.injected_delays += 1;
-                self.delayed.push((Instant::now() + d, dest, tag, encoded));
-            }
-            SendAction::HoldUntilNext => {
-                self.stats.injected_reorders += 1;
-                self.held.push((Instant::now(), dest, tag, encoded));
-            }
-            SendAction::Deliver => {
-                self.raw_send(ctx, dest, tag, encoded, retransmit);
-            }
-        }
-        if !matches!(action, SendAction::HoldUntilNext) {
-            self.release_held(ctx, Some(dest), Instant::now());
-        }
-    }
-
-    fn raw_send(
-        &mut self,
-        ctx: &mut CoopCtx<'_>,
-        dest: usize,
-        tag: i64,
-        data: Vec<f64>,
-        direct: bool,
-    ) {
-        if ctx.peer_done(dest) {
-            // The destination completed all of its receives: treat every
-            // in-flight message to it as acknowledged (mirrors the thread
-            // runtime's closed-channel handling).
-            self.unacked.retain(|p| p.dest != dest);
-            return;
-        }
-        ctx.route(dest, tag, data, direct);
-    }
-
-    fn send_ack(&mut self, ctx: &mut CoopCtx<'_>, dest: usize, orig_tag: i64, seq: u64) {
-        self.stats.acks_sent += 1;
-        let data = vec![f64::from_bits(orig_tag as u64), f64::from_bits(seq)];
-        match self.injector.on_send(true) {
-            SendAction::Drop => {
-                self.stats.injected_drops += 1;
-            }
-            SendAction::Delay(d) => {
-                self.stats.injected_delays += 1;
-                self.delayed.push((Instant::now() + d, dest, ACK_TAG, data));
-            }
-            _ => self.raw_send(ctx, dest, ACK_TAG, data, true),
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut CoopCtx<'_>, msg: Message) {
-        if msg.tag == ACK_TAG {
-            if msg.data.len() != 2 {
-                return;
-            }
-            let tag = msg.data[0].to_bits() as i64;
-            let seq = msg.data[1].to_bits();
-            let before = self.unacked.len();
-            self.unacked
-                .retain(|p| !(p.dest == msg.from && p.tag == tag && p.seq == seq));
-            if self.unacked.len() != before {
-                ctx.progress();
-            }
-            return;
-        }
-        if msg.data.len() < 2 {
-            return;
-        }
-        let seq = msg.data[0].to_bits();
-        let ck = msg.data[1].to_bits();
-        let payload = &msg.data[2..];
-        if checksum(msg.from, msg.tag, seq, payload) != ck {
-            self.stats.corruptions_detected += 1;
-            return;
-        }
-        let payload = payload.to_vec();
-        self.send_ack(ctx, msg.from, msg.tag, seq);
-        let key = (msg.from, msg.tag);
-        let exp = *self.expected.get(&key).unwrap_or(&0);
-        if seq < exp
-            && !self
-                .received
-                .get(&key)
-                .is_some_and(|m| m.contains_key(&seq))
-        {
-            self.stats.duplicates_dropped += 1;
-            return;
-        }
-        let slot = self.received.entry(key).or_default();
-        if let std::collections::btree_map::Entry::Vacant(e) = slot.entry(seq) {
-            e.insert(payload);
-            ctx.progress();
-        } else {
-            self.stats.duplicates_dropped += 1;
-        }
-    }
-
-    fn release_held(&mut self, ctx: &mut CoopCtx<'_>, dest: Option<usize>, now: Instant) {
-        let rto = self.cfg.rto;
-        let mut due = Vec::new();
-        self.held.retain(|(since, d, t, data)| {
-            let release = dest == Some(*d) || now.duration_since(*since) >= rto;
-            if release {
-                due.push((*d, *t, data.clone()));
-            }
-            !release
-        });
-        for (d, t, data) in due {
-            self.raw_send(ctx, d, t, data, true);
-        }
-    }
-
-    fn release_delayed(&mut self, ctx: &mut CoopCtx<'_>, now: Instant) {
-        let mut due = Vec::new();
-        self.delayed.retain(|(when, d, t, data)| {
-            if *when <= now {
-                due.push((*d, *t, data.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (d, t, data) in due {
-            self.raw_send(ctx, d, t, data, true);
-        }
-    }
-
-    fn retransmit_due(&mut self, ctx: &mut CoopCtx<'_>, now: Instant) -> Result<(), MpiSimError> {
-        // A destination that completed will never ack: its messages are
-        // done (mirrors the thread runtime's closed-channel handling).
-        self.unacked.retain(|p| !ctx.peer_done(p.dest));
-        let mut due = Vec::new();
-        for p in &mut self.unacked {
-            if now < p.next_retry {
-                continue;
-            }
-            if p.retries + 1 >= self.cfg.max_retries {
-                return Err(MpiSimError::RetriesExhausted {
-                    rank: self.rank,
-                    dest: p.dest,
-                    tag: p.tag,
-                    attempts: p.retries + 1,
-                });
-            }
-            p.retries += 1;
-            let backoff = self
-                .cfg
-                .rto
-                .saturating_mul(1u32 << p.retries.min(5))
-                .min(BACKOFF_CAP);
-            p.next_retry = now + backoff;
-            due.push((p.dest, p.tag, p.data.clone()));
-        }
-        for (dest, tag, data) in due {
-            self.stats.retries += 1;
-            self.transmit(ctx, dest, tag, data, true);
-        }
-        Ok(())
-    }
-
-    /// Drive the protocol once: deliver arrivals, release delayed/held
-    /// messages, fire retry timers. Call at the top of every task step.
-    pub fn poll(&mut self, ctx: &mut CoopCtx<'_>) -> Result<(), MpiSimError> {
-        let now = Instant::now();
-        self.release_delayed(ctx, now);
-        self.release_held(ctx, None, now);
-        for msg in ctx.drain_messages() {
-            self.handle(ctx, msg);
-        }
-        self.retransmit_due(ctx, Instant::now())
-    }
-
-    /// Earliest instant at which the protocol has a timer duty
-    /// (retransmit, delayed release, reorder release).
-    pub fn next_timer(&self) -> Option<Instant> {
-        let mut next: Option<Instant> = None;
-        let mut fold = |t: Instant| next = Some(next.map_or(t, |n| n.min(t)));
-        for p in &self.unacked {
-            fold(p.next_retry);
-        }
-        for (when, ..) in &self.delayed {
-            fold(*when);
-        }
-        let rto = self.cfg.rto;
-        for (since, ..) in &self.held {
-            fold(*since + rto);
-        }
-        next
-    }
-
-    fn try_deliver(&mut self, src: usize, tag: i64) -> Option<Vec<f64>> {
-        let key = (src, tag);
-        let exp = *self.expected.get(&key).unwrap_or(&0);
-        let p = self.received.get(&key).and_then(|m| m.get(&exp))?.clone();
-        self.expected.insert(key, exp + 1);
-        Some(p)
-    }
-
-    /// Poll-based reliable receive: `Ok(Some(payload))` delivers the next
-    /// in-sequence message of the `(src, tag)` stream; `Ok(None)` means the
-    /// caller must return [`Step::Blocked`] (park hints are set). Fails
-    /// with a structured error on deadline, detected deadlock, or retry
-    /// exhaustion.
-    pub fn recv_poll(
-        &mut self,
-        ctx: &mut CoopCtx<'_>,
-        src: usize,
-        tag: i64,
-    ) -> Result<Option<Vec<f64>>, MpiSimError> {
-        self.poll(ctx)?;
-        if let Some(p) = self.try_deliver(src, tag) {
-            self.op_deadline = None;
-            return Ok(Some(p));
-        }
-        let now = Instant::now();
-        let deadline = *self.op_deadline.get_or_insert(now + self.cfg.recv_deadline);
-        let exp = *self.expected.get(&(src, tag)).unwrap_or(&0);
-        let op = format!("coop recv(src={src}, tag={tag}, seq={exp})");
-        if now >= deadline {
-            self.op_deadline = None;
-            return Err(MpiSimError::Timeout {
-                rank: self.rank,
-                op,
-                waited_ms: self.cfg.recv_deadline.as_millis() as u64,
-            });
-        }
-        if let Some(blocked) = ctx.deadlock_check(DEADLOCK_GRACE, &op) {
-            self.op_deadline = None;
-            return Err(MpiSimError::Deadlock { blocked });
-        }
-        // Wake for the earliest protocol duty, the op deadline, or the next
-        // stall-watchdog check — whichever comes first.
-        let mut wake = deadline.min(now + DEADLOCK_GRACE);
-        if let Some(t) = self.next_timer() {
-            wake = wake.min(t);
-        }
-        ctx.park(op, Some(wake));
-        Ok(None)
-    }
-
-    /// Poll-based fault-tolerant barrier (all-to-rank-0 gather plus
-    /// broadcast): `Ok(true)` once this rank has passed the barrier,
-    /// `Ok(false)` to block (park hints set).
-    pub fn barrier_poll(&mut self, ctx: &mut CoopCtx<'_>) -> Result<bool, MpiSimError> {
-        if self.size == 1 {
-            return Ok(true);
-        }
-        if self.barrier.is_none() {
-            let epoch = self.barrier_epoch;
-            self.barrier_epoch += 1;
-            let phase = if self.rank == 0 {
-                BarrierPhase::Gather { next: 1 }
-            } else {
-                self.send_tagged(ctx, 0, BARRIER_TAG, vec![epoch as f64]);
-                BarrierPhase::AwaitRelease
-            };
-            self.barrier = Some((epoch, phase));
-        }
-        let (epoch, phase) = self.barrier.clone().expect("barrier in progress");
-        match phase {
-            BarrierPhase::Gather { mut next } => {
-                while next < self.size {
-                    match self.recv_poll(ctx, next, BARRIER_TAG)? {
-                        Some(_) => next += 1,
-                        None => {
-                            self.barrier = Some((epoch, BarrierPhase::Gather { next }));
-                            return Ok(false);
-                        }
-                    }
-                }
-                for r in 1..self.size {
-                    self.send_tagged(ctx, r, BARRIER_TAG, vec![epoch as f64]);
-                }
-                self.barrier = None;
-                Ok(true)
-            }
-            BarrierPhase::AwaitRelease => match self.recv_poll(ctx, 0, BARRIER_TAG)? {
-                Some(_) => {
-                    self.barrier = None;
-                    Ok(true)
-                }
-                None => Ok(false),
+    fn step(&mut self, ctx: &mut CoopCtx<'_>) -> Result<Step<Self::Out>, MpiSimError> {
+        let out = match self.out.take() {
+            Some(out) => out,
+            None => match self.task.step(&mut self.transport, ctx)? {
+                Step::Done(out) => out,
+                Step::Blocked => return Ok(Step::Blocked),
+                Step::Yield => return Ok(Step::Yield),
             },
-        }
-    }
-
-    /// Take a local checkpoint of `state` at iteration `iter` and
-    /// garbage-collect the delivered prefix of the receive log. `state` is
-    /// only called when a restore could read the copy (see
-    /// [`FaultInjector::checkpoint_state`]).
-    pub fn save_checkpoint(&mut self, iter: usize, state: impl FnOnce() -> Vec<Vec<f64>>) {
-        self.stats.checkpoints += 1;
-        for (key, slot) in self.received.iter_mut() {
-            let exp = *self.expected.get(key).unwrap_or(&0);
-            slot.retain(|s, _| *s >= exp);
-        }
-        self.checkpoint = Some(Checkpoint {
-            iter,
-            state: self.injector.checkpoint_state(state),
-            next_seq: self.next_seq.clone(),
-            expected: self.expected.clone(),
-            barrier_epoch: self.barrier_epoch,
-            saved_at: Instant::now(),
-        });
-    }
-
-    /// True exactly once when the fault plan crashes this rank at `iter`.
-    pub fn crash_pending(&mut self, iter: usize) -> bool {
-        self.injector.should_crash(iter)
-    }
-
-    /// Simulate the fail-stop crash and restart: discard volatile state,
-    /// restore the last checkpoint, return `(iteration, state)` to resume
-    /// from. Replay is deterministic: receives are served from the durable
-    /// receive log and replayed sends reuse their original sequence
-    /// numbers, so peers deduplicate them.
-    pub fn crash_and_restore(
-        &mut self,
-        at_iter: usize,
-    ) -> Result<(usize, Vec<Vec<f64>>), MpiSimError> {
-        let cp = match &self.checkpoint {
-            Some(cp) => cp.clone(),
-            None => {
-                return Err(MpiSimError::InvalidConfig(format!(
-                    "rank {} crashed at iteration {at_iter} before any checkpoint",
-                    self.rank
-                )))
-            }
         };
-        self.stats.injected_crashes += 1;
-        self.stats.restores += 1;
-        self.stats.replayed_iterations += at_iter.saturating_sub(cp.iter) as u64;
-        self.stats.wasted_seconds += cp.saved_at.elapsed().as_secs_f64();
-        self.next_seq = cp.next_seq.clone();
-        self.expected = cp.expected.clone();
-        self.barrier_epoch = cp.barrier_epoch;
-        // In-network state dies with the process; the sender-side message
-        // log (`unacked`) and the receive log survive on stable storage.
-        self.delayed.clear();
-        self.held.clear();
-        self.barrier = None;
-        self.op_deadline = None;
-        Ok((cp.iter, cp.state))
-    }
-
-    /// Poll-based end-of-body drain: give unacked messages a last chance to
-    /// land without blocking shutdown on peers that already left.
-    /// `Ok(true)` once drained (or the drain deadline passed), `Ok(false)`
-    /// to block.
-    pub fn drain_poll(&mut self, ctx: &mut CoopCtx<'_>) -> Result<bool, MpiSimError> {
-        if self.unacked.is_empty() && self.delayed.is_empty() && self.held.is_empty() {
-            self.op_deadline = None;
-            return Ok(true);
+        if !self.transport.drain_poll(ctx)? {
+            self.out = Some(out);
+            return Ok(Step::Blocked);
         }
-        let now = Instant::now();
-        let deadline = *self.op_deadline.get_or_insert(now + self.cfg.recv_deadline);
-        if now >= deadline {
-            // Peers that needed the data would have kept acking.
-            self.op_deadline = None;
-            return Ok(true);
-        }
-        self.poll(ctx)?;
-        if self.unacked.is_empty() && self.delayed.is_empty() && self.held.is_empty() {
-            self.op_deadline = None;
-            return Ok(true);
-        }
-        let mut wake = deadline;
-        if let Some(t) = self.next_timer() {
-            wake = wake.min(t);
-        }
-        ctx.park("coop drain", Some(wake));
-        Ok(false)
+        Ok(Step::Done((out, self.transport.stats)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
 
     /// Ring pass as an explicit state machine: rank r sends to (r+1)%size,
     /// receives from (r-1+size)%size, returns the received value.
@@ -1463,169 +974,49 @@ mod tests {
         }
     }
 
-    /// Resilient ping-pong iterations under a lossy fault plan, with
-    /// checkpoints and a mid-run crash of rank 1.
-    struct Pong {
-        res: CoopResilient,
-        iter: usize,
-        iters: usize,
-        value: f64,
-        phase: PongPhase,
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum PongPhase {
-        Send,
-        Recv,
-        Barrier,
-        Drain,
-    }
-
-    impl Pong {
-        fn new(rank: usize, size: usize, plan: &FaultPlan, iters: usize) -> Self {
-            let cfg = ResilientConfig {
-                checkpoint_interval: 2,
-                ..ResilientConfig::default()
-            };
-            Self {
-                res: CoopResilient::new(rank, size, plan, cfg),
-                iter: 0,
-                iters,
-                value: rank as f64,
-                phase: PongPhase::Send,
-            }
-        }
-    }
-
-    impl CoopTask for Pong {
-        type Out = (f64, FaultStats);
-        fn step(&mut self, ctx: &mut CoopCtx<'_>) -> Result<Step<Self::Out>, MpiSimError> {
-            loop {
-                match self.phase {
-                    PongPhase::Send => {
-                        if self.res.crash_pending(self.iter) {
-                            let (iter, state) = self.res.crash_and_restore(self.iter)?;
-                            self.iter = iter;
-                            self.value = state[0][0];
-                        }
-                        if self.iter.is_multiple_of(2) {
-                            let value = self.value;
-                            self.res.save_checkpoint(self.iter, || vec![vec![value]]);
-                        }
-                        let peer = ctx.size() - 1 - ctx.rank();
-                        if peer != ctx.rank() {
-                            self.res.send(ctx, peer, 5, vec![self.value]);
-                        }
-                        self.phase = PongPhase::Recv;
-                    }
-                    PongPhase::Recv => {
-                        let peer = ctx.size() - 1 - ctx.rank();
-                        if peer != ctx.rank() {
-                            match self.res.recv_poll(ctx, peer, 5)? {
-                                Some(data) => self.value = data[0] + 1.0,
-                                None => return Ok(Step::Blocked),
-                            }
-                        }
-                        self.phase = PongPhase::Barrier;
-                    }
-                    PongPhase::Barrier => {
-                        if !self.res.barrier_poll(ctx)? {
-                            return Ok(Step::Blocked);
-                        }
-                        self.iter += 1;
-                        self.phase = if self.iter == self.iters {
-                            PongPhase::Drain
-                        } else {
-                            PongPhase::Send
-                        };
-                    }
-                    PongPhase::Drain => {
-                        if !self.res.drain_poll(ctx)? {
-                            return Ok(Step::Blocked);
-                        }
-                        return Ok(Step::Done((self.value, self.res.stats)));
-                    }
-                }
-            }
-        }
-    }
-
-    fn pong_values(size: usize, plan: FaultPlan, iters: usize) -> (Vec<f64>, FaultStats) {
-        let (out, _) = run_tasks(size, CoopConfig::default(), move |r| {
-            Pong::new(r, size, &plan, iters)
-        })
-        .unwrap();
-        let mut stats = FaultStats::default();
-        let values = out
-            .into_iter()
-            .map(|(v, s)| {
-                stats.merge(&s);
-                v
-            })
-            .collect();
-        (values, stats)
-    }
-
-    #[test]
-    fn resilient_protocol_masks_faults_and_crash() {
-        let clean = pong_values(4, FaultPlan::none(42), 6).0;
-        let lossy_plan = FaultPlan {
-            corrupt_prob: 0.05,
-            delay_prob: 0.05,
-            max_delay_ms: 5,
-            ..FaultPlan::lossy(42, 0.1)
-        }
-        .with_crash(1, 3);
-        let (lossy, stats) = pong_values(4, lossy_plan, 6);
-        assert_eq!(clean, lossy, "faults must not change results");
-        assert!(stats.injected() > 0, "plan must actually inject");
-        assert_eq!(stats.injected_crashes, 1);
-        assert_eq!(stats.restores, 1);
-        assert!(stats.checkpoints > 0);
-    }
-
     /// Rank 0 sends one message to rank 1 and at once fires the retransmit
     /// timer by hand (no fault plan, no waiting on a clock); rank 1
-    /// receives it. Both drain.
-    struct Resend {
-        res: CoopResilient,
-        sent: bool,
-        got: bool,
-    }
+    /// receives it.
+    struct Resend;
 
-    impl CoopTask for Resend {
-        type Out = FaultStats;
-        fn step(&mut self, ctx: &mut CoopCtx<'_>) -> Result<Step<FaultStats>, MpiSimError> {
-            if self.res.rank() == 0 && !self.sent {
-                self.sent = true;
-                self.res.send(ctx, 1, 5, vec![1.0, 2.0, 3.0]);
+    impl RankTask for Resend {
+        type Out = ();
+        fn step<L: Link>(
+            &mut self,
+            t: &mut Transport,
+            link: &mut L,
+        ) -> Result<Step<()>, MpiSimError> {
+            if t.rank() == 0 {
+                t.send(link, 1, 5, vec![1.0, 2.0, 3.0]);
                 let overdue = Instant::now() + Duration::from_secs(60);
-                self.res.retransmit_due(ctx, overdue)?;
+                t.retransmit_due(link, overdue)?;
+                return Ok(Step::Done(()));
             }
-            if self.res.rank() == 1 && !self.got {
-                match self.res.recv_poll(ctx, 0, 5)? {
-                    Some(data) => assert_eq!(data, vec![1.0, 2.0, 3.0]),
-                    None => return Ok(Step::Blocked),
+            Ok(match t.recv_poll(link, 0, 5)? {
+                Some(data) => {
+                    assert_eq!(data, vec![1.0, 2.0, 3.0]);
+                    Step::Done(())
                 }
-                self.got = true;
-            }
-            if !self.res.drain_poll(ctx)? {
-                return Ok(Step::Blocked);
-            }
-            Ok(Step::Done(self.res.stats))
+                None => Step::Blocked,
+            })
         }
     }
 
     #[test]
     fn logical_ledger_counts_a_message_once_however_often_it_is_sent() {
-        let (out, run) = run_tasks(2, CoopConfig::default(), |r| Resend {
-            res: CoopResilient::new(r, 2, &FaultPlan::none(7), ResilientConfig::default()),
-            sent: false,
-            got: false,
+        let (out, run) = run_tasks(2, CoopConfig::default(), |r| {
+            Resilient::new(
+                Resend,
+                r,
+                2,
+                &FaultPlan::none(7),
+                ResilientConfig::default(),
+            )
         })
         .unwrap();
-        assert_eq!(out[0].retries, 1, "the retransmit must have fired");
-        assert_eq!(out[0].data_msgs, 1);
+        let sender = out[0].1;
+        assert_eq!(sender.retries, 1, "the retransmit must have fired");
+        assert_eq!(sender.data_msgs, 1);
         // One logical message of 3 payload + 2 header words; the forced
         // retransmission is physical traffic only.
         assert_eq!((run.logical_messages, run.logical_bytes), (1, 5 * 8));

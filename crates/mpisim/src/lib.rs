@@ -14,10 +14,13 @@
 
 //! * [`fault`] / [`resilient`] — a **fault-injection and recovery layer**:
 //!   deterministic seeded fault plans (drop / duplicate / corrupt / delay /
-//!   reorder / rank crash) and a self-healing protocol (sequenced + acked
-//!   envelopes, bounded retry, checkpoint/restore-and-replay) with every
-//!   blocking wait deadline-protected and deadlock surfaced as a
-//!   structured [`MpiSimError`].
+//!   reorder / rank crash) and one self-healing protocol
+//!   ([`resilient::Transport`]: sequenced + acked envelopes, bounded retry,
+//!   checkpoint/restore-and-replay) with every blocking wait
+//!   deadline-protected and deadlock surfaced as a structured
+//!   [`MpiSimError`]. It drives either of two [`resilient::Link`]s: a rank
+//!   thread of [`runtime`], or a task of the work-stealing [`coop`]
+//!   scheduler.
 
 pub mod coop;
 mod error;

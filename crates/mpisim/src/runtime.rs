@@ -33,6 +33,11 @@ pub struct Message {
     pub data: Vec<f64>,
 }
 
+/// How long every live rank must be blocked with no protocol progress
+/// before a stall is reported as a deadlock — the one grace both rank
+/// substrates use ([`RankConfig::default`] and the cooperative scheduler).
+pub const DEADLOCK_GRACE: Duration = Duration::from_millis(250);
+
 /// Deadlines and watchdog tuning for a rank group.
 #[derive(Debug, Clone, Copy)]
 pub struct RankConfig {
@@ -52,7 +57,7 @@ impl Default for RankConfig {
     fn default() -> Self {
         Self {
             recv_deadline: Duration::from_secs(30),
-            deadlock_grace: Duration::from_millis(250),
+            deadlock_grace: DEADLOCK_GRACE,
             poll: Duration::from_millis(10),
         }
     }
@@ -105,6 +110,11 @@ impl WatchState {
         self.slots.lock()[rank] = RankState::Done;
     }
 
+    /// True once `rank`'s body has returned (or failed).
+    pub(crate) fn is_done(&self, rank: usize) -> bool {
+        matches!(self.slots.lock()[rank], RankState::Done)
+    }
+
     /// Record one message delivery (any rank): deadlock detection requires
     /// this counter to be stable for the grace period.
     pub(crate) fn bump(&self) {
@@ -136,9 +146,11 @@ impl WatchState {
     pub(crate) fn deadlock_check(&self, grace: Duration) -> Option<Vec<BlockedRank>> {
         // Once a failure is being reported the rank table is in flux (the
         // reporting rank unblocks and finishes); a check racing with that
-        // teardown would diagnose a partial deadlock missing ranks. The
-        // poison flag is set before any reporter exits, so gating here
-        // guarantees every reported deadlock names the full stuck set.
+        // teardown would diagnose a partial deadlock missing ranks. A
+        // reporter reads as running (which fails the scan below) from the
+        // moment it unblocks until `run_ranks_cfg` poisons the communicator
+        // and only then marks it done, so gating here guarantees every
+        // reported deadlock names the full stuck set.
         if self.poisoned.load(Ordering::SeqCst) {
             return None;
         }

@@ -22,7 +22,6 @@ fn main() {
     let source = gauss_seidel::fortran_source(n, iters);
     let opts = CompileOptions {
         target: Target::StencilDistributed { grid: vec![2, 2] },
-        verify_each_pass: false,
         ..Default::default()
     };
     let exec = Compiler::run(&source, &opts).expect("run");

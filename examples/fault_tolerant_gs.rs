@@ -78,7 +78,6 @@ fn main() {
     let source = flang_stencil::workloads::gauss_seidel::fortran_source(12, 2);
     let opts = CompileOptions {
         target: Target::StencilDistributed { grid: vec![2, 2] },
-        verify_each_pass: false,
         ..Default::default()
     };
     let compiled = Compiler::compile(&source, &opts).expect("compile");

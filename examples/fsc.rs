@@ -146,7 +146,6 @@ fn main() {
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             autotune: tune,
             force_exec_path,
             ..Default::default()

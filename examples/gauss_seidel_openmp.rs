@@ -28,7 +28,6 @@ fn main() {
         target: Target::StencilOpenMp {
             threads: threads as u32,
         },
-        verify_each_pass: false,
         ..Default::default()
     };
     let compiled = Compiler::compile(&source, &opts).expect("compile");

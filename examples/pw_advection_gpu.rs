@@ -29,7 +29,6 @@ fn main() {
                 explicit_data: explicit,
                 tile: [32, 32, 1],
             },
-            verify_each_pass: false,
             ..Default::default()
         };
         // The benchmark kernel is launched repeatedly from a larger code;

@@ -11,7 +11,7 @@
 //! use flang_stencil::core::{CompileOptions, Compiler, Target};
 //!
 //! let source = flang_stencil::workloads::gauss_seidel::fortran_source(8, 2);
-//! let opts = CompileOptions { target: Target::StencilCpu, verify_each_pass: false, ..Default::default() };
+//! let opts = CompileOptions { target: Target::StencilCpu, ..Default::default() };
 //! let run = Compiler::run(&source, &opts).unwrap();
 //! assert!(run.array("u").is_some());
 //! ```

@@ -1,4 +1,4 @@
-! compile: target=distributed(3) strict
+! compile: target=distributed(3)
 ! The stencil interior has 7 cells but the process grid asks for 3 ranks
 ! along the decomposed dimension: a naive block partition would leave a
 ! silent remainder, so `stencil-to-dmp` rejects the decomposition (E0505).

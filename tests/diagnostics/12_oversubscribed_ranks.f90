@@ -1,4 +1,4 @@
-! compile: target=distributed(16) strict
+! compile: target=distributed(16)
 ! The stencil interior has 7 cells but the process grid asks for 16 ranks
 ! along the decomposed dimension: more ranks than cells on a halo-carrying
 ! dimension means most ranks would idle while the rest cannot hold a full

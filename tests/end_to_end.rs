@@ -12,7 +12,6 @@ fn run_gs(n: usize, iters: usize, target: Target) -> flang_stencil::core::Execut
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -25,7 +24,6 @@ fn run_pw(n: usize, target: Target) -> flang_stencil::core::Execution {
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -148,7 +146,6 @@ fn pw_fusion_produces_single_region_with_three_outputs() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -182,7 +179,6 @@ fn flop_accounting_pins_paper_counts_and_specialized_path() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -209,7 +205,6 @@ fn flop_accounting_pins_paper_counts_and_specialized_path() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -262,7 +257,6 @@ fn empty_interior_is_skipped_on_all_cpu_paths() {
         &source,
         &CompileOptions {
             target: Target::FlangOnly,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -275,7 +269,6 @@ fn empty_interior_is_skipped_on_all_cpu_paths() {
             &source,
             &CompileOptions {
                 target,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -363,7 +356,6 @@ end program quad
         source,
         &CompileOptions {
             target: Target::FlangOnly,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -398,7 +390,6 @@ end program quad
             source,
             &CompileOptions {
                 target,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )

@@ -70,7 +70,6 @@ fn run(source: &str, target: Target) -> Vec<f64> {
         source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -277,7 +276,7 @@ proptest! {
     ) {
         use flang_stencil::exec::ExecPath;
         let source = program_2d(&terms, n);
-        let opts = CompileOptions { target: Target::StencilCpu, verify_each_pass: false, ..Default::default() };
+        let opts = CompileOptions { target: Target::StencilCpu, ..Default::default() };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
         let has_spec = compiled
             .kernels
@@ -318,7 +317,6 @@ proptest! {
         let source = program_2d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -400,7 +398,7 @@ proptest! {
         let source = program(&terms, n);
         let compiled = Compiler::compile(
             &source,
-            &CompileOptions { target: Target::StencilCpu, verify_each_pass: false, ..Default::default() },
+            &CompileOptions { target: Target::StencilCpu, ..Default::default() },
         ).unwrap();
         // Both the init nest and the stencil nest must have been extracted.
         let total_nests: usize = compiled.kernels.values().map(|k| k.nests.len()).sum();
@@ -432,7 +430,6 @@ proptest! {
         let source = program(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -470,7 +467,6 @@ proptest! {
         let source = program_2d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -509,7 +505,6 @@ proptest! {
         let source = program_3d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -549,7 +544,6 @@ proptest! {
         let source = gauss_seidel::fortran_source(n, iters);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
