@@ -146,10 +146,10 @@ fn gs_rank_body_resilient(
         // Halo swap along k (identical tags to the raw body; the resilient
         // streams sequence repeated iterations on the same tag).
         if rank > 0 {
-            ctx.send(rank - 1, 0, u[plane..2 * plane].to_vec());
+            ctx.send(rank - 1, 0, u[plane..2 * plane].to_vec())?;
         }
         if rank + 1 < size {
-            ctx.send(rank + 1, 1, u[nk * plane..(nk + 1) * plane].to_vec());
+            ctx.send(rank + 1, 1, u[nk * plane..(nk + 1) * plane].to_vec())?;
         }
         if rank > 0 {
             let lower = ctx.recv(rank - 1, 1)?;

@@ -12,7 +12,8 @@
 //!
 //! `--smoke` runs the CI gate instead: a small 2×2-grid run that must be
 //! bit-identical to single-rank serial with a non-zero attested overlap
-//! fraction and exactly one scatter and one gather per rank.
+//! fraction, exactly one scatter and one gather per rank, and the message
+//! and byte ledgers its closed form predicts.
 
 use fsc_baselines::mpi as hand_mpi;
 use fsc_bench::{mcells_per_sec, measure, print_rows, Row};
@@ -143,11 +144,26 @@ fn smoke() {
         (4, 4, 4 * (iters as u64 - 1)),
         "smoke: one scatter and one gather per rank per run: {d:?}"
     );
+    // The ledger in closed form, so an envelope re-layout that changes a
+    // counted length fails here. Per dispatch a rank sends each of its two
+    // neighbours one face: (n+2) x its 4 owned cells. A face carries the
+    // transport's two-word trailer (logical) and a 24-byte routing header
+    // (physical); a retransmission adds whole physical envelopes.
+    let (faces, face_bytes) = (4 * 2 * iters as u64, 8 * (n as u64 + 2) * 4);
+    let ledger = (d.messages, d.bytes_exchanged, d.logical_messages);
+    assert_eq!(ledger, (faces, faces * face_bytes, faces), "smoke: {d:?}");
+    assert_eq!(d.logical_bytes, faces * (face_bytes + 16), "smoke: {d:?}");
+    assert!(
+        d.physical_messages >= faces
+            && d.physical_bytes == d.physical_messages * (face_bytes + 16 + 24),
+        "smoke: physical ledger: {d:?}"
+    );
     println!(
         "distributed smoke PASS: GS {n}^3 on 2x2 grid bit-identical to serial, \
-         overlap fraction {:.3}, {} halo bytes",
+         overlap fraction {:.3}, {} halo bytes in {} messages",
         d.overlap_fraction(),
-        d.bytes_exchanged
+        d.bytes_exchanged,
+        d.messages
     );
 }
 

@@ -1185,10 +1185,10 @@ impl<'k> KernelDispatcher<'k> {
                     continue;
                 }
                 if rank > 0 {
-                    ctx.send(rank - 1, 0, field.clone());
+                    ctx.send(rank - 1, 0, field.clone())?;
                 }
                 if rank + 1 < size {
-                    ctx.send(rank + 1, 1, field.clone());
+                    ctx.send(rank + 1, 1, field.clone())?;
                 }
                 if rank > 0 {
                     let left = ctx.recv(rank - 1, 1)?;

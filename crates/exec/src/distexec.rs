@@ -44,7 +44,8 @@
 //!
 //! **Resident ranks.** Rank memory outlives a dispatch: a [`DistSession`]
 //! per kernel keeps every rank's windows between the dispatches of one run.
-//! *Scatter* (allocate, NaN-seed, copy the owned slabs in) happens when the
+//! *Scatter* (build each window in one pass — NaN ghosts around the owned
+//! slabs copied in — ranks fanned out over the workers) happens when the
 //! session is created; a later dispatch whose argument buffers still carry
 //! the write generations ([`Memory::generation`]) the session left behind
 //! is a *resident hit* and only refreshes snapshots, exchanges halos,
@@ -92,7 +93,7 @@ use crate::kernel::{
 use crate::value::{BufId, Memory};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{IrError, Result};
-use fsc_mpisim::coop::{run_tasks, CoopConfig, Resilient, Step};
+use fsc_mpisim::coop::{effective_workers, run_tasks, CoopConfig, Resilient, Step};
 use fsc_mpisim::fault::{FaultPlan, FaultStats};
 use fsc_mpisim::resilient::{run_resilient, Link, RankTask, ResilientConfig, Transport};
 use fsc_mpisim::{MpiSimError, ProcessGrid};
@@ -174,8 +175,8 @@ pub struct RankMetrics {
 pub struct DistOutcome {
     /// Per-rank measured metrics, indexed by rank.
     pub per_rank: Vec<RankMetrics>,
-    /// Measured makespan: the slowest rank body plus the driver's serial
-    /// scatter and gather work for every rank.
+    /// Measured makespan: the slowest rank body plus the wall time of the
+    /// driver's fanned-out scatter and its serial gather of every rank.
     pub makespan_seconds: f64,
     /// Merged fault/recovery counters from the resilient transport.
     pub fault_stats: FaultStats,
@@ -756,11 +757,26 @@ impl Plan {
     }
 }
 
+/// Lay `region` of the global array `src` into the growing window `w` whose
+/// origin is flat offset `base`, NaN in the gaps: the runs of a column-major
+/// view arrive in address order, so each cell is written once. Whatever part
+/// of a run lies behind the cursor (exotic strides, a second view of the
+/// array) overwrites what is already there.
+fn seed_window(w: &mut Vec<f64>, base: i64, src: &[f64], strides: &[i64], region: &[(i64, i64)]) {
+    for_each_run(strides, region, |lin, n| {
+        let at = lin - base as usize;
+        w.resize(w.len().max(at), f64::NAN);
+        let behind = (w.len() - at).min(n);
+        w[at..at + behind].copy_from_slice(&src[lin..lin + behind]);
+        w.extend_from_slice(&src[lin + behind..lin + n]);
+    });
+}
+
 /// Build one rank's memory and seed it from the caller's buffers: a window
 /// of whole slabs along the slowest dimension per buffer — the owned range
 /// extended by the halo margin and to the array edge where the rank owns
-/// the first/last canonical cell — with argument buffers NaN-filled before
-/// the visible region is copied in, so any read escaping owned+halo
+/// the first/last canonical cell — with every cell of an argument buffer
+/// outside the visible region NaN, so any read escaping owned+halo
 /// territory poisons the bitwise oracle.
 fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
     let views = &p.kernel.views;
@@ -804,19 +820,32 @@ fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
         let buf = match arg.and_then(|i| arg_buf.get(&i)) {
             Some(&b) => b,
             None => {
+                let src = arg.and_then(caller_buf).map(|b| caller.buffer(b));
                 let len = if p.windowed {
                     (view.strides[l] * (win.1 - win.0)) as usize
-                } else if let Some(src) = arg.and_then(caller_buf) {
-                    caller.buffer(src).len()
+                } else if let Some(src) = src {
+                    src.len()
                 } else {
                     view.checked_len()?
                 };
-                let b = mem.try_alloc_buffer(len)?;
-                if let Some(i) = arg {
-                    mem.buffer_mut(b).fill(f64::NAN);
-                    arg_buf.insert(i, b);
+                // Every view of an argument lays its visible region in, in
+                // view order (they share the window: see `windowable`).
+                let seed = |i: usize, w: &mut Vec<f64>| {
+                    let Some(src) = src else { return };
+                    let same_arg = |x: &(usize, &ViewSpec)| x.1.source == ViewSource::Arg(i);
+                    for (v, view) in views.iter().enumerate().filter(same_arg) {
+                        let (base, vis) = (view.strides[l] * win.0, p.visible(v, coords));
+                        seed_window(w, base, src, &view.strides, &vis);
+                    }
+                };
+                match arg {
+                    None => mem.try_alloc_buffer(len)?,
+                    Some(i) => {
+                        let b = mem.try_alloc_buffer_with(len, |w| seed(i, w))?;
+                        arg_buf.insert(i, b);
+                        b
+                    }
                 }
-                b
             }
         };
         if !ck_bufs.contains(&buf) {
@@ -826,23 +855,51 @@ fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
         bases.push(view.strides[l] * win.0);
         wins.push(win);
     }
-    for (v, view) in views.iter().enumerate() {
-        let ViewSource::Arg(i) = view.source else {
-            continue;
-        };
-        let Some(src) = caller_buf(i) else {
-            continue;
-        };
-        let dst = mem.buffer_mut(bufs[v]);
-        let vis = p.visible(v, coords);
-        copy_region(dst, bases[v], caller.buffer(src), 0, &view.strides, &vis);
-    }
     Ok(RankMem {
         mem,
         bufs,
         ck_bufs,
         bases,
         wins,
+    })
+}
+
+/// [`scatter_rank`] for every rank, in contiguous chunks over up to
+/// `workers` scoped threads, the caller taking the first: the caller's
+/// `Memory` is only read and every write lands in a rank's own `RankMem`.
+/// Fails with the lowest failing rank's error; windows already built are
+/// dropped, which hands their bytes back to the budget.
+fn scatter_ranks(
+    p: &Plan,
+    caller: &Memory,
+    workers: usize,
+    per_rank: &mut [RankMetrics],
+) -> Result<Vec<RankMem>> {
+    let chunk = per_rank.len().div_ceil(workers.max(1)).max(1);
+    let scatter_chunk = |(c, metrics): (usize, &mut [RankMetrics])| -> Result<Vec<RankMem>> {
+        let timed = |(i, m): (usize, &mut RankMetrics)| {
+            let t = Instant::now();
+            let rm = scatter_rank(p, &p.grid.coords((c * chunk + i) as i64), caller)?;
+            (m.scatter_seconds, m.scatters) = (t.elapsed().as_secs_f64(), 1);
+            Ok(rm)
+        };
+        metrics.iter_mut().enumerate().map(timed).collect()
+    };
+    // Leaving the scope joins every worker, on the error paths too.
+    std::thread::scope(|s| {
+        let mut jobs = per_rank.chunks_mut(chunk).enumerate();
+        let mine = jobs.next();
+        let theirs: Vec<_> = jobs
+            .map(|job| s.spawn(move || scatter_chunk(job)))
+            .collect();
+        let mut ranks = mine.map_or(Ok(Vec::new()), scatter_chunk)?;
+        for worker in theirs {
+            let chunk = worker
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            ranks.extend(chunk?);
+        }
+        Ok(ranks)
     })
 }
 
@@ -867,13 +924,15 @@ pub struct DistSession {
 
 impl DistSession {
     /// Scatter: place every view of `kernel` over `grid` and seed each
-    /// rank's windows from the caller's buffers, timing each rank.
+    /// rank's windows from the caller's buffers on up to `workers` threads,
+    /// timing each rank.
     fn scatter(
         kernel: &CompiledKernel,
         setup: &DistSetup,
         grid: &ProcessGrid,
         args: &[KernelArg],
         memory: &Memory,
+        workers: usize,
         per_rank: &mut [RankMetrics],
     ) -> Result<Self> {
         let l = setup.bounds.len() - 1;
@@ -909,16 +968,9 @@ impl DistSession {
                 .unwrap_or(0),
             budget: memory.budget().cloned(),
         });
-        let mut ranks = Vec::with_capacity(per_rank.len());
-        for (rank, m) in per_rank.iter_mut().enumerate() {
-            let t = Instant::now();
-            ranks.push(scatter_rank(&plan, &grid.coords(rank as i64), memory)?);
-            m.scatter_seconds = t.elapsed().as_secs_f64();
-            m.scatters = 1;
-        }
         Ok(Self {
+            ranks: scatter_ranks(&plan, memory, workers, per_rank)?,
             plan,
-            ranks,
             seen: Vec::new(),
             stale: false,
             cycle: 0,
@@ -1151,8 +1203,8 @@ fn post_halo_sends(
     rank: usize,
     rm: &RankMem,
     metrics: &mut RankMetrics,
-    mut send: impl FnMut(usize, i64, Vec<f64>),
-) {
+    mut send: impl FnMut(usize, i64, Vec<f64>) -> Result2<()>,
+) -> Result2<()> {
     let p = &*sh.plan;
     let views = &p.kernel.views;
     let t = Instant::now();
@@ -1173,9 +1225,10 @@ fn post_halo_sends(
         );
         metrics.bytes_sent += 8 * payload.len() as u64;
         metrics.messages_sent += 1;
-        send(dst as usize, e.tag, payload);
+        send(dst as usize, e.tag, payload)?;
     }
     metrics.pack_seconds += t.elapsed().as_secs_f64();
+    Ok(())
 }
 
 /// Matching receives for `nest`: exchange `e` (everyone sends towards
@@ -1278,13 +1331,13 @@ fn begin_phase(
     own: &[(i64, i64)],
     rm: &mut RankMem,
     metrics: &mut RankMetrics,
-    send: impl FnMut(usize, i64, Vec<f64>),
+    send: impl FnMut(usize, i64, Vec<f64>) -> Result2<()>,
 ) -> Result2<(Vec<PendingRecv>, Vec<Vec<(i64, i64)>>)> {
     refresh_snapshots(sh, nest, rm, rank)?;
     let (exec_box, exchange) = phase_exec_box(sh, nest, coords, own);
     let mut recvs = Vec::new();
     if exchange {
-        post_halo_sends(sh, nest, coords, rank, rm, metrics, send);
+        post_halo_sends(sh, nest, coords, rank, rm, metrics, send)?;
         recvs = build_halo_recvs(sh, nest, rank);
     }
     if nest.halo_schedule != Some(HaloSchedule::Overlap) {
@@ -1485,6 +1538,7 @@ pub fn run_distributed(
     };
     let size = grid.size() as usize;
     let mut driver = vec![RankMetrics::default(); size];
+    let mut scatter_wall = 0.0;
     let mut s = match session.take() {
         Some(s) if s.ranks.len() == size && s.matches(kernel, grid, args, memory) => {
             driver.iter_mut().for_each(|m| m.resident_hits = 1);
@@ -1495,7 +1549,10 @@ pub fn run_distributed(
             for (m, secs) in driver.iter_mut().zip(gathered) {
                 (m.gather_seconds, m.gathers) = (secs, 1);
             }
-            DistSession::scatter(kernel, &setup, grid, args, memory, &mut driver)?
+            let (t, workers) = (Instant::now(), effective_workers(opts.workers, size));
+            let s = DistSession::scatter(kernel, &setup, grid, args, memory, workers, &mut driver)?;
+            scatter_wall = t.elapsed().as_secs_f64();
+            s
         }
     };
 
@@ -1581,10 +1638,10 @@ pub fn run_distributed(
     s.record_generations(memory);
     *session = Some(s);
 
-    let serial: f64 = per_rank
-        .iter()
-        .map(|r| r.scatter_seconds + r.gather_seconds)
-        .sum();
+    // Gather is serial on the driver (a rank's destination in the caller's
+    // array is one contiguous block only under a 1-D decomposition); scatter
+    // ran fanned out, so it costs its wall, not the sum over ranks.
+    let gather: f64 = per_rank.iter().map(|r| r.gather_seconds).sum();
     let exchange_rounds = if deep.is_some() && cycle > 0 {
         0
     } else {
@@ -1605,7 +1662,7 @@ pub fn run_distributed(
     };
     Ok(Some(DistOutcome {
         per_rank,
-        makespan_seconds: body_wall + serial,
+        makespan_seconds: body_wall + scatter_wall + gather,
         fault_stats,
         schedule: setup.schedule,
         bytes_exchanged,
@@ -1712,6 +1769,219 @@ mod tests {
         });
         assert_eq!(seen, region_cells(&own));
         assert_eq!(count.iter().map(|&c| c as usize).sum::<usize>(), seen);
+    }
+
+    /// The scatter this module shipped with, kept as the reference the
+    /// one-pass one must match bit for bit: zeroed buffers, argument buffers
+    /// NaN-filled whole, then every argument view's visible region copied in.
+    fn reference_scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> RankMem {
+        let views = &p.kernel.views;
+        let l = p.bounds.len() - 1;
+        let part = p.part(l, coords);
+        let win_of = |view: &ViewSpec| -> (i64, i64) {
+            let (ext, lb, (olb, oub)) = (view.extents[l], lower(view, l), part);
+            if !p.windowed {
+                return (0, ext);
+            } else if olb >= oub {
+                return (0, 0);
+            }
+            let lo = if olb == p.bounds[l].0 {
+                0
+            } else {
+                (olb - p.margin - lb).max(0)
+            };
+            let hi = if oub == p.bounds[l].1 {
+                ext
+            } else {
+                (oub + p.margin - lb).min(ext)
+            };
+            (lo, hi.max(lo))
+        };
+        let mut mem = Memory::new();
+        let caller_buf = |i: usize| p.args.iter().find(|a| a.0 == i).map(|a| a.1);
+        let mut arg_buf: HashMap<usize, BufId> = HashMap::new();
+        let (mut bufs, mut ck_bufs, mut bases, mut wins) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for view in views {
+            let win = win_of(view);
+            let arg = match view.source {
+                ViewSource::Arg(i) => Some(i),
+                ViewSource::SnapshotOf(_) => None,
+            };
+            let buf = match arg.and_then(|i| arg_buf.get(&i)) {
+                Some(&b) => b,
+                None => {
+                    let len = if p.windowed {
+                        (view.strides[l] * (win.1 - win.0)) as usize
+                    } else if let Some(src) = arg.and_then(caller_buf) {
+                        caller.buffer(src).len()
+                    } else {
+                        view.checked_len().unwrap()
+                    };
+                    let b = mem.alloc_buffer(len);
+                    if let Some(i) = arg {
+                        mem.buffer_mut(b).fill(f64::NAN);
+                        arg_buf.insert(i, b);
+                    }
+                    b
+                }
+            };
+            if !ck_bufs.contains(&buf) {
+                ck_bufs.push(buf);
+            }
+            bufs.push(buf);
+            bases.push(view.strides[l] * win.0);
+            wins.push(win);
+        }
+        for (v, view) in views.iter().enumerate() {
+            let ViewSource::Arg(i) = view.source else {
+                continue;
+            };
+            let Some(src) = caller_buf(i) else {
+                continue;
+            };
+            let dst = mem.buffer_mut(bufs[v]);
+            let vis = p.visible(v, coords);
+            copy_region(dst, bases[v], caller.buffer(src), 0, &view.strides, &vis);
+        }
+        RankMem {
+            mem,
+            bufs,
+            ck_bufs,
+            bases,
+            wins,
+        }
+    }
+
+    /// A plan over `grid` for views of `extents` (lower bounds 0, `strides`
+    /// or column-major): two arguments, the first viewed twice, and a
+    /// snapshot of it; the interior `1..extent-1` is the canonical domain.
+    fn scatter_plan(
+        extents: &[i64],
+        strides: Option<Vec<i64>>,
+        grid: &[i64],
+        caller: &mut Memory,
+        budget: Option<Arc<MemoryBudget>>,
+    ) -> Plan {
+        let ndims = extents.len();
+        let view = |source| ViewSpec {
+            extents: extents.to_vec(),
+            strides: strides
+                .clone()
+                .unwrap_or_else(|| crate::value::column_major_strides(extents)),
+            source,
+            lbs: Some(vec![0; ndims]),
+        };
+        let views = vec![
+            view(ViewSource::Arg(0)),
+            view(ViewSource::Arg(1)),
+            view(ViewSource::SnapshotOf(0)),
+            view(ViewSource::Arg(0)),
+        ];
+        let cells = extents.iter().product::<i64>() as usize;
+        let args = (0..2)
+            .map(|i| {
+                let b = caller.alloc_buffer(cells);
+                // Distinct bit patterns everywhere, a signed zero included.
+                let fill = |(c, x): (usize, &mut f64)| *x = -((c + cells * i) as f64) * 0.5;
+                caller.buffer_mut(b).iter_mut().enumerate().for_each(fill);
+                (i, b)
+            })
+            .collect();
+        Plan {
+            windowed: windowable(&views, ndims - 1),
+            kernel: CompiledKernel {
+                name: "scatter_test".into(),
+                args: vec![crate::kernel::ArgKind::Ptr; 2],
+                views,
+                nests: Vec::new(),
+                kind: crate::kernel::PlanKind::Cpu,
+                decomposition: grid.to_vec(),
+                halo_depth: 1,
+                jit_warnings: Vec::new(),
+            },
+            grid: ProcessGrid::new(grid.to_vec()),
+            bounds: extents.iter().map(|&e| (1, e - 1)).collect(),
+            from: ndims - grid.len(),
+            args,
+            outs: Vec::new(),
+            margin: 1,
+            budget,
+        }
+    }
+
+    fn window_bits(rm: &RankMem) -> Vec<Vec<u64>> {
+        let bits = |&b: &BufId| rm.mem.buffer(b).iter().map(|x| x.to_bits()).collect();
+        rm.bufs.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn one_pass_scatter_builds_the_reference_windows_bit_for_bit() {
+        // 1-D, 2-D over a 2x2 grid, 3-D over 2x2 (first dimension whole), a
+        // transposed layout that cannot be windowed, and 4 ranks over a
+        // 2-cell interior (two of them idle).
+        type Case<'a> = (&'a [i64], Option<Vec<i64>>, &'a [i64]);
+        let cases: [Case; 5] = [
+            (&[11], None, &[3]),
+            (&[8, 9], None, &[2, 2]),
+            (&[5, 7, 8], None, &[2, 2]),
+            (&[6, 7], Some(vec![7, 1]), &[2]),
+            (&[5, 4], None, &[4]),
+        ];
+        for (extents, strides, grid) in cases {
+            let mut caller = Memory::new();
+            let p = scatter_plan(extents, strides.clone(), grid, &mut caller, None);
+            assert_eq!(p.windowed, strides.is_none(), "{extents:?}");
+            let size = p.grid.size() as usize;
+            let reference: Vec<RankMem> = (0..size)
+                .map(|r| reference_scatter_rank(&p, &p.grid.coords(r as i64), &caller))
+                .collect();
+            let idle = reference.iter().filter(|rm| rm.wins[0] == (0, 0)).count();
+            assert_eq!(idle, if grid == [4] { 2 } else { 0 }, "{extents:?}");
+            for workers in [1, 2, size + 1] {
+                let mut metrics = vec![RankMetrics::default(); size];
+                let got = scatter_ranks(&p, &caller, workers, &mut metrics).unwrap();
+                assert_eq!(got.len(), size);
+                assert!(metrics.iter().all(|m| m.scatters == 1));
+                for (rank, (new, old)) in got.iter().zip(&reference).enumerate() {
+                    let what = format!("{extents:?} rank {rank}, {workers} workers");
+                    assert_eq!(window_bits(new), window_bits(old), "{what}");
+                    assert_eq!(
+                        (&new.bufs, &new.ck_bufs),
+                        (&old.bufs, &old.ck_bufs),
+                        "{what}"
+                    );
+                    assert_eq!((&new.bases, &new.wins), (&old.bases, &old.wins), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_scatter_the_budget_refuses_midway_is_coded_and_refunds_every_chunk() {
+        let mut caller = Memory::new();
+        let unlimited = MemoryBudget::unlimited();
+        let p = scatter_plan(&[8, 9], None, &[2, 2], &mut caller, Some(unlimited.clone()));
+        let mut metrics = vec![RankMetrics::default(); 4];
+        let ranks = scatter_ranks(&p, &caller, 2, &mut metrics).unwrap();
+        let need = unlimited.used();
+        assert!(need > 0);
+        drop(ranks);
+        assert_eq!(unlimited.used(), 0);
+        // Enough for some ranks of each chunk, not for all four.
+        let tight = MemoryBudget::limited(need * 5 / 8);
+        let p = Plan {
+            budget: Some(tight.clone()),
+            ..p
+        };
+        for workers in [1, 2, 4] {
+            let err = match scatter_ranks(&p, &caller, workers, &mut metrics) {
+                Ok(_) => panic!("{workers} workers: the budget admitted every rank"),
+                Err(e) => e,
+            };
+            assert_eq!(err.diagnostics[0].code, codes::MEM_BUDGET, "{err}");
+            assert_eq!(tight.used(), 0, "{workers} workers: ledger must drain");
+        }
     }
 
     #[test]

@@ -251,7 +251,35 @@ impl Memory {
             self.charge(buf, bytes);
             return Ok(buf);
         }
-        let Some(storage) = zeroed_f64s(len) else {
+        self.adopt(bytes, zeroed_f64s(len))
+    }
+
+    /// A new buffer (never a reused one) whose `len` doubles the caller
+    /// writes once, not over zeros: `fill` appends to an empty vector with
+    /// room for them, and what it leaves short of `len` is NaN. Charged and
+    /// refused exactly as [`Memory::try_alloc_buffer`] does.
+    pub fn try_alloc_buffer_with(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut Vec<f64>),
+    ) -> fsc_ir::Result<BufId> {
+        let bytes = elems_to_bytes(len)?;
+        if let Some(b) = &self.budget {
+            b.try_reserve(bytes)?;
+        }
+        let mut storage = Vec::new();
+        let room = storage.try_reserve_exact(len).is_ok();
+        if room {
+            fill(&mut storage);
+            storage.resize(len, f64::NAN);
+        }
+        self.adopt(bytes, room.then_some(storage))
+    }
+
+    /// `storage`, reserved as `bytes`, becomes a buffer; `None` (the host
+    /// refused it) hands the reservation back.
+    fn adopt(&mut self, bytes: u64, storage: Option<Vec<f64>>) -> fsc_ir::Result<BufId> {
+        let Some(storage) = storage else {
             if let Some(b) = &self.budget {
                 b.release(bytes);
             }

@@ -40,6 +40,16 @@ impl Fnv64 {
         self.write(&v.to_le_bytes());
     }
 
+    /// Fold `w` in as one step, `h' = (h ^ w) * PRIME`: an eighth of the
+    /// multiplies of [`Fnv64::write_u64`] and a different function, so only
+    /// for values that never persist or leave the process (transport
+    /// envelopes). Xor and multiplication by the odd prime are bijections in
+    /// both `h` and `w`: two inputs differing in one word never collide.
+    #[inline]
+    pub fn write_word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(PRIME);
+    }
+
     /// The hash of everything written so far.
     pub const fn finish(&self) -> u64 {
         self.0
@@ -69,5 +79,21 @@ mod tests {
         a.write_u64(0x0102_0304_0506_0708);
         b.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(a.finish(), b.finish());
+        // Pinned: plan-cache keys on disk and checksums on the serve wire
+        // are made of this.
+        assert_eq!(a.finish(), 0x0c6d_4496_e178_59d5);
+    }
+
+    #[test]
+    fn write_word_is_one_step_and_leaves_the_byte_form_alone() {
+        let mut h = Fnv64::new();
+        h.write_word(0x0102_0304_0506_0708);
+        assert_eq!(
+            h.finish(),
+            (OFFSET ^ 0x0102_0304_0506_0708).wrapping_mul(PRIME)
+        );
+        let mut bytes = Fnv64::new();
+        bytes.write_u64(0x0102_0304_0506_0708);
+        assert_ne!(h.finish(), bytes.finish());
     }
 }

@@ -32,6 +32,12 @@
 //! over it as a cooperative task, so fault plans, crash recovery and
 //! deadlock detection behave exactly as on the thread-per-rank link.
 
+// Worker loops run under every rank body: a failure is a coded error.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -463,7 +469,7 @@ impl Link for CoopCtx<'_> {
 
     /// Grace-based check: tasks parked by the transport always hold wake
     /// timers, which mute the scheduler's structural check.
-    fn deadlock_check(&self, op: &str) -> Option<Vec<BlockedRank>> {
+    fn deadlock_check(&self, op: &dyn Fn() -> String) -> Option<Vec<BlockedRank>> {
         if self.net.last_progress.lock().elapsed() < DEADLOCK_GRACE {
             return None;
         }
@@ -480,7 +486,7 @@ impl Link for CoopCtx<'_> {
         let mut blocked = self.net.blocked_ranks();
         blocked.push(BlockedRank {
             rank: self.rank,
-            op: op.to_string(),
+            op: op(),
             blocked_ms: DEADLOCK_GRACE.as_millis() as u64,
         });
         blocked.sort_by_key(|b| b.rank);
@@ -496,11 +502,13 @@ impl Link for CoopCtx<'_> {
     }
 }
 
-fn effective_workers(cfg: &CoopConfig, size: usize) -> usize {
+/// Worker threads a run of `size` ranks uses when asked for `workers`
+/// (`0` = the machine's available parallelism), capped at the rank count.
+pub fn effective_workers(workers: usize, size: usize) -> usize {
     let auto = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let w = if cfg.workers == 0 { auto } else { cfg.workers };
+    let w = if workers == 0 { auto } else { workers };
     w.clamp(1, size.max(1))
 }
 
@@ -508,7 +516,8 @@ fn effective_workers(cfg: &CoopConfig, size: usize) -> usize {
 /// scheduler, collecting each rank's result (in rank order) and the run's
 /// scheduler/transport counters. Task errors and panics poison the run and
 /// the root-cause failure is returned, exactly like
-/// [`run_ranks`](crate::runtime::run_ranks).
+/// [`run_ranks`](crate::runtime::run_ranks). The calling thread is worker 0:
+/// only `workers - 1` threads are spawned, none for a single worker.
 pub fn run_tasks<K, F>(
     size: usize,
     cfg: CoopConfig,
@@ -518,8 +527,10 @@ where
     K: CoopTask,
     F: Fn(usize) -> K + Send + Sync,
 {
-    assert!(size > 0, "need at least one rank");
-    let workers = effective_workers(&cfg, size);
+    if size == 0 {
+        return Err(MpiSimError::InvalidConfig("need at least one rank".into()));
+    }
+    let workers = effective_workers(cfg.workers, size);
     let net = Net::new(size, workers, &cfg);
     let tasks: Vec<Mutex<Option<K>>> = (0..size).map(|r| Mutex::new(Some(factory(r)))).collect();
     let results: Vec<Mutex<Option<K::Out>>> = (0..size).map(|_| Mutex::new(None)).collect();
@@ -529,12 +540,12 @@ where
         net.queues[r % workers].lock().push_back(r);
     }
     std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let net = &net;
-            let tasks = &tasks;
-            let results = &results;
+        let (net, tasks, results) = (&net, &tasks, &results);
+        for wid in 1..workers {
             scope.spawn(move || worker_loop(wid, net, tasks, results));
         }
+        // `run_one` contains task panics, so the caller never unwinds here.
+        worker_loop(0, net, tasks, results);
     });
     let stats = CoopRunStats {
         workers,
@@ -549,10 +560,8 @@ where
     if let Some(root) = errors.into_iter().min_by_key(|e| e.root_cause_priority()) {
         return Err(root);
     }
-    let outs = results
-        .into_iter()
-        .map(|m| m.into_inner().expect("all tasks completed"))
-        .collect();
+    let outs: Option<Vec<K::Out>> = results.into_iter().map(Mutex::into_inner).collect();
+    let outs = outs.ok_or_else(|| MpiSimError::internal(0, "a rank task left no result"))?;
     Ok((outs, stats))
 }
 
@@ -604,7 +613,10 @@ fn run_one<K: CoopTask>(
         ctl.status = Status::Running;
         ctl.wake_pending = false;
     }
-    let mut task = tasks[tid].lock().take().expect("queued task present");
+    let Some(mut task) = tasks[tid].lock().take() else {
+        finish(net, tid);
+        return net.poison(MpiSimError::internal(tid, "queued rank task is missing"));
+    };
     let mut ctx = CoopCtx {
         net,
         wid,
@@ -974,6 +986,72 @@ mod tests {
         }
     }
 
+    /// Yields twice, then reports every thread it was stepped on.
+    struct WhereAmI(Vec<std::thread::ThreadId>);
+
+    impl CoopTask for WhereAmI {
+        type Out = Vec<std::thread::ThreadId>;
+        fn step(&mut self, _: &mut CoopCtx<'_>) -> Result<Step<Self::Out>, MpiSimError> {
+            self.0.push(std::thread::current().id());
+            Ok(match self.0.len() {
+                3 => Step::Done(std::mem::take(&mut self.0)),
+                _ => Step::Yield,
+            })
+        }
+    }
+
+    #[test]
+    fn a_single_worker_is_the_calling_thread() {
+        let cfg = CoopConfig {
+            workers: 1,
+            ..CoopConfig::default()
+        };
+        let (out, stats) = run_tasks(8, cfg, |_| WhereAmI(Vec::new())).unwrap();
+        assert_eq!(stats.workers, 1);
+        // Every step of every rank ran here: nothing was spawned to run it.
+        let me = std::thread::current().id();
+        assert!(out.iter().all(|ids| ids == &[me; 3]), "{out:?}");
+    }
+
+    /// Panics when stepped on `caller`; anywhere else it yields for ever.
+    struct BoomOn(std::thread::ThreadId);
+
+    impl CoopTask for BoomOn {
+        type Out = ();
+        fn step(&mut self, _: &mut CoopCtx<'_>) -> Result<Step<()>, MpiSimError> {
+            if std::thread::current().id() == self.0 {
+                panic!("boom on the caller");
+            }
+            Ok(Step::Yield)
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_worker_is_an_error_not_an_unwind() {
+        let cfg = CoopConfig {
+            workers: 2,
+            ..CoopConfig::default()
+        };
+        // No rank ever finishes, so the run can only end by the caller —
+        // worker 0 — stepping one: the panic must come back as this error.
+        let me = std::thread::current().id();
+        match run_tasks(4, cfg, |_| BoomOn(me)).unwrap_err() {
+            MpiSimError::RankPanicked { rank, message } => {
+                assert!(
+                    rank < 4 && message.contains("boom on the caller"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected rank panic, got {other}"),
+        }
+    }
+
+    #[test]
+    fn zero_ranks_is_an_invalid_configuration() {
+        let err = run_tasks(0, CoopConfig::default(), |_| Ring::Start).unwrap_err();
+        assert!(matches!(err, MpiSimError::InvalidConfig(_)), "{err}");
+    }
+
     /// Rank 0 sends one message to rank 1 and at once fires the retransmit
     /// timer by hand (no fault plan, no waiting on a clock); rank 1
     /// receives it.
@@ -987,7 +1065,7 @@ mod tests {
             link: &mut L,
         ) -> Result<Step<()>, MpiSimError> {
             if t.rank() == 0 {
-                t.send(link, 1, 5, vec![1.0, 2.0, 3.0]);
+                t.send(link, 1, 5, vec![1.0, 2.0, 3.0])?;
                 let overdue = Instant::now() + Duration::from_secs(60);
                 t.retransmit_due(link, overdue)?;
                 return Ok(Step::Done(()));

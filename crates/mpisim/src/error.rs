@@ -169,6 +169,11 @@ impl MpiSimError {
         Self::CompileFailure { rank, diagnostics }
     }
 
+    /// A broken invariant of the substrate itself on `rank`, coded `E0701`.
+    pub(crate) fn internal(rank: usize, what: &str) -> Self {
+        Self::compile_failure(rank, IrError::new(format!("mpisim internal error: {what}")))
+    }
+
     /// Recover the structured compile error, if that is what this is: the
     /// inverse of [`MpiSimError::compile_failure`], used by the driving
     /// layer to re-raise rank failures as coded diagnostics.

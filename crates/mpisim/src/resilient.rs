@@ -3,9 +3,10 @@
 //! [`Transport`] is the protocol a production stencil stack layers over an
 //! unreliable interconnect, written once as a poll-driven state machine:
 //!
-//! * **sequence-numbered envelopes** per `(peer, tag)` stream, with an FNV
-//!   checksum over the payload — duplicates are deduplicated, corruption is
-//!   detected and discarded;
+//! * **sequence-numbered envelopes** per `(peer, tag)` stream: the payload
+//!   followed by a two-word trailer, the sequence number and a by-word FNV
+//!   checksum over header and payload — duplicates are deduplicated,
+//!   corruption is detected and discarded;
 //! * **ack + bounded retry**: every data message is acknowledged; unacked
 //!   messages retransmit with exponential backoff (capped below the
 //!   deadlock-watchdog grace) up to a bounded attempt count, after which
@@ -33,6 +34,12 @@
 //! Faults are injected on the *send* side by a deterministic seeded
 //! [`FaultInjector`]; every injected fault and every recovery action is
 //! counted in [`FaultStats`].
+
+// A rank body runs on input-derived shapes: every failure is a coded error.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -101,8 +108,9 @@ pub trait Link {
     /// [`Link::deadlock_check`] may report.
     fn deadlock_grace(&self) -> Duration;
     /// The stuck ranks, when nothing progressed for the grace and every
-    /// other live rank is blocked; `op` is the caller's pending operation.
-    fn deadlock_check(&self, op: &str) -> Option<Vec<BlockedRank>>;
+    /// other live rank is blocked; `op` names the caller's pending operation
+    /// (only asked for when there is a deadlock to report).
+    fn deadlock_check(&self, op: &dyn Fn() -> String) -> Option<Vec<BlockedRank>>;
     /// The caller is about to block on `op`: resume it when a message
     /// arrives, and at `wake_at` even if none does.
     fn park(&mut self, op: String, wake_at: Instant);
@@ -139,7 +147,7 @@ struct Pending {
     dest: usize,
     tag: i64,
     seq: u64,
-    /// Fully encoded wire data (header + payload).
+    /// Fully encoded wire data (payload + trailer).
     data: Vec<f64>,
     next_retry: Instant,
     retries: u32,
@@ -192,15 +200,17 @@ pub struct Transport {
     pub stats: FaultStats,
 }
 
-/// FNV-1a over the header fields and payload bits. Sender and receiver
-/// are this one function in one process; the value never persists.
+/// By-word FNV over the header fields and payload bits: each step is a
+/// bijection of the running hash, so one flipped bit — all the injector
+/// does — always changes the result. Sender and receiver are this one
+/// function in one process; the value never persists.
 fn checksum(from: usize, tag: i64, seq: u64, payload: &[f64]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(from as u64);
-    h.write_u64(tag as u64);
-    h.write_u64(seq);
+    h.write_word(from as u64);
+    h.write_word(tag as u64);
+    h.write_word(seq);
     for &x in payload {
-        h.write_u64(x.to_bits());
+        h.write_word(x.to_bits());
     }
     h.finish()
 }
@@ -238,13 +248,21 @@ impl Transport {
     }
 
     /// Reliable send: sequence the payload, remember it until acked, and
-    /// hand it to the (possibly faulty) network. Never blocks.
-    pub fn send<L: Link + ?Sized>(&mut self, link: &mut L, dest: usize, tag: i64, data: Vec<f64>) {
-        assert!(
-            tag >= 0,
-            "user tags must be non-negative (negative tags are protocol-reserved)"
-        );
+    /// hand it to the (possibly faulty) network. Never blocks; fails only
+    /// on a negative `tag` (those are protocol-reserved).
+    pub fn send<L: Link + ?Sized>(
+        &mut self,
+        link: &mut L,
+        dest: usize,
+        tag: i64,
+        data: Vec<f64>,
+    ) -> Result<(), MpiSimError> {
+        if tag < 0 {
+            let why = "user tags must be non-negative (negative tags are protocol-reserved)";
+            return Err(MpiSimError::InvalidConfig(format!("tag {tag}: {why}")));
+        }
         self.send_tagged(link, dest, tag, data);
+        Ok(())
     }
 
     fn send_tagged<L: Link + ?Sized>(
@@ -252,15 +270,14 @@ impl Transport {
         link: &mut L,
         dest: usize,
         tag: i64,
-        data: Vec<f64>,
+        mut encoded: Vec<f64>,
     ) {
         let seq_slot = self.next_seq.entry((dest, tag)).or_insert(0);
         let seq = *seq_slot;
         *seq_slot += 1;
-        let mut encoded = Vec::with_capacity(data.len() + 2);
-        encoded.push(f64::from_bits(seq));
-        encoded.push(f64::from_bits(checksum(self.rank, tag, seq, &data)));
-        encoded.extend_from_slice(&data);
+        // Trailer pushed onto the payload here, popped by `handle`.
+        let ck = checksum(self.rank, tag, seq, &encoded);
+        encoded.extend([f64::from_bits(seq), f64::from_bits(ck)]);
         self.stats.data_msgs += 1;
         link.count_logical(tag, encoded.len());
         self.unacked.push(Pending {
@@ -298,12 +315,11 @@ impl Transport {
                 // Flip one payload bit; the receiver's checksum rejects the
                 // message and the retry timer recovers it. A header-only
                 // message gets its checksum word flipped instead.
-                if encoded.len() > 2 {
-                    let w = 2 + self.injector.corrupt_word(encoded.len() - 2);
-                    encoded[w] = f64::from_bits(encoded[w].to_bits() ^ 1);
-                } else {
-                    encoded[1] = f64::from_bits(encoded[1].to_bits() ^ 1);
-                }
+                let w = match encoded.len() {
+                    ..=2 => 1,
+                    n => self.injector.corrupt_word(n - 2),
+                };
+                encoded[w] = f64::from_bits(encoded[w].to_bits() ^ 1);
                 link.wire(dest, tag, encoded, retransmit);
             }
             SendAction::Delay(d) => {
@@ -360,19 +376,17 @@ impl Transport {
             }
             return;
         }
-        if msg.data.len() < 2 {
+        let mut payload = msg.data;
+        let (Some(ck), Some(seq)) = (payload.pop(), payload.pop()) else {
             return; // malformed; unreachable from our own sender
-        }
-        let seq = msg.data[0].to_bits();
-        let ck = msg.data[1].to_bits();
-        let payload = &msg.data[2..];
-        if checksum(msg.from, msg.tag, seq, payload) != ck {
+        };
+        let seq = seq.to_bits();
+        if checksum(msg.from, msg.tag, seq, &payload) != ck.to_bits() {
             // Corrupted in flight: discard without acking; the sender's
             // retry timer re-delivers a clean copy.
             self.stats.corruptions_detected += 1;
             return;
         }
-        let payload = payload.to_vec();
         // Always ack — even a duplicate means the sender missed our first
         // ack and is still retrying.
         self.send_ack(link, msg.from, msg.tag, seq);
@@ -510,12 +524,12 @@ impl Transport {
         }
         let now = Instant::now();
         let deadline = *self.op_deadline.get_or_insert(now + self.cfg.recv_deadline);
-        let op = format!("recv(src={src}, tag={tag}, seq={exp})");
+        let op = || format!("recv(src={src}, tag={tag}, seq={exp})");
         if now >= deadline {
             self.complete(link);
             return Err(MpiSimError::Timeout {
                 rank: self.rank,
-                op,
+                op: op(),
                 waited_ms: self.cfg.recv_deadline.as_millis() as u64,
             });
         }
@@ -526,7 +540,7 @@ impl Transport {
         // Wake for the earliest protocol duty, the op deadline, or the next
         // stall-watchdog check — whichever comes first.
         let wake = deadline.min(now + link.deadlock_grace());
-        link.park(op, self.next_timer().map_or(wake, |t| wake.min(t)));
+        link.park(op(), self.next_timer().map_or(wake, |t| wake.min(t)));
         Ok(None)
     }
 
@@ -689,7 +703,7 @@ impl Link for ThreadLink<'_> {
         self.raw.cfg.deadlock_grace
     }
 
-    fn deadlock_check(&self, _op: &str) -> Option<Vec<BlockedRank>> {
+    fn deadlock_check(&self, _op: &dyn Fn() -> String) -> Option<Vec<BlockedRank>> {
         // This rank's own operation is already in the watchdog's table.
         self.raw.watch.deadlock_check(self.raw.cfg.deadlock_grace)
     }
@@ -731,8 +745,8 @@ impl<'a> ResilientCtx<'a> {
     }
 
     /// Reliable send (see [`Transport::send`]).
-    pub fn send(&mut self, dest: usize, tag: i64, data: Vec<f64>) {
-        self.transport.send(&mut self.link, dest, tag, data);
+    pub fn send(&mut self, dest: usize, tag: i64, data: Vec<f64>) -> Result<(), MpiSimError> {
+        self.transport.send(&mut self.link, dest, tag, data)
     }
 
     /// Blocking = poll + wait: call `poll` until it completes, sleeping on
@@ -814,6 +828,9 @@ impl std::ops::DerefMut for ResilientCtx<'_> {
 /// collecting each rank's result and fault counters. A rank body returns
 /// `Result`; any failure is propagated with the communicator poisoned so
 /// the group exits promptly.
+// `panic_any` is `run_ranks`' error channel, not a failure of this code: the
+// runtime catches it per rank and downcasts the `MpiSimError` back out.
+#[allow(clippy::panic)]
 pub fn run_resilient<T, F>(
     size: usize,
     plan: FaultPlan,
@@ -907,9 +924,76 @@ mod tests {
         [("thread link", on_threads), ("coop link", on_coop)]
     }
 
+    /// A link that only records what is wired.
+    #[derive(Default)]
+    struct Capture(Vec<Message>);
+
+    impl Link for Capture {
+        fn wire(&mut self, _dest: usize, tag: i64, data: Vec<f64>, _direct: bool) {
+            self.0.push(Message { from: 0, tag, data });
+        }
+        fn arrivals(&mut self) -> Vec<Message> {
+            Vec::new()
+        }
+        fn peer_done(&self, _rank: usize) -> bool {
+            false
+        }
+        fn progress(&self) {}
+        fn deadlock_grace(&self) -> Duration {
+            Duration::from_secs(1)
+        }
+        fn deadlock_check(&self, _op: &dyn Fn() -> String) -> Option<Vec<BlockedRank>> {
+            None
+        }
+        fn park(&mut self, _op: String, _wake_at: Instant) {}
+    }
+
+    /// What a fresh rank 1 makes of `data` arriving from rank 0 on tag 7:
+    /// (corruptions detected, payloads logged, acks sent back).
+    fn delivered(data: Vec<f64>) -> (u64, Vec<Vec<f64>>, usize) {
+        let mut rx = Transport::new(1, 2, &FaultPlan::none(1), ResilientConfig::default());
+        let mut acks = Capture::default();
+        let (from, tag) = (0, 7);
+        rx.handle(&mut acks, Message { from, tag, data });
+        let logged = rx.received.values().flat_map(|m| m.values().cloned());
+        (
+            rx.stats.corruptions_detected,
+            logged.collect(),
+            acks.0.len(),
+        )
+    }
+
     #[test]
-    fn envelope_checksum_is_pinned() {
-        assert_eq!(checksum(1, -2, 3, &[1.0, -0.5]), 0x2922_325e_5643_5bae);
+    fn any_single_bit_flip_or_word_swap_in_an_envelope_is_rejected() {
+        for words in [0usize, 1, 8] {
+            let payload: Vec<f64> = (0..words).map(|i| 1.25 * i as f64 - 3.5).collect();
+            let mut tx = Transport::new(0, 2, &FaultPlan::none(1), ResilientConfig::default());
+            let mut wire = Capture::default();
+            tx.send(&mut wire, 1, 7, payload.clone()).unwrap();
+            let envelope = wire.0.pop().unwrap().data;
+            assert_eq!(envelope.len(), words + 2, "payload + two-word trailer");
+            assert_eq!(delivered(envelope.clone()), (0, vec![payload], 1));
+            // Payload, sequence word and checksum word alike.
+            for (w, bit) in (0..envelope.len()).flat_map(|w| (0..64).map(move |b| (w, b))) {
+                let mut bad = envelope.clone();
+                bad[w] = f64::from_bits(bad[w].to_bits() ^ (1 << bit));
+                assert_eq!(delivered(bad), (1, vec![], 0), "word {w}, bit {bit}");
+            }
+            if words >= 2 {
+                let mut swapped = envelope.clone();
+                swapped.swap(0, words - 1);
+                assert_eq!(delivered(swapped), (1, vec![], 0), "{words} words");
+            }
+        }
+    }
+
+    #[test]
+    fn a_negative_user_tag_is_an_error_and_sends_nothing() {
+        let mut tx = Transport::new(0, 2, &FaultPlan::none(1), ResilientConfig::default());
+        let mut wire = Capture::default();
+        let err = tx.send(&mut wire, 1, -1, vec![1.0]).unwrap_err();
+        assert!(matches!(err, MpiSimError::InvalidConfig(_)), "{err}");
+        assert!(wire.0.is_empty() && tx.stats.data_msgs == 0);
     }
 
     #[test]
@@ -919,7 +1003,7 @@ mod tests {
             body(move |t, link| {
                 let size = t.size();
                 if !std::mem::replace(&mut sent, true) {
-                    t.send(link, (rank + 1) % size, 0, vec![rank as f64]);
+                    t.send(link, (rank + 1) % size, 0, vec![rank as f64])?;
                 }
                 let got = t.recv_poll(link, (rank + size - 1) % size, 0)?;
                 Ok(got.map(|v| v[0]))
@@ -946,7 +1030,7 @@ mod tests {
             body(move |t, link| {
                 if rank == 0 {
                     for i in 0..16 {
-                        t.send(link, 1, 7, vec![i as f64]);
+                        t.send(link, 1, 7, vec![i as f64])?;
                     }
                     return Ok(Some(0.0));
                 }
@@ -979,7 +1063,7 @@ mod tests {
                 while round < 8 {
                     if !std::mem::replace(&mut sent, true) {
                         for p in (0..t.size()).filter(|&p| p != rank) {
-                            t.send(link, p, round, vec![(rank * 100) as f64 + round as f64]);
+                            t.send(link, p, round, vec![(rank * 100) as f64 + round as f64])?;
                         }
                     }
                     while peer < t.size() {
@@ -1020,7 +1104,7 @@ mod tests {
             body(move |t, link| {
                 if rank == 0 {
                     for i in 0..12 {
-                        t.send(link, 1, 0, vec![i as f64, (i * i) as f64]);
+                        t.send(link, 1, 0, vec![i as f64, (i * i) as f64])?;
                     }
                     return Ok(Some(()));
                 }
@@ -1062,7 +1146,7 @@ mod tests {
             let mut sent = false;
             body(move |t, link| {
                 if rank == 0 && !std::mem::replace(&mut sent, true) {
-                    t.send(link, 1, 0, vec![1.0]);
+                    t.send(link, 1, 0, vec![1.0])?;
                 }
                 // Rank 0 waits on a reply that cannot come; its polls fire
                 // the retry timers.
@@ -1085,14 +1169,14 @@ mod tests {
         body(move |t, link| {
             while round < 10 {
                 if rank == 0 && !std::mem::replace(&mut served, true) {
-                    t.send(link, 1, 0, vec![round as f64]);
+                    t.send(link, 1, 0, vec![round as f64])?;
                 }
                 let Some(ball) = t.recv_poll(link, 1 - rank, 0)? else {
                     return Ok(None);
                 };
                 assert_eq!(ball[0], round as f64);
                 if rank == 1 {
-                    t.send(link, 0, 0, ball);
+                    t.send(link, 0, 0, ball)?;
                 }
                 (round, served) = (round + 1, false);
             }
@@ -1146,7 +1230,7 @@ mod tests {
                         x = state.into_iter().next().unwrap();
                         continue;
                     }
-                    t.send(link, peer, 0, x.clone());
+                    t.send(link, peer, 0, x.clone())?;
                     sent = true;
                 }
                 let Some(got) = t.recv_poll(link, peer, 0)? else {
@@ -1217,7 +1301,7 @@ mod tests {
                     if iter.is_multiple_of(2) {
                         t.save_checkpoint(iter, || vec![vec![value]]);
                     }
-                    t.send(link, peer, 5, vec![value]);
+                    t.send(link, peer, 5, vec![value])?;
                 }
                 if !got {
                     let Some(data) = t.recv_poll(link, peer, 5)? else {

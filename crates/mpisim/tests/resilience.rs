@@ -34,10 +34,10 @@ fn halo_body(
             continue;
         }
         if rank > 0 {
-            ctx.send(rank - 1, 0, field.clone());
+            ctx.send(rank - 1, 0, field.clone())?;
         }
         if rank + 1 < size {
-            ctx.send(rank + 1, 1, field.clone());
+            ctx.send(rank + 1, 1, field.clone())?;
         }
         if rank > 0 {
             let left = ctx.recv(rank - 1, 1)?;
@@ -151,7 +151,7 @@ fn mismatched_resilient_tags_cannot_hang() {
     };
     let err = run_resilient(2, FaultPlan::none(0), cfg, move |ctx| {
         let peer = 1 - ctx.rank();
-        ctx.send(peer, 3, vec![1.0]);
+        ctx.send(peer, 3, vec![1.0])?;
         // Both ranks wait on a tag nobody sends.
         ctx.recv(peer, 4).map(|_| ())
     })
