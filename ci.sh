@@ -25,6 +25,11 @@ echo "== duplicate-helper gate =="
 for f in retransmit_due send_ack crash_and_restore; do
   [[ $(grep -rlE "fn $f\b" crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn $f defined in other than exactly one file under crates/"; exit 1; }
 done
+# One fan-out (fsc_ir::par): every split of work over cores goes through
+# `fan_out`, and `available_threads` is the one reading of the core count.
+if grep -qsw rayon Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml || [[ -e shims/rayon ]]; then echo "a Cargo.toml names rayon, or shims/rayon exists: split work with fsc_ir::par::fan_out"; exit 1; fi
+[[ $(grep -rlE 'fn fan_out\b' crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn fan_out defined in other than exactly one file under crates/"; exit 1; }
+if grep -rl available_parallelism crates/ shims/ src/ examples/ tests/ --include='*.rs' | grep -vx 'crates/ir/src/par.rs'; then echo "available_parallelism outside crates/ir/src/par.rs"; exit 1; fi
 
 if [[ $quick -eq 0 ]]; then
   echo "== build (release) =="

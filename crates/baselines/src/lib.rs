@@ -10,8 +10,8 @@
 //!   single-core output (§4.2 notes Cray "undertakes considerably more
 //!   vectorisation" than the stencil flow).
 //! * [`openmp`] — the hand-written OpenMP versions of Figures 3–4: the same
-//!   native kernels work-shared over a rayon pool (the programmer *did*
-//!   modify the code, unlike the automatic stencil path).
+//!   native kernels work-shared over `threads` workers by k-plane (the
+//!   programmer *did* modify the code, unlike the automatic stencil path).
 //! * [`openacc`] — the hand-ported OpenACC GPU baseline of Figure 5:
 //!   executes the native kernel for correctness and charges the V100 model
 //!   under unified (managed) memory, which is how the paper's OpenACC port

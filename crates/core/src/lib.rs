@@ -618,37 +618,28 @@ impl Compiler {
 }
 
 /// Calibrate and install execution plans for a freshly compiled program.
-/// The tuner sweeps candidates under the same thread configuration the
-/// dispatcher will use at run time (an OpenMP target gets a matching
-/// pool), so what wins calibration is what actually runs. Never fails —
-/// problems degrade into coded diagnostics inside the report.
+/// The tuner sweeps candidates under the same thread count the dispatcher
+/// will use at run time, so what wins calibration is what actually runs.
+/// Never fails — problems degrade into coded diagnostics inside the report.
 fn autotune_compiled(compiled: &mut Compiled, cfg: &TuneConfig) {
-    let (threads, pool) = match &compiled.target {
-        Target::StencilOpenMp { threads } => {
-            let mut b = rayon::ThreadPoolBuilder::new();
-            if *threads > 0 {
-                b = b.num_threads(*threads as usize);
-            }
-            match b.build() {
-                Ok(p) => {
-                    let t = p.current_num_threads();
-                    (t, Some(p))
-                }
-                Err(_) => (1, None),
-            }
-        }
-        _ => (1, None),
+    let threads = match &compiled.target {
+        Target::StencilOpenMp { threads } => omp_threads(*threads),
+        _ => 1,
     };
     // Deterministic tuning order (HashMap iteration order is not).
     let mut kernels: Vec<(&String, &mut CompiledKernel)> = compiled.kernels.iter_mut().collect();
     kernels.sort_by(|a, b| a.0.cmp(b.0));
-    let report = autotune::tune_kernels(
-        kernels.into_iter().map(|(_, k)| k),
-        threads,
-        pool.as_ref(),
-        cfg,
-    );
+    let report = autotune::tune_kernels(kernels.into_iter().map(|(_, k)| k), threads, cfg);
     compiled.tuning = Some(report);
+}
+
+/// Worker count of an OpenMP target: as asked, or every core for `0`.
+fn omp_threads(threads: u32) -> usize {
+    if threads > 0 {
+        threads as usize
+    } else {
+        fsc_ir::par::available_threads()
+    }
 }
 
 /// Build the target-specific stencil-module pipeline.
@@ -1012,7 +1003,6 @@ fn array_names(m: &Module) -> Vec<String> {
 /// target and accumulating per-target accounting.
 pub struct KernelDispatcher<'k> {
     kernels: &'k HashMap<String, CompiledKernel>,
-    pool: Option<rayon::ThreadPool>,
     threads: usize,
     gpu: Option<GpuSession>,
     cost: CostModel,
@@ -1055,26 +1045,15 @@ pub struct KernelDispatcher<'k> {
 impl<'k> KernelDispatcher<'k> {
     /// New dispatcher for a target.
     pub fn new(kernels: &'k HashMap<String, CompiledKernel>, target: &Target) -> Self {
-        let (pool, threads) = match target {
-            Target::StencilOpenMp { threads } => {
-                let mut b = rayon::ThreadPoolBuilder::new();
-                if *threads > 0 {
-                    b = b.num_threads(*threads as usize);
-                }
-                let pool = b.build().expect("thread pool");
-                let t = pool.current_num_threads();
-                (Some(pool), t)
-            }
+        let threads = match target {
+            Target::StencilOpenMp { threads } => omp_threads(*threads),
             Target::StencilDistributed { grid } => {
                 let ranks: i64 = grid.iter().product();
-                let workers = (ranks as usize).min(num_cpus_max());
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers.max(1))
-                    .build()
-                    .expect("thread pool");
-                (Some(pool), workers.max(1))
+                (ranks as usize)
+                    .min(fsc_ir::par::available_threads())
+                    .max(1)
             }
-            _ => (None, 1),
+            _ => 1,
         };
         let gpu = match target {
             Target::StencilGpu { .. } | Target::StencilMultiGpu { .. } => {
@@ -1090,7 +1069,6 @@ impl<'k> KernelDispatcher<'k> {
         };
         Self {
             kernels,
-            pool,
             threads,
             gpu,
             cost: CostModel::default(),
@@ -1366,12 +1344,6 @@ impl<'k> KernelDispatcher<'k> {
     }
 }
 
-fn num_cpus_max() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-}
-
 impl<'k> RegionDispatcher for KernelDispatcher<'k> {
     fn call(&mut self, callee: &str, args: &[Value], memory: &mut Memory) -> Result<()> {
         let kernel = self
@@ -1427,13 +1399,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                             // protocol.
                             self.gather_sessions(memory, |name, _| name == callee);
                             self.sessions.remove(callee);
-                            kernel::run_kernel(
-                                kernel,
-                                memory,
-                                &kargs,
-                                self.threads,
-                                self.pool.as_ref(),
-                            )?;
+                            kernel::run_kernel(kernel, memory, &kargs, self.threads)?;
                             let elapsed = start.elapsed().as_secs_f64();
                             let ranks = grid.size() as f64;
                             let compute = elapsed * self.threads as f64 / ranks;
@@ -1452,20 +1418,16 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                 } else if self.naive {
                     kernel::run_kernel_naive(kernel, memory, &kargs)?;
                 } else {
-                    kernel::run_kernel(kernel, memory, &kargs, 1, None)?;
+                    kernel::run_kernel(kernel, memory, &kargs, 1)?;
                 }
             }
             PlanKind::Omp { num_threads } => {
-                let pool = self
-                    .pool
-                    .as_ref()
-                    .ok_or_else(|| IrError::new("omp kernel dispatched without a thread pool"))?;
                 let t = if *num_threads > 0 {
                     *num_threads
                 } else {
                     self.threads
                 };
-                kernel::run_kernel(kernel, memory, &kargs, t, Some(pool))?;
+                kernel::run_kernel(kernel, memory, &kargs, t)?;
             }
             PlanKind::Gpu {
                 block,
@@ -1479,7 +1441,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                 // over `ranks` devices: each device sees 1/ranks of the
                 // work and buffers, and pays the halo exchange per
                 // iteration; the makespan is per-device time + comm.
-                kernel::run_kernel(kernel, memory, &kargs, 1, None)?;
+                kernel::run_kernel(kernel, memory, &kargs, 1)?;
                 let ranks = if kernel.is_distributed() {
                     self.grid
                         .as_ref()

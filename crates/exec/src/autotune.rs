@@ -299,15 +299,14 @@ fn time_candidate(
     memory: &mut Memory,
     args: &[KernelArg],
     threads: usize,
-    pool: Option<&rayon::ThreadPool>,
     reps: u32,
 ) -> Result<f64, fsc_ir::IrError> {
     kernel.force_plan(plan);
-    run_kernel(kernel, memory, args, threads, pool)?;
+    run_kernel(kernel, memory, args, threads)?;
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        run_kernel(kernel, memory, args, threads, pool)?;
+        run_kernel(kernel, memory, args, threads)?;
         best = best.min(t0.elapsed().as_secs_f64() * 1e6);
     }
     Ok(best)
@@ -323,7 +322,6 @@ fn time_candidate(
 pub fn tune_kernel(
     kernel: &mut CompiledKernel,
     threads: usize,
-    pool: Option<&rayon::ThreadPool>,
     cache: &SharedPlanCache,
     reps: u32,
     diagnostics: &mut Vec<Diagnostic>,
@@ -371,7 +369,7 @@ pub fn tune_kernel(
     };
     let mut best: Option<(f64, ExecPlan)> = None;
     for plan in candidates(&default, rank, threads) {
-        match time_candidate(kernel, &plan, &mut memory, &args, threads, pool, reps) {
+        match time_candidate(kernel, &plan, &mut memory, &args, threads, reps) {
             Ok(micros) => {
                 if best.as_ref().is_none_or(|(b, _)| micros < *b) {
                     best = Some((micros, plan));
@@ -431,7 +429,6 @@ pub fn tune_kernel(
 pub fn tune_kernels<'k>(
     kernels: impl IntoIterator<Item = &'k mut CompiledKernel>,
     threads: usize,
-    pool: Option<&rayon::ThreadPool>,
     config: &TuneConfig,
 ) -> TuningReport {
     let t0 = Instant::now();
@@ -447,9 +444,7 @@ pub fn tune_kernels<'k>(
     // threads or other processes) keep their entries too.
     let mut fresh = PlanCache::default();
     for kernel in kernels {
-        if let Some(entry) =
-            tune_kernel(kernel, threads, pool, &cache, reps, &mut report.diagnostics)
-        {
+        if let Some(entry) = tune_kernel(kernel, threads, &cache, reps, &mut report.diagnostics) {
             if entry.plan.provenance == PlanProvenance::Tuned {
                 fresh.entries.insert(
                     entry.key.clone(),
@@ -476,13 +471,8 @@ pub fn tune_kernels<'k>(
 
 /// Tune a single kernel against the resolved cache file (convenience for
 /// benches and tests; see [`tune_kernels`]).
-pub fn tune_one(
-    kernel: &mut CompiledKernel,
-    threads: usize,
-    pool: Option<&rayon::ThreadPool>,
-    config: &TuneConfig,
-) -> TuningReport {
-    tune_kernels(std::iter::once(kernel), threads, pool, config)
+pub fn tune_one(kernel: &mut CompiledKernel, threads: usize, config: &TuneConfig) -> TuningReport {
+    tune_kernels(std::iter::once(kernel), threads, config)
 }
 
 #[cfg(test)]

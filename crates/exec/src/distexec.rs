@@ -92,6 +92,7 @@ use crate::kernel::{
 };
 use crate::value::{BufId, Memory};
 use fsc_ir::diag::{codes, Diagnostic};
+use fsc_ir::par::fan_out;
 use fsc_ir::{IrError, Result};
 use fsc_mpisim::coop::{effective_workers, run_tasks, CoopConfig, Resilient, Step};
 use fsc_mpisim::fault::{FaultPlan, FaultStats};
@@ -865,42 +866,25 @@ fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
 }
 
 /// [`scatter_rank`] for every rank, in contiguous chunks over up to
-/// `workers` scoped threads, the caller taking the first: the caller's
-/// `Memory` is only read and every write lands in a rank's own `RankMem`.
-/// Fails with the lowest failing rank's error; windows already built are
-/// dropped, which hands their bytes back to the budget.
+/// `workers` threads, the caller taking the first ([`fan_out`]): the
+/// caller's `Memory` is only read and every write lands in a rank's own
+/// `RankMem`. Fails with the lowest failing rank's error; windows already
+/// built are dropped, which hands their bytes back to the budget.
 fn scatter_ranks(
     p: &Plan,
     caller: &Memory,
     workers: usize,
     per_rank: &mut [RankMetrics],
 ) -> Result<Vec<RankMem>> {
-    let chunk = per_rank.len().div_ceil(workers.max(1)).max(1);
-    let scatter_chunk = |(c, metrics): (usize, &mut [RankMetrics])| -> Result<Vec<RankMem>> {
-        let timed = |(i, m): (usize, &mut RankMetrics)| {
-            let t = Instant::now();
-            let rm = scatter_rank(p, &p.grid.coords((c * chunk + i) as i64), caller)?;
-            (m.scatter_seconds, m.scatters) = (t.elapsed().as_secs_f64(), 1);
-            Ok(rm)
-        };
-        metrics.iter_mut().enumerate().map(timed).collect()
-    };
-    // Leaving the scope joins every worker, on the error paths too.
-    std::thread::scope(|s| {
-        let mut jobs = per_rank.chunks_mut(chunk).enumerate();
-        let mine = jobs.next();
-        let theirs: Vec<_> = jobs
-            .map(|job| s.spawn(move || scatter_chunk(job)))
-            .collect();
-        let mut ranks = mine.map_or(Ok(Vec::new()), scatter_chunk)?;
-        for worker in theirs {
-            let chunk = worker
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            ranks.extend(chunk?);
-        }
-        Ok(ranks)
+    let ranks = per_rank.iter_mut().enumerate().collect();
+    fan_out(workers, ranks, |(r, m): (usize, &mut RankMetrics)| {
+        let t = Instant::now();
+        let rm = scatter_rank(p, &p.grid.coords(r as i64), caller)?;
+        (m.scatter_seconds, m.scatters) = (t.elapsed().as_secs_f64(), 1);
+        Ok(rm)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Resident state of one kernel across the dispatches of a run: every

@@ -11,8 +11,9 @@
 //! Runners ([`run_kernel`]):
 //! * single thread — innermost (unit-stride) dimension as the contiguous
 //!   hot loop;
-//! * work-shared over a rayon pool by slicing the slowest dimension into
-//!   contiguous output slabs (`omp.wsloop`);
+//! * work-shared by slicing the domain into contiguous output slabs
+//!   (`omp.wsloop`), fanned out over `threads` workers with the calling
+//!   thread as worker 0 ([`fsc_ir::par::fan_out`]);
 //! * GPU plans execute on the CPU for correctness while the driver charges
 //!   modeled time (see `fsc-gpusim`).
 
@@ -1077,14 +1078,13 @@ fn decode_index_expr(m: &Module, v: ValueId) -> Option<(ValueId, i64)> {
 // --------------------------------------------------------------------------
 
 /// Run a compiled kernel: resolve views, then execute every nest in order
-/// (refreshing snapshots in between). `threads > 1` with a pool work-shares
-/// each nest; otherwise nests run on the calling thread.
+/// (refreshing snapshots in between). `threads > 1` work-shares each nest;
+/// otherwise nests run on the calling thread.
 pub fn run_kernel(
     kernel: &CompiledKernel,
     memory: &mut Memory,
     args: &[KernelArg],
     threads: usize,
-    pool: Option<&rayon::ThreadPool>,
 ) -> Result<()> {
     // Resolve all views to buffers (snapshots allocate backing storage).
     let mut bufs: Vec<BufId> = Vec::with_capacity(kernel.views.len());
@@ -1127,7 +1127,7 @@ pub fn run_kernel(
                 d.copy_from_slice(s);
             }
         }
-        run_nest(nest, &kernel.views, &bufs, memory, &scalars, threads, pool)?;
+        run_nest(nest, &kernel.views, &bufs, memory, &scalars, threads)?;
     }
     // Scratch snapshot buffers are call-local: release them so time loops
     // reuse rather than grow memory.
@@ -1306,7 +1306,6 @@ fn run_nest(
     memory: &mut Memory,
     scalars: &[f64],
     threads: usize,
-    pool: Option<&rayon::ThreadPool>,
 ) -> Result<()> {
     if nest.domain_cells() == 0 {
         return Ok(());
@@ -1344,7 +1343,7 @@ fn run_nest(
             })
             .collect();
 
-        // Work-sharing budget: the pool width, capped by the plan's slab
+        // Work-sharing budget: the thread count, capped by the plan's slab
         // knob. The task planner splits the slowest dimension first and
         // keeps factoring into the next-slower dimensions when the slowest
         // extent alone cannot feed the budget (e.g. a 4³ nest on 32
@@ -1355,13 +1354,12 @@ fn run_nest(
         } else {
             effective_threads
         };
-        let tasks = if budget > 1 && pool.is_some() {
+        let tasks = if budget > 1 {
             plan_tasks(&nest.bounds, budget)
         } else {
             Vec::new()
         };
         if tasks.len() > 1 {
-            let tp = pool.expect("tasks imply a pool");
             let fine = run_sliced(
                 nest,
                 views,
@@ -1370,7 +1368,7 @@ fn run_nest(
                 &out_view_map,
                 scalars,
                 &tasks,
-                tp,
+                budget,
             );
             if fine.is_err() {
                 // Store offsets can make finely split slabs overlap; retry
@@ -1386,7 +1384,7 @@ fn run_nest(
                         &out_view_map,
                         scalars,
                         &coarse,
-                        tp,
+                        budget,
                     )?;
                 } else {
                     fine?;
@@ -1761,8 +1759,8 @@ fn split_dim((lo, hi): (i64, i64), n: usize) -> Vec<(i64, i64)> {
 /// Chunk counts are factored across dimensions slowest-first: the slowest
 /// dimension takes `min(extent, target)` chunks, and any remaining budget
 /// spills into the next-slower dimension — so a nest whose slowest extent
-/// is smaller than the pool width (e.g. 4³ on 32 threads) still produces
-/// a full task set instead of starving most of the pool. The construction
+/// is smaller than the thread count (e.g. 4³ on 32 threads) still produces
+/// a full task set instead of starving most of the threads. The construction
 /// keeps an invariant the slab splitter relies on: whenever a dimension is
 /// split into more than one multi-value chunk, every slower dimension is
 /// fully split into single-value chunks, so tasks in emission order cover
@@ -1828,7 +1826,8 @@ fn plan_tasks_outer_only(bounds: &[(i64, i64)], target: usize) -> Vec<Vec<(i64, 
         .collect()
 }
 
-/// Split outputs into contiguous per-task slabs and run under the pool.
+/// Split outputs into contiguous per-task slabs and fan the tasks out over
+/// up to `workers` threads, the caller running the first batch.
 ///
 /// `task_bounds` come from [`plan_tasks`] (or the coarser
 /// [`plan_tasks_outer_only`] fallback): per-task sub-boxes of the domain in
@@ -1845,7 +1844,7 @@ fn run_sliced(
     out_view_map: &[Option<u16>],
     scalars: &[f64],
     task_bounds: &[Vec<(i64, i64)>],
-    pool: &rayon::ThreadPool,
+    workers: usize,
 ) -> Result<()> {
     // Exact per-store offset extremes per out view.
     let mut out_offsets: Vec<(i64, i64)> = vec![(i64::MAX, i64::MIN); views.len()];
@@ -1905,27 +1904,17 @@ fn run_sliced(
         }
     }
 
-    pool.scope(|scope| {
-        for task in tasks.into_iter() {
-            let inputs_ref = inputs;
-            scope.spawn(move |_| {
-                let Task {
-                    bounds,
-                    mut outs,
-                    slab_starts,
-                } = task;
-                run_box(
-                    nest,
-                    views,
-                    inputs_ref,
-                    &mut outs,
-                    &slab_starts,
-                    out_view_map,
-                    scalars,
-                    &bounds,
-                );
-            });
-        }
+    fsc_ir::par::fan_out(workers, tasks, |mut task| {
+        run_box(
+            nest,
+            views,
+            inputs,
+            &mut task.outs,
+            &task.slab_starts,
+            out_view_map,
+            scalars,
+            &task.bounds,
+        )
     });
     Ok(())
 }
@@ -2003,7 +1992,6 @@ end program average
             &mut memory,
             &[KernelArg::Buf(data), KernelArg::Buf(res)],
             1,
-            None,
         )
         .unwrap();
         for i in 1..=16usize {
@@ -2030,29 +2018,11 @@ end program average
         };
         let mut m1 = Memory::new();
         let (d1, r1) = mk(&mut m1);
-        run_kernel(
-            &k,
-            &mut m1,
-            &[KernelArg::Buf(d1), KernelArg::Buf(r1)],
-            1,
-            None,
-        )
-        .unwrap();
+        run_kernel(&k, &mut m1, &[KernelArg::Buf(d1), KernelArg::Buf(r1)], 1).unwrap();
 
         let mut m2 = Memory::new();
         let (d2, r2) = mk(&mut m2);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        run_kernel(
-            &k,
-            &mut m2,
-            &[KernelArg::Buf(d2), KernelArg::Buf(r2)],
-            4,
-            Some(&pool),
-        )
-        .unwrap();
+        run_kernel(&k, &mut m2, &[KernelArg::Buf(d2), KernelArg::Buf(r2)], 4).unwrap();
         assert_eq!(m1.buffer(r1), m2.buffer(r2));
     }
 
@@ -2064,7 +2034,7 @@ program t
   integer :: i
   real(kind=8) :: u(0:n+1)
   do i = 1, n
-    u(i) = 0.5 * (u(i-1) + u(i+1))
+    u(i) = 0.5 * (u(i) + u(i+1))
   end do
 end program t
 ";
@@ -2079,9 +2049,9 @@ end program t
         for i in 0..10 {
             memory.buffer_mut(u)[i] = i as f64;
         }
-        run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1, None).unwrap();
+        run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1).unwrap();
         for i in 1..=8usize {
-            assert_eq!(memory.buffer(u)[i], i as f64, "cell {i}");
+            assert_eq!(memory.buffer(u)[i], i as f64 + 0.5, "cell {i}");
         }
     }
 
@@ -2116,7 +2086,6 @@ end program t
                 KernelArg::Scalar(0.25),
             ],
             1,
-            None,
         )
         .unwrap();
         for i in 1..=8usize {
@@ -2150,14 +2119,7 @@ end program t
         for i in 0..10 {
             memory.buffer_mut(a)[i] = (i * i) as f64;
         }
-        run_kernel(
-            &k,
-            &mut memory,
-            &[KernelArg::Buf(a), KernelArg::Buf(b)],
-            1,
-            None,
-        )
-        .unwrap();
+        run_kernel(&k, &mut memory, &[KernelArg::Buf(a), KernelArg::Buf(b)], 1).unwrap();
         // a(i) must now equal 0.5*((i-1)² + (i+1)²) = i² + 1 for interior i.
         for i in 1..=8usize {
             let expect = (i * i + 1) as f64;
@@ -2173,17 +2135,17 @@ program t
   integer :: i
   real(kind=8) :: u(0:n+1)
   do i = 1, n
-    u(i) = 0.5 * (u(i-1) + u(i+1))
+    u(i) = 0.5 * (u(i) + u(i+1))
   end do
 end program t
 ";
         let k = compile(src);
         let mut memory = Memory::new();
         let u = memory.alloc_buffer(10);
-        run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1, None).unwrap();
+        run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1).unwrap();
         let after_one = memory.buffer_count();
         for _ in 0..10 {
-            run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1, None).unwrap();
+            run_kernel(&k, &mut memory, &[KernelArg::Buf(u)], 1).unwrap();
         }
         assert_eq!(
             memory.buffer_count(),
@@ -2206,14 +2168,7 @@ end program t
         };
         let mut m1 = Memory::new();
         let (d1, r1) = mk(&mut m1);
-        run_kernel(
-            &k,
-            &mut m1,
-            &[KernelArg::Buf(d1), KernelArg::Buf(r1)],
-            1,
-            None,
-        )
-        .unwrap();
+        run_kernel(&k, &mut m1, &[KernelArg::Buf(d1), KernelArg::Buf(r1)], 1).unwrap();
         let mut m2 = Memory::new();
         let (d2, r2) = mk(&mut m2);
         run_kernel_naive(&k, &mut m2, &[KernelArg::Buf(d2), KernelArg::Buf(r2)]).unwrap();
@@ -2266,7 +2221,6 @@ end program t
             &mut memory,
             &[KernelArg::Buf(data), KernelArg::Buf(res)],
             1,
-            None,
         )
         .unwrap();
         assert_eq!(memory.buffer(res)[1 + n], 2.0);
@@ -2331,10 +2285,11 @@ end program gs
 
     #[test]
     fn small_domain_on_wide_pool_matches_serial() {
-        // Regression for the slab scheduler: a 4³ interior on a 32-thread
-        // pool used to fall back to 4 slabs (slowest-dim-only splitting);
-        // the tile decomposition must use the full pool and stay bitwise
-        // identical to the serial sweep.
+        // Regression for the slab scheduler: a 4³ interior on 32 threads
+        // used to fall back to 4 slabs (slowest-dim-only splitting); the
+        // tile decomposition must use every thread and stay bitwise
+        // identical to the serial sweep. At 5 threads the planner yields 8
+        // tasks, so some workers run several.
         let k = compile(GS3D);
         let e = 6usize;
         let mk = |mem: &mut Memory| {
@@ -2347,35 +2302,25 @@ end program gs
         };
         let mut m1 = Memory::new();
         let (u1, un1) = mk(&mut m1);
-        run_kernel(
-            &k,
-            &mut m1,
-            &[KernelArg::Buf(u1), KernelArg::Buf(un1)],
-            1,
-            None,
-        )
-        .unwrap();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(32)
-            .build()
+        run_kernel(&k, &mut m1, &[KernelArg::Buf(u1), KernelArg::Buf(un1)], 1).unwrap();
+        // (threads, tasks the planner yields for the 4³ nest)
+        for (threads, tasks) in [(32usize, 32usize), (5, 8)] {
+            assert_eq!(plan_tasks(&k.nests[0].bounds, threads).len(), tasks);
+            let mut m2 = Memory::new();
+            let (u2, un2) = mk(&mut m2);
+            run_kernel(
+                &k,
+                &mut m2,
+                &[KernelArg::Buf(u2), KernelArg::Buf(un2)],
+                threads,
+            )
             .unwrap();
-        let mut m2 = Memory::new();
-        let (u2, un2) = mk(&mut m2);
-        run_kernel(
-            &k,
-            &mut m2,
-            &[KernelArg::Buf(u2), KernelArg::Buf(un2)],
-            32,
-            Some(&pool),
-        )
-        .unwrap();
-        let (a, b) = (m1.buffer(un1), m2.buffer(un2));
-        assert!(
-            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "32-way slab decomposition diverged from serial"
-        );
-        // The scheduler really had 32 disjoint tasks available.
-        assert_eq!(plan_tasks(&k.nests[0].bounds, 32).len(), 32);
+            let (a, b) = (m1.buffer(un1), m2.buffer(un2));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{tasks}-task slab decomposition on {threads} threads diverged from serial"
+            );
+        }
     }
 
     #[test]
@@ -2398,20 +2343,9 @@ end program gs
             };
             let mut m1 = Memory::new();
             let (a1, b1) = mk(&mut m1);
-            run_kernel(
-                &k,
-                &mut m1,
-                &[KernelArg::Buf(a1), KernelArg::Buf(b1)],
-                1,
-                None,
-            )
-            .unwrap();
+            run_kernel(&k, &mut m1, &[KernelArg::Buf(a1), KernelArg::Buf(b1)], 1).unwrap();
             let reference = m1.buffer(b1).to_vec();
 
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(3)
-                .build()
-                .unwrap();
             let plans = [
                 ExecPlan::from_ir_tiles(vec![1; rank]),
                 ExecPlan::from_ir_tiles(vec![3; rank]),
@@ -2437,7 +2371,7 @@ end program gs
             ];
             for plan in plans {
                 k.force_plan(&plan);
-                for (threads, pool) in [(1usize, None), (3usize, Some(&pool))] {
+                for threads in [1usize, 3] {
                     let mut m2 = Memory::new();
                     let (a2, b2) = mk(&mut m2);
                     run_kernel(
@@ -2445,7 +2379,6 @@ end program gs
                         &mut m2,
                         &[KernelArg::Buf(a2), KernelArg::Buf(b2)],
                         threads,
-                        pool,
                     )
                     .unwrap();
                     assert!(
@@ -2511,7 +2444,6 @@ end program gs
             &mut m1,
             &[KernelArg::Buf(d1), KernelArg::Buf(r1)],
             1,
-            None,
         )
         .unwrap();
         let mut m2 = Memory::new();
@@ -2521,7 +2453,6 @@ end program gs
             &mut m2,
             &[KernelArg::Buf(d2), KernelArg::Buf(r2)],
             1,
-            None,
         )
         .unwrap();
         assert_eq!(m1.buffer(r1), m2.buffer(r2));
@@ -2560,7 +2491,6 @@ end program gs
             &mut memory,
             &[KernelArg::Buf(u), KernelArg::Buf(un)],
             1,
-            None,
         )
         .unwrap();
         let at = |i: usize, j: usize, k: usize| memory.buffer(un)[i + e * j + e * e * k];

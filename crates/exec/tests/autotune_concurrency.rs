@@ -71,7 +71,7 @@ fn slow_tune_does_not_serialize_a_concurrent_cache_hit() {
         no_persist: false,
         reps: 1,
     };
-    let report = autotune::tune_one(&mut warm, 1, None, &warm_cfg);
+    let report = autotune::tune_one(&mut warm, 1, &warm_cfg);
     assert_eq!(report.fresh_tunes(), 1, "warm-up should calibrate once");
 
     // A deliberately slow tune: a much larger grid with many repetitions,
@@ -87,7 +87,7 @@ fn slow_tune_does_not_serialize_a_concurrent_cache_hit() {
     let slow = std::thread::spawn(move || {
         let mut big = compile(&average_source(128));
         started.store(true, Ordering::SeqCst);
-        let report = autotune::tune_one(&mut big, 1, None, &slow_cfg);
+        let report = autotune::tune_one(&mut big, 1, &slow_cfg);
         done.store(true, Ordering::SeqCst);
         report
     });
@@ -102,7 +102,7 @@ fn slow_tune_does_not_serialize_a_concurrent_cache_hit() {
     // The cached small kernel must resolve without waiting for the sweep.
     let mut hit = compile(&average_source(16));
     let t0 = Instant::now();
-    let report = autotune::tune_one(&mut hit, 1, None, &warm_cfg);
+    let report = autotune::tune_one(&mut hit, 1, &warm_cfg);
     let latency = t0.elapsed();
 
     assert_eq!(report.cache_hits(), 1, "expected an in-process cache hit");

@@ -43,6 +43,7 @@ pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod module;
+pub mod par;
 pub mod parse;
 pub mod pass;
 pub mod print;

@@ -44,6 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use fsc_ir::par::fan_out;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{BlockedRank, MpiSimError};
@@ -505,10 +506,11 @@ impl Link for CoopCtx<'_> {
 /// Worker threads a run of `size` ranks uses when asked for `workers`
 /// (`0` = the machine's available parallelism), capped at the rank count.
 pub fn effective_workers(workers: usize, size: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let w = if workers == 0 { auto } else { workers };
+    let w = if workers == 0 {
+        fsc_ir::par::available_threads()
+    } else {
+        workers
+    };
     w.clamp(1, size.max(1))
 }
 
@@ -539,13 +541,9 @@ where
     for r in 0..size {
         net.queues[r % workers].lock().push_back(r);
     }
-    std::thread::scope(|scope| {
-        let (net, tasks, results) = (&net, &tasks, &results);
-        for wid in 1..workers {
-            scope.spawn(move || worker_loop(wid, net, tasks, results));
-        }
-        // `run_one` contains task panics, so the caller never unwinds here.
-        worker_loop(0, net, tasks, results);
+    // `run_one` contains task panics, so the caller never unwinds here.
+    fan_out(workers, (0..workers).collect(), |wid| {
+        worker_loop(wid, &net, &tasks, &results)
     });
     let stats = CoopRunStats {
         workers,

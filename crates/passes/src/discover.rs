@@ -200,6 +200,26 @@ fn analyze_candidate(
         reads,
         ..
     } = ctx;
+    // A read of the stored array at an offset the loops visit *earlier*
+    // sees the value this nest just wrote there (a flow dependence, e.g.
+    // `u(i) = u(i-1) + …`), which the apply's snapshot semantics would
+    // not: leave such a nest as loops. Reads only at later offsets are
+    // anti-dependences, which the snapshot preserves.
+    let mut outer_first: Vec<usize> = (0..dim_loops.len()).collect();
+    outer_first.sort_by_key(|&d| dim_loops[d].depth);
+    let reads_earlier = |r: &Read| {
+        outer_first
+            .iter()
+            .map(|&d| r.offsets[d] - store_offsets[d])
+            .find(|&delta| delta != 0)
+            .is_some_and(|delta| delta < 0)
+    };
+    if reads
+        .values()
+        .any(|r| r.base == target.base && reads_earlier(r))
+    {
+        return None;
+    }
     Some(Candidate {
         store,
         store_offsets,
@@ -823,14 +843,15 @@ end program t
 
     #[test]
     fn in_place_update_is_discovered() -> std::result::Result<(), Box<dyn std::error::Error>> {
-        // Reading and writing the same array (value semantics snapshot).
+        // Reading and writing the same array at offsets the loop has not
+        // reached yet (anti-dependence: value semantics snapshot).
         let src = "
 program t
   integer, parameter :: n = 8
   integer :: i
   real(kind=8) :: u(0:n+1)
   do i = 1, n
-    u(i) = 0.5 * (u(i-1) + u(i+1))
+    u(i) = 0.5 * (u(i) + u(i+1))
   end do
 end program t
 ";
@@ -840,6 +861,43 @@ end program t
         assert_eq!(collect_ops_named(&m, stencil::EXTERNAL_LOAD).len(), 1);
         assert_eq!(collect_ops_named(&m, stencil::STORE).len(), 1);
         verify(&m)?;
+        Ok(())
+    }
+
+    #[test]
+    fn loop_carried_update_is_not_lifted() -> std::result::Result<(), Box<dyn std::error::Error>> {
+        // `u(i-1)` is the value the previous iteration just wrote (flow
+        // dependence); a snapshot would read the old one. In the 2-D nest
+        // `u(i+1, k-1)` was written a whole `k` iteration earlier: the
+        // outer dimension decides even though the inner delta is positive.
+        let one_d = "
+program t
+  integer, parameter :: n = 8
+  integer :: i
+  real(kind=8) :: u(0:n+1)
+  do i = 1, n
+    u(i) = 0.5 * (u(i-1) + u(i+1))
+  end do
+end program t
+";
+        let two_d = "
+program t
+  integer, parameter :: n = 8
+  integer :: i, k
+  real(kind=8) :: u(0:n+1, 0:n+1)
+  do k = 1, n
+    do i = 1, n
+      u(i, k) = u(i+1, k-1)
+    end do
+  end do
+end program t
+";
+        for src in [one_d, two_d] {
+            let mut m = compile_to_fir(src)?;
+            assert_eq!(discover_stencils(&mut m)?, 0, "{src}");
+            assert!(collect_ops_named(&m, stencil::APPLY).is_empty());
+            assert!(!collect_ops_named(&m, fir::DO_LOOP).is_empty());
+        }
         Ok(())
     }
 

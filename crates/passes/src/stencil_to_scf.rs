@@ -491,7 +491,7 @@ program t
   integer :: i
   real(kind=8) :: u(0:n+1)
   do i = 1, n
-    u(i) = 0.5 * (u(i-1) + u(i+1))
+    u(i) = 0.5 * (u(i) + u(i+1))
   end do
 end program t
 ";

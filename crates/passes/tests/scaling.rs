@@ -87,7 +87,7 @@ impl RegionDispatcher for Kernels {
                 other => panic!("unexpected region argument {other:?}"),
             })
             .collect();
-        run_kernel(kernel, memory, &args, 1, None)
+        run_kernel(kernel, memory, &args, 1)
     }
 }
 

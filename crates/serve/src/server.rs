@@ -151,9 +151,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().clamp(2, 8))
-                .unwrap_or(4),
+            workers: fsc_ir::par::available_threads().clamp(2, 8),
             queue_depth: 64,
             artifact_capacity: fsc_core::session::DEFAULT_ARTIFACT_CAPACITY,
             plan_cache: None,

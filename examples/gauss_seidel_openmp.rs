@@ -1,6 +1,7 @@
 //! The Gauss–Seidel benchmark with automatic OpenMP parallelisation
 //! (Figure 3's configuration): unchanged serial Fortran in, multithreaded
-//! execution out — compared against the hand-written OpenMP baseline.
+//! execution out — compared against the hand-written OpenMP baseline on
+//! the same number of worker threads (`0` = every core, for both).
 //!
 //! ```sh
 //! cargo run --release --example gauss_seidel_openmp [n] [iters] [threads]
@@ -17,7 +18,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(48);
     let iters: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let threads: usize = match args.next().and_then(|a| a.parse().ok()).unwrap_or(4) {
+        0 => flang_stencil::ir::par::available_threads(),
+        t => t,
+    };
     let cells = (n * n * n * iters) as f64;
 
     println!("Gauss–Seidel {n}³, {iters} iterations, {threads} threads\n");

@@ -399,6 +399,43 @@ end program quad
 }
 
 #[test]
+fn loop_carried_update_matches_the_interpreter_bit_for_bit() {
+    // `u(i-1)` is the value the previous iteration just wrote: Fortran's
+    // sequential semantics give 0, 2, 5.5, 10.75, … where a lifted
+    // (snapshot) stencil would give 0, 2, 5, 10, …. Discovery must leave
+    // the nest as loops so every target agrees with the interpreter.
+    let source = "
+program carried
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i
+  real(kind=8) :: u(0:n+1)
+  do i = 0, n+1
+    u(i) = i * i
+  end do
+  do i = 1, n
+    u(i) = 0.5 * (u(i-1) + u(i+1))
+  end do
+end program carried
+";
+    let flang = Compiler::run(source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
+    let reference = flang.array("u").unwrap().to_vec();
+    assert_eq!(reference[..4], [0.0, 2.0, 5.5, 10.75]);
+    for target in [Target::StencilCpu, Target::StencilOpenMp { threads: 2 }] {
+        let label = format!("{target:?}");
+        let exec = Compiler::run(source, &CompileOptions::for_target(target)).unwrap();
+        let got = exec.array("u").unwrap();
+        assert_eq!(got.len(), reference.len(), "{label}");
+        assert!(
+            got.iter()
+                .zip(&reference)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{label}: {got:?} vs {reference:?}"
+        );
+    }
+}
+
+#[test]
 fn multi_gpu_future_work_matches_reference_and_scales() {
     // Further-work avenue 5: distributed-memory + GPU. Correctness must be
     // exact; the modeled per-device time must shrink with more GPUs.

@@ -127,7 +127,6 @@ fn reparsed_stencil_module_still_compiles_and_runs() {
             &mut memory,
             &[KernelArg::Buf(data), KernelArg::Buf(res)],
             1,
-            None,
         )
         .unwrap();
         memory.buffer(res).to_vec()
