@@ -1883,6 +1883,7 @@ mod tests {
                 decomposition: grid.to_vec(),
                 halo_depth: 1,
                 jit_warnings: Vec::new(),
+                pipeline: None,
             },
             grid: ProcessGrid::new(grid.to_vec()),
             bounds: extents.iter().map(|&e| (1, e - 1)).collect(),

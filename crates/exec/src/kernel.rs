@@ -6,7 +6,12 @@
 //! [`BodyProgram`] bytecode with per-view strides and relative offsets
 //! resolved at compile time. A region may hold *several* nests (e.g. the
 //! Gauss–Seidel compute sweep followed by the copy sweep, sharing field
-//! views) — they execute in order.
+//! views). On one thread they run *pipelined*: each nest trails the one
+//! before it by a compile-time lag of slowest-dimension planes, so a step
+//! runs every nest over a few planes and the next nest reads what the
+//! previous one just wrote while it is still cached. Every cell computes
+//! the same values as in nest-at-a-time order, which is the one-step case
+//! of the same loop (see [`run_kernel`]).
 //!
 //! Runners ([`run_kernel`]):
 //! * single thread — innermost (unit-stride) dimension as the contiguous
@@ -16,6 +21,12 @@
 //!   thread as worker 0 ([`fsc_ir::par::fan_out`]);
 //! * GPU plans execute on the CPU for correctness while the driver charges
 //!   modeled time (see `fsc-gpusim`).
+
+// Kernels run on input-derived shapes: every failure is a coded error.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -251,9 +262,49 @@ pub struct CompiledKernel {
     /// fatal — surfaced through run reports so callers can attest
     /// degradation.
     pub jit_warnings: Vec<Diagnostic>,
+    /// The plane-interleaved schedule of the nests, when one is legal
+    /// ([`run_kernel`]); `None` runs them in order.
+    pub(crate) pipeline: Option<Pipeline>,
+}
+
+/// Bytes of slowest-dimension planes one pipeline step may hold across
+/// every view the kernel touches: half of a 2 MiB per-core L2, so what a
+/// nest writes in a step is still cached when the next nest reads it.
+const STEP_BYTES: i64 = 1 << 20;
+
+/// A legal plane-interleaved schedule for a region's nests.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Pipeline {
+    /// Per nest, the slowest-dimension planes it trails the step by.
+    pub(crate) lags: Vec<i64>,
+    /// Planes each nest runs per step.
+    pub(crate) planes: i64,
 }
 
 impl CompiledKernel {
+    /// Each nest's lag, in slowest-dimension planes, when a single-threaded
+    /// [`run_kernel`] runs this region pipelined; `None` when it runs the
+    /// nests in order (no legal schedule, a work-shared plan, or one step
+    /// would span the whole domain).
+    pub fn lags(&self) -> Option<&[i64]> {
+        let p = self.pipeline.as_ref()?;
+        let (first, end) = step_range(self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n)));
+        (p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
+    }
+
+    /// One line for drivers: `pipelined, lags [0, 1], 1 plane/step` or
+    /// `in order`.
+    pub fn schedule(&self) -> String {
+        match (self.lags(), &self.pipeline) {
+            (Some(lags), Some(p)) => format!(
+                "pipelined, lags {lags:?}, {} plane{}/step",
+                p.planes,
+                if p.planes == 1 { "" } else { "s" }
+            ),
+            _ => "in order".to_string(),
+        }
+    }
+
     /// Work metrics for one invocation (summed over nests).
     pub fn stats(&self) -> KernelStats {
         let mut s = KernelStats::default();
@@ -377,7 +428,7 @@ pub fn compile_kernel(module: &Module, func_name: &str) -> Result<CompiledKernel
         let written_args = attr_indices(module, launch, "written_args");
         let kentry = find_gpu_kernel_block(module, &kernel_sym)?;
         let kargs = module.block_args(kentry).to_vec();
-        let (views, nests, jit_warnings) = compile_nests(module, kentry, &kargs, &args)?;
+        let (views, nests, jit_warnings, pipeline) = compile_nests(module, kentry, &kargs, &args)?;
         return Ok(CompiledKernel {
             name: func_name.to_string(),
             args,
@@ -393,11 +444,12 @@ pub fn compile_kernel(module: &Module, func_name: &str) -> Result<CompiledKernel
             decomposition,
             halo_depth,
             jit_warnings,
+            pipeline,
         });
     }
 
     let arg_values = f.arguments(module);
-    let (views, nests, jit_warnings) = compile_nests(module, entry, &arg_values, &args)?;
+    let (views, nests, jit_warnings, pipeline) = compile_nests(module, entry, &arg_values, &args)?;
     let kind = match module
         .block_ops(entry)
         .into_iter()
@@ -408,6 +460,9 @@ pub fn compile_kernel(module: &Module, func_name: &str) -> Result<CompiledKernel
         },
         None => PlanKind::Cpu,
     };
+    // Work-shared nests run in order: a pipeline would pay a thread spawn
+    // per step.
+    let pipeline = pipeline.filter(|_| !matches!(kind, PlanKind::Omp { .. }));
     Ok(CompiledKernel {
         name: func_name.to_string(),
         args,
@@ -417,6 +472,7 @@ pub fn compile_kernel(module: &Module, func_name: &str) -> Result<CompiledKernel
         decomposition,
         halo_depth,
         jit_warnings,
+        pipeline,
     })
 }
 
@@ -447,16 +503,18 @@ fn find_gpu_kernel_block(module: &Module, sym: &str) -> Result<BlockId> {
 }
 
 /// Compile every loop nest in `block` in program order, accumulating the
-/// shared view list.
+/// shared view list, and derive the nests' pipeline schedule.
+#[allow(clippy::type_complexity)]
 fn compile_nests(
     module: &Module,
     block: BlockId,
     arg_values: &[ValueId],
     arg_kinds: &[ArgKind],
-) -> Result<(Vec<ViewSpec>, Vec<Nest>, Vec<Diagnostic>)> {
+) -> Result<(Vec<ViewSpec>, Vec<Nest>, Vec<Diagnostic>, Option<Pipeline>)> {
     let mut views: Vec<ViewSpec> = Vec::new();
     let mut view_of_value: HashMap<ValueId, usize> = HashMap::new();
     let mut nests: Vec<Nest> = Vec::new();
+    let mut reaches: Vec<Reach> = Vec::new();
     let mut jit_warnings: Vec<Diagnostic> = Vec::new();
     let mut pending_exchanges: Vec<MpiExchange> = Vec::new();
     let mut pending_snapshots: Vec<usize> = Vec::new();
@@ -563,7 +621,7 @@ fn compile_nests(
             | mpi::COMM_SIZE => {}
             "arith.constant" | gpu::HOST_REGISTER | gpu::MEMCPY | gpu::ALLOC | gpu::DEALLOC => {}
             scf::PARALLEL | omp::PARALLEL => {
-                let nest = compile_one_nest(
+                let (nest, reach) = compile_one_nest(
                     module,
                     op,
                     &views,
@@ -574,6 +632,7 @@ fn compile_nests(
                     &mut jit_warnings,
                 )?;
                 nests.push(nest);
+                reaches.push(reach);
             }
             func::RETURN | gpu::RETURN => {}
             other => return Err(err(format!("unexpected op '{other}' in region body"))),
@@ -582,7 +641,89 @@ fn compile_nests(
     if nests.is_empty() {
         return Err(err("no loop nest found in region"));
     }
-    Ok((views, nests, jit_warnings))
+    let pipeline = pipeline_for(&views, &nests, &reaches);
+    Ok((views, nests, jit_warnings, pipeline))
+}
+
+/// Per `(view, is_store)`, the `(min, max)` slowest-dimension subscript
+/// constant of one nest's accesses: all the lag rule needs to know.
+type Reach = HashMap<(usize, bool), (i64, i64)>;
+
+/// The smallest non-decreasing lags that keep every dependence between
+/// the nests, and the planes per step.
+///
+/// Nest `i` runs plane `p` at step `p + L_i`, and within a step the nests
+/// run in order, so a cell nest `i < j` touches at plane `p` and nest `j`
+/// at plane `q` is still touched by `i` first when `p + L_i ≤ q + L_j`.
+/// With `r` and `w` the slowest-dim read and store offsets on a view both
+/// nests use, that holds for every such cell when `L_j − L_i` is at least
+/// `r_j − w_i` (flow: `j` reads what `i` wrote), `w_j − w_i` (output: `j`
+/// writes last) and `w_j − r_i` (anti: `i` reads before `j` overwrites).
+///
+/// `None` — run in order — when fewer than two nests have cells, a nest
+/// refreshes snapshots or exchanges halos (per-nest events the step loop
+/// does not split), a view has fewer dimensions than the domain, or a nest
+/// stores one view at two slowest-dim offsets (its cells are written from
+/// two planes, and a tiled sweep does not visit planes in order).
+fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option<Pipeline> {
+    let rank = nests.first()?.bounds.len();
+    let slow = rank.checked_sub(1)?;
+    let unsplittable = nests
+        .iter()
+        .any(|n| !n.snapshots.is_empty() || !n.exchanges.is_empty());
+    let two_plane_stores = reaches
+        .iter()
+        .flatten()
+        .any(|(&(_, store), &(lo, hi))| store && lo != hi);
+    if nests.iter().filter(|n| n.domain_cells() > 0).count() < 2
+        || unsplittable
+        || two_plane_stores
+        || views.iter().any(|v| v.extents.len() != rank)
+    {
+        return None;
+    }
+    let mut lags = vec![0i64; nests.len()];
+    for j in 1..nests.len() {
+        let mut lag = lags[j - 1];
+        for i in 0..j {
+            for v in 0..views.len() {
+                // (later access in j, earlier access in i): flow, output, anti.
+                for (later, earlier) in [(false, true), (true, true), (true, false)] {
+                    if let (Some(b), Some(a)) =
+                        (reaches[j].get(&(v, later)), reaches[i].get(&(v, earlier)))
+                    {
+                        lag = lag.max(lags[i].saturating_add(b.1.saturating_sub(a.0)));
+                    }
+                }
+            }
+        }
+        lags[j] = lag;
+    }
+    let plane_bytes = views
+        .iter()
+        .map(|v| {
+            v.extents[..slow]
+                .iter()
+                .fold(8i64, |b, &e| b.saturating_mul(e))
+        })
+        .max()?;
+    let planes = (STEP_BYTES / plane_bytes.saturating_mul(views.len() as i64).max(1)).max(1);
+    Some(Pipeline { lags, planes })
+}
+
+/// First and one-past-last step of a sweep: every nest's slowest-dimension
+/// planes shifted by its lag. Nests without cells take no part.
+fn step_range<'n>(nests: impl Iterator<Item = (i64, &'n Nest)>) -> (i64, i64) {
+    nests
+        .filter(|(_, n)| n.domain_cells() > 0)
+        .filter_map(|(lag, n)| {
+            n.bounds
+                .last()
+                .map(|&(lb, ub)| (lb.saturating_add(lag), ub.saturating_add(lag)))
+        })
+        .fold((i64::MAX, i64::MIN), |(first, end), (lo, hi)| {
+            (first.min(lo), end.max(hi))
+        })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -595,7 +736,7 @@ fn compile_one_nest(
     exchanges: Vec<MpiExchange>,
     snapshots: Vec<usize>,
     jit_warnings: &mut Vec<Diagnostic>,
-) -> Result<Nest> {
+) -> Result<(Nest, Reach)> {
     let mut iv_bounds: HashMap<ValueId, (i64, i64)> = HashMap::new();
     let mut tile_of_iv: HashMap<ValueId, i64> = HashMap::new();
     let innermost = collect_loops(module, loop_root, &mut iv_bounds, &mut tile_of_iv)?;
@@ -611,6 +752,7 @@ fn compile_one_nest(
         program: BodyProgram::default(),
         dim_of_iv: HashMap::new(),
         out_views: Vec::new(),
+        reach: HashMap::new(),
     };
     // First pass: decode every access so ivs are bound to dimensions before
     // any `stencil.index`-as-data use needs the mapping.
@@ -633,6 +775,7 @@ fn compile_one_nest(
         mut program,
         dim_of_iv,
         out_views,
+        reach,
         ..
     } = compiler;
     program.num_regs = regs;
@@ -710,7 +853,7 @@ fn compile_one_nest(
         Some("blocking") => Some(HaloSchedule::Blocking),
         _ => None,
     };
-    Ok(Nest {
+    let nest = Nest {
         bounds,
         out_views,
         program,
@@ -722,7 +865,8 @@ fn compile_one_nest(
         halo_schedule,
         snapshots,
         plan,
-    })
+    };
+    Ok((nest, reach))
 }
 
 /// Descend a loop structure (`scf.parallel` / `omp.parallel{wsloop}` with
@@ -833,6 +977,8 @@ struct BodyCompiler<'a> {
     program: BodyProgram,
     dim_of_iv: HashMap<ValueId, usize>,
     out_views: Vec<usize>,
+    /// The slowest-dimension subscript constants of the accesses.
+    reach: Reach,
 }
 
 impl<'a> BodyCompiler<'a> {
@@ -866,7 +1012,8 @@ impl<'a> BodyCompiler<'a> {
     }
 
     /// Decode a memref access: `(view index, relative linear offset)` while
-    /// assigning ivs to dimensions.
+    /// assigning ivs to dimensions and noting the slowest subscript's
+    /// constant in [`BodyCompiler::reach`] (`memref_pos` 1 is a store).
     fn access_of(&mut self, op: OpId, memref_pos: usize) -> Result<(usize, i64)> {
         let m = self.module;
         let data = m.op(op);
@@ -876,6 +1023,7 @@ impl<'a> BodyCompiler<'a> {
             .ok_or_else(|| err("access of unknown view"))?;
         let strides = self.views[view].strides.clone();
         let mut off = 0i64;
+        let mut slowest = None;
         for (k, &idx) in data.operands[memref_pos + 1..].iter().enumerate() {
             let (iv, c) = decode_index_expr(m, idx)
                 .ok_or_else(|| err("unsupported index expression in kernel"))?;
@@ -888,6 +1036,13 @@ impl<'a> BodyCompiler<'a> {
                 }
             }
             off += c * strides[k];
+            slowest = Some(c);
+        }
+        if let Some(c) = slowest {
+            self.reach
+                .entry((view, memref_pos == 1))
+                .and_modify(|(lo, hi)| (*lo, *hi) = ((*lo).min(c), (*hi).max(c)))
+                .or_insert((c, c));
         }
         Ok((view, off))
     }
@@ -1077,16 +1232,38 @@ fn decode_index_expr(m: &Module, v: ValueId) -> Option<(ValueId, i64)> {
 // Execution
 // --------------------------------------------------------------------------
 
-/// Run a compiled kernel: resolve views, then execute every nest in order
-/// (refreshing snapshots in between). `threads > 1` work-shares each nest;
-/// otherwise nests run on the calling thread.
+/// Run a compiled kernel: resolve views, then sweep the nests in steps.
+///
+/// Step `s` runs nest `i` over the slowest-dimension planes
+/// `[s − L_i, s − L_i + B)`, clipped to its bounds, nests in order within
+/// the step; steps advance by `B`. With the kernel's pipeline (lags `L`,
+/// `B` planes per step, see [`CompiledKernel::lags`]) a nest reads what
+/// the nests before it wrote a lag ago, still in cache. Otherwise every
+/// lag is 0 and `B` spans the domain: one step, each nest whole, in order
+/// (refreshing its snapshots first). That is the schedule whenever
+/// `threads > 1` (each nest is work-shared, and a pipeline would spawn
+/// threads per step) or two views resolve to one buffer (the lags compare
+/// views, not buffers). Either way every cell runs the same instructions
+/// on the same values.
 pub fn run_kernel(
     kernel: &CompiledKernel,
     memory: &mut Memory,
     args: &[KernelArg],
     threads: usize,
 ) -> Result<()> {
-    // Resolve all views to buffers (snapshots allocate backing storage).
+    let bufs = resolve_views(kernel, memory, args)?;
+    let ran = run_steps(kernel, &bufs, memory, &scalar_args(args), threads);
+    release_snapshots(kernel, &bufs, memory);
+    ran
+}
+
+/// The buffer behind each view; snapshot views get fresh call-local
+/// storage (hand it back with [`release_snapshots`]).
+fn resolve_views(
+    kernel: &CompiledKernel,
+    memory: &mut Memory,
+    args: &[KernelArg],
+) -> Result<Vec<BufId>> {
     let mut bufs: Vec<BufId> = Vec::with_capacity(kernel.views.len());
     for view in &kernel.views {
         let buf = match view.source {
@@ -1094,49 +1271,107 @@ pub fn run_kernel(
                 Some(KernelArg::Buf(b)) => *b,
                 _ => return Err(err("pointer argument missing at call")),
             },
-            ViewSource::SnapshotOf(src) => {
-                if src == usize::MAX || src >= bufs.len() {
-                    return Err(err("snapshot of unresolved view"));
-                }
+            ViewSource::SnapshotOf(src) if src < bufs.len() => {
                 memory.try_alloc_buffer(view.checked_len()?)?
             }
+            ViewSource::SnapshotOf(_) => return Err(err("snapshot of unresolved view")),
         };
         bufs.push(buf);
     }
-    let scalars: Vec<f64> = args
-        .iter()
-        .filter_map(|a| match a {
-            KernelArg::Scalar(s) => Some(*s),
-            KernelArg::Buf(_) => None,
-        })
-        .collect();
+    Ok(bufs)
+}
 
-    for nest in &kernel.nests {
-        // Degenerate domains (n ≤ 2·halo leaves no interior) have nothing
-        // to compute — skip before paying for snapshot refreshes.
-        if nest.domain_cells() == 0 {
-            continue;
-        }
-        // Refresh snapshot views.
-        for &v in &nest.snapshots {
-            let ViewSource::SnapshotOf(src) = kernel.views[v].source else {
-                return Err(err("snapshot refresh of non-snapshot view"));
-            };
-            if bufs[src] != bufs[v] {
-                let (s, d) = memory.buffer_pair_mut(bufs[src], bufs[v]);
-                d.copy_from_slice(s);
-            }
-        }
-        run_nest(nest, &kernel.views, &bufs, memory, &scalars, threads)?;
-    }
-    // Scratch snapshot buffers are call-local: release them so time loops
-    // reuse rather than grow memory.
-    for (view, &buf) in kernel.views.iter().zip(&bufs) {
+/// Scratch snapshot buffers are call-local: release them so time loops
+/// reuse rather than grow memory.
+fn release_snapshots(kernel: &CompiledKernel, bufs: &[BufId], memory: &mut Memory) {
+    for (view, &buf) in kernel.views.iter().zip(bufs) {
         if matches!(view.source, ViewSource::SnapshotOf(_)) {
             memory.release_buffer(buf);
         }
     }
+}
+
+fn scalar_args(args: &[KernelArg]) -> Vec<f64> {
+    args.iter()
+        .filter_map(|a| match a {
+            KernelArg::Scalar(s) => Some(*s),
+            KernelArg::Buf(_) => None,
+        })
+        .collect()
+}
+
+/// The step loop of [`run_kernel`].
+fn run_steps(
+    kernel: &CompiledKernel,
+    bufs: &[BufId],
+    memory: &mut Memory,
+    scalars: &[f64],
+    threads: usize,
+) -> Result<()> {
+    let views = &kernel.views;
+    let aliased = bufs.iter().enumerate().any(|(i, b)| bufs[..i].contains(b));
+    let pipeline = kernel
+        .pipeline
+        .as_ref()
+        .filter(|_| threads <= 1 && !aliased);
+    // Per-dispatch set-up — output slots, the alias scan, snapshot pairs —
+    // stays outside the step loop.
+    let mut work = Vec::with_capacity(kernel.nests.len());
+    for (i, nest) in kernel.nests.iter().enumerate() {
+        // Degenerate domains (n ≤ 2·halo leaves no interior) have nothing
+        // to compute, not even a snapshot refresh.
+        if nest.domain_cells() == 0 {
+            continue;
+        }
+        let lag = pipeline.and_then(|p| p.lags.get(i).copied()).unwrap_or(0);
+        let refresh = snapshot_pairs(nest, views, bufs)?;
+        work.push((lag, nest, NestIo::new(nest, views, bufs)?, refresh));
+    }
+    let (mut step, end) = step_range(work.iter().map(|&(lag, nest, ..)| (lag, nest)));
+    let planes = pipeline.map_or(i64::MAX, |p| p.planes.max(1));
+    let bases = vec![0i64; views.len()];
+    while step < end {
+        for (lag, nest, io, refresh) in &work {
+            let from = step.saturating_sub(*lag);
+            let Some(local) = plane_box(&nest.bounds, from, from.saturating_add(planes)) else {
+                continue;
+            };
+            refresh_snapshots(refresh, memory);
+            io.run(nest, views, bufs, memory, scalars, &local, &bases, threads);
+        }
+        step = step.saturating_add(planes);
+    }
     Ok(())
+}
+
+/// `(source, snapshot)` buffers of the snapshot views `nest` refreshes.
+fn snapshot_pairs(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Vec<(BufId, BufId)>> {
+    let mut pairs = Vec::with_capacity(nest.snapshots.len());
+    for &v in &nest.snapshots {
+        let ViewSource::SnapshotOf(src) = views[v].source else {
+            return Err(err("snapshot refresh of non-snapshot view"));
+        };
+        if bufs[src] != bufs[v] {
+            pairs.push((bufs[src], bufs[v]));
+        }
+    }
+    Ok(pairs)
+}
+
+fn refresh_snapshots(pairs: &[(BufId, BufId)], memory: &mut Memory) {
+    for &(src, dst) in pairs {
+        let (s, d) = memory.buffer_pair_mut(src, dst);
+        d.copy_from_slice(s);
+    }
+}
+
+/// `bounds` with the slowest dimension clipped to planes `[from, to)`;
+/// `None` when nothing is left.
+fn plane_box(bounds: &[(i64, i64)], from: i64, to: i64) -> Option<Vec<(i64, i64)>> {
+    let mut local = bounds.to_vec();
+    let slowest = local.last_mut()?;
+    *slowest = (slowest.0.max(from), slowest.1.min(to));
+    (slowest.0 < slowest.1).then_some(local)
 }
 
 /// Run a compiled kernel the way Flang's direct FIR→LLVM flow executes the
@@ -1153,98 +1388,74 @@ pub fn run_kernel_naive(
     memory: &mut Memory,
     args: &[KernelArg],
 ) -> Result<()> {
-    let mut bufs: Vec<BufId> = Vec::with_capacity(kernel.views.len());
-    for view in &kernel.views {
-        let buf = match view.source {
-            ViewSource::Arg(i) => match args.get(i) {
-                Some(KernelArg::Buf(b)) => *b,
-                _ => return Err(err("pointer argument missing at call")),
-            },
-            ViewSource::SnapshotOf(_) => memory.try_alloc_buffer(view.checked_len()?)?,
-        };
-        bufs.push(buf);
-    }
-    let scalars: Vec<f64> = args
-        .iter()
-        .filter_map(|a| match a {
-            KernelArg::Scalar(s) => Some(*s),
-            KernelArg::Buf(_) => None,
-        })
-        .collect();
+    let bufs = resolve_views(kernel, memory, args)?;
+    let ran = run_naive_nests(kernel, &bufs, memory, &scalar_args(args));
+    release_snapshots(kernel, &bufs, memory);
+    ran
+}
 
+fn run_naive_nests(
+    kernel: &CompiledKernel,
+    bufs: &[BufId],
+    memory: &mut Memory,
+    scalars: &[f64],
+) -> Result<()> {
+    let views = &kernel.views;
     for nest in &kernel.nests {
         // Empty iteration domain: nothing to do, including snapshots.
         if nest.domain_cells() == 0 {
             continue;
         }
-        for &v in &nest.snapshots {
-            let ViewSource::SnapshotOf(src) = kernel.views[v].source else {
-                return Err(err("snapshot refresh of non-snapshot view"));
-            };
-            if bufs[src] != bufs[v] {
-                let (s, d) = memory.buffer_pair_mut(bufs[src], bufs[v]);
-                d.copy_from_slice(s);
-            }
-        }
-        let rank = nest.bounds.len();
-        let views = &kernel.views;
-        let mut out_view_map: Vec<Option<u16>> = vec![None; views.len()];
-        let mut out_buf_ids: Vec<BufId> = Vec::new();
-        for (slot, &v) in nest.out_views.iter().enumerate() {
-            out_view_map[v] = Some(slot as u16);
-            out_buf_ids.push(bufs[v]);
-        }
-        let mut taken: Vec<Vec<f64>> = out_buf_ids.iter().map(|&b| memory.take_buffer(b)).collect();
-        {
-            let inputs: Vec<&[f64]> = bufs
-                .iter()
-                .enumerate()
-                .map(|(v, &b)| {
-                    if out_view_map[v].is_some() {
-                        &[][..]
-                    } else {
-                        memory.buffer(b)
-                    }
-                })
-                .collect();
-            let mut outputs: Vec<&mut [f64]> = taken.iter_mut().map(|v| v.as_mut_slice()).collect();
-            let mut regs = vec![0.0f64; nest.program.num_regs.max(1) as usize];
-            let mut coords: Vec<i64> = nest.bounds.iter().map(|&(lb, _)| lb).collect();
-            'cells: loop {
-                naive_cell(
-                    &nest.program,
-                    views,
-                    &coords,
-                    &mut regs,
-                    &inputs,
-                    &mut outputs,
-                    &out_view_map,
-                    &scalars,
-                );
-                let mut d = 0;
-                loop {
-                    coords[d] += 1;
-                    if coords[d] < nest.bounds[d].1 {
-                        break;
-                    }
-                    coords[d] = nest.bounds[d].0;
-                    d += 1;
-                    if d == rank {
-                        break 'cells;
-                    }
-                }
-            }
-        }
-        for (b, data) in out_buf_ids.iter().zip(taken) {
-            memory.restore_buffer(*b, data);
-        }
-    }
-    for (view, &buf) in kernel.views.iter().zip(&bufs) {
-        if matches!(view.source, ViewSource::SnapshotOf(_)) {
-            memory.release_buffer(buf);
-        }
+        refresh_snapshots(&snapshot_pairs(nest, views, bufs)?, memory);
+        let io = NestIo::new(nest, views, bufs)?;
+        let mut taken = io.take(memory);
+        let swept = {
+            let inputs = io.inputs(bufs, memory);
+            let mut outputs: Vec<&mut [f64]> = taken.iter_mut().map(Vec::as_mut_slice).collect();
+            naive_sweep(nest, views, &inputs, &mut outputs, &io.out_slots, scalars)
+        };
+        io.restore(memory, taken);
+        swept?;
     }
     Ok(())
+}
+
+/// Every cell of `nest`, dimension 0 fastest, through [`naive_cell`].
+fn naive_sweep(
+    nest: &Nest,
+    views: &[ViewSpec],
+    inputs: &[&[f64]],
+    outputs: &mut [&mut [f64]],
+    out_slots: &[Option<u16>],
+    scalars: &[f64],
+) -> Result<()> {
+    let rank = nest.bounds.len();
+    let mut regs = vec![0.0f64; nest.program.num_regs.max(1) as usize];
+    let mut coords: Vec<i64> = nest.bounds.iter().map(|&(lb, _)| lb).collect();
+    loop {
+        naive_cell(
+            &nest.program,
+            views,
+            &coords,
+            &mut regs,
+            inputs,
+            outputs,
+            out_slots,
+            scalars,
+        )?;
+        let mut d = 0;
+        loop {
+            coords[d] += 1;
+            if coords[d] < nest.bounds[d].1 {
+                break;
+            }
+            coords[d] = nest.bounds[d].0;
+            d += 1;
+            if d == rank {
+                return Ok(());
+            }
+        }
+    }
 }
 
 /// One naive-tier cell: every array access recomputes its full column-major
@@ -1261,8 +1472,7 @@ fn naive_cell(
     outputs: &mut [&mut [f64]],
     out_view_map: &[Option<u16>],
     scalars: &[f64],
-) {
-    use crate::bytecode::Instr;
+) -> Result<()> {
     let address = |view: usize, off: i64| -> i64 {
         let spec = &views[view];
         let mut idx = off;
@@ -1283,11 +1493,14 @@ fn naive_cell(
                 regs[dst as usize] = slice[idx as usize];
             }
             Instr::Store { view, off, src } => {
-                let slot = out_view_map[view as usize]
-                    .expect("store to a view that is not an output")
-                    as usize;
+                let Some(slot) = out_view_map[view as usize] else {
+                    return Err(IrError::from_diagnostic(Diagnostic::error(
+                        codes::EXEC,
+                        format!("kernel stores to view {view}, which is not an output of its nest"),
+                    )));
+                };
                 let idx = address(view as usize, off);
-                let slice = &mut outputs[slot];
+                let slice = &mut outputs[usize::from(slot)];
                 assert!(
                     idx >= 0 && (idx as usize) < slice.len(),
                     "store out of bounds: {idx} in view {view}"
@@ -1297,125 +1510,137 @@ fn naive_cell(
             ref other => crate::bytecode::exec_scalar_instr(other, regs, coords, scalars),
         }
     }
-}
-
-fn run_nest(
-    nest: &Nest,
-    views: &[ViewSpec],
-    bufs: &[BufId],
-    memory: &mut Memory,
-    scalars: &[f64],
-    threads: usize,
-) -> Result<()> {
-    if nest.domain_cells() == 0 {
-        return Ok(());
-    }
-
-    // Output views: distinct buffers, moved out of the arena.
-    let mut out_view_map: Vec<Option<u16>> = vec![None; views.len()];
-    let mut out_buf_ids: Vec<BufId> = Vec::new();
-    for (slot, &v) in nest.out_views.iter().enumerate() {
-        out_view_map[v] = Some(slot as u16);
-        out_buf_ids.push(bufs[v]);
-    }
-    // Input views of THIS nest must not alias its outputs (snapshot copies
-    // guarantee this for in-place stencils).
-    for instr in &nest.program.instrs {
-        if let Instr::Load { view, .. } = instr {
-            let v = *view as usize;
-            if out_view_map[v].is_none() && out_buf_ids.contains(&bufs[v]) {
-                return Err(err("output buffer aliases an input view"));
-            }
-        }
-    }
-    let mut taken: Vec<Vec<f64>> = out_buf_ids.iter().map(|&b| memory.take_buffer(b)).collect();
-
-    {
-        let inputs: Vec<&[f64]> = bufs
-            .iter()
-            .enumerate()
-            .map(|(v, &b)| {
-                if out_view_map[v].is_some() {
-                    &[][..]
-                } else {
-                    memory.buffer(b)
-                }
-            })
-            .collect();
-
-        // Work-sharing budget: the thread count, capped by the plan's slab
-        // knob. The task planner splits the slowest dimension first and
-        // keeps factoring into the next-slower dimensions when the slowest
-        // extent alone cannot feed the budget (e.g. a 4³ nest on 32
-        // threads still produces 32 tasks).
-        let effective_threads = threads.max(1);
-        let budget = if nest.plan.slabs > 0 {
-            effective_threads.min(nest.plan.slabs as usize)
-        } else {
-            effective_threads
-        };
-        let tasks = if budget > 1 {
-            plan_tasks(&nest.bounds, budget)
-        } else {
-            Vec::new()
-        };
-        if tasks.len() > 1 {
-            let fine = run_sliced(
-                nest,
-                views,
-                &inputs,
-                &mut taken,
-                &out_view_map,
-                scalars,
-                &tasks,
-                budget,
-            );
-            if fine.is_err() {
-                // Store offsets can make finely split slabs overlap; retry
-                // with the coarser slowest-dimension-only split before
-                // giving up on work-sharing for this kernel.
-                let coarse = plan_tasks_outer_only(&nest.bounds, budget);
-                if coarse.len() > 1 && coarse != tasks {
-                    run_sliced(
-                        nest,
-                        views,
-                        &inputs,
-                        &mut taken,
-                        &out_view_map,
-                        scalars,
-                        &coarse,
-                        budget,
-                    )?;
-                } else {
-                    fine?;
-                }
-            }
-        } else {
-            let mut outputs: Vec<&mut [f64]> = taken.iter_mut().map(|v| v.as_mut_slice()).collect();
-            let slab_starts = vec![0i64; views.len()];
-            run_box(
-                nest,
-                views,
-                &inputs,
-                &mut outputs,
-                &slab_starts,
-                &out_view_map,
-                scalars,
-                &nest.bounds,
-            );
-        }
-    }
-
-    for (b, data) in out_buf_ids.iter().zip(taken) {
-        memory.restore_buffer(*b, data);
-    }
     Ok(())
 }
 
-/// Serial variant of [`run_nest`] over an explicit sub-box of the nest's
-/// iteration domain — the distributed executor's per-rank building block
-/// (owned blocks, interiors, boundary shells). Same take/alias discipline
-/// as `run_nest`, but always single-threaded: the rank bodies themselves
+/// A nest's outputs, resolved once per dispatch: each run moves them out
+/// of the arena, so they are mutable while the inputs stay shared, and
+/// puts them back.
+struct NestIo {
+    /// Output slot per view (`None` for views the nest only reads).
+    out_slots: Vec<Option<u16>>,
+    /// The buffer behind each output slot.
+    out_bufs: Vec<BufId>,
+}
+
+impl NestIo {
+    fn new(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Self> {
+        let mut out_slots: Vec<Option<u16>> = vec![None; views.len()];
+        let mut out_bufs: Vec<BufId> = Vec::with_capacity(nest.out_views.len());
+        for (slot, &v) in nest.out_views.iter().enumerate() {
+            out_slots[v] = Some(slot as u16);
+            out_bufs.push(bufs[v]);
+        }
+        // Input views of THIS nest must not alias its outputs (snapshot
+        // copies guarantee this for in-place stencils).
+        for instr in &nest.program.instrs {
+            if let Instr::Load { view, .. } = instr {
+                let v = usize::from(*view);
+                if out_slots[v].is_none() && out_bufs.contains(&bufs[v]) {
+                    return Err(err("output buffer aliases an input view"));
+                }
+            }
+        }
+        Ok(Self {
+            out_slots,
+            out_bufs,
+        })
+    }
+
+    fn take(&self, memory: &mut Memory) -> Vec<Vec<f64>> {
+        self.out_bufs
+            .iter()
+            .map(|&b| memory.take_buffer(b))
+            .collect()
+    }
+
+    /// Every view's contents, empty for the taken outputs.
+    fn inputs<'m>(&self, bufs: &[BufId], memory: &'m Memory) -> Vec<&'m [f64]> {
+        bufs.iter()
+            .zip(&self.out_slots)
+            .map(|(&b, slot)| match slot {
+                Some(_) => &[][..],
+                None => memory.buffer(b),
+            })
+            .collect()
+    }
+
+    fn restore(&self, memory: &mut Memory, taken: Vec<Vec<f64>>) {
+        for (&b, data) in self.out_bufs.iter().zip(taken) {
+            memory.restore_buffer(b, data);
+        }
+    }
+
+    /// Run `nest` over the box `local`, buffers windowed by `bases` (see
+    /// [`run_nest_box_based`]). `threads > 1` work-shares the box over
+    /// slabs of zero-based buffers: the planner splits the slowest
+    /// dimension first and keeps factoring into the next-slower ones when
+    /// the slowest extent alone cannot feed the budget (a 4³ nest on 32
+    /// threads still makes 32 tasks), and the plan's slab knob caps it.
+    /// Store offsets can make a fine split's slabs overlap; then the
+    /// coarser slowest-dimension-only split is tried, and if its slabs
+    /// overlap too the box runs on the calling thread, which is always
+    /// legal.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        nest: &Nest,
+        views: &[ViewSpec],
+        bufs: &[BufId],
+        memory: &mut Memory,
+        scalars: &[f64],
+        local: &[(i64, i64)],
+        bases: &[i64],
+        threads: usize,
+    ) {
+        let mut taken = self.take(memory);
+        {
+            let inputs = self.inputs(bufs, memory);
+            let budget = match nest.plan.slabs {
+                0 => threads.max(1),
+                slabs => threads.max(1).min(slabs as usize),
+            };
+            let shared = budget > 1 && {
+                let fine = plan_tasks(local, budget);
+                let coarse = || plan_tasks_outer_only(local, budget);
+                let mut run = |tasks: &[Vec<(i64, i64)>]| {
+                    tasks.len() > 1
+                        && run_sliced(
+                            nest,
+                            views,
+                            &inputs,
+                            &mut taken,
+                            &self.out_slots,
+                            scalars,
+                            tasks,
+                            budget,
+                        )
+                };
+                run(&fine) || run(&coarse())
+            };
+            if !shared {
+                let mut outputs: Vec<&mut [f64]> =
+                    taken.iter_mut().map(Vec::as_mut_slice).collect();
+                run_box(
+                    nest,
+                    views,
+                    &inputs,
+                    &mut outputs,
+                    bases,
+                    &self.out_slots,
+                    scalars,
+                    local,
+                );
+            }
+        }
+        self.restore(memory, taken);
+    }
+}
+
+/// One nest over an explicit sub-box of its iteration domain, serially —
+/// the distributed executor's per-rank building block (owned blocks,
+/// interiors, boundary shells). Same take/alias discipline as
+/// [`run_kernel`], but always single-threaded: the rank bodies themselves
 /// already run as scheduler tasks (or threads), one per rank.
 ///
 /// Buffers may be *windowed*: `bases[v]` is the flat offset of view `v`'s
@@ -1438,48 +1663,7 @@ pub(crate) fn run_nest_box_based(
     if local.iter().any(|&(lb, ub)| lb >= ub) {
         return Ok(());
     }
-    let mut out_view_map: Vec<Option<u16>> = vec![None; views.len()];
-    let mut out_buf_ids: Vec<BufId> = Vec::new();
-    for (slot, &v) in nest.out_views.iter().enumerate() {
-        out_view_map[v] = Some(slot as u16);
-        out_buf_ids.push(bufs[v]);
-    }
-    for instr in &nest.program.instrs {
-        if let Instr::Load { view, .. } = instr {
-            let v = *view as usize;
-            if out_view_map[v].is_none() && out_buf_ids.contains(&bufs[v]) {
-                return Err(err("output buffer aliases an input view"));
-            }
-        }
-    }
-    let mut taken: Vec<Vec<f64>> = out_buf_ids.iter().map(|&b| memory.take_buffer(b)).collect();
-    {
-        let inputs: Vec<&[f64]> = bufs
-            .iter()
-            .enumerate()
-            .map(|(v, &b)| {
-                if out_view_map[v].is_some() {
-                    &[][..]
-                } else {
-                    memory.buffer(b)
-                }
-            })
-            .collect();
-        let mut outputs: Vec<&mut [f64]> = taken.iter_mut().map(|v| v.as_mut_slice()).collect();
-        run_box(
-            nest,
-            views,
-            &inputs,
-            &mut outputs,
-            bases,
-            &out_view_map,
-            scalars,
-            local,
-        );
-    }
-    for (b, data) in out_buf_ids.iter().zip(taken) {
-        memory.restore_buffer(*b, data);
-    }
+    NestIo::new(nest, views, bufs)?.run(nest, views, bufs, memory, scalars, local, bases, 1);
     Ok(())
 }
 
@@ -1833,8 +2017,8 @@ fn plan_tasks_outer_only(bounds: &[(i64, i64)], target: usize) -> Vec<Vec<(i64, 
 /// [`plan_tasks_outer_only`] fallback): per-task sub-boxes of the domain in
 /// ascending memory order. Each output buffer is carved into disjoint
 /// `split_at_mut` slabs covering each task's store footprint; if footprints
-/// overlap (wide store offsets), an error tells the caller to retry with a
-/// coarser split.
+/// overlap (wide store offsets), it returns `false` having run nothing, and
+/// the caller tries a coarser split or none.
 #[allow(clippy::too_many_arguments)]
 fn run_sliced(
     nest: &Nest,
@@ -1845,7 +2029,7 @@ fn run_sliced(
     scalars: &[f64],
     task_bounds: &[Vec<(i64, i64)>],
     workers: usize,
-) -> Result<()> {
+) -> bool {
     // Exact per-store offset extremes per out view.
     let mut out_offsets: Vec<(i64, i64)> = vec![(i64::MAX, i64::MIN); views.len()];
     for instr in &nest.program.instrs {
@@ -1893,7 +2077,7 @@ fn run_sliced(
         for (t, tb) in task_bounds.iter().enumerate() {
             let (s, e) = slab_bounds(view, tb);
             if s < consumed {
-                return Err(err("parallel slabs overlap; cannot work-share this kernel"));
+                return false;
             }
             let (_skip, rest) = remaining.split_at_mut((s - consumed) as usize);
             let (slab, rest) = rest.split_at_mut((e - s) as usize);
@@ -1916,7 +2100,7 @@ fn run_sliced(
             &task.bounds,
         )
     });
-    Ok(())
+    true
 }
 
 #[cfg(test)]
@@ -2497,5 +2681,289 @@ end program gs
         assert_eq!(at(3, 3, 3), 1.0);
         assert_eq!(at(1, 1, 1), 1.0);
         assert_eq!(at(0, 0, 0), 0.0);
+    }
+
+    /// A 3-D program over `u, v, w, un` (each `0:n+1` cubed) with one
+    /// `do k / do j / do i` nest per `(statement, k from, k to)`, i and j
+    /// running 1..n: the nests land in one region.
+    fn nests3d(n: i64, nests: &[(&str, i64, i64)]) -> String {
+        let mut src = format!(
+            "program t\n  integer, parameter :: n = {n}\n  integer :: i, j, k\n  \
+             real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), v(0:n+1, 0:n+1, 0:n+1)\n  \
+             real(kind=8) :: w(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)\n",
+        );
+        for (stmt, from, to) in nests {
+            src += &format!(
+                "  do k = {from}, {to}\n    do j = 1, n\n      do i = 1, n\n        \
+                 {stmt}\n      end do\n    end do\n  end do\n"
+            );
+        }
+        src + "end program t\n"
+    }
+
+    const GS_STENCIL: &str = "un(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) + u(i, j-1, k) \
+                              + u(i, j+1, k) + u(i, j, k-1) + u(i, j, k+1)) / 6.0";
+
+    const GS2D_PAIR: &str = "
+program gs2
+  integer, parameter :: n = 7
+  integer :: i, j
+  real(kind=8) :: u(0:n+1, 0:n+1), un(0:n+1, 0:n+1)
+  do j = 1, n
+    do i = 1, n
+      un(i, j) = 0.25 * (u(i-1, j) + u(i+1, j) + u(i, j-1) + u(i, j+1))
+    end do
+  end do
+  do j = 1, n
+    do i = 1, n
+      u(i, j) = un(i, j)
+    end do
+  end do
+end program gs2
+";
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Run `k` once on one thread with every pointer argument seeded from
+    /// its position; returns the arguments' contents, concatenated.
+    fn run_seeded(k: &CompiledKernel) -> Vec<f64> {
+        let mut memory = Memory::new();
+        let args: Vec<KernelArg> = (0..k.args.len())
+            .map(
+                |i| match k.views.iter().find(|v| v.source == ViewSource::Arg(i)) {
+                    Some(view) => {
+                        let b = memory.alloc_buffer(view.len());
+                        for (idx, x) in memory.buffer_mut(b).iter_mut().enumerate() {
+                            *x = ((idx * 7 + i * 13) as f64 * 0.37).sin();
+                        }
+                        KernelArg::Buf(b)
+                    }
+                    None => KernelArg::Scalar(0.5),
+                },
+            )
+            .collect();
+        run_kernel(k, &mut memory, &args, 1).unwrap();
+        args.iter()
+            .flat_map(|a| match a {
+                KernelArg::Buf(b) => memory.buffer(*b).to_vec(),
+                KernelArg::Scalar(_) => Vec::new(),
+            })
+            .collect()
+    }
+
+    /// Sweep `k` in steps of 1, 2 and 3 planes and in one step spanning the
+    /// domain, on every forced tier: each run must equal the in-order run
+    /// bit for bit. Returns the compiled lags.
+    fn assert_steps_bit_identical(mut k: CompiledKernel) -> Vec<i64> {
+        let lags = k.pipeline.take().expect("a legal pipeline").lags;
+        for tier in [
+            ExecPath::Specialized,
+            ExecPath::Jit,
+            ExecPath::FusedVm,
+            ExecPath::GenericVm,
+        ] {
+            k.force_exec_path(tier);
+            k.pipeline = None;
+            let in_order = run_seeded(&k);
+            for planes in [1, 2, 3, i64::MAX] {
+                k.pipeline = Some(Pipeline {
+                    lags: lags.clone(),
+                    planes,
+                });
+                assert!(
+                    same_bits(&run_seeded(&k), &in_order),
+                    "{tier} at {planes} planes/step, lags {lags:?}"
+                );
+            }
+        }
+        lags
+    }
+
+    #[test]
+    fn gauss_seidel_copy_trails_the_stencil_by_one_plane() {
+        let gs3 = nests3d(5, &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)]);
+        assert_eq!(assert_steps_bit_identical(compile(&gs3)), [0, 1]);
+        assert_eq!(assert_steps_bit_identical(compile(GS2D_PAIR)), [0, 1]);
+        // Small domains fit one step: the schedule is in order.
+        assert_eq!(compile(&gs3).lags(), None);
+        assert_eq!(compile(&gs3).schedule(), "in order");
+        // GS n=64: 66² doubles per plane on two views, 15 planes a step.
+        let big = nests3d(
+            64,
+            &[(GS_STENCIL, 1, 64), ("u(i, j, k) = un(i, j, k)", 1, 64)],
+        );
+        assert_eq!(
+            compile(&big).schedule(),
+            "pipelined, lags [0, 1], 15 planes/step"
+        );
+    }
+
+    #[test]
+    fn lags_cover_flow_anti_and_output_dependences() {
+        // Flow at +1: the second nest reads v one plane ahead of where the
+        // first wrote it; the nests' bounds differ.
+        let flow = nests3d(
+            5,
+            &[
+                ("v(i, j, k) = 2.0 * u(i, j, k)", 1, 5),
+                ("w(i, j, k) = v(i, j, k+1) - v(i, j, k)", 1, 4),
+            ],
+        );
+        assert_eq!(assert_steps_bit_identical(compile(&flow)), [0, 1]);
+        // Anti at −2: the first nest reads u two planes back; the second
+        // overwrites u.
+        let anti = nests3d(
+            5,
+            &[
+                ("v(i, j, k) = u(i, j, k-2) + u(i, j, k)", 2, 5),
+                ("u(i, j, k) = 0.5 * v(i, j, k)", 2, 5),
+            ],
+        );
+        assert_eq!(assert_steps_bit_identical(compile(&anti)), [0, 2]);
+        // Output: both nests write v, on overlapping planes; the second
+        // nest's values must land last.
+        let output = nests3d(
+            5,
+            &[
+                ("v(i, j, k) = u(i, j, k)", 1, 5),
+                ("v(i, j, k+1) = 2.0 * w(i, j, k)", 1, 4),
+            ],
+        );
+        assert_eq!(assert_steps_bit_identical(compile(&output)), [0, 0]);
+        // Bounds apart: the second nest starts two planes later and stops
+        // one earlier, reading v one plane ahead and two behind.
+        let apart = nests3d(
+            5,
+            &[
+                ("v(i, j, k) = 3.0 * u(i, j, k)", 1, 5),
+                ("w(i, j, k) = v(i, j, k+1) + v(i, j, k-2)", 3, 4),
+            ],
+        );
+        assert_eq!(assert_steps_bit_identical(compile(&apart)), [0, 1]);
+    }
+
+    #[test]
+    fn a_three_nest_chain_lags_one_plane_per_link() {
+        let chain = nests3d(
+            5,
+            &[
+                ("v(i, j, k) = 2.0 * u(i, j, k)", 1, 5),
+                ("w(i, j, k) = v(i, j, k+1) + 1.0", 1, 4),
+                ("un(i, j, k) = w(i, j, k+1) * w(i, j, k)", 1, 3),
+            ],
+        );
+        assert_eq!(assert_steps_bit_identical(compile(&chain)), [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_tiled_plan_pipelines_bit_identically() {
+        let mut k = compile(&nests3d(
+            5,
+            &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)],
+        ));
+        k.force_plan(&ExecPlan::from_ir_tiles(vec![2, 3, 2]));
+        assert_eq!(assert_steps_bit_identical(k), [0, 1]);
+    }
+
+    /// `a(i-1) = b(i); a(i+1) = b(i)` over i = 1..10, built by hand: the
+    /// nest stores one view at two offsets.
+    fn two_offset_kernel() -> CompiledKernel {
+        let view = |arg| ViewSpec {
+            source: ViewSource::Arg(arg),
+            extents: vec![12],
+            strides: vec![1],
+            lbs: None,
+        };
+        let mut program = BodyProgram {
+            instrs: vec![
+                Instr::Load {
+                    dst: 0,
+                    view: 1,
+                    off: 0,
+                },
+                Instr::Store {
+                    view: 0,
+                    off: -1,
+                    src: 0,
+                },
+                Instr::Store {
+                    view: 0,
+                    off: 1,
+                    src: 0,
+                },
+            ],
+            num_regs: 1,
+            ..Default::default()
+        };
+        program.finalize_stats();
+        let nest = Nest {
+            bounds: vec![(1, 11)],
+            out_views: vec![0],
+            fused: specialize::fuse_program(&program),
+            program,
+            specialized: None,
+            jit: None,
+            path: ExecPath::FusedVm,
+            exchanges: Vec::new(),
+            halo_schedule: None,
+            snapshots: Vec::new(),
+            plan: ExecPlan::default(),
+        };
+        CompiledKernel {
+            name: "two_offsets".into(),
+            args: vec![ArgKind::Ptr; 2],
+            views: vec![view(0), view(1)],
+            nests: vec![nest],
+            kind: PlanKind::Cpu,
+            decomposition: Vec::new(),
+            halo_depth: 1,
+            jit_warnings: Vec::new(),
+            pipeline: None,
+        }
+    }
+
+    #[test]
+    fn overlapping_slabs_run_the_nest_serially() {
+        // Every split of i = 1..10 overlaps on `a`, the fine one and the
+        // slowest-dimension one alike: a work-shared run must fall back to
+        // the calling thread and keep its outputs, not fail.
+        let k = two_offset_kernel();
+        let run = |threads| {
+            let mut memory = Memory::new();
+            let a = memory.alloc_buffer(12);
+            let b = memory.alloc_buffer(12);
+            for (i, x) in memory.buffer_mut(b).iter_mut().enumerate() {
+                *x = i as f64 * 1.5;
+            }
+            run_kernel(
+                &k,
+                &mut memory,
+                &[KernelArg::Buf(a), KernelArg::Buf(b)],
+                threads,
+            )
+            .unwrap();
+            memory.buffer(a).to_vec()
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 12);
+        for threads in [2usize, 3] {
+            assert!(plan_tasks(&k.nests[0].bounds, threads).len() > 1);
+            assert!(same_bits(&run(threads), &serial), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_store_outside_the_outputs_is_a_coded_error() {
+        let mut k = two_offset_kernel();
+        k.nests[0].out_views.clear();
+        let mut memory = Memory::new();
+        let a = memory.alloc_buffer(12);
+        let b = memory.alloc_buffer(12);
+        let e =
+            run_kernel_naive(&k, &mut memory, &[KernelArg::Buf(a), KernelArg::Buf(b)]).unwrap_err();
+        assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
+        assert_eq!((memory.buffer(a).len(), memory.buffer(b).len()), (12, 12));
     }
 }

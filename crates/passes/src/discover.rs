@@ -72,18 +72,26 @@ pub fn discover_stencils(module: &mut Module) -> Result<usize> {
         .filter(|&s| module.value_type(module.op(s).operands[0]).is_float())
         .collect();
     // Scalars stored to inside each loop nest, gathered once per nest:
-    // discovery erases array stores only, so the set holds for every
-    // candidate of the nest.
+    // every candidate is analysed before any is built, so the set holds for
+    // every candidate of the nest.
     let mut nest_stores: HashMap<OpId, HashSet<ValueId>> = HashMap::new();
-    for store in stores {
-        if !module.is_alive(store) {
-            continue;
-        }
-        if let Some(cand) = analyze_candidate(module, store, &loops, &mut nest_stores) {
-            build_stencil(module, &cand)?;
-            module.erase_op(store);
-            built += 1;
-        }
+    let candidates: Vec<Candidate> = stores
+        .into_iter()
+        .filter_map(|store| analyze_candidate(module, store, &loops, &mut nest_stores))
+        .collect();
+    let mut nests: HashMap<OpId, Vec<&Candidate>> = HashMap::new();
+    for cand in &candidates {
+        nests.entry(cand.top_loop).or_default().push(cand);
+    }
+    let legal: HashSet<OpId> = nests
+        .iter()
+        .filter(|(&top_loop, lifted)| distribution_is_legal(module, top_loop, lifted))
+        .map(|(&top_loop, _)| top_loop)
+        .collect();
+    for cand in candidates.iter().filter(|c| legal.contains(&c.top_loop)) {
+        build_stencil(module, cand)?;
+        module.erase_op(cand.store);
+        built += 1;
     }
     if built > 0 {
         remove_empty_loops(module);
@@ -205,18 +213,10 @@ fn analyze_candidate(
     // `u(i) = u(i-1) + …`), which the apply's snapshot semantics would
     // not: leave such a nest as loops. Reads only at later offsets are
     // anti-dependences, which the snapshot preserves.
-    let mut outer_first: Vec<usize> = (0..dim_loops.len()).collect();
-    outer_first.sort_by_key(|&d| dim_loops[d].depth);
-    let reads_earlier = |r: &Read| {
-        outer_first
-            .iter()
-            .map(|&d| r.offsets[d] - store_offsets[d])
-            .find(|&delta| delta != 0)
-            .is_some_and(|delta| delta < 0)
-    };
+    let order = loop_order(&dim_loops);
     if reads
         .values()
-        .any(|r| r.base == target.base && reads_earlier(r))
+        .any(|r| r.base == target.base && visited_before(&r.offsets, &store_offsets, &order))
     {
         return None;
     }
@@ -232,6 +232,93 @@ fn analyze_candidate(
         reads,
         target,
     })
+}
+
+/// A candidate's store dimensions, outermost loop first.
+fn loop_order(dim_loops: &[LoopInfo]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..dim_loops.len()).collect();
+    order.sort_by_key(|&d| dim_loops[d].depth);
+    order
+}
+
+/// True when the loops reach offset `a` strictly before offset `b`: the
+/// first nonzero `a − b` delta, dims taken in `order`, is negative.
+fn visited_before(a: &[i64], b: &[i64], order: &[usize]) -> bool {
+    order
+        .iter()
+        .map(|&d| a[d] - b[d])
+        .find(|&delta| delta != 0)
+        .is_some_and(|delta| delta < 0)
+}
+
+/// The array an element address points into.
+fn element_base(m: &Module, address: ValueId) -> Option<ValueId> {
+    let def = m.defining_op(address)?;
+    (m.op(def).name.full() == fir::COORDINATE_OF).then(|| m.op(def).operands[0])
+}
+
+/// Lifting a nest's candidates, one apply each, is *loop distribution*:
+/// each runs over the whole domain, in body order, before anything the
+/// nest keeps as loops. Legal when no dependence runs backwards: a store
+/// the nest keeps, or an array load outside every lifted slice (a
+/// reduction's, a condition's), touches no array a lifted store writes,
+/// and every pair of lifted stores keeps its order.
+fn distribution_is_legal(m: &Module, top_loop: OpId, lifted: &[&Candidate]) -> bool {
+    let written: HashSet<ValueId> = lifted.iter().map(|c| c.target.base).collect();
+    let touched: HashSet<ValueId> = lifted
+        .iter()
+        .flat_map(|c| c.reads.values().map(|r| r.base))
+        .chain(written.iter().copied())
+        .collect();
+    let lifted_stores: HashSet<OpId> = lifted.iter().map(|c| c.store).collect();
+    let lifted_loads: HashSet<ValueId> = lifted
+        .iter()
+        .flat_map(|c| c.reads.keys().copied())
+        .collect();
+    let foreign = collect_nested_ops(m, top_loop).into_iter().any(|op| {
+        let data = m.op(op);
+        match data.name.full() {
+            fir::STORE if !lifted_stores.contains(&op) => {
+                element_base(m, data.operands[1]).is_some_and(|b| touched.contains(&b))
+            }
+            fir::LOAD if !lifted_loads.contains(&m.result(op)) => {
+                element_base(m, data.operands[0]).is_some_and(|b| written.contains(&b))
+            }
+            _ => false,
+        }
+    });
+    !foreign
+        && lifted
+            .iter()
+            .enumerate()
+            .all(|(k, s1)| lifted[k + 1..].iter().all(|s2| stores_stay_ordered(s1, s2)))
+}
+
+/// Whether lifted stores `s1` before `s2` in the body may run one whole
+/// domain after the other. Where they share an array, offsets compared in
+/// loop-depth order, they may not if `s1` reads it earlier than `s2`
+/// stores it (flow), `s2` reads it later than `s1` stores it (anti), or
+/// `s1` stores it earlier than `s2` does (output). Stores over different
+/// loops have no comparable offsets.
+fn stores_stay_ordered(s1: &Candidate, s2: &Candidate) -> bool {
+    let (a1, a2) = (s1.target.base, s2.target.base);
+    let reads = |s: &Candidate, base: ValueId| s.reads.values().any(|r| r.base == base);
+    if a1 != a2 && !reads(s1, a2) && !reads(s2, a1) {
+        return true;
+    }
+    let loops = |s: &Candidate| s.dim_loops.iter().map(|l| l.op).collect::<Vec<_>>();
+    let order = loop_order(&s1.dim_loops);
+    let before = |a: &[i64], b: &[i64]| visited_before(a, b, &order);
+    let (w1, w2) = (&s1.store_offsets, &s2.store_offsets);
+    let flow = s1
+        .reads
+        .values()
+        .any(|r| r.base == a2 && before(&r.offsets, w2));
+    let anti = s2
+        .reads
+        .values()
+        .any(|r| r.base == a1 && before(w1, &r.offsets));
+    loops(s1) == loops(s2) && !(flow || anti || (a1 == a2 && before(w1, w2)))
 }
 
 struct SliceCtx<'a> {

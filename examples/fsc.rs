@@ -202,6 +202,11 @@ fn main() {
     for d in &exec.report.jit_warnings {
         eprintln!("{d}");
     }
+    let mut regions: Vec<_> = compiled.kernels.iter().collect();
+    regions.sort_by_key(|(name, _)| name.as_str());
+    for (name, kernel) in regions {
+        eprintln!("schedule: {name}: {}", kernel.schedule());
+    }
     if let Some(gpu) = exec.report.gpu_seconds {
         eprintln!("gpu model: {gpu:.6}s ({:?})", exec.report.gpu.unwrap());
     }

@@ -418,21 +418,152 @@ program carried
   end do
 end program carried
 ";
+    let reference = assert_matches_interpreter(source, &["u"]);
+    assert_eq!(reference[0][..4], [0.0, 2.0, 5.5, 10.75]);
+}
+
+/// Run `source` through the FIR interpreter, then on `cpu` and `omp:2`:
+/// each of `arrays` must match the interpreter's bit for bit. Returns the
+/// interpreter's arrays.
+fn assert_matches_interpreter(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
     let flang = Compiler::run(source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
-    let reference = flang.array("u").unwrap().to_vec();
-    assert_eq!(reference[..4], [0.0, 2.0, 5.5, 10.75]);
+    let reference: Vec<Vec<f64>> = arrays
+        .iter()
+        .map(|name| flang.array(name).unwrap().to_vec())
+        .collect();
     for target in [Target::StencilCpu, Target::StencilOpenMp { threads: 2 }] {
-        let label = format!("{target:?}");
-        let exec = Compiler::run(source, &CompileOptions::for_target(target)).unwrap();
-        let got = exec.array("u").unwrap();
-        assert_eq!(got.len(), reference.len(), "{label}");
-        assert!(
-            got.iter()
-                .zip(&reference)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{label}: {got:?} vs {reference:?}"
-        );
+        let exec = Compiler::run(source, &CompileOptions::for_target(target.clone())).unwrap();
+        for (name, want) in arrays.iter().zip(&reference) {
+            let got = exec.array(name).unwrap();
+            assert!(
+                got.len() == want.len()
+                    && got
+                        .iter()
+                        .zip(want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{target:?} {name}: {:?}… vs {:?}…",
+                &got[..got.len().min(8)],
+                &want[..want.len().min(8)]
+            );
+        }
     }
+    reference
+}
+
+/// A program over `a, b` (`0:n+1` cubed, n = 16) seeded like Gauss–Seidel,
+/// then one `do k / do j / do i` nest over 1..n holding `body`.
+fn two_array_program(body: &str) -> String {
+    format!(
+        "program t
+  implicit none
+  integer, parameter :: n = 16
+  integer :: i, j, k
+  real(kind=8) :: a(0:n+1, 0:n+1, 0:n+1), b(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        a(i, j, k) = 0.01 * i + 0.02 * j + 0.03 * k
+        b(i, j, k) = 0.01 * i + 0.02 * j + 0.03 * k
+      end do
+    end do
+  end do
+  do k = 1, n
+    do j = 1, n
+      do i = 1, n
+{body}
+      end do
+    end do
+  end do
+end program t
+"
+    )
+}
+
+/// Number of stencils discovery lifts out of `source`.
+fn lifted(source: &str) -> usize {
+    let mut fir = flang_stencil::fortran::compile_to_fir(source).unwrap();
+    flang_stencil::passes::discover::discover_stencils(&mut fir).unwrap()
+}
+
+#[test]
+fn multi_store_nests_discovery_would_reorder_stay_loops() {
+    // Lifting each store into its own apply runs all of the first store
+    // before any of the second. Here that reorders an output dependence
+    // (a(k+1) at iteration k is overwritten by a(k-1) at k+2, on dim 2 and
+    // on dim 0) and a flow dependence (b(k-1) is read after the second
+    // store wrote it): discovery must leave these nests as loops.
+    for body in [
+        "a(i, j, k-1) = b(i, j, k)\n a(i, j, k+1) = 2.0 * b(i, j, k)",
+        "a(i-1, j, k) = b(i, j, k)\n a(i+1, j, k) = 2.0 * b(i, j, k)",
+        "a(i, j, k) = b(i, j, k-1) + 1.0\n b(i, j, k) = 0.5 * a(i, j, k)",
+    ] {
+        let source = two_array_program(body);
+        assert_eq!(lifted(&source), 2, "only the seeding nest lifts: {body}");
+        assert_matches_interpreter(&source, &["a", "b"]);
+    }
+    // Two stores at one offset keep their order under distribution.
+    let same = two_array_program("a(i, j, k) = b(i, j, k)\n a(i, j, k) = 2.0 * b(i, j, k)");
+    assert_eq!(lifted(&same), 4);
+    assert_matches_interpreter(&same, &["a", "b"]);
+}
+
+#[test]
+fn a_nest_whose_reads_would_see_a_lifted_store_stays_loops() {
+    // A store discovery keeps as loops (its scalar is carried), and a
+    // reduction's load, would each see every value a lifted store of the
+    // same nest writes instead of the ones before it.
+    let carried = two_array_program("s = s + 1.0\n a(i, j, k) = s\n b(i, j, k) = a(i, j, k) * 2.0")
+        .replace("k\n  real", "k\n  real(kind=8) :: s\n  real")
+        .replace("  do k = 1, n\n", "  s = 0.0\n  do k = 1, n\n");
+    assert_eq!(lifted(&carried), 2);
+    assert_matches_interpreter(&carried, &["a", "b"]);
+    let reduction = two_array_program("s = s + a(i, j, k)\n a(i, j, k) = 1.0")
+        .replace("k\n  real", "k\n  real(kind=8) :: s\n  real")
+        .replace("  do k = 1, n\n", "  s = 0.0\n  do k = 1, n\n")
+        .replace("end program", "b(1, 1, 1) = s\nend program");
+    assert_eq!(lifted(&reduction), 2);
+    assert_matches_interpreter(&reduction, &["a", "b"]);
+}
+
+#[test]
+fn write_after_read_pair_matches_the_interpreter() {
+    // Nest a reads u at i±1, nest b overwrites u: fused into one region,
+    // the reads must still see the old u.
+    let source = "
+program war
+  implicit none
+  integer, parameter :: n = 12
+  integer :: i
+  real(kind=8) :: u(0:n+1), v(0:n+1)
+  do i = 0, n+1
+    u(i) = i * i
+  end do
+  do i = 1, n
+    v(i) = u(i-1) + u(i+1)
+  end do
+  do i = 1, n
+    u(i) = 3.0 * i
+  end do
+end program war
+";
+    assert_matches_interpreter(source, &["u", "v"]);
+}
+
+#[test]
+fn pipelined_gauss_seidel_matches_the_interpreter() {
+    // n = 64 runs the copy sweep one plane behind the stencil in several
+    // steps of 15 planes; a non-harmonic field makes every lag visible.
+    let source = gauss_seidel::fortran_source(64, 1).replace(
+        "0.01 * i + 0.02 * j + 0.03 * k",
+        "0.01 * i * j + 0.02 * k * k + 0.03 * i",
+    );
+    let compiled = Compiler::compile(&source, &CompileOptions::default()).unwrap();
+    let schedules: Vec<String> = compiled.kernels.values().map(|k| k.schedule()).collect();
+    assert!(
+        schedules.contains(&"pipelined, lags [0, 1], 15 planes/step".to_string()),
+        "{schedules:?}"
+    );
+    assert_matches_interpreter(&source, &["u", "un"]);
 }
 
 #[test]
