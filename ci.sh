@@ -30,6 +30,11 @@ done
 if grep -qsw rayon Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml || [[ -e shims/rayon ]]; then echo "a Cargo.toml names rayon, or shims/rayon exists: split work with fsc_ir::par::fan_out"; exit 1; fi
 [[ $(grep -rlE 'fn fan_out\b' crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn fan_out defined in other than exactly one file under crates/"; exit 1; }
 if grep -rl available_parallelism crates/ shims/ src/ examples/ tests/ --include='*.rs' | grep -vx 'crates/ir/src/par.rs'; then echo "available_parallelism outside crates/ir/src/par.rs"; exit 1; fi
+# Plans come from the IR (the tiling pass's attrs): no tuner, no plan cache.
+if grep -rlE 'FSC_PLAN_CACHE|TuneConfig' crates/ src/ examples/ tests/; then echo "FSC_PLAN_CACHE or TuneConfig is back: plans come from the IR"; exit 1; fi
+for f in autotune plancache sharded; do
+  [[ ! -e crates/exec/src/$f.rs ]] || { echo "crates/exec/src/$f.rs exists: plans come from the IR"; exit 1; }
+done
 
 if [[ $quick -eq 0 ]]; then
   echo "== build (release) =="
@@ -89,15 +94,6 @@ echo "== scaling smoke =="
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig7_rank_scaling -- --smoke
 
-echo "== autotune smoke =="
-# Calibration sweep + cache-blocked plan ablation. The sweep threads its
-# own throwaway cache path explicitly (the library never reads
-# FSC_PLAN_CACHE — env lookup happens only at binary boundaries), so CI
-# never reads or pollutes a developer's plan cache. The run itself
-# verifies all plan variants bit-identical.
-timeout --kill-after=30s 300s \
-  cargo run -q -p fsc-bench --bin tile_sweep -- --quick
-
 echo "== jit smoke =="
 # The stitched jit tier (DESIGN.md §14): the three non-template kernels
 # must land on the jit by default and stay bit-identical to both VM
@@ -119,7 +115,7 @@ echo "== chaos smoke =="
 # Seeded fault-injection soak against the failure model (DESIGN.md §11):
 # 500 requests through resilient clients while the server takes worker
 # panics, slow compiles past the deadline, truncated response frames,
-# plan-cache corruption and artifact purges. The binary exits non-zero
+# artifact purges and memory pressure. The binary exits non-zero
 # unless every request ends in exactly one bit-identical success after
 # bounded retries, every chaos site actually fired, the scarred server
 # drains clean, serves bit-identically after disarm, and stops within its

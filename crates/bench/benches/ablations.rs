@@ -104,8 +104,8 @@ fn ablation_tiling(c: &mut Criterion) {
 
 fn ablation_cpu_tiling(c: &mut Criterion) {
     // CPU cache-blocking sensitivity: the same OpenMP-lowered Gauss–Seidel
-    // kernels forced through a sweep of execution plans (the candidate
-    // space the autotuner searches, plus a pathological one).
+    // kernels forced through a sweep of execution plans (unroll, blocking,
+    // and a pathological one).
     use fsc_exec::plan::ExecPlan;
     use fsc_workloads::gauss_seidel;
     let mut g = c.benchmark_group("ablation_cpu_tiling");
@@ -116,14 +116,6 @@ fn ablation_cpu_tiling(c: &mut Criterion) {
             "unblocked_u4",
             ExecPlan {
                 unroll: 4,
-                ..ExecPlan::default()
-            },
-        ),
-        (
-            "serial_slab_u4",
-            ExecPlan {
-                unroll: 4,
-                slabs: 1,
                 ..ExecPlan::default()
             },
         ),

@@ -377,110 +377,6 @@ pub fn fig6(nodes: &[i64], measure_n: usize, global_n: u64) -> Vec<Row> {
     rows
 }
 
-/// One row of the Figure-5-style CPU tiling ablation.
-#[derive(Debug)]
-pub struct TileSweepRow {
-    /// Configuration label ("default", "tuned", "worst-case").
-    pub label: &'static str,
-    /// The plans that actually executed, as attested by the run report.
-    pub plans: String,
-    /// Measured wall seconds (best of reps).
-    pub seconds: f64,
-    /// Throughput in MCells/s.
-    pub mcells: f64,
-}
-
-fn tile_sweep_row(
-    label: &'static str,
-    compiled: &fsc_core::Compiled,
-    reps: usize,
-    cells: u64,
-    reference: &mut Option<Vec<u64>>,
-) -> TileSweepRow {
-    let (t, exec) = measure(reps, || compiled.run().expect("tile-sweep run failed"));
-    let bits: Vec<u64> = exec
-        .array("u")
-        .expect("u array")
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    match reference {
-        Some(r) => assert_eq!(r, &bits, "{label}: plan variant diverged bitwise"),
-        None => *reference = Some(bits),
-    }
-    let mut plans: Vec<String> = exec.report.plans.iter().map(|p| p.describe()).collect();
-    plans.dedup();
-    TileSweepRow {
-        label,
-        plans: plans.join("; "),
-        seconds: t.as_secs_f64(),
-        mcells: mcells_per_sec(cells, t.as_secs_f64()),
-    }
-}
-
-/// Figure-5-style ablation on the CPU: Gauss–Seidel on the OpenMP target
-/// under the IR-seeded default plan, the autotuned plan and a deliberately
-/// pathological plan (1×1×1 cache blocks). Every variant's final field is
-/// verified bit-identical to the default's before its row is emitted, and
-/// each row records the plans the run report attested.
-///
-/// The tuner sweeps its candidates against a private, non-persisted plan
-/// cache so the ablation never reads or writes the user's `FSC_PLAN_CACHE`.
-pub fn cpu_tile_sweep(n: usize, iters: usize, threads: u32, reps: usize) -> Vec<TileSweepRow> {
-    use fsc_exec::autotune::TuneConfig;
-    use fsc_exec::plan::ExecPlan;
-
-    let source = gauss_seidel::fortran_source(n, iters);
-    let target = Target::StencilOpenMp { threads };
-    let cells = (n as u64).pow(3) * iters as u64;
-    let mut reference = None;
-    let mut rows = Vec::new();
-
-    // Default: whatever plan the lowered IR seeds.
-    let default = compile_target(&source, target.clone());
-    rows.push(tile_sweep_row(
-        "default",
-        &default,
-        reps,
-        cells,
-        &mut reference,
-    ));
-
-    // Tuned: calibration sweep at compile time, private throwaway cache.
-    let tuned = Compiler::compile(
-        &source,
-        &CompileOptions {
-            target: target.clone(),
-            autotune: Some(TuneConfig {
-                cache_path: Some(
-                    std::env::temp_dir()
-                        .join(format!("fsc-tile-sweep-{}.json", std::process::id())),
-                ),
-                no_persist: true,
-                reps: 3,
-            }),
-            ..Default::default()
-        },
-    )
-    .expect("tile-sweep autotuned compile failed");
-    rows.push(tile_sweep_row("tuned", &tuned, reps, cells, &mut reference));
-
-    // Worst case: pathological unit cache blocks on every dimension.
-    let mut worst = compile_target(&source, target);
-    let bad = ExecPlan::from_ir_tiles(vec![1, 1, 1]);
-    for kernel in worst.kernels.values_mut() {
-        kernel.force_plan(&bad);
-    }
-    rows.push(tile_sweep_row(
-        "worst-case",
-        &worst,
-        reps,
-        cells,
-        &mut reference,
-    ));
-    rows
-}
-
 /// One row of the fault-tolerance ablation: a distributed Gauss–Seidel
 /// configuration, its measured wall time, and the transport's attestation.
 #[derive(Debug)]
@@ -666,24 +562,6 @@ mod tests {
             get("PW / Stencil (optimised data)") > get("PW / OpenACC with Nvidia"),
             "optimised stencil beats OpenACC on PW"
         );
-    }
-
-    /// What the tile sweep can promise without a clock, on the 48³
-    /// Gauss–Seidel OpenMP benchmark at 8 threads: every plan variant is
-    /// bit-identical to the default's field (asserted inside
-    /// `cpu_tile_sweep` before a row is emitted) and each row attests where
-    /// its plans came from. That a tuned plan cannot lose to the default
-    /// beyond timing noise follows from the default being the tuner's first
-    /// candidate (pinned in `fsc_exec::autotune`); the measured times stay
-    /// in `tile_sweep`'s printed table.
-    #[test]
-    fn tile_sweep_rows_are_bit_identical_and_attest_plan_provenance() {
-        let rows = cpu_tile_sweep(48, 2, 8, 3);
-        let labels: Vec<&str> = rows.iter().map(|r| r.label).collect();
-        assert_eq!(labels, ["default", "tuned", "worst-case"]);
-        let plans = |label: &str| &rows.iter().find(|r| r.label == label).unwrap().plans;
-        assert!(plans("default").contains("default"));
-        assert!(plans("tuned").contains("tuned") || plans("tuned").contains("cached"));
     }
 
     #[test]

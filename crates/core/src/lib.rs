@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fsc_exec::autotune::{self, TuneConfig, TuningReport};
 use fsc_exec::budget::{MemoryBudget, MemoryEstimate};
 use fsc_exec::distexec::{self, DistOutcome, DistSession};
 pub use fsc_exec::distexec::{DistMode, DistOptions};
@@ -36,7 +35,7 @@ pub use fsc_exec::jit::stats as jit_cache_stats;
 use fsc_exec::kernel::{
     self, CompiledKernel, GpuStrategy, HaloSchedule, KernelArg, PlanKind, ViewSource,
 };
-use fsc_exec::plan::{ExecPlan, PlanProvenance};
+use fsc_exec::plan::ExecPlan;
 use fsc_exec::value::{Memory, Ref, Value};
 use fsc_exec::ExecPath;
 use fsc_gpusim::{BufferUse, GpuCounters, GpuSession, KernelLoad, V100Model};
@@ -104,13 +103,6 @@ pub struct CompileOptions {
     /// stencil flow (differential testing of the lower rungs). `None` runs
     /// the normal ladder from the top.
     pub force_rung: Option<DegradationRung>,
-    /// Autotune execution plans after kernel compilation: calibrate a
-    /// small candidate space of tile/unroll/slab shapes, install the
-    /// winner, and remember it in the persistent plan cache. `None` (the
-    /// default) keeps the default plans — no calibration cost, no cache
-    /// I/O. The outcome is attested in [`Compiled::tuning`] and rides
-    /// into [`RunReport::tuning`].
-    pub autotune: Option<TuneConfig>,
     /// Distributed targets: run the `mpi-overlap-halos` pass so star-shaped
     /// stencils compute their interior while halo messages are in flight
     /// (post-recv → post-send → interior → waitall → boundary). On by
@@ -146,7 +138,6 @@ impl Default for CompileOptions {
             target: Target::StencilCpu,
             sabotage_pass: None,
             force_rung: None,
-            autotune: None,
             overlap_halos: true,
             halo_depth: 1,
             dist_workers: 0,
@@ -270,10 +261,10 @@ pub struct Compiled {
     pub entry: String,
     /// Degradation-ladder attestation for this compile.
     pub degradation: DegradationReport,
-    /// Autotuner attestation: which plans were installed, whether they
-    /// came from calibration or the persistent cache, and what tuning
-    /// cost. `None` when autotuning was not requested.
-    pub tuning: Option<TuningReport>,
+    /// Always `None`: execution plans come from the IR, nothing tunes
+    /// them. Kept only because `benchmark/` still names the field; it goes
+    /// when a `[benchmark]` PR (ROADMAP 2(a)) stops using it.
+    pub tuning: Option<std::convert::Infallible>,
     /// Distributed execution knobs (substrate, workers, aggregation) every
     /// run of this artifact uses; seeded from
     /// [`CompileOptions::dist_options`] and overridable before `run`
@@ -475,13 +466,8 @@ pub struct RunReport {
     /// requested configuration ran).
     pub degradation: DegradationReport,
     /// Distinct execution plans the stencil nests ran under (sorted;
-    /// empty for Flang-only and naive-tier runs). Every plan carries its
-    /// provenance, so a run attests whether it executed tuned, cached or
-    /// default shapes.
+    /// empty for Flang-only and naive-tier runs).
     pub plans: Vec<ExecPlan>,
-    /// Autotuner attestation carried over from the compile (see
-    /// [`Compiled::tuning`]).
-    pub tuning: Option<TuningReport>,
     /// The static memory estimate this run was admitted under (governed
     /// runs only — see [`Compiled::run_governed`]).
     pub estimate: Option<MemoryEstimate>,
@@ -496,12 +482,6 @@ impl RunReport {
     /// True when at least one nest executed through `path`.
     pub fn attests(&self, path: ExecPath) -> bool {
         self.exec_paths.contains(&path)
-    }
-
-    /// True when at least one nest executed under a plan of the given
-    /// provenance.
-    pub fn attests_plan(&self, provenance: PlanProvenance) -> bool {
-        self.plans.iter().any(|p| p.provenance == provenance)
     }
 }
 
@@ -550,13 +530,6 @@ impl Compiler {
             });
         }
         let mut compiled = Self::compile_ladder(fir, entry, options)?;
-        if let Some(cfg) = &options.autotune {
-            if !compiled.kernels.is_empty() {
-                autotune_compiled(&mut compiled, cfg);
-            }
-        }
-        // Tier override last, so forced paths survive the autotuner's plan
-        // installation (which re-stitches each jit nest under the new plan).
         if let Some(path) = options.force_exec_path {
             for k in compiled.kernels.values_mut() {
                 k.force_exec_path(path);
@@ -615,22 +588,6 @@ impl Compiler {
     pub fn run(source: &str, options: &CompileOptions) -> Result<Execution> {
         Self::compile(source, options)?.run()
     }
-}
-
-/// Calibrate and install execution plans for a freshly compiled program.
-/// The tuner sweeps candidates under the same thread count the dispatcher
-/// will use at run time, so what wins calibration is what actually runs.
-/// Never fails — problems degrade into coded diagnostics inside the report.
-fn autotune_compiled(compiled: &mut Compiled, cfg: &TuneConfig) {
-    let threads = match &compiled.target {
-        Target::StencilOpenMp { threads } => omp_threads(*threads),
-        _ => 1,
-    };
-    // Deterministic tuning order (HashMap iteration order is not).
-    let mut kernels: Vec<(&String, &mut CompiledKernel)> = compiled.kernels.iter_mut().collect();
-    kernels.sort_by(|a, b| a.0.cmp(b.0));
-    let report = autotune::tune_kernels(kernels.into_iter().map(|(_, k)| k), threads, cfg);
-    compiled.tuning = Some(report);
 }
 
 /// Worker count of an OpenMP target: as asked, or every core for `0`.
@@ -819,7 +776,6 @@ impl Compiled {
         let mut snapshot: u64 = 0;
         let mut halo: u64 = 0;
         let mut replication: u64 = 0;
-        let mut scratch: u64 = 0;
         for kernel in self.kernels.values() {
             // Per-argument working-set bytes (max aliasing view per arg).
             let mut arg_len: HashMap<usize, usize> = HashMap::new();
@@ -862,18 +818,12 @@ impl Compiled {
                     real_ranks.saturating_mul(arg_bytes.saturating_add(snap_bytes) * 2),
                 );
             }
-            // Autotune calibration scratch: arg-shaped buffers plus the
-            // snapshots run_kernel allocates during timing sweeps.
-            if self.tuning.is_some() {
-                scratch = scratch.saturating_add(arg_bytes.saturating_add(snap_bytes));
-            }
         }
         Ok(MemoryEstimate {
             base_bytes: base,
             snapshot_bytes: snapshot,
             halo_bytes: halo,
             replication_bytes: replication,
-            scratch_bytes: scratch,
             // Interpreter slack: scalar slots, environments, bookkeeping.
             slack_bytes: 1 << 20,
         })
@@ -967,7 +917,6 @@ impl Compiled {
             resilience: is_distributed.then_some(dispatcher.resilience),
             degradation: self.degradation.clone(),
             plans: dispatcher.plans.iter().cloned().collect(),
-            tuning: self.tuning.clone(),
             estimate: None,
             peak_bytes: budget
                 .as_ref()
@@ -1807,16 +1756,13 @@ mod tests {
     }
 
     #[test]
-    fn every_run_attests_plan_provenance() {
+    fn every_run_attests_its_plans() {
         let src = fsc_workloads::gauss_seidel::fortran_source(6, 1);
         let exec = Compiler::run(&src, &CompileOptions::for_target(Target::StencilCpu)).unwrap();
         assert!(
             !exec.report.plans.is_empty(),
             "stencil runs must record their execution plans"
         );
-        assert!(exec.report.attests_plan(PlanProvenance::Default));
-        assert!(!exec.report.attests_plan(PlanProvenance::Tuned));
-        assert!(exec.report.tuning.is_none(), "no tuning was requested");
         // The naive tier bypasses the plan machinery entirely.
         let naive =
             Compiler::run(&src, &CompileOptions::for_target(Target::UnoptimizedCpu)).unwrap();
@@ -1893,87 +1839,6 @@ end program two_stores";
             );
         }
         assert!(exec.array("u").is_some());
-    }
-
-    fn tune_opts(dir: &std::path::Path, target: Target) -> CompileOptions {
-        CompileOptions {
-            autotune: Some(TuneConfig {
-                cache_path: Some(dir.join("plans.json")),
-                no_persist: false,
-                reps: 1,
-            }),
-            ..CompileOptions::for_target(target)
-        }
-    }
-
-    #[test]
-    fn plan_cache_round_trip_attests_cached_provenance() {
-        let dir = std::env::temp_dir().join("fsc-core-plancache-rt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let src = fsc_workloads::gauss_seidel::fortran_source(8, 2);
-        let opts = tune_opts(&dir, Target::StencilOpenMp { threads: 2 });
-        let base = Compiler::run(
-            &src,
-            &CompileOptions::for_target(Target::StencilOpenMp { threads: 2 }),
-        )
-        .unwrap();
-
-        // First compile: a fresh calibration sweep persists its winner.
-        let tuned = Compiler::run(&src, &opts).unwrap();
-        let report = tuned.report.tuning.as_ref().expect("tuning attestation");
-        assert!(report.fresh_tunes() >= 1, "first compile must calibrate");
-        assert!(tuned.report.attests_plan(PlanProvenance::Tuned));
-        assert!(
-            dir.join("plans.json").exists(),
-            "winner must be persisted to the plan cache"
-        );
-
-        // Second compile (fresh process simulated by dropping the
-        // in-process image): the persisted plan is reloaded and attested.
-        autotune::reset_in_process_cache();
-        let cached = Compiler::run(&src, &opts).unwrap();
-        let report = cached.report.tuning.as_ref().expect("tuning attestation");
-        assert!(report.cache_hits() >= 1, "reload must hit the cache");
-        assert_eq!(report.fresh_tunes(), 0, "nothing should re-calibrate");
-        assert!(cached.report.attests_plan(PlanProvenance::Cached));
-        assert!(
-            report.tuning_wall < std::time::Duration::from_millis(500),
-            "cache hits must not pay calibration cost"
-        );
-
-        // All plan variants compute bit-identical results.
-        let a = base.array("u").unwrap();
-        for exec in [&tuned, &cached] {
-            let b = exec.array("u").unwrap();
-            assert!(
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "tuned/cached plans must be bit-identical to default"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_plan_cache_degrades_with_coded_diagnostic() {
-        let dir = std::env::temp_dir().join("fsc-core-plancache-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("plans.json"), "{\"version\": 1, \"entr").unwrap();
-        autotune::reset_in_process_cache();
-        let src = fsc_workloads::gauss_seidel::fortran_source(6, 1);
-        let opts = tune_opts(&dir, Target::StencilCpu);
-        // Never a panic, never a failed run.
-        let exec = Compiler::run(&src, &opts).unwrap();
-        let report = exec.report.tuning.as_ref().expect("tuning attestation");
-        let diag = report
-            .diagnostics
-            .iter()
-            .find(|d| d.code == fsc_ir::diag::codes::PLAN_CACHE)
-            .expect("corrupt cache must raise a coded E0702 diagnostic");
-        assert!(diag.render().contains("E0702"), "{}", diag.render());
-        // The corrupt file contributed nothing: no cached provenance.
-        assert!(!exec.report.attests_plan(PlanProvenance::Cached));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

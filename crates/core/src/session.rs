@@ -35,7 +35,7 @@
 //! cached: a later identical request recompiles. Errors from this
 //! compiler are deterministic, so retries are wasted work in the common
 //! case — but caching them would pin transient environment failures
-//! (e.g. an unreadable plan-cache file) forever, which is worse.
+//! (e.g. a denied allocation) forever, which is worse.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -55,7 +55,7 @@ use crate::{CompileOptions, Compiled, Compiler, Execution};
 pub struct CompileRequest {
     /// Fortran source text.
     pub source: String,
-    /// Compile configuration (target, hardening, autotune, ...).
+    /// Compile configuration (target, hardening, rung forcing, ...).
     pub options: CompileOptions,
     /// Optional time budget for *acquiring* the artifact. A deduplicated
     /// follower whose budget expires while parked on a leader's slot gets
@@ -95,7 +95,7 @@ impl CompileRequest {
 
     /// Stable fingerprint of the request: FNV-1a-64 over the source bytes
     /// and the `Debug` rendering of the options (which covers every field,
-    /// deterministically — targets, tiles, rung forcing, tune config).
+    /// deterministically — targets, tiles, rung forcing, halo depth).
     /// Identical fingerprints mean "the same compile would run", which is
     /// exactly the singleflight/caching equivalence the service needs.
     pub fn fingerprint(&self) -> u64 {
@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn fingerprint_is_pinned() {
         let req = CompileRequest::new("program p\nend program p\n");
-        assert_eq!(req.fingerprint(), 0x1b7d_23c0_f78c_9d59);
+        assert_eq!(req.fingerprint(), 0x2a7d_58f9_8c8f_ea46);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   measured peak against the promised estimate.
 //! * [`MemoryEstimate`] — the static estimate itself, broken into the
 //!   components a compiled program can need (program arrays, snapshot
-//!   copies, halo staging, distributed per-rank replication, autotune
-//!   scratch), so admission control can reserve before running.
+//!   copies, halo staging, distributed per-rank replication), so
+//!   admission control can reserve before running.
 //! * [`checked_elems`] / [`elems_to_bytes`] — overflow-checked extent
 //!   arithmetic. Element counts near `usize::MAX` produce coded `E0807`
 //!   instead of wrapping silently into a tiny (or enormous) allocation.
@@ -153,8 +153,6 @@ pub struct MemoryEstimate {
     /// Distributed replication: every real rank holds full-size, globally
     /// addressed buffers plus per-phase checkpoint clones.
     pub replication_bytes: u64,
-    /// Autotune calibration scratch buffers.
-    pub scratch_bytes: u64,
     /// Fixed interpreter slack (scalars, environments, bookkeeping).
     pub slack_bytes: u64,
 }
@@ -168,7 +166,6 @@ impl MemoryEstimate {
             .saturating_add(self.snapshot_bytes)
             .saturating_add(self.halo_bytes)
             .saturating_add(self.replication_bytes)
-            .saturating_add(self.scratch_bytes)
             .saturating_add(self.slack_bytes)
     }
 }
@@ -335,10 +332,9 @@ mod tests {
             snapshot_bytes: 20,
             halo_bytes: 5,
             replication_bytes: 40,
-            scratch_bytes: 15,
             slack_bytes: 1,
         };
-        assert_eq!(e.total(), 91);
+        assert_eq!(e.total(), 76);
         assert_eq!(MemoryEstimate::default().total(), 0);
     }
 }

@@ -170,11 +170,10 @@ pub struct Nest {
     pub halo_schedule: Option<HaloSchedule>,
     /// Snapshot views to refresh (copy from source) before this nest.
     pub snapshots: Vec<usize>,
-    /// How this nest is swept: cache-block tiles, unroll factor, slab
-    /// budget and provenance. Defaults to an untiled plan (seeded from the
-    /// IR's `"tiled"` attribute when the pipeline carried tile sizes);
-    /// replaced by the autotuner / plan cache via
-    /// [`CompiledKernel::force_plan`].
+    /// How this nest is swept: cache-block tiles and unroll factor, from
+    /// the loop root's `"tiled"`/`"unroll"` attributes (untiled, unrolled
+    /// once when the pipeline set neither). Tests and ablations override
+    /// it via [`CompiledKernel::force_plan`].
     pub plan: ExecPlan,
 }
 
@@ -350,9 +349,8 @@ impl CompiledKernel {
         switched
     }
 
-    /// Set every nest's execution plan. Used by the autotuner when the
-    /// calibration winner (or a cache hit) replaces the default, and by
-    /// benches/tests to force specific tile/unroll/slab shapes.
+    /// Set every nest's execution plan. Used by benches and tests to
+    /// force specific tile/unroll shapes.
     ///
     /// The stitcher reads the plan (its unroll knob picks the chain
     /// skeleton), so a plan change re-stitches each jit-capable nest. A
@@ -792,8 +790,8 @@ fn compile_one_nest(
         .ok_or_else(|| err("kernel touches no views"))?;
     let mut bounds = vec![(0i64, 0i64); rank];
     let mut assigned = vec![false; rank];
-    // Default plan: tile sizes the pipeline recorded on the tiled loop
-    // (the `"tiled"` attribute), mapped from loop order to array dims.
+    // The plan: tile sizes the pipeline recorded on the tiled loop (the
+    // `"tiled"` attribute), mapped from loop order to array dims.
     let mut plan_tiles = vec![0i64; rank];
     for (iv, dim) in &dim_of_iv {
         let b = iv_bounds.get(iv).ok_or_else(|| err("iv without bounds"))?;
@@ -812,7 +810,7 @@ fn compile_one_nest(
         ExecPlan::default()
     };
     // Tier-selection attr: the tiling pass records its unroll hint on the
-    // loop root; it seeds the default plan (autotuner may replace it).
+    // loop root.
     if let Some(u) = module
         .op(loop_root)
         .attr("unroll")
@@ -1576,7 +1574,7 @@ impl NestIo {
     /// slabs of zero-based buffers: the planner splits the slowest
     /// dimension first and keeps factoring into the next-slower ones when
     /// the slowest extent alone cannot feed the budget (a 4³ nest on 32
-    /// threads still makes 32 tasks), and the plan's slab knob caps it.
+    /// threads still makes 32 tasks).
     /// Store offsets can make a fine split's slabs overlap; then the
     /// coarser slowest-dimension-only split is tried, and if its slabs
     /// overlap too the box runs on the calling thread, which is always
@@ -1596,10 +1594,7 @@ impl NestIo {
         let mut taken = self.take(memory);
         {
             let inputs = self.inputs(bufs, memory);
-            let budget = match nest.plan.slabs {
-                0 => threads.max(1),
-                slabs => threads.max(1).min(slabs as usize),
-            };
+            let budget = threads.max(1);
             let shared = budget > 1 && {
                 let fine = plan_tasks(local, budget);
                 let coarse = || plan_tasks_outer_only(local, budget);
@@ -2151,14 +2146,6 @@ end program average
         assert_eq!(stats.flops, 1024);
     }
 
-    /// Plan-cache keys are persisted on disk (`CACHE_VERSION` 1): the
-    /// hash over bytecode, bounds and view geometry must not drift.
-    #[test]
-    fn plan_cache_key_is_pinned() {
-        let key = crate::autotune::fingerprint(&compile(LISTING1), 2);
-        assert_eq!(key, "5498ba8931486ef3:16x16:t2");
-    }
-
     #[test]
     fn serial_execution_matches_reference() {
         let k = compile(LISTING1);
@@ -2510,7 +2497,7 @@ end program gs
     #[test]
     fn forced_plans_execute_bit_identically() {
         // Every plan variant — degenerate tiles, non-divisible tiles,
-        // tiles larger than the extent, unroll-by-4, slab budgets — must
+        // tiles larger than the extent, unroll-by-4 — must
         // visit every cell exactly once with unchanged per-cell
         // arithmetic.
         for src in [LISTING1, GS3D] {
@@ -2537,20 +2524,14 @@ end program gs
                 ExecPlan {
                     tiles: vec![0, 2],
                     unroll: 4,
-                    slabs: 0,
-                    provenance: crate::plan::PlanProvenance::Tuned,
                 },
                 ExecPlan {
                     tiles: vec![],
                     unroll: 4,
-                    slabs: 1,
-                    provenance: crate::plan::PlanProvenance::Cached,
                 },
                 ExecPlan {
                     tiles: vec![7; rank],
                     unroll: 4,
-                    slabs: 2,
-                    provenance: crate::plan::PlanProvenance::Tuned,
                 },
             ];
             for plan in plans {

@@ -22,7 +22,6 @@
 //! **column-major** linearisation (dimension 0 fastest), matching Fortran
 //! array layout.
 
-pub mod autotune;
 pub mod budget;
 pub mod bytecode;
 pub mod distexec;
@@ -30,19 +29,14 @@ pub mod interp;
 pub mod jit;
 pub mod kernel;
 pub mod plan;
-pub mod plancache;
-pub mod sharded;
 pub mod specialize;
 pub mod value;
 
-pub use autotune::{TuneConfig, TuningReport};
 pub use budget::{MemoryBudget, MemoryEstimate};
 pub use distexec::{DistMode, DistOptions, DistOutcome, DistSession, RankMetrics};
 pub use interp::{Interpreter, RunStats};
 pub use jit::{JitSkip, JitStats};
 pub use kernel::{CompiledKernel, HaloSchedule, KernelArg, KernelStats};
-pub use plan::{ExecPlan, PlanProvenance};
-pub use plancache::{env_cache_path, resolve_cache_path, PlanCache};
-pub use sharded::SharedPlanCache;
+pub use plan::ExecPlan;
 pub use specialize::ExecPath;
 pub use value::{BufId, Memory, Ref, Value};

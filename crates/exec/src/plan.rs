@@ -1,50 +1,21 @@
 //! Execution plans: *how* a compiled nest is swept, as opposed to *what*
 //! it computes.
 //!
-//! A [`ExecPlan`] bundles the three knobs the executor honours —
-//! cache-block tile extents per dimension, the inner-loop unroll factor of
-//! the specialized fast paths, and the parallel slab budget — together
-//! with a provenance tag saying where the plan came from (hardcoded
-//! default, a fresh autotune calibration, or the persistent plan cache).
-//! The provenance rides through `KernelStats` into `RunReport`, so every
+//! An [`ExecPlan`] carries what the tiling pass decided at lowering time
+//! (the paper's `parallel-loop-tile-sizes`, Listing 4): cache-block tile
+//! extents per dimension from the loop root's `"tiled"` attribute, and the
+//! inner-loop unroll factor from its `"unroll"` attribute. Work-sharing is
+//! not a plan field: a work-shared nest splits into at most one slab per
+//! thread. The plan rides through `KernelStats` into `RunReport`, so every
 //! run attests which plan actually executed.
 //!
-//! Plans never change *what* is computed: every candidate visits every
-//! cell exactly once with the unchanged per-cell arithmetic, so all plans
-//! are bit-identical by construction (and by proptest).
+//! Plans never change *what* is computed: every plan visits every cell
+//! exactly once with the unchanged per-cell arithmetic, so all plans are
+//! bit-identical by construction (and by proptest).
 
 use std::fmt;
 
-/// Where an [`ExecPlan`] came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum PlanProvenance {
-    /// The built-in default (possibly seeded from IR tile attributes).
-    #[default]
-    Default,
-    /// Chosen by a fresh autotune calibration sweep this process.
-    Tuned,
-    /// Loaded from the persistent plan cache.
-    Cached,
-}
-
-impl PlanProvenance {
-    /// Stable lowercase name (used in reports and the cache format).
-    pub fn describe(self) -> &'static str {
-        match self {
-            PlanProvenance::Default => "default",
-            PlanProvenance::Tuned => "tuned",
-            PlanProvenance::Cached => "cached",
-        }
-    }
-}
-
-impl fmt::Display for PlanProvenance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.describe())
-    }
-}
-
-/// How a nest is executed: tiling, unrolling and work-sharing choices.
+/// How a nest is executed: tiling and unrolling choices.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExecPlan {
     /// Cache-block extent per dimension (dimension 0 is fastest-varying).
@@ -54,11 +25,6 @@ pub struct ExecPlan {
     /// Inner-loop unroll factor on the specialized fast paths (1 or 4).
     /// Other execution tiers ignore it.
     pub unroll: u8,
-    /// Parallel slab budget: at most this many work-shared tasks per nest
-    /// (`0` = one per pool thread).
-    pub slabs: u32,
-    /// Where this plan came from.
-    pub provenance: PlanProvenance,
 }
 
 impl Default for ExecPlan {
@@ -66,8 +32,6 @@ impl Default for ExecPlan {
         Self {
             tiles: Vec::new(),
             unroll: 1,
-            slabs: 0,
-            provenance: PlanProvenance::Default,
         }
     }
 }
@@ -96,14 +60,7 @@ impl ExecPlan {
         (0..self.tiles.len()).any(|d| self.tile_for(d).is_some())
     }
 
-    /// The same plan with a different provenance tag.
-    pub fn with_provenance(mut self, p: PlanProvenance) -> Self {
-        self.provenance = p;
-        self
-    }
-
-    /// One-line stable description, e.g. `tiles=[0,16] unroll=4 slabs=auto
-    /// (tuned)`.
+    /// One-line stable description, e.g. `tiles=[0,16] unroll=4`.
     pub fn describe(&self) -> String {
         let tiles = if self.tiles.is_empty() {
             "-".to_string()
@@ -117,15 +74,7 @@ impl ExecPlan {
                     .join(",")
             )
         };
-        let slabs = if self.slabs == 0 {
-            "auto".to_string()
-        } else {
-            self.slabs.to_string()
-        };
-        format!(
-            "tiles={tiles} unroll={} slabs={slabs} ({})",
-            self.unroll, self.provenance
-        )
+        format!("tiles={tiles} unroll={}", self.unroll)
     }
 }
 
@@ -144,8 +93,6 @@ mod tests {
         let p = ExecPlan::default();
         assert!(!p.is_tiled());
         assert_eq!(p.unroll, 1);
-        assert_eq!(p.slabs, 0);
-        assert_eq!(p.provenance, PlanProvenance::Default);
         assert_eq!(p.tile_for(0), None);
     }
 
@@ -164,13 +111,8 @@ mod tests {
         let p = ExecPlan {
             tiles: vec![0, 16],
             unroll: 4,
-            slabs: 0,
-            provenance: PlanProvenance::Tuned,
         };
-        assert_eq!(p.describe(), "tiles=[0,16] unroll=4 slabs=auto (tuned)");
-        assert_eq!(
-            ExecPlan::default().describe(),
-            "tiles=- unroll=1 slabs=auto (default)"
-        );
+        assert_eq!(p.describe(), "tiles=[0,16] unroll=4");
+        assert_eq!(ExecPlan::default().describe(), "tiles=- unroll=1");
     }
 }

@@ -1,10 +1,9 @@
-//! The workspace's one FNV-1a-64: request fingerprints, plan-cache keys,
-//! shard selection, result checksums and transport envelopes all hash
-//! through this type, so a persisted key or a checksum compared across a
-//! socket means the same thing in every crate.
+//! The workspace's one FNV-1a-64: request fingerprints, result checksums
+//! and transport envelopes all hash through this type, so a checksum
+//! compared across a socket means the same thing in every crate.
 //!
 //! Not a defence against crafted collisions — every use is an equality
-//! or sharding aid over data this process (or its own client) produced.
+//! aid over data this process (or its own client) produced.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -79,8 +78,7 @@ mod tests {
         a.write_u64(0x0102_0304_0506_0708);
         b.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(a.finish(), b.finish());
-        // Pinned: plan-cache keys on disk and checksums on the serve wire
-        // are made of this.
+        // Pinned: checksums on the serve wire are made of this.
         assert_eq!(a.finish(), 0x0c6d_4496_e178_59d5);
     }
 

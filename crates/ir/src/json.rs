@@ -1,17 +1,15 @@
-//! A minimal JSON value, parser and renderer shared by the plan cache and
-//! the compile-server wire protocol.
+//! A minimal JSON value, parser and renderer for the compile-server wire
+//! protocol.
 //!
-//! The workspace is offline (no serde), so the handful of places that need
-//! JSON — the persistent plan cache and `fsc-serve`'s line-delimited
-//! request/response protocol — share this deliberately small
-//! implementation: a recursive-descent parser (depth-capped, tolerant of
-//! whitespace and key order) and a stable renderer. Objects are backed by
-//! a `BTreeMap`, so rendering is deterministic — important both for the
-//! plan cache's greppable file layout and for golden protocol tests.
+//! The workspace is offline (no serde), so `fsc-serve`'s line-delimited
+//! request/response protocol uses this deliberately small implementation:
+//! a recursive-descent parser (depth-capped, tolerant of whitespace and
+//! key order) and a stable renderer. Objects are backed by a `BTreeMap`,
+//! so rendering is deterministic — important for golden protocol tests.
 
 use std::collections::BTreeMap;
 
-/// A JSON value (just enough for the cache and protocol formats).
+/// A JSON value (just enough for the protocol format).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.

@@ -19,9 +19,9 @@ pub struct ParallelLoopTiling {
     /// missing entries default to 1.
     pub tile_sizes: Vec<i64>,
     /// Innermost-dimension unroll hint, stamped as the `"unroll"` attr on
-    /// the tiled loop. The kernel compiler seeds each nest's default
-    /// execution plan from it (the jit/specialized row skeletons unroll by
-    /// 4 when the plan asks for ≥ 4); the autotuner may later replace it.
+    /// the tiled loop. The kernel compiler takes each nest's execution
+    /// plan from it (the jit/specialized row skeletons unroll by 4 when the
+    /// plan asks for ≥ 4).
     pub unroll: i64,
 }
 

@@ -1,14 +1,9 @@
 //! `fsc-serve` — the persistent compile daemon.
 //!
 //! ```text
-//! fsc-serve --socket /tmp/fsc.sock [--workers N] [--queue N] [--plan-cache FILE]
-//!           [--deadline-ms N] [--brownout L1,L2] [--mem-budget BYTES[K|M|G]]
+//! fsc-serve --socket /tmp/fsc.sock [--workers N] [--queue N]
+//!           [--deadline-ms N] [--brownout L] [--mem-budget BYTES[K|M|G]]
 //! ```
-//!
-//! This binary is the *only* place on the server side that consults the
-//! `FSC_PLAN_CACHE` environment variable (when `--plan-cache` is absent);
-//! everything below `main` takes explicit paths, so library behaviour
-//! never depends on ambient process state.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -33,8 +28,8 @@ fn parse_bytes(s: &str) -> Option<u64> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fsc-serve [--socket PATH] [--workers N] [--queue N] [--plan-cache FILE]\n\
-         \x20                [--deadline-ms N] [--brownout L1,L2] [--mem-budget BYTES[K|M|G]]\n\
+        "usage: fsc-serve [--socket PATH] [--workers N] [--queue N]\n\
+         \x20                [--deadline-ms N] [--brownout L] [--mem-budget BYTES[K|M|G]]\n\
          \n\
          Starts the compile server on a Unix socket (default: fsc-serve.sock\n\
          in the system temp directory) and serves line-delimited JSON\n\
@@ -42,9 +37,8 @@ fn usage() -> ! {
          \n\
          --deadline-ms  default compile/run budget for requests without\n\
          \x20              their own deadline_ms (E0803 on overrun)\n\
-         --brownout     queue-occupancy fractions (e.g. 0.5,0.8) at which\n\
-         \x20              degradation levels 1 (no autotune) and 2 (reduced\n\
-         \x20              rung) engage\n\
+         --brownout     queue-occupancy fraction (e.g. 0.8) at which\n\
+         \x20              requests compile on the reduced rung\n\
          --mem-budget   server-wide run-memory budget (e.g. 256M); every\n\
          \x20              run request reserves its attested estimate or is\n\
          \x20              answered E0806 after squeeze + bounded park"
@@ -55,7 +49,6 @@ fn usage() -> ! {
 fn main() {
     let mut socket: Option<PathBuf> = None;
     let mut config = ServerConfig::default();
-    let mut plan_cache_flag: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -69,7 +62,6 @@ fn main() {
             "--socket" => socket = Some(PathBuf::from(value("--socket"))),
             "--workers" => config.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
             "--queue" => config.queue_depth = value("--queue").parse().unwrap_or_else(|_| usage()),
-            "--plan-cache" => plan_cache_flag = Some(PathBuf::from(value("--plan-cache"))),
             "--deadline-ms" => {
                 let ms: u64 = value("--deadline-ms").parse().unwrap_or_else(|_| usage());
                 config.default_deadline = Duration::from_millis(ms.max(1));
@@ -82,15 +74,7 @@ fn main() {
                 }));
             }
             "--brownout" => {
-                let spec = value("--brownout");
-                let mut parts = spec.split(',').map(str::parse::<f64>);
-                match (parts.next(), parts.next()) {
-                    (Some(Ok(l1)), Some(Ok(l2))) if l1 <= l2 => {
-                        config.brownout_l1 = l1;
-                        config.brownout_l2 = l2;
-                    }
-                    _ => usage(),
-                }
+                config.brownout_l2 = value("--brownout").parse().unwrap_or_else(|_| usage())
             }
             "--help" | "-h" => usage(),
             other => {
@@ -100,8 +84,6 @@ fn main() {
         }
     }
 
-    // The env → config boundary: flag beats env beats the library default.
-    config.plan_cache = plan_cache_flag.or_else(fsc_exec::env_cache_path);
     let socket = socket.unwrap_or_else(|| std::env::temp_dir().join("fsc-serve.sock"));
 
     let mut server = match Server::start(&socket, config.clone()) {

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Without `--socket` the generator self-hosts a server inside this
-//! process (on a private socket with a private plan cache) so one command
-//! produces a full closed-loop measurement. `--smoke` is the CI gate:
+//! process (on a private socket) so one command produces a full
+//! closed-loop measurement. `--smoke` is the CI gate:
 //! a small storm that must finish with **zero failed requests**, a
 //! **non-zero artifact reuse rate**, and **singleflight holding**
 //! (server-side compiles == distinct request shapes issued).
@@ -21,7 +21,7 @@
 //!
 //! Self-hosts a server with a seeded [`ChaosPlan`] armed (worker panics,
 //! slow compiles past the request deadline, truncated response frames,
-//! plan-cache corruption, artifact-cache purges) and drives it through
+//! artifact-cache purges, memory pressure) and drives it through
 //! [`ResilientClient`]s. The soak asserts the failure-model contract of
 //! DESIGN.md §11:
 //!
@@ -69,11 +69,10 @@ struct Shape {
     label: &'static str,
     source: String,
     target: &'static str,
-    autotune: bool,
 }
 
-/// The mixed workload: distinct programs × targets, some autotuned —
-/// deliberately heavy on duplicates so reuse and singleflight matter.
+/// The mixed workload: distinct programs × targets — deliberately heavy
+/// on duplicates so reuse and singleflight matter.
 fn shapes() -> Vec<Shape> {
     let gs4 = fsc_workloads::gauss_seidel::fortran_source(4, 2);
     let gs6 = fsc_workloads::gauss_seidel::fortran_source(6, 2);
@@ -84,43 +83,31 @@ fn shapes() -> Vec<Shape> {
             label: "gs4/cpu",
             source: gs4.clone(),
             target: "cpu",
-            autotune: false,
         },
         Shape {
             label: "gs6/cpu",
             source: gs6.clone(),
             target: "cpu",
-            autotune: false,
         },
         Shape {
             label: "gs8/cpu",
-            source: gs8.clone(),
+            source: gs8,
             target: "cpu",
-            autotune: false,
         },
         Shape {
             label: "pw6/cpu",
             source: pw6,
             target: "cpu",
-            autotune: false,
         },
         Shape {
             label: "gs4/omp2",
             source: gs4,
             target: "omp:2",
-            autotune: false,
         },
         Shape {
             label: "gs6/omp2",
             source: gs6,
             target: "omp:2",
-            autotune: false,
-        },
-        Shape {
-            label: "gs8/cpu+tune",
-            source: gs8,
-            target: "cpu",
-            autotune: true,
         },
     ]
 }
@@ -175,7 +162,7 @@ fn drive_client(
         let t0 = Instant::now();
         let mut attempt = 0u64;
         let response = loop {
-            match client.run(&shape.source, shape.target, shape.autotune, &[]) {
+            match client.run(&shape.source, shape.target, false, &[]) {
                 Ok(v) => {
                     let busy = v.get("code").and_then(Json::as_str) == Some("E0801");
                     if busy && attempt < 200 {
@@ -235,7 +222,6 @@ struct ChaosCounts {
     retries: AtomicU64,
     reconnects: AtomicU64,
     mismatches: AtomicU64,
-    e0702_warnings: AtomicU64,
 }
 
 fn drive_chaos_client(
@@ -258,13 +244,7 @@ fn drive_chaos_client(
     for i in indices {
         let slot = i % shapes.len();
         let shape = &shapes[slot];
-        match client.run(
-            &shape.source,
-            shape.target,
-            shape.autotune,
-            &["u"],
-            Some(CHAOS_DEADLINE_MS),
-        ) {
+        match client.run(&shape.source, shape.target, &["u"], Some(CHAOS_DEADLINE_MS)) {
             Ok(v) if v.get("ok").and_then(Json::as_bool) == Some(true) => {
                 let checksum = v.get("checksum").and_then(Json::as_str).unwrap_or("");
                 if checksum != format!("{:016x}", reference[slot]) {
@@ -275,14 +255,6 @@ fn drive_chaos_client(
                     );
                 } else {
                     counts.ok.fetch_add(1, Ordering::Relaxed);
-                }
-                let degraded_cache = v
-                    .get("warnings")
-                    .and_then(Json::as_array)
-                    .map(|w| w.iter().filter_map(Json::as_str).any(|c| c == "E0702"))
-                    .unwrap_or(false);
-                if degraded_cache {
-                    counts.e0702_warnings.fetch_add(1, Ordering::Relaxed);
                 }
             }
             Ok(v) => {
@@ -332,7 +304,6 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     let config = ServerConfig {
         queue_depth: 16,
         default_deadline: Duration::from_secs(2),
-        plan_cache: Some(scratch.join("plans.json")),
         chaos: Some(ChaosPlan::soak(seed)),
         ..ServerConfig::default()
     };
@@ -348,7 +319,6 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
         retries: AtomicU64::new(0),
         reconnects: AtomicU64::new(0),
         mismatches: AtomicU64::new(0),
-        e0702_warnings: AtomicU64::new(0),
     });
     let t0 = Instant::now();
     let handles: Vec<_> = (0..clients)
@@ -385,11 +355,10 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     );
     println!(
         "chaos: storm done in {:.2} s — ok {ok}  failed {failed}  mismatches {mismatches}  \
-         retries {}  reconnects {}  E0702-degraded {}",
+         retries {}  reconnects {}",
         storm_wall.as_secs_f64(),
         counts.retries.load(Ordering::Relaxed),
         counts.reconnects.load(Ordering::Relaxed),
-        counts.e0702_warnings.load(Ordering::Relaxed),
     );
 
     // Clean drain: queue and in-flight slots must reach zero.
@@ -411,8 +380,8 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     }
 
     // Disarm, scar-check: purge artifacts so every shape recompiles on
-    // the surviving (corrupted-then-degraded) caches, and demand
-    // bit-identity against the library ground truth.
+    // the scarred server, and demand bit-identity against the library
+    // ground truth.
     let injected = server.chaos().expect("chaos armed").stats();
     server.chaos().expect("chaos armed").disarm();
     server.service().purge_artifacts();
@@ -420,7 +389,7 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     match Client::connect(&socket_path) {
         Ok(mut c) => {
             for (slot, shape) in shapes.iter().enumerate() {
-                match c.run(&shape.source, shape.target, shape.autotune, &["u"]) {
+                match c.run(&shape.source, shape.target, false, &["u"]) {
                     Ok(v) if v.get("ok").and_then(Json::as_bool) == Some(true) => {
                         let checksum = v.get("checksum").and_then(Json::as_str).unwrap_or("");
                         if checksum != format!("{:016x}", reference[slot]) {
@@ -455,12 +424,10 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
             .unwrap_or(0.0)
     };
     println!(
-        "chaos: injected — panics {}  slow {}  truncations {}  cache-corruptions {}  purges {}  \
-         mem-pressures {}",
+        "chaos: injected — panics {}  slow {}  truncations {}  purges {}  mem-pressures {}",
         injected.panics,
         injected.slow_compiles,
         injected.truncations,
-        injected.cache_corruptions,
         injected.artifact_purges,
         injected.mem_pressures,
     );
@@ -476,9 +443,8 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
         stat("rejected"),
     );
     println!(
-        "chaos: brownout — no-autotune {:.0}  reduced-rung {:.0}",
-        stat("brownout_no_autotune"),
-        stat("brownout_reduced_rung"),
+        "chaos: brownout — reduced-rung {:.0}",
+        stat("brownout_reduced_rung")
     );
 
     let stop_t0 = Instant::now();
@@ -511,7 +477,6 @@ fn chaos_soak(requests: usize, clients: usize, seed: u64) -> i32 {
         ("worker-panic", injected.panics),
         ("slow-compile", injected.slow_compiles),
         ("frame-truncation", injected.truncations),
-        ("cache-corruption", injected.cache_corruptions),
         ("artifact-purge", injected.artifact_purges),
         ("mem-pressure", injected.mem_pressures),
     ] {
@@ -578,7 +543,7 @@ fn drive_mem_client(
         if is_giant(i) {
             // A giant must be answered exactly once with the coded
             // memory rejection — never served, never silently dropped.
-            match client.run(giant_source, "cpu", false, &[], Some(MEM_GIANT_DEADLINE_MS)) {
+            match client.run(giant_source, "cpu", &[], Some(MEM_GIANT_DEADLINE_MS)) {
                 Ok(v) => {
                     let ok = v.get("ok").and_then(Json::as_bool) == Some(true);
                     let code = v.get("code").and_then(Json::as_str);
@@ -598,7 +563,7 @@ fn drive_mem_client(
         }
         let slot = i % shapes.len();
         let shape = &shapes[slot];
-        match client.run(&shape.source, shape.target, shape.autotune, &["u"], None) {
+        match client.run(&shape.source, shape.target, &["u"], None) {
             Ok(v) if v.get("ok").and_then(Json::as_bool) == Some(true) => {
                 let checksum = v.get("checksum").and_then(Json::as_str).unwrap_or("");
                 if checksum != format!("{:016x}", reference[slot]) {
@@ -669,7 +634,6 @@ fn mem_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     let config = ServerConfig {
         queue_depth: 32,
         default_deadline: Duration::from_secs(5),
-        plan_cache: Some(scratch.join("plans.json")),
         mem_budget: Some(MEM_SOAK_BUDGET),
         ..ServerConfig::default()
     };
@@ -772,7 +736,7 @@ fn mem_soak(requests: usize, clients: usize, seed: u64) -> i32 {
     match Client::connect(&socket_path) {
         Ok(mut c) => {
             for (slot, shape) in shapes.iter().enumerate() {
-                match c.run(&shape.source, shape.target, shape.autotune, &["u"]) {
+                match c.run(&shape.source, shape.target, false, &["u"]) {
                     Ok(v) if v.get("ok").and_then(Json::as_bool) == Some(true) => {
                         let checksum = v.get("checksum").and_then(Json::as_str).unwrap_or("");
                         if checksum != format!("{:016x}", reference[slot]) {
@@ -935,9 +899,7 @@ fn main() {
     }
     let requests = requests.unwrap_or(if smoke { 200 } else { 2000 });
 
-    // Self-host unless pointed at an external server. The hosted server
-    // gets a private plan cache so measurements never touch (or benefit
-    // from) ambient state.
+    // Self-host unless pointed at an external server.
     let scratch = std::env::temp_dir().join(format!("fsc-loadgen-{}", std::process::id()));
     let _ = std::fs::create_dir_all(&scratch);
     let mut hosted: Option<Server> = None;
@@ -947,7 +909,6 @@ fn main() {
             let path = scratch.join("serve.sock");
             let config = ServerConfig {
                 queue_depth: 64,
-                plan_cache: Some(scratch.join("plans.json")),
                 ..ServerConfig::default()
             };
             let server = Server::start(&path, config).unwrap_or_else(|e| {
@@ -1034,11 +995,6 @@ fn main() {
         stat("p99_ms"),
         stat("queue_wait_p99_ms"),
         stat("rejected"),
-    );
-    println!(
-        "  plan cache: {:.0} hits / {:.0} misses",
-        stat("plan_hits"),
-        stat("plan_misses")
     );
     let singleflight_ok = stats.is_some() && compiles <= unique_shapes && compiles > 0.0;
     println!(

@@ -20,12 +20,11 @@
 //! | frame truncation  | a response line is cut mid-frame and the socket
 //! |                   | shut down — the client sees a transport error and
 //! |                   | must retry idempotently                          |
-//! | cache corruption  | garbage appended to the on-disk plan cache — the
-//! |                   | next merge-on-save load must degrade `E0702`,
-//! |                   | never fail a request                             |
 //! | artifact purge    | the in-memory artifact cache is dropped — every
 //! |                   | fingerprint recompiles; results must stay
 //! |                   | bit-identical                                    |
+//! | memory pressure   | a job's first memory reservation is forced to
+//! |                   | fail — admission must squeeze or answer `E0806`  |
 //!
 //! Decisions are drawn from per-site sequence streams, so a fixed seed
 //! pins the decision sequence at each site; which *request* lands on a
@@ -58,17 +57,13 @@ pub struct ChaosPlan {
     /// Probability a response line is truncated mid-frame and the
     /// connection shut down.
     pub truncate_prob: f64,
-    /// Probability a job pick-up appends garbage to the on-disk plan
-    /// cache file.
-    pub corrupt_cache_prob: f64,
     /// Probability a job pick-up purges the in-memory artifact cache.
     pub purge_artifacts_prob: f64,
     /// Probability a job's *first* memory-reservation attempt is forced to
     /// fail as if the server ledger were exhausted — the admission path
-    /// must squeeze (shed autotune scratch / reduce the rung) or answer a
-    /// coded `E0806`, never abort. Makes memory-pressure handling
-    /// non-vacuous even when the configured budget is never organically
-    /// hit.
+    /// must squeeze (reduce the rung) or answer a coded `E0806`, never
+    /// abort. Makes memory-pressure handling non-vacuous even when the
+    /// configured budget is never organically hit.
     pub mem_pressure_prob: f64,
 }
 
@@ -81,7 +76,6 @@ impl ChaosPlan {
             slow_compile_prob: 0.0,
             slow_compile_ms: 0,
             truncate_prob: 0.0,
-            corrupt_cache_prob: 0.0,
             purge_artifacts_prob: 0.0,
             mem_pressure_prob: 0.0,
         }
@@ -97,7 +91,6 @@ impl ChaosPlan {
             slow_compile_prob: 0.30,
             slow_compile_ms: 600,
             truncate_prob: 0.03,
-            corrupt_cache_prob: 0.02,
             purge_artifacts_prob: 0.02,
             mem_pressure_prob: 0.05,
         }
@@ -113,8 +106,6 @@ pub struct ChaosStats {
     pub slow_compiles: u64,
     /// Response frames truncated.
     pub truncations: u64,
-    /// Plan-cache corruptions injected.
-    pub cache_corruptions: u64,
     /// Artifact-cache purges injected.
     pub artifact_purges: u64,
     /// Forced memory-reservation failures injected.
@@ -127,7 +118,6 @@ impl ChaosStats {
         self.panics
             + self.slow_compiles
             + self.truncations
-            + self.cache_corruptions
             + self.artifact_purges
             + self.mem_pressures
     }
@@ -189,7 +179,6 @@ pub struct ChaosInjector {
     worker_panic: Site,
     slow_compile: Site,
     truncate: Site,
-    corrupt_cache: Site,
     purge_artifacts: Site,
     mem_pressure: Site,
 }
@@ -203,7 +192,8 @@ impl ChaosInjector {
             worker_panic: Site::new(seed, 1),
             slow_compile: Site::new(seed, 2),
             truncate: Site::new(seed, 3),
-            corrupt_cache: Site::new(seed, 4),
+            // Tags are fixed per site (4 is retired), so a seed draws the
+            // same decisions at a site whatever other sites exist.
             purge_artifacts: Site::new(seed, 5),
             mem_pressure: Site::new(seed, 6),
             plan,
@@ -249,11 +239,6 @@ impl ChaosInjector {
         self.on(&self.truncate, self.plan.truncate_prob)
     }
 
-    /// Should the on-disk plan cache be corrupted now?
-    pub fn corrupt_cache(&self) -> bool {
-        self.on(&self.corrupt_cache, self.plan.corrupt_cache_prob)
-    }
-
     /// Should the artifact cache be purged now?
     pub fn purge_artifacts(&self) -> bool {
         self.on(&self.purge_artifacts, self.plan.purge_artifacts_prob)
@@ -270,7 +255,6 @@ impl ChaosInjector {
             panics: self.worker_panic.hits.load(Ordering::Relaxed),
             slow_compiles: self.slow_compile.hits.load(Ordering::Relaxed),
             truncations: self.truncate.hits.load(Ordering::Relaxed),
-            cache_corruptions: self.corrupt_cache.hits.load(Ordering::Relaxed),
             artifact_purges: self.purge_artifacts.hits.load(Ordering::Relaxed),
             mem_pressures: self.mem_pressure.hits.load(Ordering::Relaxed),
         }
@@ -315,7 +299,6 @@ mod tests {
             worker_panic_prob: 1.0,
             slow_compile_prob: 1.0,
             truncate_prob: 1.0,
-            corrupt_cache_prob: 1.0,
             purge_artifacts_prob: 1.0,
             mem_pressure_prob: 1.0,
             ..ChaosPlan::soak(1)
@@ -325,7 +308,6 @@ mod tests {
         assert!(!inj.worker_panic());
         assert!(inj.slow_compile().is_none());
         assert!(!inj.truncate_frame());
-        assert!(!inj.corrupt_cache());
         assert!(!inj.purge_artifacts());
         assert!(!inj.mem_pressure());
         assert_eq!(inj.stats().total(), 1, "disarmed sites must not count");

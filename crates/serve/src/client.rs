@@ -15,8 +15,8 @@
 //! ## Why blind retry is safe (idempotency)
 //!
 //! A compile/run request is a *pure function* of `(source, options)`: the
-//! server's only side effects are caches keyed by the request fingerprint
-//! (artifact cache, plan cache), and writing the same key twice converges
+//! server's only side effect is a cache keyed by the request fingerprint
+//! (the artifact cache), and writing the same key twice converges
 //! to the same state. The retryable error codes additionally attest that
 //! the server already cleaned up: `E0803` means the singleflight slot was
 //! reclaimed, `E0804` means the dead worker was respawned. A retry
@@ -100,51 +100,42 @@ impl Client {
     }
 
     /// Compile only.
-    pub fn compile(&mut self, source: &str, target: &str, autotune: bool) -> Result<Json, String> {
-        self.call(compile_body(source, target, autotune, None))
+    pub fn compile(&mut self, source: &str, target: &str) -> Result<Json, String> {
+        self.call(compile_body(source, target, None))
     }
 
     /// Compile and run, returning the named arrays' final contents.
+    ///
+    /// `_autotune` is not sent: the server has nothing to tune. The
+    /// argument stays only because `benchmark/` still passes it; it goes
+    /// when a `[benchmark]` PR (ROADMAP 2(a)) stops using it.
     pub fn run(
         &mut self,
         source: &str,
         target: &str,
-        autotune: bool,
+        _autotune: bool,
         arrays: &[&str],
     ) -> Result<Json, String> {
-        self.call(run_body(source, target, autotune, arrays, None))
+        self.call(run_body(source, target, arrays, None))
     }
 }
 
-fn compile_body(
-    source: &str,
-    target: &str,
-    autotune: bool,
-    deadline_ms: Option<u64>,
-) -> ObjBuilder {
+fn compile_body(source: &str, target: &str, deadline_ms: Option<u64>) -> ObjBuilder {
     let mut b = ObjBuilder::new()
         .str("op", "compile")
         .str("source", source)
-        .str("target", target)
-        .bool("autotune", autotune);
+        .str("target", target);
     if let Some(ms) = deadline_ms {
         b = b.num("deadline_ms", ms as f64);
     }
     b
 }
 
-fn run_body(
-    source: &str,
-    target: &str,
-    autotune: bool,
-    arrays: &[&str],
-    deadline_ms: Option<u64>,
-) -> ObjBuilder {
+fn run_body(source: &str, target: &str, arrays: &[&str], deadline_ms: Option<u64>) -> ObjBuilder {
     let mut b = ObjBuilder::new()
         .str("op", "run")
         .str("source", source)
         .str("target", target)
-        .bool("autotune", autotune)
         .set(
             "arrays",
             Json::Arr(arrays.iter().map(|a| Json::Str(a.to_string())).collect()),
@@ -308,10 +299,9 @@ impl ResilientClient {
         &mut self,
         source: &str,
         target: &str,
-        autotune: bool,
         deadline_ms: Option<u64>,
     ) -> Result<Json, String> {
-        self.call_with_retry(|| compile_body(source, target, autotune, deadline_ms))
+        self.call_with_retry(|| compile_body(source, target, deadline_ms))
     }
 
     /// Compile and run with retries, returning named arrays.
@@ -319,11 +309,10 @@ impl ResilientClient {
         &mut self,
         source: &str,
         target: &str,
-        autotune: bool,
         arrays: &[&str],
         deadline_ms: Option<u64>,
     ) -> Result<Json, String> {
-        self.call_with_retry(|| run_body(source, target, autotune, arrays, deadline_ms))
+        self.call_with_retry(|| run_body(source, target, arrays, deadline_ms))
     }
 
     /// Metrics snapshot with retries.

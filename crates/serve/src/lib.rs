@@ -1,16 +1,12 @@
 //! # fsc-serve — compile-server mode
 //!
 //! A persistent daemon that amortises compilation across many clients:
-//! instead of paying frontend + pass-pipeline + kernel-compile +
-//! autotune-calibration cost per invocation, a long-lived server keeps
+//! instead of paying frontend + pass-pipeline + kernel-compile cost per
+//! invocation, a long-lived server keeps
 //!
 //! * a **singleflight compile service** (`fsc_core::session`) — identical
 //!   concurrent requests compile once; finished artifacts are shared from
 //!   a bounded cache;
-//! * a **shared plan cache** (`fsc_exec::sharded`) — autotuned execution
-//!   plans discovered by any session serve every later one, in process
-//!   via RCU-style snapshot reads and across restarts via the
-//!   merge-on-save JSON cache;
 //! * a **bounded work queue with admission control** — overload is
 //!   answered with a coded `E0801` rejection, not latency collapse;
 //! * an explicit **failure model** (DESIGN.md §11) — per-request
@@ -19,8 +15,9 @@
 //!   request frames, and a hard-bounded graceful drain. Every admitted
 //!   request is answered exactly once, success or coded error;
 //! * a **seeded chaos layer** ([`chaos`]) — worker panics, slow compiles,
-//!   truncated response frames and cache corruption, injected
-//!   deterministically so `loadgen --chaos` soaks are reproducible.
+//!   truncated response frames, artifact purges and memory pressure,
+//!   injected deterministically so `loadgen --chaos` soaks are
+//!   reproducible.
 //!
 //! The wire protocol is line-delimited JSON over a Unix domain socket
 //! ([`proto`]); [`server`] hosts the daemon, [`client`] carries the

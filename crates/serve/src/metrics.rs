@@ -43,12 +43,10 @@ pub struct ServerMetrics {
     pub idle_closes: AtomicU64,
     /// Response frames deliberately truncated by the chaos layer.
     pub truncated_writes: AtomicU64,
-    /// Requests served under brownout level 1 (autotune shed).
-    pub brownout_no_autotune: AtomicU64,
-    /// Requests served under brownout level 2 (reduced rung).
+    /// Requests served under brownout (reduced rung).
     pub brownout_reduced_rung: AtomicU64,
-    /// Current brownout level (gauge: 0 = normal, 1 = no-autotune,
-    /// 2 = reduced-rung; level 3 — reject — shows up in `rejected`).
+    /// Current brownout level (gauge: 0 = normal, 1 = reduced-rung,
+    /// 2 = rejecting — the rejections show up in `rejected`).
     pub brownout_level: AtomicU64,
     /// Worker threads detached (not joined) because `stop()` hit its hard
     /// timeout with a compile still in flight.
@@ -62,8 +60,8 @@ pub struct ServerMetrics {
     /// Requests that parked waiting for memory reservations to free up
     /// (whether or not they were eventually admitted).
     pub mem_parked: AtomicU64,
-    /// Requests recompiled in their lean form (no autotune, reduced rung)
-    /// because their full-service estimate was denied reservation.
+    /// Requests recompiled in their lean form (reduced rung) because
+    /// their full-service estimate was denied reservation.
     pub mem_squeezes: AtomicU64,
     /// Runs that dispatched rank bodies on a distributed target.
     pub dist_runs: AtomicU64,

@@ -13,6 +13,9 @@
 //! ← {"id":2,"ok":true,"stats":{...}}
 //! ```
 //!
+//! Unknown keys are ignored; so is `autotune`, which older clients still
+//! send (plans come from the IR, nothing tunes them).
+//!
 //! Malformed requests get an `ok:false` response carrying the stable
 //! `E0802` protocol code; a server at capacity answers `E0801` instead of
 //! queueing (see [`crate::server`] for the admission-control contract).
@@ -30,8 +33,6 @@ pub struct CompileSpec {
     pub source: String,
     /// Execution target.
     pub target: Target,
-    /// Autotune execution plans against the server's shared plan cache.
-    pub autotune: bool,
     /// Optional compile/run budget in milliseconds. The clock starts at
     /// admission; a request still unanswered when it runs out is answered
     /// `E0803` by the watchdog and its singleflight slot is reclaimed.
@@ -42,8 +43,7 @@ pub struct CompileSpec {
 }
 
 impl CompileSpec {
-    /// Compile options equivalent to this spec (the server fills in its
-    /// plan-cache path when `autotune` is set).
+    /// Compile options equivalent to this spec.
     pub fn options(&self) -> CompileOptions {
         CompileOptions::for_target(self.target.clone())
     }
@@ -132,7 +132,6 @@ impl Request {
                 .ok_or("missing 'source' field")?
                 .to_string();
             let target = parse_target(v.get("target").and_then(Json::as_str).unwrap_or("cpu"))?;
-            let autotune = v.get("autotune").and_then(Json::as_bool).unwrap_or(false);
             let deadline_ms = v
                 .get("deadline_ms")
                 .and_then(Json::as_i64)
@@ -140,7 +139,6 @@ impl Request {
             Ok(CompileSpec {
                 source,
                 target,
-                autotune,
                 deadline_ms,
             })
         };
@@ -249,7 +247,6 @@ mod tests {
         match r.op {
             Op::Run(spec, arrays) => {
                 assert_eq!(spec.target, Target::StencilOpenMp { threads: 4 });
-                assert!(!spec.autotune);
                 assert_eq!(arrays, vec!["u", "v"]);
                 assert!(spec.source.starts_with("program p"));
             }

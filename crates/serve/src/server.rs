@@ -42,8 +42,7 @@
 //!   retired in place and a replacement spawned so pool capacity
 //!   recovers.
 //! * **Brownout**: under queue pressure the server sheds *cost* before
-//!   shedding requests — occupancy ≥ `brownout_l1` strips autotune
-//!   (default/cached plans only), ≥ `brownout_l2` also forces the
+//!   shedding requests — occupancy ≥ `brownout_l2` forces the
 //!   cheaper-to-compile scf rung (bit-identical results, see DESIGN.md
 //!   §7), and a full queue rejects `E0801`. The applied level is attested
 //!   per-response (`brownout` field) and in `stats`. Queue occupancy is
@@ -55,22 +54,16 @@
 //!   closed (slow-loris containment). Client half-close just ends the
 //!   reader; already-queued jobs still answer into the write half.
 //! * **Sharing**: every worker holds the same `Arc<CompileService>`
-//!   (singleflight + bounded artifact cache, see `fsc_core::session`) and
-//!   the same on-disk plan cache path, so autotuned plans discovered by
-//!   one session serve every later one.
+//!   (singleflight + bounded artifact cache, see `fsc_core::session`).
 //! * **Attestation**: each response reports how its artifact was obtained
-//!   (fresh/deduped/cached), the degradation rung that ran, the plan
-//!   provenances, the brownout level applied, coded warnings (e.g.
-//!   `E0702` plan-cache degradation), and queue/compile/run wall times.
+//!   (fresh/deduped/cached), the degradation rung that ran, the brownout
+//!   level applied, coded warnings (e.g. `E0705` jit stitching skips),
+//!   and queue/compile/run wall times.
 //! * **Chaos**: an optional seeded [`ChaosInjector`] (see [`crate::chaos`])
-//!   injects worker panics, slow compiles, mid-frame response truncation
-//!   and cache corruption — the soak harness (`loadgen --chaos`) drives a
-//!   server with all of it armed and asserts the exactly-once, no-wedge,
-//!   bit-identity invariants.
-//!
-//! The env → configuration boundary lives in the *binary* (`fsc-serve`
-//! reads `FSC_PLAN_CACHE` once at startup); this module and everything
-//! below it take explicit paths only.
+//!   injects worker panics, slow compiles, mid-frame response truncation,
+//!   artifact purges and memory pressure — the soak harness
+//!   (`loadgen --chaos`) drives a server with all of it armed and asserts
+//!   the exactly-once, no-wedge, bit-identity invariants.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -84,9 +77,7 @@ use std::time::{Duration, Instant};
 use fsc_core::{
     CompileOutcome, CompileRequest, CompileService, DegradationRung, Execution, Target,
 };
-use fsc_exec::autotune;
-use fsc_exec::plancache::resolve_cache_path;
-use fsc_exec::{MemoryBudget, TuneConfig};
+use fsc_exec::MemoryBudget;
 use fsc_ir::diag::codes;
 use fsc_ir::json::{Json, ObjBuilder};
 
@@ -108,9 +99,9 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Compiled artifacts retained by the shared service.
     pub artifact_capacity: usize,
-    /// Plan-cache file shared by every autotuning request (`None` resolves
-    /// the default temp-dir path; the `FSC_PLAN_CACHE` env lookup happens
-    /// only in the `fsc-serve` binary).
+    /// Ignored: there is no plan cache. Kept only because `benchmark/`
+    /// still sets it; it goes when a `[benchmark]` PR (ROADMAP 2(a)) stops
+    /// using it.
     pub plan_cache: Option<PathBuf>,
     /// Default compile/run budget for requests that do not carry their own
     /// `deadline_ms`. The clock starts at admission.
@@ -130,11 +121,8 @@ pub struct ServerConfig {
     /// expires are detached (never blocking shutdown) and any still-queued
     /// jobs are answered with a coded rejection.
     pub stop_timeout: Duration,
-    /// Queue-occupancy fraction at which brownout level 1 starts
-    /// (autotune sweeps shed; default/cached plans only).
-    pub brownout_l1: f64,
-    /// Queue-occupancy fraction at which brownout level 2 starts (also
-    /// force the cheaper scf compile rung; results stay bit-identical).
+    /// Queue-occupancy fraction at which brownout starts: requests are
+    /// compiled on the cheaper scf rung (results stay bit-identical).
     pub brownout_l2: f64,
     /// Optional seeded chaos plan — armed at start, disarmable at runtime
     /// via [`Server::chaos`].
@@ -143,8 +131,8 @@ pub struct ServerConfig {
     /// run request must reserve its attested [`fsc_exec::MemoryEstimate`]
     /// on this ledger before executing; a reservation that cannot be made
     /// even after the squeeze rung and a bounded park is answered `E0806`.
-    /// Reserved-fraction also feeds the brownout ladder, so memory
-    /// pressure sheds cost (autotune, rung) before it sheds requests.
+    /// Reserved-fraction also feeds the brownout threshold, so memory
+    /// pressure sheds cost (the rung) before it sheds requests.
     pub mem_budget: Option<u64>,
 }
 
@@ -160,7 +148,6 @@ impl Default for ServerConfig {
             max_frame_bytes: 4 << 20,
             idle_timeout: Duration::from_secs(30),
             stop_timeout: Duration::from_secs(10),
-            brownout_l1: 0.5,
             brownout_l2: 0.8,
             chaos: None,
             mem_budget: None,
@@ -168,15 +155,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// How much cost the server is shedding for one request (the brownout
-/// ladder; level 3 — reject `E0801` — never reaches a worker).
+/// How much cost the server is shedding for one request (a rejection —
+/// `E0801` — never reaches a worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BrownoutLevel {
     /// Full service.
     Normal,
-    /// Autotune sweeps shed: default/cached plans only.
-    NoAutotune,
-    /// Also compile at the cheaper scf rung (bit-identical results).
+    /// Compile at the cheaper scf rung (bit-identical results).
     ReducedRung,
 }
 
@@ -185,7 +170,6 @@ impl BrownoutLevel {
     pub fn describe(self) -> &'static str {
         match self {
             BrownoutLevel::Normal => "none",
-            BrownoutLevel::NoAutotune => "no-autotune",
             BrownoutLevel::ReducedRung => "reduced-rung",
         }
     }
@@ -193,8 +177,7 @@ impl BrownoutLevel {
     fn gauge(self) -> u64 {
         match self {
             BrownoutLevel::Normal => 0,
-            BrownoutLevel::NoAutotune => 1,
-            BrownoutLevel::ReducedRung => 2,
+            BrownoutLevel::ReducedRung => 1,
         }
     }
 }
@@ -242,7 +225,6 @@ struct WorkerSlot {
 
 struct ServerInner {
     config: ServerConfig,
-    plan_cache_path: PathBuf,
     service: Arc<CompileService>,
     queue: Mutex<VecDeque<Job>>,
     work_ready: Condvar,
@@ -296,7 +278,6 @@ impl Server {
             None => MemoryBudget::unlimited(),
         };
         let inner = Arc::new(ServerInner {
-            plan_cache_path: resolve_cache_path(config.plan_cache.as_deref()),
             service,
             mem_ledger,
             config,
@@ -593,17 +574,15 @@ fn write_response(inner: &Arc<ServerInner>, reply: &Arc<Mutex<UnixStream>>, line
 fn brownout_level(config: &ServerConfig, occupancy: f64) -> BrownoutLevel {
     if occupancy >= config.brownout_l2 {
         BrownoutLevel::ReducedRung
-    } else if occupancy >= config.brownout_l1 {
-        BrownoutLevel::NoAutotune
     } else {
         BrownoutLevel::Normal
     }
 }
 
 /// Fraction of the server memory budget currently reserved (0.0 when the
-/// budget is unbounded). Feeds the same brownout thresholds as queue
-/// occupancy: a mostly-reserved ledger sheds autotune and rungs before
-/// the admission path has to start rejecting `E0806`.
+/// budget is unbounded). Feeds the same brownout threshold as queue
+/// occupancy: a mostly-reserved ledger sheds the rung before the
+/// admission path has to start rejecting `E0806`.
 fn mem_occupancy(inner: &ServerInner) -> f64 {
     match inner.mem_ledger.limit() {
         Some(limit) if limit > 0 => inner.mem_ledger.used() as f64 / limit as f64,
@@ -686,7 +665,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
             if queue.len() >= inner.config.queue_depth {
                 drop(queue);
                 inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.brownout_level.store(3, Ordering::Relaxed);
+                inner.metrics.brownout_level.store(2, Ordering::Relaxed);
                 write_line(reply, &busy_response(request.id, inner.config.queue_depth));
                 return;
             }
@@ -694,20 +673,11 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
             // Memory pressure browns out on the same ladder: the request
             // is served leaner while reservations are scarce.
             let brownout = brownout_level(&inner.config, occupancy.max(mem_occupancy(inner)));
-            match brownout {
-                BrownoutLevel::Normal => {}
-                BrownoutLevel::NoAutotune => {
-                    inner
-                        .metrics
-                        .brownout_no_autotune
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                BrownoutLevel::ReducedRung => {
-                    inner
-                        .metrics
-                        .brownout_reduced_rung
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            if brownout == BrownoutLevel::ReducedRung {
+                inner
+                    .metrics
+                    .brownout_reduced_rung
+                    .fetch_add(1, Ordering::Relaxed);
             }
             inner
                 .metrics
@@ -785,7 +755,7 @@ fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
             Op::Run(spec, arrays) => (spec, Some(arrays.clone())),
             _ => unreachable!("only compile/run jobs are queued"),
         };
-        let request = to_compile_request(spec, &job, inner);
+        let request = to_compile_request(spec, &job);
         let fingerprint = request.fingerprint();
 
         // Register with the watchdog before anything can hang or die —
@@ -804,9 +774,6 @@ fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
         });
 
         if let Some(ch) = &inner.chaos {
-            if ch.corrupt_cache() {
-                corrupt_plan_cache(&inner.plan_cache_path);
-            }
             if ch.purge_artifacts() {
                 inner.service.purge_artifacts();
             }
@@ -837,19 +804,6 @@ fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
         }
         inner.metrics.latency.record(job.admitted.elapsed());
         write_response(inner, &job.reply, &response.render());
-    }
-}
-
-/// Append garbage to the on-disk plan cache (chaos): the next
-/// merge-on-save or cold load must degrade with an `E0702` warning and an
-/// empty cache — never a failed request.
-fn corrupt_plan_cache(path: &Path) {
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        let _ = f.write_all(b"\x00\xff{{chaos-garbage");
     }
 }
 
@@ -960,14 +914,11 @@ impl Drop for MemReservation {
     }
 }
 
-/// The memory-pressure squeeze: the same program compiled to its leanest
-/// admissible form — no autotune sweep (no calibration scratch in the
-/// estimate) and the cheaper scf rung (bit-identical results, DESIGN.md
-/// §7). Applied when the full-service estimate fails reservation, before
-/// parking or rejecting.
+/// The memory-pressure squeeze: the same program compiled on the cheaper
+/// scf rung (bit-identical results, DESIGN.md §7). Applied when the
+/// full-service estimate fails reservation, before parking or rejecting.
 fn squeeze_request(request: &CompileRequest) -> CompileRequest {
     let mut lean = request.clone();
-    lean.options.autotune = None;
     if !matches!(lean.options.target, Target::FlangOnly) {
         lean.options.force_rung = Some(DegradationRung::ScfFallback);
     }
@@ -1120,18 +1071,10 @@ fn process_job(
     b.build()
 }
 
-fn to_compile_request(spec: &CompileSpec, job: &Job, inner: &Arc<ServerInner>) -> CompileRequest {
+fn to_compile_request(spec: &CompileSpec, job: &Job) -> CompileRequest {
     let mut options = spec.options();
-    // Brownout level 1+: shed the autotune sweep — default/cached plans
-    // only. Level 2: also compile on the cheap scf rung (fewer passes,
-    // bit-identical results — DESIGN.md §7's ladder guarantee).
-    if spec.autotune && job.brownout == BrownoutLevel::Normal {
-        options.autotune = Some(TuneConfig {
-            cache_path: Some(inner.plan_cache_path.clone()),
-            no_persist: false,
-            reps: 1,
-        });
-    }
+    // Brownout: compile on the cheap scf rung (fewer passes, bit-identical
+    // results — DESIGN.md §7's ladder guarantee).
     if job.brownout == BrownoutLevel::ReducedRung && !matches!(options.target, Target::FlangOnly) {
         options.force_rung = Some(DegradationRung::ScfFallback);
     }
@@ -1143,36 +1086,18 @@ fn to_compile_request(spec: &CompileSpec, job: &Job, inner: &Arc<ServerInner>) -
 }
 
 /// The per-request attestation: artifact provenance, degradation rung,
-/// plan provenances, brownout level, coded warnings, wall times.
+/// brownout level, coded warnings, wall times.
 fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuilder {
     let compiled = &outcome.compiled;
-    let plans: Vec<Json> = {
-        let mut provenances: Vec<String> = compiled
-            .kernels
-            .values()
-            .flat_map(|k| k.nests.iter())
-            .map(|n| format!("{:?}", n.plan.provenance).to_lowercase())
-            .collect();
-        provenances.sort();
-        provenances.dedup();
-        provenances.into_iter().map(Json::Str).collect()
-    };
-    // Coded warnings accumulated during compilation (e.g. E0702 plan-cache
-    // degradation, E0703 calibration failure, E0705 jit stitching skips) —
-    // visible to the client, so "degraded but served" is attested, not
-    // silent.
+    // Coded warnings accumulated during compilation (E0705 jit stitching
+    // skips) — visible to the client, so "degraded but served" is
+    // attested, not silent.
     let warnings: Vec<Json> = {
         let mut codes: Vec<&str> = compiled
-            .tuning
-            .as_ref()
-            .map(|t| t.diagnostics.iter().map(|d| d.code).collect())
-            .unwrap_or_default();
-        codes.extend(
-            compiled
-                .kernels
-                .values()
-                .flat_map(|k| k.jit_warnings.iter().map(|d| d.code)),
-        );
+            .kernels
+            .values()
+            .flat_map(|k| k.jit_warnings.iter().map(|d| d.code))
+            .collect();
         codes.sort();
         codes.dedup();
         codes
@@ -1201,18 +1126,9 @@ fn attest(id: i64, outcome: &CompileOutcome, brownout: BrownoutLevel) -> ObjBuil
         .str("rung", compiled.degradation.ran.describe())
         .bool("degraded", compiled.degradation.degraded())
         .str("brownout", brownout.describe())
-        .set("plans", Json::Arr(plans))
         .set("exec_tiers", Json::Arr(exec_tiers))
         .set("warnings", Json::Arr(warnings))
         .num("compile_ms", outcome.wall.as_secs_f64() * 1000.0)
-        .num(
-            "tuned_kernels",
-            compiled
-                .tuning
-                .as_ref()
-                .map(|t| t.entries.len() as f64)
-                .unwrap_or(0.0),
-        )
 }
 
 fn render_arrays(execution: &Execution, names: &[String]) -> Json {
@@ -1235,7 +1151,6 @@ fn error_json(id: i64, error: &fsc_ir::IrError) -> Json {
 fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
     let m = &inner.metrics;
     let s = inner.service.metrics();
-    let (plan_hits, plan_misses) = autotune::shared_cache(&inner.plan_cache_path).0.stats();
     let mut b = ObjBuilder::new()
         .num("workers", inner.config.workers as f64)
         .num("queue_capacity", inner.config.queue_depth as f64)
@@ -1272,10 +1187,6 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
         .num(
             "brownout_level",
             m.brownout_level.load(Ordering::Relaxed) as f64,
-        )
-        .num(
-            "brownout_no_autotune",
-            m.brownout_no_autotune.load(Ordering::Relaxed) as f64,
         )
         .num(
             "brownout_reduced_rung",
@@ -1317,8 +1228,6 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
         .num("oversize_rejects", s.oversize_rejects as f64)
         .num("inflight", inner.service.inflight_len() as f64)
         .num("reuse_rate", s.reuse_rate())
-        .num("plan_hits", plan_hits as f64)
-        .num("plan_misses", plan_misses as f64)
         .num("p50_ms", m.latency.quantile_ms(0.5))
         .num("p99_ms", m.latency.quantile_ms(0.99))
         .num("mean_ms", m.latency.mean_ms())
@@ -1354,7 +1263,6 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
             .num("chaos_panics", c.panics as f64)
             .num("chaos_slow_compiles", c.slow_compiles as f64)
             .num("chaos_truncations", c.truncations as f64)
-            .num("chaos_cache_corruptions", c.cache_corruptions as f64)
             .num("chaos_artifact_purges", c.artifact_purges as f64)
             .num("chaos_mem_pressures", c.mem_pressures as f64);
     }

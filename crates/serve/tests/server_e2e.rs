@@ -70,7 +70,6 @@ fn sixty_four_concurrent_mixed_requests() {
     let config = ServerConfig {
         workers: 4,
         queue_depth: 128, // >= request count: nothing may be rejected here
-        plan_cache: Some(dir.join("plans.json")),
         ..ServerConfig::default()
     };
     let server = Server::start(&dir.join("serve.sock"), config).unwrap();
@@ -204,7 +203,6 @@ fn admission_control_rejects_beyond_queue_depth() {
     let config = ServerConfig {
         workers: 0,
         queue_depth: 1,
-        plan_cache: Some(dir.join("plans.json")),
         ..ServerConfig::default()
     };
     let server = Server::start(&dir.join("serve.sock"), config).unwrap();
@@ -236,7 +234,7 @@ fn admission_control_rejects_beyond_queue_depth() {
         assert_eq!(stats.get("queue_depth").and_then(Json::as_i64), Some(1));
         // Keep `raw` alive until after the rejection below.
         let mut rejected_client = Client::connect(server.socket_path()).unwrap();
-        let v = rejected_client.compile(&source, "cpu", false).unwrap();
+        let v = rejected_client.compile(&source, "cpu").unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(v.get("code").and_then(Json::as_str), Some("E0801"));
         assert!(v
@@ -252,6 +250,60 @@ fn admission_control_rejects_beyond_queue_depth() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `autotune` is accepted and ignored: two run requests that differ only
+/// in it share one compile and answer the same bits, and nothing is
+/// written or warned about — even with `plan_cache` pointing under a
+/// regular file, where no file could be created.
+#[test]
+fn autotune_is_accepted_and_ignored() {
+    let dir = scratch_dir("autotune");
+    std::fs::write(dir.join("blocker"), b"i am not a directory").unwrap();
+    let server = Server::start(
+        &dir.join("serve.sock"),
+        ServerConfig {
+            workers: 1,
+            plan_cache: Some(dir.join("blocker").join("plans.json")),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let source = fsc_workloads::gauss_seidel::fortran_source(4, 1);
+    let run = |autotune: bool| {
+        fsc_ir::json::ObjBuilder::new()
+            .str("op", "run")
+            .str("source", &source)
+            .str("target", "cpu")
+            .bool("autotune", autotune)
+            .set("arrays", Json::Arr(vec![Json::Str("u".into())]))
+    };
+
+    let mut client = Client::connect(server.socket_path()).unwrap();
+    let plain = client.call(run(false)).unwrap();
+    let tuned = client.call(run(true)).unwrap();
+    for v in [&plain, &tuned] {
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            v.render()
+        );
+        assert_eq!(
+            v.get("warnings").and_then(Json::as_array).map(Vec::len),
+            Some(0),
+            "{}",
+            v.render()
+        );
+    }
+    let checksum = |v: &Json| v.get("checksum").and_then(Json::as_str).map(str::to_string);
+    assert!(checksum(&plain).is_some(), "{}", plain.render());
+    assert_eq!(checksum(&plain), checksum(&tuned));
+    assert_eq!(tuned.get("artifact").and_then(Json::as_str), Some("cached"));
+    assert_eq!(server.service().metrics().compiles, 1);
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Protocol errors answer `E0802` with the recovered id — malformed input
 /// never kills the connection.
 #[test]
@@ -261,7 +313,6 @@ fn malformed_requests_get_coded_protocol_errors() {
         &dir.join("serve.sock"),
         ServerConfig {
             workers: 1,
-            plan_cache: Some(dir.join("plans.json")),
             ..ServerConfig::default()
         },
     )
@@ -313,7 +364,6 @@ fn renamed_program_recompiles_and_restitches_bit_identically() {
         &dir.join("serve.sock"),
         ServerConfig {
             workers: 1,
-            plan_cache: Some(dir.join("plans.json")),
             ..ServerConfig::default()
         },
     )
@@ -381,7 +431,6 @@ fn distributed_runs_surface_scheduler_gauges() {
         &dir.join("serve.sock"),
         ServerConfig {
             workers: 1,
-            plan_cache: Some(dir.join("plans.json")),
             ..ServerConfig::default()
         },
     )

@@ -9,11 +9,6 @@
 //!   --grid=PxQ         (dmp / multigpu)
 //!   --tile=X,Y,Z       (gpu / multigpu)
 //!   --naive-gpu-data   (gpu: use the host_register strategy)
-//!   --autotune         calibrate execution plans against the plan cache
-//!   --plan-cache=FILE  plan-cache file (default: $FSC_PLAN_CACHE, then
-//!                      the temp-dir default — this flag/env pair is the
-//!                      only place the cache path comes from the
-//!                      environment; the library takes explicit paths)
 //!   --emit-fir         print the FIR module and exit
 //!   --emit-stencil     print the extracted, lowered stencil module and exit
 //!   --print=a,b        dump the named arrays after the run
@@ -24,7 +19,6 @@
 //! the library only sees `CompileOptions::force_exec_path`).
 
 use flang_stencil::core::{CompileOptions, Compiler, Target};
-use flang_stencil::exec::TuneConfig;
 
 fn parse_grid(s: &str) -> Vec<i64> {
     s.split(['x', 'X', ','])
@@ -51,8 +45,6 @@ fn main() {
     let mut explicit_data = true;
     let mut emit_fir = false;
     let mut emit_stencil = false;
-    let mut autotune = false;
-    let mut plan_cache: Option<std::path::PathBuf> = None;
     let mut dump: Vec<String> = Vec::new();
 
     for a in &args {
@@ -66,10 +58,6 @@ fn main() {
             tile = parse_tile(v);
         } else if a == "--naive-gpu-data" {
             explicit_data = false;
-        } else if a == "--autotune" {
-            autotune = true;
-        } else if let Some(v) = a.strip_prefix("--plan-cache=") {
-            plan_cache = Some(std::path::PathBuf::from(v));
         } else if a == "--emit-fir" {
             emit_fir = true;
         } else if a == "--emit-stencil" {
@@ -124,15 +112,9 @@ fn main() {
         }
     };
 
-    // The env → options boundary: `FSC_PLAN_CACHE` and
-    // `FSC_FORCE_EXEC_PATH` are read here, once, and threaded through as
-    // explicit options. Library code never consults the environment (see
-    // fsc-exec's plancache docs).
-    let tune = autotune.then(|| TuneConfig {
-        cache_path: plan_cache.or_else(flang_stencil::exec::env_cache_path),
-        no_persist: false,
-        reps: 2,
-    });
+    // The env → options boundary: `FSC_FORCE_EXEC_PATH` is read here,
+    // once, and threaded through as an explicit option. Library code never
+    // consults the environment.
     let force_exec_path = std::env::var("FSC_FORCE_EXEC_PATH").ok().map(|raw| {
         flang_stencil::exec::ExecPath::parse(&raw).unwrap_or_else(|| {
             eprintln!(
@@ -146,7 +128,6 @@ fn main() {
         &source,
         &CompileOptions {
             target,
-            autotune: tune,
             force_exec_path,
             ..Default::default()
         },
@@ -179,17 +160,6 @@ fn main() {
         exec.report.kernel_cells,
         compiled.kernels.len()
     );
-    if let Some(t) = &compiled.tuning {
-        eprintln!(
-            "autotune: {} cache hit(s), {} fresh tune(s), {:?} calibrating",
-            t.cache_hits(),
-            t.fresh_tunes(),
-            t.tuning_wall
-        );
-        for d in &t.diagnostics {
-            eprintln!("{d}");
-        }
-    }
     if !exec.report.exec_paths.is_empty() {
         let paths: Vec<String> = exec
             .report

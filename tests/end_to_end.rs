@@ -784,7 +784,6 @@ fn distributed_composes_with_forced_plans() {
         },
         ExecPlan {
             unroll: 4,
-            slabs: 1,
             ..ExecPlan::default()
         },
     ] {

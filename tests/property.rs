@@ -336,9 +336,8 @@ proptest! {
             ExecPlan {
                 tiles: vec![1 << 20, 1 << 20],         // larger than any extent
                 unroll: 4,
-                ..ExecPlan::default()
             },
-            ExecPlan { unroll: 4, slabs: 1, ..ExecPlan::default() },
+            ExecPlan { unroll: 4, ..ExecPlan::default() },
         ];
         for path in [ExecPath::Specialized, ExecPath::GenericVm] {
             for plan in &plans {
@@ -418,7 +417,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The stitched jit must be **bit**-identical to both VM tiers on
-    /// random 1-D stencils under the default, a tuned and an oversized
+    /// random 1-D stencils under the default, a tiled and an oversized
     /// execution plan — including degenerate n=0/1 domains where the
     /// interior loop never runs.
     #[test]
@@ -443,8 +442,8 @@ proptest! {
             .collect();
         let plans = [
             ExecPlan::default(),
-            ExecPlan { tiles: vec![3], unroll: 4, slabs: 1, ..ExecPlan::default() },
-            ExecPlan { tiles: vec![1 << 20], unroll: 4, ..ExecPlan::default() },
+            ExecPlan { tiles: vec![3], unroll: 4 },
+            ExecPlan { tiles: vec![1 << 20], unroll: 4 },
         ];
         for path in [ExecPath::Jit, ExecPath::FusedVm, ExecPath::GenericVm] {
             for plan in &plans {
@@ -480,8 +479,8 @@ proptest! {
             .collect();
         let plans = [
             ExecPlan::default(),
-            ExecPlan { tiles: vec![3, 3], unroll: 4, slabs: 1, ..ExecPlan::default() },
-            ExecPlan { tiles: vec![1 << 20, 1 << 20], unroll: 4, ..ExecPlan::default() },
+            ExecPlan { tiles: vec![3, 3], unroll: 4 },
+            ExecPlan { tiles: vec![1 << 20, 1 << 20], unroll: 4 },
         ];
         for path in [ExecPath::Jit, ExecPath::FusedVm, ExecPath::GenericVm] {
             for plan in &plans {
@@ -518,8 +517,8 @@ proptest! {
             .collect();
         let plans = [
             ExecPlan::default(),
-            ExecPlan { tiles: vec![2, 2, 2], unroll: 2, slabs: 1, ..ExecPlan::default() },
-            ExecPlan { tiles: vec![1 << 20, 1 << 20, 1 << 20], unroll: 4, ..ExecPlan::default() },
+            ExecPlan { tiles: vec![2, 2, 2], unroll: 2 },
+            ExecPlan { tiles: vec![1 << 20, 1 << 20, 1 << 20], unroll: 4 },
         ];
         for path in [ExecPath::Jit, ExecPath::FusedVm, ExecPath::GenericVm] {
             for plan in &plans {
