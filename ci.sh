@@ -30,6 +30,10 @@ done
 if grep -qsw rayon Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml || [[ -e shims/rayon ]]; then echo "a Cargo.toml names rayon, or shims/rayon exists: split work with fsc_ir::par::fan_out"; exit 1; fi
 [[ $(grep -rlE 'fn fan_out\b' crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn fan_out defined in other than exactly one file under crates/"; exit 1; }
 if grep -rl available_parallelism crates/ shims/ src/ examples/ tests/ --include='*.rs' | grep -vx 'crates/ir/src/par.rs'; then echo "available_parallelism outside crates/ir/src/par.rs"; exit 1; fi
+# One zeroed-allocation path (fsc_exec::value): every program array comes
+# through `Memory::try_alloc_buffer`, the one place that consults the
+# thread's spare set before asking the allocator for fresh pages.
+[[ "$(grep -rl alloc_zeroed crates/ --include='*.rs')" == crates/exec/src/value.rs ]] || { echo "alloc_zeroed in other than exactly crates/exec/src/value.rs"; exit 1; }
 # Plans come from the IR (the tiling pass's attrs): no tuner, no plan cache.
 if grep -rlE 'FSC_PLAN_CACHE|TuneConfig' crates/ src/ examples/ tests/; then echo "FSC_PLAN_CACHE or TuneConfig is back: plans come from the IR"; exit 1; fi
 for f in autotune plancache sharded; do

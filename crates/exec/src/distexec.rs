@@ -1168,10 +1168,9 @@ fn refresh_snapshots(sh: &Shared, nest: &Nest, rm: &mut RankMem, rank: usize) ->
         let ViewSource::SnapshotOf(src) = views[sv].source else {
             return Err(wrap(rank, IrError::new("snapshot refresh of non-snapshot")));
         };
-        if rm.bufs[src] != rm.bufs[sv] {
-            let (s, d) = rm.mem.buffer_pair_mut(rm.bufs[src], rm.bufs[sv]);
-            d.copy_from_slice(s);
-        }
+        rm.mem
+            .copy_buffer(rm.bufs[src], rm.bufs[sv])
+            .map_err(|e| wrap(rank, e))?;
     }
     Ok(())
 }

@@ -627,8 +627,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                 if sb != db {
                     self.host_access(sb);
                     self.host_access(db);
-                    let (s, d) = self.memory.buffer_pair_mut(sb, db);
-                    d.copy_from_slice(s);
+                    self.memory.copy_buffer(sb, db)?;
                 }
             }
             // ------------------------------------------------------------ omp

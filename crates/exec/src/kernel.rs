@@ -1334,7 +1334,9 @@ fn run_steps(
             let Some(local) = plane_box(&nest.bounds, from, from.saturating_add(planes)) else {
                 continue;
             };
-            refresh_snapshots(refresh, memory);
+            for &(src, dst) in refresh {
+                memory.copy_buffer(src, dst)?;
+            }
             io.run(nest, views, bufs, memory, scalars, &local, &bases, threads);
         }
         step = step.saturating_add(planes);
@@ -1349,18 +1351,9 @@ fn snapshot_pairs(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Vec
         let ViewSource::SnapshotOf(src) = views[v].source else {
             return Err(err("snapshot refresh of non-snapshot view"));
         };
-        if bufs[src] != bufs[v] {
-            pairs.push((bufs[src], bufs[v]));
-        }
+        pairs.push((bufs[src], bufs[v]));
     }
     Ok(pairs)
-}
-
-fn refresh_snapshots(pairs: &[(BufId, BufId)], memory: &mut Memory) {
-    for &(src, dst) in pairs {
-        let (s, d) = memory.buffer_pair_mut(src, dst);
-        d.copy_from_slice(s);
-    }
 }
 
 /// `bounds` with the slowest dimension clipped to planes `[from, to)`;
@@ -1404,7 +1397,9 @@ fn run_naive_nests(
         if nest.domain_cells() == 0 {
             continue;
         }
-        refresh_snapshots(&snapshot_pairs(nest, views, bufs)?, memory);
+        for (src, dst) in snapshot_pairs(nest, views, bufs)? {
+            memory.copy_buffer(src, dst)?;
+        }
         let io = NestIo::new(nest, views, bufs)?;
         let mut taken = io.take(memory);
         let swept = {

@@ -1,6 +1,13 @@
 //! Runtime values and the flat-buffer memory model.
 
+// Arrays are sized by input programs: every failure is a coded error.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::alloc::{alloc_zeroed, Layout};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use fsc_ir::diag::{codes, Diagnostic};
@@ -160,6 +167,28 @@ fn zeroed_f64s(len: usize) -> Option<Vec<f64>> {
     }
 }
 
+thread_local! {
+    /// Storage of the last ungoverned [`Memory`] this thread dropped. Its
+    /// pages are already faulted in, so the next arena's buffers of the same
+    /// lengths take them instead of fresh ones (DESIGN.md §12).
+    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A spare of exactly `len` doubles from this thread's set, zeroed here so
+/// the run that takes it pays for its zeros.
+fn take_spare(len: usize) -> Option<Vec<f64>> {
+    let mut storage = SPARE
+        .try_with(|s| {
+            let mut set = s.borrow_mut();
+            let pos = set.iter().position(|v| v.len() == len)?;
+            Some(set.swap_remove(pos))
+        })
+        .ok()
+        .flatten()?;
+    storage.fill(0.0);
+    Some(storage)
+}
+
 /// Owner of all runtime storage for one program execution.
 ///
 /// Allocation is *governed*: every buffer charges its byte size against an
@@ -172,7 +201,7 @@ fn zeroed_f64s(len: usize) -> Option<Vec<f64>> {
 ///
 /// Every buffer carries a **write generation**, bumped by each entry point
 /// that can change its contents or identity (`buffer_mut`,
-/// `buffer_pair_mut`, `take_buffer`, `restore_buffer`, release, reuse,
+/// `copy_buffer`, `take_buffer`, `restore_buffer`, release, reuse,
 /// `mark_stale`). A cache of a buffer's contents — the distributed
 /// executor's resident rank windows — is valid exactly while the
 /// generation it recorded still matches. A buffer may also be marked
@@ -232,7 +261,8 @@ impl Memory {
     }
 
     /// Allocate a zero-initialised buffer of `len` doubles, reusing a
-    /// released buffer of the same length when one exists. Fails with a
+    /// released buffer of the same length when one exists, else a spare
+    /// this thread's last dropped arena left behind. Fails with a
     /// coded `E0805` diagnostic when the ledger (or the host allocator)
     /// refuses the bytes — the arena is left unchanged.
     pub fn try_alloc_buffer(&mut self, len: usize) -> fsc_ir::Result<BufId> {
@@ -251,7 +281,7 @@ impl Memory {
             self.charge(buf, bytes);
             return Ok(buf);
         }
-        self.adopt(bytes, zeroed_f64s(len))
+        self.adopt(bytes, take_spare(len).or_else(|| zeroed_f64s(len)))
     }
 
     /// A new buffer (never a reused one) whose `len` doubles the caller
@@ -301,6 +331,8 @@ impl Memory {
 
     /// Infallible [`Memory::try_alloc_buffer`] for ungoverned paths (tests,
     /// benches): panics on denial, exactly like `vec![0.0; len]` would.
+    // The one deliberate panic: runtime paths call `try_alloc_buffer`.
+    #[allow(clippy::expect_used)]
     pub fn alloc_buffer(&mut self, len: usize) -> BufId {
         self.try_alloc_buffer(len)
             .expect("ungoverned buffer allocation failed")
@@ -395,21 +427,27 @@ impl Memory {
         }
     }
 
-    /// Two distinct buffers, one mutable — for copies and halo exchange.
-    ///
-    /// Panics if `a == b`.
-    pub fn buffer_pair_mut(&mut self, a: BufId, b: BufId) -> (&[f64], &mut [f64]) {
-        assert_ne!(a, b, "buffer_pair_mut needs distinct buffers");
-        debug_assert!(!self.is_stale(a) && !self.is_stale(b), "stale pair");
-        let (ai, bi) = (a.0 as usize, b.0 as usize);
-        self.gens[bi] += 1;
-        if ai < bi {
-            let (lo, hi) = self.buffers.split_at_mut(bi);
-            (lo[ai].as_slice(), &mut hi[0])
-        } else {
-            let (lo, hi) = self.buffers.split_at_mut(ai);
-            (hi[0].as_slice(), &mut lo[bi])
+    /// Copy buffer `src` into `dst`, bumping `dst`'s generation; a no-op
+    /// when they are the same buffer, coded `E0701` when their lengths
+    /// differ.
+    pub fn copy_buffer(&mut self, src: BufId, dst: BufId) -> fsc_ir::Result<()> {
+        debug_assert!(!self.is_stale(src) && !self.is_stale(dst), "stale copy");
+        if src == dst {
+            return Ok(());
         }
+        let exec_err = |what| IrError::from_diagnostic(Diagnostic::error(codes::EXEC, what));
+        let (si, di) = (src.0 as usize, dst.0 as usize);
+        let [s, d] = self
+            .buffers
+            .get_disjoint_mut([si, di])
+            .map_err(|e| exec_err(format!("copy of {src:?} into {dst:?}: {e}")))?;
+        if s.len() != d.len() {
+            let what = format!("copy of {} doubles into a buffer of {}", s.len(), d.len());
+            return Err(exec_err(what));
+        }
+        d.copy_from_slice(s);
+        self.gens[di] += 1;
+        Ok(())
     }
 
     /// Number of buffers allocated so far.
@@ -436,11 +474,17 @@ impl Memory {
 impl Drop for Memory {
     /// Return every outstanding charge to the ledger: an arena dying with
     /// live buffers (a completed run, a failed rank body) must not strand
-    /// bytes in a shared budget.
+    /// bytes in a shared budget. An ungoverned arena's storage instead
+    /// replaces this thread's spare set (freed if the thread is exiting); a
+    /// governed one keeps nothing, since idle storage is bytes no ledger
+    /// charged.
     fn drop(&mut self) {
         if let Some(b) = &self.budget {
             b.release(self.live_bytes);
+            return;
         }
+        let spare: Vec<Vec<f64>> = self.buffers.drain(..).filter(|v| !v.is_empty()).collect();
+        let _ = SPARE.try_with(|s| s.try_borrow_mut().map(|mut set| *set = spare));
     }
 }
 
@@ -575,8 +619,8 @@ mod tests {
             assert!(m.generation(a) > before, "{what} must bump the generation");
         };
         bumped("buffer_mut", &mut m, &mut |m| m.buffer_mut(a)[0] = 1.0);
-        bumped("buffer_pair_mut (destination)", &mut m, &mut |m| {
-            m.buffer_pair_mut(b, a).1[1] = 2.0;
+        bumped("copy_buffer (destination)", &mut m, &mut |m| {
+            m.copy_buffer(b, a).unwrap();
         });
         let mut held = Vec::new();
         bumped("take_buffer", &mut m, &mut |m| held = m.take_buffer(a));
@@ -589,10 +633,13 @@ mod tests {
         bumped("reuse by try_alloc_buffer", &mut m, &mut |m| {
             assert_eq!(m.try_alloc_buffer(4).unwrap(), a);
         });
-        // The source of a pair copy is only read.
+        // The source of a copy is only read, and a self-copy moves nothing.
         let gb = m.generation(b);
-        let _ = m.buffer_pair_mut(b, a);
+        m.copy_buffer(b, a).unwrap();
         assert_eq!(m.generation(b), gb);
+        let ga = m.generation(a);
+        m.copy_buffer(a, a).unwrap();
+        assert_eq!(m.generation(a), ga);
     }
 
     #[test]
@@ -622,21 +669,101 @@ mod tests {
     }
 
     #[test]
-    fn buffer_pair_mut_both_orders() {
+    fn copy_buffer_both_orders_and_unequal_lengths() {
         let mut m = Memory::new();
         let a = m.alloc_buffer(4);
         let b = m.alloc_buffer(4);
         m.buffer_mut(a)[0] = 9.0;
-        {
-            let (src, dst) = m.buffer_pair_mut(a, b);
-            dst[0] = src[0];
-        }
-        assert_eq!(m.buffer(b)[0], 9.0);
+        m.copy_buffer(a, b).unwrap();
+        assert_eq!(m.buffer(b), [9.0, 0.0, 0.0, 0.0]);
         m.buffer_mut(b)[1] = 5.0;
-        {
-            let (src, dst) = m.buffer_pair_mut(b, a);
-            dst[1] = src[1];
+        m.copy_buffer(b, a).unwrap();
+        assert_eq!(m.buffer(a), [9.0, 5.0, 0.0, 0.0]);
+        // Unequal lengths: a coded error, and the destination is untouched.
+        let c = m.alloc_buffer(3);
+        let gc = m.generation(c);
+        let err = m.copy_buffer(a, c).unwrap_err();
+        assert_eq!(err.diagnostics[0].code, codes::EXEC, "{err}");
+        assert_eq!((m.buffer(c), m.generation(c)), (&[0.0; 3][..], gc));
+    }
+
+    /// Lengths of this thread's spare set.
+    fn spare_lens() -> Vec<usize> {
+        SPARE.with(|s| s.borrow().iter().map(Vec::len).collect())
+    }
+
+    /// An ungoverned arena holding one buffer of each length, dropped.
+    fn drop_arena_of(lens: &[usize]) {
+        let mut m = Memory::new();
+        for &len in lens {
+            m.alloc_buffer(len);
         }
-        assert_eq!(m.buffer(a)[1], 5.0);
+    }
+
+    #[test]
+    fn the_next_arena_on_a_thread_takes_the_last_ones_storage_zeroed() {
+        drop_arena_of(&[]);
+        let mut m = Memory::new();
+        let big = m.alloc_buffer(1 << 20);
+        let small = m.alloc_buffer(3);
+        m.buffer_mut(big).fill(f64::NAN);
+        m.buffer_mut(small).fill(f64::NAN);
+        let (big_ptr, small_ptr) = (m.buffer(big).as_ptr(), m.buffer(small).as_ptr());
+        drop(m);
+        assert_eq!(spare_lens(), [1 << 20, 3]);
+
+        let mut next = Memory::new();
+        let b = next.alloc_buffer(1 << 20);
+        assert_eq!(next.buffer(b).as_ptr(), big_ptr, "same storage");
+        assert!(next.buffer(b).iter().all(|v| v.to_bits() == 0));
+        assert_eq!(next.live_bytes(), 8 << 20, "charged as a fresh block");
+        // A different length goes to the allocator and leaves the spare.
+        let c = next.alloc_buffer(5);
+        assert_ne!(next.buffer(c).as_ptr(), small_ptr);
+        assert_eq!(spare_lens(), [3]);
+        let d = next.alloc_buffer(3);
+        assert_eq!(
+            (next.buffer(d).as_ptr(), next.buffer(d)),
+            (small_ptr, &[0.0; 3][..])
+        );
+        assert!(spare_lens().is_empty());
+    }
+
+    #[test]
+    fn a_governed_arena_keeps_nothing_but_takes_a_spare_on_its_ledger() {
+        drop_arena_of(&[10, 12]);
+        let budget = MemoryBudget::limited(8 * 11);
+        let mut g = Memory::with_budget(budget.clone());
+        // A refused reservation leaves the spare set intact.
+        let err = g.try_alloc_buffer(12).unwrap_err();
+        assert_eq!(err.diagnostics[0].code, codes::MEM_BUDGET, "{err}");
+        assert_eq!(spare_lens(), [10, 12]);
+        let b = g.try_alloc_buffer(10).unwrap();
+        assert_eq!((budget.used(), g.live_bytes()), (80, 80));
+        assert_eq!(spare_lens(), [12]);
+        g.buffer_mut(b).fill(1.0);
+        drop(g);
+        assert_eq!(budget.used(), 0);
+        assert_eq!(spare_lens(), [12], "a governed arena keeps nothing");
+    }
+
+    #[test]
+    fn another_thread_sees_no_spare() {
+        drop_arena_of(&[7]);
+        assert_eq!(spare_lens(), [7]);
+        assert!(std::thread::spawn(spare_lens).join().unwrap().is_empty());
+        assert_eq!(spare_lens(), [7]);
+    }
+
+    #[test]
+    fn a_second_drop_replaces_the_set() {
+        drop_arena_of(&[4]);
+        let mut m = Memory::new();
+        m.alloc_buffer(6);
+        m.alloc_buffer(0);
+        let taken = m.alloc_buffer(9);
+        let _held = m.take_buffer(taken);
+        drop(m);
+        assert_eq!(spare_lens(), [6], "empty and taken buffers are not kept");
     }
 }

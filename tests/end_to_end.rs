@@ -567,6 +567,73 @@ fn pipelined_gauss_seidel_matches_the_interpreter() {
 }
 
 #[test]
+fn repeated_runs_of_one_artifact_match_the_interpreter_bit_for_bit() {
+    // Each run's arena takes the storage the previous run on this thread
+    // dropped: no run may see another's values.
+    let cases = [
+        (gauss_seidel::fortran_source(12, 3), &["u", "un"][..]),
+        (
+            pw_advection::fortran_source(12),
+            &["u", "v", "w", "su", "sv", "sw"],
+        ),
+    ];
+    for (source, arrays) in cases {
+        let flang = Compiler::run(&source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
+        let compiled = Compiler::compile(&source, &CompileOptions::default()).unwrap();
+        for run in 0..3 {
+            let exec = compiled.run().unwrap();
+            for name in arrays {
+                let (got, want) = (exec.array(name).unwrap(), flang.array(name).unwrap());
+                assert!(
+                    got.len() == want.len()
+                        && got
+                            .iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "run {run} {name}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_array_the_program_never_writes_reads_zero_after_a_previous_run() {
+    // `fill` leaves 7.0 in two arrays of n doubles; `read`'s two arrays of
+    // n doubles then take that storage, and `z` is never written.
+    let fill = "
+program fill
+  implicit none
+  integer, parameter :: n = 64
+  integer :: i
+  real(kind=8) :: a(n), b(n)
+  do i = 1, n
+    a(i) = 7.0
+    b(i) = 7.0
+  end do
+end program fill
+";
+    let read = "
+program read
+  implicit none
+  integer, parameter :: n = 64
+  integer :: i
+  real(kind=8) :: z(n), r(n)
+  do i = 1, n
+    r(i) = z(i) + 1.0
+  end do
+end program read
+";
+    let reader = Compiler::compile(read, &CompileOptions::default()).unwrap();
+    let filled = Compiler::run(fill, &CompileOptions::default()).unwrap();
+    assert!(filled.array("a").unwrap().iter().all(|&v| v == 7.0));
+    drop(filled);
+    let exec = reader.run().unwrap();
+    assert!(exec.array("z").unwrap().iter().all(|&v| v == 0.0));
+    assert!(exec.array("r").unwrap().iter().all(|&v| v == 1.0));
+}
+
+#[test]
 fn multi_gpu_future_work_matches_reference_and_scales() {
     // Further-work avenue 5: distributed-memory + GPU. Correctness must be
     // exact; the modeled per-device time must shrink with more GPUs.
