@@ -106,6 +106,24 @@ echo "== jit smoke =="
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig8_jit_tier -- --smoke
 
+echo "== small-nest smoke =="
+# An openmp nest is split into slabs only when its work repays a spawn
+# (DESIGN.md §8): on two threads every nest of Gauss–Seidel n=4 must stay
+# on the calling thread (every `schedule:` line reads `slabs [1, …]`), and
+# the stencil nest of n=64 must still split in two.
+smoke_dir=$(mktemp -d)
+for n in 4 64; do
+  sed -e "s/{n}/$n/" -e 's/{iters}/2/' benchmark/programs/gs.f90 > "$smoke_dir/gs$n.f90"
+  cargo run -q --example fsc -- "$smoke_dir/gs$n.f90" --target=openmp --threads=2 2>&1 \
+    | grep '^schedule:' > "$smoke_dir/gs$n.schedule" || true
+done
+cat "$smoke_dir"/gs*.schedule
+[[ -s "$smoke_dir/gs4.schedule" ]] && ! grep -v 'slabs \[1\(, 1\)*\]$' "$smoke_dir/gs4.schedule" \
+  || { echo "GS n=4 on openmp:2 split a nest (or printed no schedule)"; exit 1; }
+grep -q 'slabs \[2, [0-9]*\]$' "$smoke_dir/gs64.schedule" \
+  || { echo "GS n=64 on openmp:2 did not split its stencil nest in two"; exit 1; }
+rm -r "$smoke_dir"
+
 echo "== server smoke =="
 # Compile-server mode: loadgen self-hosts an fsc-serve instance on a
 # private socket and storms it with a duplicate-heavy request mix. The

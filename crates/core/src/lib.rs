@@ -1345,13 +1345,15 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                             // modeled distributed iteration (per-rank
                             // compute + halo communication), with the
                             // resilient-transport micro-sim attesting the
-                            // protocol.
+                            // protocol. CPU time is the wall times the most
+                            // slabs a nest ran on.
                             self.gather_sessions(memory, |name, _| name == callee);
                             self.sessions.remove(callee);
                             kernel::run_kernel(kernel, memory, &kargs, self.threads)?;
                             let elapsed = start.elapsed().as_secs_f64();
                             let ranks = grid.size() as f64;
-                            let compute = elapsed * self.threads as f64 / ranks;
+                            let slabs = kernel.slabs(self.threads).into_iter().max();
+                            let compute = elapsed * slabs.unwrap_or(1) as f64 / ranks;
                             let comm =
                                 self.modeled_comm(kernel, &grid, self.cost.offnode_fraction(&grid));
                             self.distributed_seconds += compute + comm;

@@ -16,8 +16,8 @@
 //! Runners ([`run_kernel`]):
 //! * single thread — innermost (unit-stride) dimension as the contiguous
 //!   hot loop;
-//! * work-shared by slicing the domain into contiguous output slabs
-//!   (`omp.wsloop`), fanned out over `threads` workers with the calling
+//! * work-shared (`omp.wsloop`): contiguous output slabs, as many as the
+//!   work repays spawns for ([`SPLIT_WORK`]), fanned out with the calling
 //!   thread as worker 0 ([`fsc_ir::par::fan_out`]);
 //! * GPU plans execute on the CPU for correctness while the driver charges
 //!   modeled time (see `fsc-gpusim`).
@@ -283,17 +283,29 @@ pub(crate) struct Pipeline {
 impl CompiledKernel {
     /// Each nest's lag, in slowest-dimension planes, when a single-threaded
     /// [`run_kernel`] runs this region pipelined; `None` when it runs the
-    /// nests in order (no legal schedule, a work-shared plan, or one step
-    /// would span the whole domain).
+    /// nests in order (no legal schedule, or one step would span the whole
+    /// domain). A run on more than one thread is always in order.
     pub fn lags(&self) -> Option<&[i64]> {
         let p = self.pipeline.as_ref()?;
         let (first, end) = step_range(self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n)));
         (p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
     }
 
+    /// Each nest's slabs in a [`run_kernel`] on `threads` workers (the
+    /// [`SPLIT_WORK`] rule; a split whose slabs overlap runs on one).
+    pub fn slabs(&self, threads: usize) -> Vec<usize> {
+        self.nests
+            .iter()
+            .map(|n| slab_count(&n.bounds, n.program.instrs.len(), threads))
+            .collect()
+    }
+
     /// One line for drivers: `pipelined, lags [0, 1], 1 plane/step` or
-    /// `in order`.
-    pub fn schedule(&self) -> String {
+    /// `in order`; on `threads > 1`, `in order, slabs [2, 1]`.
+    pub fn schedule(&self, threads: usize) -> String {
+        if threads > 1 {
+            return format!("in order, slabs {:?}", self.slabs(threads));
+        }
         match (self.lags(), &self.pipeline) {
             (Some(lags), Some(p)) => format!(
                 "pipelined, lags {lags:?}, {} plane{}/step",
@@ -1239,10 +1251,11 @@ fn decode_index_expr(m: &Module, v: ValueId) -> Option<(ValueId, i64)> {
 /// the nests before it wrote a lag ago, still in cache. Otherwise every
 /// lag is 0 and `B` spans the domain: one step, each nest whole, in order
 /// (refreshing its snapshots first). That is the schedule whenever
-/// `threads > 1` (each nest is work-shared, and a pipeline would spawn
-/// threads per step) or two views resolve to one buffer (the lags compare
-/// views, not buffers). Either way every cell runs the same instructions
-/// on the same values.
+/// `threads > 1` (slabs are sized by the box run: a step's planes would
+/// pay a spawn per step or fall below [`SPLIT_WORK`] and idle the rest)
+/// or two views resolve to one buffer (the lags compare views, not
+/// buffers). Either way every cell runs the same instructions on the same
+/// values.
 pub fn run_kernel(
     kernel: &CompiledKernel,
     memory: &mut Memory,
@@ -1566,10 +1579,10 @@ impl NestIo {
 
     /// Run `nest` over the box `local`, buffers windowed by `bases` (see
     /// [`run_nest_box_based`]). `threads > 1` work-shares the box over
-    /// slabs of zero-based buffers: the planner splits the slowest
-    /// dimension first and keeps factoring into the next-slower ones when
-    /// the slowest extent alone cannot feed the budget (a 4³ nest on 32
-    /// threads still makes 32 tasks).
+    /// `slab_count` slabs of zero-based buffers, when that is more than
+    /// one: the planner splits the slowest dimension first and keeps
+    /// factoring into the next-slower ones when the slowest extent alone
+    /// cannot feed the budget.
     /// Store offsets can make a fine split's slabs overlap; then the
     /// coarser slowest-dimension-only split is tried, and if its slabs
     /// overlap too the box runs on the calling thread, which is always
@@ -1589,7 +1602,11 @@ impl NestIo {
         let mut taken = self.take(memory);
         {
             let inputs = self.inputs(bufs, memory);
-            let budget = threads.max(1);
+            let budget = if threads > 1 {
+                slab_count(local, nest.program.instrs.len(), threads)
+            } else {
+                1
+            };
             let shared = budget > 1 && {
                 let fine = plan_tasks(local, budget);
                 let coarse = || plan_tasks_outer_only(local, budget);
@@ -1912,6 +1929,27 @@ fn run_range(
     }
 }
 
+/// Instruction-cells (cells × generic instructions) at which a box gets a
+/// second slab: the half it takes must outlast a split. On the 2-vCPU
+/// build box one core runs 0.14–0.20 ns per instruction-cell (GS and PW
+/// nests, n = 32), and a split costs T₂ − T₁/2 ≈ 40 µs on nests near this
+/// size (15 µs on a 4³ nest): 2 × 40 µs / 0.16 ns ≈ 500k, rounded to 2¹⁹.
+/// A property of the machine, not of the program (DESIGN.md §8).
+pub const SPLIT_WORK: u64 = 1 << 19;
+
+/// Slabs for the box `local` of a nest of `instrs` generic instructions on
+/// `threads` workers: `min(threads, 1 + work / SPLIT_WORK)`, so each
+/// slab's share is at least half of [`SPLIT_WORK`]. The work saturates.
+fn slab_count(local: &[(i64, i64)], instrs: usize, threads: usize) -> usize {
+    let work = local.iter().fold(instrs as u64, |w, &(lb, ub)| {
+        w.saturating_mul(ub.saturating_sub(lb).max(0) as u64)
+    });
+    usize::try_from(1 + work / SPLIT_WORK)
+        .unwrap_or(usize::MAX)
+        .min(threads)
+        .max(1)
+}
+
 /// Split one dimension's half-open range into `n` near-even chunks.
 fn split_dim((lo, hi): (i64, i64), n: usize) -> Vec<(i64, i64)> {
     let total = (hi - lo).max(0) as usize;
@@ -2170,6 +2208,44 @@ end program average
         assert_eq!(memory.buffer(res)[0], 0.0);
     }
 
+    /// Run `k`'s one nest split into `tasks` on `workers` threads through
+    /// [`run_sliced`] — the splitter alone, whatever [`slab_count`] would
+    /// give the nest. Returns whether it split (false: the slabs overlapped
+    /// and nothing ran).
+    fn run_split(
+        k: &CompiledKernel,
+        memory: &mut Memory,
+        args: &[KernelArg],
+        tasks: &[Vec<(i64, i64)>],
+        workers: usize,
+    ) -> bool {
+        let [nest] = &k.nests[..] else {
+            panic!("run_split runs one-nest kernels");
+        };
+        let bufs = resolve_views(k, memory, args).unwrap();
+        for (src, dst) in snapshot_pairs(nest, &k.views, &bufs).unwrap() {
+            memory.copy_buffer(src, dst).unwrap();
+        }
+        let io = NestIo::new(nest, &k.views, &bufs).unwrap();
+        let mut taken = io.take(memory);
+        let split = {
+            let inputs = io.inputs(&bufs, memory);
+            run_sliced(
+                nest,
+                &k.views,
+                &inputs,
+                &mut taken,
+                &io.out_slots,
+                &scalar_args(args),
+                tasks,
+                workers,
+            )
+        };
+        io.restore(memory, taken);
+        release_snapshots(k, &bufs, memory);
+        split
+    }
+
     #[test]
     fn parallel_execution_matches_serial() {
         let k = compile(LISTING1);
@@ -2188,7 +2264,14 @@ end program average
 
         let mut m2 = Memory::new();
         let (d2, r2) = mk(&mut m2);
-        run_kernel(&k, &mut m2, &[KernelArg::Buf(d2), KernelArg::Buf(r2)], 4).unwrap();
+        let tasks = plan_tasks(&k.nests[0].bounds, 4);
+        assert!(run_split(
+            &k,
+            &mut m2,
+            &[KernelArg::Buf(d2), KernelArg::Buf(r2)],
+            &tasks,
+            4
+        ));
         assert_eq!(m1.buffer(r1), m2.buffer(r2));
     }
 
@@ -2455,7 +2538,8 @@ end program gs
         // used to fall back to 4 slabs (slowest-dim-only splitting); the
         // tile decomposition must use every thread and stay bitwise
         // identical to the serial sweep. At 5 threads the planner yields 8
-        // tasks, so some workers run several.
+        // tasks, so some workers run several. (`run_kernel` keeps a nest
+        // this small on one thread; the splitter is driven directly.)
         let k = compile(GS3D);
         let e = 6usize;
         let mk = |mem: &mut Memory| {
@@ -2471,16 +2555,12 @@ end program gs
         run_kernel(&k, &mut m1, &[KernelArg::Buf(u1), KernelArg::Buf(un1)], 1).unwrap();
         // (threads, tasks the planner yields for the 4³ nest)
         for (threads, tasks) in [(32usize, 32usize), (5, 8)] {
-            assert_eq!(plan_tasks(&k.nests[0].bounds, threads).len(), tasks);
+            let plan = plan_tasks(&k.nests[0].bounds, threads);
+            assert_eq!(plan.len(), tasks);
             let mut m2 = Memory::new();
             let (u2, un2) = mk(&mut m2);
-            run_kernel(
-                &k,
-                &mut m2,
-                &[KernelArg::Buf(u2), KernelArg::Buf(un2)],
-                threads,
-            )
-            .unwrap();
+            let args = [KernelArg::Buf(u2), KernelArg::Buf(un2)];
+            assert!(run_split(&k, &mut m2, &args, &plan, threads));
             let (a, b) = (m1.buffer(un1), m2.buffer(un2));
             assert!(
                 a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -2534,13 +2614,13 @@ end program gs
                 for threads in [1usize, 3] {
                     let mut m2 = Memory::new();
                     let (a2, b2) = mk(&mut m2);
-                    run_kernel(
-                        &k,
-                        &mut m2,
-                        &[KernelArg::Buf(a2), KernelArg::Buf(b2)],
-                        threads,
-                    )
-                    .unwrap();
+                    let args = [KernelArg::Buf(a2), KernelArg::Buf(b2)];
+                    if threads == 1 {
+                        run_kernel(&k, &mut m2, &args, 1).unwrap();
+                    } else {
+                        let tasks = plan_tasks(&k.nests[0].bounds, threads);
+                        assert!(run_split(&k, &mut m2, &args, &tasks, threads));
+                    }
                     assert!(
                         reference
                             .iter()
@@ -2764,16 +2844,20 @@ end program gs2
         assert_eq!(assert_steps_bit_identical(compile(GS2D_PAIR)), [0, 1]);
         // Small domains fit one step: the schedule is in order.
         assert_eq!(compile(&gs3).lags(), None);
-        assert_eq!(compile(&gs3).schedule(), "in order");
+        assert_eq!(compile(&gs3).schedule(1), "in order");
         // GS n=64: 66² doubles per plane on two views, 15 planes a step.
         let big = nests3d(
             64,
             &[(GS_STENCIL, 1, 64), ("u(i, j, k) = un(i, j, k)", 1, 64)],
         );
         assert_eq!(
-            compile(&big).schedule(),
+            compile(&big).schedule(1),
             "pipelined, lags [0, 1], 15 planes/step"
         );
+        // More than one thread runs in order, each nest in as many slabs as
+        // its work repays.
+        assert_eq!(compile(&gs3).schedule(2), "in order, slabs [1, 1]");
+        assert_eq!(compile(&big).schedule(2), "in order, slabs [2, 2]");
     }
 
     #[test]
@@ -2843,12 +2927,12 @@ end program gs2
         assert_eq!(assert_steps_bit_identical(k), [0, 1]);
     }
 
-    /// `a(i-1) = b(i); a(i+1) = b(i)` over i = 1..10, built by hand: the
+    /// `a(i-1) = b(i); a(i+1) = b(i)` over i = 1..n, built by hand: the
     /// nest stores one view at two offsets.
-    fn two_offset_kernel() -> CompiledKernel {
+    fn two_offset_kernel(n: i64) -> CompiledKernel {
         let view = |arg| ViewSpec {
             source: ViewSource::Arg(arg),
-            extents: vec![12],
+            extents: vec![n + 2],
             strides: vec![1],
             lbs: None,
         };
@@ -2875,7 +2959,7 @@ end program gs2
         };
         program.finalize_stats();
         let nest = Nest {
-            bounds: vec![(1, 11)],
+            bounds: vec![(1, n + 1)],
             out_views: vec![0],
             fused: specialize::fuse_program(&program),
             program,
@@ -2902,17 +2986,24 @@ end program gs2
 
     #[test]
     fn overlapping_slabs_run_the_nest_serially() {
-        // Every split of i = 1..10 overlaps on `a`, the fine one and the
-        // slowest-dimension one alike: a work-shared run must fall back to
-        // the calling thread and keep its outputs, not fail.
-        let k = two_offset_kernel();
-        let run = |threads| {
-            let mut memory = Memory::new();
-            let a = memory.alloc_buffer(12);
-            let b = memory.alloc_buffer(12);
+        // Every split of i = 1..n overlaps on `a`, the fine one and the
+        // slowest-dimension one alike: the splitter runs nothing, and a
+        // work-shared run big enough to split must fall back to the calling
+        // thread and keep its outputs, not fail.
+        let n = SPLIT_WORK as i64;
+        let k = two_offset_kernel(n);
+        let bounds = &k.nests[0].bounds;
+        let seeded = |memory: &mut Memory| {
+            let a = memory.alloc_buffer(n as usize + 2);
+            let b = memory.alloc_buffer(n as usize + 2);
             for (i, x) in memory.buffer_mut(b).iter_mut().enumerate() {
                 *x = i as f64 * 1.5;
             }
+            (a, b)
+        };
+        let run = |threads| {
+            let mut memory = Memory::new();
+            let (a, b) = seeded(&mut memory);
             run_kernel(
                 &k,
                 &mut memory,
@@ -2923,16 +3014,26 @@ end program gs2
             memory.buffer(a).to_vec()
         };
         let serial = run(1);
-        assert_eq!(serial.len(), 12);
+        assert_eq!(serial.len(), n as usize + 2);
         for threads in [2usize, 3] {
-            assert!(plan_tasks(&k.nests[0].bounds, threads).len() > 1);
+            assert_eq!(k.slabs(threads), [threads], "the rule asks for a split");
+            let mut memory = Memory::new();
+            let (a, b) = seeded(&mut memory);
+            let args = [KernelArg::Buf(a), KernelArg::Buf(b)];
+            for tasks in [
+                plan_tasks(bounds, threads),
+                plan_tasks_outer_only(bounds, threads),
+            ] {
+                assert!(!run_split(&k, &mut memory, &args, &tasks, threads));
+            }
+            assert!(memory.buffer(a).iter().all(|&x| x == 0.0), "ran nothing");
             assert!(same_bits(&run(threads), &serial), "{threads} threads");
         }
     }
 
     #[test]
     fn a_store_outside_the_outputs_is_a_coded_error() {
-        let mut k = two_offset_kernel();
+        let mut k = two_offset_kernel(10);
         k.nests[0].out_views.clear();
         let mut memory = Memory::new();
         let a = memory.alloc_buffer(12);
@@ -2941,5 +3042,33 @@ end program gs2
             run_kernel_naive(&k, &mut memory, &[KernelArg::Buf(a), KernelArg::Buf(b)]).unwrap_err();
         assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
         assert_eq!((memory.buffer(a).len(), memory.buffer(b).len()), (12, 12));
+    }
+
+    #[test]
+    fn a_nest_splits_only_when_each_slab_repays_a_spawn() {
+        let small = compile(GS3D);
+        let instrs = small.nests[0].program.instrs.len();
+        for threads in [2usize, 32] {
+            assert_eq!(small.slabs(threads), [1], "4³ GS at {threads} threads");
+        }
+        let big = compile(&GS3D.replace("n = 4", "n = 192"));
+        for threads in [2usize, 32] {
+            assert_eq!(
+                big.slabs(threads),
+                [threads],
+                "192³ GS at {threads} threads"
+            );
+        }
+        // One instruction per cell: work is the cell count.
+        let cells = |c: u64| vec![(0i64, c as i64)];
+        assert_eq!(slab_count(&cells(SPLIT_WORK - 1), 1, 8), 1);
+        assert_eq!(slab_count(&cells(SPLIT_WORK), 1, 8), 2);
+        assert_eq!(slab_count(&cells(3 * SPLIT_WORK), 1, 8), 4);
+        assert_eq!(slab_count(&big.nests[0].bounds, instrs, 1), 1);
+        assert_eq!(slab_count(&[(0, 0), (1, 193)], instrs, 8), 1);
+        // 2³² × 2³² cells wrap a u64 to 0; saturating, they are the most
+        // work there is.
+        let huge = [(0i64, 1 << 32), (0, 1 << 32)];
+        assert_eq!(slab_count(&huge, instrs, 8), 8);
     }
 }

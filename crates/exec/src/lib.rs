@@ -14,9 +14,9 @@
 //!   `scf`/`memref` loop nests are compiled once into flat register-machine
 //!   bytecode with pre-computed strides and relative offsets, then executed
 //!   over contiguous runs of the innermost (unit-stride) dimension —
-//!   serially, as contiguous slabs fanned out over `threads` workers for
-//!   the `omp` dialect (the calling thread is worker 0,
-//!   [`fsc_ir::par::fan_out`]), or through the GPU performance model.
+//!   serially, as contiguous slabs over up to `threads` workers for the
+//!   `omp` dialect, as many as the work repays (the calling thread is
+//!   worker 0, [`fsc_ir::par::fan_out`]), or through the GPU model.
 //!
 //! Shared memory model: [`value::Memory`] owns flat `f64` buffers with
 //! **column-major** linearisation (dimension 0 fastest), matching Fortran

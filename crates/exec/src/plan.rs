@@ -5,9 +5,9 @@
 //! (the paper's `parallel-loop-tile-sizes`, Listing 4): cache-block tile
 //! extents per dimension from the loop root's `"tiled"` attribute, and the
 //! inner-loop unroll factor from its `"unroll"` attribute. Work-sharing is
-//! not a plan field: a work-shared nest splits into at most one slab per
-//! thread. The plan rides through `KernelStats` into `RunReport`, so every
-//! run attests which plan actually executed.
+//! not a plan field: a nest's slab count is a function of the nest and its
+//! box (`kernel::SPLIT_WORK`). The plan rides through `KernelStats` into
+//! `RunReport`, so every run attests which plan actually executed.
 //!
 //! Plans never change *what* is computed: every plan visits every cell
 //! exactly once with the unchanged per-cell arithmetic, so all plans are

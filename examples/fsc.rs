@@ -172,10 +172,17 @@ fn main() {
     for d in &exec.report.jit_warnings {
         eprintln!("{d}");
     }
+    // The workers an `openmp` run shares each nest over (every core for
+    // `--threads=0`); every other target runs its kernels on one.
+    let workers = match compiled.target {
+        Target::StencilOpenMp { threads: 0 } => flang_stencil::ir::par::available_threads(),
+        Target::StencilOpenMp { threads } => threads as usize,
+        _ => 1,
+    };
     let mut regions: Vec<_> = compiled.kernels.iter().collect();
     regions.sort_by_key(|(name, _)| name.as_str());
     for (name, kernel) in regions {
-        eprintln!("schedule: {name}: {}", kernel.schedule());
+        eprintln!("schedule: {name}: {}", kernel.schedule(workers));
     }
     if let Some(gpu) = exec.report.gpu_seconds {
         eprintln!("gpu model: {gpu:.6}s ({:?})", exec.report.gpu.unwrap());

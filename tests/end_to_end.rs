@@ -558,11 +558,18 @@ fn pipelined_gauss_seidel_matches_the_interpreter() {
         "0.01 * i * j + 0.02 * k * k + 0.03 * i",
     );
     let compiled = Compiler::compile(&source, &CompileOptions::default()).unwrap();
-    let schedules: Vec<String> = compiled.kernels.values().map(|k| k.schedule()).collect();
+    let schedules: Vec<String> = compiled.kernels.values().map(|k| k.schedule(1)).collect();
     assert!(
         schedules.contains(&"pipelined, lags [0, 1], 15 planes/step".to_string()),
         "{schedules:?}"
     );
+    // On `omp:2` every nest is work enough to split in two, so the
+    // interpreter check below covers the slab splitter too.
+    let omp = Target::StencilOpenMp { threads: 2 };
+    let compiled = Compiler::compile(&source, &CompileOptions::for_target(omp)).unwrap();
+    for k in compiled.kernels.values() {
+        assert!(k.slabs(2).iter().all(|&s| s == 2), "{}", k.schedule(2));
+    }
     assert_matches_interpreter(&source, &["u", "un"]);
 }
 

@@ -9,6 +9,10 @@ use flang_stencil::mpisim::fault::FaultPlan;
 use flang_stencil::workloads::{gauss_seidel, pw_advection};
 use proptest::prelude::*;
 
+/// A 1-D nest of this many cells holds `SPLIT_WORK` instruction-cells or
+/// more, so `omp` splits it.
+const SPLIT_CELLS: usize = flang_stencil::exec::kernel::SPLIT_WORK as usize;
+
 /// A randomly generated 1-D stencil term: coefficient × a(i + offset).
 #[derive(Debug, Clone)]
 struct Term {
@@ -253,16 +257,22 @@ proptest! {
         prop_assert_eq!(&interp, &fast, "interpreter vs vectorised tier");
     }
 
+    /// Small grids run on the calling thread; grids of `SPLIT_WORK` cells
+    /// or more are split into slabs, whatever the terms.
     #[test]
     fn parallel_agrees_with_serial(
         terms in prop::collection::vec(term(), 1..5),
-        n in 8usize..32,
+        n in prop_oneof![8usize..32, SPLIT_CELLS..SPLIT_CELLS + 32],
         threads in 2u32..5,
     ) {
         let source = program(&terms, n);
         let serial = run(&source, Target::StencilCpu);
-        let parallel = run(&source, Target::StencilOpenMp { threads });
-        prop_assert_eq!(serial, parallel);
+        let omp = CompileOptions::for_target(Target::StencilOpenMp { threads });
+        let compiled = Compiler::compile(&source, &omp).unwrap();
+        let split = compiled.kernels.values().any(|k| k.slabs(threads as usize).iter().any(|&s| s > 1));
+        prop_assert_eq!(split, n >= SPLIT_CELLS, "n = {}", n);
+        let parallel = compiled.run().expect("run");
+        prop_assert_eq!(&serial[..], parallel.array("r").expect("r array"));
     }
 
     /// Every rung of the specialization ladder — native loops, the

@@ -205,13 +205,27 @@ fn local_fallback_kernel_sees_and_publishes_current_data() {
         "0.25 * (un(i, j-1, k-1) + un(i, j+1, k+1) + un(i, j-1, k+1) + un(i, j+1, k-1))",
     );
     let oracle = run(&source, &CompileOptions::for_target(Target::FlangOnly));
-    let exec = run(&source, &dist(&[2, 2]));
+    let compiled = Compiler::compile(&source, &dist(&[2, 2])).unwrap();
+    let exec = compiled.run().expect("run failed");
     assert_bits("fallback", &exec, &oracle, &["u", "un"]);
     let d = report(&exec);
     assert_eq!(d.provenance, Some(DistProvenance::Mixed), "{d:?}");
     assert_eq!(d.dispatches, 3, "the sweep runs measured every step");
     assert!(d.modeled_dispatches >= 3, "{d:?}");
     assert_eq!((d.scatters, d.gathers), (3 * 4, 3 * 4), "{d:?}");
+    // The fallback is charged its wall times the most slabs a nest ran on
+    // (over the ranks): at the dispatcher's threads, one rank per core up
+    // to the grid's four, this 8³ kernel runs on one.
+    let threads = 4.min(flang_stencil::ir::par::available_threads());
+    let fallback: Vec<_> = compiled
+        .kernels
+        .values()
+        .filter(|k| k.nests.iter().any(|n| n.halo_schedule.is_none()))
+        .collect();
+    assert!(!fallback.is_empty());
+    for k in fallback {
+        assert_eq!(k.slabs(threads).into_iter().max(), Some(1), "{}", k.name);
+    }
 }
 
 #[test]
