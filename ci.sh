@@ -30,6 +30,9 @@ done
 if grep -qsw rayon Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml || [[ -e shims/rayon ]]; then echo "a Cargo.toml names rayon, or shims/rayon exists: split work with fsc_ir::par::fan_out"; exit 1; fi
 [[ $(grep -rlE 'fn fan_out\b' crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn fan_out defined in other than exactly one file under crates/"; exit 1; }
 if grep -rl available_parallelism crates/ shims/ src/ examples/ tests/ --include='*.rs' | grep -vx 'crates/ir/src/par.rs'; then echo "available_parallelism outside crates/ir/src/par.rs"; exit 1; fi
+# One float printer (fsc_ir::ftoa): every shortest round-trip print on the
+# wire goes through `write_shortest`, pinned to std's `{}` byte for byte.
+[[ $(grep -rlE 'fn write_shortest\b' crates/ --include='*.rs' | wc -l) -eq 1 ]] || { echo "fn write_shortest defined in other than exactly one file under crates/"; exit 1; }
 # One zeroed-allocation path (fsc_exec::value): every program array comes
 # through `Memory::try_alloc_buffer`, the one place that consults the
 # thread's spare set before asking the allocator for fresh pages.
@@ -56,6 +59,11 @@ echo "== test =="
 timeout --kill-after=30s 900s cargo test -q --workspace
 
 if [[ $quick -eq 0 ]]; then
+  echo "== float printer sweep =="
+  # fsc_ir::ftoa against std's `{}` on 10^7 seeded random bit patterns,
+  # byte for byte (the tier-1 tests cover 10^6 and the edge sets).
+  timeout --kill-after=30s 600s cargo test -q --release -p fsc-ir -- --ignored
+
   echo "== mpisim soak =="
   # The transport's tests race real timers (retry backoff against the
   # deadlock watchdog's grace): five consecutive green runs, ~8 s each, so

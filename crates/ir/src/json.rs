@@ -8,6 +8,9 @@
 //! so rendering is deterministic — important for golden protocol tests.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
+
+use crate::ftoa;
 
 /// A JSON value (just enough for the protocol format).
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +101,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&render_number(*n)),
-            Json::Str(s) => out.push_str(&escape_string(s)),
+            Json::Num(n) => render_number(out, *n),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -116,7 +119,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape_string(k));
+                    escape_into(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -127,36 +130,52 @@ impl Json {
 }
 
 /// Render a number the way the cache/protocol formats expect: integers
-/// without a decimal point, everything else via the shortest round-trip
-/// float formatting. Non-finite values degrade to `null`-safe `0`.
-fn render_number(n: f64) -> String {
+/// without a decimal point, everything else as the shortest round-trip
+/// decimal, byte-identical to `{}`. Non-finite values degrade to
+/// `null`-safe `0`.
+fn render_number(out: &mut String, n: f64) {
     if !n.is_finite() {
-        return "0".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 9e15 {
-        format!("{}", n as i64)
+        out.push('0');
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        ftoa::write_shortest(out, n);
     }
 }
 
 /// Escape a string into a quoted JSON literal.
 pub fn escape_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s` as a quoted JSON literal, copying unescaped runs whole (a
+/// request's program source is mostly one run: 1.5 µs for GS's 758
+/// bytes, 5.1 µs pushing it char by char).
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A small recursive-descent JSON parser (no external deps; depth-capped).
@@ -270,16 +289,20 @@ impl<'a> JsonParser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'r') => out.push('\r'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is a single character past U+FFFF; a lone
+                            // or reversed surrogate stays U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err("bad escape".into()),
                     }
@@ -299,6 +322,15 @@ impl<'a> JsonParser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        std::str::from_utf8(hex)
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| "bad \\u escape".into())
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -399,6 +431,67 @@ mod tests {
     }
 
     #[test]
+    fn parser_joins_surrogate_pairs() {
+        let s = |text: &str| Json::parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\uD83D\uDE00""#), "\u{1F600}");
+        assert_eq!(s(r#""a\ud83d\ude00b""#), "a\u{1F600}b");
+        // Lone, reversed or unpaired surrogates each stay U+FFFD.
+        assert_eq!(s(r#""\uD83D""#), "\u{FFFD}");
+        assert_eq!(s(r#""\uDE00\uD83D""#), "\u{FFFD}\u{FFFD}");
+        assert_eq!(s(r#""\uD83Dx""#), "\u{FFFD}x");
+        assert_eq!(s(r#""\uD83DA""#), "\u{FFFD}A");
+        assert!(Json::parse(r#""\uD83D\uZZZZ""#).is_err());
+    }
+
+    /// Every finite value except `-0.0` (which renders as `0`) comes back
+    /// from render + parse with the same bits.
+    #[test]
+    fn rendered_floats_parse_back_bit_identical() {
+        let mut seed = 0x1234_5678_9abc_def0_u64;
+        let random = (0..20_000).map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            f64::from_bits(seed)
+        });
+        let decimal = (0..2_000).map(|i| 0.01 * (i % 50) as f64 + 0.02 * (i / 50) as f64 - 0.5);
+        let edges = [
+            5e-324,
+            1e-7,
+            1.5e-9,
+            -0.5,
+            0.1,
+            1e16,
+            -3.7e17,
+            1e300,
+            f64::MAX,
+        ];
+        let powers = (-1074..=1023).map(|e| 1.5 * 2f64.powi(e));
+        let arrays: Vec<Vec<f64>> = [
+            random.filter(|v| v.is_finite()).collect(),
+            decimal.collect(),
+            edges.to_vec(),
+            powers.filter(|v| v.is_finite()).collect(),
+        ]
+        .into();
+        let mut obj = ObjBuilder::new();
+        for (i, a) in arrays.iter().enumerate() {
+            obj = obj.set(
+                &format!("a{i}"),
+                Json::Arr(a.iter().map(|&v| Json::Num(v)).collect()),
+            );
+        }
+        let back = Json::parse(&obj.build().render()).unwrap();
+        for (i, a) in arrays.iter().enumerate() {
+            let got = back.get(&format!("a{i}")).and_then(Json::as_array).unwrap();
+            assert_eq!(got.len(), a.len());
+            for (g, want) in got.iter().zip(a) {
+                assert_eq!(g.as_f64().unwrap().to_bits(), want.to_bits(), "{want:e}");
+            }
+        }
+    }
+
+    #[test]
     fn render_parse_round_trip() {
         let v = ObjBuilder::new()
             .str("op", "compile_run")
@@ -418,6 +511,15 @@ mod tests {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(3.25).render(), "3.25");
         assert_eq!(Json::Num(f64::NAN).render(), "0");
+    }
+
+    #[test]
+    fn strings_escape_byte_for_byte() {
+        let s = "a\"b\\c\nd\te\rf\u{1}gé\u{1F600}";
+        let want = r#""a\"b\\c\nd\te\rf\u0001gé😀""#;
+        assert_eq!(escape_string(s), want);
+        assert_eq!(Json::Str(s.into()).render(), want);
+        assert_eq!(escape_string(""), r#""""#);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 pub mod attributes;
 pub mod builder;
 pub mod diag;
+pub mod ftoa;
 pub mod hash;
 pub mod hist;
 pub mod json;

@@ -62,10 +62,11 @@ impl Client {
     pub fn call(&mut self, body: ObjBuilder) -> Result<Json, String> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = body.num("id", id as f64).build().render();
+        let mut line = body.num("id", id as f64).build().render();
+        // One write per frame: the server's reader wakes once.
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
             .and_then(|_| self.writer.flush())
             .map_err(|e| format!("write failed: {e}"))?;
         let mut response = String::new();

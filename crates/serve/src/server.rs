@@ -404,7 +404,7 @@ impl Server {
                     .fetch_add(1, Ordering::Relaxed);
                 write_line(
                     &job.reply,
-                    &error_response(
+                    error_response(
                         job.id,
                         codes::SERVER_BUSY,
                         "server stopped before processing this request; retry elsewhere",
@@ -507,7 +507,7 @@ fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>) {
                                 .fetch_add(1, Ordering::Relaxed);
                             write_line(
                                 &reply,
-                                &error_response(
+                                error_response(
                                     0,
                                     codes::SERVER_PROTOCOL,
                                     &format!(
@@ -542,16 +542,18 @@ fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>) {
     }
 }
 
-fn write_line(reply: &Arc<Mutex<UnixStream>>, line: &str) {
+/// Send `line` and its newline as one write: the reader wakes once per
+/// frame.
+fn write_line(reply: &Arc<Mutex<UnixStream>>, mut line: String) {
+    line.push('\n');
     let mut w = reply.lock().unwrap_or_else(|e| e.into_inner());
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
 /// Write a job response, possibly truncated mid-frame by the chaos layer
 /// (the client sees a cut line + EOF — a transport error it must retry).
-fn write_response(inner: &Arc<ServerInner>, reply: &Arc<Mutex<UnixStream>>, line: &str) {
+fn write_response(inner: &Arc<ServerInner>, reply: &Arc<Mutex<UnixStream>>, line: String) {
     if let Some(ch) = &inner.chaos {
         if ch.truncate_frame() {
             inner
@@ -602,7 +604,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
                 .fetch_add(1, Ordering::Relaxed);
             write_line(
                 reply,
-                &error_response(Request::recover_id(line), codes::SERVER_PROTOCOL, &e),
+                error_response(Request::recover_id(line), codes::SERVER_PROTOCOL, &e),
             );
             return;
         }
@@ -610,7 +612,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
     match request.op {
         Op::Ping => write_line(
             reply,
-            &ObjBuilder::new()
+            ObjBuilder::new()
                 .num("id", request.id as f64)
                 .bool("ok", true)
                 .bool("pong", true)
@@ -619,7 +621,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
         ),
         Op::Stats => write_line(
             reply,
-            &ObjBuilder::new()
+            ObjBuilder::new()
                 .num("id", request.id as f64)
                 .bool("ok", true)
                 .set("stats", stats_snapshot(inner))
@@ -629,7 +631,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
         Op::Shutdown => {
             write_line(
                 reply,
-                &ObjBuilder::new()
+                ObjBuilder::new()
                     .num("id", request.id as f64)
                     .bool("ok", true)
                     .bool("stopping", true)
@@ -646,7 +648,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
                 inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 write_line(
                     reply,
-                    &error_response(
+                    error_response(
                         request.id,
                         codes::SERVER_BUSY,
                         "server is shutting down; retry elsewhere",
@@ -666,7 +668,7 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
                 drop(queue);
                 inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.brownout_level.store(2, Ordering::Relaxed);
-                write_line(reply, &busy_response(request.id, inner.config.queue_depth));
+                write_line(reply, busy_response(request.id, inner.config.queue_depth));
                 return;
             }
             let occupancy = (queue.len() + 1) as f64 / inner.config.queue_depth.max(1) as f64;
@@ -744,7 +746,7 @@ fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
                 write_response(
                     inner,
                     &job.reply,
-                    &deadline_response(job.id, job.deadline.as_millis() as u64),
+                    deadline_response(job.id, job.deadline.as_millis() as u64),
                 );
             }
             continue;
@@ -803,7 +805,7 @@ fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
             inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
         }
         inner.metrics.latency.record(job.admitted.elapsed());
-        write_response(inner, &job.reply, &response.render());
+        write_response(inner, &job.reply, response.render());
     }
 }
 
@@ -842,7 +844,7 @@ fn supervisor_loop(inner: &Arc<ServerInner>) {
                             if !job.answered.swap(true, Ordering::SeqCst) {
                                 inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
                                 inner.metrics.latency.record(job.admitted.elapsed());
-                                write_response(inner, &job.reply, &crash_response(job.id));
+                                write_response(inner, &job.reply, crash_response(job.id));
                             }
                         }
                         if !inner.shutdown.load(Ordering::SeqCst) {
@@ -872,7 +874,7 @@ fn supervisor_loop(inner: &Arc<ServerInner>) {
                             write_response(
                                 inner,
                                 &job.reply,
-                                &deadline_response(job.id, job.deadline.as_millis() as u64),
+                                deadline_response(job.id, job.deadline.as_millis() as u64),
                             );
                         }
                     }

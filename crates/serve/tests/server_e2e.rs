@@ -477,3 +477,98 @@ fn distributed_runs_surface_scheduler_gauges() {
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Negative values, values below `1e-7` and values above `1e16`: the
+/// layouts a positional float printer gets wrong first.
+fn wide_range_source(n: usize) -> String {
+    format!(
+        "program wide_range
+  implicit none
+  integer, parameter :: n = {n}
+  integer :: i, j, k
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), s(0:n+1, 0:n+1, 0:n+1), b(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.37 * i - 0.51 * j + 0.13 * k - 0.7
+      end do
+    end do
+  end do
+  do k = 1, n
+    do j = 1, n
+      do i = 1, n
+        s(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) - u(i, j-1, k)) * 3.3d-9
+        b(i, j, k) = (u(i, j, k-1) - u(i, j, k+1) + u(i, j+1, k)) * 7.1d16
+      end do
+    end do
+  end do
+end program wide_range
+"
+    )
+}
+
+/// The arrays a `run` reply carries are the library's arrays: every value
+/// parsed off the wire has the bits `Compiler::run` produced. (`checksum`
+/// is computed from the run's bits, not from the text sent, so it cannot
+/// catch a printing error.) The one exception is `-0.0`, which the wire
+/// prints as `0`.
+#[test]
+fn served_arrays_match_the_library_bit_for_bit() {
+    let dir = scratch_dir("wirevalues");
+    let server = Server::start(
+        &dir.join("serve.sock"),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let programs = [
+        (fsc_workloads::gauss_seidel::fortran_source(6, 3), vec!["u"]),
+        (
+            fsc_workloads::pw_advection::fortran_source(6),
+            vec!["su", "sv", "sw"],
+        ),
+        (wide_range_source(6), vec!["u", "s", "b"]),
+    ];
+    let mut client = Client::connect(server.socket_path()).unwrap();
+    let (mut negative, mut tiny, mut huge) = (0, 0, 0);
+    for (source, names) in &programs {
+        let exec = Compiler::run(source, &CompileOptions::for_target(Target::StencilCpu)).unwrap();
+        let v = client.run(source, "cpu", false, names).unwrap();
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            v.render()
+        );
+        for name in names {
+            let want = exec.array(name).unwrap();
+            let got = v
+                .get("arrays")
+                .and_then(|a| a.get(name))
+                .and_then(Json::as_array)
+                .unwrap();
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                let g = g.as_f64().unwrap();
+                let w = if *w == 0.0 { 0.0 } else { *w };
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{name}[{i}]: wire {g:e}, library {w:e}"
+                );
+                negative += (w < 0.0) as usize;
+                tiny += (w != 0.0 && w.abs() < 1e-7) as usize;
+                huge += (w.abs() > 1e16) as usize;
+            }
+        }
+    }
+    assert!(
+        negative > 0 && tiny > 0 && huge > 0,
+        "{negative} negative, {tiny} tiny, {huge} huge"
+    );
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
