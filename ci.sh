@@ -109,8 +109,10 @@ timeout --kill-after=30s 300s \
 echo "== jit smoke =="
 # The stitched jit tier (DESIGN.md §14): the three non-template kernels
 # must land on the jit by default and stay bit-identical to both VM
-# tiers, and Gauss–Seidel forced onto the jit must stay within 1.2x of
-# the hand-specialized template (all asserted inside the binary).
+# tiers, PW 24^3 must run on the specialized tier (its fused advection
+# body) bit-identical to the forced jit and generic VM, and Gauss–Seidel
+# forced onto the jit must stay within 1.2x of the hand-specialized
+# template (all asserted inside the binary).
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig8_jit_tier -- --smoke
 

@@ -17,8 +17,9 @@
 //!
 //! `--smoke` runs the CI gate instead: the three non-template kernels
 //! must land on the jit tier by default and stay bit-identical across
-//! all tiers; Gauss–Seidel forced onto the jit must stay within 1.2× of
-//! the hand-specialized template.
+//! all tiers; PW 24³ must run specialized by default, bit-identical to
+//! the forced jit and generic VM; Gauss–Seidel forced onto the jit must
+//! stay within 1.2× of the hand-specialized template.
 //!
 //! `FSC_FORCE_EXEC_PATH=<specialized|jit|fused-vm|generic-vm>` restricts
 //! the sweep to one tier (the env var is parsed *here*, in the binary —
@@ -181,8 +182,8 @@ fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
     }
 }
 
-/// CI gate: bit-identity everywhere, jit within 1.2× of the specialized
-/// template on Gauss–Seidel.
+/// CI gate: bit-identity everywhere, PW on the specialized tier, jit
+/// within 1.2× of the specialized template on Gauss–Seidel.
 fn smoke() {
     const JIT_BUDGET: f64 = 1.2;
     let t0 = Instant::now();
@@ -222,7 +223,30 @@ fn smoke() {
         );
     }
 
-    // 2) Perf gate: GS forced onto the jit stays within budget of the
+    // 2) PW 24³ lands on the specialized tier by default (the advection
+    //    triple as one fused body) and is bit-identical to the forced jit
+    //    and generic VM: a matcher regression would silently cost ~2x.
+    let source = pw_advection::fortran_source(24);
+    let pw = ["su", "sv", "sw"];
+    let mut default = Compiler::compile(&source, &opts(None)).expect("PW compile");
+    let exec = default.run().expect("PW run");
+    assert!(
+        exec.report.attests(ExecPath::Specialized),
+        "PW: report must attest the specialized tier, got {:?}",
+        exec.report.exec_paths
+    );
+    let reference = result_bits(&mut default, &pw);
+    for tier in [ExecPath::Jit, ExecPath::GenericVm] {
+        let mut forced = Compiler::compile(&source, &opts(Some(tier))).expect("PW compile");
+        assert!(carries(&forced, tier), "PW: no nest on {tier}");
+        assert_eq!(
+            result_bits(&mut forced, &pw),
+            reference,
+            "PW 24^3: {tier} diverged bitwise from the specialized tier"
+        );
+    }
+
+    // 3) Perf gate: GS forced onto the jit stays within budget of the
     //    hand-specialized template (best-of-7 to shed scheduler noise).
     let source = gauss_seidel::fortran_source(24, 10);
     let mut spec = Compiler::compile(&source, &opts(None)).expect("spec compile");
@@ -245,8 +269,8 @@ fn smoke() {
 
     println!(
         "jit smoke PASS: 3 non-template kernels on the jit tier bit-identical \
-         across all tiers, GS jit at {ratio:.2}x specialized (budget {JIT_BUDGET}x), \
-         {:.1}s wall",
+         across all tiers, PW 24^3 specialized and bit-identical to jit and generic-vm, \
+         GS jit at {ratio:.2}x specialized (budget {JIT_BUDGET}x), {:.1}s wall",
         t0.elapsed().as_secs_f64()
     );
 }

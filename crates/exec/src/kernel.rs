@@ -39,7 +39,7 @@ use fsc_ir::{Attribute, BlockId, IrError, Module, OpId, Result, Type, ValueId};
 use crate::bytecode::{BinKind, BodyProgram, CmpKind, Instr, UnKind};
 use crate::jit::{self, JitProgram};
 use crate::plan::ExecPlan;
-use crate::specialize::{self, ExecPath, SpecProgram};
+use crate::specialize::{self, ExecPath, SpecBody, SpecProgram};
 use crate::value::{column_major_strides, BufId, Memory};
 
 fn err(msg: impl std::fmt::Display) -> IrError {
@@ -794,7 +794,14 @@ fn compile_one_nest(
     // Specialization ladder inputs: the superinstruction-fused VM program
     // (also the jit stitcher's source) and the native template match.
     let fused = specialize::fuse_program(&program);
-    let specialized = specialize::specialize_program(&program);
+    // A nest runs specialized only when every store view has an output
+    // slot, so `run_spec_row` always finds its rows.
+    let specialized = specialize::specialize_program(&program).filter(|s| {
+        s.bodies
+            .iter()
+            .flat_map(SpecBody::outputs)
+            .all(|a| out_views.contains(&usize::from(a.view)))
+    });
 
     let rank = views
         .first()
@@ -1835,10 +1842,10 @@ fn run_range(
         }
         let (lb0, ub0) = bounds[0];
         if let Some(spec) = specialized {
-            // Native fast path: each store sweeps the whole unit-stride row
+            // Native fast path: each body sweeps the whole unit-stride row
             // in one monomorphised loop — no bytecode dispatch at all.
             let w = (ub0 - lb0) as usize;
-            for body in &spec.stores {
+            for body in &spec.bodies {
                 specialize::run_spec_row(
                     body,
                     inputs,
@@ -2782,9 +2789,9 @@ end program gs2
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    /// Run `k` once on one thread with every pointer argument seeded from
+    /// Run `k` once on `threads` with every pointer argument seeded from
     /// its position; returns the arguments' contents, concatenated.
-    fn run_seeded(k: &CompiledKernel) -> Vec<f64> {
+    fn run_seeded(k: &CompiledKernel, threads: usize) -> Vec<f64> {
         let mut memory = Memory::new();
         let args: Vec<KernelArg> = (0..k.args.len())
             .map(
@@ -2800,7 +2807,7 @@ end program gs2
                 },
             )
             .collect();
-        run_kernel(k, &mut memory, &args, 1).unwrap();
+        run_kernel(k, &mut memory, &args, threads).unwrap();
         args.iter()
             .flat_map(|a| match a {
                 KernelArg::Buf(b) => memory.buffer(*b).to_vec(),
@@ -2822,14 +2829,14 @@ end program gs2
         ] {
             k.force_exec_path(tier);
             k.pipeline = None;
-            let in_order = run_seeded(&k);
+            let in_order = run_seeded(&k, 1);
             for planes in [1, 2, 3, i64::MAX] {
                 k.pipeline = Some(Pipeline {
                     lags: lags.clone(),
                     planes,
                 });
                 assert!(
-                    same_bits(&run_seeded(&k), &in_order),
+                    same_bits(&run_seeded(&k, 1), &in_order),
                     "{tier} at {planes} planes/step, lags {lags:?}"
                 );
             }
@@ -3070,5 +3077,47 @@ end program gs2
         // work there is.
         let huge = [(0i64, 1 << 32), (0, 1 << 32)];
         assert_eq!(slab_count(&huge, instrs, 8), 8);
+    }
+
+    /// The PW workload's region: the init nest, then the advection triple.
+    fn pw(n: usize) -> CompiledKernel {
+        compile(&fsc_workloads::pw_advection::fortran_source(n))
+    }
+
+    #[test]
+    fn the_pw_triple_runs_as_one_body_bit_identical_to_the_vm_and_the_jit() {
+        // Rows of 1, 3 and 33 cells end in the vector loop's scalar tail;
+        // 16³ and 33³ split into two slabs on two threads.
+        for n in [1usize, 3, 16, 33] {
+            let mut k = pw(n);
+            let c = k
+                .nests
+                .iter()
+                .position(|n| n.out_views.len() == 3 && n.program.loads_per_cell > 0)
+                .expect("the advection nest");
+            let bodies = k.nests[c].specialized.as_ref().map(|s| &s.bodies[..]);
+            assert!(
+                matches!(bodies, Some([b @ SpecBody::PwAdvect { .. }]) if b.outputs().len() == 3),
+                "n = {n}: {bodies:?}"
+            );
+            let (bounds, instrs) = (&k.nests[c].bounds, k.nests[c].program.instrs.len());
+            assert_eq!(slab_count(bounds, instrs, 2), if n >= 16 { 2 } else { 1 });
+            k.force_exec_path(ExecPath::GenericVm);
+            let reference = run_seeded(&k, 1);
+            for tier in [ExecPath::Specialized, ExecPath::Jit] {
+                k.force_exec_path(tier);
+                assert_eq!(k.nests[c].path, tier, "n = {n}");
+                for threads in [1, 2] {
+                    assert!(
+                        same_bits(&run_seeded(&k, threads), &reference),
+                        "n = {n}: {tier} on {threads} threads"
+                    );
+                }
+            }
+            // Tiles that split dimension 0 hand the body part-rows.
+            k.force_plan(&ExecPlan::from_ir_tiles(vec![5, 2, 0]));
+            k.force_exec_path(ExecPath::Specialized);
+            assert!(same_bits(&run_seeded(&k, 1), &reference), "n = {n}: tiled");
+        }
     }
 }

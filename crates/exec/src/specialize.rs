@@ -11,10 +11,10 @@
 //! 1. [`specialize_program`] pattern-matches the dominant stencil body
 //!    shapes — affine sums of constant-offset loads (the 7-point
 //!    Gauss–Seidel update), plain copies, linear combinations, and the
-//!    fused three-field Piacsek–Williams advection bodies — and compiles
-//!    each store into a [`SpecBody`] executed by a direct native Rust loop
-//!    over the unit-stride dimension: zero per-instruction dispatch,
-//!    auto-vectorisable by rustc.
+//!    fused three-field Piacsek–Williams advection nest — and compiles
+//!    each store (the PW triple as one) into a [`SpecBody`] executed by a
+//!    direct native Rust loop over the unit-stride dimension: zero
+//!    per-instruction dispatch, auto-vectorisable by rustc.
 //! 2. [`fuse_program`] rewrites bodies that do *not* match a template into
 //!    superinstructions ([`Instr::MulAdd`], [`Instr::BinLoad`]), shedding
 //!    one dispatch per fused pair while keeping the VM fully general.
@@ -26,6 +26,13 @@
 //! expression (left-folded chains, `A*(B+C) - D*(E+F)` groups). The
 //! differential tests in `tests/property.rs` force all three paths over
 //! random stencils and compare results with `==`.
+
+// Bodies run on input-derived shapes: a failure is a coded error or a
+// rejected template, never a panic.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::bytecode::{BinKind, BodyProgram, Instr, MaKind};
 
@@ -120,42 +127,6 @@ pub struct LinTerm {
     pub load: Access,
 }
 
-/// One horizontal component of a Piacsek–Williams advection store:
-/// `coeff * (a*(b+c) - d*(e+f))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PwComponent {
-    /// Directional coefficient (`tcx`/`tcy`).
-    pub coeff: Coeff,
-    /// The six loads, in source order.
-    pub a: Access,
-    /// See `a`.
-    pub b: Access,
-    /// See `a`.
-    pub c: Access,
-    /// See `a`.
-    pub d: Access,
-    /// See `a`.
-    pub e: Access,
-    /// See `a`.
-    pub f: Access,
-}
-
-/// One vertical edge term of a Piacsek–Williams advection store:
-/// `(coeff * w) * (b + c)`. MONC applies separate coefficients to the
-/// up- and down-flux terms, so the vertical direction does not share the
-/// factored [`PwComponent`] shape of the horizontal ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PwEdge {
-    /// Vertical coefficient (`tzc1`/`tzc2`).
-    pub coeff: Coeff,
-    /// The advecting vertical-velocity load.
-    pub w: Access,
-    /// First summand of the advected pair.
-    pub b: Access,
-    /// Second summand of the advected pair.
-    pub c: Access,
-}
-
 /// One specialized store: a native-loop realisation of `out[i] = expr(i)`
 /// that reproduces the generic program's rounding order exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,33 +155,48 @@ pub enum SpecBody {
         /// Terms in source order; the first never negates.
         terms: Vec<LinTerm>,
     },
-    /// `out[i] = ((cx*gx + cy*gy) + (c1*w1)*(s1)) - (c2*w2)*(s2)` with
-    /// `g = a*(b+c) - d*(e+f)` and `s = b + c` — one field of the fused PW
-    /// advection body, vertical direction in MONC's split-coefficient form.
+    /// The whole fused Piacsek–Williams advection nest: `su`, `sv` and `sw`
+    /// per cell from the 21 loads they share. Store `f` (advecting field
+    /// `f`: 0 = u, 1 = v, 2 = w) is `((cx*gx + cy*gy) + (cu*a)*(b+c)) -
+    /// (cd*d)*(e+f)` with `g = a*(b+c) - d*(e+f)` per horizontal dimension
+    /// and the z taps unfactored (MONC's split vertical coefficients); the
+    /// taps are the loads [`pw_taps`] names.
     PwAdvect {
-        /// Store destination.
-        out: Access,
-        /// The two horizontal components (x then y) in source order.
-        flux: Box<[PwComponent; 2]>,
-        /// The vertical up-flux edge (enters by addition).
-        up: PwEdge,
-        /// The vertical down-flux edge (enters by subtraction).
-        down: PwEdge,
+        /// Store destinations of `su`, `sv`, `sw`.
+        out: [Access; 3],
+        /// Fields u, v, w, each at its centre, then −1/+1 along x, y, z.
+        loads: Box<[Access; 21]>,
+        /// Per store: `[cx, cy, cu, cd]` (MONC's `tcx, tcy, tzc1, tzc2`).
+        coeffs: [[Coeff; 4]; 3],
     },
+}
+
+impl SpecBody {
+    /// The accesses this body stores to.
+    pub fn outputs(&self) -> &[Access] {
+        match self {
+            SpecBody::Copy { out, .. }
+            | SpecBody::ScaledSum { out, .. }
+            | SpecBody::LinComb { out, .. } => std::slice::from_ref(out),
+            SpecBody::PwAdvect { out, .. } => out,
+        }
+    }
 }
 
 /// A fully specialized nest body: every store lowered to a native loop.
 ///
-/// Stores execute as separate loops over each unit-stride row (loop
-/// fission). This is bit-exact because specialization statically rejects
-/// bodies whose loads touch a stored view — within a nest, inputs and
-/// outputs are disjoint buffers (the snapshot mechanism guarantees it for
-/// in-place stencils), so per-cell interleaving and per-store fission
-/// produce identical values.
+/// Bodies run one after another over each unit-stride row; the PW triple
+/// is one body that writes all three stores per cell. Both are bit-exact
+/// because no store view is read: specialization statically rejects bodies
+/// whose loads touch a stored view — within a nest, inputs and outputs are
+/// disjoint buffers (the snapshot mechanism guarantees it for in-place
+/// stencils) — so per-cell interleaving and per-store loops produce
+/// identical values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecProgram {
-    /// One entry per `Store` of the source program, in program order.
-    pub stores: Vec<SpecBody>,
+    /// One body per store of the source program, in program order — the
+    /// PW triple as one.
+    pub bodies: Vec<SpecBody>,
 }
 
 // --------------------------------------------------------------------------
@@ -399,86 +385,119 @@ fn match_lincomb(out: Access, e: &Expr) -> Option<SpecBody> {
     Some(SpecBody::LinComb { out, terms })
 }
 
-/// Matches `a*(b+c) - d*(e+f)` — one PW flux-difference group.
-fn match_pw_group(e: &Expr) -> Option<(Access, Access, Access, Access, Access, Access)> {
-    let Expr::Bin(BinKind::Sub, l, r) = e else {
+/// One PW store's taps — per dimension x, y, z the six loads `a, b, c, d,
+/// e, f` in source order — and its `[cx, cy, cu, cd]`.
+type PwStore = ([[Access; 6]; 3], [Coeff; 4]);
+
+/// Matches `x * (y + z)` with `y`, `z` loads.
+fn mul_sum(e: &Expr) -> Option<(&Expr, Access, Access)> {
+    let Expr::Bin(BinKind::Mul, x, s) = e else {
         return None;
     };
-    let mul = |m: &Expr| -> Option<(Access, Access, Access)> {
-        let Expr::Bin(BinKind::Mul, x, s) = m else {
+    let Expr::Bin(BinKind::Add, y, z) = &**s else {
+        return None;
+    };
+    Some((x, as_load(y)?, as_load(z)?))
+}
+
+/// Matches one PW store, left-folded as Fortran parses it:
+/// `((cx*(a*(b+c) - d*(e+f)) + cy*(…)) + (cu*a)*(b+c)) - (cd*d)*(e+f)`.
+fn match_pw_store(e: &Expr) -> Option<PwStore> {
+    let Expr::Bin(BinKind::Sub, l, down) = e else {
+        return None;
+    };
+    let Expr::Bin(BinKind::Add, h, up) = &**l else {
+        return None;
+    };
+    let Expr::Bin(BinKind::Add, gx, gy) = &**h else {
+        return None;
+    };
+    let flux = |g: &Expr| -> Option<(Coeff, [Access; 6])> {
+        let Expr::Bin(BinKind::Mul, c, g) = g else {
             return None;
         };
-        let Expr::Bin(BinKind::Add, p, q) = &**s else {
+        let Expr::Bin(BinKind::Sub, p, q) = &**g else {
             return None;
         };
-        Some((as_load(x)?, as_load(p)?, as_load(q)?))
+        let ((a, b, c2), (d, e, f)) = (mul_sum(p)?, mul_sum(q)?);
+        Some((as_coeff(c)?, [as_load(a)?, b, c2, as_load(d)?, e, f]))
     };
-    let (a, b, c) = mul(l)?;
-    let (d, e2, f) = mul(r)?;
-    Some((a, b, c, d, e2, f))
+    // `(coeff * w) * (b + c)`: Fortran's left-to-right `tzc1 * w * (…)`.
+    let edge = |g: &Expr| -> Option<(Coeff, [Access; 3])> {
+        let (cw, b, c) = mul_sum(g)?;
+        let Expr::Bin(BinKind::Mul, c0, w) = cw else {
+            return None;
+        };
+        Some((as_coeff(c0)?, [as_load(w)?, b, c]))
+    };
+    let ((cx, x), (cy, y)) = (flux(gx)?, flux(gy)?);
+    let ((cu, [a, b, c]), (cd, [d, e, f])) = (edge(up)?, edge(down)?);
+    Some(([x, y, [a, b, c, d, e, f]], [cx, cy, cu, cd]))
 }
 
-/// Matches `coeff * group`.
-fn match_pw_component(e: &Expr) -> Option<PwComponent> {
-    let Expr::Bin(BinKind::Mul, l, r) = e else {
-        return None;
-    };
-    let coeff = as_coeff(l)?;
-    let (a, b, c, d, e2, f) = match_pw_group(r)?;
-    Some(PwComponent {
-        coeff,
-        a,
-        b,
-        c,
-        d,
-        e: e2,
-        f,
-    })
+/// The taps of the store advecting field `f` along dimension `d`, as
+/// indices into [`SpecBody::PwAdvect`]'s loads. Along its own dimension a
+/// field is advected upwind by itself, `u(i-1)*(u(i)+u(i-1))`; along the
+/// others by the centre velocity, `v(j)*(u(j-1)+u(j))`.
+const fn pw_taps(f: usize, d: usize) -> [usize; 6] {
+    let (c, m, p) = (0, 1 + 2 * d, 2 + 2 * d);
+    let (vel, fld) = (7 * d, 7 * f);
+    if d == f {
+        [vel + m, fld + c, fld + m, vel + p, fld + c, fld + p]
+    } else {
+        [vel + c, fld + m, fld + c, vel + p, fld + c, fld + p]
+    }
 }
 
-/// Matches `(coeff * w) * (b + c)` — one vertical edge term. The inner
-/// `coeff * w` association comes from Fortran's left-to-right parse of
-/// `tzc1 * w(i, j, k) * (... + ...)`.
-fn match_pw_edge(e: &Expr) -> Option<PwEdge> {
-    let Expr::Bin(BinKind::Mul, l, r) = e else {
+/// Group three PW store matches into the whole-nest body, once, at
+/// compile time. Each store is identified by the field it advects (its
+/// x `e` tap), so program order does not matter. Every one of the 54 taps
+/// must be the load MONC's kernel gives that role, and each field's seven
+/// loads its centre and ±1 along each dimension; anything else — part of
+/// the triple, one role changed — is not specialized.
+fn fuse_pw(pw: &[(Access, PwStore)]) -> Option<SpecBody> {
+    let [(_, (first, _)), _, _] = pw else {
         return None;
     };
-    let Expr::Bin(BinKind::Mul, cl, wl) = &**l else {
+    // The velocities: the `d` tap along x is u, along y v, along z w.
+    let vel = [0, 1, 2].map(|d| first[d][3].view);
+    let mut by_field = [None; 3];
+    for (out, (taps, c)) in pw {
+        let f = vel.iter().position(|&v| v == taps[0][4].view)?;
+        if by_field[f].replace((*out, taps, *c)).is_some() {
+            return None;
+        }
+    }
+    let [Some(su), Some(sv), Some(sw)] = by_field else {
         return None;
     };
-    let coeff = as_coeff(cl)?;
-    let w = as_load(wl)?;
-    let Expr::Bin(BinKind::Add, b, c) = &**r else {
-        return None;
-    };
-    Some(PwEdge {
-        coeff,
-        w,
-        b: as_load(b)?,
-        c: as_load(c)?,
-    })
-}
-
-fn match_pw_advect(out: Access, e: &Expr) -> Option<SpecBody> {
-    // ((cx*gx + cy*gy) + up) - down, left-folded.
-    let Expr::Bin(BinKind::Sub, l, r) = e else {
-        return None;
-    };
-    let down = match_pw_edge(r)?;
-    let Expr::Bin(BinKind::Add, hl, ue) = &**l else {
-        return None;
-    };
-    let up = match_pw_edge(ue)?;
-    let Expr::Bin(BinKind::Add, fx, fy) = &**hl else {
-        return None;
-    };
-    let fx = match_pw_component(fx)?;
-    let fy = match_pw_component(fy)?;
-    Some(SpecBody::PwAdvect {
+    let stores = [su, sv, sw];
+    let mut loads = [first[0][0]; 21];
+    for (f, (_, taps, _)) in stores.iter().enumerate() {
+        for (d, row) in taps.iter().enumerate() {
+            for (&a, i) in row.iter().zip(pw_taps(f, d)) {
+                loads[i] = a;
+            }
+        }
+    }
+    let roles_ok = stores.iter().enumerate().all(|(f, (_, taps, _))| {
+        (0..3).all(|d| (0..6).all(|r| taps[d][r] == loads[pw_taps(f, d)[r]]))
+    });
+    let stencil_ok = (0..3).all(|x| {
+        (0..3).all(|d| {
+            let [c, m, p] = [0, 1 + 2 * d, 2 + 2 * d].map(|pos| loads[7 * x + pos]);
+            [c, m, p].iter().all(|a| a.view == vel[x])
+                && p.off - c.off == c.off - m.off
+                && p.off > c.off
+        })
+    });
+    let out = stores.map(|s| s.0);
+    let distinct =
+        out[0].view != out[1].view && out[0].view != out[2].view && out[1].view != out[2].view;
+    (roles_ok && stencil_ok && distinct).then(|| SpecBody::PwAdvect {
         out,
-        flux: Box::new([fx, fy]),
-        up,
-        down,
+        loads: Box::new(loads),
+        coeffs: stores.map(|s| s.2),
     })
 }
 
@@ -486,34 +505,40 @@ fn match_store(out: Access, e: &Expr) -> Option<SpecBody> {
     if let Some(src) = as_load(e) {
         return Some(SpecBody::Copy { out, src });
     }
-    // Most specific first: the PW shape also parses as nothing else, but
-    // ScaledSum would reject it anyway; LinComb is the catch-all.
-    match_pw_advect(out, e)
-        .or_else(|| match_scaled_sum(out, e))
-        .or_else(|| match_lincomb(out, e))
+    // ScaledSum is the more specific shape; LinComb is the catch-all.
+    match_scaled_sum(out, e).or_else(|| match_lincomb(out, e))
 }
 
 /// Try to lower a body program to native specialized loops. Returns `None`
 /// when any store fails to match a template, when the program has
-/// non-arithmetic instructions, or when a load touches a stored view
-/// (which would make store fission observable).
+/// non-arithmetic instructions, when a PW-shaped store is not one of a
+/// whole triple, or when a load touches a stored view (which would make
+/// the per-store loops observable).
 pub fn specialize_program(p: &BodyProgram) -> Option<SpecProgram> {
     let trees = extract_store_trees(p)?;
     let stored_views: Vec<u16> = trees.iter().map(|(a, _)| a.view).collect();
-    let mut stores = Vec::with_capacity(trees.len());
+    let mut bodies = Vec::with_capacity(trees.len());
+    let mut pw = Vec::new();
     for (out, expr) in &trees {
-        let body = match_store(*out, expr)?;
-        // Reject load/store view overlap: the runners give output views
-        // empty input slices, so such a program could not run anyway.
-        let loads_ok = body_loads(&body)
-            .iter()
-            .all(|l| !stored_views.contains(&l.view));
-        if !loads_ok {
+        match match_pw_store(expr) {
+            Some(m) => pw.push((*out, m)),
+            None => bodies.push(match_store(*out, expr)?),
+        }
+    }
+    if !pw.is_empty() {
+        // A PW triple is the whole nest.
+        if !bodies.is_empty() {
             return None;
         }
-        stores.push(body);
+        bodies.push(fuse_pw(&pw)?);
     }
-    Some(SpecProgram { stores })
+    // Reject load/store view overlap: the runners give output views
+    // empty input slices, so such a program could not run anyway.
+    let loads_ok = bodies
+        .iter()
+        .flat_map(body_loads)
+        .all(|l| !stored_views.contains(&l.view));
+    loads_ok.then_some(SpecProgram { bodies })
 }
 
 fn body_loads(b: &SpecBody) -> Vec<Access> {
@@ -521,11 +546,7 @@ fn body_loads(b: &SpecBody) -> Vec<Access> {
         SpecBody::Copy { src, .. } => vec![*src],
         SpecBody::ScaledSum { loads, .. } => loads.clone(),
         SpecBody::LinComb { terms, .. } => terms.iter().map(|t| t.load).collect(),
-        SpecBody::PwAdvect { flux, up, down, .. } => flux
-            .iter()
-            .flat_map(|c| [c.a, c.b, c.c, c.d, c.e, c.f])
-            .chain([up, down].into_iter().flat_map(|e| [e.w, e.b, e.c]))
-            .collect(),
+        SpecBody::PwAdvect { loads, .. } => loads.to_vec(),
     }
 }
 
@@ -545,7 +566,7 @@ fn resolve<'a>(inputs: &[&'a [f64]], cursors: &[i64], a: Access) -> (&'a [f64], 
 /// Sum `K` unit-stride sources left-to-right with a final scale — the
 /// monomorphised hot loop behind [`SpecBody::ScaledSum`]. `K` is a
 /// compile-time constant so rustc fully unrolls the inner accumulation and
-/// vectorises the row loop. Out of line for [`pw_advect_row`]'s reason:
+/// vectorises the row loop. Out of line for [`pw_nest_row`]'s reason:
 /// inlined into [`run_spec_row`], how many of these loops thin LTO
 /// vectorised (`divpd` or `divsd`) moved with unrelated code elsewhere in
 /// the crate, and `dist_gs` with it (EXPERIMENTS.md, Figure 8).
@@ -675,7 +696,7 @@ fn scaled_sum_dispatch<const K: usize>(
     }
 }
 
-/// Execute one specialized store over `w` consecutive unit-stride cells.
+/// Execute one specialized body over `w` consecutive unit-stride cells.
 ///
 /// `cursors` address cell 0 of the row exactly as for the VM paths;
 /// `outputs`/`out_view_map` follow the same slot convention. `unroll` is
@@ -692,16 +713,39 @@ pub fn run_spec_row(
     w: usize,
     unroll: u8,
 ) {
-    let out_access = match body {
-        SpecBody::Copy { out, .. }
-        | SpecBody::ScaledSum { out, .. }
-        | SpecBody::LinComb { out, .. }
-        | SpecBody::PwAdvect { out, .. } => *out,
+    let span = |a: Access| {
+        let base = (cursors[a.view as usize] + a.off) as usize;
+        base..base + w
     };
-    let slot = out_view_map[out_access.view as usize]
-        .expect("specialized store to a view that is not an output") as usize;
-    let base = (cursors[out_access.view as usize] + out_access.off) as usize;
-    let out = &mut outputs[slot][base..base + w];
+    // `kernel.rs` specializes a nest only when every store view has an
+    // output slot, and `fuse_pw` only distinct views: no `else` below runs.
+    let slot = |a: Access| out_view_map[a.view as usize].map(usize::from);
+    if let SpecBody::PwAdvect { out, loads, coeffs } = body {
+        let [Some(a), Some(b), Some(c)] = out.map(slot) else {
+            return;
+        };
+        let Ok([su, sv, sw]) = outputs.get_disjoint_mut([a, b, c]) else {
+            return;
+        };
+        let rows = (**loads).map(|l| &inputs[l.view as usize][span(l)]);
+        pw_nest_row(
+            [
+                &mut su[span(out[0])],
+                &mut sv[span(out[1])],
+                &mut sw[span(out[2])],
+            ],
+            rows,
+            coeffs.map(|c| c.map(|c| c.value(scalars))),
+        );
+        return;
+    }
+    let [out_access] = body.outputs() else {
+        return;
+    };
+    let Some(slot) = slot(*out_access) else {
+        return;
+    };
+    let out = &mut outputs[slot][span(*out_access)];
 
     match body {
         SpecBody::Copy { src, .. } => {
@@ -774,46 +818,47 @@ pub fn run_spec_row(
                 *o = acc;
             }
         }
-        SpecBody::PwAdvect { flux, up, down, .. } => {
-            let c0 = flux[0].coeff.value(scalars);
-            let c1 = flux[1].coeff.value(scalars);
-            let cu = up.coeff.value(scalars);
-            let cd = down.coeff.value(scalars);
-            let row = |a: Access| -> &[f64] {
-                let (s, b) = resolve(inputs, cursors, a);
-                &s[b..b + w]
-            };
-            let [g0, g1] = [&flux[0], &flux[1]]
-                .map(|g| [row(g.a), row(g.b), row(g.c), row(g.d), row(g.e), row(g.f)]);
-            let [eu, ed] = [up, down].map(|e| [row(e.w), row(e.b), row(e.c)]);
-            pw_advect_row(out, g0, g1, eu, ed, [c0, c1, cu, cd]);
-        }
+        // Ran above, on its three output rows.
+        SpecBody::PwAdvect { .. } => {}
     }
 }
 
-/// The PW advection row loop, every input row as long as `out`. Kept out
-/// of line: inlined into [`run_spec_row`], thin LTO vectorised it or left
-/// it scalar (2x apart) depending on unrelated code elsewhere in the
-/// binary — see EXPERIMENTS.md, "Where a distributed run goes".
+/// The fused PW row loop, every row as long as `su`: each cell loads the
+/// 21 inputs once and writes all three stores. Kept out of line: inlined
+/// into [`run_spec_row`], thin LTO vectorised the PW loop or left it scalar
+/// (2x apart) depending on unrelated code elsewhere in the binary — see
+/// EXPERIMENTS.md, "Where a distributed run goes".
 #[inline(never)]
-fn pw_advect_row(
-    out: &mut [f64],
-    g0: [&[f64]; 6],
-    g1: [&[f64]; 6],
-    eu: [&[f64]; 3],
-    ed: [&[f64]; 3],
-    [c0, c1, cu, cd]: [f64; 4],
-) {
-    let w = out.len();
-    let (g0, g1) = (g0.map(|r| &r[..w]), g1.map(|r| &r[..w]));
-    let (eu, ed) = (eu.map(|r| &r[..w]), ed.map(|r| &r[..w]));
+fn pw_nest_row([su, sv, sw]: [&mut [f64]; 3], rows: [&[f64]; 21], coeffs: [[f64; 4]; 3]) {
+    let w = su.len();
+    let (sv, sw, rows) = (&mut sv[..w], &mut sw[..w], rows.map(|r| &r[..w]));
     for x in 0..w {
-        let f0 = g0[0][x] * (g0[1][x] + g0[2][x]) - g0[3][x] * (g0[4][x] + g0[5][x]);
-        let f1 = g1[0][x] * (g1[1][x] + g1[2][x]) - g1[3][x] * (g1[4][x] + g1[5][x]);
-        let fu = (cu * eu[0][x]) * (eu[1][x] + eu[2][x]);
-        let fd = (cd * ed[0][x]) * (ed[1][x] + ed[2][x]);
-        out[x] = ((c0 * f0 + c1 * f1) + fu) - fd;
+        let mut v = [0.0; 21];
+        for (v, r) in v.iter_mut().zip(&rows) {
+            *v = r[x];
+        }
+        su[x] = pw_cell::<0>(&v, coeffs[0]);
+        sv[x] = pw_cell::<1>(&v, coeffs[1]);
+        sw[x] = pw_cell::<2>(&v, coeffs[2]);
     }
+}
+
+/// One PW store of one cell, advecting field `F`, in the source's order.
+#[inline(always)]
+fn pw_cell<const F: usize>(v: &[f64; 21], [cx, cy, cu, cd]: [f64; 4]) -> f64 {
+    let (gx, gy) = (
+        pw_flux(v, const { pw_taps(F, 0) }),
+        pw_flux(v, const { pw_taps(F, 1) }),
+    );
+    let z = const { pw_taps(F, 2) };
+    ((cx * gx + cy * gy) + (cu * v[z[0]]) * (v[z[1]] + v[z[2]]))
+        - (cd * v[z[3]]) * (v[z[4]] + v[z[5]])
+}
+
+/// `a*(b+c) - d*(e+f)` over the taps `t`.
+#[inline(always)]
+fn pw_flux(v: &[f64; 21], t: [usize; 6]) -> f64 {
+    v[t[0]] * (v[t[1]] + v[t[2]]) - v[t[3]] * (v[t[4]] + v[t[5]])
 }
 
 // --------------------------------------------------------------------------
@@ -1061,9 +1106,9 @@ mod tests {
     #[test]
     fn recognises_scaled_sum() {
         let spec = specialize_program(&gs_like_program()).expect("specializable");
-        assert_eq!(spec.stores.len(), 1);
-        let SpecBody::ScaledSum { loads, scale, .. } = &spec.stores[0] else {
-            panic!("expected ScaledSum, got {:?}", spec.stores[0]);
+        assert_eq!(spec.bodies.len(), 1);
+        let SpecBody::ScaledSum { loads, scale, .. } = &spec.bodies[0] else {
+            panic!("expected ScaledSum, got {:?}", spec.bodies[0]);
         };
         assert_eq!(loads.len(), 2);
         assert_eq!(*scale, Scale::DivRight(Coeff::Const(6.0)));
@@ -1118,7 +1163,7 @@ mod tests {
         {
             let inputs: Vec<&[f64]> = vec![&input, &[]];
             let mut outs: Vec<&mut [f64]> = vec![&mut spec_out];
-            for body in &spec.stores {
+            for body in &spec.bodies {
                 run_spec_row(
                     body,
                     &inputs,

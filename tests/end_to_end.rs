@@ -3,6 +3,8 @@
 //! the paper's benchmarks.
 
 use flang_stencil::core::{CompileOptions, Compiler, Target};
+use flang_stencil::exec::specialize::SpecBody;
+use flang_stencil::exec::ExecPath;
 use flang_stencil::workloads::verify::assert_fields_match;
 use flang_stencil::workloads::{gauss_seidel, pw_advection};
 
@@ -161,6 +163,12 @@ fn pw_fusion_produces_single_region_with_three_outputs() {
         .find(|n| n.out_views.len() == 3 && n.program.flops_per_cell >= 55)
         .expect("fused compute nest with three outputs");
     assert_eq!(compute.program.stores_per_cell, 3);
+    // The specialized tier runs it as one body writing all three views.
+    let bodies = compute.specialized.as_ref().map(|s| &s.bodies[..]);
+    assert!(
+        matches!(bodies, Some([b @ SpecBody::PwAdvect { .. }]) if b.outputs().len() == 3),
+        "{bodies:?}"
+    );
     // The init nest fused its three stores too.
     let init = kernel
         .nests
@@ -172,7 +180,6 @@ fn pw_fusion_produces_single_region_with_three_outputs() {
 
 #[test]
 fn flop_accounting_pins_paper_counts_and_specialized_path() {
-    use flang_stencil::exec::ExecPath;
     // Gauss–Seidel compute: 5 adds + 1 divide = 6 flops per cell (§4.1).
     let source = gauss_seidel::fortran_source(6, 2);
     let compiled = Compiler::compile(
@@ -228,7 +235,6 @@ fn flop_accounting_pins_paper_counts_and_specialized_path() {
 
 #[test]
 fn report_attests_specialized_path_for_both_benchmarks() {
-    use flang_stencil::exec::ExecPath;
     let gs = run_gs(6, 2, Target::StencilCpu);
     assert!(
         gs.report.attests(ExecPath::Specialized),
@@ -448,6 +454,75 @@ fn assert_matches_interpreter(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
         }
     }
     reference
+}
+
+/// The PW workload at n = 9 with its three advection statements replaced
+/// by `pick` of them (`su`, `sv`, `sw`), in that order.
+fn pw_statements(pick: &[&str]) -> String {
+    let source = pw_advection::fortran_source(9);
+    let at = |name: &str| source.find(&format!("        {name}(i, j, k) =")).unwrap();
+    let end = source[at("sw")..].find("      end do").unwrap() + at("sw");
+    let statement = |name: &str| {
+        let next = ["su", "sv", "sw"]
+            .iter()
+            .map(|n| at(n))
+            .filter(|&i| i > at(name));
+        &source[at(name)..next.min().unwrap_or(end)]
+    };
+    let body: String = pick.iter().map(|name| statement(name)).collect();
+    format!("{}{body}{}", &source[..at("su")], &source[end..])
+}
+
+/// The specialized bodies of `source`'s advection nest on `cpu`, or `None`
+/// when that nest runs on the jit.
+fn advection_bodies(source: &str) -> Option<Vec<SpecBody>> {
+    let compiled =
+        Compiler::compile(source, &CompileOptions::for_target(Target::StencilCpu)).unwrap();
+    let nest = compiled
+        .kernels
+        .values()
+        .flat_map(|k| &k.nests)
+        .find(|n| n.program.loads_per_cell > 0)
+        .expect("advection nest");
+    match &nest.specialized {
+        Some(s) => Some(s.bodies.clone()),
+        None => {
+            assert_eq!(nest.path, ExecPath::Jit);
+            None
+        }
+    }
+}
+
+#[test]
+fn the_pw_triple_in_any_order_is_one_body_bit_identical_to_the_interpreter() {
+    for order in [["su", "sv", "sw"], ["sw", "su", "sv"]] {
+        let source = pw_statements(&order);
+        let bodies = advection_bodies(&source);
+        assert!(
+            matches!(bodies.as_deref(), Some([b @ SpecBody::PwAdvect { .. }]) if b.outputs().len() == 3),
+            "{order:?}: {bodies:?}"
+        );
+        assert_matches_interpreter(&source, &["su", "sv", "sw"]);
+    }
+}
+
+#[test]
+fn part_of_the_pw_triple_or_one_role_changed_runs_on_the_jit() {
+    let two = pw_statements(&["su", "sv"]);
+    // `sv`'s x-flux advected by `u(i-1, j, k)` instead of `u(i, j, k)`.
+    let upwind = pw_advection::fortran_source(9).replacen(
+        "tcx * (u(i, j, k) * (v(i-1, j, k)",
+        "tcx * (u(i-1, j, k) * (v(i-1, j, k)",
+        1,
+    );
+    assert_ne!(upwind, pw_advection::fortran_source(9));
+    for (label, source, arrays) in [
+        ("su, sv", &two, &["su", "sv"][..]),
+        ("sv upwind", &upwind, &["su", "sv", "sw"][..]),
+    ] {
+        assert_eq!(advection_bodies(source), None, "{label}");
+        assert_matches_interpreter(source, arrays);
+    }
 }
 
 /// A program over `a, b` (`0:n+1` cubed, n = 16) seeded like Gauss–Seidel,
@@ -721,7 +796,6 @@ fn gpu_explicit_data_beats_host_register() {
 
 #[test]
 fn distributed_bit_identical_to_serial_across_grids_and_tiers() {
-    use flang_stencil::exec::ExecPath;
     // Every decomposition shape (1-D, 2-D, 3-D, asymmetric) on every
     // execution tier must reproduce the single-rank serial result *bit for
     // bit*: rank bodies run the same compiled per-cell arithmetic over
@@ -742,6 +816,7 @@ fn distributed_bit_identical_to_serial_across_grids_and_tiers() {
             let mut compiled = Compiler::compile(source, &opts).unwrap();
             for path in [
                 ExecPath::Specialized,
+                ExecPath::Jit,
                 ExecPath::FusedVm,
                 ExecPath::GenericVm,
             ] {
