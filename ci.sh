@@ -42,6 +42,11 @@ if grep -rlE 'FSC_PLAN_CACHE|TuneConfig' crates/ src/ examples/ tests/; then ech
 for f in autotune plancache sharded; do
   [[ ! -e crates/exec/src/$f.rs ]] || { echo "crates/exec/src/$f.rs exists: plans come from the IR"; exit 1; }
 done
+# One way to execute a nest (the kernel engine's tier ladder): the "Flang
+# only" line is the generic VM on the unfused lift, not a runner of its own.
+if grep -rnE 'fn (run_kernel_naive|naive_cell|run_cell_checked)\b' crates/ --include='*.rs'; then echo "a second per-cell runner is back under crates/: the Flang-only line runs on the generic VM"; exit 1; fi
+# Every timed number comes from a figure bin: no criterion benches.
+if [[ -e shims/criterion ]] || grep -qsw criterion Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml; then echo "shims/criterion exists or a Cargo.toml names criterion: time it in a figure bin"; exit 1; fi
 
 if [[ $quick -eq 0 ]]; then
   echo "== build (release) =="

@@ -1,7 +1,7 @@
 //! # fsc-bench — harnesses regenerating every figure of the paper
 //!
-//! One binary per figure (`fig2` … `fig6`), each printing the same series
-//! the paper plots, plus criterion micro-benchmarks and ablations. Shared
+//! One binary per figure (`fig2` … `fig8_jit_tier`), each printing the same
+//! series the paper plots, with companion tables for the ablations. Shared
 //! here: wall-clock measurement helpers, throughput formatting, and the
 //! ARCHER2 thread-scaling model used where this machine cannot supply the
 //! hardware (the build environment exposes a single CPU core, so Figures

@@ -54,10 +54,10 @@ pub enum Target {
     /// Interpret the raw FIR op by op — the extreme "Flang only" tier
     /// (used for end-to-end validation; ~100× slower than compiled code).
     FlangOnly,
-    /// The figures' "Flang only" line: the same program executed at
-    /// compiled-code speed but the way Flang's direct FIR→LLVM flow runs
-    /// it — full per-access address arithmetic, bounds checks, no loop
-    /// restructuring or vectorisable inner runs (see DESIGN.md).
+    /// The figures' "Flang only" line: the same loops without the stencil
+    /// flow's optimisations — the unfused lift, no CSE, and every nest on
+    /// the generic VM ([`ExecPath::GenericVm`]), the way Flang's direct
+    /// FIR→LLVM flow compiles them (see DESIGN.md §2).
     UnoptimizedCpu,
     /// Stencil flow, single CPU core.
     StencilCpu,
@@ -126,7 +126,8 @@ pub struct CompileOptions {
     /// Force every compiled nest onto one execution tier where that tier
     /// is available (nests without a specialized/jit realisation keep
     /// their ladder default). `None` (the default) picks the fastest
-    /// available tier per nest. Drives the tier benches and differential
+    /// available tier per nest; [`Target::UnoptimizedCpu`] always runs the
+    /// generic VM. Drives the tier sweeps and differential
     /// tests; binaries map `FSC_FORCE_EXEC_PATH` onto this via
     /// [`ExecPath::parse`] — the library itself never reads env vars.
     pub force_exec_path: Option<ExecPath>,
@@ -451,8 +452,7 @@ pub struct RunReport {
     /// Real distributed-execution attestation (distributed targets only).
     pub distributed: Option<DistributedReport>,
     /// Distinct execution paths the stencil nests ran through (sorted;
-    /// empty for Flang-only and naive-tier runs, which bypass the
-    /// specialization ladder).
+    /// empty for Flang-only runs, which run no kernels).
     pub exec_paths: Vec<ExecPath>,
     /// Coded jit warnings from compilation (`E0705` stitching skips) —
     /// degradations, never failures.
@@ -466,7 +466,7 @@ pub struct RunReport {
     /// requested configuration ran).
     pub degradation: DegradationReport,
     /// Distinct execution plans the stencil nests ran under (sorted;
-    /// empty for Flang-only and naive-tier runs).
+    /// empty for Flang-only runs).
     pub plans: Vec<ExecPlan>,
     /// The static memory estimate this run was admitted under (governed
     /// runs only — see [`Compiled::run_governed`]).
@@ -530,7 +530,11 @@ impl Compiler {
             });
         }
         let mut compiled = Self::compile_ladder(fir, entry, options)?;
-        if let Some(path) = options.force_exec_path {
+        let forced = match options.target {
+            Target::UnoptimizedCpu => Some(ExecPath::GenericVm),
+            _ => options.force_exec_path,
+        };
+        if let Some(path) = forced {
             for k in compiled.kernels.values_mut() {
                 k.force_exec_path(path);
             }
@@ -603,7 +607,7 @@ fn omp_threads(threads: u32) -> usize {
 fn target_pipeline(options: &CompileOptions) -> Result<fsc_ir::PassManager> {
     match &options.target {
         Target::FlangOnly => Err(IrError::new("Flang-only target has no stencil pipeline")),
-        Target::UnoptimizedCpu => pipelines::unoptimized_cpu_pipeline(),
+        Target::UnoptimizedCpu => pipelines::scf_fallback_pipeline(),
         Target::StencilCpu => pipelines::cpu_pipeline(),
         Target::StencilOpenMp { threads } => pipelines::openmp_pipeline(*threads),
         Target::StencilGpu {
@@ -955,8 +959,6 @@ pub struct KernelDispatcher<'k> {
     threads: usize,
     gpu: Option<GpuSession>,
     cost: CostModel,
-    /// Execute kernels with the naive (Flang-like) runner.
-    naive: bool,
     /// Process grid of a distributed target.
     pub grid: Option<ProcessGrid>,
     /// Wall time spent in kernels.
@@ -968,11 +970,9 @@ pub struct KernelDispatcher<'k> {
     pub distributed_seconds: f64,
     /// Accumulated real-execution attestation (distributed targets).
     pub dist: DistributedReport,
-    /// Distinct execution paths observed across dispatched nests (only
-    /// recorded for runs through the optimised runner).
+    /// Distinct execution paths observed across dispatched nests.
     pub exec_paths: std::collections::BTreeSet<ExecPath>,
-    /// Distinct execution plans observed across dispatched nests (only
-    /// recorded for runs through the optimised runner).
+    /// Distinct execution plans observed across dispatched nests.
     pub plans: std::collections::BTreeSet<ExecPlan>,
     /// Fault plan injected into the resilient halo transport (distributed
     /// targets; defaults to a fault-free plan).
@@ -1021,7 +1021,6 @@ impl<'k> KernelDispatcher<'k> {
             threads,
             gpu,
             cost: CostModel::default(),
-            naive: matches!(target, Target::UnoptimizedCpu),
             grid,
             kernel_wall: Duration::ZERO,
             cells: 0,
@@ -1366,8 +1365,6 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                             self.dist.modeled_dispatches += 1;
                         }
                     }
-                } else if self.naive {
-                    kernel::run_kernel_naive(kernel, memory, &kargs)?;
                 } else {
                     kernel::run_kernel(kernel, memory, &kargs, 1)?;
                 }
@@ -1445,14 +1442,10 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                 }
             }
         }
-        // Attest which specialization tiers actually executed. The naive
-        // runner models Flang's unoptimised codegen and bypasses the ladder
-        // entirely, so it records nothing.
-        if !self.naive {
-            for nest in &kernel.nests {
-                self.exec_paths.insert(nest.path);
-                self.plans.insert(nest.plan.clone());
-            }
+        // Attest which specialization tiers actually executed.
+        for nest in &kernel.nests {
+            self.exec_paths.insert(nest.path);
+            self.plans.insert(nest.plan.clone());
         }
         self.cells += kernel.stats().cells;
         self.kernel_wall += start.elapsed();
@@ -1765,10 +1758,12 @@ mod tests {
             !exec.report.plans.is_empty(),
             "stencil runs must record their execution plans"
         );
-        // The naive tier bypasses the plan machinery entirely.
-        let naive =
+        // The Flang-only line runs the same machinery, every nest on the
+        // generic VM.
+        let unopt =
             Compiler::run(&src, &CompileOptions::for_target(Target::UnoptimizedCpu)).unwrap();
-        assert!(naive.report.plans.is_empty());
+        assert_eq!(unopt.report.exec_paths, [ExecPath::GenericVm]);
+        assert!(!unopt.report.plans.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! lowered loop nest into one [`BodyProgram`]: straight-line instructions
 //! over an `f64` register file, with every array access reduced to
 //! *cursor + precomputed relative offset* — the address arithmetic that the
-//! Flang tier re-derives per element is done once at compile time here.
+//! FIR interpreter re-derives per element is done once at compile time here.
 //!
 //! Integer index values that appear as data (`stencil.index`) are computed
 //! in `f64`; all coordinates in these kernels are far below 2^53, so the
@@ -345,8 +345,8 @@ fn mul_acc_strip(regs: &mut [f64], w: usize, dst: u16, a: u16, b: u16, c: u16, k
     }
 }
 
-/// Execute one non-memory instruction (shared by the fast and naive
-/// interpreters so they cannot diverge).
+/// Execute one non-memory instruction (shared by the prelude and the
+/// per-cell body so they cannot diverge).
 #[inline]
 pub fn exec_scalar_instr(instr: &Instr, regs: &mut [f64], coords: &[i64], scalars: &[f64]) {
     match *instr {
@@ -419,9 +419,8 @@ pub struct BodyProgram {
     /// Instructions in execution order.
     pub instrs: Vec<Instr>,
     /// Cell-invariant prefix length: the first `prelude_len` instructions
-    /// (constants, scalar arguments) can execute once per kernel run; the
-    /// fast runner does, the naive runner deliberately re-executes them per
-    /// cell the way unhoisted compiled code would.
+    /// (constants, scalar arguments) execute once per kernel run
+    /// ([`BodyProgram::run_prelude`]), the rest once per cell.
     pub prelude_len: usize,
     /// Register file size.
     pub num_regs: u16,
@@ -434,184 +433,6 @@ pub struct BodyProgram {
 }
 
 impl BodyProgram {
-    /// Execute the program for one cell.
-    ///
-    /// `inputs[v]` is the read slice of view `v` (empty for pure outputs),
-    /// `cursors[v]` the current linear cursor of view `v` (shared by loads
-    /// and stores), `coords` the current global coordinates, `scalars` the
-    /// kernel's scalar arguments. Stores resolve their output slice through
-    /// `out_view_map[view]`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // VM entry point: the argument list *is* the machine state.
-    pub fn run_cell(
-        &self,
-        regs: &mut [f64],
-        inputs: &[&[f64]],
-        outputs: &mut [&mut [f64]],
-        out_view_map: &[Option<u16>],
-        cursors: &[i64],
-        coords: &[i64],
-        scalars: &[f64],
-    ) {
-        for instr in &self.instrs {
-            match *instr {
-                Instr::Const { dst, val } => regs[dst as usize] = val,
-                Instr::Arg { dst, arg } => regs[dst as usize] = scalars[arg as usize],
-                Instr::Load { dst, view, off } => {
-                    let idx = (cursors[view as usize] + off) as usize;
-                    regs[dst as usize] = inputs[view as usize][idx];
-                }
-                Instr::Coord { dst, dim } => {
-                    regs[dst as usize] = coords[dim as usize] as f64;
-                }
-                Instr::Bin { dst, kind, a, b } => {
-                    let x = regs[a as usize];
-                    let y = regs[b as usize];
-                    regs[dst as usize] = match kind {
-                        BinKind::Add => x + y,
-                        BinKind::Sub => x - y,
-                        BinKind::Mul => x * y,
-                        BinKind::Div => x / y,
-                        BinKind::Min => x.min(y),
-                        BinKind::Max => x.max(y),
-                        BinKind::Pow => x.powf(y),
-                        BinKind::Atan2 => x.atan2(y),
-                        BinKind::CopySign => x.copysign(y),
-                        BinKind::Rem => x % y,
-                    };
-                }
-                Instr::Un { dst, kind, a } => {
-                    let x = regs[a as usize];
-                    regs[dst as usize] = match kind {
-                        UnKind::Neg => -x,
-                        UnKind::Sqrt => x.sqrt(),
-                        UnKind::Abs => x.abs(),
-                        UnKind::Exp => x.exp(),
-                        UnKind::Log => x.ln(),
-                        UnKind::Sin => x.sin(),
-                        UnKind::Cos => x.cos(),
-                        UnKind::Tanh => x.tanh(),
-                        UnKind::Trunc => x.trunc(),
-                    };
-                }
-                Instr::Cmp { dst, kind, a, b } => {
-                    let x = regs[a as usize];
-                    let y = regs[b as usize];
-                    let r = match kind {
-                        CmpKind::Eq => x == y,
-                        CmpKind::Ne => x != y,
-                        CmpKind::Lt => x < y,
-                        CmpKind::Le => x <= y,
-                        CmpKind::Gt => x > y,
-                        CmpKind::Ge => x >= y,
-                    };
-                    regs[dst as usize] = r as u8 as f64;
-                }
-                Instr::Select { dst, c, a, b } => {
-                    regs[dst as usize] = if regs[c as usize] != 0.0 {
-                        regs[a as usize]
-                    } else {
-                        regs[b as usize]
-                    };
-                }
-                Instr::Store { view, off, src } => {
-                    let slot = out_view_map[view as usize]
-                        .expect("store to a view that is not an output")
-                        as usize;
-                    let idx = (cursors[view as usize] + off) as usize;
-                    outputs[slot][idx] = regs[src as usize];
-                }
-                Instr::MulAdd { dst, a, b, c, kind } => {
-                    regs[dst as usize] =
-                        mul_acc(kind, regs[a as usize], regs[b as usize], regs[c as usize]);
-                }
-                Instr::BinLoad {
-                    dst,
-                    kind,
-                    a,
-                    view,
-                    off,
-                    load_left,
-                } => {
-                    let idx = (cursors[view as usize] + off) as usize;
-                    let m = inputs[view as usize][idx];
-                    let r = regs[a as usize];
-                    regs[dst as usize] = if load_left {
-                        bin_eval(kind, m, r)
-                    } else {
-                        bin_eval(kind, r, m)
-                    };
-                }
-            }
-        }
-    }
-
-    /// Execute one cell the way unoptimised compiled code does: every array
-    /// access bounds-checked, no assumptions about cursor validity. Used by
-    /// the *naive* runner that models Flang's direct FIR→LLVM codegen.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // VM entry point: the argument list *is* the machine state.
-    pub fn run_cell_checked(
-        &self,
-        regs: &mut [f64],
-        inputs: &[&[f64]],
-        outputs: &mut [&mut [f64]],
-        out_view_map: &[Option<u16>],
-        cursors: &[i64],
-        coords: &[i64],
-        scalars: &[f64],
-    ) {
-        for instr in &self.instrs {
-            match *instr {
-                Instr::Load { dst, view, off } => {
-                    let idx = cursors[view as usize] + off;
-                    let slice = inputs[view as usize];
-                    assert!(
-                        idx >= 0 && (idx as usize) < slice.len(),
-                        "load out of bounds: {idx} in view {view}"
-                    );
-                    regs[dst as usize] = slice[idx as usize];
-                }
-                Instr::Store { view, off, src } => {
-                    let slot = out_view_map[view as usize]
-                        .expect("store to a view that is not an output")
-                        as usize;
-                    let idx = cursors[view as usize] + off;
-                    let slice = &mut outputs[slot];
-                    assert!(
-                        idx >= 0 && (idx as usize) < slice.len(),
-                        "store out of bounds: {idx} in view {view}"
-                    );
-                    slice[idx as usize] = regs[src as usize];
-                }
-                Instr::BinLoad {
-                    dst,
-                    kind,
-                    a,
-                    view,
-                    off,
-                    load_left,
-                } => {
-                    let idx = cursors[view as usize] + off;
-                    let slice = inputs[view as usize];
-                    assert!(
-                        idx >= 0 && (idx as usize) < slice.len(),
-                        "load out of bounds: {idx} in view {view}"
-                    );
-                    let m = slice[idx as usize];
-                    let r = regs[a as usize];
-                    regs[dst as usize] = if load_left {
-                        bin_eval(kind, m, r)
-                    } else {
-                        bin_eval(kind, r, m)
-                    };
-                }
-                // Scalar instructions behave identically.
-                ref other => exec_scalar_instr(other, regs, coords, scalars),
-            }
-        }
-    }
-
     /// Execute the cell-invariant prelude (constants, scalar arguments)
     /// into the register file, once per kernel run.
     pub fn run_prelude(&self, regs: &mut [f64], scalars: &[f64]) {
@@ -916,10 +737,13 @@ mod tests {
         let input = vec![0.0, 1.0, 2.0, 3.0, 4.0];
         let mut output = vec![0.0; 5];
         let mut regs = vec![0.0; 5];
+        p.hoist_invariants();
+        assert_eq!(p.prelude_len, 1);
+        p.run_prelude(&mut regs, &[]);
         for c in 1..4i64 {
             let inputs: Vec<&[f64]> = vec![&input, &[]];
             let mut outs: Vec<&mut [f64]> = vec![&mut output];
-            p.run_cell(
+            p.run_cell_body(
                 &mut regs,
                 &inputs,
                 &mut outs,
@@ -956,10 +780,12 @@ mod tests {
         p.finalize_stats();
         let mut output = vec![0.0; 4];
         let mut regs = vec![0.0; 3];
+        p.hoist_invariants();
+        p.run_prelude(&mut regs, &[2.0]);
         for c in 0..4i64 {
             let inputs: Vec<&[f64]> = vec![&[]];
             let mut outs: Vec<&mut [f64]> = vec![&mut output];
-            p.run_cell(
+            p.run_cell_body(
                 &mut regs,
                 &inputs,
                 &mut outs,
@@ -974,7 +800,7 @@ mod tests {
 
     #[test]
     fn select_and_cmp() {
-        let p = BodyProgram {
+        let mut p = BodyProgram {
             instrs: vec![
                 Instr::Const { dst: 0, val: 3.0 },
                 Instr::Const { dst: 1, val: 5.0 },
@@ -999,17 +825,19 @@ mod tests {
             num_regs: 4,
             ..Default::default()
         };
+        p.hoist_invariants();
         let mut output = vec![0.0];
         let mut regs = vec![0.0; 4];
         let inputs: Vec<&[f64]> = vec![&[]];
         let mut outs: Vec<&mut [f64]> = vec![&mut output];
-        p.run_cell(&mut regs, &inputs, &mut outs, &[Some(0)], &[0], &[0], &[]);
+        p.run_prelude(&mut regs, &[]);
+        p.run_cell_body(&mut regs, &inputs, &mut outs, &[Some(0)], &[0], &[0], &[]);
         assert_eq!(output[0], 3.0);
     }
 
     #[test]
     fn unary_math() {
-        let p = BodyProgram {
+        let mut p = BodyProgram {
             instrs: vec![
                 Instr::Const { dst: 0, val: 16.0 },
                 Instr::Un {
@@ -1026,11 +854,13 @@ mod tests {
             num_regs: 2,
             ..Default::default()
         };
+        p.hoist_invariants();
         let mut output = vec![0.0];
         let mut regs = vec![0.0; 2];
         let inputs: Vec<&[f64]> = vec![&[]];
         let mut outs: Vec<&mut [f64]> = vec![&mut output];
-        p.run_cell(&mut regs, &inputs, &mut outs, &[Some(0)], &[0], &[0], &[]);
+        p.run_prelude(&mut regs, &[]);
+        p.run_cell_body(&mut regs, &inputs, &mut outs, &[Some(0)], &[0], &[0], &[]);
         assert_eq!(output[0], 4.0);
     }
 }

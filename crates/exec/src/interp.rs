@@ -2,10 +2,10 @@
 //!
 //! Every operation dispatches on its name, every array access recomputes
 //! its full column-major address, and loop bodies re-evaluate loop-invariant
-//! subexpressions each iteration. That is deliberate: this tier stands in
-//! for the unoptimised code paper-era Flang generated by translating FIR
-//! directly to LLVM-IR (§2.3), and its gap to the compiled stencil kernels
-//! is the effect Figures 2–4 measure.
+//! subexpressions each iteration. That is deliberate: this tier is the
+//! oracle every compiled tier is checked against bit for bit, and the
+//! extreme "Flang only" point of Figure 2 (the figures' Flang line proper
+//! runs the same loops on the kernel engine's generic VM).
 //!
 //! The interpreter also executes `scf`, `memref` and `omp` ops (serially),
 //! which the test-suite uses to differentially validate the optimised

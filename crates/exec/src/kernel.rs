@@ -1385,147 +1385,6 @@ fn plane_box(bounds: &[(i64, i64)], from: i64, to: i64) -> Option<Vec<(i64, i64)
     (slowest.0 < slowest.1).then_some(local)
 }
 
-/// Run a compiled kernel the way Flang's direct FIR→LLVM flow executes the
-/// same program: one cell at a time with the *full* column-major address
-/// computed from scratch for every view at every cell (multiply chains per
-/// access, as `fir.coordinate_of` lowers), bounds checks on every array
-/// access, and no contiguous-run specialisation the vectoriser could
-/// exploit. Numerically identical to [`run_kernel`]; only slower.
-///
-/// This is the figures' "Flang only" execution tier at compiled-code (not
-/// interpreter) speed — see DESIGN.md for the substitution rationale.
-pub fn run_kernel_naive(
-    kernel: &CompiledKernel,
-    memory: &mut Memory,
-    args: &[KernelArg],
-) -> Result<()> {
-    let bufs = resolve_views(kernel, memory, args)?;
-    let ran = run_naive_nests(kernel, &bufs, memory, &scalar_args(args));
-    release_snapshots(kernel, &bufs, memory);
-    ran
-}
-
-fn run_naive_nests(
-    kernel: &CompiledKernel,
-    bufs: &[BufId],
-    memory: &mut Memory,
-    scalars: &[f64],
-) -> Result<()> {
-    let views = &kernel.views;
-    for nest in &kernel.nests {
-        // Empty iteration domain: nothing to do, including snapshots.
-        if nest.domain_cells() == 0 {
-            continue;
-        }
-        for (src, dst) in snapshot_pairs(nest, views, bufs)? {
-            memory.copy_buffer(src, dst)?;
-        }
-        let io = NestIo::new(nest, views, bufs)?;
-        let mut taken = io.take(memory);
-        let swept = {
-            let inputs = io.inputs(bufs, memory);
-            let mut outputs: Vec<&mut [f64]> = taken.iter_mut().map(Vec::as_mut_slice).collect();
-            naive_sweep(nest, views, &inputs, &mut outputs, &io.out_slots, scalars)
-        };
-        io.restore(memory, taken);
-        swept?;
-    }
-    Ok(())
-}
-
-/// Every cell of `nest`, dimension 0 fastest, through [`naive_cell`].
-fn naive_sweep(
-    nest: &Nest,
-    views: &[ViewSpec],
-    inputs: &[&[f64]],
-    outputs: &mut [&mut [f64]],
-    out_slots: &[Option<u16>],
-    scalars: &[f64],
-) -> Result<()> {
-    let rank = nest.bounds.len();
-    let mut regs = vec![0.0f64; nest.program.num_regs.max(1) as usize];
-    let mut coords: Vec<i64> = nest.bounds.iter().map(|&(lb, _)| lb).collect();
-    loop {
-        naive_cell(
-            &nest.program,
-            views,
-            &coords,
-            &mut regs,
-            inputs,
-            outputs,
-            out_slots,
-            scalars,
-        )?;
-        let mut d = 0;
-        loop {
-            coords[d] += 1;
-            if coords[d] < nest.bounds[d].1 {
-                break;
-            }
-            coords[d] = nest.bounds[d].0;
-            d += 1;
-            if d == rank {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// One naive-tier cell: every array access recomputes its full column-major
-/// address from the coordinates (the multiply chain `fir.coordinate_of`
-/// emits per access) and is bounds-checked; scalar instructions execute
-/// per cell with nothing hoisted.
-#[allow(clippy::too_many_arguments)]
-fn naive_cell(
-    program: &BodyProgram,
-    views: &[ViewSpec],
-    coords: &[i64],
-    regs: &mut [f64],
-    inputs: &[&[f64]],
-    outputs: &mut [&mut [f64]],
-    out_view_map: &[Option<u16>],
-    scalars: &[f64],
-) -> Result<()> {
-    let address = |view: usize, off: i64| -> i64 {
-        let spec = &views[view];
-        let mut idx = off;
-        for (d, &c) in coords.iter().enumerate() {
-            idx += c * spec.strides[d];
-        }
-        idx
-    };
-    for instr in &program.instrs {
-        match *instr {
-            Instr::Load { dst, view, off } => {
-                let idx = address(view as usize, off);
-                let slice = inputs[view as usize];
-                assert!(
-                    idx >= 0 && (idx as usize) < slice.len(),
-                    "load out of bounds: {idx} in view {view}"
-                );
-                regs[dst as usize] = slice[idx as usize];
-            }
-            Instr::Store { view, off, src } => {
-                let Some(slot) = out_view_map[view as usize] else {
-                    return Err(IrError::from_diagnostic(Diagnostic::error(
-                        codes::EXEC,
-                        format!("kernel stores to view {view}, which is not an output of its nest"),
-                    )));
-                };
-                let idx = address(view as usize, off);
-                let slice = &mut outputs[usize::from(slot)];
-                assert!(
-                    idx >= 0 && (idx as usize) < slice.len(),
-                    "store out of bounds: {idx} in view {view}"
-                );
-                slice[idx as usize] = regs[src as usize];
-            }
-            ref other => crate::bytecode::exec_scalar_instr(other, regs, coords, scalars),
-        }
-    }
-    Ok(())
-}
-
 /// A nest's outputs, resolved once per dispatch: each run moves them out
 /// of the arena, so they are mutable while the inputs stay shared, and
 /// puts them back.
@@ -1545,13 +1404,24 @@ impl NestIo {
             out_bufs.push(bufs[v]);
         }
         // Input views of THIS nest must not alias its outputs (snapshot
-        // copies guarantee this for in-place stencils).
+        // copies guarantee this for in-place stencils), and every store
+        // must land in an output slot: each tier's store indexes the slots
+        // unchecked, so a stray one is refused here, before anything runs.
         for instr in &nest.program.instrs {
-            if let Instr::Load { view, .. } = instr {
-                let v = usize::from(*view);
-                if out_slots[v].is_none() && out_bufs.contains(&bufs[v]) {
-                    return Err(err("output buffer aliases an input view"));
+            match *instr {
+                Instr::Load { view, .. } => {
+                    let v = usize::from(view);
+                    if out_slots[v].is_none() && out_bufs.contains(&bufs[v]) {
+                        return Err(err("output buffer aliases an input view"));
+                    }
                 }
+                Instr::Store { view, .. } if out_slots[usize::from(view)].is_none() => {
+                    return Err(IrError::from_diagnostic(Diagnostic::error(
+                        codes::EXEC,
+                        format!("kernel stores to view {view}, which is not an output of its nest"),
+                    )));
+                }
+                _ => {}
             }
         }
         Ok(Self {
@@ -2411,27 +2281,6 @@ end program t
     }
 
     #[test]
-    fn naive_runner_matches_fast_runner() {
-        let k = compile(LISTING1);
-        let n = 18usize;
-        let mk = |mem: &mut Memory| {
-            let data = mem.alloc_buffer(n * n);
-            let res = mem.alloc_buffer(n * n);
-            for idx in 0..n * n {
-                mem.buffer_mut(data)[idx] = (idx as f64 * 0.37).cos();
-            }
-            (data, res)
-        };
-        let mut m1 = Memory::new();
-        let (d1, r1) = mk(&mut m1);
-        run_kernel(&k, &mut m1, &[KernelArg::Buf(d1), KernelArg::Buf(r1)], 1).unwrap();
-        let mut m2 = Memory::new();
-        let (d2, r2) = mk(&mut m2);
-        run_kernel_naive(&k, &mut m2, &[KernelArg::Buf(d2), KernelArg::Buf(r2)]).unwrap();
-        assert_eq!(m1.buffer(r1), m2.buffer(r2), "tiers must agree bitwise");
-    }
-
-    #[test]
     fn gpu_plan_compiles_from_tiled_kernel() {
         let mut m = fsc_fortran::compile_to_fir(LISTING1).unwrap();
         discover_stencils(&mut m).unwrap();
@@ -3045,10 +2894,22 @@ end program gs2
         let mut memory = Memory::new();
         let a = memory.alloc_buffer(12);
         let b = memory.alloc_buffer(12);
-        let e =
-            run_kernel_naive(&k, &mut memory, &[KernelArg::Buf(a), KernelArg::Buf(b)]).unwrap_err();
-        assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
-        assert_eq!((memory.buffer(a).len(), memory.buffer(b).len()), (12, 12));
+        memory.buffer_mut(b).fill(1.5);
+        for path in [ExecPath::FusedVm, ExecPath::GenericVm] {
+            k.force_exec_path(path);
+            let args = [KernelArg::Buf(a), KernelArg::Buf(b)];
+            let e = run_kernel(&k, &mut memory, &args, 1).unwrap_err();
+            assert_eq!(
+                e.primary().map(|d| d.code),
+                Some(codes::EXEC),
+                "{path}: {e}"
+            );
+            assert_eq!((memory.buffer(a).len(), memory.buffer(b).len()), (12, 12));
+            assert!(
+                memory.buffer(a).iter().all(|&x| x == 0.0),
+                "{path} ran a cell"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! fusion over [`BodyProgram`] bytecode.
 //!
 //! The register VM in `bytecode.rs` pays one dispatch per instruction per
-//! strip. That floor is shared by the "Flang only" naive tier and the
-//! optimised tier, which compresses the measured speed ratio between them
-//! (DESIGN.md §2). This module removes the floor from the optimised tier in
-//! two steps, mirroring how a mature MLIR lowering emits *specialised* code
-//! instead of interpreting generic IR:
+//! strip. The "Flang only" line runs there, on the generic VM (DESIGN.md
+//! §2). This module removes that floor from the stencil flow in two steps,
+//! mirroring how a mature MLIR lowering emits *specialised* code instead of
+//! interpreting generic IR:
 //!
 //! 1. [`specialize_program`] pattern-matches the dominant stencil body
 //!    shapes — affine sums of constant-offset loads (the 7-point

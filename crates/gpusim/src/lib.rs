@@ -18,7 +18,7 @@
 //!
 //! The kernel execution model is a roofline: time = max(compute, memory)
 //! with a thread-block occupancy factor, so the Listing-4 tile-size
-//! sensitivity is reproducible (the `ablation_tiling` bench sweeps it).
+//! sensitivity is reproducible (`fig5`'s companion table sweeps it).
 
 use std::collections::HashMap;
 

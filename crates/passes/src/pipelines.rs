@@ -147,26 +147,20 @@ pub fn discovery_pipeline() -> PassManager {
     pm
 }
 
-/// Discovery without fusion — used by the unoptimised comparison tier and
-/// the fusion ablation.
+/// Discovery without fusion — used by the "Flang only" comparison line
+/// and Figure 2's fusion attribution.
 pub fn discovery_pipeline_unfused() -> PassManager {
     let mut pm = PassManager::new();
     pm.add(DiscoverStencils { fuse: false });
     pm
 }
 
-/// Stencil-module pipeline for the unoptimised ("Flang only") tier: the
-/// same CPU loop shapes, but no CSE — Flang's direct FIR→LLVM flow cannot
-/// deduplicate array loads across statements (stores might alias), so the
-/// comparison tier must not either.
-pub fn unoptimized_cpu_pipeline() -> Result<PassManager> {
-    registry().parse_pipeline("stencil-to-scf{target=cpu},canonicalize")
-}
-
 /// The degradation ladder's middle rung: plain sequential `scf.for`
 /// lowering with no fusion-dependent cleanup and no target-specific
 /// shaping. Deliberately minimal — the fewer passes on the fallback path,
-/// the fewer ways it can fail.
+/// the fewer ways it can fail. It is also the "Flang only" line's
+/// pipeline: no CSE, because Flang's direct FIR→LLVM flow cannot
+/// deduplicate array loads across statements (stores might alias).
 pub fn scf_fallback_pipeline() -> Result<PassManager> {
     registry().parse_pipeline("stencil-to-scf{target=cpu},canonicalize")
 }

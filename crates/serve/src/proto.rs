@@ -75,8 +75,8 @@ pub struct Request {
 
 /// Parse a target spec string.
 ///
-/// Accepted forms: `flang` (FIR interpretation), `unopt` (unoptimised
-/// CPU), `cpu` (serial stencil), `omp` / `omp:N` (OpenMP, N threads,
+/// Accepted forms: `flang` (FIR interpretation), `unopt` (the "Flang
+/// only" line: unfused lift, no CSE, generic VM), `cpu` (serial stencil), `omp` / `omp:N` (OpenMP, N threads,
 /// 0 = all cores), `dist:AxB...` (distributed over a process grid),
 /// `gpu` (modeled V100, explicit data movement).
 pub fn parse_target(s: &str) -> Result<Target, String> {

@@ -253,6 +253,23 @@ fn report_attests_specialized_path_for_both_benchmarks() {
 }
 
 #[test]
+fn the_flang_line_is_the_unfused_lift_on_the_generic_vm() {
+    // `unopt`, the figures' "Flang only" line, runs the same kernel engine
+    // as the stencil flow with every nest on the generic VM, and must
+    // match the interpreter bit for bit on both benchmarks.
+    for (source, arrays) in [
+        (gauss_seidel::fortran_source(8, 3), &["u", "un"][..]),
+        (pw_advection::fortran_source(8), &["su", "sv", "sw"][..]),
+    ] {
+        assert_matches_interpreter(&source, arrays);
+        let unopt = CompileOptions::for_target(Target::UnoptimizedCpu);
+        let exec = Compiler::run(&source, &unopt).unwrap();
+        assert_eq!(exec.report.exec_paths, [ExecPath::GenericVm]);
+        assert!(!exec.report.plans.is_empty());
+    }
+}
+
+#[test]
 fn empty_interior_is_skipped_on_all_cpu_paths() {
     // n = 0: the arrays are pure halo (extent 0:1 per dimension, n ≤ 2·halo)
     // and the compute nests' `do i = 1, n` have no iterations. Both kernel
@@ -428,16 +445,20 @@ end program carried
     assert_eq!(reference[0][..4], [0.0, 2.0, 5.5, 10.75]);
 }
 
-/// Run `source` through the FIR interpreter, then on `cpu` and `omp:2`:
-/// each of `arrays` must match the interpreter's bit for bit. Returns the
-/// interpreter's arrays.
+/// Run `source` through the FIR interpreter, then on `unopt`, `cpu` and
+/// `omp:2`: each of `arrays` must match the interpreter's bit for bit.
+/// Returns the interpreter's arrays.
 fn assert_matches_interpreter(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
     let flang = Compiler::run(source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
     let reference: Vec<Vec<f64>> = arrays
         .iter()
         .map(|name| flang.array(name).unwrap().to_vec())
         .collect();
-    for target in [Target::StencilCpu, Target::StencilOpenMp { threads: 2 }] {
+    for target in [
+        Target::UnoptimizedCpu,
+        Target::StencilCpu,
+        Target::StencilOpenMp { threads: 2 },
+    ] {
         let exec = Compiler::run(source, &CompileOptions::for_target(target.clone())).unwrap();
         for (name, want) in arrays.iter().zip(&reference) {
             let got = exec.array(name).unwrap();
