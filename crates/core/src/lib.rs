@@ -33,7 +33,7 @@ use fsc_exec::interp::{Interpreter, RegionDispatcher, RunStats};
 /// all `fsc-serve` sessions included). `benchmark/` calls it by this name.
 pub use fsc_exec::jit::stats as jit_cache_stats;
 use fsc_exec::kernel::{
-    self, CompiledKernel, GpuStrategy, HaloSchedule, KernelArg, PlanKind, ViewSource,
+    self, CompiledKernel, GpuStrategy, HaloSchedule, KernelArg, PlanKind, Sweep, ViewSource,
 };
 use fsc_exec::plan::ExecPlan;
 use fsc_exec::value::{Memory, Ref, Value};
@@ -437,6 +437,9 @@ pub struct RunReport {
     pub kernel_wall: Duration,
     /// Grid cells processed by stencil kernels (all invocations).
     pub kernel_cells: u64,
+    /// Host CPU dispatches (`cpu`, `openmp`) and the sweeps they ran in
+    /// ([`fsc_exec::kernel::Sweep`]): `(9, 2)` for GS × 8, init included.
+    pub sweeps: (u64, u64),
     /// Interpreter op counters.
     pub interp: RunStats,
     /// Modeled GPU seconds (GPU targets).
@@ -902,6 +905,7 @@ impl Compiled {
             wall,
             kernel_wall: dispatcher.kernel_wall,
             kernel_cells: dispatcher.cells,
+            sweeps: dispatcher.sweeps,
             interp: stats,
             gpu_seconds,
             gpu: gpu_counters,
@@ -965,6 +969,11 @@ pub struct KernelDispatcher<'k> {
     pub kernel_wall: Duration,
     /// Total cells processed.
     pub cells: u64,
+    /// Host CPU dispatches and the sweeps they ran in.
+    pub sweeps: (u64, u64),
+    /// Dispatches not yet run. Their buffers are stale, so host access to
+    /// one, another dispatch or the end of the run runs them first.
+    queued: Option<Sweep<'k>>,
     /// Distributed seconds: measured makespans (real dispatches) plus
     /// modeled time (fallback dispatches).
     pub distributed_seconds: f64,
@@ -1024,6 +1033,8 @@ impl<'k> KernelDispatcher<'k> {
             grid,
             kernel_wall: Duration::ZERO,
             cells: 0,
+            sweeps: (0, 0),
+            queued: None,
             distributed_seconds: 0.0,
             dist: DistributedReport::default(),
             exec_paths: std::collections::BTreeSet::new(),
@@ -1276,6 +1287,28 @@ impl<'k> KernelDispatcher<'k> {
         plan
     }
 
+    /// Hold a host CPU dispatch until one that cannot join it, host access
+    /// to its buffers or the end of the run ([`RegionDispatcher::sync`]).
+    fn queue(&mut self, sweep: Sweep<'k>, memory: &mut Memory) {
+        for &b in sweep.buffers() {
+            memory.mark_stale(b);
+        }
+        self.queued = Some(sweep);
+    }
+
+    /// Run the queued sweep, timed on its own: no dispatch's timer holds it.
+    fn flush(&mut self, memory: &mut Memory) {
+        if let Some(sweep) = self.queued.take() {
+            let start = Instant::now();
+            for &b in sweep.buffers() {
+                memory.clear_stale(b);
+            }
+            self.sweeps.0 += sweep.run(memory) as u64;
+            self.sweeps.1 += 1;
+            self.kernel_wall += start.elapsed();
+        }
+    }
+
     fn convert_args(args: &[Value]) -> Result<Vec<KernelArg>> {
         args.iter()
             .map(|v| match v {
@@ -1299,6 +1332,12 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
             .get(callee)
             .ok_or_else(|| IrError::new(format!("no compiled kernel '{callee}'")))?;
         let kargs = Self::convert_args(args)?;
+        // A joining dispatch's tiers and plans are the sweep's.
+        if self.queued.as_mut().is_some_and(|s| s.join(kernel, &kargs)) {
+            self.cells += kernel.stats().cells;
+            return Ok(());
+        }
+        self.flush(memory);
         let start = Instant::now();
         // Another kernel's resident ranks may hold newer contents of this
         // kernel's arrays than `memory` does.
@@ -1366,7 +1405,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                         }
                     }
                 } else {
-                    kernel::run_kernel(kernel, memory, &kargs, 1)?;
+                    self.queue(Sweep::new(kernel, memory, &kargs, 1)?, memory);
                 }
             }
             PlanKind::Omp { num_threads } => {
@@ -1375,7 +1414,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                 } else {
                     self.threads
                 };
-                kernel::run_kernel(kernel, memory, &kargs, t)?;
+                self.queue(Sweep::new(kernel, memory, &kargs, t)?, memory);
             }
             PlanKind::Gpu {
                 block,
@@ -1449,10 +1488,14 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
         }
         self.cells += kernel.stats().cells;
         self.kernel_wall += start.elapsed();
+        if self.queued.as_ref().is_some_and(|s| !s.has_room()) {
+            self.flush(memory);
+        }
         Ok(())
     }
 
     fn sync(&mut self, memory: &mut Memory) {
+        self.flush(memory);
         self.gather_sessions(memory, |_, _| true);
     }
 }
@@ -1485,6 +1528,18 @@ mod tests {
         )
         .unwrap();
         assert!(find_program(&m).is_err());
+    }
+
+    #[test]
+    fn a_queued_dispatch_fails_in_the_call_that_queues_it() {
+        // The copy nest's store to `u` loses its output slot: the first
+        // time step's dispatch, which would open a sweep, is refused.
+        let src = fsc_workloads::gauss_seidel::fortran_source(8, 3);
+        let mut c = Compiler::compile(&src, &CompileOptions::default()).unwrap();
+        let region = c.kernels.get_mut("stencil_region_1").unwrap();
+        region.nests[1].out_views.clear();
+        let e = c.run().err().expect("a store outside its outputs");
+        assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub trait RegionDispatcher {
     /// Execute `callee` with the given argument values.
     fn call(&mut self, callee: &str, args: &[Value], memory: &mut Memory) -> Result<()>;
 
-    /// Write back every result the dispatcher still holds outside `memory`
-    /// (buffers it marked stale). The interpreter calls this before host
-    /// code touches a stale buffer and when the run ends.
+    /// Land every result the dispatcher still holds outside `memory` or
+    /// has queued (buffers it marked stale). The interpreter calls this
+    /// before host code touches a stale buffer and when the run ends.
     fn sync(&mut self, _memory: &mut Memory) {}
 }
 

@@ -271,6 +271,13 @@ pub struct CompiledKernel {
 /// nest writes in a step is still cached when the next nest reads it.
 const STEP_BYTES: i64 = 1 << 20;
 
+/// Bytes of planes a [`Sweep`] of `k` dispatches at period `D` may keep
+/// live on every view: `(k − 1)·D + S` planes, `S` the planes one dispatch
+/// spans. GS n=192 × 64 (2 MiB L2 per core, 105 MiB L3 shared with other
+/// tenants) ran 2.10 s at k = 1, 1.53–1.59 s at k = 6–10 (windows of
+/// 8–13 MB), 1.97 s at 13 (16 MB) and 2.3–2.5 s at 16–64 (DESIGN.md §15).
+const WINDOW_BYTES: i64 = 10 << 20;
+
 /// A legal plane-interleaved schedule for a region's nests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pipeline {
@@ -278,17 +285,22 @@ pub(crate) struct Pipeline {
     pub(crate) lags: Vec<i64>,
     /// Planes each nest runs per step.
     pub(crate) planes: i64,
+    /// Planes each dispatch of a sweep trails the one before by (`D`).
+    pub(crate) period: i64,
+    /// Most dispatches one sweep runs ([`WINDOW_BYTES`]).
+    pub(crate) batch: usize,
 }
 
 impl CompiledKernel {
     /// Each nest's lag, in slowest-dimension planes, when a single-threaded
     /// [`run_kernel`] runs this region pipelined; `None` when it runs the
-    /// nests in order (no legal schedule, or one step would span the whole
-    /// domain). A run on more than one thread is always in order.
+    /// nests in order (no legal schedule, one nest with cells, or one step
+    /// spanning the domain). A run on more than one thread is in order.
     pub fn lags(&self) -> Option<&[i64]> {
         let p = self.pipeline.as_ref()?;
+        let live = self.nests.iter().filter(|n| n.domain_cells() > 0).count();
         let (first, end) = step_range(self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n)));
-        (p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
+        (live > 1 && p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
     }
 
     /// Each nest's slabs in a [`run_kernel`] on `threads` workers (the
@@ -300,15 +312,16 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// One line for drivers: `pipelined, lags [0, 1], 1 plane/step` or
-    /// `in order`; on `threads > 1`, `in order, slabs [2, 1]`.
+    /// One line for drivers: `pipelined, lags [0, 1], period 2, 1 plane/step`
+    /// or `in order`; on `threads > 1`, `in order, slabs [2, 1]`.
     pub fn schedule(&self, threads: usize) -> String {
         if threads > 1 {
             return format!("in order, slabs {:?}", self.slabs(threads));
         }
         match (self.lags(), &self.pipeline) {
             (Some(lags), Some(p)) => format!(
-                "pipelined, lags {lags:?}, {} plane{}/step",
+                "pipelined, lags {lags:?}, period {}, {} plane{}/step",
+                p.period,
                 p.planes,
                 if p.planes == 1 { "" } else { "s" }
             ),
@@ -660,7 +673,8 @@ fn compile_nests(
 type Reach = HashMap<(usize, bool), (i64, i64)>;
 
 /// The smallest non-decreasing lags that keep every dependence between
-/// the nests, and the planes per step.
+/// the nests, the period that keeps them between consecutive dispatches,
+/// and the planes per step.
 ///
 /// Nest `i` runs plane `p` at step `p + L_i`, and within a step the nests
 /// run in order, so a cell nest `i < j` touches at plane `p` and nest `j`
@@ -670,7 +684,12 @@ type Reach = HashMap<(usize, bool), (i64, i64)>;
 /// `r_j − w_i` (flow: `j` reads what `i` wrote), `w_j − w_i` (output: `j`
 /// writes last) and `w_j − r_i` (anti: `i` reads before `j` overwrites).
 ///
-/// `None` — run in order — when fewer than two nests have cells, a nest
+/// The rule over two copies of the nest list gives the next dispatch's
+/// lags `L_{n+i}` and the period `D = max_i (L_{n+i} − L_i) ≥ 0`: dispatch
+/// `c` runs nest `i` at lag `c·D + L_i`, which keeps every dependence from
+/// dispatch `a` to `b > a`, as `(b − a)·D ≥ L_{n+j} − L_j`.
+///
+/// `None` — run in order, never batched — when no nest has cells, a nest
 /// refreshes snapshots or exchanges halos (per-nest events the step loop
 /// does not split), a view has fewer dimensions than the domain, or a nest
 /// stores one view at two slowest-dim offsets (its cells are written from
@@ -685,23 +704,25 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
         .iter()
         .flatten()
         .any(|(&(_, store), &(lo, hi))| store && lo != hi);
-    if nests.iter().filter(|n| n.domain_cells() > 0).count() < 2
+    if nests.iter().all(|n| n.domain_cells() == 0)
         || unsplittable
         || two_plane_stores
         || views.iter().any(|v| v.extents.len() != rank)
     {
         return None;
     }
-    let mut lags = vec![0i64; nests.len()];
-    for j in 1..nests.len() {
+    let n = nests.len();
+    let mut lags = vec![0i64; 2 * n];
+    for j in 1..2 * n {
         let mut lag = lags[j - 1];
         for i in 0..j {
             for v in 0..views.len() {
                 // (later access in j, earlier access in i): flow, output, anti.
                 for (later, earlier) in [(false, true), (true, true), (true, false)] {
-                    if let (Some(b), Some(a)) =
-                        (reaches[j].get(&(v, later)), reaches[i].get(&(v, earlier)))
-                    {
+                    if let (Some(b), Some(a)) = (
+                        reaches[j % n].get(&(v, later)),
+                        reaches[i % n].get(&(v, earlier)),
+                    ) {
                         lag = lag.max(lags[i].saturating_add(b.1.saturating_sub(a.0)));
                     }
                 }
@@ -709,6 +730,8 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
         }
         lags[j] = lag;
     }
+    let period = (0..n).map(|i| lags[n + i] - lags[i]).max()?;
+    lags.truncate(n);
     let plane_bytes = views
         .iter()
         .map(|v| {
@@ -717,8 +740,26 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
                 .fold(8i64, |b, &e| b.saturating_mul(e))
         })
         .max()?;
-    let planes = (STEP_BYTES / plane_bytes.saturating_mul(views.len() as i64).max(1)).max(1);
-    Some(Pipeline { lags, planes })
+    let set_bytes = plane_bytes.saturating_mul(views.len() as i64).max(1);
+    let planes = (STEP_BYTES / set_bytes).max(1);
+    // S: at step s nest i touches planes s − L_i + [lo, hi].
+    let (mut lead, mut trail) = (i64::MIN, i64::MAX);
+    for (r, &lag) in reaches.iter().zip(&lags) {
+        for &(lo, hi) in r.values() {
+            lead = lead.max(hi.saturating_sub(lag));
+            trail = trail.min(lo.saturating_sub(lag));
+        }
+    }
+    let span = lead.saturating_sub(trail).saturating_add(1).max(1);
+    // With D = 0 the window does not grow with k; D = 1 still bounds k.
+    let room = (WINDOW_BYTES / set_bytes).saturating_sub(span).max(0);
+    let batch = (room / period.max(1) + 1) as usize;
+    Some(Pipeline {
+        lags,
+        planes,
+        period,
+        batch,
+    })
 }
 
 /// First and one-past-last step of a sweep: every nest's slowest-dimension
@@ -1249,34 +1290,159 @@ fn decode_index_expr(m: &Module, v: ValueId) -> Option<(ValueId, i64)> {
 // Execution
 // --------------------------------------------------------------------------
 
-/// Run a compiled kernel: resolve views, then sweep the nests in steps.
-///
-/// Step `s` runs nest `i` over the slowest-dimension planes
-/// `[s − L_i, s − L_i + B)`, clipped to its bounds, nests in order within
-/// the step; steps advance by `B`. With the kernel's pipeline (lags `L`,
-/// `B` planes per step, see [`CompiledKernel::lags`]) a nest reads what
-/// the nests before it wrote a lag ago, still in cache. Otherwise every
-/// lag is 0 and `B` spans the domain: one step, each nest whole, in order
-/// (refreshing its snapshots first). That is the schedule whenever
-/// `threads > 1` (slabs are sized by the box run: a step's planes would
-/// pay a spawn per step or fall below [`SPLIT_WORK`] and idle the rest)
-/// or two views resolve to one buffer (the lags compare views, not
-/// buffers). Either way every cell runs the same instructions on the same
-/// values.
+/// Run a compiled kernel: one dispatch, checked and swept ([`Sweep`]).
 pub fn run_kernel(
     kernel: &CompiledKernel,
     memory: &mut Memory,
     args: &[KernelArg],
     threads: usize,
 ) -> Result<()> {
-    let bufs = resolve_views(kernel, memory, args)?;
-    let ran = run_steps(kernel, &bufs, memory, &scalar_args(args), threads);
-    release_snapshots(kernel, &bufs, memory);
-    ran
+    Sweep::new(kernel, memory, args, threads)?.run(memory);
+    Ok(())
+}
+
+/// Consecutive dispatches of one region on the same buffers, checked when
+/// the first is resolved ([`Sweep::new`]), then run as one pass that
+/// cannot fail ([`Sweep::run`]).
+///
+/// Step `s` runs nest `i` of dispatch `c` over the slowest-dimension
+/// planes `[s − c·D − L_i, s − c·D − L_i + B)`, clipped to its bounds,
+/// dispatches and then nests in order; steps advance by `B`. With the
+/// kernel's pipeline (lags `L`, period `D`, `B` planes per step, see
+/// [`CompiledKernel::lags`]) a nest reads what the nests before it wrote
+/// a lag ago, still in cache. Otherwise every lag is 0, `B` spans the
+/// domain and the sweep holds one dispatch, each nest whole and in order
+/// (refreshing its snapshots first): whenever `threads > 1` (a step would
+/// pay a spawn or fall below [`SPLIT_WORK`]) or two views share a buffer
+/// (the lags compare views). Every cell runs the same instructions on the
+/// same values either way.
+pub struct Sweep<'k> {
+    kernel: &'k CompiledKernel,
+    /// The buffer behind each view.
+    bufs: Vec<BufId>,
+    /// The kernel's pipeline, when this dispatch may use it.
+    pipeline: Option<&'k Pipeline>,
+    /// One per nest with cells.
+    work: Vec<NestRun<'k>>,
+    threads: usize,
+    /// Scalar arguments, one vector per dispatch.
+    scalars: Vec<Vec<f64>>,
+}
+
+/// A nest's part in a [`Sweep`]: its lag, its outputs and the `(source,
+/// snapshot)` buffers it refreshes.
+type NestRun<'k> = (i64, &'k Nest, NestIo, Vec<(BufId, BufId)>);
+
+impl<'k> Sweep<'k> {
+    /// Resolve one dispatch of `kernel` on `threads` (snapshot views get
+    /// call-local storage) and check each nest's outputs ([`NestIo::new`]).
+    pub fn new(
+        kernel: &'k CompiledKernel,
+        memory: &mut Memory,
+        args: &[KernelArg],
+        threads: usize,
+    ) -> Result<Self> {
+        let bufs = resolve_views(kernel, memory, args)?;
+        let aliased = bufs.iter().enumerate().any(|(i, b)| bufs[..i].contains(b));
+        let pipeline = kernel
+            .pipeline
+            .as_ref()
+            .filter(|_| threads <= 1 && !aliased);
+        // Degenerate domains (n ≤ 2·halo leaves no interior) have nothing
+        // to compute, not even a snapshot refresh.
+        let work: Result<Vec<NestRun>> = kernel
+            .nests
+            .iter()
+            .enumerate()
+            .filter(|(_, nest)| nest.domain_cells() > 0)
+            .map(|(i, nest)| {
+                let lag = pipeline.and_then(|p| p.lags.get(i).copied()).unwrap_or(0);
+                let io = NestIo::new(nest, &kernel.views, &bufs)?;
+                Ok((lag, nest, io, snapshot_pairs(nest, &kernel.views, &bufs)?))
+            })
+            .collect();
+        let work = work.inspect_err(|_| release_snapshots(kernel, &bufs, memory))?;
+        Ok(Self {
+            kernel,
+            bufs,
+            pipeline,
+            work,
+            threads,
+            scalars: vec![scalar_args(args)],
+        })
+    }
+
+    /// The buffer behind each view.
+    pub fn buffers(&self) -> &[BufId] {
+        &self.bufs
+    }
+
+    /// True while the pipeline applies and [`WINDOW_BYTES`] has room.
+    pub fn has_room(&self) -> bool {
+        self.pipeline.is_some_and(|p| self.scalars.len() < p.batch)
+    }
+
+    /// Add a dispatch of `kernel` with `args` when it is this sweep's
+    /// region on the same buffers (so it passed [`Sweep::new`]'s checks)
+    /// and there is room; its scalars may differ.
+    pub fn join(&mut self, kernel: &CompiledKernel, args: &[KernelArg]) -> bool {
+        let same_bufs = self.kernel.views.iter().zip(&self.bufs).all(|(v, &b)| {
+            matches!(v.source, ViewSource::Arg(i) if args.get(i) == Some(&KernelArg::Buf(b)))
+        });
+        let joins = std::ptr::eq(self.kernel, kernel) && same_bufs && self.has_room();
+        if joins {
+            self.scalars.push(scalar_args(args));
+        }
+        joins
+    }
+
+    /// Run every dispatch in one pass, then hand back snapshot storage.
+    /// Returns the dispatches run.
+    pub fn run(self, memory: &mut Memory) -> usize {
+        let Sweep {
+            kernel,
+            bufs,
+            pipeline,
+            work,
+            threads,
+            scalars,
+        } = self;
+        let views = &kernel.views;
+        let (period, planes) = match pipeline {
+            Some(p) if work.len() * scalars.len() > 1 => (p.period, p.planes.max(1)),
+            _ => (0, i64::MAX),
+        };
+        let (mut step, end) = step_range(work.iter().map(|&(lag, nest, ..)| (lag, nest)));
+        let end = end.saturating_add(period.saturating_mul(scalars.len() as i64 - 1));
+        let bases = vec![0i64; views.len()];
+        while step < end {
+            for (c, scalars) in scalars.iter().enumerate() {
+                let shift = period.saturating_mul(c as i64);
+                for (lag, nest, io, refresh) in &work {
+                    let from = step.saturating_sub(shift.saturating_add(*lag));
+                    let Some(local) = plane_box(&nest.bounds, from, from.saturating_add(planes))
+                    else {
+                        continue;
+                    };
+                    for &(src, dst) in refresh {
+                        // A snapshot has its source's length (`resolve_views`).
+                        let mut snapshot = memory.take_buffer(dst);
+                        snapshot.copy_from_slice(memory.buffer(src));
+                        memory.restore_buffer(dst, snapshot);
+                    }
+                    io.run(nest, views, &bufs, memory, scalars, &local, &bases, threads);
+                }
+            }
+            step = step.saturating_add(planes);
+        }
+        release_snapshots(kernel, &bufs, memory);
+        scalars.len()
+    }
 }
 
 /// The buffer behind each view; snapshot views get fresh call-local
-/// storage (hand it back with [`release_snapshots`]).
+/// storage of their source's length (hand it back with
+/// [`release_snapshots`]).
 fn resolve_views(
     kernel: &CompiledKernel,
     memory: &mut Memory,
@@ -1290,7 +1456,7 @@ fn resolve_views(
                 _ => return Err(err("pointer argument missing at call")),
             },
             ViewSource::SnapshotOf(src) if src < bufs.len() => {
-                memory.try_alloc_buffer(view.checked_len()?)?
+                memory.try_alloc_buffer(memory.buffer(bufs[src]).len())?
             }
             ViewSource::SnapshotOf(_) => return Err(err("snapshot of unresolved view")),
         };
@@ -1316,52 +1482,6 @@ fn scalar_args(args: &[KernelArg]) -> Vec<f64> {
             KernelArg::Buf(_) => None,
         })
         .collect()
-}
-
-/// The step loop of [`run_kernel`].
-fn run_steps(
-    kernel: &CompiledKernel,
-    bufs: &[BufId],
-    memory: &mut Memory,
-    scalars: &[f64],
-    threads: usize,
-) -> Result<()> {
-    let views = &kernel.views;
-    let aliased = bufs.iter().enumerate().any(|(i, b)| bufs[..i].contains(b));
-    let pipeline = kernel
-        .pipeline
-        .as_ref()
-        .filter(|_| threads <= 1 && !aliased);
-    // Per-dispatch set-up — output slots, the alias scan, snapshot pairs —
-    // stays outside the step loop.
-    let mut work = Vec::with_capacity(kernel.nests.len());
-    for (i, nest) in kernel.nests.iter().enumerate() {
-        // Degenerate domains (n ≤ 2·halo leaves no interior) have nothing
-        // to compute, not even a snapshot refresh.
-        if nest.domain_cells() == 0 {
-            continue;
-        }
-        let lag = pipeline.and_then(|p| p.lags.get(i).copied()).unwrap_or(0);
-        let refresh = snapshot_pairs(nest, views, bufs)?;
-        work.push((lag, nest, NestIo::new(nest, views, bufs)?, refresh));
-    }
-    let (mut step, end) = step_range(work.iter().map(|&(lag, nest, ..)| (lag, nest)));
-    let planes = pipeline.map_or(i64::MAX, |p| p.planes.max(1));
-    let bases = vec![0i64; views.len()];
-    while step < end {
-        for (lag, nest, io, refresh) in &work {
-            let from = step.saturating_sub(*lag);
-            let Some(local) = plane_box(&nest.bounds, from, from.saturating_add(planes)) else {
-                continue;
-            };
-            for &(src, dst) in refresh {
-                memory.copy_buffer(src, dst)?;
-            }
-            io.run(nest, views, bufs, memory, scalars, &local, &bases, threads);
-        }
-        step = step.saturating_add(planes);
-    }
-    Ok(())
 }
 
 /// `(source, snapshot)` buffers of the snapshot views `nest` refreshes.
@@ -2031,13 +2151,17 @@ end program average
 ";
 
     fn compile(src: &str) -> CompiledKernel {
+        compile_region(src, "stencil_region_0")
+    }
+
+    fn compile_region(src: &str, region: &str) -> CompiledKernel {
         let mut m = fsc_fortran::compile_to_fir(src).unwrap();
         discover_stencils(&mut m).unwrap();
         merge_adjacent_applies(&mut m).unwrap();
         let mut st = extract_stencils(&mut m).unwrap();
         lower_stencils(&mut st, LoweringTarget::Cpu).unwrap();
         fsc_passes::canonicalize::Canonicalize.run(&mut st).unwrap();
-        compile_kernel(&st, "stencil_region_0").unwrap()
+        compile_kernel(&st, region).unwrap()
     }
 
     #[test]
@@ -2170,6 +2294,7 @@ end program t
             .iter()
             .any(|v| matches!(v.source, ViewSource::SnapshotOf(_))));
         assert!(!k.nests[0].snapshots.is_empty());
+        assert_eq!(k.pipeline, None, "a snapshot refresh never batches");
         let mut memory = Memory::new();
         let u = memory.alloc_buffer(10);
         for i in 0..10 {
@@ -2642,7 +2767,14 @@ end program gs2
     /// its position; returns the arguments' contents, concatenated.
     fn run_seeded(k: &CompiledKernel, threads: usize) -> Vec<f64> {
         let mut memory = Memory::new();
-        let args: Vec<KernelArg> = (0..k.args.len())
+        let args = seeded_args(k, &mut memory);
+        run_kernel(k, &mut memory, &args, threads).unwrap();
+        contents(&memory, &args)
+    }
+
+    /// Every pointer argument of `k` seeded from its position; scalars 0.5.
+    fn seeded_args(k: &CompiledKernel, memory: &mut Memory) -> Vec<KernelArg> {
+        (0..k.args.len())
             .map(
                 |i| match k.views.iter().find(|v| v.source == ViewSource::Arg(i)) {
                     Some(view) => {
@@ -2655,8 +2787,11 @@ end program gs2
                     None => KernelArg::Scalar(0.5),
                 },
             )
-            .collect();
-        run_kernel(k, &mut memory, &args, threads).unwrap();
+            .collect()
+    }
+
+    /// The pointer arguments' contents, concatenated.
+    fn contents(memory: &Memory, args: &[KernelArg]) -> Vec<f64> {
         args.iter()
             .flat_map(|a| match a {
                 KernelArg::Buf(b) => memory.buffer(*b).to_vec(),
@@ -2665,11 +2800,54 @@ end program gs2
             .collect()
     }
 
+    /// `n` dispatches of `k` on seeded arguments, dispatch `c` passing
+    /// scalars `0.5 + c`: one at a time through [`run_kernel`], or, as a
+    /// time loop's dispatcher runs them, each joining the open [`Sweep`]
+    /// or running it and opening the next. Returns the contents and the
+    /// sweeps run.
+    fn run_dispatches(k: &CompiledKernel, n: usize, batched: bool) -> (Vec<f64>, usize) {
+        let mut memory = Memory::new();
+        let seeded = seeded_args(k, &mut memory);
+        let mut open: Option<Sweep> = None;
+        let mut sweeps = 0;
+        for c in 0..n {
+            let args: Vec<KernelArg> = seeded
+                .iter()
+                .map(|&a| match a {
+                    KernelArg::Scalar(s) => KernelArg::Scalar(s + c as f64),
+                    buf => buf,
+                })
+                .collect();
+            if !batched {
+                run_kernel(k, &mut memory, &args, 1).unwrap();
+                sweeps += 1;
+                continue;
+            }
+            if open.as_mut().is_some_and(|s| s.join(k, &args)) {
+                continue;
+            }
+            if let Some(full) = open.take() {
+                full.run(&mut memory);
+                sweeps += 1;
+            }
+            open = Some(Sweep::new(k, &mut memory, &args, 1).unwrap());
+        }
+        if let Some(last) = open {
+            last.run(&mut memory);
+            sweeps += 1;
+        }
+        (contents(&memory, &seeded), sweeps)
+    }
+
+    /// Dispatch counts every batch test runs.
+    const BATCHES: [usize; 5] = [1, 2, 3, 4, 8];
+
     /// Sweep `k` in steps of 1, 2 and 3 planes and in one step spanning the
     /// domain, on every forced tier: each run must equal the in-order run
-    /// bit for bit. Returns the compiled lags.
-    fn assert_steps_bit_identical(mut k: CompiledKernel) -> Vec<i64> {
-        let lags = k.pipeline.take().expect("a legal pipeline").lags;
+    /// bit for bit, and a sweep of each of [`BATCHES`] dispatches the same
+    /// dispatches run one at a time. Returns the compiled lags and period.
+    fn assert_steps_bit_identical(mut k: CompiledKernel) -> (Vec<i64>, i64) {
+        let p = k.pipeline.take().expect("a legal pipeline");
         for tier in [
             ExecPath::Specialized,
             ExecPath::Jit,
@@ -2679,25 +2857,40 @@ end program gs2
             k.force_exec_path(tier);
             k.pipeline = None;
             let in_order = run_seeded(&k, 1);
+            let one_at_a_time = BATCHES.map(|n| run_dispatches(&k, n, false).0);
             for planes in [1, 2, 3, i64::MAX] {
                 k.pipeline = Some(Pipeline {
-                    lags: lags.clone(),
                     planes,
+                    ..p.clone()
                 });
                 assert!(
                     same_bits(&run_seeded(&k, 1), &in_order),
-                    "{tier} at {planes} planes/step, lags {lags:?}"
+                    "{tier} at {planes} planes/step, lags {:?}",
+                    p.lags
                 );
+                for (n, reference) in BATCHES.iter().zip(&one_at_a_time) {
+                    let (batched, sweeps) = run_dispatches(&k, *n, true);
+                    assert_eq!(sweeps, 1, "{tier}: {n} dispatches fit one window");
+                    assert!(
+                        same_bits(&batched, reference),
+                        "{tier}: {n} dispatches at {planes} planes/step, {p:?}"
+                    );
+                }
             }
         }
-        lags
+        (p.lags, p.period)
     }
 
     #[test]
     fn gauss_seidel_copy_trails_the_stencil_by_one_plane() {
         let gs3 = nests3d(5, &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)]);
-        assert_eq!(assert_steps_bit_identical(compile(&gs3)), [0, 1]);
-        assert_eq!(assert_steps_bit_identical(compile(GS2D_PAIR)), [0, 1]);
+        // The next dispatch's stencil reads u one plane ahead of where this
+        // one's copy writes it, a plane behind the stencil: period 2.
+        assert_eq!(assert_steps_bit_identical(compile(&gs3)), (vec![0, 1], 2));
+        assert_eq!(
+            assert_steps_bit_identical(compile(GS2D_PAIR)),
+            (vec![0, 1], 2)
+        );
         // Small domains fit one step: the schedule is in order.
         assert_eq!(compile(&gs3).lags(), None);
         assert_eq!(compile(&gs3).schedule(1), "in order");
@@ -2708,7 +2901,7 @@ end program gs2
         );
         assert_eq!(
             compile(&big).schedule(1),
-            "pipelined, lags [0, 1], 15 planes/step"
+            "pipelined, lags [0, 1], period 2, 15 planes/step"
         );
         // More than one thread runs in order, each nest in as many slabs as
         // its work repays.
@@ -2727,7 +2920,7 @@ end program gs2
                 ("w(i, j, k) = v(i, j, k+1) - v(i, j, k)", 1, 4),
             ],
         );
-        assert_eq!(assert_steps_bit_identical(compile(&flow)), [0, 1]);
+        assert_eq!(assert_steps_bit_identical(compile(&flow)), (vec![0, 1], 1));
         // Anti at −2: the first nest reads u two planes back; the second
         // overwrites u.
         let anti = nests3d(
@@ -2737,7 +2930,7 @@ end program gs2
                 ("u(i, j, k) = 0.5 * v(i, j, k)", 2, 5),
             ],
         );
-        assert_eq!(assert_steps_bit_identical(compile(&anti)), [0, 2]);
+        assert_eq!(assert_steps_bit_identical(compile(&anti)), (vec![0, 2], 2));
         // Output: both nests write v, on overlapping planes; the second
         // nest's values must land last.
         let output = nests3d(
@@ -2747,7 +2940,10 @@ end program gs2
                 ("v(i, j, k+1) = 2.0 * w(i, j, k)", 1, 4),
             ],
         );
-        assert_eq!(assert_steps_bit_identical(compile(&output)), [0, 0]);
+        assert_eq!(
+            assert_steps_bit_identical(compile(&output)),
+            (vec![0, 0], 0)
+        );
         // Bounds apart: the second nest starts two planes later and stops
         // one earlier, reading v one plane ahead and two behind.
         let apart = nests3d(
@@ -2757,7 +2953,7 @@ end program gs2
                 ("w(i, j, k) = v(i, j, k+1) + v(i, j, k-2)", 3, 4),
             ],
         );
-        assert_eq!(assert_steps_bit_identical(compile(&apart)), [0, 1]);
+        assert_eq!(assert_steps_bit_identical(compile(&apart)), (vec![0, 1], 3));
     }
 
     #[test]
@@ -2770,7 +2966,10 @@ end program gs2
                 ("un(i, j, k) = w(i, j, k+1) * w(i, j, k)", 1, 3),
             ],
         );
-        assert_eq!(assert_steps_bit_identical(compile(&chain)), [0, 1, 2]);
+        assert_eq!(
+            assert_steps_bit_identical(compile(&chain)),
+            (vec![0, 1, 2], 2)
+        );
     }
 
     #[test]
@@ -2780,7 +2979,73 @@ end program gs2
             &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)],
         ));
         k.force_plan(&ExecPlan::from_ir_tiles(vec![2, 3, 2]));
-        assert_eq!(assert_steps_bit_identical(k), [0, 1]);
+        assert_eq!(assert_steps_bit_identical(k), (vec![0, 1], 2));
+    }
+
+    #[test]
+    fn the_pw_triple_batches_at_period_zero() {
+        // One nest that reads u, v, w and writes su, sv, sw: consecutive
+        // dispatches share only output dependences.
+        for n in [3usize, 16] {
+            let src = fsc_workloads::pw_advection::fortran_source_repeated(n, 2);
+            let k = compile_region(&src, "stencil_region_1");
+            assert_eq!(k.nests.len(), 1);
+            assert_eq!(k.lags(), None, "one nest runs in order");
+            assert_eq!(assert_steps_bit_identical(k), (vec![0], 0));
+        }
+    }
+
+    #[test]
+    fn the_window_bounds_a_sweep() {
+        let gs = |n: usize| {
+            let src = fsc_workloads::gauss_seidel::fortran_source(n, 2);
+            compile_region(&src, "stencil_region_1")
+        };
+        // GS n=192: 194² doubles a plane on two views, 17 planes in
+        // WINDOW_BYTES; one dispatch spans 3, each next one 2 more.
+        let batch = |k: CompiledKernel| k.pipeline.expect("a legal pipeline").batch;
+        assert_eq!(batch(gs(192)), 8);
+        assert_eq!(batch(gs(64)), 74);
+        // Past the bound the dispatches split into sweeps, every one
+        // bit-identical to running them one at a time.
+        let mut k = gs(6);
+        for batch in [1, 2, 3] {
+            let p = k.pipeline.as_mut().expect("a legal pipeline");
+            (p.batch, p.planes) = (batch, 1);
+            let (batched, sweeps) = run_dispatches(&k, 8, true);
+            assert_eq!(sweeps, 8usize.div_ceil(batch), "window of {batch}");
+            assert!(same_bits(&batched, &run_dispatches(&k, 8, false).0));
+        }
+    }
+
+    #[test]
+    fn a_dispatch_trailing_by_less_than_the_period_reads_stale_planes() {
+        // The mutant runs dispatch c at c·(D − 1): the next stencil reads
+        // u one plane before this dispatch's copy has written it.
+        let mut k = compile(&nests3d(
+            5,
+            &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)],
+        ));
+        let reference = run_dispatches(&k, 2, false).0;
+        let p = k.pipeline.as_mut().expect("a legal pipeline");
+        (p.planes, p.period) = (1, p.period - 1);
+        assert!(!same_bits(&run_dispatches(&k, 2, true).0, &reference));
+    }
+
+    #[test]
+    fn sweeps_join_only_the_same_region_on_the_same_buffers() {
+        let gs3 = nests3d(5, &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)]);
+        let (k, other) = (compile(&gs3), compile(&gs3));
+        let mut memory = Memory::new();
+        let args = seeded_args(&k, &mut memory);
+        let mut sweep = Sweep::new(&k, &mut memory, &args, 1).unwrap();
+        assert!(sweep.join(&k, &args));
+        assert!(!sweep.join(&other, &args), "another region");
+        let swapped: Vec<KernelArg> = args.iter().rev().copied().collect();
+        assert!(!sweep.join(&k, &swapped), "other buffers");
+        assert_eq!(sweep.scalars.len(), 2);
+        // A work-shared dispatch runs alone.
+        assert!(!Sweep::new(&k, &mut memory, &args, 2).unwrap().has_room());
     }
 
     /// `a(i-1) = b(i); a(i+1) = b(i)` over i = 1..n, built by hand: the

@@ -695,6 +695,28 @@ fn scaled_sum_dispatch<const K: usize>(
     }
 }
 
+/// Sources (`ScaledSum`) or terms (`LinComb`) a row resolves on the
+/// stack, allocating nothing: Listing 1's 4 and GS's 6 fit.
+const STACK_TERMS: usize = 8;
+
+/// `items` mapped by `f` into the front of `stack` when they fit, else
+/// into `heap`.
+fn resolved<'s, T: Copy, U>(
+    stack: &'s mut [T; STACK_TERMS],
+    heap: &'s mut Vec<T>,
+    items: &[U],
+    f: impl Fn(&U) -> T,
+) -> &'s [T] {
+    if items.len() > STACK_TERMS {
+        heap.extend(items.iter().map(f));
+        return heap;
+    }
+    for (slot, item) in stack.iter_mut().zip(items) {
+        *slot = f(item);
+    }
+    &stack[..items.len()]
+}
+
 /// Execute one specialized body over `w` consecutive unit-stride cells.
 ///
 /// `cursors` address cell 0 of the row exactly as for the VM paths;
@@ -752,18 +774,20 @@ pub fn run_spec_row(
             out.copy_from_slice(&s[sb..sb + w]);
         }
         SpecBody::ScaledSum { loads, scale, .. } => {
-            let srcs: Vec<(&[f64], usize)> =
-                loads.iter().map(|&l| resolve(inputs, cursors, l)).collect();
+            let (mut stack, mut heap) = ([(&[][..], 0usize); STACK_TERMS], Vec::new());
+            let srcs = resolved(&mut stack, &mut heap, loads, |&l| {
+                resolve(inputs, cursors, l)
+            });
             // Monomorphise the common arities (4 = Listing 1, 6 = GS).
             let u4 = unroll >= 4;
             match srcs.len() {
-                2 => scaled_sum_dispatch::<2>(u4, out, &srcs, *scale, scalars),
-                3 => scaled_sum_dispatch::<3>(u4, out, &srcs, *scale, scalars),
-                4 => scaled_sum_dispatch::<4>(u4, out, &srcs, *scale, scalars),
-                5 => scaled_sum_dispatch::<5>(u4, out, &srcs, *scale, scalars),
-                6 => scaled_sum_dispatch::<6>(u4, out, &srcs, *scale, scalars),
-                7 => scaled_sum_dispatch::<7>(u4, out, &srcs, *scale, scalars),
-                8 => scaled_sum_dispatch::<8>(u4, out, &srcs, *scale, scalars),
+                2 => scaled_sum_dispatch::<2>(u4, out, srcs, *scale, scalars),
+                3 => scaled_sum_dispatch::<3>(u4, out, srcs, *scale, scalars),
+                4 => scaled_sum_dispatch::<4>(u4, out, srcs, *scale, scalars),
+                5 => scaled_sum_dispatch::<5>(u4, out, srcs, *scale, scalars),
+                6 => scaled_sum_dispatch::<6>(u4, out, srcs, *scale, scalars),
+                7 => scaled_sum_dispatch::<7>(u4, out, srcs, *scale, scalars),
+                8 => scaled_sum_dispatch::<8>(u4, out, srcs, *scale, scalars),
                 _ => {
                     // Dynamic arity: same order, plain loop.
                     let cv = |c: &Coeff| c.value(scalars);
@@ -784,26 +808,16 @@ pub fn run_spec_row(
         }
         SpecBody::LinComb { terms, .. } => {
             // Resolve terms once per row: (negate, coeff, row slice).
-            struct RTerm<'a> {
-                negate: bool,
-                coeff: Option<(f64, bool)>,
-                row: &'a [f64],
-            }
-            let rts: Vec<RTerm> = terms
-                .iter()
-                .map(|t| {
-                    let (s, b) = resolve(inputs, cursors, t.load);
-                    RTerm {
-                        negate: t.negate,
-                        coeff: t.coeff.map(|(c, left)| (c.value(scalars), left)),
-                        row: &s[b..b + w],
-                    }
-                })
-                .collect();
+            let (mut stack, mut heap) = ([(false, None, &[][..]); STACK_TERMS], Vec::new());
+            let rts = resolved(&mut stack, &mut heap, terms, |t| {
+                let (s, b) = resolve(inputs, cursors, t.load);
+                let coeff = t.coeff.map(|(c, left)| (c.value(scalars), left));
+                (t.negate, coeff, &s[b..b + w])
+            });
             for (x, o) in out.iter_mut().enumerate() {
-                let term_val = |t: &RTerm| -> f64 {
-                    let l = t.row[x];
-                    match t.coeff {
+                let term_val = |&(_, coeff, row): &(bool, Option<(f64, bool)>, &[f64])| {
+                    let l = row[x];
+                    match coeff {
                         None => l,
                         Some((c, true)) => c * l,
                         Some((c, false)) => l * c,
@@ -812,7 +826,7 @@ pub fn run_spec_row(
                 let mut acc = term_val(&rts[0]);
                 for t in &rts[1..] {
                     let v = term_val(t);
-                    acc = if t.negate { acc - v } else { acc + v };
+                    acc = if t.0 { acc - v } else { acc + v };
                 }
                 *o = acc;
             }
@@ -1179,6 +1193,135 @@ mod tests {
             vm_out, spec_out,
             "specialized row must match the VM bitwise"
         );
+    }
+
+    /// `out = (l(0) + l(1) + … + l(k−1)) / 6`, or with `signed` the
+    /// combination `2·l(0) − 3·l(1) + 2·l(2) − …`.
+    fn k_term_program(k: u16, signed: bool) -> BodyProgram {
+        let mut instrs = vec![
+            Instr::Const { dst: 0, val: 6.0 },
+            Instr::Const { dst: 1, val: 2.0 },
+            Instr::Const { dst: 2, val: 3.0 },
+        ];
+        let mut next = 3u16;
+        let mut acc = None;
+        for t in 0..k {
+            instrs.push(Instr::Load {
+                dst: next,
+                view: 0,
+                off: i64::from(t),
+            });
+            let mut term = next;
+            next += 1;
+            if signed {
+                let c = if t % 2 == 0 { 1 } else { 2 };
+                instrs.push(Instr::Bin {
+                    dst: next,
+                    kind: BinKind::Mul,
+                    a: c,
+                    b: term,
+                });
+                term = next;
+                next += 1;
+            }
+            acc = Some(match acc {
+                None => term,
+                Some(a) => {
+                    let kind = if signed && t % 2 == 1 {
+                        BinKind::Sub
+                    } else {
+                        BinKind::Add
+                    };
+                    instrs.push(Instr::Bin {
+                        dst: next,
+                        kind,
+                        a,
+                        b: term,
+                    });
+                    next += 1;
+                    next - 1
+                }
+            });
+        }
+        let mut src = acc.unwrap();
+        if !signed {
+            instrs.push(Instr::Bin {
+                dst: next,
+                kind: BinKind::Div,
+                a: src,
+                b: 0,
+            });
+            src = next;
+            next += 1;
+        }
+        instrs.push(Instr::Store {
+            view: 1,
+            off: 0,
+            src,
+        });
+        let mut p = BodyProgram {
+            instrs,
+            num_regs: next,
+            ..Default::default()
+        };
+        p.finalize_stats();
+        p.hoist_invariants();
+        p
+    }
+
+    #[test]
+    fn rows_of_any_arity_match_the_vm() {
+        // Arities up to STACK_TERMS resolve on the stack, longer ones on
+        // the heap; both must give the VM's bits.
+        let input: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin()).collect();
+        let w = 16usize;
+        for k in [2u16, 6, 8, 9, 12] {
+            for signed in [false, true] {
+                let p = k_term_program(k, signed);
+                let spec = specialize_program(&p).expect("specializable");
+                let [body] = &spec.bodies[..] else {
+                    panic!("one body, got {:?}", spec.bodies);
+                };
+                assert!(
+                    matches!(
+                        (body, signed),
+                        (SpecBody::ScaledSum { .. }, false) | (SpecBody::LinComb { .. }, true)
+                    ),
+                    "k = {k}: {body:?}"
+                );
+                let inputs: Vec<&[f64]> = vec![&input, &[]];
+                let mut vm_out = vec![0.0; 40];
+                let mut regs = vec![0.0; p.num_regs as usize * w];
+                p.run_prelude_strip(&mut regs, w, &[]);
+                p.run_strip(
+                    &mut regs,
+                    w,
+                    &inputs,
+                    &mut [&mut vm_out[..]],
+                    &[None, Some(0)],
+                    &[2, 2],
+                    2,
+                    &[2],
+                    &[],
+                );
+                assert!(vm_out[2..2 + w].iter().all(|&x| x != 0.0));
+                for unroll in [1, 4] {
+                    let mut spec_out = vec![0.0; 40];
+                    run_spec_row(
+                        body,
+                        &inputs,
+                        &mut [&mut spec_out[..]],
+                        &[None, Some(0)],
+                        &[2, 2],
+                        &[],
+                        w,
+                        unroll,
+                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&vm_out), bits(&spec_out), "k = {k}, signed {signed}");
+                }
+            }
+        }
     }
 
     #[test]

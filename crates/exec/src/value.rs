@@ -205,8 +205,9 @@ fn take_spare(len: usize) -> Option<Vec<f64>> {
 /// `mark_stale`). A cache of a buffer's contents — the distributed
 /// executor's resident rank windows — is valid exactly while the
 /// generation it recorded still matches. A buffer may also be marked
-/// **stale**: its current contents live elsewhere (in those windows) and
-/// must be synced back before anything reads or writes it here.
+/// **stale**: its current contents live elsewhere (in those windows) or
+/// are not computed yet (a queued sweep's), and must be synced before
+/// anything reads or writes it here.
 #[derive(Debug, Default)]
 pub struct Memory {
     buffers: Vec<Vec<f64>>,
@@ -404,14 +405,16 @@ impl Memory {
         self.gens[buf.0 as usize]
     }
 
-    /// True when the buffer's current contents live outside this arena.
+    /// True when the buffer's current contents live outside this arena or
+    /// are not computed yet.
     #[inline]
     pub fn is_stale(&self, buf: BufId) -> bool {
         self.stale_count != 0 && self.stale[buf.0 as usize]
     }
 
     /// Declare that the buffer's current contents now live outside this
-    /// arena (a write as far as any other cache of it is concerned).
+    /// arena, or are still to be computed by a queued dispatch (a write as
+    /// far as any other cache of it is concerned).
     pub fn mark_stale(&mut self, buf: BufId) {
         let idx = buf.0 as usize;
         self.gens[idx] += 1;

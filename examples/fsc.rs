@@ -169,6 +169,16 @@ fn main() {
             .collect();
         eprintln!("exec paths: {}", paths.join(", "));
     }
+    // Host CPU dispatches, and the sweeps consecutive ones of a region on
+    // the same arrays ran in (DESIGN.md §15).
+    let (dispatches, sweeps) = exec.report.sweeps;
+    if dispatches > 0 {
+        eprintln!(
+            "sweeps: {dispatches} dispatch{} in {sweeps} sweep{}",
+            if dispatches == 1 { "" } else { "es" },
+            if sweeps == 1 { "" } else { "s" }
+        );
+    }
     for d in &exec.report.jit_warnings {
         eprintln!("{d}");
     }

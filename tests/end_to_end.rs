@@ -449,18 +449,30 @@ end program carried
 /// `omp:2`: each of `arrays` must match the interpreter's bit for bit.
 /// Returns the interpreter's arrays.
 fn assert_matches_interpreter(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
+    let reference = interpreted(source, arrays);
+    assert_targets_match(source, arrays, &reference);
+    reference
+}
+
+/// `arrays` after the FIR interpreter runs `source`.
+fn interpreted(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
     let flang = Compiler::run(source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
-    let reference: Vec<Vec<f64>> = arrays
+    arrays
         .iter()
         .map(|name| flang.array(name).unwrap().to_vec())
-        .collect();
+        .collect()
+}
+
+/// Run `source` on `unopt`, `cpu` and `omp:2`: each of `arrays` must
+/// equal `reference` bit for bit.
+fn assert_targets_match(source: &str, arrays: &[&str], reference: &[Vec<f64>]) {
     for target in [
         Target::UnoptimizedCpu,
         Target::StencilCpu,
         Target::StencilOpenMp { threads: 2 },
     ] {
         let exec = Compiler::run(source, &CompileOptions::for_target(target.clone())).unwrap();
-        for (name, want) in arrays.iter().zip(&reference) {
+        for (name, want) in arrays.iter().zip(reference) {
             let got = exec.array(name).unwrap();
             assert!(
                 got.len() == want.len()
@@ -474,7 +486,6 @@ fn assert_matches_interpreter(source: &str, arrays: &[&str]) -> Vec<Vec<f64>> {
             );
         }
     }
-    reference
 }
 
 /// The PW workload at n = 9 with its three advection statements replaced
@@ -656,7 +667,7 @@ fn pipelined_gauss_seidel_matches_the_interpreter() {
     let compiled = Compiler::compile(&source, &CompileOptions::default()).unwrap();
     let schedules: Vec<String> = compiled.kernels.values().map(|k| k.schedule(1)).collect();
     assert!(
-        schedules.contains(&"pipelined, lags [0, 1], 15 planes/step".to_string()),
+        schedules.contains(&"pipelined, lags [0, 1], period 2, 15 planes/step".to_string()),
         "{schedules:?}"
     );
     // On `omp:2` every nest is work enough to split in two, so the
@@ -1139,5 +1150,182 @@ fn steal_heavy_schedule_matches_serial_bit_for_bit() {
             .zip(want.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits()),
         "steal-heavy schedule not bit-identical to serial"
+    );
+}
+
+/// GS with a non-harmonic start, so every lag and period shows.
+fn gs_time_loop(n: usize, iters: usize) -> String {
+    gauss_seidel::fortran_source(n, iters).replace(
+        "0.01 * i + 0.02 * j + 0.03 * k",
+        "0.01 * i * j + 0.02 * k * k + 0.03 * i",
+    )
+}
+
+#[test]
+fn batched_time_loops_match_the_interpreter() {
+    // A time loop's dispatches of one region on the same arrays run as one
+    // sweep: each must still see what the one before it wrote.
+    let pw_arrays = ["u", "v", "w", "su", "sv", "sw"];
+    for n in [1usize, 3, 24] {
+        // PW's time loop recomputes su, sv and sw from u, v and w, which it
+        // never writes: one step's interpreter run is every step count's
+        // reference.
+        let pw = |iters| pw_advection::fortran_source_repeated(n, iters);
+        let pw_reference = interpreted(&pw(1), &pw_arrays);
+        for iters in [1usize, 2, 8] {
+            assert_matches_interpreter(&gs_time_loop(n, iters), &["u", "un"]);
+            assert_targets_match(&pw(iters), &pw_arrays, &pw_reference);
+        }
+    }
+    // The init region runs alone (the time loop's first dispatch flushes
+    // it); the eight time steps run as one sweep.
+    let exec = Compiler::run(&gs_time_loop(24, 8), &CompileOptions::default()).unwrap();
+    assert_eq!(exec.report.sweeps, (9, 2));
+    // A sweep is timed once, outside every dispatch's own timer.
+    assert!(exec.report.kernel_wall <= exec.report.wall);
+    let omp = CompileOptions::for_target(Target::StencilOpenMp { threads: 2 });
+    let exec = Compiler::run(&gs_time_loop(24, 8), &omp).unwrap();
+    assert_eq!(exec.report.sweeps, (9, 9), "omp:2 dispatches run alone");
+}
+
+/// GS over `u` and `un` with `body` after the two sweeps of each of four
+/// time steps; `c` changes every step and scales the stencil.
+fn gs_with_host_code(body: &str) -> String {
+    format!(
+        "program host
+  implicit none
+  integer, parameter :: n = 10
+  integer :: i, j, k, t
+  real(kind=8) :: c
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i * j + 0.02 * k * k + 0.03 * i
+      end do
+    end do
+  end do
+  do t = 1, 4
+    c = 0.5 * t
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          un(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) + u(i, j, k-1) + u(i, j, k+1)) * c
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          u(i, j, k) = un(i, j, k) / 4.0
+        end do
+      end do
+    end do
+{body}
+  end do
+end program host
+"
+    )
+}
+
+#[test]
+fn host_code_between_dispatches_sees_every_result() {
+    // Only a scalar changes between dispatches: they join one sweep, each
+    // with its own `c`.
+    let scalars_only = gs_with_host_code("");
+    assert_matches_interpreter(&scalars_only, &["u", "un"]);
+    let exec = Compiler::run(&scalars_only, &CompileOptions::default()).unwrap();
+    assert_eq!(exec.report.sweeps, (5, 2));
+    // Host code reads `un` and writes `u` after every step: each step runs
+    // before it, and no two steps share a sweep.
+    let element = gs_with_host_code("    u(1, 1, 1) = un(2, 2, 2) + 1.0");
+    assert_matches_interpreter(&element, &["u", "un"]);
+    let exec = Compiler::run(&element, &CompileOptions::default()).unwrap();
+    assert_eq!(exec.report.sweeps, (5, 5));
+}
+
+#[test]
+fn regions_alternating_or_swapping_arrays_run_one_dispatch_a_sweep() {
+    let relax = "
+subroutine relax(src, dst)
+  implicit none
+  integer, parameter :: n = 10
+  integer :: i, j, k
+  real(kind=8) :: src(0:n+1, 0:n+1, 0:n+1), dst(0:n+1, 0:n+1, 0:n+1)
+  do k = 1, n
+    do j = 1, n
+      do i = 1, n
+        dst(i, j, k) = (src(i-1, j, k) + src(i+1, j, k) + src(i, j-1, k) &
+                     + src(i, j+1, k) + src(i, j, k-1) + src(i, j, k+1)) / 6.0
+      end do
+    end do
+  end do
+end subroutine relax
+";
+    let program = |steps: &str| {
+        format!(
+            "{relax}
+program pingpong
+  implicit none
+  integer, parameter :: n = 10
+  integer :: i, j, k, t
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i * j + 0.02 * k * k + 0.03 * i
+      end do
+    end do
+  end do
+  do t = 1, 3
+{steps}
+  end do
+end program pingpong
+"
+        )
+    };
+    // One region, called on (u, un) and then on (un, u).
+    let swapped = program("    call relax(u, un)\n    call relax(un, u)");
+    // Two regions alternating on the same arrays.
+    let alternating = program(
+        "    call relax(u, un)
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          u(i, j, k) = 0.5 * un(i, j, k) + 0.25 * u(i, j, k)
+        end do
+      end do
+    end do",
+    );
+    for source in [swapped, alternating] {
+        assert_matches_interpreter(&source, &["u", "un"]);
+        let exec = Compiler::run(&source, &CompileOptions::default()).unwrap();
+        assert_eq!(exec.report.sweeps, (7, 7));
+    }
+}
+
+#[test]
+fn a_distributed_time_loop_keeps_its_halo_counts() {
+    // No distributed dispatch joins a sweep: GS n=96 x 10 on two ranks
+    // exchanges what it did before sweeps existed.
+    let opts = CompileOptions {
+        overlap_halos: true,
+        dist_workers: 2,
+        ..CompileOptions::for_target(Target::StencilDistributed { grid: vec![2] })
+    };
+    let exec = Compiler::run(&gauss_seidel::fortran_source(96, 10), &opts).unwrap();
+    let d = exec
+        .report
+        .distributed
+        .as_ref()
+        .expect("distributed report");
+    assert_eq!(
+        (d.messages, d.bytes_exchanged, d.exchange_rounds),
+        (20, 1_536_640, 10)
+    );
+    assert_eq!(
+        exec.report.sweeps,
+        (1, 1),
+        "only the init region runs on the host"
     );
 }
