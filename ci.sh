@@ -120,6 +120,48 @@ echo "== jit smoke =="
 # template (all asserted inside the binary).
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig8_jit_tier -- --smoke
+# `fsc` names the copy its row loops run, read from the one detection
+# (DESIGN.md §16): it must be the one this host's CPU flags call for.
+smoke_dir=$(mktemp -d)
+sed -e 's/{n}/16/' -e 's/{iters}/1/' benchmark/programs/gs.f90 > "$smoke_dir/gs.f90"
+cargo run -q --release --example fsc -- "$smoke_dir/gs.f90" 2> "$smoke_dir/err" > /dev/null
+want=baseline
+if [[ $(uname -m) == x86_64 ]] && grep -qw avx512f /proc/cpuinfo; then want=avx512f; fi
+grep -x "row loops: $want" "$smoke_dir/err" \
+  || { echo "fsc did not print 'row loops: $want'"; cat "$smoke_dir/err"; exit 1; }
+rm -r "$smoke_dir"
+
+echo "== vector width gate =="
+# The AVX-512F copies of the fused PW row and the scaled-sum rows
+# (DESIGN.md §16) must be zmm code with the body inlined: a body reached
+# through a closure or kept `#[inline(never)]` leaves a copy that calls or
+# jumps into another function of this workspace, which runs at baseline
+# width.
+if [[ $(uname -m) == x86_64 ]]; then
+  cargo build -q --release --example fsc
+  objdump -d -C --no-show-raw-insn "${CARGO_TARGET_DIR:-target}/release/examples/fsc" | awk '
+    /^[0-9a-f]+ <.*>:$/ {
+      f = ""
+      if ($0 ~ /<fsc_exec::specialize::(pw_nest_row|scaled_sum_row)::avx512f::wide>:$/) {
+        f = $1; name[f] = substr($2, 2, length($2) - 3); zmm[f] = 0
+      }
+      next
+    }
+    f == "" { next }
+    /zmm/ { zmm[f]++ }
+    /(call|jmp)[a-z]* +[0-9a-f]+ <fsc_/ && $0 !~ /::avx512f::wide\+0x[0-9a-f]+>$/ {
+      print name[f] " leaves its copy: " $0; bad = 1
+    }
+    END {
+      for (f in zmm) {
+        print name[f] " " zmm[f] " zmm instructions"
+        if (zmm[f] == 0) bad = 1
+        if (name[f] ~ /pw_nest_row/) pw++; else ss++
+      }
+      if (!pw || !ss) { print "no AVX-512F copy of pw_nest_row or scaled_sum_row"; bad = 1 }
+      exit bad
+    }' || { echo "an AVX-512F row copy is not zmm code of its own"; exit 1; }
+fi
 
 echo "== small-nest smoke =="
 # An openmp nest is split into slabs only when its work repays a spawn

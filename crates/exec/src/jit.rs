@@ -39,8 +39,14 @@
 //! [`codes::JIT_FALLBACK`](fsc_ir::diag::codes::JIT_FALLBACK) warning),
 //! never a run failure.
 
+// Fragments run on input-derived shapes: a skip or a coded error, never a panic.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -120,9 +126,27 @@ pub struct RowCtx<'a, 'i, 'o> {
     pub pre: &'a [f64],
 }
 
-/// One stitched fragment: executes its op across the whole row.
+/// One stitched fragment: `run` picks a copy of its `Row` once per row.
 trait RowOp: Send + Sync + std::fmt::Debug {
     fn run(&self, ctx: &mut RowCtx<'_, '_, '_>);
+}
+
+/// A fragment's row loop, inlined into both copies of `row_op`.
+trait Row: Send + Sync + std::fmt::Debug {
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>);
+}
+
+crate::wide::multiversion! {
+    /// One fragment over one row at the host's vector width.
+    fn row_op[T: Row](op: &T, ctx: &mut RowCtx<'_, '_, '_>) {
+        op.row(ctx)
+    }
+}
+
+impl<T: Row> RowOp for T {
+    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        row_op::run(self, ctx);
+    }
 }
 
 /// Split the register file into the destination row and the (strictly
@@ -193,8 +217,9 @@ struct FillConst {
     dst: u16,
     val: f64,
 }
-impl RowOp for FillConst {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl Row for FillConst {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
         d.fill(self.val);
     }
@@ -205,8 +230,9 @@ struct FillArg {
     dst: u16,
     arg: u16,
 }
-impl RowOp for FillArg {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl Row for FillArg {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let v = ctx.scalars[self.arg as usize];
         let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
         d.fill(v);
@@ -218,8 +244,9 @@ struct CoordRow {
     dst: u16,
     dim: u8,
 }
-impl RowOp for CoordRow {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl Row for CoordRow {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let coord0 = ctx.coord0;
         let fill = if self.dim == 0 {
             None
@@ -244,8 +271,9 @@ struct LoadRow {
     view: u16,
     off: i64,
 }
-impl RowOp for LoadRow {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl Row for LoadRow {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let base = (ctx.cursors[self.view as usize] + self.off) as usize;
         let src = &ctx.inputs[self.view as usize][base..base + ctx.w];
         let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
@@ -259,13 +287,16 @@ struct StoreRow {
     off: i64,
     src: u16,
 }
-impl RowOp for StoreRow {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let slot = ctx.out_view_map[self.view as usize]
-            .expect("jit store to a view that is not an output") as usize;
+impl Row for StoreRow {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        // `NestIo::new` gave every stored view a slot (else `E0701`).
+        let Some(slot) = ctx.out_view_map[self.view as usize] else {
+            return;
+        };
         let base = (ctx.cursors[self.view as usize] + self.off) as usize;
         let src = row(ctx.regs, ctx.w, self.src);
-        ctx.outputs[slot][base..base + ctx.w].copy_from_slice(src);
+        ctx.outputs[usize::from(slot)][base..base + ctx.w].copy_from_slice(src);
     }
 }
 
@@ -276,8 +307,9 @@ struct BinRow<K: BinK> {
     b: u16,
     _k: std::marker::PhantomData<K>,
 }
-impl<K: BinK> RowOp for BinRow<K> {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl<K: BinK> Row for BinRow<K> {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let (d, lo) = split_dst(ctx.regs, w, self.dst);
         let (a, b) = (row(lo, w, self.a), row(lo, w, self.b));
@@ -293,8 +325,9 @@ struct UnRow<K: UnK> {
     a: u16,
     _k: std::marker::PhantomData<K>,
 }
-impl<K: UnK> RowOp for UnRow<K> {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl<K: UnK> Row for UnRow<K> {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let (d, lo) = split_dst(ctx.regs, w, self.dst);
         let a = row(lo, w, self.a);
@@ -311,8 +344,9 @@ struct CmpRow<K: CmpK> {
     b: u16,
     _k: std::marker::PhantomData<K>,
 }
-impl<K: CmpK> RowOp for CmpRow<K> {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl<K: CmpK> Row for CmpRow<K> {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let (d, lo) = split_dst(ctx.regs, w, self.dst);
         let (a, b) = (row(lo, w, self.a), row(lo, w, self.b));
@@ -329,8 +363,9 @@ struct SelectRow {
     a: u16,
     b: u16,
 }
-impl RowOp for SelectRow {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl Row for SelectRow {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let (d, lo) = split_dst(ctx.regs, w, self.dst);
         let (c, a, b) = (row(lo, w, self.c), row(lo, w, self.a), row(lo, w, self.b));
@@ -348,8 +383,9 @@ struct MaRow<K: MaK> {
     c: u16,
     _k: std::marker::PhantomData<K>,
 }
-impl<K: MaK> RowOp for MaRow<K> {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl<K: MaK> Row for MaRow<K> {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let (d, lo) = split_dst(ctx.regs, w, self.dst);
         let (a, b, c) = (row(lo, w, self.a), row(lo, w, self.b), row(lo, w, self.c));
@@ -367,8 +403,9 @@ struct BinLoadRow<K: BinK, const LOAD_LEFT: bool> {
     off: i64,
     _k: std::marker::PhantomData<K>,
 }
-impl<K: BinK, const LOAD_LEFT: bool> RowOp for BinLoadRow<K, LOAD_LEFT> {
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+impl<K: BinK, const LOAD_LEFT: bool> Row for BinLoadRow<K, LOAD_LEFT> {
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let base = (ctx.cursors[self.view as usize] + self.off) as usize;
         let mem = &ctx.inputs[self.view as usize][base..base + w];
@@ -452,11 +489,12 @@ struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8> {
     unroll4: bool,
 }
 
-impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> RowOp
+impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> Row
     for LinChain<K, SEED_SCALED, SCALE>
 {
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)]
-    fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let RowCtx {
             regs,
@@ -526,11 +564,12 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> RowOp
         let d: &mut [f64] = match self.sink {
             Sink::Reg => d,
             Sink::Store { view, off } => {
-                let slot = out_view_map[view as usize]
-                    .expect("jit chain store to a view that is not an output")
-                    as usize;
+                // As in `StoreRow`: `NestIo::new` gave the view a slot.
+                let Some(slot) = out_view_map[view as usize] else {
+                    return;
+                };
                 let base = (cursors[view as usize] + off) as usize;
-                &mut outputs[slot][base..base + w]
+                &mut outputs[usize::from(slot)][base..base + w]
             }
         };
         let mut x = 0;
@@ -553,7 +592,8 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> RowOp
 /// Monomorphize a detected chain: `K` × seed-scaled × scale-kind.
 fn box_chain(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
     fn mk<const K: usize>(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
-        let taps: [ChainTap; K] = spec.taps.clone().try_into().expect("chain arity");
+        // `box_chain` picked `K` as `spec.taps.len()`.
+        let taps: [ChainTap; K] = std::array::from_fn(|t| spec.taps[t]);
         macro_rules! chain {
             ($ss:literal, $sc:literal) => {
                 Box::new(LinChain::<K, $ss, $sc> {
@@ -889,13 +929,12 @@ impl JitProgram {
             return Err(JitSkip::PreludeShape);
         }
         // Full-row store passes must not reorder per-cell overwrites.
-        let mut stores: HashMap<u16, u32> = HashMap::new();
+        let mut stores = HashSet::new();
         for instr in program.cell_instrs() {
             if let Instr::Store { view, .. } = instr {
-                if *stores.entry(*view).or_insert(0) > 0 {
+                if !stores.insert(*view) {
                     return Err(JitSkip::MultiStoreView);
                 }
-                *stores.get_mut(view).unwrap() += 1;
             }
         }
         // SSA split invariant: every operand register below its dst.
@@ -1264,6 +1303,7 @@ pub fn put_scratch(v: Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wide;
     use std::sync::Barrier;
 
     /// `out[i] = (0.5*in[i] + in[i+1] + arg0*in[i+2]) / arg0` — collapses
@@ -1530,5 +1570,203 @@ mod tests {
         assert!(after.codegen_count >= before.codegen_count + 2);
         assert!(after.codegen_mean_ms > 0.0 && after.codegen_p99_ms >= after.codegen_p50_ms);
         assert_eq!(after.hits, 0);
+    }
+
+    /// Registers the copy tests' fragments address: seven rows, the
+    /// prelude values and chain coefficients reading the same indices.
+    const COPY_REGS: usize = 7;
+
+    /// `op` over one row of width `w` through the AVX-512F copy (`Some`)
+    /// or the baseline one: every register row and the output, as bits.
+    fn run_copy<T: Row>(op: &T, w: usize, host: Option<wide::Avx512f>) -> [Vec<u64>; 2] {
+        let input = wide::testing::seeded(w + 16, 1);
+        let pre = wide::testing::seeded(COPY_REGS, 2);
+        let mut regs = wide::testing::seeded(COPY_REGS * w, 3);
+        let mut out = vec![0.0; w + 16];
+        let mut ctx = RowCtx {
+            regs: &mut regs,
+            w,
+            inputs: &[&input, &[]],
+            outputs: &mut [&mut out],
+            out_view_map: &[None, Some(0)],
+            cursors: &[1, 2],
+            coord0: -3,
+            coords: &[0, 5],
+            scalars: &[0.5],
+            pre: &pre,
+        };
+        match host {
+            Some(host) => row_op::avx512f(host, op, &mut ctx),
+            None => row_op::base(op, &mut ctx),
+        }
+        [wide::testing::bits(&regs), wide::testing::bits(&out)]
+    }
+
+    fn both_copies<T: Row>(op: T) {
+        let Some(host) = wide::testing::host() else {
+            return;
+        };
+        for w in wide::testing::WIDTHS {
+            assert_eq!(
+                run_copy(&op, w, None),
+                run_copy(&op, w, Some(host)),
+                "{op:?}, w = {w}"
+            );
+        }
+    }
+
+    /// Every fragment kind, through both copies of its row loop.
+    #[test]
+    fn fragment_copies_are_bit_identical() {
+        fn kinds<B: BinK>() {
+            both_copies(BinRow::<B> {
+                dst: 3,
+                a: 1,
+                b: 2,
+                _k: pd(),
+            });
+            let (dst, a, view, off) = (3, 1, 0, 2);
+            both_copies(BinLoadRow::<B, false> {
+                dst,
+                a,
+                view,
+                off,
+                _k: pd(),
+            });
+            both_copies(BinLoadRow::<B, true> {
+                dst,
+                a,
+                view,
+                off,
+                _k: pd(),
+            });
+        }
+        fn un<U: UnK>() {
+            both_copies(UnRow::<U> {
+                dst: 3,
+                a: 1,
+                _k: pd(),
+            });
+        }
+        fn cmp<C: CmpK>() {
+            both_copies(CmpRow::<C> {
+                dst: 3,
+                a: 1,
+                b: 2,
+                _k: pd(),
+            });
+        }
+        fn ma<M: MaK>() {
+            both_copies(MaRow::<M> {
+                dst: 3,
+                a: 0,
+                b: 1,
+                c: 2,
+                _k: pd(),
+            });
+        }
+        fn pd<K>() -> std::marker::PhantomData<K> {
+            std::marker::PhantomData
+        }
+        kinds::<ZAdd>();
+        kinds::<ZSub>();
+        kinds::<ZMul>();
+        kinds::<ZDiv>();
+        kinds::<ZMin>();
+        kinds::<ZMax>();
+        kinds::<ZPow>();
+        kinds::<ZAtan2>();
+        kinds::<ZCopySign>();
+        kinds::<ZRem>();
+        un::<ZNeg>();
+        un::<ZSqrt>();
+        un::<ZAbs>();
+        un::<ZExp>();
+        un::<ZLog>();
+        un::<ZSin>();
+        un::<ZCos>();
+        un::<ZTanh>();
+        un::<ZTrunc>();
+        cmp::<ZEq>();
+        cmp::<ZNe>();
+        cmp::<ZLt>();
+        cmp::<ZLe>();
+        cmp::<ZGt>();
+        cmp::<ZGe>();
+        ma::<ZCPlusMul>();
+        ma::<ZCMinusMul>();
+        ma::<ZMulMinusC>();
+        both_copies(SelectRow {
+            dst: 3,
+            c: 0,
+            a: 1,
+            b: 2,
+        });
+        both_copies(FillConst { dst: 3, val: -0.0 });
+        both_copies(FillArg { dst: 3, arg: 0 });
+        for dim in [0, 1] {
+            both_copies(CoordRow { dst: 3, dim });
+        }
+        both_copies(LoadRow {
+            dst: 3,
+            view: 0,
+            off: 5,
+        });
+        both_copies(StoreRow {
+            view: 1,
+            off: 3,
+            src: 2,
+        });
+    }
+
+    /// Every `LinChain` monomorph: seeded from a view or a register,
+    /// sunk into a register or a store, plain or unrolled by 4.
+    #[test]
+    fn chain_copies_are_bit_identical() {
+        fn chain<const K: usize, const SEED_SCALED: bool, const SCALE: u8>() {
+            let coefs = [
+                TapCoef::One,
+                TapCoef::NegOne,
+                TapCoef::Pre {
+                    reg: 4,
+                    negate: false,
+                },
+                TapCoef::Pre {
+                    reg: 5,
+                    negate: true,
+                },
+            ];
+            let taps = std::array::from_fn(|t| ChainTap {
+                view: 0,
+                off: t as i64 * 2 - 1,
+                coef: coefs[t % 4],
+            });
+            for seed in [SeedRef::View { view: 0, off: 3 }, SeedRef::Reg(1)] {
+                for sink in [Sink::Reg, Sink::Store { view: 1, off: 1 }] {
+                    for unroll4 in [false, true] {
+                        both_copies(LinChain::<K, SEED_SCALED, SCALE> {
+                            dst: 6,
+                            seed,
+                            seed_coef: 2,
+                            taps,
+                            scale_reg: 3,
+                            sink,
+                            unroll4,
+                        });
+                    }
+                }
+            }
+        }
+        macro_rules! chains {
+            ($($k:literal)*) => {$(
+                chain::<$k, false, 0>();
+                chain::<$k, false, 1>();
+                chain::<$k, false, 2>();
+                chain::<$k, true, 0>();
+                chain::<$k, true, 1>();
+                chain::<$k, true, 2>();
+            )*};
+        }
+        chains!(1 2 3 4 5 6 7 8);
     }
 }

@@ -30,6 +30,7 @@ pub mod kernel;
 pub mod plan;
 pub mod specialize;
 pub mod value;
+pub mod wide;
 
 pub use budget::{MemoryBudget, MemoryEstimate};
 pub use distexec::{DistMode, DistOptions, DistOutcome, DistSession, RankMetrics};

@@ -562,120 +562,119 @@ fn resolve<'a>(inputs: &[&'a [f64]], cursors: &[i64], a: Access) -> (&'a [f64], 
     )
 }
 
-/// Sum `K` unit-stride sources left-to-right with a final scale — the
-/// monomorphised hot loop behind [`SpecBody::ScaledSum`]. `K` is a
-/// compile-time constant so rustc fully unrolls the inner accumulation and
-/// vectorises the row loop. Out of line for [`pw_nest_row`]'s reason:
-/// inlined into [`run_spec_row`], how many of these loops thin LTO
-/// vectorised (`divpd` or `divsd`) moved with unrelated code elsewhere in
-/// the crate, and `dist_gs` with it (EXPERIMENTS.md, Figure 8).
-#[inline(never)]
-fn scaled_sum_row<const K: usize>(
-    out: &mut [f64],
-    srcs: &[(&[f64], usize)],
-    scale: Scale,
-    scalars: &[f64],
-) {
-    let w = out.len();
-    let mut s: [(&[f64], usize); K] = [(&[][..], 0); K];
-    s.copy_from_slice(&srcs[..K]);
-    // Pre-slice each source to the row so the inner loop indexes without
-    // bounds checks LLVM cannot elide.
-    let rows: [&[f64]; K] = std::array::from_fn(|t| &s[t].0[s[t].1..s[t].1 + w]);
-    match scale {
-        Scale::None => {
-            for x in 0..w {
-                let mut acc = rows[0][x];
-                for row in rows.iter().skip(1) {
-                    acc += row[x];
+crate::wide::multiversion! {
+    /// Sum `K` unit-stride sources left-to-right with a final scale — the
+    /// monomorphised hot loop behind [`SpecBody::ScaledSum`]. `K` is a
+    /// compile-time constant so rustc fully unrolls the inner accumulation
+    /// and vectorises the row loop. What pins that form: the body is
+    /// compiled only into the two out-of-line copies, never into
+    /// [`run_spec_row`], where thin LTO's choice moved with unrelated code
+    /// (EXPERIMENTS.md, Figure 8); `ci.sh == vector width gate ==` fails an
+    /// AVX-512F copy that is not `zmm` code of its own.
+    fn scaled_sum_row[const K: usize](
+        out: &mut [f64],
+        srcs: &[(&[f64], usize); K],
+        scale: Scale,
+        scalars: &[f64],
+    ) {
+        let w = out.len();
+        // Pre-slice each source to the row so the inner loop indexes without
+        // bounds checks LLVM cannot elide.
+        let rows: [&[f64]; K] = std::array::from_fn(|t| &srcs[t].0[srcs[t].1..srcs[t].1 + w]);
+        match scale {
+            Scale::None => {
+                for x in 0..w {
+                    let mut acc = rows[0][x];
+                    for row in rows.iter().skip(1) {
+                        acc += row[x];
+                    }
+                    out[x] = acc;
                 }
-                out[x] = acc;
             }
-        }
-        Scale::MulLeft(c) => {
-            let cv = c.value(scalars);
-            for x in 0..w {
-                let mut acc = rows[0][x];
-                for row in rows.iter().skip(1) {
-                    acc += row[x];
+            Scale::MulLeft(c) => {
+                let cv = c.value(scalars);
+                for x in 0..w {
+                    let mut acc = rows[0][x];
+                    for row in rows.iter().skip(1) {
+                        acc += row[x];
+                    }
+                    out[x] = cv * acc;
                 }
-                out[x] = cv * acc;
             }
-        }
-        Scale::MulRight(c) => {
-            let cv = c.value(scalars);
-            for x in 0..w {
-                let mut acc = rows[0][x];
-                for row in rows.iter().skip(1) {
-                    acc += row[x];
+            Scale::MulRight(c) => {
+                let cv = c.value(scalars);
+                for x in 0..w {
+                    let mut acc = rows[0][x];
+                    for row in rows.iter().skip(1) {
+                        acc += row[x];
+                    }
+                    out[x] = acc * cv;
                 }
-                out[x] = acc * cv;
             }
-        }
-        Scale::DivRight(c) => {
-            let cv = c.value(scalars);
-            for x in 0..w {
-                let mut acc = rows[0][x];
-                for row in rows.iter().skip(1) {
-                    acc += row[x];
+            Scale::DivRight(c) => {
+                let cv = c.value(scalars);
+                for x in 0..w {
+                    let mut acc = rows[0][x];
+                    for row in rows.iter().skip(1) {
+                        acc += row[x];
+                    }
+                    out[x] = acc / cv;
                 }
-                out[x] = acc / cv;
             }
         }
     }
 }
 
-/// [`scaled_sum_row`] unrolled by 4: four output cells per iteration, each
-/// with its *own* left-folded accumulator chain. Per-cell rounding order is
-/// exactly the unit-stride loop's, so results stay bit-identical; the four
-/// independent chains overlap in the pipeline, which matters most for the
-/// serial divide chain of `Scale::DivRight` (the Gauss–Seidel kernel).
-/// Out of line like [`scaled_sum_row`].
-#[inline(never)]
-fn scaled_sum_row_x4<const K: usize>(
-    out: &mut [f64],
-    srcs: &[(&[f64], usize)],
-    scale: Scale,
-    scalars: &[f64],
-) {
-    let w = out.len();
-    let mut s: [(&[f64], usize); K] = [(&[][..], 0); K];
-    s.copy_from_slice(&srcs[..K]);
-    let rows: [&[f64]; K] = std::array::from_fn(|t| &s[t].0[s[t].1..s[t].1 + w]);
-    let sum_at = |x: usize| -> f64 {
-        let mut acc = rows[0][x];
-        for row in rows.iter().skip(1) {
-            acc += row[x];
+crate::wide::multiversion! {
+    /// [`scaled_sum_row`] unrolled by 4: four output cells per iteration,
+    /// each with its *own* left-folded accumulator chain. Per-cell rounding
+    /// order is exactly the unit-stride loop's, so results stay
+    /// bit-identical; the four independent chains overlap in the pipeline,
+    /// which matters most for the serial divide chain of `Scale::DivRight`
+    /// (the Gauss–Seidel kernel). Compiled like [`scaled_sum_row`].
+    fn scaled_sum_row_x4[const K: usize](
+        out: &mut [f64],
+        srcs: &[(&[f64], usize); K],
+        scale: Scale,
+        scalars: &[f64],
+    ) {
+        let w = out.len();
+        let rows: [&[f64]; K] = std::array::from_fn(|t| &srcs[t].0[srcs[t].1..srcs[t].1 + w]);
+        let sum_at = |x: usize| -> f64 {
+            let mut acc = rows[0][x];
+            for row in rows.iter().skip(1) {
+                acc += row[x];
+            }
+            acc
+        };
+        let cv = match scale {
+            Scale::None => 0.0,
+            Scale::MulLeft(c) | Scale::MulRight(c) | Scale::DivRight(c) => c.value(scalars),
+        };
+        let finish = |acc: f64| -> f64 {
+            match scale {
+                Scale::None => acc,
+                Scale::MulLeft(_) => cv * acc,
+                Scale::MulRight(_) => acc * cv,
+                Scale::DivRight(_) => acc / cv,
+            }
+        };
+        let mut x = 0;
+        while x + 4 <= w {
+            let a0 = finish(sum_at(x));
+            let a1 = finish(sum_at(x + 1));
+            let a2 = finish(sum_at(x + 2));
+            let a3 = finish(sum_at(x + 3));
+            out[x] = a0;
+            out[x + 1] = a1;
+            out[x + 2] = a2;
+            out[x + 3] = a3;
+            x += 4;
         }
-        acc
-    };
-    let cv = match scale {
-        Scale::None => 0.0,
-        Scale::MulLeft(c) | Scale::MulRight(c) | Scale::DivRight(c) => c.value(scalars),
-    };
-    let finish = |acc: f64| -> f64 {
-        match scale {
-            Scale::None => acc,
-            Scale::MulLeft(_) => cv * acc,
-            Scale::MulRight(_) => acc * cv,
-            Scale::DivRight(_) => acc / cv,
+        while x < w {
+            out[x] = finish(sum_at(x));
+            x += 1;
         }
-    };
-    let mut x = 0;
-    while x + 4 <= w {
-        let a0 = finish(sum_at(x));
-        let a1 = finish(sum_at(x + 1));
-        let a2 = finish(sum_at(x + 2));
-        let a3 = finish(sum_at(x + 3));
-        out[x] = a0;
-        out[x + 1] = a1;
-        out[x + 2] = a2;
-        out[x + 3] = a3;
-        x += 4;
-    }
-    while x < w {
-        out[x] = finish(sum_at(x));
-        x += 1;
     }
 }
 
@@ -688,10 +687,14 @@ fn scaled_sum_dispatch<const K: usize>(
     scale: Scale,
     scalars: &[f64],
 ) {
+    // `run_spec_row` picked `K` as `srcs.len()`.
+    let Ok(srcs) = srcs.try_into() else {
+        return;
+    };
     if unroll4 {
-        scaled_sum_row_x4::<K>(out, srcs, scale, scalars);
+        scaled_sum_row_x4::run::<K>(out, srcs, scale, scalars);
     } else {
-        scaled_sum_row::<K>(out, srcs, scale, scalars);
+        scaled_sum_row::run::<K>(out, srcs, scale, scalars);
     }
 }
 
@@ -749,7 +752,7 @@ pub fn run_spec_row(
             return;
         };
         let rows = (**loads).map(|l| &inputs[l.view as usize][span(l)]);
-        pw_nest_row(
+        pw_nest_row::run(
             [
                 &mut su[span(out[0])],
                 &mut sv[span(out[1])],
@@ -814,45 +817,57 @@ pub fn run_spec_row(
                 let coeff = t.coeff.map(|(c, left)| (c.value(scalars), left));
                 (t.negate, coeff, &s[b..b + w])
             });
-            for (x, o) in out.iter_mut().enumerate() {
-                let term_val = |&(_, coeff, row): &(bool, Option<(f64, bool)>, &[f64])| {
-                    let l = row[x];
-                    match coeff {
-                        None => l,
-                        Some((c, true)) => c * l,
-                        Some((c, false)) => l * c,
-                    }
-                };
-                let mut acc = term_val(&rts[0]);
-                for t in &rts[1..] {
-                    let v = term_val(t);
-                    acc = if t.0 { acc - v } else { acc + v };
-                }
-                *o = acc;
-            }
+            lincomb_row::run(out, rts);
         }
         // Ran above, on its three output rows.
         SpecBody::PwAdvect { .. } => {}
     }
 }
 
-/// The fused PW row loop, every row as long as `su`: each cell loads the
-/// 21 inputs once and writes all three stores. Kept out of line: inlined
-/// into [`run_spec_row`], thin LTO vectorised the PW loop or left it scalar
-/// (2x apart) depending on unrelated code elsewhere in the binary — see
-/// EXPERIMENTS.md, "Where a distributed run goes".
-#[inline(never)]
-fn pw_nest_row([su, sv, sw]: [&mut [f64]; 3], rows: [&[f64]; 21], coeffs: [[f64; 4]; 3]) {
-    let w = su.len();
-    let (sv, sw, rows) = (&mut sv[..w], &mut sw[..w], rows.map(|r| &r[..w]));
-    for x in 0..w {
-        let mut v = [0.0; 21];
-        for (v, r) in v.iter_mut().zip(&rows) {
-            *v = r[x];
+/// A [`SpecBody::LinComb`] term resolved for a row: negated, coefficient
+/// (and whether it multiplies on the left), the term's row.
+type RowTerm<'a> = (bool, Option<(f64, bool)>, &'a [f64]);
+
+crate::wide::multiversion! {
+    /// The [`SpecBody::LinComb`] row loop.
+    fn lincomb_row[](out: &mut [f64], rts: &[RowTerm<'_>]) {
+        for (x, o) in out.iter_mut().enumerate() {
+            let term_val = |&(_, coeff, row): &RowTerm<'_>| {
+                let l = row[x];
+                match coeff {
+                    None => l,
+                    Some((c, true)) => c * l,
+                    Some((c, false)) => l * c,
+                }
+            };
+            let mut acc = term_val(&rts[0]);
+            for t in &rts[1..] {
+                let v = term_val(t);
+                acc = if t.0 { acc - v } else { acc + v };
+            }
+            *o = acc;
         }
-        su[x] = pw_cell::<0>(&v, coeffs[0]);
-        sv[x] = pw_cell::<1>(&v, coeffs[1]);
-        sw[x] = pw_cell::<2>(&v, coeffs[2]);
+    }
+}
+
+crate::wide::multiversion! {
+    /// The fused PW row loop, every row as long as `su`: each cell loads the
+    /// 21 inputs once and writes all three stores. Its vector form is
+    /// pinned as [`scaled_sum_row`]'s: inlined into [`run_spec_row`], thin
+    /// LTO left it scalar or vectorised (2x apart) with unrelated code.
+    fn pw_nest_row[](outs: [&mut [f64]; 3], rows: [&[f64]; 21], coeffs: [[f64; 4]; 3]) {
+        let [su, sv, sw] = outs;
+        let w = su.len();
+        let (sv, sw, rows) = (&mut sv[..w], &mut sw[..w], rows.map(|r| &r[..w]));
+        for x in 0..w {
+            let mut v = [0.0; 21];
+            for (v, r) in v.iter_mut().zip(&rows) {
+                *v = r[x];
+            }
+            su[x] = pw_cell::<0>(&v, coeffs[0]);
+            sv[x] = pw_cell::<1>(&v, coeffs[1]);
+            sw[x] = pw_cell::<2>(&v, coeffs[2]);
+        }
     }
 }
 
@@ -1074,6 +1089,7 @@ fn fold_loads(instrs: &mut Vec<Instr>) {
 mod tests {
     use super::*;
     use crate::bytecode::{BinKind, BodyProgram, Instr};
+    use crate::wide;
 
     /// Bytecode for `out = (l(-1) + l(1)) / 6.0` plus a copy store.
     fn gs_like_program() -> BodyProgram {
@@ -1431,5 +1447,122 @@ mod tests {
             run(&fused),
             "fused VM must match generic VM bitwise"
         );
+    }
+
+    /// The fused PW row: both copies write the same bits to all three
+    /// outputs.
+    #[test]
+    fn pw_row_copies_are_bit_identical() {
+        let Some(host) = wide::testing::host() else {
+            return;
+        };
+        for w in wide::testing::WIDTHS {
+            let inputs: Vec<Vec<f64>> = (0..21).map(|t| wide::testing::seeded(w, t)).collect();
+            let rows: [&[f64]; 21] = std::array::from_fn(|t| &inputs[t][..]);
+            let c = wide::testing::seeded(12, 99);
+            let coeffs: [[f64; 4]; 3] =
+                std::array::from_fn(|f| std::array::from_fn(|i| c[4 * f + i]));
+            let run = |avx: bool| {
+                let mut outs = [vec![0.0; w], vec![0.0; w], vec![0.0; w]];
+                let [su, sv, sw] = &mut outs;
+                let outs_mut = [&mut su[..], &mut sv[..], &mut sw[..]];
+                if avx {
+                    pw_nest_row::avx512f(host, outs_mut, rows, coeffs);
+                } else {
+                    pw_nest_row::base(outs_mut, rows, coeffs);
+                }
+                outs.map(|o| wide::testing::bits(&o))
+            };
+            assert_eq!(run(false), run(true), "w = {w}");
+        }
+    }
+
+    /// `scaled_sum_row` and its unrolled form for every arity they are
+    /// monomorphised at, every scale, and scale factors that round, flip a
+    /// zero's sign and underflow.
+    #[test]
+    fn scaled_sum_copies_are_bit_identical() {
+        fn arity<const K: usize>(host: wide::Avx512f) {
+            let arg = Coeff::Arg(0);
+            let scales = [
+                Scale::None,
+                Scale::MulLeft(arg),
+                Scale::MulRight(arg),
+                Scale::DivRight(arg),
+            ];
+            for w in wide::testing::WIDTHS {
+                let inputs: Vec<Vec<f64>> = (0..K as u64)
+                    .map(|t| wide::testing::seeded(w + 3, t))
+                    .collect();
+                let srcs: [(&[f64], usize); K] = std::array::from_fn(|t| (&inputs[t][..], t % 4));
+                for (scale, c) in scales
+                    .into_iter()
+                    .flat_map(|s| [(s, 6.0), (s, -0.0), (s, 5e-324)])
+                {
+                    let run = |x4: bool, avx: bool| {
+                        let mut out = vec![0.0; w];
+                        match (x4, avx) {
+                            (false, false) => scaled_sum_row::base(&mut out, &srcs, scale, &[c]),
+                            (false, true) => {
+                                scaled_sum_row::avx512f(host, &mut out, &srcs, scale, &[c])
+                            }
+                            (true, false) => scaled_sum_row_x4::base(&mut out, &srcs, scale, &[c]),
+                            (true, true) => {
+                                scaled_sum_row_x4::avx512f(host, &mut out, &srcs, scale, &[c])
+                            }
+                        }
+                        wide::testing::bits(&out)
+                    };
+                    for x4 in [false, true] {
+                        assert_eq!(
+                            run(x4, false),
+                            run(x4, true),
+                            "K = {K}, {scale:?} by {c}, x4 {x4}, w = {w}"
+                        );
+                    }
+                }
+            }
+        }
+        let Some(host) = wide::testing::host() else {
+            return;
+        };
+        arity::<2>(host);
+        arity::<3>(host);
+        arity::<4>(host);
+        arity::<5>(host);
+        arity::<6>(host);
+        arity::<7>(host);
+        arity::<8>(host);
+    }
+
+    /// The `LinComb` row for one to nine terms, each plain, scaled on the
+    /// left or scaled on the right, added or subtracted.
+    #[test]
+    fn lincomb_copies_are_bit_identical() {
+        let Some(host) = wide::testing::host() else {
+            return;
+        };
+        for w in wide::testing::WIDTHS {
+            let inputs: Vec<Vec<f64>> = (0..9).map(|t| wide::testing::seeded(w, t)).collect();
+            let c = wide::testing::seeded(9, 42);
+            let terms: Vec<_> = (0..9)
+                .map(|t| {
+                    let coeff = [None, Some((c[t], true)), Some((c[t], false))][t % 3];
+                    (t % 2 == 1, coeff, &inputs[t][..])
+                })
+                .collect();
+            for k in 1..=9 {
+                let run = |avx: bool| {
+                    let mut out = vec![0.0; w];
+                    if avx {
+                        lincomb_row::avx512f(host, &mut out, &terms[..k]);
+                    } else {
+                        lincomb_row::base(&mut out, &terms[..k]);
+                    }
+                    wide::testing::bits(&out)
+                };
+                assert_eq!(run(false), run(true), "{k} terms, w = {w}");
+            }
+        }
     }
 }

@@ -168,6 +168,8 @@ fn main() {
             .map(|p| p.to_string())
             .collect();
         eprintln!("exec paths: {}", paths.join(", "));
+        // The copy the specialized and jit row loops run (DESIGN.md §16).
+        eprintln!("row loops: {}", flang_stencil::exec::wide::row_loops());
     }
     // Host CPU dispatches, and the sweeps consecutive ones of a region on
     // the same arrays ran in (DESIGN.md §15).
