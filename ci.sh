@@ -132,33 +132,33 @@ grep -x "row loops: $want" "$smoke_dir/err" \
 rm -r "$smoke_dir"
 
 echo "== vector width gate =="
-# The AVX-512F copies of the fused PW row and the scaled-sum rows
-# (DESIGN.md §16) must be zmm code with the body inlined: a body reached
-# through a closure or kept `#[inline(never)]` leaves a copy that calls or
-# jumps into another function of this workspace, which runs at baseline
-# width.
+# The AVX-512F copies of the row loops (DESIGN.md §16) must be zmm code with
+# the body inlined. The fused PW row's copy must not call or jump into
+# another function of this workspace (a closure or an `#[inline(never)]`
+# body runs at baseline width); no function may call a jit fragment's
+# closure (the `LinChain` lane once ran as one call per cell); and some jit
+# fragment copy must be zmm code.
 if [[ $(uname -m) == x86_64 ]]; then
   cargo build -q --release --example fsc
   objdump -d -C --no-show-raw-insn "${CARGO_TARGET_DIR:-target}/release/examples/fsc" | awk '
     /^[0-9a-f]+ <.*>:$/ {
       f = ""
-      if ($0 ~ /<fsc_exec::specialize::(pw_nest_row|scaled_sum_row)::avx512f::wide>:$/) {
-        f = $1; name[f] = substr($2, 2, length($2) - 3); zmm[f] = 0
-      }
+      if ($0 ~ /<fsc_exec::specialize::pw_nest_row::avx512f::wide>:$/) { f = "pw"; pw++ }
+      if ($0 ~ /<fsc_exec::jit::row_op::avx512f::wide>:$/) { f = "jit"; jit++ }
       next
+    }
+    /(call|jmp)[a-z]* +[0-9a-f]+ <.*fsc_exec::jit::.*::row::[{][{]closure[}][}]>$/ {
+      print "calls a jit closure: " $0; bad = 1
     }
     f == "" { next }
     /zmm/ { zmm[f]++ }
-    /(call|jmp)[a-z]* +[0-9a-f]+ <fsc_/ && $0 !~ /::avx512f::wide\+0x[0-9a-f]+>$/ {
-      print name[f] " leaves its copy: " $0; bad = 1
+    f == "pw" && /(call|jmp)[a-z]* +[0-9a-f]+ <fsc_/ && $0 !~ /::avx512f::wide\+0x[0-9a-f]+>$/ {
+      print "pw_nest_row leaves its copy: " $0; bad = 1
     }
     END {
-      for (f in zmm) {
-        print name[f] " " zmm[f] " zmm instructions"
-        if (zmm[f] == 0) bad = 1
-        if (name[f] ~ /pw_nest_row/) pw++; else ss++
-      }
-      if (!pw || !ss) { print "no AVX-512F copy of pw_nest_row or scaled_sum_row"; bad = 1 }
+      print "pw_nest_row: " pw + 0 " AVX-512F copy, " zmm["pw"] + 0 " zmm instructions"
+      print "jit::row_op: " jit + 0 " AVX-512F copies, " zmm["jit"] + 0 " zmm instructions"
+      if (!pw || !zmm["pw"] || !jit || !zmm["jit"]) bad = 1
       exit bad
     }' || { echo "an AVX-512F row copy is not zmm code of its own"; exit 1; }
 fi

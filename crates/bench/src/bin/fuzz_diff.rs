@@ -93,6 +93,7 @@ fn run_diff_case(case_no: usize, rng: &mut Rng, summary: &mut Summary) {
         Ok(mut compiled) => {
             for path in [
                 ExecPath::Specialized,
+                ExecPath::Jit,
                 ExecPath::FusedVm,
                 ExecPath::GenericVm,
             ] {

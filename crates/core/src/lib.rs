@@ -1823,10 +1823,10 @@ mod tests {
 
     #[test]
     fn non_template_nests_run_on_the_jit_tier_bit_identically() {
-        // Each Figure-8 kernel rejects the specialized templates (sqrt /
-        // variable coefficient / min-max), so its compute sweep must land
-        // on the stitched jit tier — while the copy sweep still runs
-        // specialized — and every tier override must produce the same bits.
+        // Each Figure-8 kernel is non-linear (sqrt / variable coefficient
+        // / min-max) and has no specialized form, so its sweeps must land
+        // on the stitched jit tier, and every tier override must produce
+        // the same bits.
         for source in [
             fsc_workloads::jit_kernels::sqrt_source(6, 2),
             fsc_workloads::jit_kernels::varcoef_source(6, 2),

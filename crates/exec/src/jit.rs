@@ -4,29 +4,30 @@
 //! # Stitching strategy (DESIGN.md §14)
 //!
 //! The fused VM still pays one `match` per instruction per 64-lane strip.
-//! This module removes that dispatch for *arbitrary* nests, not just the
-//! three hand-specialized templates: at kernel-compile time every cell
-//! instruction is lowered to a **pre-monomorphized fragment** — a concrete
-//! Rust type instantiated per op kind (`BinKind`/`UnKind`/`MaKind`/
-//! `CmpKind`) whose inner loop over the unit-stride row is straight-line,
-//! branch-free and auto-vectorisable. The stitched program is a flat
+//! This module removes that dispatch for *arbitrary* nests: at
+//! kernel-compile time every cell instruction is lowered to a
+//! **pre-monomorphized fragment** — a concrete Rust type instantiated per
+//! op kind (`BinKind`/`UnKind`/`MaKind`/`CmpKind`) whose inner loop over
+//! the unit-stride row is straight-line, branch-free and
+//! auto-vectorisable. The stitched program is a flat
 //! `Vec<Box<dyn RowOp>>`: one indirect call per fragment per *row*,
 //! amortised over the whole row width, zero dispatch per cell.
 //!
 //! On top of the 1:1 fragments a peephole stitches **linear-combination
 //! chains** (`acc = seed ± c·load ± …`, optionally scaled and stored) into
 //! a single [`LinChain`] fragment with the accumulator held in a register
-//! across taps — re-deriving the performance of the hand-written
-//! `ScaledSum`/`LinComb` templates for nests those templates reject. Chain
-//! arithmetic reproduces the VM's exact per-cell operation sequence (two
-//! roundings per multiply–accumulate, left-folded order), so every tier
-//! stays bit-identical; the differential proptests force all of them.
+//! across taps. This is the one CPU code generator for linear stencils:
+//! sums (Gauss–Seidel, Listing 1), linear combinations and copies (a
+//! chain of no taps) run here. Chain arithmetic reproduces the VM's exact
+//! per-cell operation sequence (two roundings per multiply–accumulate,
+//! left-folded order), so every tier stays bit-identical; the differential
+//! proptests force all of them.
 //!
 //! View-offset address arithmetic is resolved at stitch time: offsets are
 //! already linearised against the strides by the kernel compiler, so
 //! fragments index `cursor + off` directly. The `unroll` knob of the
-//! [`ExecPlan`] selects the unroll-4 loop skeleton inside chain fragments,
-//! mirroring the specialized tier.
+//! [`ExecPlan`] selects the unroll-4 loop skeleton inside chain fragments:
+//! four cells per iteration, each with its own accumulator chain.
 //!
 //! # No cache
 //!
@@ -475,11 +476,20 @@ struct ChainSpec {
     sink: Sink,
 }
 
-/// The stitched chain fragment: `K` taps monomorphized, seed scaling and
-/// result scaling folded in, optional direct store sink, unroll-4 skeleton
-/// from the plan.
+impl ChainSpec {
+    /// An unscaled seed plus unit taps: stitched as a `UNIT` chain.
+    fn is_unit(&self) -> bool {
+        self.seed_coef.is_none() && self.taps.iter().all(|t| t.coef == TapCoef::One)
+    }
+}
+
+/// The stitched chain fragment: `K` taps monomorphized (none for a copy),
+/// seed scaling and result scaling folded in, optional direct store sink,
+/// unroll-4 skeleton from the plan. `UNIT` chains (every tap
+/// [`TapCoef::One`], unscaled seed: Gauss–Seidel, Listing 1, copies) add
+/// each tap without a multiply.
 #[derive(Debug)]
-struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8> {
+struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> {
     dst: u16,
     seed: SeedRef,
     seed_coef: u16,
@@ -489,11 +499,56 @@ struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8> {
     unroll4: bool,
 }
 
-impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> Row
-    for LinChain<K, SEED_SCALED, SCALE>
+/// A chain's operands for one row.
+struct ChainRow<'r, const K: usize> {
+    seed: &'r [f64],
+    seed_coef: f64,
+    coefs: [f64; K],
+    bases: [&'r [f64]; K],
+    scale: f64,
+}
+
+impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
+    LinChain<K, SEED_SCALED, SCALE, UNIT>
+{
+    /// Cell `x`. A function, not a closure: a closure's body is not
+    /// reliably inlined into `row_op`'s copies, which then call it per
+    /// cell at baseline width (`ci.sh == vector width gate ==`).
+    #[inline(always)]
+    fn lane(r: &ChainRow<'_, K>, x: usize) -> f64 {
+        let mut acc = r.seed[x];
+        if SEED_SCALED {
+            // `coef * value`, never `value * coef`: operand order must
+            // mirror the VM's `mul` bit-for-bit.
+            #[allow(clippy::assign_op_pattern)]
+            {
+                acc = r.seed_coef * acc;
+            }
+        }
+        // Indexed, not zipped: an unoptimised build runs this per tap per
+        // cell, and the iterator's calls there made the jit no faster than
+        // the generic VM.
+        #[allow(clippy::needless_range_loop)]
+        for t in 0..K {
+            // `1.0 * x` is `x` exactly, so a unit tap skips the multiply.
+            acc += if UNIT {
+                r.bases[t][x]
+            } else {
+                r.coefs[t] * r.bases[t][x]
+            };
+        }
+        match SCALE {
+            1 => acc / r.scale,
+            2 => acc * r.scale,
+            _ => acc,
+        }
+    }
+}
+
+impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> Row
+    for LinChain<K, SEED_SCALED, SCALE, UNIT>
 {
     #[inline(always)]
-    #[allow(clippy::needless_range_loop)]
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
         let RowCtx {
@@ -505,10 +560,11 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> Row
             pre,
             ..
         } = ctx;
+        // Filled by a loop: built with `array::map`, the rows' lengths were
+        // lost to LLVM and the plain loop below stayed scalar.
         let mut coefs = [0.0f64; K];
         let mut bases: [&[f64]; K] = [&[]; K];
-        for t in 0..K {
-            let tap = &self.taps[t];
+        for (t, tap) in self.taps.iter().enumerate() {
             coefs[t] = match tap.coef {
                 TapCoef::One => 1.0,
                 TapCoef::NegOne => -1.0,
@@ -524,42 +580,27 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> Row
             let base = (cursors[tap.view as usize] + tap.off) as usize;
             bases[t] = &inputs[tap.view as usize][base..base + w];
         }
-        let seed_coef = if SEED_SCALED {
-            pre[self.seed_coef as usize]
-        } else {
-            0.0
-        };
-        let scale = if SCALE != 0 {
-            pre[self.scale_reg as usize]
-        } else {
-            0.0
-        };
         let (d, lo) = split_dst(regs, w, self.dst);
-        let seed: &[f64] = match self.seed {
-            SeedRef::View { view, off } => {
-                let base = (cursors[view as usize] + off) as usize;
-                &inputs[view as usize][base..base + w]
-            }
-            SeedRef::Reg(r) => row(lo, w, r),
-        };
-        let lane = |x: usize| -> f64 {
-            let mut acc = seed[x];
-            if SEED_SCALED {
-                // `coef * value`, never `value * coef`: operand order must
-                // mirror the VM's `mul` bit-for-bit.
-                #[allow(clippy::assign_op_pattern)]
-                {
-                    acc = seed_coef * acc;
+        let r = ChainRow {
+            seed: match self.seed {
+                SeedRef::View { view, off } => {
+                    let base = (cursors[view as usize] + off) as usize;
+                    &inputs[view as usize][base..base + w]
                 }
-            }
-            for t in 0..K {
-                acc += coefs[t] * bases[t][x];
-            }
-            match SCALE {
-                1 => acc / scale,
-                2 => acc * scale,
-                _ => acc,
-            }
+                SeedRef::Reg(r) => row(lo, w, r),
+            },
+            seed_coef: if SEED_SCALED {
+                pre[self.seed_coef as usize]
+            } else {
+                0.0
+            },
+            coefs,
+            bases,
+            scale: if SCALE != 0 {
+                pre[self.scale_reg as usize]
+            } else {
+                0.0
+            },
         };
         let d: &mut [f64] = match self.sink {
             Sink::Reg => d,
@@ -575,28 +616,29 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8> Row
         let mut x = 0;
         if self.unroll4 {
             while x + 4 <= w {
-                d[x] = lane(x);
-                d[x + 1] = lane(x + 1);
-                d[x + 2] = lane(x + 2);
-                d[x + 3] = lane(x + 3);
+                d[x] = Self::lane(&r, x);
+                d[x + 1] = Self::lane(&r, x + 1);
+                d[x + 2] = Self::lane(&r, x + 2);
+                d[x + 3] = Self::lane(&r, x + 3);
                 x += 4;
             }
         }
         while x < w {
-            d[x] = lane(x);
+            d[x] = Self::lane(&r, x);
             x += 1;
         }
     }
 }
 
-/// Monomorphize a detected chain: `K` × seed-scaled × scale-kind.
+/// Monomorphize a detected chain: `K` × seed-scaled × scale-kind, and
+/// `UNIT` for the unscaled seeds.
 fn box_chain(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
     fn mk<const K: usize>(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
         // `box_chain` picked `K` as `spec.taps.len()`.
         let taps: [ChainTap; K] = std::array::from_fn(|t| spec.taps[t]);
         macro_rules! chain {
-            ($ss:literal, $sc:literal) => {
-                Box::new(LinChain::<K, $ss, $sc> {
+            ($ss:literal, $sc:literal, $unit:literal) => {
+                Box::new(LinChain::<K, $ss, $sc, $unit> {
                     dst: spec.dst,
                     seed: spec.seed,
                     seed_coef: spec.seed_coef.unwrap_or(0),
@@ -607,17 +649,21 @@ fn box_chain(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
                 })
             };
         }
-        match (spec.seed_coef.is_some(), spec.scale_kind) {
-            (false, 0) => chain!(false, 0),
-            (false, 1) => chain!(false, 1),
-            (false, 2) => chain!(false, 2),
-            (true, 0) => chain!(true, 0),
-            (true, 1) => chain!(true, 1),
-            (true, 2) => chain!(true, 2),
+        match (spec.seed_coef.is_some(), spec.is_unit(), spec.scale_kind) {
+            (false, false, 0) => chain!(false, 0, false),
+            (false, false, 1) => chain!(false, 1, false),
+            (false, false, 2) => chain!(false, 2, false),
+            (false, true, 0) => chain!(false, 0, true),
+            (false, true, 1) => chain!(false, 1, true),
+            (false, true, 2) => chain!(false, 2, true),
+            (true, _, 0) => chain!(true, 0, false),
+            (true, _, 1) => chain!(true, 1, false),
+            (true, _, 2) => chain!(true, 2, false),
             _ => unreachable!("scale kind out of range"),
         }
     }
     match spec.taps.len() {
+        0 => mk::<0>(spec, unroll4),
         1 => mk::<1>(spec, unroll4),
         2 => mk::<2>(spec, unroll4),
         3 => mk::<3>(spec, unroll4),
@@ -761,10 +807,10 @@ impl<'p> ChainScan<'p> {
     /// index just past the consumed instructions.
     fn chain_from(&self, i: usize) -> Option<(ChainSpec, usize)> {
         // Absorbable seed: a single-use Load, or a single-use
-        // `BinLoad{Mul}` against a prelude coefficient (ScaledSum head).
-        let (seed, seed_coef, seed_dst, mut j) = match self.ins[i] {
+        // `BinLoad{Mul}` against a prelude coefficient (`c*l0 + …`).
+        let seeded = match self.ins[i] {
             Instr::Load { dst, view, off } if self.used_once(dst) => {
-                (SeedRef::View { view, off }, None, dst, i + 1)
+                Some((SeedRef::View { view, off }, None, dst))
             }
             Instr::BinLoad {
                 dst,
@@ -774,38 +820,36 @@ impl<'p> ChainScan<'p> {
                 off,
                 ..
             } if self.used_once(dst) && self.pre(a) => {
-                (SeedRef::View { view, off }, Some(a), dst, i + 1)
+                Some((SeedRef::View { view, off }, Some(a), dst))
             }
-            _ => {
-                // No absorbable seed: the chain may still start from an
-                // existing register row if `i` itself is a link.
-                let (tap, acc, next) = self.link_at(i, self.acc_candidate(i)?)?;
-                let mut spec = ChainSpec {
-                    dst: acc,
-                    seed: SeedRef::Reg(self.acc_candidate(i)?),
-                    seed_coef: None,
-                    taps: vec![tap],
-                    scale_kind: 0,
-                    scale_reg: 0,
-                    sink: Sink::Reg,
-                };
-                let end = self.grow(&mut spec, next);
-                return Some((spec, end));
-            }
+            _ => None,
         };
-        // The seed must feed a first link, otherwise it is a plain load.
-        let (tap, acc, next) = self.link_at(j, seed_dst)?;
-        let mut spec = ChainSpec {
-            dst: acc,
+        let start = |dst, seed, seed_coef| ChainSpec {
+            dst,
             seed,
             seed_coef,
-            taps: vec![tap],
+            taps: Vec::new(),
             scale_kind: 0,
             scale_reg: 0,
             sink: Sink::Reg,
         };
-        j = next;
-        let end = self.grow(&mut spec, j);
+        if let Some((seed, seed_coef, dst)) = seeded {
+            let mut spec = start(dst, seed, seed_coef);
+            let end = self.grow(&mut spec, i + 1);
+            // With no taps the seed is a chain only as a copy, its (scaled)
+            // value stored: one pass instead of a load row and a store row.
+            if !spec.taps.is_empty() || matches!(spec.sink, Sink::Store { .. }) {
+                return Some((spec, end));
+            }
+        }
+        // Otherwise the chain may still start from an existing register row
+        // — the accumulator of a chain cut at `MAX_CHAIN_TAPS` — if `i`
+        // itself is a link.
+        let acc = self.acc_candidate(i)?;
+        let (tap, dst, next) = self.link_at(i, acc)?;
+        let mut spec = start(dst, SeedRef::Reg(acc), None);
+        spec.taps.push(tap);
+        let end = self.grow(&mut spec, next);
         Some((spec, end))
     }
 
@@ -903,6 +947,7 @@ pub struct JitProgram {
     prelude_dsts: Vec<u16>,
     num_regs: u16,
     chained_taps: usize,
+    unit_chains: usize,
 }
 
 impl JitProgram {
@@ -952,12 +997,13 @@ impl JitProgram {
         let scan = ChainScan::new(program);
         let items = scan.items();
         let mut steps: Vec<Box<dyn RowOp>> = Vec::with_capacity(items.len());
-        let mut chained_taps = 0usize;
+        let (mut chained_taps, mut unit_chains) = (0, 0);
         for item in &items {
             match item {
                 StitchItem::Plain(i) => steps.push(box_instr(&program.cell_instrs()[*i])),
                 StitchItem::Chain(spec) => {
                     chained_taps += spec.taps.len();
+                    unit_chains += usize::from(spec.is_unit());
                     steps.push(box_chain(spec, unroll4));
                 }
             }
@@ -969,6 +1015,7 @@ impl JitProgram {
             prelude_dsts,
             num_regs: program.num_regs,
             chained_taps,
+            unit_chains,
         })
     }
 
@@ -980,6 +1027,12 @@ impl JitProgram {
     /// Taps folded into linear-combination chains.
     pub fn chained_taps(&self) -> usize {
         self.chained_taps
+    }
+
+    /// Chains stitched as `UNIT` (unscaled seed, every tap added without a
+    /// multiply).
+    pub fn unit_chains(&self) -> usize {
+        self.unit_chains
     }
 
     /// Register-file height (rows of width `w` the scratch must hold).
@@ -1303,6 +1356,7 @@ pub fn put_scratch(v: Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::specialize::fuse_program;
     use crate::wide;
     use std::sync::Barrier;
 
@@ -1410,57 +1464,61 @@ mod tests {
         }
     }
 
-    fn run_both(program: &BodyProgram, plan: &ExecPlan, w: usize) -> (Vec<f64>, Vec<f64>) {
-        let data: Vec<f64> = (0..w + 4).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-        let scalars = [1.75f64];
-        let out_view_map = [None, Some(0u16)];
-        let cursors = [0i64, 0i64];
-        let coords = [0i64, 0i64];
+    /// Input row of the jit and VM runs: room for offsets up to 16.
+    fn data(w: usize) -> Vec<f64> {
+        (0..w + 16).map(|i| (i as f64 * 0.37).sin() * 3.0).collect()
+    }
 
+    const SCALARS: [f64; 1] = [1.75];
+    const OUT_VIEW_MAP: [Option<u16>; 2] = [None, Some(0)];
+
+    /// `program` stitched under `plan`, over one row of width `w`.
+    fn run_jit(program: &BodyProgram, plan: &ExecPlan, w: usize) -> Vec<f64> {
+        let data = data(w);
         let jit = JitProgram::build(program, plan).expect("stitchable");
-        let mut jit_out = vec![0.0f64; w.max(1)];
-        {
-            let inputs: [&[f64]; 2] = [&data, &[]];
-            let mut out0 = jit_out.as_mut_slice();
-            let mut outputs: [&mut [f64]; 1] = [&mut out0];
-            let pre = jit.prelude_values(&scalars);
-            let mut regs = vec![0.0f64; jit.num_regs() as usize * w.max(1)];
-            jit.fill_prelude_rows(&mut regs, w.max(1), &pre);
-            jit.run_row(
-                &mut regs,
-                w,
-                &inputs,
-                &mut outputs,
-                &out_view_map,
-                &cursors,
-                0,
-                &coords,
-                &scalars,
-                &pre,
-            );
-            let _ = &mut out0;
-        }
+        let mut out = vec![0.0f64; w.max(1)];
+        let pre = jit.prelude_values(&SCALARS);
+        let mut regs = vec![0.0f64; jit.num_regs() as usize * w.max(1)];
+        jit.fill_prelude_rows(&mut regs, w.max(1), &pre);
+        jit.run_row(
+            &mut regs,
+            w,
+            &[&data, &[]],
+            &mut [&mut out],
+            &OUT_VIEW_MAP,
+            &[0, 0],
+            0,
+            &[0, 0],
+            &SCALARS,
+            &pre,
+        );
+        out
+    }
 
-        let mut vm_out = vec![0.0f64; w.max(1)];
+    /// `program` on the VM over one row of width `w`.
+    fn run_vm(program: &BodyProgram, w: usize) -> Vec<f64> {
+        let data = data(w);
+        let mut out = vec![0.0f64; w.max(1)];
         if w > 0 {
-            let inputs: [&[f64]; 2] = [&data, &[]];
-            let mut out0 = vm_out.as_mut_slice();
-            let mut outputs: [&mut [f64]; 1] = [&mut out0];
             let mut regs = vec![0.0f64; program.num_regs as usize * w];
-            program.run_prelude_strip(&mut regs, w, &scalars);
+            program.run_prelude_strip(&mut regs, w, &SCALARS);
             program.run_strip(
                 &mut regs,
                 w,
-                &inputs,
-                &mut outputs,
-                &out_view_map,
-                &cursors,
+                &[&data, &[]],
+                &mut [&mut out],
+                &OUT_VIEW_MAP,
+                &[0, 0],
                 0,
-                &coords,
-                &scalars,
+                &[0, 0],
+                &SCALARS,
             );
         }
-        (jit_out, vm_out)
+        out
+    }
+
+    fn run_both(program: &BodyProgram, plan: &ExecPlan, w: usize) -> (Vec<f64>, Vec<f64>) {
+        (run_jit(program, plan, w), run_vm(program, w))
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1493,6 +1551,169 @@ mod tests {
         for w in [1usize, 4, 9, 32] {
             let (j, v) = run_both(&program, &plan4, w);
             assert_eq!(bits(&j), bits(&v), "w={w}");
+        }
+    }
+
+    /// `out = (l(0) + l(1) + … + l(k−1)) / 6`, or with `signed` the
+    /// combination `2·l(0) − 3·l(1) + 2·l(2) − …`, as the kernel compiler
+    /// emits it (unfused, invariants hoisted).
+    fn k_term_program(k: u16, signed: bool) -> BodyProgram {
+        let mut instrs = vec![
+            Instr::Const { dst: 0, val: 6.0 },
+            Instr::Const { dst: 1, val: 2.0 },
+            Instr::Const { dst: 2, val: 3.0 },
+        ];
+        let mut next = 3u16;
+        let mut acc = None;
+        for t in 0..k {
+            instrs.push(Instr::Load {
+                dst: next,
+                view: 0,
+                off: i64::from(t),
+            });
+            let mut term = next;
+            next += 1;
+            if signed {
+                let c = if t % 2 == 0 { 1 } else { 2 };
+                instrs.push(Instr::Bin {
+                    dst: next,
+                    kind: BinKind::Mul,
+                    a: c,
+                    b: term,
+                });
+                term = next;
+                next += 1;
+            }
+            acc = Some(match acc {
+                None => term,
+                Some(a) => {
+                    let kind = if signed && t % 2 == 1 {
+                        BinKind::Sub
+                    } else {
+                        BinKind::Add
+                    };
+                    instrs.push(Instr::Bin {
+                        dst: next,
+                        kind,
+                        a,
+                        b: term,
+                    });
+                    next += 1;
+                    next - 1
+                }
+            });
+        }
+        let mut src = acc.unwrap();
+        if !signed {
+            instrs.push(Instr::Bin {
+                dst: next,
+                kind: BinKind::Div,
+                a: src,
+                b: 0,
+            });
+            src = next;
+            next += 1;
+        }
+        instrs.push(Instr::Store {
+            view: 1,
+            off: 0,
+            src,
+        });
+        let mut p = BodyProgram {
+            instrs,
+            num_regs: next,
+            ..Default::default()
+        };
+        p.finalize_stats();
+        p.hoist_invariants();
+        p
+    }
+
+    /// Sums and signed combinations of any arity: past `MAX_CHAIN_TAPS`
+    /// taps a chain continues in one seeded by its accumulator. The fused
+    /// program stitched at unroll 1 and 4 gives the generic VM's bits.
+    #[test]
+    fn chains_of_any_arity_match_the_vm() {
+        for k in [2u16, 6, 8, 9, 12] {
+            for signed in [false, true] {
+                let program = k_term_program(k, signed);
+                let fused = fuse_program(&program);
+                let chains = usize::from(k - 1).div_ceil(MAX_CHAIN_TAPS);
+                for unroll in [1, 4] {
+                    let plan = ExecPlan {
+                        unroll,
+                        ..ExecPlan::default()
+                    };
+                    let jit = JitProgram::build(&fused, &plan).expect("stitchable");
+                    let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
+                    let unit = if signed { 0 } else { chains };
+                    assert_eq!(shape, (chains, usize::from(k - 1), unit), "k = {k}");
+                    for w in [1usize, 7, 16, 33] {
+                        let vm = run_vm(&program, w);
+                        assert!(vm.iter().any(|&x| x != 0.0));
+                        assert_eq!(
+                            bits(&run_jit(&fused, &plan, w)),
+                            bits(&vm),
+                            "k = {k}, signed {signed}, unroll {unroll}, w = {w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A copy, plain or scaled, is a chain of no taps with a store sink:
+    /// one fragment, bit-identical to the VM.
+    #[test]
+    fn a_copy_is_a_chain_of_no_taps() {
+        let store = Instr::Store {
+            view: 1,
+            off: 0,
+            src: 1,
+        };
+        let copy = BodyProgram {
+            instrs: vec![
+                Instr::Load {
+                    dst: 1,
+                    view: 0,
+                    off: 2,
+                },
+                store.clone(),
+            ],
+            num_regs: 2,
+            ..BodyProgram::default()
+        };
+        let scaled = BodyProgram {
+            instrs: vec![
+                Instr::Arg { dst: 0, arg: 0 },
+                Instr::BinLoad {
+                    dst: 1,
+                    kind: BinKind::Mul,
+                    a: 0,
+                    view: 0,
+                    off: 2,
+                    load_left: false,
+                },
+                store,
+            ],
+            prelude_len: 1,
+            num_regs: 2,
+            ..BodyProgram::default()
+        };
+        for (program, unit) in [(copy, 1), (scaled, 0)] {
+            for unroll in [1, 4] {
+                let plan = ExecPlan {
+                    unroll,
+                    ..ExecPlan::default()
+                };
+                let jit = JitProgram::build(&program, &plan).unwrap();
+                let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
+                assert_eq!(shape, (1, 0, unit));
+                for w in [1usize, 7, 16, 33] {
+                    let (j, v) = run_both(&program, &plan, w);
+                    assert_eq!(bits(&j), bits(&v), "unroll {unroll}, w = {w}");
+                }
+            }
         }
     }
 
@@ -1719,11 +1940,12 @@ mod tests {
         });
     }
 
-    /// Every `LinChain` monomorph: seeded from a view or a register,
-    /// sunk into a register or a store, plain or unrolled by 4.
+    /// Every `LinChain` monomorph, copies (no taps) included: seeded from a
+    /// view or a register, sunk into a register or a store, plain or
+    /// unrolled by 4; `UNIT` ones with unit taps only.
     #[test]
     fn chain_copies_are_bit_identical() {
-        fn chain<const K: usize, const SEED_SCALED: bool, const SCALE: u8>() {
+        fn chain<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>() {
             let coefs = [
                 TapCoef::One,
                 TapCoef::NegOne,
@@ -1739,12 +1961,12 @@ mod tests {
             let taps = std::array::from_fn(|t| ChainTap {
                 view: 0,
                 off: t as i64 * 2 - 1,
-                coef: coefs[t % 4],
+                coef: if UNIT { TapCoef::One } else { coefs[t % 4] },
             });
             for seed in [SeedRef::View { view: 0, off: 3 }, SeedRef::Reg(1)] {
                 for sink in [Sink::Reg, Sink::Store { view: 1, off: 1 }] {
                     for unroll4 in [false, true] {
-                        both_copies(LinChain::<K, SEED_SCALED, SCALE> {
+                        both_copies(LinChain::<K, SEED_SCALED, SCALE, UNIT> {
                             dst: 6,
                             seed,
                             seed_coef: 2,
@@ -1759,14 +1981,17 @@ mod tests {
         }
         macro_rules! chains {
             ($($k:literal)*) => {$(
-                chain::<$k, false, 0>();
-                chain::<$k, false, 1>();
-                chain::<$k, false, 2>();
-                chain::<$k, true, 0>();
-                chain::<$k, true, 1>();
-                chain::<$k, true, 2>();
+                chain::<$k, false, 0, false>();
+                chain::<$k, false, 1, false>();
+                chain::<$k, false, 2, false>();
+                chain::<$k, false, 0, true>();
+                chain::<$k, false, 1, true>();
+                chain::<$k, false, 2, true>();
+                chain::<$k, true, 0, false>();
+                chain::<$k, true, 1, false>();
+                chain::<$k, true, 2, false>();
             )*};
         }
-        chains!(1 2 3 4 5 6 7 8);
+        chains!(0 1 2 3 4 5 6 7 8);
     }
 }

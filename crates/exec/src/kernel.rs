@@ -39,7 +39,7 @@ use fsc_ir::{Attribute, BlockId, IrError, Module, OpId, Result, Type, ValueId};
 use crate::bytecode::{BinKind, BodyProgram, CmpKind, Instr, UnKind};
 use crate::jit::{self, JitProgram};
 use crate::plan::ExecPlan;
-use crate::specialize::{self, ExecPath, SpecBody, SpecProgram};
+use crate::specialize::{self, ExecPath, SpecBody};
 use crate::value::{column_major_strides, BufId, Memory};
 
 fn err(msg: impl std::fmt::Display) -> IrError {
@@ -149,9 +149,9 @@ pub struct Nest {
     /// Superinstruction-fused variant of `program` (the FusedVm path).
     /// Same op counts, fewer dispatches; see `specialize::fuse_program`.
     pub fused: BodyProgram,
-    /// Native specialized realisation when the body matches a template
-    /// (the Specialized path); see `specialize::specialize_program`.
-    pub specialized: Option<SpecProgram>,
+    /// Native specialized realisation when the body is the PW advection
+    /// triple (the Specialized path); see `specialize::specialize_program`.
+    pub specialized: Option<SpecBody>,
     /// Stitched dispatch-free realisation of `fused` (the Jit path),
     /// built for and owned by this nest (clones of the nest share it).
     /// `None` when stitching was skipped (see [`crate::jit::JitSkip`]); the
@@ -838,9 +838,8 @@ fn compile_one_nest(
     // A nest runs specialized only when every store view has an output
     // slot, so `run_spec_row` always finds its rows.
     let specialized = specialize::specialize_program(&program).filter(|s| {
-        s.bodies
+        s.outputs()
             .iter()
-            .flat_map(SpecBody::outputs)
             .all(|a| out_views.contains(&usize::from(a.view)))
     });
 
@@ -1777,7 +1776,7 @@ fn run_range(
     // exactly like the strip VM; without it, fall down the ladder. The
     // GenericVm override runs the unfused program; everything else runs the
     // fused one (identical values either way — fusion is bit-exact).
-    let specialized: Option<&SpecProgram> = if nest.path == ExecPath::Specialized && strip_ok {
+    let specialized: Option<&SpecBody> = if nest.path == ExecPath::Specialized && strip_ok {
         nest.specialized.as_ref()
     } else {
         None
@@ -1793,7 +1792,6 @@ fn run_range(
         &nest.fused
     };
     let num_regs = program.num_regs.max(1) as usize;
-    let unroll = nest.plan.unroll;
 
     let mut coords: Vec<i64> = bounds.iter().map(|&(lb, _)| lb).collect();
     let mut cursors = vec![0i64; views.len()];
@@ -1831,22 +1829,11 @@ fn run_range(
             cursors[v] = c;
         }
         let (lb0, ub0) = bounds[0];
-        if let Some(spec) = specialized {
-            // Native fast path: each body sweeps the whole unit-stride row
-            // in one monomorphised loop — no bytecode dispatch at all.
+        if let Some(body) = specialized {
+            // Native fast path: the body sweeps the whole unit-stride row
+            // in one loop — no bytecode dispatch at all.
             let w = (ub0 - lb0) as usize;
-            for body in &spec.bodies {
-                specialize::run_spec_row(
-                    body,
-                    inputs,
-                    outputs,
-                    out_view_map,
-                    &cursors,
-                    scalars,
-                    w,
-                    unroll,
-                );
-            }
+            specialize::run_spec_row(body, inputs, outputs, out_view_map, &cursors, scalars, w);
         } else if let Some(jp) = jitted {
             // Stitched fast path: the whole unit-stride row runs through
             // the pre-monomorphized fragment sequence — one indirect call
@@ -3221,10 +3208,10 @@ end program gs2
                 .iter()
                 .position(|n| n.out_views.len() == 3 && n.program.loads_per_cell > 0)
                 .expect("the advection nest");
-            let bodies = k.nests[c].specialized.as_ref().map(|s| &s.bodies[..]);
+            let body = &k.nests[c].specialized;
             assert!(
-                matches!(bodies, Some([b @ SpecBody::PwAdvect { .. }]) if b.outputs().len() == 3),
-                "n = {n}: {bodies:?}"
+                body.as_ref().is_some_and(|b| b.outputs().len() == 3),
+                "n = {n}: {body:?}"
             );
             let (bounds, instrs) = (&k.nests[c].bounds, k.nests[c].program.instrs.len());
             assert_eq!(slab_count(bounds, instrs, 2), if n >= 16 { 2 } else { 1 });

@@ -181,11 +181,13 @@ fn sixty_four_concurrent_mixed_requests() {
     assert_eq!(stats.get("completed").and_then(Json::as_i64), Some(63));
     assert_eq!(stats.get("failed").and_then(Json::as_i64), Some(1));
     assert_eq!(stats.get("rejected").and_then(Json::as_i64), Some(0));
-    // Per-tier gauges: every valid run's GS nests attest the specialized
-    // tier, and the jit stitch-counter section is present.
+    // Per-tier gauges: every valid run's GS nests attest the jit tier
+    // (GS has no specialized template), and the jit stitch-counter
+    // section is present.
+    assert_eq!(stats.get("exec_jit").and_then(Json::as_i64), Some(63));
     assert_eq!(
         stats.get("exec_specialized").and_then(Json::as_i64),
-        Some(63)
+        Some(0)
     );
     assert!(stats.get("jit_builds").and_then(Json::as_i64).is_some());
 
@@ -391,10 +393,9 @@ fn renamed_program_recompiles_and_restitches_bit_identically() {
             v.render()
         );
         assert_eq!(v.get("artifact").and_then(Json::as_str), Some("fresh"));
-        // Mixed ladder: the sqrt sweep runs on the jit, the copy sweep on
-        // the specialized template.
+        // One tier: the sqrt sweep and the copy sweep both run on the jit.
         assert!(contains(&v, "exec_tiers", "jit"), "{}", v.render());
-        assert!(contains(&v, "exec_tiers", "specialized"), "{}", v.render());
+        assert!(!contains(&v, "exec_tiers", "specialized"), "{}", v.render());
         assert!(v.get("jit_artifacts").is_none(), "{}", v.render());
         assert_eq!(
             v.get("checksum").and_then(Json::as_str),
@@ -405,7 +406,7 @@ fn renamed_program_recompiles_and_restitches_bit_identically() {
     let stats = client.stats().unwrap();
     let count = |key: &str| stats.get(key).and_then(Json::as_i64).unwrap();
     assert!(count("exec_jit") >= 2);
-    assert!(count("exec_specialized") >= 2);
+    assert_eq!(count("exec_specialized"), 0);
     assert!(count("jit_builds") >= 2, "{}", stats.render());
     assert!(
         count("jit_codegen_count") >= 2,

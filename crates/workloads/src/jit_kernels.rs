@@ -1,11 +1,9 @@
-//! Non-template stencil kernels for the jit tier (Figure 8).
+//! Non-linear stencil kernels for the jit tier (Figure 8).
 //!
-//! Each generator produces a loop nest the specialized template matcher
-//! rejects — a transcendental (`sqrt`), a variable per-cell coefficient
-//! array, and `min`/`max` clamping — so the fastest available tier for
-//! the compute sweep is the stitched jit. The copy sweep still matches
-//! the `Copy` template, which makes these programs exercise a *mixed*
-//! ladder (specialized + jit) in one region, exactly the gap Figure 8
+//! Each generator produces a loop nest outside the jit's linear chains —
+//! a transcendental (`sqrt`), a variable per-cell coefficient array, and
+//! `min`/`max` clamping — so the stitched jit runs it on its 1:1
+//! fragments, with at most part of it in a chain: the gap Figure 8
 //! measures against the fused/generic VMs.
 //!
 //! All three follow the Gauss–Seidel double-buffering idiom (`un` from
@@ -14,7 +12,7 @@
 //! benches stay in a numerically tame regime.
 
 /// sqrt-containing relaxation: `un = sqrt(u) + 0.125 * (4 neighbours)`.
-/// The `sqrt` keeps it off every linear template; the neighbour sum still
+/// The `sqrt` keeps it off a single linear chain; the neighbour sum still
 /// collapses into one stitched accumulator chain.
 pub fn sqrt_source(n: usize, iters: usize) -> String {
     format!(
@@ -54,8 +52,8 @@ end program jit_sqrt
 }
 
 /// Variable-coefficient stencil: `un = a(i,j,k) * (4 neighbours)` where
-/// `a` is a per-cell array, not a scalar — the templates only accept
-/// constant or argument coefficients, so this lands on the jit.
+/// `a` is a per-cell array, not a scalar — a chain tap's coefficient is
+/// a constant or an argument, so the products run as 1:1 fragments.
 pub fn varcoef_source(n: usize, iters: usize) -> String {
     format!(
         "program jit_varcoef
@@ -96,7 +94,7 @@ end program jit_varcoef
 }
 
 /// Flux-limited average: the neighbour average clamped to a band around
-/// the centre value via `min`/`max` — non-linear, so template-free.
+/// the centre value via `min`/`max` — non-linear.
 pub fn minmax_source(n: usize, iters: usize) -> String {
     format!(
         "program jit_minmax

@@ -275,7 +275,7 @@ proptest! {
         prop_assert_eq!(&serial[..], parallel.array("r").expect("r array"));
     }
 
-    /// Every rung of the specialization ladder — native loops, the
+    /// Every rung of the specialization ladder — the stitched jit, the
     /// superinstruction VM and the generic VM — must be **bit**-identical
     /// on random 2-D stencils, and the run report must attest which rung
     /// actually executed.
@@ -288,20 +288,20 @@ proptest! {
         let source = program_2d(&terms, n);
         let opts = CompileOptions { target: Target::StencilCpu, ..Default::default() };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
-        let has_spec = compiled
+        let has_jit = compiled
             .kernels
             .values()
             .flat_map(|k| &k.nests)
-            .any(|nest| nest.specialized.is_some());
+            .any(|nest| nest.jit.is_some());
         let mut results = Vec::new();
-        for path in [ExecPath::Specialized, ExecPath::FusedVm, ExecPath::GenericVm] {
+        for path in [ExecPath::Jit, ExecPath::FusedVm, ExecPath::GenericVm] {
             for kernel in compiled.kernels.values_mut() {
                 kernel.force_exec_path(path);
             }
             let exec = compiled.run().expect("forced-path run");
-            // Specialized is best-effort (nests without a template keep
-            // their tier); the VM tiers always switch.
-            if path != ExecPath::Specialized || has_spec {
+            // Jit is best-effort (a nest whose stitch was skipped keeps its
+            // tier); the VM tiers always switch.
+            if path != ExecPath::Jit || has_jit {
                 prop_assert!(
                     exec.report.attests(path),
                     "expected {} in {:?}", path, exec.report.exec_paths
@@ -309,14 +309,14 @@ proptest! {
             }
             results.push(exec.array("r").expect("r array").to_vec());
         }
-        prop_assert_eq!(&results[0], &results[1], "specialized vs fused-vm");
+        prop_assert_eq!(&results[0], &results[1], "jit vs fused-vm");
         prop_assert_eq!(&results[1], &results[2], "fused-vm vs generic-vm");
     }
 
     /// Cache-blocked execution must be **bit**-identical to the unblocked
     /// default plan for every tile shape — unit tiles, non-divisible
     /// tiles, tiles larger than the extent, unrolled inner loops — on
-    /// both the specialized native path and the generic VM.
+    /// both the stitched jit and the generic VM.
     #[test]
     fn tiled_plans_bit_identical_on_random_2d_stencils(
         terms in prop::collection::vec(term2(), 1..6),
@@ -349,7 +349,7 @@ proptest! {
             },
             ExecPlan { unroll: 4, ..ExecPlan::default() },
         ];
-        for path in [ExecPath::Specialized, ExecPath::GenericVm] {
+        for path in [ExecPath::Jit, ExecPath::GenericVm] {
             for plan in &plans {
                 for kernel in compiled.kernels.values_mut() {
                     kernel.force_exec_path(path);
