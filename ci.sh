@@ -136,8 +136,10 @@ echo "== vector width gate =="
 # the body inlined. The fused PW row's copy must not call or jump into
 # another function of this workspace (a closure or an `#[inline(never)]`
 # body runs at baseline width); no function may call a jit fragment's
-# closure (the `LinChain` lane once ran as one call per cell); and some jit
-# fragment copy must be zmm code.
+# closure (the `LinChain` lane once ran as one call per cell); some jit
+# fragment copy must be zmm code; and the one-fragment box loop's copies
+# must be zmm code that calls no jit row function (`row_op`, a `Row::row`
+# or its closure): the row body is inlined, not called per row.
 if [[ $(uname -m) == x86_64 ]]; then
   cargo build -q --release --example fsc
   objdump -d -C --no-show-raw-insn "${CARGO_TARGET_DIR:-target}/release/examples/fsc" | awk '
@@ -145,6 +147,7 @@ if [[ $(uname -m) == x86_64 ]]; then
       f = ""
       if ($0 ~ /<fsc_exec::specialize::pw_nest_row::avx512f::wide>:$/) { f = "pw"; pw++ }
       if ($0 ~ /<fsc_exec::jit::row_op::avx512f::wide>:$/) { f = "jit"; jit++ }
+      if ($0 ~ /<fsc_exec::jit::box_op::avx512f::wide>:$/) { f = "box"; box++ }
       next
     }
     /(call|jmp)[a-z]* +[0-9a-f]+ <.*fsc_exec::jit::.*::row::[{][{]closure[}][}]>$/ {
@@ -155,10 +158,14 @@ if [[ $(uname -m) == x86_64 ]]; then
     f == "pw" && /(call|jmp)[a-z]* +[0-9a-f]+ <fsc_/ && $0 !~ /::avx512f::wide\+0x[0-9a-f]+>$/ {
       print "pw_nest_row leaves its copy: " $0; bad = 1
     }
+    f == "box" && /(call|jmp)[a-z]* +[0-9a-f]+ <.*fsc_exec::jit::.*(::row|row_op)/ {
+      print "box_op calls a row: " $0; bad = 1
+    }
     END {
       print "pw_nest_row: " pw + 0 " AVX-512F copy, " zmm["pw"] + 0 " zmm instructions"
       print "jit::row_op: " jit + 0 " AVX-512F copies, " zmm["jit"] + 0 " zmm instructions"
-      if (!pw || !zmm["pw"] || !jit || !zmm["jit"]) bad = 1
+      print "jit::box_op: " box + 0 " AVX-512F copies, " zmm["box"] + 0 " zmm instructions"
+      if (!pw || !zmm["pw"] || !jit || !zmm["jit"] || !box || !zmm["box"]) bad = 1
       exit bad
     }' || { echo "an AVX-512F row copy is not zmm code of its own"; exit 1; }
 fi

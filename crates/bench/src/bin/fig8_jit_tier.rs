@@ -21,7 +21,8 @@
 //! all tiers; PW 24³ must run specialized by default, bit-identical to
 //! the forced jit and generic VM; Gauss–Seidel must run every nest on the
 //! jit, its update and its copy each stitched as one store-sunk `UNIT`
-//! chain, bit-identical to the generic VM.
+//! chain and its init as one affine chain, bit-identical to the generic
+//! VM; PW's init must stitch to three chains, one per array.
 //!
 //! `FSC_FORCE_EXEC_PATH=<specialized|jit|fused-vm|generic-vm>` restricts
 //! the sweep to one tier (the env var is parsed *here*, in the binary —
@@ -247,29 +248,37 @@ fn smoke() {
         );
     }
 
-    // 3) GS stitches every nest by default, its update `(six loads) / 6`
-    //    as one `UNIT` chain — seed, five unit taps, divide, store — and
-    //    its copy as one of no taps, and is bit-identical to the generic
-    //    VM: a chain-detection regression would leave the sum on 1:1
-    //    fragments or multiplying by 1.0.
+    // 3) GS stitches every nest by default to one fragment: its update
+    //    `(six loads) / 6` as one `UNIT` chain — seed, five unit taps,
+    //    divide, store —, its copy as one of no taps and its affine init
+    //    as one chain over the `i` ramp and two per-row scalars; PW's init
+    //    stitches to one such chain per array. GS is bit-identical to the
+    //    generic VM: a chain-detection regression would leave the sum on
+    //    1:1 fragments or multiplying by 1.0, and an init on seven.
     let source = gauss_seidel::fortran_source(24, 10);
     let mut gs = Compiler::compile(&source, &opts(None)).expect("GS compile");
     assert_eq!(tier_set(&gs), [ExecPath::Jit], "GS: every nest on the jit");
-    for (loads, taps) in [(6, 5), (1, 0)] {
-        let jit = gs
-            .kernels
+    let jit_of = |c: &Compiled, loads: u64| {
+        c.kernels
             .values()
             .flat_map(|k| &k.nests)
             .find(|nest| nest.program.loads_per_cell == loads)
             .and_then(|nest| nest.jit.as_ref())
-            .expect("GS update and copy nests, stitched");
-        let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
+            .map(|jit| (jit.steps_len(), jit.chained_taps(), jit.unit_chains()))
+    };
+    for (loads, shape) in [(6, (1, 5, 1)), (1, (1, 0, 1)), (0, (1, 2, 0))] {
         assert_eq!(
-            shape,
-            (1, taps, 1),
+            jit_of(&gs, loads),
+            Some(shape),
             "GS: (fragments, chained taps, UNIT chains) of the nest with {loads} loads"
         );
     }
+    let pw = Compiler::compile(&pw_advection::fortran_source(24), &opts(None)).expect("PW");
+    assert_eq!(
+        jit_of(&pw, 0).map(|(fragments, ..)| fragments),
+        Some(3),
+        "PW: its init, one chain per array"
+    );
     let mut generic =
         Compiler::compile(&source, &opts(Some(ExecPath::GenericVm))).expect("GS compile");
     assert_eq!(
@@ -281,7 +290,8 @@ fn smoke() {
     println!(
         "jit smoke PASS: 3 non-template kernels on the jit tier bit-identical \
          across all tiers, PW 24^3 specialized and bit-identical to jit and generic-vm, \
-         GS on the jit as UNIT chains and bit-identical to generic-vm, {:.1}s wall",
+         GS on the jit as one fragment per nest and bit-identical to generic-vm, \
+         PW's init as 3 chains, {:.1}s wall",
         t0.elapsed().as_secs_f64()
     );
 }

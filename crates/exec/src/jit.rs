@@ -11,12 +11,17 @@
 //! the unit-stride row is straight-line, branch-free and
 //! auto-vectorisable. The stitched program is a flat
 //! `Vec<Box<dyn RowOp>>`: one indirect call per fragment per *row*,
-//! amortised over the whole row width, zero dispatch per cell.
+//! amortised over the whole row width, zero dispatch per cell — and for a
+//! program of one fragment one call per *box*, the fragment walking the
+//! box's rows itself ([`JitProgram::run_box`]). What does not vary along
+//! a row (constants, arguments, outer coordinates and anything computed
+//! from only those) is evaluated once per row as a scalar, not as a row.
 //!
 //! On top of the 1:1 fragments a peephole stitches **linear-combination
 //! chains** (`acc = seed ± c·load ± …`, optionally scaled and stored) into
 //! a single [`LinChain`] fragment with the accumulator held in a register
-//! across taps. This is the one CPU code generator for linear stencils:
+//! across taps; a seed or tap may also be a row scalar or the `c·i`
+//! coordinate ramp, so an affine fill is one chain. This is the one CPU code generator for linear stencils:
 //! sums (Gauss–Seidel, Listing 1), linear combinations and copies (a
 //! chain of no taps) run here. Chain arithmetic reproduces the VM's exact
 //! per-cell operation sequence (two roundings per multiply–accumulate,
@@ -46,7 +51,6 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -104,37 +108,65 @@ impl JitSkip {
 // ---------------------------------------------------------------------------
 
 /// Machine state a fragment sees while executing one unit-stride row.
-pub struct RowCtx<'a, 'i, 'o> {
-    /// Row register file: `num_regs * w` doubles, prelude rows pre-filled.
-    pub regs: &'a mut [f64],
+struct RowCtx<'a, 'i, 'o> {
+    /// Row register file: `num_regs * w` doubles, prelude and ramp rows
+    /// filled for the box.
+    regs: &'a mut [f64],
     /// Row width (cells).
-    pub w: usize,
+    w: usize,
     /// Input view slices.
-    pub inputs: &'a [&'i [f64]],
+    inputs: &'a [&'i [f64]],
     /// Output slabs.
-    pub outputs: &'a mut [&'o mut [f64]],
+    outputs: &'a mut [&'o mut [f64]],
     /// View index → output slot.
-    pub out_view_map: &'a [Option<u16>],
-    /// Per-view linear cursor of lane 0 (slab-relative for outputs).
-    pub cursors: &'a [i64],
-    /// Global dim-0 coordinate of lane 0.
-    pub coord0: i64,
-    /// Outer-dimension coordinates.
-    pub coords: &'a [i64],
+    out_view_map: &'a [Option<u16>],
+    /// Per-view linear cursor of lane 0 (slab-relative for outputs), moved
+    /// from row to row by the [`Walk`].
+    cursors: &'a mut [i64],
+    /// Every dimension's coordinate of lane 0, moved with the cursors.
+    coords: &'a mut [i64],
     /// Scalar kernel arguments.
-    pub scalars: &'a [f64],
-    /// Prelude register values for this nest invocation.
-    pub pre: &'a [f64],
+    scalars: &'a [f64],
+    /// Scalar registers: the prelude's for the box, the row scalars' for
+    /// this row.
+    pre: &'a mut [f64],
+    /// A row of ones: the operand of a chain's scalar seed or tap.
+    ones: &'a [f64],
 }
 
-/// One stitched fragment: `run` picks a copy of its `Row` once per row.
+/// One stitched fragment: `run` picks a copy of its `Row` once per row,
+/// `run_box` once per box for a chain.
 trait RowOp: Send + Sync + std::fmt::Debug {
     fn run(&self, ctx: &mut RowCtx<'_, '_, '_>);
+    fn run_box(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars);
 }
 
-/// A fragment's row loop, inlined into both copies of `row_op`.
+/// A fragment's row loop, inlined into the copies of `row_op`, or of
+/// `box_op` for a chain.
 trait Row: Send + Sync + std::fmt::Debug {
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>);
+
+    /// One row at the host's vector width.
+    fn run_row(&self, ctx: &mut RowCtx<'_, '_, '_>)
+    where
+        Self: Sized,
+    {
+        row_op::run(self, ctx);
+    }
+
+    /// Every row of `walk`'s box, one [`Row::run_row`] after another.
+    fn run_rows(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars)
+    where
+        Self: Sized,
+    {
+        loop {
+            self.run_row(ctx);
+            if !walk.next(ctx.cursors, ctx.coords) {
+                break;
+            }
+            rows.eval(ctx);
+        }
+    }
 }
 
 crate::wide::multiversion! {
@@ -144,9 +176,131 @@ crate::wide::multiversion! {
     }
 }
 
+crate::wide::multiversion! {
+    /// A chain over every row of a box at the host's vector width, the row
+    /// body inlined: no call per row. A chain's one row is a box of one.
+    fn box_op[T: Row](op: &T, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars) {
+        loop {
+            op.row(ctx);
+            if !walk.next(ctx.cursors, ctx.coords) {
+                break;
+            }
+            rows.eval(ctx);
+        }
+    }
+}
+
 impl<T: Row> RowOp for T {
     fn run(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        row_op::run(self, ctx);
+        self.run_row(ctx);
+    }
+
+    fn run_box(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars) {
+        self.run_rows(ctx, walk, rows);
+    }
+}
+
+/// The rows of one box, visited dimension 1 fastest, and where each view's
+/// cursor points in each of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Walk<'a> {
+    /// Half-open bounds per dimension, dimension 0 (the row) first.
+    pub bounds: &'a [(i64, i64)],
+    /// Each view's strides over the box's dimensions, `strides[v * rank + d]`.
+    pub strides: &'a [i64],
+    /// Flat index of each view's buffer origin, subtracted from its cursor.
+    pub bases: &'a [i64],
+}
+
+impl Walk<'_> {
+    /// A box of one row, whatever the cursors: [`Walk::next`] ends it.
+    const ONE_ROW: Walk<'static> = Walk {
+        bounds: &[(0, 1)],
+        strides: &[],
+        bases: &[],
+    };
+
+    /// Point `coords` at the box's first row and each view's cursor at its
+    /// first cell.
+    pub fn start(&self, cursors: &mut [i64], coords: &mut [i64]) {
+        for (c, &(lb, _)) in coords.iter_mut().zip(self.bounds) {
+            *c = lb;
+        }
+        self.aim(cursors, coords);
+    }
+
+    fn aim(&self, cursors: &mut [i64], coords: &[i64]) {
+        let rank = self.bounds.len();
+        for (v, cur) in cursors.iter_mut().enumerate() {
+            let strides = &self.strides[v * rank..v * rank + rank];
+            let at: i64 = coords.iter().zip(strides).map(|(c, s)| c * s).sum();
+            *cur = at - self.bases[v];
+        }
+    }
+
+    /// Move to the next row; `false` past the last one. Within a plane a
+    /// row step adds each view's dimension-1 stride to its cursor.
+    #[inline(always)]
+    pub fn next(&self, cursors: &mut [i64], coords: &mut [i64]) -> bool {
+        let rank = self.bounds.len();
+        if rank < 2 {
+            return false;
+        }
+        coords[1] += 1;
+        if coords[1] < self.bounds[1].1 {
+            for (v, cur) in cursors.iter_mut().enumerate() {
+                *cur += self.strides[v * rank + 1];
+            }
+            return true;
+        }
+        self.carry(cursors, coords)
+    }
+
+    /// The row step that leaves a plane: odometer over dimensions 1 and up.
+    #[cold]
+    #[inline(never)]
+    fn carry(&self, cursors: &mut [i64], coords: &mut [i64]) -> bool {
+        let mut d = 1;
+        loop {
+            coords[d] = self.bounds[d].0;
+            d += 1;
+            if d == self.bounds.len() {
+                return false;
+            }
+            coords[d] += 1;
+            if coords[d] < self.bounds[d].1 {
+                break;
+            }
+        }
+        self.aim(cursors, coords);
+        true
+    }
+}
+
+/// The cell instructions that do not vary along a row, evaluated once per
+/// row as scalars (their rows filled where a fragment reads them).
+#[derive(Debug)]
+struct RowScalars {
+    instrs: Vec<Instr>,
+    fills: Vec<u16>,
+}
+
+impl RowScalars {
+    /// None: what a box of one row evaluates after it.
+    const NONE: RowScalars = RowScalars {
+        instrs: Vec::new(),
+        fills: Vec::new(),
+    };
+
+    #[inline]
+    fn eval(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        for instr in &self.instrs {
+            exec_scalar_instr(instr, ctx.pre, ctx.coords, ctx.scalars);
+        }
+        for &r in &self.fills {
+            let r = usize::from(r);
+            ctx.regs[r * ctx.w..(r + 1) * ctx.w].fill(ctx.pre[r]);
+        }
     }
 }
 
@@ -212,59 +366,6 @@ kind_zsts!(MaK, MaKind:
 // ---------------------------------------------------------------------------
 // 1:1 fragments
 // ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct FillConst {
-    dst: u16,
-    val: f64,
-}
-impl Row for FillConst {
-    #[inline(always)]
-    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
-        d.fill(self.val);
-    }
-}
-
-#[derive(Debug)]
-struct FillArg {
-    dst: u16,
-    arg: u16,
-}
-impl Row for FillArg {
-    #[inline(always)]
-    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let v = ctx.scalars[self.arg as usize];
-        let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
-        d.fill(v);
-    }
-}
-
-#[derive(Debug)]
-struct CoordRow {
-    dst: u16,
-    dim: u8,
-}
-impl Row for CoordRow {
-    #[inline(always)]
-    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let coord0 = ctx.coord0;
-        let fill = if self.dim == 0 {
-            None
-        } else {
-            Some(ctx.coords[self.dim as usize] as f64)
-        };
-        let (d, _) = split_dst(ctx.regs, ctx.w, self.dst);
-        match fill {
-            Some(v) => d.fill(v),
-            None => {
-                for (x, r) in d.iter_mut().enumerate() {
-                    *r = (coord0 + x as i64) as f64;
-                }
-            }
-        }
-    }
-}
 
 #[derive(Debug)]
 struct LoadRow {
@@ -426,30 +527,35 @@ impl<K: BinK, const LOAD_LEFT: bool> Row for BinLoadRow<K, LOAD_LEFT> {
 // Linear-combination chains
 // ---------------------------------------------------------------------------
 
-/// Where a chain's accumulator starts.
+/// Where a chain's accumulator starts, or what a tap multiplies.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum SeedRef {
-    /// A direct load (the absorbed `Load` / `BinLoad{Mul}` seed).
+enum Src {
+    /// A direct load (the absorbed `Load` / `BinLoad{Mul}` seed, a tap).
     View { view: u16, off: i64 },
-    /// An already-materialised register row.
+    /// An already-materialised register row: the accumulator of a chain
+    /// cut at [`MAX_CHAIN_TAPS`], or a `Coord` ramp filled per box.
     Reg(u16),
+    /// A row of ones, scaled by the coefficient: a scalar operand
+    /// (`s · 1.0` is `s` exactly).
+    Ones,
 }
 
 /// Per-tap coefficient. `One`/`NegOne` reproduce plain add/sub taps
 /// (`1.0 * x` and `-1.0 * x` are exact, so the accumulated value is
-/// bit-identical to the VM's `acc + x` / `acc - x`); `Pre` reads a prelude
-/// register, negated for `CMinusMul` (`c - m` ≡ `c + (-a)*b` exactly).
+/// bit-identical to the VM's `acc + x` / `acc - x`); `Pre` reads a scalar
+/// register, negated for `CMinusMul` (`c - m` ≡ `c + (-a)*b` exactly);
+/// `Prod` is the product of two, rounded once as the VM's `mul_acc` does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TapCoef {
     One,
     NegOne,
     Pre { reg: u16, negate: bool },
+    Prod { a: u16, b: u16, negate: bool },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ChainTap {
-    view: u16,
-    off: i64,
+    src: Src,
     coef: TapCoef,
 }
 
@@ -465,9 +571,10 @@ enum Sink {
 struct ChainSpec {
     /// Final destination register (post-scale).
     dst: u16,
-    seed: SeedRef,
-    /// `Some(coef_reg)` when the seed is `coef * load` (a folded
-    /// `BinLoad{Mul}` against a prelude register).
+    seed: Src,
+    /// `Some(coef_reg)` when the seed is `coef * operand` (a folded
+    /// `BinLoad{Mul}` or ramp product against a scalar register, or a
+    /// scalar seed over [`Src::Ones`]).
     seed_coef: Option<u16>,
     taps: Vec<ChainTap>,
     /// `0` none, `1` divide by prelude reg, `2` multiply by prelude reg.
@@ -491,7 +598,7 @@ impl ChainSpec {
 #[derive(Debug)]
 struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> {
     dst: u16,
-    seed: SeedRef,
+    seed: Src,
     seed_coef: u16,
     taps: [ChainTap; K],
     scale_reg: u16,
@@ -548,6 +655,16 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
 impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> Row
     for LinChain<K, SEED_SCALED, SCALE, UNIT>
 {
+    /// A box of one row: a chain has `box_op`'s copies only, not also
+    /// `row_op`'s (each copy is a few kilobytes of text).
+    fn run_row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        box_op::run(self, ctx, &Walk::ONE_ROW, &RowScalars::NONE);
+    }
+
+    fn run_rows(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars) {
+        box_op::run(self, ctx, walk, rows);
+    }
+
     #[inline(always)]
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         let w = ctx.w;
@@ -558,8 +675,10 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
             out_view_map,
             cursors,
             pre,
+            ones,
             ..
         } = ctx;
+        let (d, lo) = split_dst(regs, w, self.dst);
         // Filled by a loop: built with `array::map`, the rows' lengths were
         // lost to LLVM and the plain loop below stayed scalar.
         let mut coefs = [0.0f64; K];
@@ -568,27 +687,15 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
             coefs[t] = match tap.coef {
                 TapCoef::One => 1.0,
                 TapCoef::NegOne => -1.0,
-                TapCoef::Pre { reg, negate } => {
-                    let v = pre[reg as usize];
-                    if negate {
-                        -v
-                    } else {
-                        v
-                    }
+                TapCoef::Pre { reg, negate } => negated(pre[reg as usize], negate),
+                TapCoef::Prod { a, b, negate } => {
+                    negated(pre[a as usize] * pre[b as usize], negate)
                 }
             };
-            let base = (cursors[tap.view as usize] + tap.off) as usize;
-            bases[t] = &inputs[tap.view as usize][base..base + w];
+            bases[t] = src_row(tap.src, inputs, cursors, lo, ones, w);
         }
-        let (d, lo) = split_dst(regs, w, self.dst);
         let r = ChainRow {
-            seed: match self.seed {
-                SeedRef::View { view, off } => {
-                    let base = (cursors[view as usize] + off) as usize;
-                    &inputs[view as usize][base..base + w]
-                }
-                SeedRef::Reg(r) => row(lo, w, r),
-            },
+            seed: src_row(self.seed, inputs, cursors, lo, ones, w),
             seed_coef: if SEED_SCALED {
                 pre[self.seed_coef as usize]
             } else {
@@ -627,6 +734,35 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
             d[x] = Self::lane(&r, x);
             x += 1;
         }
+    }
+}
+
+#[inline(always)]
+fn negated(v: f64, negate: bool) -> f64 {
+    if negate {
+        -v
+    } else {
+        v
+    }
+}
+
+/// The row a chain operand reads this row.
+#[inline(always)]
+fn src_row<'r>(
+    src: Src,
+    inputs: &[&'r [f64]],
+    cursors: &[i64],
+    lo: &'r [f64],
+    ones: &'r [f64],
+    w: usize,
+) -> &'r [f64] {
+    match src {
+        Src::View { view, off } => {
+            let base = (cursors[view as usize] + off) as usize;
+            &inputs[view as usize][base..base + w]
+        }
+        Src::Reg(r) => row(lo, w, r),
+        Src::Ones => &ones[..w],
     }
 }
 
@@ -711,42 +847,140 @@ fn dst_reg(instr: &Instr) -> Option<u16> {
 
 /// One emission unit after chain detection.
 enum StitchItem {
-    Plain(usize),
+    Plain(Instr),
     Chain(ChainSpec),
 }
 
-struct ChainScan<'p> {
-    ins: &'p [Instr],
-    uses: Vec<u32>,
-    is_pre: Vec<bool>,
+/// How the stitched program holds a register's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Held {
+    /// A row a fragment computes.
+    Row,
+    /// A prelude scalar, set once per box (its row filled too).
+    Prelude,
+    /// A row scalar, evaluated once per row.
+    RowScalar,
+    /// A `Coord` along dimension 0: a row filled once per box.
+    Ramp,
 }
 
-impl<'p> ChainScan<'p> {
-    fn new(program: &'p BodyProgram) -> Self {
-        let ins = program.cell_instrs();
-        let mut uses = vec![0u32; program.num_regs as usize];
-        let mut scratch = Vec::new();
-        for instr in ins {
-            operand_regs(instr, &mut scratch);
-            for &r in &scratch {
-                uses[r as usize] += 1;
-            }
-        }
-        let mut is_pre = vec![false; program.num_regs as usize];
+/// The row body left for fragments once the cell instructions that do not
+/// vary along a row are hoisted out, and how each register is held.
+struct ChainScan {
+    ins: Vec<Instr>,
+    uses: Vec<u32>,
+    held: Vec<Held>,
+}
+
+impl ChainScan {
+    /// `Const`, `Arg` and `Coord` on dimensions ≥ 1 do not vary along a row,
+    /// and neither does an instruction over only those and the prelude:
+    /// returned as the row scalars, in order. `Coord` on dimension 0 is
+    /// returned as a ramp. Every other instruction stays in the body.
+    fn new(program: &BodyProgram) -> (Self, Vec<Instr>, Vec<u16>) {
+        let n = usize::from(program.num_regs);
+        let mut held = vec![Held::Row; n];
         for instr in &program.instrs[..program.prelude_len] {
             if let Some(d) = dst_reg(instr) {
-                is_pre[d as usize] = true;
+                held[usize::from(d)] = Held::Prelude;
             }
         }
-        Self { ins, uses, is_pre }
+        let (mut ins, mut row_scalars, mut ramps) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scratch = Vec::new();
+        for instr in program.cell_instrs() {
+            operand_regs(instr, &mut scratch);
+            let scalar_operands = scratch
+                .iter()
+                .all(|&r| matches!(held[usize::from(r)], Held::Prelude | Held::RowScalar));
+            match *instr {
+                Instr::Coord { dst, dim: 0 } => {
+                    held[usize::from(dst)] = Held::Ramp;
+                    ramps.push(dst);
+                }
+                Instr::Load { .. } | Instr::BinLoad { .. } | Instr::Store { .. } => {
+                    ins.push(instr.clone())
+                }
+                _ if scalar_operands => {
+                    if let Some(d) = dst_reg(instr) {
+                        held[usize::from(d)] = Held::RowScalar;
+                    }
+                    row_scalars.push(instr.clone());
+                }
+                _ => ins.push(instr.clone()),
+            }
+        }
+        let mut uses = vec![0u32; n];
+        for instr in &ins {
+            operand_regs(instr, &mut scratch);
+            for &r in &scratch {
+                uses[usize::from(r)] += 1;
+            }
+        }
+        (Self { ins, uses, held }, row_scalars, ramps)
     }
 
     fn used_once(&self, r: u16) -> bool {
         self.uses[r as usize] == 1
     }
 
-    fn pre(&self, r: u16) -> bool {
-        self.is_pre[r as usize]
+    /// `pre[r]` holds the register's value for the row.
+    fn scalar(&self, r: u16) -> bool {
+        matches!(self.held[r as usize], Held::Prelude | Held::RowScalar)
+    }
+
+    fn ramp(&self, r: u16) -> bool {
+        self.held[r as usize] == Held::Ramp
+    }
+
+    /// The tap that adds (or with `negate` subtracts) register `m`, when it
+    /// is a scalar or a ramp.
+    fn affine_tap(&self, m: u16, negate: bool) -> Option<ChainTap> {
+        if self.scalar(m) {
+            let coef = TapCoef::Pre { reg: m, negate };
+            Some(ChainTap {
+                src: Src::Ones,
+                coef,
+            })
+        } else if self.ramp(m) {
+            let coef = if negate {
+                TapCoef::NegOne
+            } else {
+                TapCoef::One
+            };
+            Some(ChainTap {
+                src: Src::Reg(m),
+                coef,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// The tap that adds (or subtracts) `a · b`, when one factor is a scalar
+    /// and the other a scalar or a ramp.
+    fn product_tap(&self, a: u16, b: u16, negate: bool) -> Option<ChainTap> {
+        let (s, other) = if self.scalar(a) {
+            (a, b)
+        } else if self.scalar(b) {
+            (b, a)
+        } else {
+            return None;
+        };
+        if self.scalar(other) {
+            let coef = TapCoef::Prod { a, b, negate };
+            Some(ChainTap {
+                src: Src::Ones,
+                coef,
+            })
+        } else if self.ramp(other) {
+            let coef = TapCoef::Pre { reg: s, negate };
+            Some(ChainTap {
+                src: Src::Reg(other),
+                coef,
+            })
+        } else {
+            None
+        }
     }
 
     /// If `ins[j]` (with possibly one helper `Load` at `j`) extends a
@@ -768,7 +1002,8 @@ impl<'p> ChainScan<'p> {
                     BinKind::Sub if !load_left => TapCoef::NegOne,
                     _ => return None,
                 };
-                Some((ChainTap { view, off, coef }, dst, j + 1))
+                let src = Src::View { view, off };
+                Some((ChainTap { src, coef }, dst, j + 1))
             }
             Some(&Instr::Load {
                 dst: lreg,
@@ -783,10 +1018,10 @@ impl<'p> ChainScan<'p> {
                     kind: kind @ (MaKind::CPlusMul | MaKind::CMinusMul),
                 }) if c == acc => {
                     // Exactly one multiplicand is the fresh load, the
-                    // other a loop-invariant prelude scalar.
-                    let coef_reg = if a == lreg && self.pre(b) {
+                    // other a scalar.
+                    let coef_reg = if a == lreg && self.scalar(b) {
                         b
-                    } else if b == lreg && self.pre(a) {
+                    } else if b == lreg && self.scalar(a) {
                         a
                     } else {
                         return None;
@@ -795,10 +1030,40 @@ impl<'p> ChainScan<'p> {
                         reg: coef_reg,
                         negate: kind == MaKind::CMinusMul,
                     };
-                    Some((ChainTap { view, off, coef }, dst, j + 2))
+                    let src = Src::View { view, off };
+                    Some((ChainTap { src, coef }, dst, j + 2))
                 }
                 _ => None,
             },
+            Some(&Instr::Bin {
+                dst,
+                kind: BinKind::Add,
+                a,
+                b,
+            }) => {
+                let tap = match (a == acc, b == acc) {
+                    (true, _) => self.affine_tap(b, false),
+                    (_, true) => self.affine_tap(a, false),
+                    _ => None,
+                };
+                Some((tap?, dst, j + 1))
+            }
+            Some(&Instr::Bin {
+                dst,
+                kind: BinKind::Sub,
+                a,
+                b,
+            }) if a == acc => Some((self.affine_tap(b, true)?, dst, j + 1)),
+            Some(&Instr::MulAdd {
+                dst,
+                a,
+                b,
+                c,
+                kind: kind @ (MaKind::CPlusMul | MaKind::CMinusMul),
+            }) if c == acc => {
+                let tap = self.product_tap(a, b, kind == MaKind::CMinusMul)?;
+                Some((tap, dst, j + 1))
+            }
             _ => None,
         }
     }
@@ -806,11 +1071,11 @@ impl<'p> ChainScan<'p> {
     /// Try to start a chain at instruction `i`; returns the spec and the
     /// index just past the consumed instructions.
     fn chain_from(&self, i: usize) -> Option<(ChainSpec, usize)> {
-        // Absorbable seed: a single-use Load, or a single-use
-        // `BinLoad{Mul}` against a prelude coefficient (`c*l0 + …`).
+        // Absorbable seed: a single-use Load, or a single-use product of a
+        // scalar coefficient and a load (`c*l0 + …`) or a ramp (`c*i + …`).
         let seeded = match self.ins[i] {
             Instr::Load { dst, view, off } if self.used_once(dst) => {
-                Some((SeedRef::View { view, off }, None, dst))
+                Some((Src::View { view, off }, None, dst))
             }
             Instr::BinLoad {
                 dst,
@@ -819,9 +1084,19 @@ impl<'p> ChainScan<'p> {
                 view,
                 off,
                 ..
-            } if self.used_once(dst) && self.pre(a) => {
-                Some((SeedRef::View { view, off }, Some(a), dst))
+            } if self.used_once(dst) && self.scalar(a) => {
+                Some((Src::View { view, off }, Some(a), dst))
             }
+            Instr::Bin {
+                dst,
+                kind: BinKind::Mul,
+                a,
+                b,
+            } if self.used_once(dst) => match (self.scalar(a), self.scalar(b)) {
+                (true, false) if self.ramp(b) => Some((Src::Reg(b), Some(a), dst)),
+                (false, true) if self.ramp(a) => Some((Src::Reg(a), Some(b), dst)),
+                _ => None,
+            },
             _ => None,
         };
         let start = |dst, seed, seed_coef| ChainSpec {
@@ -842,26 +1117,46 @@ impl<'p> ChainScan<'p> {
                 return Some((spec, end));
             }
         }
-        // Otherwise the chain may still start from an existing register row
-        // — the accumulator of a chain cut at `MAX_CHAIN_TAPS` — if `i`
-        // itself is a link.
-        let acc = self.acc_candidate(i)?;
-        let (tap, dst, next) = self.link_at(i, acc)?;
-        let mut spec = start(dst, SeedRef::Reg(acc), None);
-        spec.taps.push(tap);
-        let end = self.grow(&mut spec, next);
-        Some((spec, end))
+        // Otherwise the chain may still start from what `i` itself, a link,
+        // accumulates onto: a register row (the accumulator of a chain cut
+        // at `MAX_CHAIN_TAPS`, a ramp) or a scalar, seeded over the ones.
+        self.acc_candidates(i)
+            .into_iter()
+            .flatten()
+            .find_map(|acc| {
+                let (tap, dst, next) = self.link_at(i, acc)?;
+                let mut spec = if self.scalar(acc) {
+                    start(dst, Src::Ones, Some(acc))
+                } else {
+                    start(dst, Src::Reg(acc), None)
+                };
+                spec.taps.push(tap);
+                let end = self.grow(&mut spec, next);
+                Some((spec, end))
+            })
     }
 
-    /// The accumulator register a link at `i` would consume, if any.
-    fn acc_candidate(&self, i: usize) -> Option<u16> {
+    /// The accumulators a link at `i` could consume.
+    fn acc_candidates(&self, i: usize) -> [Option<u16>; 2] {
         match self.ins[i] {
-            Instr::BinLoad { a, .. } => Some(a),
+            Instr::BinLoad { a, .. } => [Some(a), None],
             Instr::Load { dst, .. } if self.used_once(dst) => match self.ins.get(i + 1) {
-                Some(&Instr::MulAdd { c, .. }) => Some(c),
-                _ => None,
+                Some(&Instr::MulAdd { c, .. }) => [Some(c), None],
+                _ => [None, None],
             },
-            _ => None,
+            Instr::Bin {
+                kind: BinKind::Add,
+                a,
+                b,
+                ..
+            } => [Some(a), Some(b)],
+            Instr::Bin {
+                kind: BinKind::Sub,
+                a,
+                ..
+            }
+            | Instr::MulAdd { c: a, .. } => [Some(a), None],
+            _ => [None, None],
         }
     }
 
@@ -885,13 +1180,13 @@ impl<'p> ChainScan<'p> {
                 None => break,
             }
         }
-        // Fold `acc / c`, `acc * c`, `c * acc` against a prelude scalar.
+        // Fold `acc / c`, `acc * c`, `c * acc` against a scalar.
         if self.used_once(spec.dst) {
             if let Some(&Instr::Bin { dst, kind, a, b }) = self.ins.get(j) {
                 let folded = match kind {
-                    BinKind::Div if a == spec.dst && self.pre(b) => Some((1u8, b)),
-                    BinKind::Mul if a == spec.dst && self.pre(b) => Some((2u8, b)),
-                    BinKind::Mul if b == spec.dst && self.pre(a) => Some((2u8, a)),
+                    BinKind::Div if a == spec.dst && self.scalar(b) => Some((1u8, b)),
+                    BinKind::Mul if a == spec.dst && self.scalar(b) => Some((2u8, b)),
+                    BinKind::Mul if b == spec.dst && self.scalar(a) => Some((2u8, a)),
                     _ => None,
                 };
                 if let Some((sk, sr)) = folded {
@@ -914,7 +1209,7 @@ impl<'p> ChainScan<'p> {
         j
     }
 
-    /// Split the cell program into plain fragments and folded chains.
+    /// Split the row body into plain fragments and folded chains.
     fn items(&self) -> Vec<StitchItem> {
         let mut items = Vec::new();
         let mut i = 0;
@@ -925,7 +1220,7 @@ impl<'p> ChainScan<'p> {
                     i = end;
                 }
                 None => {
-                    items.push(StitchItem::Plain(i));
+                    items.push(StitchItem::Plain(self.ins[i].clone()));
                     i += 1;
                 }
             }
@@ -942,12 +1237,28 @@ impl<'p> ChainScan<'p> {
 #[derive(Debug)]
 pub struct JitProgram {
     steps: Vec<Box<dyn RowOp>>,
-    /// Loop-invariant prefix (Const/Arg only), evaluated per nest.
+    /// Loop-invariant prefix (Const/Arg only), evaluated per box.
     prelude: Vec<Instr>,
     prelude_dsts: Vec<u16>,
+    /// Evaluated per row.
+    rows: RowScalars,
+    /// `Coord` rows along dimension 0, filled per box.
+    ramps: Vec<u16>,
     num_regs: u16,
     chained_taps: usize,
     unit_chains: usize,
+}
+
+/// A stitched program's register files for the boxes of one nest: rows of
+/// one width, the scalars, and what [`JitProgram::prepare`] last filled
+/// them for.
+#[derive(Debug, Default)]
+pub struct JitRegs {
+    rows: Vec<f64>,
+    pre: Vec<f64>,
+    ones: Vec<f64>,
+    /// Row width, first column and scalar arguments (as bits) filled for.
+    filled: Option<(usize, i64, Vec<u64>)>,
 }
 
 impl JitProgram {
@@ -994,13 +1305,23 @@ impl JitProgram {
         }
 
         let unroll4 = plan.unroll >= 4;
-        let scan = ChainScan::new(program);
+        let (scan, row_instrs, ramps) = ChainScan::new(program);
         let items = scan.items();
         let mut steps: Vec<Box<dyn RowOp>> = Vec::with_capacity(items.len());
         let (mut chained_taps, mut unit_chains) = (0, 0);
+        // Row scalars a plain fragment reads as a row are filled each row.
+        let mut fills = Vec::new();
         for item in &items {
             match item {
-                StitchItem::Plain(i) => steps.push(box_instr(&program.cell_instrs()[*i])),
+                StitchItem::Plain(instr) => {
+                    operand_regs(instr, &mut scratch);
+                    for &r in &scratch {
+                        if scan.held[usize::from(r)] == Held::RowScalar && !fills.contains(&r) {
+                            fills.push(r);
+                        }
+                    }
+                    steps.push(box_instr(instr));
+                }
                 StitchItem::Chain(spec) => {
                     chained_taps += spec.taps.len();
                     unit_chains += usize::from(spec.is_unit());
@@ -1013,6 +1334,11 @@ impl JitProgram {
             steps,
             prelude: prelude.to_vec(),
             prelude_dsts,
+            rows: RowScalars {
+                instrs: row_instrs,
+                fills,
+            },
+            ramps,
             num_regs: program.num_regs,
             chained_taps,
             unit_chains,
@@ -1035,68 +1361,99 @@ impl JitProgram {
         self.unit_chains
     }
 
-    /// Register-file height (rows of width `w` the scratch must hold).
-    pub fn num_regs(&self) -> u16 {
-        self.num_regs
-    }
-
     /// Conservative in-memory footprint, charged to whichever cache holds
     /// the owning artifact (`Compiled::approx_bytes`).
     pub fn approx_bytes(&self) -> u64 {
-        256 + self.steps.len() as u64 * 96 + self.prelude.len() as u64 * 32
+        let scalars = self.prelude.len() + self.rows.instrs.len();
+        256 + self.steps.len() as u64 * 96 + scalars as u64 * 32
     }
 
-    /// Evaluate the loop-invariant prelude registers for this invocation.
-    pub fn prelude_values(&self, scalars: &[f64]) -> Vec<f64> {
-        let mut pre = vec![0.0f64; self.num_regs as usize];
+    /// Fill what stays put over a box of rows `w` wide from column
+    /// `coord0`: the prelude's values and rows, the `Coord` ramps and the
+    /// row of ones. Nothing to do when `regs` already holds them.
+    pub fn prepare(&self, regs: &mut JitRegs, w: usize, coord0: i64, scalars: &[f64]) {
+        let filled = |(fw, fc, bits): &(usize, i64, Vec<u64>)| {
+            *fw == w
+                && *fc == coord0
+                && bits.iter().copied().eq(scalars.iter().map(|s| s.to_bits()))
+        };
+        if regs.filled.as_ref().is_some_and(filled) {
+            return;
+        }
+        regs.pre.clear();
+        regs.pre.resize(usize::from(self.num_regs), 0.0);
         for instr in &self.prelude {
-            exec_scalar_instr(instr, &mut pre, &[], scalars);
+            exec_scalar_instr(instr, &mut regs.pre, &[], scalars);
         }
-        pre
-    }
-
-    /// Broadcast the prelude values into their register rows (once per
-    /// `run_range` call; the generic fragments read rows uniformly).
-    pub fn fill_prelude_rows(&self, regs: &mut [f64], w: usize, pre: &[f64]) {
+        regs.rows.resize(usize::from(self.num_regs.max(1)) * w, 0.0);
         for &d in &self.prelude_dsts {
-            regs[d as usize * w..d as usize * w + w].fill(pre[d as usize]);
+            let d = usize::from(d);
+            regs.rows[d * w..d * w + w].fill(regs.pre[d]);
         }
+        for &d in &self.ramps {
+            let d = usize::from(d);
+            for (x, r) in regs.rows[d * w..d * w + w].iter_mut().enumerate() {
+                *r = (coord0 + x as i64) as f64;
+            }
+        }
+        regs.ones.clear();
+        regs.ones.resize(w, 1.0);
+        regs.filled = Some((w, coord0, scalars.iter().map(|s| s.to_bits()).collect()));
     }
 
-    /// Execute one unit-stride row of width `w`. `regs` must hold
-    /// `num_regs * w` doubles with prelude rows already filled; addressing
-    /// conventions match [`BodyProgram::run_strip`].
+    /// Execute every row of `walk`'s box. `regs` must be [`prepared`] for
+    /// its rows' width and first column, and `cursors`/`coords` at its
+    /// first row ([`Walk::start`]); addressing conventions match
+    /// [`BodyProgram::run_strip`]. A program of one fragment runs the box in
+    /// that fragment's loop, any other one fragment per row after another.
+    ///
+    /// [`prepared`]: JitProgram::prepare
     #[allow(clippy::too_many_arguments)]
-    pub fn run_row(
+    pub fn run_box(
         &self,
-        regs: &mut [f64],
-        w: usize,
+        regs: &mut JitRegs,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         out_view_map: &[Option<u16>],
-        cursors: &[i64],
-        coord0: i64,
-        coords: &[i64],
+        cursors: &mut [i64],
+        coords: &mut [i64],
         scalars: &[f64],
-        pre: &[f64],
+        walk: &Walk<'_>,
     ) {
-        if w == 0 {
+        let Some(&(lb0, ub0)) = walk.bounds.first() else {
+            return;
+        };
+        if ub0 <= lb0 {
             return;
         }
+        let JitRegs {
+            rows, pre, ones, ..
+        } = regs;
         let mut ctx = RowCtx {
-            regs,
-            w,
+            regs: rows,
+            w: (ub0 - lb0) as usize,
             inputs,
             outputs,
             out_view_map,
             cursors,
-            coord0,
             coords,
             scalars,
             pre,
+            ones,
         };
-        for step in &self.steps {
-            step.run(&mut ctx);
+        self.rows.eval(&mut ctx);
+        if let [step] = self.steps.as_slice() {
+            step.run_box(&mut ctx, walk, &self.rows);
+            return;
+        }
+        loop {
+            for step in &self.steps {
+                step.run(&mut ctx);
+            }
+            if !walk.next(ctx.cursors, ctx.coords) {
+                break;
+            }
+            self.rows.eval(&mut ctx);
         }
     }
 }
@@ -1126,9 +1483,9 @@ fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
         }
     }
     match *instr {
-        Instr::Const { dst, val } => Box::new(FillConst { dst, val }),
-        Instr::Arg { dst, arg } => Box::new(FillArg { dst, arg }),
-        Instr::Coord { dst, dim } => Box::new(CoordRow { dst, dim }),
+        Instr::Const { .. } | Instr::Arg { .. } | Instr::Coord { .. } => {
+            unreachable!("hoisted out of the row body")
+        }
         Instr::Load { dst, view, off } => Box::new(LoadRow { dst, view, off }),
         Instr::Store { view, off, src } => Box::new(StoreRow { view, off, src }),
         Instr::Select { dst, c, a, b } => Box::new(SelectRow { dst, c, a, b }),
@@ -1330,29 +1687,6 @@ pub fn stats() -> JitStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-thread row scratch
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Borrow the thread's row-register scratch (return with [`put_scratch`]).
-pub fn take_scratch() -> Vec<f64> {
-    SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-/// Return a scratch buffer for reuse by later nests on this thread.
-pub fn put_scratch(v: Vec<f64>) {
-    SCRATCH.with(|s| {
-        let mut slot = s.borrow_mut();
-        if v.capacity() > slot.capacity() {
-            *slot = v;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1477,20 +1811,24 @@ mod tests {
         let data = data(w);
         let jit = JitProgram::build(program, plan).expect("stitchable");
         let mut out = vec![0.0f64; w.max(1)];
-        let pre = jit.prelude_values(&SCALARS);
-        let mut regs = vec![0.0f64; jit.num_regs() as usize * w.max(1)];
-        jit.fill_prelude_rows(&mut regs, w.max(1), &pre);
-        jit.run_row(
+        let mut regs = JitRegs::default();
+        jit.prepare(&mut regs, w, 0, &SCALARS);
+        let walk = Walk {
+            bounds: &[(0, w as i64)],
+            strides: &[1, 1],
+            bases: &[0, 0],
+        };
+        let (mut cursors, mut coords) = ([0, 0], [0]);
+        walk.start(&mut cursors, &mut coords);
+        jit.run_box(
             &mut regs,
-            w,
             &[&data, &[]],
             &mut [&mut out],
             &OUT_VIEW_MAP,
-            &[0, 0],
-            0,
-            &[0, 0],
+            &mut cursors,
+            &mut coords,
             &SCALARS,
-            &pre,
+            &walk,
         );
         out
     }
@@ -1662,10 +2000,86 @@ mod tests {
         }
     }
 
-    /// A copy, plain or scaled, is a chain of no taps with a store sink:
-    /// one fragment, bit-identical to the VM.
+    /// Rows 24 cells apart, planes 7 rows apart, on both views.
+    const STRIDES: [i64; 6] = [1, 24, 168, 1, 24, 168];
+    /// A box of 3 planes of 4 rows of 13 cells inside 6 planes of them.
+    const BOX: [(i64, i64); 3] = [(1, 14), (1, 5), (1, 4)];
+    const LEN: usize = 24 * 7 * 6;
+
+    /// Each row of `BOX`, as a box of its own.
+    fn rows_of(b: &[(i64, i64)]) -> Vec<Vec<(i64, i64)>> {
+        let (rows, planes) = (b[1].0..b[1].1, b[2].0..b[2].1);
+        planes
+            .flat_map(|k| {
+                rows.clone()
+                    .map(move |j| vec![b[0], (j, j + 1), (k, k + 1)])
+            })
+            .collect()
+    }
+
+    /// `program` stitched under `plan` over `boxes`, its buffers windowed
+    /// by `bases` as a rank's are: view 0 is read from `bases[0]` on, view 1
+    /// written from `bases[1]` on.
+    fn run_boxes(
+        program: &BodyProgram,
+        plan: &ExecPlan,
+        boxes: &[Vec<(i64, i64)>],
+        bases: [i64; 2],
+    ) -> Vec<f64> {
+        let input: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+        let jit = JitProgram::build(program, plan).expect("stitchable");
+        let mut out = vec![0.0; LEN - bases[1] as usize];
+        let mut regs = JitRegs::default();
+        for b in boxes {
+            let walk = Walk {
+                bounds: b,
+                strides: &STRIDES,
+                bases: &bases,
+            };
+            jit.prepare(&mut regs, (b[0].1 - b[0].0) as usize, b[0].0, &SCALARS);
+            let (mut cursors, mut coords) = ([0; 2], [0; 3]);
+            walk.start(&mut cursors, &mut coords);
+            jit.run_box(
+                &mut regs,
+                &[&input[bases[0] as usize..], &[]],
+                &mut [&mut out],
+                &OUT_VIEW_MAP,
+                &mut cursors,
+                &mut coords,
+                &SCALARS,
+                &walk,
+            );
+        }
+        out
+    }
+
+    /// Chains of 0 to 8 taps, `UNIT` and scaled, unrolled by 1 and 4, are
+    /// one fragment that sweeps a box's rows itself: bit-identical to the
+    /// same program run row by row, with and without windowed buffers.
+    /// (`k` counts the programs: two copies, then sums of 2 to 9 terms.)
     #[test]
-    fn a_copy_is_a_chain_of_no_taps() {
+    fn one_fragment_sweeps_a_box_as_its_rows_do() {
+        let sums = (2..=9u16).flat_map(|k| [false, true].map(|signed| k_term_program(k, signed)));
+        let programs: Vec<BodyProgram> = copies().into_iter().chain(sums).collect();
+        for (k, unroll) in (0..programs.len()).flat_map(|k| [(k, 1), (k, 4)]) {
+            let program = fuse_program(&programs[k]);
+            let plan = ExecPlan {
+                unroll,
+                ..ExecPlan::default()
+            };
+            let jit = JitProgram::build(&program, &plan).expect("stitchable");
+            assert_eq!(jit.steps_len(), 1, "k = {k}");
+            let by_rows = run_boxes(&program, &plan, &rows_of(&BOX), [0, 0]);
+            assert!(by_rows.iter().any(|&x| x != 0.0));
+            let whole = run_boxes(&program, &plan, &[BOX.to_vec()], [0, 0]);
+            assert_eq!(bits(&whole), bits(&by_rows), "k = {k}, unroll {unroll}");
+            let windowed = run_boxes(&program, &plan, &[BOX.to_vec()], [24, 192]);
+            assert_eq!(bits(&windowed), bits(&by_rows[192..]), "k = {k}, windowed");
+        }
+    }
+
+    /// A copy and a scaled copy: `out = in(2)`, `out = arg0 · in(2)`.
+    fn copies() -> [BodyProgram; 2] {
         let store = Instr::Store {
             view: 1,
             off: 0,
@@ -1700,7 +2114,18 @@ mod tests {
             num_regs: 2,
             ..BodyProgram::default()
         };
-        for (program, unit) in [(copy, 1), (scaled, 0)] {
+        let mut copies = [copy, scaled];
+        for program in &mut copies {
+            program.finalize_stats();
+        }
+        copies
+    }
+
+    /// A copy, plain or scaled, is a chain of no taps with a store sink:
+    /// one fragment, bit-identical to the VM.
+    #[test]
+    fn a_copy_is_a_chain_of_no_taps() {
+        for (program, unit) in copies().into_iter().zip([1, 0]) {
             for unroll in [1, 4] {
                 let plan = ExecPlan {
                     unroll,
@@ -1798,11 +2223,18 @@ mod tests {
     const COPY_REGS: usize = 7;
 
     /// `op` over one row of width `w` through the AVX-512F copy (`Some`)
-    /// or the baseline one: every register row and the output, as bits.
-    fn run_copy<T: Row>(op: &T, w: usize, host: Option<wide::Avx512f>) -> [Vec<u64>; 2] {
+    /// or the baseline one of `row_op`, or with `boxed` of `box_op` (a
+    /// chain's): every register row and the output, as bits.
+    fn run_copy<T: Row>(
+        op: &T,
+        w: usize,
+        host: Option<wide::Avx512f>,
+        boxed: bool,
+    ) -> [Vec<u64>; 2] {
         let input = wide::testing::seeded(w + 16, 1);
-        let pre = wide::testing::seeded(COPY_REGS, 2);
+        let mut pre = wide::testing::seeded(COPY_REGS, 2);
         let mut regs = wide::testing::seeded(COPY_REGS * w, 3);
+        let ones = vec![1.0; w];
         let mut out = vec![0.0; w + 16];
         let mut ctx = RowCtx {
             regs: &mut regs,
@@ -1810,15 +2242,18 @@ mod tests {
             inputs: &[&input, &[]],
             outputs: &mut [&mut out],
             out_view_map: &[None, Some(0)],
-            cursors: &[1, 2],
-            coord0: -3,
-            coords: &[0, 5],
+            cursors: &mut [1, 2],
+            coords: &mut [0, 5],
             scalars: &[0.5],
-            pre: &pre,
+            pre: &mut pre,
+            ones: &ones,
         };
-        match host {
-            Some(host) => row_op::avx512f(host, op, &mut ctx),
-            None => row_op::base(op, &mut ctx),
+        let (walk, rows) = (&Walk::ONE_ROW, &RowScalars::NONE);
+        match (host, boxed) {
+            (Some(host), false) => row_op::avx512f(host, op, &mut ctx),
+            (None, false) => row_op::base(op, &mut ctx),
+            (Some(host), true) => box_op::avx512f(host, op, &mut ctx, walk, rows),
+            (None, true) => box_op::base(op, &mut ctx, walk, rows),
         }
         [wide::testing::bits(&regs), wide::testing::bits(&out)]
     }
@@ -1827,12 +2262,13 @@ mod tests {
         let Some(host) = wide::testing::host() else {
             return;
         };
-        for w in wide::testing::WIDTHS {
-            assert_eq!(
-                run_copy(&op, w, None),
-                run_copy(&op, w, Some(host)),
-                "{op:?}, w = {w}"
-            );
+        for (w, boxed) in wide::testing::WIDTHS
+            .into_iter()
+            .flat_map(|w| [(w, false), (w, true)])
+        {
+            let base = run_copy(&op, w, None, boxed);
+            assert_eq!(base, run_copy(&op, w, Some(host), boxed), "{op:?}, w = {w}");
+            assert_eq!(base, run_copy(&op, w, None, !boxed), "{op:?}, w = {w}");
         }
     }
 
@@ -1923,11 +2359,6 @@ mod tests {
             a: 1,
             b: 2,
         });
-        both_copies(FillConst { dst: 3, val: -0.0 });
-        both_copies(FillArg { dst: 3, arg: 0 });
-        for dim in [0, 1] {
-            both_copies(CoordRow { dst: 3, dim });
-        }
         both_copies(LoadRow {
             dst: 3,
             view: 0,
@@ -1957,13 +2388,27 @@ mod tests {
                     reg: 5,
                     negate: true,
                 },
+                TapCoef::Prod {
+                    a: 4,
+                    b: 5,
+                    negate: true,
+                },
             ];
+            // Views, a register row and the ones, as affine chains read them.
+            let srcs = |t: usize| match t % 3 {
+                0 => Src::View {
+                    view: 0,
+                    off: t as i64 * 2 - 1,
+                },
+                1 => Src::Reg(t as u16 % 3),
+                _ if UNIT => Src::Reg(2),
+                _ => Src::Ones,
+            };
             let taps = std::array::from_fn(|t| ChainTap {
-                view: 0,
-                off: t as i64 * 2 - 1,
-                coef: if UNIT { TapCoef::One } else { coefs[t % 4] },
+                src: srcs(t),
+                coef: if UNIT { TapCoef::One } else { coefs[t % 5] },
             });
-            for seed in [SeedRef::View { view: 0, off: 3 }, SeedRef::Reg(1)] {
+            for seed in [Src::View { view: 0, off: 3 }, Src::Reg(1), Src::Ones] {
                 for sink in [Sink::Reg, Sink::Store { view: 1, off: 1 }] {
                     for unroll4 in [false, true] {
                         both_copies(LinChain::<K, SEED_SCALED, SCALE, UNIT> {

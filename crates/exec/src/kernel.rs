@@ -37,7 +37,7 @@ use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{Attribute, BlockId, IrError, Module, OpId, Result, Type, ValueId};
 
 use crate::bytecode::{BinKind, BodyProgram, CmpKind, Instr, UnKind};
-use crate::jit::{self, JitProgram};
+use crate::jit::{JitProgram, JitRegs, Walk};
 use crate::plan::ExecPlan;
 use crate::specialize::{self, ExecPath, SpecBody};
 use crate::value::{column_major_strides, BufId, Memory};
@@ -278,7 +278,8 @@ const STEP_BYTES: i64 = 1 << 20;
 /// 8–13 MB), 1.97 s at 13 (16 MB) and 2.3–2.5 s at 16–64 (DESIGN.md §15).
 const WINDOW_BYTES: i64 = 10 << 20;
 
-/// A legal plane-interleaved schedule for a region's nests.
+/// A legal skewed schedule for a region's nests: planes of the slowest
+/// dimension per step, blocks of dimension-1 rows around the steps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pipeline {
     /// Per nest, the slowest-dimension planes it trails the step by.
@@ -289,6 +290,12 @@ pub(crate) struct Pipeline {
     pub(crate) period: i64,
     /// Most dispatches one sweep runs ([`WINDOW_BYTES`]).
     pub(crate) batch: usize,
+    /// Per nest, the dimension-1 rows it trails the block by (`Lʲ`).
+    pub(crate) row_lags: Vec<i64>,
+    /// Rows each dispatch of a sweep trails the one before by (`Dʲ`).
+    pub(crate) row_period: i64,
+    /// Rows each block spans (`J`); `i64::MAX` when one block spans them.
+    pub(crate) rows: i64,
 }
 
 impl CompiledKernel {
@@ -299,7 +306,9 @@ impl CompiledKernel {
     pub fn lags(&self) -> Option<&[i64]> {
         let p = self.pipeline.as_ref()?;
         let live = self.nests.iter().filter(|n| n.domain_cells() > 0).count();
-        let (first, end) = step_range(self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n)));
+        let slow = self.nests.first()?.bounds.len().checked_sub(1)?;
+        let lagged = self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n));
+        let (first, end) = dim_range(lagged, slow);
         (live > 1 && p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
     }
 
@@ -312,19 +321,25 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// One line for drivers: `pipelined, lags [0, 1], period 2, 1 plane/step`
-    /// or `in order`; on `threads > 1`, `in order, slabs [2, 1]`.
+    /// One line for `fsc`: `pipelined, lags [0, 1], period 2, 1 plane/step,
+    /// 19 rows/block` (no block when one spans the rows) or `in order`; on
+    /// `threads > 1`, `in order, slabs [2, 1]`.
     pub fn schedule(&self, threads: usize) -> String {
         if threads > 1 {
             return format!("in order, slabs {:?}", self.slabs(threads));
         }
         match (self.lags(), &self.pipeline) {
-            (Some(lags), Some(p)) => format!(
-                "pipelined, lags {lags:?}, period {}, {} plane{}/step",
-                p.period,
-                p.planes,
-                if p.planes == 1 { "" } else { "s" }
-            ),
+            (Some(lags), Some(p)) => {
+                let plural = if p.planes == 1 { "" } else { "s" };
+                let mut line = format!(
+                    "pipelined, lags {lags:?}, period {}, {} plane{plural}/step",
+                    p.period, p.planes
+                );
+                if p.rows < i64::MAX {
+                    line += &format!(", {} rows/block", p.rows);
+                }
+                line
+            }
             _ => "in order".to_string(),
         }
     }
@@ -668,13 +683,13 @@ fn compile_nests(
     Ok((views, nests, jit_warnings, pipeline))
 }
 
-/// Per `(view, is_store)`, the `(min, max)` slowest-dimension subscript
-/// constant of one nest's accesses: all the lag rule needs to know.
-type Reach = HashMap<(usize, bool), (i64, i64)>;
+/// Per `(view, is_store)`, the `(min, max)` subscript constant of one
+/// nest's accesses along each dimension: all the lag rule needs to know.
+type Reach = HashMap<(usize, bool), Vec<(i64, i64)>>;
 
 /// The smallest non-decreasing lags that keep every dependence between
 /// the nests, the period that keeps them between consecutive dispatches,
-/// and the planes per step.
+/// the planes per step and the rows per block.
 ///
 /// Nest `i` runs plane `p` at step `p + L_i`, and within a step the nests
 /// run in order, so a cell nest `i < j` touches at plane `p` and nest `j`
@@ -689,6 +704,17 @@ type Reach = HashMap<(usize, bool), (i64, i64)>;
 /// `c` runs nest `i` at lag `c·D + L_i`, which keeps every dependence from
 /// dispatch `a` to `b > a`, as `(b − a)·D ≥ L_{n+j} − L_j`.
 ///
+/// The same rule over dimension 1 gives row lags `Lʲ` and a row period
+/// `Dʲ`: block `b` runs dispatch `c`'s nest `i` over the rows
+/// `[b·J − (c·Dʲ + Lʲ_i), (b+1)·J − (c·Dʲ + Lʲ_i))`, each block every step.
+/// A dependence's source runs in a block no later than its sink's, and
+/// in that block at a step no later, so the order (block, step, dispatch,
+/// nest) keeps it (DESIGN.md §15). `J` fills [`STEP_BYTES`] with the rows
+/// of a full sweep's window of planes, or of every plane when the window
+/// holds them all, on every view; rank-2 domains, whose
+/// dimension 1 is the slowest, and a nest storing one view at two row
+/// offsets run whole planes.
+///
 /// `None` — run in order, never batched — when no nest has cells, a nest
 /// refreshes snapshots or exchanges halos (per-nest events the step loop
 /// does not split), a view has fewer dimensions than the domain, or a nest
@@ -700,28 +726,79 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
     let unsplittable = nests
         .iter()
         .any(|n| !n.snapshots.is_empty() || !n.exchanges.is_empty());
-    let two_plane_stores = reaches
-        .iter()
-        .flatten()
-        .any(|(&(_, store), &(lo, hi))| store && lo != hi);
+    let two_stores = |dim: usize| {
+        reaches
+            .iter()
+            .flatten()
+            .any(|(&(_, store), r)| store && r.get(dim).is_some_and(|&(lo, hi)| lo != hi))
+    };
     if nests.iter().all(|n| n.domain_cells() == 0)
         || unsplittable
-        || two_plane_stores
+        || two_stores(slow)
         || views.iter().any(|v| v.extents.len() != rank)
     {
         return None;
     }
-    let n = nests.len();
+    let (lags, period) = lag_rule(reaches, slow, views.len())?;
+    let bytes_of = |dims: &[i64]| dims.iter().fold(8i64, |b, &e| b.saturating_mul(e));
+    let plane_bytes = views.iter().map(|v| bytes_of(&v.extents[..slow])).max()?;
+    let set_bytes = plane_bytes.saturating_mul(views.len() as i64).max(1);
+    let planes = (STEP_BYTES / set_bytes).max(1);
+    // S: at step s nest i touches planes s − L_i + [lo, hi].
+    let (mut lead, mut trail) = (i64::MIN, i64::MAX);
+    for (r, &lag) in reaches.iter().zip(&lags) {
+        for &(lo, hi) in r.values().filter_map(|range| range.get(slow)) {
+            lead = lead.max(hi.saturating_sub(lag));
+            trail = trail.min(lo.saturating_sub(lag));
+        }
+    }
+    let span = lead.saturating_sub(trail).saturating_add(1).max(1);
+    // With D = 0 the window does not grow with k; D = 1 still bounds k.
+    let room = (WINDOW_BYTES / set_bytes).saturating_sub(span).max(0);
+    let batch = (room / period.max(1) + 1) as usize;
+    // J: a full window's planes (no more than a view has), `J` rows of each
+    // on every view.
+    let window = (batch as i64 - 1)
+        .saturating_mul(period)
+        .saturating_add(span)
+        .min(views.iter().map(|v| v.extents[slow]).max()?);
+    let row_bytes = views.iter().map(|v| bytes_of(&v.extents[..1])).max()?;
+    let row_set = row_bytes.saturating_mul(views.len() as i64);
+    let mut rows = (STEP_BYTES / window.saturating_mul(row_set).max(1)).max(1);
+    let (row_lags, row_period) = (rank > 2 && !two_stores(1))
+        .then(|| lag_rule(reaches, 1, views.len()))
+        .flatten()
+        .unwrap_or_else(|| (vec![0; nests.len()], 0));
+    let lagged = nests.iter().zip(&row_lags).map(|(n, &lag)| (lag, n));
+    let (first, end) = dim_range(lagged, 1);
+    if rank < 3 || two_stores(1) || rows >= end.saturating_sub(first) {
+        rows = i64::MAX;
+    }
+    Some(Pipeline {
+        lags,
+        planes,
+        period,
+        batch,
+        row_lags,
+        row_period,
+        rows,
+    })
+}
+
+/// The lag rule of [`pipeline_for`] along dimension `dim`: each nest's
+/// lag and the period of the next dispatch.
+fn lag_rule(reaches: &[Reach], dim: usize, views: usize) -> Option<(Vec<i64>, i64)> {
+    let n = reaches.len();
     let mut lags = vec![0i64; 2 * n];
     for j in 1..2 * n {
         let mut lag = lags[j - 1];
         for i in 0..j {
-            for v in 0..views.len() {
+            for v in 0..views {
                 // (later access in j, earlier access in i): flow, output, anti.
                 for (later, earlier) in [(false, true), (true, true), (true, false)] {
                     if let (Some(b), Some(a)) = (
-                        reaches[j % n].get(&(v, later)),
-                        reaches[i % n].get(&(v, earlier)),
+                        reaches[j % n].get(&(v, later)).and_then(|r| r.get(dim)),
+                        reaches[i % n].get(&(v, earlier)).and_then(|r| r.get(dim)),
                     ) {
                         lag = lag.max(lags[i].saturating_add(b.1.saturating_sub(a.0)));
                     }
@@ -732,44 +809,18 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
     }
     let period = (0..n).map(|i| lags[n + i] - lags[i]).max()?;
     lags.truncate(n);
-    let plane_bytes = views
-        .iter()
-        .map(|v| {
-            v.extents[..slow]
-                .iter()
-                .fold(8i64, |b, &e| b.saturating_mul(e))
-        })
-        .max()?;
-    let set_bytes = plane_bytes.saturating_mul(views.len() as i64).max(1);
-    let planes = (STEP_BYTES / set_bytes).max(1);
-    // S: at step s nest i touches planes s − L_i + [lo, hi].
-    let (mut lead, mut trail) = (i64::MIN, i64::MAX);
-    for (r, &lag) in reaches.iter().zip(&lags) {
-        for &(lo, hi) in r.values() {
-            lead = lead.max(hi.saturating_sub(lag));
-            trail = trail.min(lo.saturating_sub(lag));
-        }
-    }
-    let span = lead.saturating_sub(trail).saturating_add(1).max(1);
-    // With D = 0 the window does not grow with k; D = 1 still bounds k.
-    let room = (WINDOW_BYTES / set_bytes).saturating_sub(span).max(0);
-    let batch = (room / period.max(1) + 1) as usize;
-    Some(Pipeline {
-        lags,
-        planes,
-        period,
-        batch,
-    })
+    Some((lags, period))
 }
 
-/// First and one-past-last step of a sweep: every nest's slowest-dimension
-/// planes shifted by its lag. Nests without cells take no part.
-fn step_range<'n>(nests: impl Iterator<Item = (i64, &'n Nest)>) -> (i64, i64) {
+/// First and one-past-last coordinate along dimension `dim` of a sweep:
+/// every nest's bounds shifted by its lag. Nests without cells take no
+/// part.
+fn dim_range<'n>(nests: impl Iterator<Item = (i64, &'n Nest)>, dim: usize) -> (i64, i64) {
     nests
         .filter(|(_, n)| n.domain_cells() > 0)
         .filter_map(|(lag, n)| {
             n.bounds
-                .last()
+                .get(dim)
                 .map(|&(lb, ub)| (lb.saturating_add(lag), ub.saturating_add(lag)))
         })
         .fold((i64::MAX, i64::MIN), |(first, end), (lo, hi)| {
@@ -1034,7 +1085,7 @@ struct BodyCompiler<'a> {
     program: BodyProgram,
     dim_of_iv: HashMap<ValueId, usize>,
     out_views: Vec<usize>,
-    /// The slowest-dimension subscript constants of the accesses.
+    /// The subscript constants of the accesses.
     reach: Reach,
 }
 
@@ -1069,8 +1120,8 @@ impl<'a> BodyCompiler<'a> {
     }
 
     /// Decode a memref access: `(view index, relative linear offset)` while
-    /// assigning ivs to dimensions and noting the slowest subscript's
-    /// constant in [`BodyCompiler::reach`] (`memref_pos` 1 is a store).
+    /// assigning ivs to dimensions and noting each subscript's constant in
+    /// [`BodyCompiler::reach`] (`memref_pos` 1 is a store).
     fn access_of(&mut self, op: OpId, memref_pos: usize) -> Result<(usize, i64)> {
         let m = self.module;
         let data = m.op(op);
@@ -1080,7 +1131,7 @@ impl<'a> BodyCompiler<'a> {
             .ok_or_else(|| err("access of unknown view"))?;
         let strides = self.views[view].strides.clone();
         let mut off = 0i64;
-        let mut slowest = None;
+        let mut consts = Vec::with_capacity(strides.len());
         for (k, &idx) in data.operands[memref_pos + 1..].iter().enumerate() {
             let (iv, c) = decode_index_expr(m, idx)
                 .ok_or_else(|| err("unsupported index expression in kernel"))?;
@@ -1093,13 +1144,14 @@ impl<'a> BodyCompiler<'a> {
                 }
             }
             off += c * strides[k];
-            slowest = Some(c);
+            consts.push(c);
         }
-        if let Some(c) = slowest {
-            self.reach
-                .entry((view, memref_pos == 1))
-                .and_modify(|(lo, hi)| (*lo, *hi) = ((*lo).min(c), (*hi).max(c)))
-                .or_insert((c, c));
+        let reach = self
+            .reach
+            .entry((view, memref_pos == 1))
+            .or_insert_with(|| consts.iter().map(|&c| (c, c)).collect());
+        for ((lo, hi), &c) in reach.iter_mut().zip(&consts) {
+            (*lo, *hi) = ((*lo).min(c), (*hi).max(c));
         }
         Ok((view, off))
     }
@@ -1304,12 +1356,14 @@ pub fn run_kernel(
 /// the first is resolved ([`Sweep::new`]), then run as one pass that
 /// cannot fail ([`Sweep::run`]).
 ///
-/// Step `s` runs nest `i` of dispatch `c` over the slowest-dimension
-/// planes `[s − c·D − L_i, s − c·D − L_i + B)`, clipped to its bounds,
-/// dispatches and then nests in order; steps advance by `B`. With the
-/// kernel's pipeline (lags `L`, period `D`, `B` planes per step, see
-/// [`CompiledKernel::lags`]) a nest reads what the nests before it wrote
-/// a lag ago, still in cache. Otherwise every lag is 0, `B` spans the
+/// Block `b` runs every step; step `s` of it runs nest `i` of dispatch `c`
+/// over the slowest-dimension planes `[s − c·D − L_i, s − c·D − L_i + B)`
+/// and the dimension-1 rows `[b·J − c·Dʲ − Lʲ_i, (b+1)·J − c·Dʲ − Lʲ_i)`,
+/// clipped to its bounds, dispatches and then nests in order; steps advance
+/// by `B`, blocks by `J`. With the kernel's pipeline (lags `L` and `Lʲ`,
+/// periods `D` and `Dʲ`, `B` planes per step, `J` rows per block, see
+/// [`CompiledKernel::lags`]) a nest reads what the nests before it wrote a
+/// lag ago, still in cache. Otherwise every lag is 0, `B` and `J` span the
 /// domain and the sweep holds one dispatch, each nest whole and in order
 /// (refreshing its snapshots first): whenever `threads > 1` (a step would
 /// pay a spawn or fall below [`SPLIT_WORK`]) or two views share a buffer
@@ -1328,9 +1382,36 @@ pub struct Sweep<'k> {
     scalars: Vec<Vec<f64>>,
 }
 
-/// A nest's part in a [`Sweep`]: its lag, its outputs and the `(source,
-/// snapshot)` buffers it refreshes.
-type NestRun<'k> = (i64, &'k Nest, NestIo, Vec<(BufId, BufId)>);
+/// A nest's part in a [`Sweep`], and what its boxes reuse.
+struct NestRun<'k> {
+    nest: &'k Nest,
+    /// Planes and rows it trails the step and the block by.
+    lag: i64,
+    row_lag: i64,
+    io: NestIo,
+    /// `(source, snapshot)` buffers it refreshes.
+    refresh: Vec<(BufId, BufId)>,
+    /// The box of the current step.
+    local: Vec<(i64, i64)>,
+    state: RangeState,
+}
+
+impl NestRun<'_> {
+    /// Clip the nest's bounds to planes from `plane` and rows from `row`,
+    /// `planes` and `rows` of them (`i64::MAX` rows: all), into `local`;
+    /// `false` when nothing is left.
+    fn clip(&mut self, plane: i64, planes: i64, row: i64, rows: i64) -> bool {
+        self.local.clone_from(&self.nest.bounds);
+        let rank = self.local.len();
+        let mut cut = |d: usize, from: i64, n: i64| {
+            let (lb, ub) = &mut self.local[d];
+            (*lb, *ub) = ((*lb).max(from), (*ub).min(from.saturating_add(n)));
+            lb < ub
+        };
+        let planes_left = rank > 0 && cut(rank - 1, plane, planes);
+        planes_left && (rows == i64::MAX || cut(1, row, rows))
+    }
+}
 
 impl<'k> Sweep<'k> {
     /// Resolve one dispatch of `kernel` on `threads` (snapshot views get
@@ -1355,9 +1436,16 @@ impl<'k> Sweep<'k> {
             .enumerate()
             .filter(|(_, nest)| nest.domain_cells() > 0)
             .map(|(i, nest)| {
-                let lag = pipeline.and_then(|p| p.lags.get(i).copied()).unwrap_or(0);
-                let io = NestIo::new(nest, &kernel.views, &bufs)?;
-                Ok((lag, nest, io, snapshot_pairs(nest, &kernel.views, &bufs)?))
+                let lag_of = |lags: &[i64]| lags.get(i).copied().unwrap_or(0);
+                Ok(NestRun {
+                    nest,
+                    lag: pipeline.map_or(0, |p| lag_of(&p.lags)),
+                    row_lag: pipeline.map_or(0, |p| lag_of(&p.row_lags)),
+                    io: NestIo::new(nest, &kernel.views, &bufs)?,
+                    refresh: snapshot_pairs(nest, &kernel.views, &bufs)?,
+                    local: Vec::with_capacity(nest.bounds.len()),
+                    state: RangeState::new(&kernel.views, nest.bounds.len()),
+                })
             })
             .collect();
         let work = work.inspect_err(|_| release_snapshots(kernel, &bufs, memory))?;
@@ -1402,37 +1490,59 @@ impl<'k> Sweep<'k> {
             kernel,
             bufs,
             pipeline,
-            work,
+            mut work,
             threads,
             scalars,
         } = self;
         let views = &kernel.views;
-        let (period, planes) = match pipeline {
-            Some(p) if work.len() * scalars.len() > 1 => (p.period, p.planes.max(1)),
-            _ => (0, i64::MAX),
-        };
-        let (mut step, end) = step_range(work.iter().map(|&(lag, nest, ..)| (lag, nest)));
-        let end = end.saturating_add(period.saturating_mul(scalars.len() as i64 - 1));
-        let bases = vec![0i64; views.len()];
-        while step < end {
-            for (c, scalars) in scalars.iter().enumerate() {
-                let shift = period.saturating_mul(c as i64);
-                for (lag, nest, io, refresh) in &work {
-                    let from = step.saturating_sub(shift.saturating_add(*lag));
-                    let Some(local) = plane_box(&nest.bounds, from, from.saturating_add(planes))
-                    else {
-                        continue;
-                    };
-                    for &(src, dst) in refresh {
-                        // A snapshot has its source's length (`resolve_views`).
-                        let mut snapshot = memory.take_buffer(dst);
-                        snapshot.copy_from_slice(memory.buffer(src));
-                        memory.restore_buffer(dst, snapshot);
-                    }
-                    io.run(nest, views, &bufs, memory, scalars, &local, &bases, threads);
-                }
+        let ((period, planes), (row_period, rows)) = match pipeline {
+            Some(p) if work.len() * scalars.len() > 1 => {
+                ((p.period, p.planes.max(1)), (p.row_period, p.rows.max(1)))
             }
-            step = step.saturating_add(planes);
+            _ => ((0, i64::MAX), (0, i64::MAX)),
+        };
+        let last = scalars.len() as i64 - 1;
+        let slow = work
+            .first()
+            .map_or(0, |w| w.nest.bounds.len().saturating_sub(1));
+        // Dimension 1 is the slowest of a rank-2 domain: its steps split it.
+        let rows = if slow < 2 { i64::MAX } else { rows };
+        let (first_step, end) = dim_range(work.iter().map(|w| (w.lag, w.nest)), slow);
+        let end = end.saturating_add(period.saturating_mul(last));
+        // Unblocked rows are one block, whatever the rank.
+        let (mut row, row_end) = match rows {
+            i64::MAX => (0, 1),
+            _ => dim_range(work.iter().map(|w| (w.row_lag, w.nest)), 1),
+        };
+        let row_end = row_end.saturating_add(row_period.saturating_mul(last));
+        let bases = vec![0i64; views.len()];
+        while row < row_end {
+            let mut step = first_step;
+            while step < end {
+                for (c, scalars) in scalars.iter().enumerate() {
+                    let c = c as i64;
+                    for w in &mut work {
+                        let plane = step.saturating_sub(period.saturating_mul(c) + w.lag);
+                        let from = row.saturating_sub(row_period.saturating_mul(c) + w.row_lag);
+                        if !w.clip(plane, planes, from, rows) {
+                            continue;
+                        }
+                        for &(src, dst) in &w.refresh {
+                            // A snapshot has its source's length (`resolve_views`).
+                            let mut snapshot = memory.take_buffer(dst);
+                            snapshot.copy_from_slice(memory.buffer(src));
+                            memory.restore_buffer(dst, snapshot);
+                        }
+                        let local = &w.local;
+                        let (nest, io, state) = (w.nest, &mut w.io, &mut w.state);
+                        io.run(
+                            nest, views, &bufs, memory, scalars, local, &bases, threads, state,
+                        );
+                    }
+                }
+                step = step.saturating_add(planes);
+            }
+            row = row.saturating_add(rows);
         }
         release_snapshots(kernel, &bufs, memory);
         scalars.len()
@@ -1495,15 +1605,6 @@ fn snapshot_pairs(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Vec
     Ok(pairs)
 }
 
-/// `bounds` with the slowest dimension clipped to planes `[from, to)`;
-/// `None` when nothing is left.
-fn plane_box(bounds: &[(i64, i64)], from: i64, to: i64) -> Option<Vec<(i64, i64)>> {
-    let mut local = bounds.to_vec();
-    let slowest = local.last_mut()?;
-    *slowest = (slowest.0.max(from), slowest.1.min(to));
-    (slowest.0 < slowest.1).then_some(local)
-}
-
 /// A nest's outputs, resolved once per dispatch: each run moves them out
 /// of the arena, so they are mutable while the inputs stay shared, and
 /// puts them back.
@@ -1512,6 +1613,19 @@ struct NestIo {
     out_slots: Vec<Option<u16>>,
     /// The buffer behind each output slot.
     out_bufs: Vec<BufId>,
+    /// The outputs while a box runs, and the rows of its inputs and
+    /// outputs (kept for their allocations).
+    taken: Vec<Vec<f64>>,
+    ins: Vec<&'static [f64]>,
+    outs: Vec<&'static mut [f64]>,
+}
+
+/// An empty vector in `v`'s allocation for elements of the same layout —
+/// here one borrow at another lifetime — so a box's rows cost no
+/// allocation (`collect` reuses a vector in place).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 impl NestIo {
@@ -1544,48 +1658,55 @@ impl NestIo {
             }
         }
         Ok(Self {
+            taken: Vec::with_capacity(out_bufs.len()),
+            ins: Vec::with_capacity(views.len()),
+            outs: Vec::with_capacity(out_bufs.len()),
             out_slots,
             out_bufs,
         })
     }
 
-    fn take(&self, memory: &mut Memory) -> Vec<Vec<f64>> {
-        self.out_bufs
-            .iter()
-            .map(|&b| memory.take_buffer(b))
-            .collect()
+    /// Move the outputs out of `memory` (into the kept allocation).
+    fn take(&mut self, memory: &mut Memory) -> Vec<Vec<f64>> {
+        let mut taken = std::mem::take(&mut self.taken);
+        taken.extend(self.out_bufs.iter().map(|&b| memory.take_buffer(b)));
+        taken
+    }
+
+    fn restore(&mut self, memory: &mut Memory, mut taken: Vec<Vec<f64>>) {
+        for (&b, data) in self.out_bufs.iter().zip(taken.drain(..)) {
+            memory.restore_buffer(b, data);
+        }
+        self.taken = taken;
     }
 
     /// Every view's contents, empty for the taken outputs.
-    fn inputs<'m>(&self, bufs: &[BufId], memory: &'m Memory) -> Vec<&'m [f64]> {
-        bufs.iter()
-            .zip(&self.out_slots)
-            .map(|(&b, slot)| match slot {
-                Some(_) => &[][..],
-                None => memory.buffer(b),
-            })
-            .collect()
-    }
-
-    fn restore(&self, memory: &mut Memory, taken: Vec<Vec<f64>>) {
-        for (&b, data) in self.out_bufs.iter().zip(taken) {
-            memory.restore_buffer(b, data);
-        }
+    fn inputs<'m>(&mut self, bufs: &[BufId], memory: &'m Memory) -> Vec<&'m [f64]> {
+        let mut ins = recycle(std::mem::take(&mut self.ins));
+        ins.extend(
+            bufs.iter()
+                .zip(&self.out_slots)
+                .map(|(&b, slot)| match slot {
+                    Some(_) => &[][..],
+                    None => memory.buffer(b),
+                }),
+        );
+        ins
     }
 
     /// Run `nest` over the box `local`, buffers windowed by `bases` (see
-    /// [`run_nest_box_based`]). `threads > 1` work-shares the box over
-    /// `slab_count` slabs of zero-based buffers, when that is more than
-    /// one: the planner splits the slowest dimension first and keeps
-    /// factoring into the next-slower ones when the slowest extent alone
-    /// cannot feed the budget.
+    /// [`run_nest_box_based`]), reusing `state` between calls.
+    /// `threads > 1` work-shares the box over `slab_count` slabs of
+    /// zero-based buffers, when that is more than one: the planner splits
+    /// the slowest dimension first and keeps factoring into the next-slower
+    /// ones when the slowest extent alone cannot feed the budget.
     /// Store offsets can make a fine split's slabs overlap; then the
     /// coarser slowest-dimension-only split is tried, and if its slabs
     /// overlap too the box runs on the calling thread, which is always
     /// legal.
     #[allow(clippy::too_many_arguments)]
     fn run(
-        &self,
+        &mut self,
         nest: &Nest,
         views: &[ViewSpec],
         bufs: &[BufId],
@@ -1594,6 +1715,7 @@ impl NestIo {
         local: &[(i64, i64)],
         bases: &[i64],
         threads: usize,
+        state: &mut RangeState,
     ) {
         let mut taken = self.take(memory);
         {
@@ -1622,19 +1744,13 @@ impl NestIo {
                 run(&fine) || run(&coarse())
             };
             if !shared {
-                let mut outputs: Vec<&mut [f64]> =
-                    taken.iter_mut().map(Vec::as_mut_slice).collect();
-                run_box(
-                    nest,
-                    views,
-                    &inputs,
-                    &mut outputs,
-                    bases,
-                    &self.out_slots,
-                    scalars,
-                    local,
-                );
+                let mut outputs = recycle(std::mem::take(&mut self.outs));
+                outputs.extend(taken.iter_mut().map(Vec::as_mut_slice));
+                let io = (&inputs[..], &mut outputs[..], bases, &self.out_slots[..]);
+                run_box(nest, views, io, scalars, local, state);
+                self.outs = recycle(outputs);
             }
+            self.ins = recycle(inputs);
         }
         self.restore(memory, taken);
     }
@@ -1666,9 +1782,22 @@ pub(crate) fn run_nest_box_based(
     if local.iter().any(|&(lb, ub)| lb >= ub) {
         return Ok(());
     }
-    NestIo::new(nest, views, bufs)?.run(nest, views, bufs, memory, scalars, local, bases, 1);
+    let mut state = RangeState::new(views, local.len());
+    NestIo::new(nest, views, bufs)?.run(
+        nest, views, bufs, memory, scalars, local, bases, 1, &mut state,
+    );
     Ok(())
 }
+
+/// What a box reads and writes: the input views, the output slabs, each
+/// view's flat origin within its slab (`bases`), and each view's output
+/// slot.
+type BoxIo<'a, 'i, 'o> = (
+    &'a [&'i [f64]],
+    &'a mut [&'o mut [f64]],
+    &'a [i64],
+    &'a [Option<u16>],
+);
 
 /// Run a nest over `local` — an arbitrary sub-box of the iteration domain
 /// (per-dimension half-open bounds) — honouring the nest's cache-block
@@ -1676,16 +1805,13 @@ pub(crate) fn run_nest_box_based(
 /// boxes visited dimension-0-innermost, each swept by [`run_range`]. Tiling
 /// is bit-exact: every cell computes exactly once with unchanged per-cell
 /// arithmetic, and outputs never alias inputs.
-#[allow(clippy::too_many_arguments)]
 fn run_box(
     nest: &Nest,
     views: &[ViewSpec],
-    inputs: &[&[f64]],
-    outputs: &mut [&mut [f64]],
-    out_slab_starts: &[i64],
-    out_view_map: &[Option<u16>],
+    io: BoxIo<'_, '_, '_>,
     scalars: &[f64],
     local: &[(i64, i64)],
+    state: &mut RangeState,
 ) {
     let rank = local.len();
     if local.iter().any(|&(lb, ub)| lb >= ub) {
@@ -1693,44 +1819,27 @@ fn run_box(
     }
     // Effective tile step per dimension: the plan's tile where it actually
     // subdivides the box, the full extent otherwise.
-    let steps: Vec<i64> = (0..rank)
-        .map(|d| {
-            let ext = local[d].1 - local[d].0;
-            match nest.plan.tile_for(d) {
-                Some(t) if t < ext => t,
-                _ => ext,
-            }
-        })
-        .collect();
-    if (0..rank).all(|d| steps[d] >= local[d].1 - local[d].0) {
-        run_range(
-            nest,
-            views,
-            inputs,
-            outputs,
-            out_slab_starts,
-            out_view_map,
-            scalars,
-            local,
-        );
+    let step = |d: usize| {
+        let ext = local[d].1 - local[d].0;
+        match nest.plan.tile_for(d) {
+            Some(t) if t < ext => t,
+            _ => ext,
+        }
+    };
+    if (0..rank).all(|d| step(d) >= local[d].1 - local[d].0) {
+        run_range(nest, views, io, scalars, local, state);
         return;
     }
+    let (inputs, outputs, bases, out_view_map) = io;
+    let steps: Vec<i64> = (0..rank).map(step).collect();
     let mut origin: Vec<i64> = local.iter().map(|b| b.0).collect();
     let mut tile = vec![(0i64, 0i64); rank];
     'tiles: loop {
         for d in 0..rank {
             tile[d] = (origin[d], (origin[d] + steps[d]).min(local[d].1));
         }
-        run_range(
-            nest,
-            views,
-            inputs,
-            outputs,
-            out_slab_starts,
-            out_view_map,
-            scalars,
-            &tile,
-        );
+        let io = (inputs, &mut *outputs, bases, out_view_map);
+        run_range(nest, views, io, scalars, &tile, state);
         let mut d = 0;
         loop {
             origin[d] += steps[d];
@@ -1746,170 +1855,185 @@ fn run_box(
     }
 }
 
+/// What [`run_range`] keeps between the boxes of one nest: each view's
+/// strides, the row walk's cursors and coordinates, and each tier's
+/// registers, prepared again only when the row width, the first column or
+/// the scalars change (prelude values per dispatch).
+pub(crate) struct RangeState {
+    /// `strides[v * rank + d]`.
+    strides: Vec<i64>,
+    cursors: Vec<i64>,
+    /// The VM's cursors along one row.
+    lane: Vec<i64>,
+    coords: Vec<i64>,
+    jit: JitRegs,
+    vm: VmRegs,
+}
+
+/// The VM's registers: the scalar file and one strip of each register,
+/// with the strip width and the scalar arguments (as bits) their prelude
+/// was run for.
+#[derive(Default)]
+struct VmRegs {
+    regs: Vec<f64>,
+    sregs: Vec<f64>,
+    filled: Option<(usize, Vec<u64>)>,
+}
+
+impl VmRegs {
+    /// Run `program`'s prelude into strips of width `w` and the scalar
+    /// registers, unless they hold it already.
+    fn prelude(&mut self, program: &BodyProgram, w: usize, scalars: &[f64]) {
+        let bits = || scalars.iter().map(|s| s.to_bits());
+        if self
+            .filled
+            .as_ref()
+            .is_some_and(|(fw, fb)| *fw == w && fb.iter().copied().eq(bits()))
+        {
+            return;
+        }
+        let num_regs = usize::from(program.num_regs.max(1));
+        self.regs.resize(num_regs, 0.0);
+        program.run_prelude(&mut self.regs, scalars);
+        self.sregs.resize(num_regs * w, 0.0);
+        program.run_prelude_strip(&mut self.sregs, w, scalars);
+        self.filled = Some((w, bits().collect()));
+    }
+}
+
+impl RangeState {
+    pub(crate) fn new(views: &[ViewSpec], rank: usize) -> Self {
+        let strides = views
+            .iter()
+            .flat_map(|v| (0..rank).map(|d| v.strides.get(d).copied().unwrap_or(0)))
+            .collect();
+        Self {
+            strides,
+            cursors: vec![0; views.len()],
+            lane: vec![0; views.len()],
+            coords: vec![0; rank],
+            jit: JitRegs::default(),
+            vm: VmRegs::default(),
+        }
+    }
+}
+
 /// Run a nest serially over one box of the iteration domain (`bounds` are
 /// per-dimension half-open local bounds — the full domain, a parallel
 /// task's sub-box, or one cache-block tile).
 ///
 /// When every view has unit innermost stride (always true for the shapes
-/// our lowering produces), the innermost dimension executes in *strips*
-/// through the vector VM — the realisation of the pipeline's
-/// `scf-parallel-loop-specialization` vectorisation step. Otherwise a
-/// scalar cell loop runs.
-#[allow(clippy::too_many_arguments)]
+/// our lowering produces), the innermost dimension executes as whole rows
+/// on the specialized and jit tiers and in *strips* through the vector VM
+/// — the realisation of the pipeline's `scf-parallel-loop-specialization`
+/// vectorisation step. Otherwise a scalar cell loop runs.
 fn run_range(
     nest: &Nest,
     views: &[ViewSpec],
-    inputs: &[&[f64]],
-    outputs: &mut [&mut [f64]],
-    out_slab_starts: &[i64],
-    out_view_map: &[Option<u16>],
+    (inputs, outputs, out_slab_starts, out_view_map): BoxIo<'_, '_, '_>,
     scalars: &[f64],
     bounds: &[(i64, i64)],
+    st: &mut RangeState,
 ) {
     const STRIP: usize = 64;
-    let rank = bounds.len();
     if bounds.iter().any(|&(lb, ub)| lb >= ub) {
         return;
     }
     let strip_ok = views.iter().all(|v| v.strides.first() == Some(&1));
+    let walk = Walk {
+        bounds,
+        strides: &st.strides,
+        bases: out_slab_starts,
+    };
+    walk.start(&mut st.cursors, &mut st.coords);
+    let (lb0, ub0) = bounds[0];
+    let w = (ub0 - lb0) as usize;
     // Path selection. Native specialized loops assume unit innermost stride
     // exactly like the strip VM; without it, fall down the ladder. The
     // GenericVm override runs the unfused program; everything else runs the
     // fused one (identical values either way — fusion is bit-exact).
-    let specialized: Option<&SpecBody> = if nest.path == ExecPath::Specialized && strip_ok {
-        nest.specialized.as_ref()
-    } else {
-        None
-    };
-    let jitted: Option<&JitProgram> = if nest.path == ExecPath::Jit && strip_ok {
-        nest.jit.as_deref()
-    } else {
-        None
+    if nest.path == ExecPath::Jit && strip_ok {
+        if let Some(jp) = nest.jit.as_deref() {
+            // Stitched fast path: the whole box runs through the
+            // pre-monomorphized fragments — no bytecode dispatch, and for a
+            // program that is one chain no call per row.
+            jp.prepare(&mut st.jit, w, lb0, scalars);
+            let (cursors, coords) = (&mut st.cursors, &mut st.coords);
+            jp.run_box(
+                &mut st.jit,
+                inputs,
+                outputs,
+                out_view_map,
+                cursors,
+                coords,
+                scalars,
+                &walk,
+            );
+            return;
+        }
+    }
+    let specialized = match nest.path {
+        ExecPath::Specialized if strip_ok => nest.specialized.as_ref(),
+        _ => None,
     };
     let program = if nest.path == ExecPath::GenericVm {
         &nest.program
     } else {
         &nest.fused
     };
-    let num_regs = program.num_regs.max(1) as usize;
-
-    let mut coords: Vec<i64> = bounds.iter().map(|&(lb, _)| lb).collect();
-    let mut cursors = vec![0i64; views.len()];
-
-    // Scalar registers (fallback path).
-    let mut regs = vec![0.0f64; num_regs];
-    program.run_prelude(&mut regs, scalars);
-    // Strip registers (vector path).
-    let mut sregs = vec![0.0f64; num_regs * STRIP];
-    let mut cur_w = STRIP;
-    if strip_ok && specialized.is_none() && jitted.is_none() {
-        program.run_prelude_strip(&mut sregs, STRIP, scalars);
+    if specialized.is_none() {
+        st.vm
+            .prelude(program, if strip_ok { w.min(STRIP) } else { 1 }, scalars);
     }
-    // Jit state: prelude scalars evaluated once, broadcast into a full-row
-    // register file from the thread-local scratch pool (row width is
-    // constant within one box, so the fill happens once per call).
-    let mut jrows: Vec<f64> = Vec::new();
-    let mut jpre: Vec<f64> = Vec::new();
-    if let Some(jp) = jitted {
-        let w = (bounds[0].1 - bounds[0].0) as usize;
-        jpre = jp.prelude_values(scalars);
-        jrows = jit::take_scratch();
-        jrows.clear();
-        jrows.resize(jp.num_regs().max(1) as usize * w, 0.0);
-        jp.fill_prelude_rows(&mut jrows, w, &jpre);
-    }
-
-    'rows: loop {
-        for (v, spec) in views.iter().enumerate() {
-            let mut c = 0i64;
-            for (d, &coord) in coords.iter().enumerate().take(rank) {
-                c += coord * spec.strides[d];
-            }
-            c -= out_slab_starts[v];
-            cursors[v] = c;
-        }
-        let (lb0, ub0) = bounds[0];
+    loop {
         if let Some(body) = specialized {
             // Native fast path: the body sweeps the whole unit-stride row
             // in one loop — no bytecode dispatch at all.
-            let w = (ub0 - lb0) as usize;
-            specialize::run_spec_row(body, inputs, outputs, out_view_map, &cursors, scalars, w);
-        } else if let Some(jp) = jitted {
-            // Stitched fast path: the whole unit-stride row runs through
-            // the pre-monomorphized fragment sequence — one indirect call
-            // per fragment per row, zero bytecode dispatch.
-            let w = (ub0 - lb0) as usize;
-            jp.run_row(
-                &mut jrows,
-                w,
-                inputs,
-                outputs,
-                out_view_map,
-                &cursors,
-                lb0,
-                &coords,
-                scalars,
-                &jpre,
-            );
+            specialize::run_spec_row(body, inputs, outputs, out_view_map, &st.cursors, scalars, w);
         } else if strip_ok {
+            st.lane.copy_from_slice(&st.cursors);
             let mut i = lb0;
             while i < ub0 {
-                let w = ((ub0 - i) as usize).min(STRIP);
-                if w != cur_w {
-                    program.run_prelude_strip(&mut sregs, w, scalars);
-                    cur_w = w;
-                }
+                let sw = ((ub0 - i) as usize).min(STRIP);
+                st.vm.prelude(program, sw, scalars);
                 program.run_strip(
-                    &mut sregs,
-                    w,
+                    &mut st.vm.sregs,
+                    sw,
                     inputs,
                     outputs,
                     out_view_map,
-                    &cursors,
+                    &st.lane,
                     i,
-                    &coords,
+                    &st.coords,
                     scalars,
                 );
-                for cur in cursors.iter_mut() {
-                    *cur += w as i64;
+                for cur in st.lane.iter_mut() {
+                    *cur += sw as i64;
                 }
-                i += w as i64;
+                i += sw as i64;
             }
         } else {
-            let mut i = lb0;
-            while i < ub0 {
-                coords[0] = i;
+            st.lane.copy_from_slice(&st.cursors);
+            for i in lb0..ub0 {
+                st.coords[0] = i;
                 program.run_cell_body(
-                    &mut regs,
+                    &mut st.vm.regs,
                     inputs,
                     outputs,
                     out_view_map,
-                    &cursors,
-                    &coords,
+                    &st.lane,
+                    &st.coords,
                     scalars,
                 );
                 for (v, spec) in views.iter().enumerate() {
-                    cursors[v] += spec.strides[0];
+                    st.lane[v] += spec.strides[0];
                 }
-                i += 1;
             }
+            st.coords[0] = lb0;
         }
-        coords[0] = bounds[0].0;
-        let mut d = 1;
-        loop {
-            if d >= rank {
-                break 'rows;
-            }
-            coords[d] += 1;
-            if coords[d] < bounds[d].1 {
-                break;
-            }
-            coords[d] = bounds[d].0;
-            d += 1;
+        if !walk.next(&mut st.cursors, &mut st.coords) {
+            break;
         }
-    }
-    if jitted.is_some() {
-        jit::put_scratch(jrows);
     }
 }
 
@@ -2101,16 +2225,14 @@ fn run_sliced(
     }
 
     fsc_ir::par::fan_out(workers, tasks, |mut task| {
-        run_box(
-            nest,
-            views,
+        let mut state = RangeState::new(views, task.bounds.len());
+        let io = (
             inputs,
-            &mut task.outs,
-            &task.slab_starts,
+            &mut task.outs[..],
+            &task.slab_starts[..],
             out_view_map,
-            scalars,
-            &task.bounds,
-        )
+        );
+        run_box(nest, views, io, scalars, &task.bounds, &mut state)
     });
     true
 }
@@ -2214,7 +2336,7 @@ end program average
         for (src, dst) in snapshot_pairs(nest, &k.views, &bufs).unwrap() {
             memory.copy_buffer(src, dst).unwrap();
         }
-        let io = NestIo::new(nest, &k.views, &bufs).unwrap();
+        let mut io = NestIo::new(nest, &k.views, &bufs).unwrap();
         let mut taken = io.take(memory);
         let split = {
             let inputs = io.inputs(&bufs, memory);
@@ -2711,14 +2833,27 @@ end program gs
     /// `do k / do j / do i` nest per `(statement, k from, k to)`, i and j
     /// running 1..n: the nests land in one region.
     fn nests3d(n: i64, nests: &[(&str, i64, i64)]) -> String {
+        let rows: Vec<_> = nests
+            .iter()
+            .map(|&(stmt, from, to)| (stmt, (from, to), (1, n)))
+            .collect();
+        nests3d_rows(n, &rows)
+    }
+
+    /// A nest of [`nests3d_rows`]: its statement, `(k from, k to)` and
+    /// `(j from, j to)`.
+    type RowNest<'s> = (&'s str, (i64, i64), (i64, i64));
+
+    /// [`nests3d`] with each nest's own `j` range.
+    fn nests3d_rows(n: i64, nests: &[RowNest]) -> String {
         let mut src = format!(
             "program t\n  integer, parameter :: n = {n}\n  integer :: i, j, k\n  \
              real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), v(0:n+1, 0:n+1, 0:n+1)\n  \
              real(kind=8) :: w(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)\n",
         );
-        for (stmt, from, to) in nests {
+        for (stmt, (kf, kt), (jf, jt)) in nests {
             src += &format!(
-                "  do k = {from}, {to}\n    do j = 1, n\n      do i = 1, n\n        \
+                "  do k = {kf}, {kt}\n    do j = {jf}, {jt}\n      do i = 1, n\n        \
                  {stmt}\n      end do\n    end do\n  end do\n"
             );
         }
@@ -2829,10 +2964,16 @@ end program gs2
     /// Dispatch counts every batch test runs.
     const BATCHES: [usize; 5] = [1, 2, 3, 4, 8];
 
+    /// Block heights every pipelined test crosses: 1, 2, 3 and 7 rows (less
+    /// than a row period, a block with no rows of a lagged nest), and one
+    /// block spanning the rows.
+    const ROWS: [i64; 5] = [1, 2, 3, 7, i64::MAX];
+
     /// Sweep `k` in steps of 1, 2 and 3 planes and in one step spanning the
-    /// domain, on every forced tier: each run must equal the in-order run
-    /// bit for bit, and a sweep of each of [`BATCHES`] dispatches the same
-    /// dispatches run one at a time. Returns the compiled lags and period.
+    /// domain, in blocks of each of [`ROWS`], on every forced tier: each run
+    /// must equal the in-order run bit for bit, and a sweep of each of
+    /// [`BATCHES`] dispatches the same dispatches run one at a time. Returns
+    /// the compiled lags and period.
     fn assert_steps_bit_identical(mut k: CompiledKernel) -> (Vec<i64>, i64) {
         let p = k.pipeline.take().expect("a legal pipeline");
         for tier in [
@@ -2845,22 +2986,25 @@ end program gs2
             k.pipeline = None;
             let in_order = run_seeded(&k, 1);
             let one_at_a_time = BATCHES.map(|n| run_dispatches(&k, n, false).0);
-            for planes in [1, 2, 3, i64::MAX] {
+            for (planes, rows) in [1, 2, 3, i64::MAX]
+                .into_iter()
+                .flat_map(|planes| ROWS.map(|rows| (planes, rows)))
+            {
                 k.pipeline = Some(Pipeline {
                     planes,
+                    rows,
                     ..p.clone()
                 });
                 assert!(
                     same_bits(&run_seeded(&k, 1), &in_order),
-                    "{tier} at {planes} planes/step, lags {:?}",
-                    p.lags
+                    "{tier} at {planes} planes/step, {rows} rows/block, {p:?}"
                 );
                 for (n, reference) in BATCHES.iter().zip(&one_at_a_time) {
                     let (batched, sweeps) = run_dispatches(&k, *n, true);
                     assert_eq!(sweeps, 1, "{tier}: {n} dispatches fit one window");
                     assert!(
                         same_bits(&batched, reference),
-                        "{tier}: {n} dispatches at {planes} planes/step, {p:?}"
+                        "{tier}: {n} dispatches at {planes} planes/step, {rows} rows/block, {p:?}"
                     );
                 }
             }
@@ -2881,14 +3025,15 @@ end program gs2
         // Small domains fit one step: the schedule is in order.
         assert_eq!(compile(&gs3).lags(), None);
         assert_eq!(compile(&gs3).schedule(1), "in order");
-        // GS n=64: 66² doubles per plane on two views, 15 planes a step.
+        // GS n=64: 66² doubles per plane on two views, 15 planes a step;
+        // a window of every plane, 15 rows of each.
         let big = nests3d(
             64,
             &[(GS_STENCIL, 1, 64), ("u(i, j, k) = un(i, j, k)", 1, 64)],
         );
         assert_eq!(
             compile(&big).schedule(1),
-            "pipelined, lags [0, 1], period 2, 15 planes/step"
+            "pipelined, lags [0, 1], period 2, 15 planes/step, 15 rows/block"
         );
         // More than one thread runs in order, each nest in as many slabs as
         // its work repays.
@@ -2956,6 +3101,110 @@ end program gs2
         assert_eq!(
             assert_steps_bit_identical(compile(&chain)),
             (vec![0, 1, 2], 2)
+        );
+    }
+
+    /// The compiled row lags and row period of `src`'s first region, after
+    /// [`assert_steps_bit_identical`] crossed its blocks.
+    fn row_rule(src: &str) -> (Vec<i64>, i64) {
+        let k = compile(src);
+        let p = k.pipeline.clone().expect("a legal pipeline");
+        assert_steps_bit_identical(k);
+        (p.row_lags, p.row_period)
+    }
+
+    #[test]
+    fn row_lags_cover_flow_anti_and_output_dependences() {
+        let all = (1, 5);
+        // Gauss–Seidel: the copy trails the stencil by one row, the next
+        // dispatch this one by two.
+        let gs = nests3d(5, &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)]);
+        assert_eq!(row_rule(&gs), (vec![0, 1], 2));
+        // Flow at +2: the second nest reads v two rows ahead of where the
+        // first wrote it.
+        let flow = nests3d_rows(
+            5,
+            &[
+                ("v(i, j, k) = 2.0 * u(i, j, k)", all, all),
+                ("w(i, j, k) = v(i, j+2, k) - v(i, j, k)", all, (1, 3)),
+            ],
+        );
+        assert_eq!(row_rule(&flow), (vec![0, 2], 2));
+        // Anti at −2: the first nest reads u two rows back; the second
+        // overwrites u.
+        let anti = nests3d_rows(
+            5,
+            &[
+                ("v(i, j, k) = u(i, j-2, k) + u(i, j, k)", all, (2, 5)),
+                ("u(i, j, k) = 0.5 * v(i, j, k)", all, (2, 5)),
+            ],
+        );
+        assert_eq!(row_rule(&anti), (vec![0, 2], 2));
+        // Output: both nests write v on overlapping rows; the second
+        // nest's values must land last.
+        let output = nests3d_rows(
+            5,
+            &[
+                ("v(i, j, k) = u(i, j, k)", all, all),
+                ("v(i, j+1, k) = 2.0 * w(i, j, k)", all, (1, 4)),
+            ],
+        );
+        assert_eq!(row_rule(&output), (vec![0, 0], 0));
+        // Rows apart: the second nest covers two rows only, so most blocks
+        // hold none of them.
+        let apart = nests3d_rows(
+            5,
+            &[
+                ("v(i, j, k) = 3.0 * u(i, j, k)", all, all),
+                ("w(i, j, k) = v(i, j+1, k) + v(i, j-2, k)", all, (3, 4)),
+            ],
+        );
+        assert_eq!(row_rule(&apart), (vec![0, 1], 3));
+        // Three nests, one row per link.
+        let chain = nests3d_rows(
+            5,
+            &[
+                ("v(i, j, k) = 2.0 * u(i, j, k)", all, all),
+                ("w(i, j, k) = v(i, j+1, k) + 1.0", all, (1, 4)),
+                ("un(i, j, k) = w(i, j+1, k) * w(i, j, k)", all, (1, 3)),
+            ],
+        );
+        assert_eq!(row_rule(&chain), (vec![0, 1, 2], 2));
+    }
+
+    #[test]
+    fn a_block_trailing_by_less_than_the_row_period_reads_stale_rows() {
+        // One step spans every plane, so only the blocks order the
+        // dispatches. The mutant runs dispatch c at c·(Dʲ − 1) rows: the
+        // next stencil reads u one row before this dispatch's copy has
+        // written it.
+        let mut k = compile(&nests3d(
+            5,
+            &[(GS_STENCIL, 1, 5), ("u(i, j, k) = un(i, j, k)", 1, 5)],
+        ));
+        let reference = run_dispatches(&k, 2, false).0;
+        let p = k.pipeline.as_mut().expect("a legal pipeline");
+        (p.planes, p.rows) = (i64::MAX, 1);
+        assert!(same_bits(&run_dispatches(&k, 2, true).0, &reference));
+        let p = k.pipeline.as_mut().expect("a legal pipeline");
+        p.row_period -= 1;
+        assert!(!same_bits(&run_dispatches(&k, 2, true).0, &reference));
+    }
+
+    /// GS n=192 × 8 dispatches: a window of 17 planes, 19 rows of each on
+    /// two views fill `STEP_BYTES`. Small grids run whole planes.
+    #[test]
+    fn blocks_fill_the_step_bytes_with_a_window_of_rows() {
+        let gs = |n: usize| {
+            let src = fsc_workloads::gauss_seidel::fortran_source(n, 2);
+            compile_region(&src, "stencil_region_1")
+        };
+        let p = gs(192).pipeline.expect("a legal pipeline");
+        assert_eq!((p.batch, p.period, p.rows), (8, 2, 19));
+        assert_eq!(gs(8).pipeline.expect("a legal pipeline").rows, i64::MAX);
+        assert_eq!(
+            gs(192).schedule(1),
+            "pipelined, lags [0, 1], period 2, 1 plane/step, 19 rows/block"
         );
     }
 
@@ -3190,6 +3439,32 @@ end program gs2
         // work there is.
         let huge = [(0i64, 1 << 32), (0, 1 << 32)];
         assert_eq!(slab_count(&huge, instrs, 8), 8);
+    }
+
+    /// An affine init (`0.01·i + 0.02·j + 0.03·k` per array) stitches to one
+    /// store-sunk chain per array over the `i` ramp and per-row scalars:
+    /// GS's to one, PW's to three. Every GS nest is one fragment. Each gives
+    /// the generic VM's bits, also in tiles that start rows mid-way.
+    #[test]
+    fn affine_inits_stitch_to_one_chain_per_array() {
+        let gs = fsc_workloads::gauss_seidel::fortran_source(6, 2);
+        let pw = fsc_workloads::pw_advection::fortran_source(6);
+        // PW's `w` folds `0.01·j + 0.02·k` into one row scalar: five taps.
+        for (src, chains, taps) in [(&gs, 1, 2), (&pw, 3, 5)] {
+            let mut k = compile(src);
+            let jit = k.nests[0].jit.as_ref().expect("the init nest, stitched");
+            assert_eq!((jit.steps_len(), jit.chained_taps()), (chains, taps));
+            k.force_exec_path(ExecPath::GenericVm);
+            let reference = run_seeded(&k, 1);
+            k.force_exec_path(ExecPath::Jit);
+            assert!(same_bits(&run_seeded(&k, 1), &reference));
+            k.force_plan(&ExecPlan::from_ir_tiles(vec![3, 2, 5]));
+            assert!(same_bits(&run_seeded(&k, 1), &reference), "tiled");
+        }
+        let k = compile_region(&gs, "stencil_region_1");
+        for nest in &k.nests {
+            assert_eq!(nest.jit.as_ref().map(|j| j.steps_len()), Some(1));
+        }
     }
 
     /// The PW workload's region: the init nest, then the advection triple.

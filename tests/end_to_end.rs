@@ -646,8 +646,9 @@ end program war
 
 #[test]
 fn pipelined_gauss_seidel_matches_the_interpreter() {
-    // n = 64 runs the copy sweep one plane behind the stencil in several
-    // steps of 15 planes; a non-harmonic field makes every lag visible.
+    // n = 64 runs the copy sweep one plane and one row behind the stencil
+    // in several steps of 15 planes and blocks of 15 rows; a non-harmonic
+    // field makes every lag visible.
     let source = gauss_seidel::fortran_source(64, 1).replace(
         "0.01 * i + 0.02 * j + 0.03 * k",
         "0.01 * i * j + 0.02 * k * k + 0.03 * i",
@@ -655,7 +656,9 @@ fn pipelined_gauss_seidel_matches_the_interpreter() {
     let compiled = Compiler::compile(&source, &CompileOptions::default()).unwrap();
     let schedules: Vec<String> = compiled.kernels.values().map(|k| k.schedule(1)).collect();
     assert!(
-        schedules.contains(&"pipelined, lags [0, 1], period 2, 15 planes/step".to_string()),
+        schedules.contains(
+            &"pipelined, lags [0, 1], period 2, 15 planes/step, 15 rows/block".to_string()
+        ),
         "{schedules:?}"
     );
     // On `omp:2` every nest is work enough to split in two, so the
