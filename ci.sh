@@ -190,22 +190,29 @@ rm -r "$smoke_dir"
 
 echo "== batched sweep smoke =="
 # Consecutive dispatches of one region on the same arrays run as one
-# pipelined sweep (DESIGN.md §15): GS n=64 x 8 on `cpu` runs its init
+# pipelined sweep (DESIGN.md §15), and on `dmp` as one queued rank run
+# (DESIGN.md §9): GS n=64 x 8 on `cpu` and on two ranks runs its init
 # region alone and its eight time steps as one sweep, and its `u` must
 # print the FIR interpreter's (`--target=flang`) checksum. Release build:
 # the interpreter takes minutes on 64^3 x 8 unoptimised.
 smoke_dir=$(mktemp -d)
 sed -e 's/{n}/64/' -e 's/{iters}/8/' benchmark/programs/gs.f90 > "$smoke_dir/gs.f90"
-for target in cpu flang; do
-  cargo run -q --release --example fsc -- "$smoke_dir/gs.f90" --target=$target --print=u \
+for target in cpu dmp flang; do
+  cargo run -q --release --example fsc -- "$smoke_dir/gs.f90" --target=$target --grid=2 --print=u \
     > "$smoke_dir/$target.out" 2> "$smoke_dir/$target.err"
 done
-grep '^sweeps:' "$smoke_dir/cpu.err" || true
-grep -qx 'sweeps: 9 dispatches in 2 sweeps' "$smoke_dir/cpu.err" \
-  || { echo "GS n=64 x 8 on cpu did not run its 8 time steps as one sweep"; exit 1; }
-cmp "$smoke_dir/cpu.out" "$smoke_dir/flang.out" \
-  || { echo "GS n=64 x 8: u on cpu differs from flang"; cat "$smoke_dir"/*.out; exit 1; }
+for target in cpu dmp; do
+  grep '^sweeps:' "$smoke_dir/$target.err" || true
+  grep -qx 'sweeps: 9 dispatches in 2 sweeps' "$smoke_dir/$target.err" \
+    || { echo "GS n=64 x 8 on $target did not run its 8 time steps as one sweep"; exit 1; }
+  cmp "$smoke_dir/$target.out" "$smoke_dir/flang.out" \
+    || { echo "GS n=64 x 8: u on $target differs from flang"; cat "$smoke_dir"/*.out; exit 1; }
+done
 rm -r "$smoke_dir"
+
+echo "== docs =="
+# Every intra-doc link resolves and no public doc links a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 echo "== server smoke =="
 # Compile-server mode: loadgen self-hosts an fsc-serve instance on a

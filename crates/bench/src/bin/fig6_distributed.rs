@@ -4,7 +4,7 @@
 //! model, this harness runs the distributed target for real: every rank is
 //! a thread on the resilient MPI micro-sim, halos move as face messages,
 //! and the reported time is the measured makespan attested in
-//! [`RunReport::distributed`]. Three series per point:
+//! `RunReport::distributed`. Three series per point:
 //!
 //! * `blocking`   — `mpi-overlap-halos` disabled (exchange, then compute)
 //! * `overlapped` — the default schedule (interior computed in flight)

@@ -306,8 +306,8 @@ pub struct DistributedReport {
     pub wait_seconds: f64,
     /// Boundary (overlap) or whole-block (blocking) compute seconds.
     pub boundary_seconds: f64,
-    /// Measured distributed seconds: the sum of per-dispatch makespans
-    /// (slowest rank body each time) plus every second the driver spent
+    /// Measured distributed seconds: the sum of the rank runs' makespans
+    /// (slowest rank body each time) plus the wall the driver spent
     /// scattering and gathering rank windows.
     pub measured_seconds: f64,
     /// What the analytic cost model charges for the same dispatches
@@ -888,7 +888,7 @@ impl Compiled {
         interp.run_func(&self.entry, vec![])?;
         // Results still resident in rank windows land before anything reads
         // the program's arrays.
-        interp.sync();
+        interp.sync()?;
         let wall = start.elapsed();
 
         // Gather array bindings before dismantling the interpreter.
@@ -969,11 +969,15 @@ pub struct KernelDispatcher<'k> {
     pub kernel_wall: Duration,
     /// Total cells processed.
     pub cells: u64,
-    /// Host CPU dispatches and the sweeps they ran in.
+    /// Host CPU and measured distributed dispatches, and the sweeps and
+    /// rank runs they ran in.
     pub sweeps: (u64, u64),
     /// Dispatches not yet run. Their buffers are stale, so host access to
     /// one, another dispatch or the end of the run runs them first.
     queued: Option<Sweep<'k>>,
+    /// The kernel whose session holds distributed dispatches not yet run,
+    /// flushed like `queued`.
+    dist_queued: Option<&'k str>,
     /// Distributed seconds: measured makespans (real dispatches) plus
     /// modeled time (fallback dispatches).
     pub distributed_seconds: f64,
@@ -1035,6 +1039,7 @@ impl<'k> KernelDispatcher<'k> {
             cells: 0,
             sweeps: (0, 0),
             queued: None,
+            dist_queued: None,
             distributed_seconds: 0.0,
             dist: DistributedReport::default(),
             exec_paths: std::collections::BTreeSet::new(),
@@ -1202,7 +1207,12 @@ impl<'k> KernelDispatcher<'k> {
             if !which(name, session) {
                 continue;
             }
-            let secs = session.gather(memory);
+            let t = Instant::now();
+            let secs = session.gather(memory, &self.dist_options);
+            let wall = t.elapsed().as_secs_f64();
+            if secs.is_empty() {
+                continue;
+            }
             let d = &mut self.dist;
             if d.per_rank_wall.len() < secs.len() {
                 d.per_rank_wall.resize(secs.len(), 0.0);
@@ -1210,11 +1220,11 @@ impl<'k> KernelDispatcher<'k> {
             for (acc, s) in d.per_rank_wall.iter_mut().zip(&secs) {
                 *acc += s;
             }
-            let total: f64 = secs.iter().sum();
-            d.gather_seconds += total;
+            d.gather_seconds += secs.iter().sum::<f64>();
             d.gathers += secs.len() as u64;
-            d.measured_seconds += total;
-            self.distributed_seconds += total;
+            // Ranks gather in parallel: the run waits for the wall.
+            d.measured_seconds += wall;
+            self.distributed_seconds += wall;
         }
     }
 
@@ -1229,7 +1239,7 @@ impl<'k> KernelDispatcher<'k> {
         let ranks = grid.size();
         let d = &mut self.dist;
         d.ranks = ranks;
-        d.dispatches += 1;
+        d.dispatches += outcome.dispatches;
         // A single blocking nest demotes the whole run's attested schedule.
         d.schedule = Some(match (d.schedule, outcome.schedule) {
             (Some(HaloSchedule::Blocking), _) | (_, HaloSchedule::Blocking) => {
@@ -1257,7 +1267,8 @@ impl<'k> KernelDispatcher<'k> {
         d.bytes_exchanged += outcome.bytes_exchanged;
         d.messages += outcome.messages;
         d.measured_seconds += outcome.makespan_seconds;
-        d.modeled_seconds += compute / ranks.max(1) as f64 + modeled_comm;
+        d.modeled_seconds +=
+            compute / ranks.max(1) as f64 + modeled_comm * outcome.dispatches as f64;
         DistProvenance::fold(&mut d.provenance, DistProvenance::Measured);
         d.scheduler = Some(outcome.scheduler);
         d.workers = d.workers.max(outcome.workers);
@@ -1296,17 +1307,56 @@ impl<'k> KernelDispatcher<'k> {
         self.queued = Some(sweep);
     }
 
-    /// Run the queued sweep, timed on its own: no dispatch's timer holds it.
-    fn flush(&mut self, memory: &mut Memory) {
+    /// Add a dispatch to the held sweep or the queued rank run when it may
+    /// join it ([`Sweep::join`], [`DistSession::join`]).
+    fn joins(&mut self, kernel: &CompiledKernel, args: &[KernelArg], memory: &mut Memory) -> bool {
+        if self.queued.as_mut().is_some_and(|s| s.join(kernel, args)) {
+            return true;
+        }
+        let Some(grid) = self
+            .grid
+            .clone()
+            .filter(|_| self.dist_queued == Some(&*kernel.name))
+        else {
+            return false;
+        };
+        let plan = self.dispatch_plan(self.dispatch_index, grid.size() as usize);
+        let session = self.sessions.get_mut(&kernel.name);
+        let joins = session.is_some_and(|s| s.join(kernel, &grid, args, &plan, memory));
+        self.dispatch_index += usize::from(joins);
+        joins
+    }
+
+    /// Run the queued sweep or rank run, timed on its own: no dispatch's
+    /// timer holds it. A failed rank run drops its session.
+    fn flush(&mut self, memory: &mut Memory) -> Result<()> {
+        let start = Instant::now();
         if let Some(sweep) = self.queued.take() {
-            let start = Instant::now();
             for &b in sweep.buffers() {
                 memory.clear_stale(b);
             }
             self.sweeps.0 += sweep.run(memory) as u64;
             self.sweeps.1 += 1;
-            self.kernel_wall += start.elapsed();
         }
+        if let Some(name) = self.dist_queued.take() {
+            let session = self.sessions.get_mut(name);
+            let ran = session.map_or(Ok(None), |s| s.run(memory, &self.dist_options));
+            let outcome = ran.inspect_err(|_| drop(self.sessions.remove(name)))?;
+            if let (Some(outcome), Some(kernel)) = (outcome, self.kernels.get(name)) {
+                // Real distributed execution: every rank ran the kernel
+                // over its owned block with measured halo traffic. The
+                // makespan is the measured distributed time; the cost model
+                // rides along as a cross-check inside the report.
+                let grid = self.dist_grid()?;
+                self.resilience.merge(&outcome.fault_stats);
+                self.distributed_seconds += outcome.makespan_seconds;
+                self.record_distributed(kernel, &grid, &outcome);
+                self.sweeps.0 += outcome.dispatches;
+                self.sweeps.1 += 1;
+            }
+        }
+        self.kernel_wall += start.elapsed();
+        Ok(())
     }
 
     fn convert_args(args: &[Value]) -> Result<Vec<KernelArg>> {
@@ -1333,11 +1383,11 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
             .ok_or_else(|| IrError::new(format!("no compiled kernel '{callee}'")))?;
         let kargs = Self::convert_args(args)?;
         // A joining dispatch's tiers and plans are the sweep's.
-        if self.queued.as_mut().is_some_and(|s| s.join(kernel, &kargs)) {
+        if self.joins(kernel, &kargs, memory) {
             self.cells += kernel.stats().cells;
             return Ok(());
         }
-        self.flush(memory);
+        self.flush(memory)?;
         let start = Instant::now();
         // Another kernel's resident ranks may hold newer contents of this
         // kernel's arrays than `memory` does.
@@ -1352,30 +1402,16 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                     self.dispatch_index += 1;
                     let plan = self.dispatch_plan(dispatch, grid.size() as usize);
                     let mut session = self.sessions.remove(callee);
-                    let ran = distexec::run_distributed(
-                        kernel,
-                        memory,
-                        &kargs,
-                        &grid,
-                        plan,
-                        &self.dist_options,
-                        &mut session,
-                    )?;
+                    let opts = &self.dist_options;
+                    let queued =
+                        distexec::queue(kernel, memory, &kargs, &grid, &plan, opts, &mut session)?;
                     if let Some(s) = session {
                         self.sessions.insert(callee.to_string(), s);
                     }
-                    match ran {
-                        Some(outcome) => {
-                            // Real distributed execution: every rank ran the
-                            // kernel over its owned block with measured halo
-                            // traffic. The makespan is the measured
-                            // distributed time; the cost model rides along
-                            // as a cross-check inside the report.
-                            self.resilience.merge(&outcome.fault_stats);
-                            self.distributed_seconds += outcome.makespan_seconds;
-                            self.record_distributed(kernel, &grid, &outcome);
-                        }
-                        None => {
+                    match queued {
+                        // Later dispatches join it; a flush runs them all.
+                        true => self.dist_queued = Some(&kernel.name),
+                        false => {
                             // Outside the supported shape: execute locally
                             // — on current data, so a session this kernel
                             // left from supported dispatches hands its
@@ -1438,7 +1474,13 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                 } else {
                     1
                 };
-                let gpu = self.gpu.as_mut().expect("gpu session for gpu target");
+                // A gpu plan run under another target has no session to charge.
+                let gpu = self.gpu.as_mut().ok_or_else(|| {
+                    IrError::from_diagnostic(Diagnostic::error(
+                        codes::EXEC,
+                        "gpu kernel dispatched without a gpu session",
+                    ))
+                })?;
                 let stats = kernel.stats();
                 let load = KernelLoad {
                     cells: stats.cells / ranks,
@@ -1489,14 +1531,15 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
         self.cells += kernel.stats().cells;
         self.kernel_wall += start.elapsed();
         if self.queued.as_ref().is_some_and(|s| !s.has_room()) {
-            self.flush(memory);
+            self.flush(memory)?;
         }
         Ok(())
     }
 
-    fn sync(&mut self, memory: &mut Memory) {
-        self.flush(memory);
+    fn sync(&mut self, memory: &mut Memory) -> Result<()> {
+        self.flush(memory)?;
         self.gather_sessions(memory, |_, _| true);
+        Ok(())
     }
 }
 
@@ -1539,6 +1582,20 @@ mod tests {
         let region = c.kernels.get_mut("stencil_region_1").unwrap();
         region.nests[1].out_views.clear();
         let e = c.run().err().expect("a store outside its outputs");
+        assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
+    }
+
+    #[test]
+    fn a_gpu_kernel_without_a_gpu_session_is_a_coded_error() {
+        // Kernels compiled for the gpu, run by a dispatcher for the cpu.
+        let src = fsc_workloads::gauss_seidel::fortran_source(4, 1);
+        let gpu = Target::StencilGpu {
+            explicit_data: true,
+            tile: [32, 32, 1],
+        };
+        let mut c = Compiler::compile(&src, &CompileOptions::for_target(gpu)).unwrap();
+        c.target = Target::StencilCpu;
+        let e = c.run().err().expect("no gpu session to charge");
         assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
     }
 

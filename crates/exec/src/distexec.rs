@@ -17,7 +17,7 @@
 //! before computing the whole owned block.
 //!
 //! **One rank task, two links.** The per-rank schedule exists once, as the
-//! poll-form [`DistTask`] over the resilient [`Transport`]
+//! poll-form `DistTask` over the resilient [`Transport`]
 //! (`fsc_mpisim::resilient`). [`DistMode::Coop`] (the default) runs every
 //! rank as a resumable task on the work-stealing cooperative scheduler
 //! ([`fsc_mpisim::coop::run_tasks`]): thousands of virtual ranks multiplex
@@ -46,15 +46,24 @@
 //! per kernel keeps every rank's windows between the dispatches of one run.
 //! *Scatter* (build each window in one pass — NaN ghosts around the owned
 //! slabs copied in — ranks fanned out over the workers) happens when the
-//! session is created; a later dispatch whose argument buffers still carry
-//! the write generations ([`Memory::generation`]) the session left behind
-//! is a *resident hit* and only refreshes snapshots, exchanges halos,
-//! computes and barriers. Written argument buffers are marked stale in the
+//! session is created, and seeds only the views a dispatch may read before
+//! writing them; the others start as NaN throughout. A
+//! later dispatch whose argument buffers still carry the write generations
+//! ([`Memory::generation`]) the session left behind is a *resident hit* and
+//! only refreshes snapshots, exchanges halos, computes and barriers.
+//!
+//! **Queued rank runs.** A dispatch does not run when it is issued: it is
+//! queued on the session ([`queue`]), later dispatches of the kernel on the
+//! same buffers join it ([`DistSession::join`]), and [`DistSession::run`]
+//! runs them all as one run of every rank — one task per rank looping over
+//! the dispatches' phases, one transport per rank, one spawn — when the
+//! caller flushes it (another dispatch, host access to one of its buffers,
+//! the end of the run). Written argument buffers stay marked stale in the
 //! caller's [`Memory`] instead of being gathered; [`DistSession::gather`]
-//! copies the owned slabs back when something outside the session needs
-//! them. After each dispatch the non-owned cells of every written view are
-//! re-poisoned with the sentinel, so an exchange narrower than a nest's
-//! reads still yields NaN exactly as a fresh scatter would.
+//! copies the cells the nests wrote back when something outside the
+//! session needs them. After each dispatch the non-owned cells of every
+//! written view are re-poisoned with the sentinel, so an exchange narrower
+//! than a nest's reads still yields NaN exactly as a fresh scatter would.
 //!
 //! **Deep halos.** When the `mpi-deep-halos` pass stamps `halo_depth = k ≥
 //! 2`, exchange widths are pre-multiplied by `k` and eligible kernels
@@ -68,7 +77,7 @@
 //! rounds drop `k`-fold. A host write between dispatches changes a
 //! generation, misses the session and restarts at cycle 0.
 //!
-//! **Fallback contract.** [`run_distributed`] returns `Ok(None)` whenever
+//! **Fallback contract.** [`queue`] returns `Ok(false)` whenever
 //! the kernel shape is outside what the executor supports (no proved halo
 //! schedule, mismatched nest bounds, rank chunks thinner than the halo
 //! width, oversized grids, views without lower bounds). The dispatcher then
@@ -87,15 +96,15 @@ use std::time::Instant;
 
 use crate::budget::MemoryBudget;
 use crate::kernel::{
-    run_nest_box_based, CompiledKernel, HaloSchedule, KernelArg, MpiExchange, Nest, ViewSource,
-    ViewSpec,
+    dependence_window, run_nest_box_based, scalar_args, CompiledKernel, HaloSchedule, KernelArg,
+    MpiExchange, Nest, Trail, ViewSource, ViewSpec,
 };
 use crate::value::{BufId, Memory};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::par::fan_out;
 use fsc_ir::{IrError, Result};
 use fsc_mpisim::coop::{effective_workers, run_tasks, CoopConfig, Resilient, Step};
-use fsc_mpisim::fault::{FaultPlan, FaultStats};
+use fsc_mpisim::fault::{CrashSpec, FaultPlan, FaultStats};
 use fsc_mpisim::resilient::{run_resilient, Link, RankTask, ResilientConfig, Transport};
 use fsc_mpisim::{MpiSimError, ProcessGrid};
 /// Largest rank count the thread-per-rank substrate is asked to host.
@@ -139,7 +148,7 @@ pub struct DistOptions {
     pub node_size: usize,
 }
 
-/// Measured wall-time breakdown of one rank's dispatch.
+/// Measured wall-time breakdown of one rank's run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankMetrics {
     /// All wall time spent for this rank: the rank body plus the driver's
@@ -167,22 +176,25 @@ pub struct RankMetrics {
     pub scatters: u64,
     /// Gathers of this rank's owned slabs.
     pub gathers: u64,
-    /// 1 when the dispatch found this rank's windows resident.
+    /// Dispatches of the run that found this rank's windows resident.
     pub resident_hits: u64,
 }
 
-/// Outcome of one real distributed dispatch.
+/// Outcome of one rank run: the queued dispatches of a kernel.
 #[derive(Debug, Clone)]
 pub struct DistOutcome {
     /// Per-rank measured metrics, indexed by rank.
     pub per_rank: Vec<RankMetrics>,
     /// Measured makespan: the slowest rank body plus the wall time of the
-    /// driver's fanned-out scatter and its serial gather of every rank.
+    /// driver's scatter and of the gather of the session it replaced, both
+    /// fanned out over the ranks.
     pub makespan_seconds: f64,
     /// Merged fault/recovery counters from the resilient transport.
     pub fault_stats: FaultStats,
     /// The halo schedule every exchanging nest ran under.
     pub schedule: HaloSchedule,
+    /// Dispatches the run executed.
+    pub dispatches: u64,
     /// Total halo bytes exchanged across all ranks.
     pub bytes_exchanged: u64,
     /// Total halo messages across all ranks.
@@ -206,8 +218,8 @@ pub struct DistOutcome {
     pub physical_bytes: u64,
     /// Ghost-layer depth the kernel ran under (1 = classic halos).
     pub halo_depth: u32,
-    /// Exchange rounds this dispatch performed: one per exchanging nest,
-    /// zero on communication-free deep-halo cycles.
+    /// Exchange rounds the run performed: one per exchanging nest and
+    /// dispatch, none on communication-free deep-halo cycles.
     pub exchange_rounds: u64,
 }
 
@@ -251,26 +263,28 @@ pub fn region_cells(region: &[(i64, i64)]) -> usize {
 /// Visit `region` in canonical order (dimension 0 fastest) as runs of
 /// consecutive cells: `f(lin, len)` gets the *global* column-major linear
 /// index of the run's first cell. A unit-stride dimension 0 makes every row
-/// one run (halo faces and slabs move with `copy_from_slice`); any other
-/// layout degrades to one run per cell.
+/// one run (halo faces and slabs move with `copy_from_slice`), and each next
+/// dimension whose stride is the run so far joins it, so a region of whole
+/// planes is one run; any other layout degrades to one run per cell.
 fn for_each_run(strides: &[i64], region: &[(i64, i64)], mut f: impl FnMut(usize, usize)) {
     if region_cells(region) == 0 {
         return;
     }
-    let row = match (strides.first(), region.first()) {
-        (Some(1), Some(r)) => r.1 - r.0,
-        _ => 1,
-    };
+    let (mut run, mut inner) = (1i64, 0);
+    while inner < region.len() && strides[inner] == run {
+        run *= region[inner].1 - region[inner].0;
+        inner += 1;
+    }
     let mut idx: Vec<i64> = region.iter().map(|&(lb, _)| lb).collect();
     loop {
         let lin: i64 = idx.iter().zip(strides).map(|(i, s)| i * s).sum();
-        f(lin as usize, row as usize);
-        let mut d = 0;
+        f(lin as usize, run as usize);
+        let mut d = inner;
         loop {
             if d == region.len() {
                 return;
             }
-            idx[d] += if d == 0 { row } else { 1 };
+            idx[d] += 1;
             if idx[d] < region[d].1 {
                 break;
             }
@@ -678,8 +692,17 @@ struct Plan {
     args: Vec<(usize, BufId)>,
     /// Every written view: (view index, caller buffer behind it).
     outs: Vec<(usize, BufId)>,
+    /// Per view, whether a dispatch may read it before writing it: the
+    /// scatter seeds an argument's windows only when one of its views may
+    /// ([`CompiledKernel::read_first`]).
+    read_first: Vec<bool>,
     /// Whether rank buffers are slab windows (see [`windowable`]).
     windowed: bool,
+    /// The schedule every exchanging nest runs under.
+    schedule: HaloSchedule,
+    /// Per nest, the pointwise nests that run in its phase
+    /// ([`CompiledKernel::trails`]).
+    trails: Vec<Option<Trail>>,
     /// Halo margin on the slowest dimension: the widest exchange. Deep-halo
     /// widths are pre-multiplied by `k`, so the redundant compute band
     /// (`(k−1)·w` cells) is covered automatically.
@@ -756,6 +779,28 @@ impl Plan {
             })
             .collect()
     }
+
+    /// The cells of view `v` each nest storing it writes on this rank, in
+    /// the view's slab indices, clipped to [`Plan::visible`]: the nest's
+    /// box ([`nest_exec_box`]) shifted by its store subscripts (which fold
+    /// the lower bound in), spanning them where a nest stores the view at
+    /// several (only seeded views do, and a seeded cell that no store
+    /// reaches still holds the caller's value). Boxes may overlap.
+    fn written(&self, v: usize, coords: &[i64]) -> Vec<Vec<(i64, i64)>> {
+        let vis = self.visible(v, coords);
+        let nests = self.kernel.nests.iter();
+        let boxes = nests.filter_map(|n| {
+            let reach = n.subscripts(v, true)?;
+            let decomposition = &self.kernel.decomposition;
+            let exec = nest_exec_box(&n.bounds, &self.bounds, decomposition, coords, self.from);
+            let clip = |d: usize| {
+                let ((e, o), w) = ((exec[d], reach[d]), vis[d]);
+                ((e.0 + o.0).max(w.0), (e.1 + o.1).min(w.1))
+            };
+            Some((0..exec.len().min(reach.len())).map(clip).collect())
+        });
+        boxes.collect()
+    }
 }
 
 /// Lay `region` of the global array `src` into the growing window `w` whose
@@ -778,7 +823,9 @@ fn seed_window(w: &mut Vec<f64>, base: i64, src: &[f64], strides: &[i64], region
 /// extended by the halo margin and to the array edge where the rank owns
 /// the first/last canonical cell — with every cell of an argument buffer
 /// outside the visible region NaN, so any read escaping owned+halo
-/// territory poisons the bitwise oracle.
+/// territory poisons the bitwise oracle. An argument none of whose views a
+/// dispatch may read before writing it ([`CompiledKernel::read_first`]) is
+/// not copied in at all: NaN throughout.
 fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
     let views = &p.kernel.views;
     let l = p.bounds.len() - 1;
@@ -832,8 +879,11 @@ fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
                 // Every view of an argument lays its visible region in, in
                 // view order (they share the window: see `windowable`).
                 let seed = |i: usize, w: &mut Vec<f64>| {
-                    let Some(src) = src else { return };
                     let same_arg = |x: &(usize, &ViewSpec)| x.1.source == ViewSource::Arg(i);
+                    let mut arg_views = views.iter().enumerate().filter(same_arg);
+                    let Some(src) = src.filter(|_| arg_views.any(|(v, _)| p.read_first[v])) else {
+                        return;
+                    };
                     for (v, view) in views.iter().enumerate().filter(same_arg) {
                         let (base, vis) = (view.strides[l] * win.0, p.visible(v, coords));
                         seed_window(w, base, src, &view.strides, &vis);
@@ -890,8 +940,9 @@ fn scatter_ranks(
 /// Resident state of one kernel across the dispatches of a run: every
 /// rank's windows, the write generations of the caller's argument buffers
 /// as the session last left them, whether the caller's copies of the
-/// written arguments are behind the windows, and the deep-halo cycle.
-/// Owned by the dispatcher, keyed per kernel; opaque outside this module.
+/// written arguments are behind the windows, the deep-halo cycle, and the
+/// dispatches queued for the next rank run. Owned by the dispatcher, keyed
+/// per kernel; opaque outside this module.
 pub struct DistSession {
     plan: Arc<Plan>,
     /// Resident rank memories, indexed by rank.
@@ -904,6 +955,28 @@ pub struct DistSession {
     stale: bool,
     /// Deep-halo cycle the next dispatch runs; 0 exchanges.
     cycle: i64,
+    /// Dispatches queued for the next [`DistSession::run`], in order.
+    queue: Vec<Queued>,
+    /// The queued run's fault plan: the first dispatch's, carrying the
+    /// planned crash of whichever queued dispatch has one, moved to that
+    /// dispatch's phases.
+    faults: FaultPlan,
+    /// What the driver did for the queued run's first dispatch, per rank
+    /// (the scatter or resident hit, and the gather of the session it
+    /// replaced), and the wall seconds of that gather and scatter.
+    driver: Vec<RankMetrics>,
+    driver_wall: f64,
+}
+
+/// One queued dispatch.
+struct Queued {
+    scalars: Vec<f64>,
+    /// `(stamped ghost depth k ≥ 2, this dispatch's cycle in 0..k)` for
+    /// deep-capable kernels; sends/recvs happen only at cycle 0.
+    deep: Option<(i64, i64)>,
+    /// Re-poison non-owned cells after it: the next dispatch exchanges, so
+    /// no ghost this one leaves behind may be read again.
+    poison: bool,
 }
 
 impl DistSession {
@@ -944,7 +1017,10 @@ impl DistSession {
             from: setup.from,
             args: ptr_args,
             outs,
+            read_first: kernel.read_first(),
             windowed: windowable(&kernel.views, l),
+            schedule: setup.schedule,
+            trails: kernel.trails(),
             margin: exchanges
                 .filter(|e| e.dim == l)
                 .map(|e| e.width)
@@ -958,6 +1034,10 @@ impl DistSession {
             seen: Vec::new(),
             stale: false,
             cycle: 0,
+            queue: Vec::new(),
+            faults: FaultPlan::none(0),
+            driver: Vec::new(),
+            driver_wall: 0.0,
         })
     }
 
@@ -985,6 +1065,57 @@ impl DistSession {
         self.seen = self.plan.args.iter().map(gen).collect();
     }
 
+    /// Queue a dispatch with `args` under `faults` (whose crash, planned at
+    /// a phase of this dispatch, moves to the same phase of the run) and
+    /// mark every argument buffer stale until the run.
+    fn push(&mut self, args: &[KernelArg], faults: &FaultPlan, memory: &mut Memory) {
+        let kernel = &self.plan.kernel;
+        if self.queue.is_empty() {
+            self.faults = faults.clone();
+        }
+        if let Some(c) = faults.crash {
+            let at_iteration = self.queue.len() * (kernel.nests.len() + 1) + c.at_iteration;
+            self.faults.crash = Some(CrashSpec { at_iteration, ..c });
+        }
+        let (depth, cycle) = (kernel.halo_depth as i64, self.cycle);
+        let deep = deep_capable(kernel).then_some((depth, cycle));
+        self.cycle = if deep.is_some() {
+            (cycle + 1) % depth
+        } else {
+            0
+        };
+        let (scalars, poison) = (scalar_args(args), self.cycle == 0);
+        self.queue.push(Queued {
+            scalars,
+            deep,
+            poison,
+        });
+        for &(_, buf) in &self.plan.args {
+            memory.mark_stale(buf);
+        }
+        self.record_generations(memory);
+    }
+
+    /// Queue a dispatch of `kernel` over `grid` with `args` behind the ones
+    /// already queued, when it may run on the same windows
+    /// (same kernel, placement and buffers, none written since): its
+    /// scalars may differ. `false` leaves
+    /// the session as it was.
+    pub fn join(
+        &mut self,
+        kernel: &CompiledKernel,
+        grid: &ProcessGrid,
+        args: &[KernelArg],
+        faults: &FaultPlan,
+        memory: &mut Memory,
+    ) -> bool {
+        let joins = !self.queue.is_empty() && self.matches(kernel, grid, args, memory);
+        if joins {
+            self.push(args, faults, memory);
+        }
+        joins
+    }
+
     /// True when the session holds results newer than the caller's copy of
     /// one of `args`: gather before a kernel taking `args` runs elsewhere.
     pub fn holds_results_for(&self, args: &[KernelArg]) -> bool {
@@ -992,32 +1123,137 @@ impl DistSession {
         self.stale && self.plan.outs.iter().any(wanted)
     }
 
-    /// The deferred gather: copy every rank's owned slab of every written
-    /// view straight from its window into the caller's buffer and clear the
-    /// stale marks. The session stays resident. Returns the seconds spent
-    /// per rank — empty when the caller's buffers were already current.
-    pub fn gather(&mut self, memory: &mut Memory) -> Vec<f64> {
+    /// The deferred gather: copy the cells each rank's nests wrote of
+    /// every written view straight from its window
+    /// into the caller's buffer and clear the stale marks; the caller's
+    /// other cells are current already (the windows were seeded from them
+    /// or never read them). Windowed ranks own disjoint slab ranges of every
+    /// buffer, so ranks fan out over up to `opts.workers` threads, one slab
+    /// range each; otherwise the ranks copy in turn. The session stays
+    /// resident. Returns the seconds spent per rank — empty when the
+    /// caller's buffers were already current. Runs only with nothing queued.
+    pub fn gather(&mut self, memory: &mut Memory, opts: &DistOptions) -> Vec<f64> {
+        debug_assert!(self.queue.is_empty(), "gather with dispatches queued");
         if !std::mem::take(&mut self.stale) {
             return Vec::new();
         }
         let p = Arc::clone(&self.plan);
-        for &(_, buf) in &p.outs {
-            memory.clear_stale(buf);
+        let mut bufs: Vec<BufId> = p.outs.iter().map(|o| o.1).collect();
+        bufs.sort_unstable();
+        bufs.dedup();
+        let mut data: Vec<Vec<f64>> = bufs
+            .iter()
+            .map(|&b| {
+                memory.clear_stale(b);
+                memory.take_buffer(b)
+            })
+            .collect();
+        // Windowed ranks own disjoint slab ranges of each buffer along the
+        // slowest dimension, one range per partition of it (an argument's
+        // views agree on that dimension: see `windowable`). Unless two
+        // arguments share a buffer, each buffer splits where a partition's
+        // slabs end and the partitions fan out.
+        let (l, size) = (p.bounds.len() - 1, self.ranks.len());
+        let args = &p.args;
+        let aliased = (0..args.len()).any(|i| args[..i].iter().any(|a| a.1 == args[i].1));
+        let parts = match p.kernel.decomposition.last() {
+            Some(&n) if p.windowed && !aliased => n as usize,
+            _ => 1,
+        };
+        let mut members = vec![Vec::new(); parts];
+        for r in 0..size {
+            let last = p.grid.coords(r as i64).last().map_or(0, |&c| c as usize);
+            members[last % parts].push(r);
         }
-        let mut secs = Vec::with_capacity(self.ranks.len());
-        for (rank, rm) in self.ranks.iter().enumerate() {
-            let t = Instant::now();
-            let coords = p.grid.coords(rank as i64);
-            for &(v, buf) in &p.outs {
-                let (src, dst) = (rm.mem.buffer(rm.bufs[v]), memory.buffer_mut(buf));
-                let vis = p.visible(v, &coords);
-                copy_region(dst, 0, src, rm.bases[v], &p.kernel.views[v].strides, &vis);
+        let mut chunks: Vec<Vec<(i64, &mut [f64])>> = members.iter().map(|_| Vec::new()).collect();
+        for (&b, buf) in bufs.iter().zip(&mut data) {
+            let v = p.outs.iter().find(|o| o.1 == b).map_or(0, |o| o.0);
+            let stride = p.kernel.views[v].strides[l];
+            let (mut rest, mut at) = (&mut buf[..], 0i64);
+            for (g, ranks) in members.iter().enumerate() {
+                let end = match ranks.first() {
+                    _ if g + 1 == parts => at + rest.len() as i64,
+                    Some(&r) => (p.visible(v, &p.grid.coords(r as i64))[l].1 * stride).max(at),
+                    None => at,
+                };
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut((end - at) as usize);
+                chunks[g].push((at, mine));
+                (rest, at) = (tail, end);
             }
-            secs.push(t.elapsed().as_secs_f64());
+        }
+        let ranks = &self.ranks;
+        let work: Vec<_> = members.into_iter().zip(chunks).collect();
+        let workers = effective_workers(opts.workers, size).min(parts);
+        let timed = fan_out(workers, work, |(members, mut chunks)| {
+            let per_rank = members.into_iter().map(|r| {
+                let t = Instant::now();
+                let (rm, coords) = (&ranks[r], p.grid.coords(r as i64));
+                for &(v, buf) in &p.outs {
+                    let (src, strides) = (rm.mem.buffer(rm.bufs[v]), &p.kernel.views[v].strides);
+                    let (at, dst) = &mut chunks[bufs.partition_point(|&b| b < buf)];
+                    for region in p.written(v, &coords) {
+                        copy_region(dst, *at, src, rm.bases[v], strides, &region);
+                    }
+                }
+                (r, t.elapsed().as_secs_f64())
+            });
+            per_rank.collect::<Vec<_>>()
+        });
+        let mut secs = vec![0.0; size];
+        for (r, s) in timed.into_iter().flatten() {
+            secs[r] = s;
+        }
+        for (&b, buf) in bufs.iter().zip(data) {
+            memory.restore_buffer(b, buf);
         }
         self.record_generations(memory);
         secs
     }
+}
+
+/// Queue one dispatch of `kernel` over `grid` under `faults` on `session`:
+/// a session that does not match it (first dispatch, other buffers, a
+/// buffer written since) is gathered and replaced by a freshly scattered
+/// one, the cold case of the same path. Later dispatches join the queue
+/// ([`DistSession::join`]) and [`DistSession::run`] runs them all as one
+/// rank run. Returns `Ok(false)`, leaving `session` untouched, when the
+/// kernel is outside the supported shape — the caller gathers the session
+/// and runs the legacy modeled path. `session` must hold nothing queued.
+pub fn queue(
+    kernel: &CompiledKernel,
+    memory: &mut Memory,
+    args: &[KernelArg],
+    grid: &ProcessGrid,
+    faults: &FaultPlan,
+    opts: &DistOptions,
+    session: &mut Option<DistSession>,
+) -> Result<bool> {
+    let Some(setup) = DistSetup::build(kernel, grid, args, opts.mode) else {
+        return Ok(false);
+    };
+    let size = grid.size() as usize;
+    let mut driver = vec![RankMetrics::default(); size];
+    let (mut driver_wall, t) = (0.0, Instant::now());
+    let mut s = match session.take() {
+        Some(s) if s.ranks.len() == size && s.matches(kernel, grid, args, memory) => {
+            driver.iter_mut().for_each(|m| m.resident_hits = 1);
+            s
+        }
+        old => {
+            let gathered = old.map_or_else(Vec::new, |mut o| o.gather(memory, opts));
+            for (m, secs) in driver.iter_mut().zip(gathered) {
+                (m.gather_seconds, m.gathers) = (secs, 1);
+            }
+            let workers = effective_workers(opts.workers, size);
+            let s = DistSession::scatter(kernel, &setup, grid, args, memory, workers, &mut driver)?;
+            driver_wall = t.elapsed().as_secs_f64();
+            s
+        }
+    };
+    (s.driver, s.driver_wall) = (driver, driver_wall);
+    s.push(args, faults, memory);
+    *session = Some(s);
+    Ok(true)
 }
 
 // --------------------------------------------------------------------------
@@ -1030,16 +1266,11 @@ struct RankOutput {
     rm: RankMem,
 }
 
-/// Everything the rank bodies of one dispatch share.
+/// Everything the rank bodies of one run share.
 struct Shared {
     plan: Arc<Plan>,
-    scalars: Vec<f64>,
-    /// `(stamped ghost depth k ≥ 2, this dispatch's cycle in 0..k)` for
-    /// deep-capable kernels; sends/recvs happen only at cycle 0.
-    deep: Option<(i64, i64)>,
-    /// Re-poison non-owned cells on the way out: the next dispatch
-    /// exchanges, so no ghost this one leaves behind may be read again.
-    poison: bool,
+    /// The dispatches the run executes, in order.
+    runs: Vec<Queued>,
     /// The session's rank memories, each taken by its rank body on entry.
     mems: Vec<Mutex<Option<RankMem>>>,
 }
@@ -1062,20 +1293,13 @@ fn enter_rank(sh: &Shared, rank: usize) -> Result2<RankMem> {
     slot.ok_or_else(|| exec_err(rank, "rank has no resident memory"))
 }
 
-/// Exit of every rank body, after the commit barrier: restore the NaN
+/// End of a dispatch on one rank, after its commit barrier: restore the NaN
 /// sentinel outside the owned slab of every written view (unless the next
-/// dispatch is a communication-free deep-halo cycle that reads the ghosts)
-/// and close the rank's wall clock.
-fn leave_rank(
-    sh: &Shared,
-    coords: &[i64],
-    rm: &mut RankMem,
-    metrics: &mut RankMetrics,
-    t_start: Instant,
-) {
+/// dispatch is a communication-free deep-halo cycle that reads the ghosts).
+fn repoison(sh: &Shared, q: &Queued, coords: &[i64], rm: &mut RankMem) {
     let p = &*sh.plan;
     let l = p.bounds.len() - 1;
-    let outs = if sh.poison { &p.outs[..] } else { &[] };
+    let outs = if q.poison { &p.outs[..] } else { &[] };
     for &(v, _) in outs {
         let view = &p.kernel.views[v];
         let mut window: Vec<(i64, i64)> = view.extents.iter().map(|&e| (0, e)).collect();
@@ -1093,7 +1317,6 @@ fn leave_rank(
             });
         }
     }
-    metrics.wall_seconds = t_start.elapsed().as_secs_f64();
 }
 
 /// A posted halo receive: where it comes from and where it lands.
@@ -1116,6 +1339,7 @@ struct PendingRecv {
 /// computed, keeping ghost replicas in lockstep across cycles.
 fn phase_exec_box(
     sh: &Shared,
+    q: &Queued,
     nest: &Nest,
     coords: &[i64],
     own: &[(i64, i64)],
@@ -1133,7 +1357,7 @@ fn phase_exec_box(
     } else {
         own.to_vec()
     };
-    let Some((depth, cycle)) = sh.deep else {
+    let Some((depth, cycle)) = q.deep else {
         return (base, true);
     };
     let mut exec = base.clone();
@@ -1283,6 +1507,7 @@ fn unpack_halo(sh: &Shared, nest: &Nest, rm: &mut RankMem, r: &PendingRecv, payl
 /// Run one compute box of `nest` against the rank's windowed buffers.
 fn run_rank_box(
     sh: &Shared,
+    q: &Queued,
     nest: &Nest,
     rm: &mut RankMem,
     rank: usize,
@@ -1293,59 +1518,133 @@ fn run_rank_box(
         &sh.plan.kernel.views,
         &rm.bufs,
         &mut rm.mem,
-        &sh.scalars,
+        &q.scalars,
         local,
         &rm.bases,
     )
     .map_err(|e| wrap(rank, e))
 }
 
-/// One nest on one rank up to its first blocking point: refresh snapshots,
-/// post the sends and — under the overlap schedule — sweep the interior
-/// while the faces are in flight. Returns the receives to wait for and the
-/// boxes to sweep once they have landed (the boundary shells, or the whole
-/// execution box under the blocking schedule).
+/// A box of a nest, by nest index.
+type NestBox = (usize, Vec<(i64, i64)>);
+
+/// Nest `ph` on one rank up to its first blocking point: refresh
+/// snapshots, post the sends and — under the overlap schedule — sweep the
+/// interior while the faces are in flight, with the pointwise nests of its
+/// trail ([`CompiledKernel::trails`]) interleaved plane by plane on each cell whose
+/// dependences ([`dependence_window`]) on every nest before it lie in what
+/// that nest swept so far. Returns the receives to wait for and the boxes
+/// to sweep, in order, once they have landed: the nest's boundary shells
+/// (its whole box under the blocking schedule), then the rest of each
+/// trailing nest's box.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn begin_phase(
     sh: &Shared,
-    nest: &Nest,
+    q: &Queued,
+    ph: usize,
     rank: usize,
     coords: &[i64],
     own: &[(i64, i64)],
     rm: &mut RankMem,
     metrics: &mut RankMetrics,
     send: impl FnMut(usize, i64, Vec<f64>) -> Result2<()>,
-) -> Result2<(Vec<PendingRecv>, Vec<Vec<(i64, i64)>>)> {
+) -> Result2<(Vec<PendingRecv>, Vec<NestBox>)> {
+    let (nests, trail) = (&sh.plan.kernel.nests, sh.plan.trails[ph].as_ref());
+    let nest = &nests[ph];
     refresh_snapshots(sh, nest, rm, rank)?;
-    let (exec_box, exchange) = phase_exec_box(sh, nest, coords, own);
+    let (exec_box, exchange) = phase_exec_box(sh, q, nest, coords, own);
     let mut recvs = Vec::new();
     if exchange {
         post_halo_sends(sh, nest, coords, rank, rm, metrics, send)?;
         recvs = build_halo_recvs(sh, nest, rank);
     }
+    let trailing = ph + 1..trail.map_or(0, |t| t.end);
     if nest.halo_schedule != Some(HaloSchedule::Overlap) {
-        return Ok((recvs, vec![exec_box]));
+        let trailers = trailing.map(|j| (j, phase_exec_box(sh, q, &nests[j], coords, own).0));
+        return Ok((
+            recvs,
+            std::iter::once((ph, exec_box)).chain(trailers).collect(),
+        ));
     }
     let (shrink_lo, shrink_hi) = halo_shrinks(&recvs, exec_box.len());
     let (interior, shells) = split_interior_boundary(&exec_box, &shrink_lo, &shrink_hi);
+    let mut after: Vec<NestBox> = shells.into_iter().map(|b| (ph, b)).collect();
+    // Per nest so far, its box and the part of it swept before the wait.
+    let mut early = vec![(exec_box, interior)];
+    for j in trailing {
+        let (exec, _) = phase_exec_box(sh, q, &nests[j], coords, own);
+        let mut inner = exec.clone();
+        for (i, (whole, swept)) in early.iter().enumerate() {
+            let window = dependence_window(&nests[j], &nests[ph + i]);
+            // Only a dimension in which the earlier nest leaves cells for
+            // later keeps this one's window inside what it swept.
+            let cut = inner.iter_mut().zip(window).zip(whole.iter().zip(swept));
+            for ((b, w), (e, s)) in cut {
+                if w.0 <= w.1 && e != s {
+                    *b = (b.0.max(s.0 - w.0), b.1.min(s.1 - w.1));
+                }
+            }
+        }
+        let lo: Vec<i64> = inner.iter().zip(&exec).map(|(i, e)| i.0 - e.0).collect();
+        let hi: Vec<i64> = inner.iter().zip(&exec).map(|(i, e)| e.1 - i.1).collect();
+        let (inner, rest) = split_interior_boundary(&exec, &lo, &hi);
+        after.extend(rest.into_iter().map(|b| (j, b)));
+        early.push((exec, inner));
+    }
     let t = Instant::now();
-    run_rank_box(sh, nest, rm, rank, &interior)?;
+    let early: Vec<_> = early.into_iter().map(|(_, swept)| swept).collect();
+    match trail {
+        Some(trail) => run_steps(sh, q, ph, &early, trail, rm, rank)?,
+        None => run_rank_box(sh, q, nest, rm, rank, &early[0])?,
+    }
     metrics.interior_seconds += t.elapsed().as_secs_f64();
-    Ok((recvs, shells))
+    Ok((recvs, after))
+}
+
+/// Run nest `first + k` over `boxes[k]` plane-interleaved: step `s` sweeps
+/// each over the slowest-dimension planes `[s − lag_k, s − lag_k + planes)`
+/// of its box, in nest order — the lag rule keeps every dependence between
+/// them, as in a host sweep.
+fn run_steps(
+    sh: &Shared,
+    q: &Queued,
+    first: usize,
+    boxes: &[Vec<(i64, i64)>],
+    trail: &Trail,
+    rm: &mut RankMem,
+    rank: usize,
+) -> Result2<()> {
+    let slow = sh.plan.bounds.len() - 1;
+    let live = || (boxes.iter().zip(&trail.lags)).filter(|(b, _)| region_cells(b) > 0);
+    let start = live().map(|(b, lag)| b[slow].0 + lag).min().unwrap_or(0);
+    let end = live().map(|(b, lag)| b[slow].1 + lag).max().unwrap_or(0);
+    let mut step = start;
+    while step < end {
+        for (k, (b, lag)) in boxes.iter().zip(&trail.lags).enumerate() {
+            let mut local = b.clone();
+            let from = step - lag;
+            local[slow] = (b[slow].0.max(from), b[slow].1.min(from + trail.planes));
+            if region_cells(&local) > 0 {
+                run_rank_box(sh, q, &sh.plan.kernel.nests[first + k], rm, rank, &local)?;
+            }
+        }
+        step += trail.planes;
+    }
+    Ok(())
 }
 
 /// The rest of the phase, once every receive of [`begin_phase`] landed.
 fn finish_phase(
     sh: &Shared,
-    nest: &Nest,
+    q: &Queued,
     rank: usize,
     rm: &mut RankMem,
     metrics: &mut RankMetrics,
-    boxes: &[Vec<(i64, i64)>],
+    boxes: &[NestBox],
 ) -> Result2<()> {
     let t = Instant::now();
-    for b in boxes {
-        run_rank_box(sh, nest, rm, rank, b)?;
+    for (j, b) in boxes {
+        run_rank_box(sh, q, &sh.plan.kernel.nests[*j], rm, rank, b)?;
     }
     metrics.boundary_seconds += t.elapsed().as_secs_f64();
     Ok(())
@@ -1365,15 +1664,19 @@ enum TaskState {
     PhaseEntry,
     /// Waiting for the halo receives of this phase.
     Wait,
-    /// In the after-phase barrier. After the last nest this is the commit
-    /// barrier: every rank's faces are consumed before anyone leaves.
+    /// In the after-phase barrier. After a dispatch's last nest this is its
+    /// commit barrier: every rank's faces are consumed before anyone moves
+    /// on to the next dispatch or leaves.
     Barrier,
 }
 
-/// One rank of a dispatch in poll form, resumable at every blocking
-/// receive and barrier — the only rank schedule there is: a cooperative
-/// task under [`DistMode::Coop`], run to completion on the rank's own
-/// thread under [`DistMode::Threads`].
+/// One rank of a run in poll form, resumable at every blocking receive
+/// and barrier — the only rank schedule there is: a cooperative task under
+/// [`DistMode::Coop`], run to completion on the rank's own thread under
+/// [`DistMode::Threads`]. It runs the queued dispatches in order, each as
+/// the phases of its kernel's nests plus a commit phase; `phase` counts
+/// them across the run, so dispatch `c`'s phase `i` is `c·(nests + 1) + i`
+/// for checkpoints and a planned crash alike.
 struct DistTask {
     sh: Arc<Shared>,
     coords: Vec<i64>,
@@ -1388,7 +1691,7 @@ struct DistTask {
     /// the wait began.
     recvs: Vec<PendingRecv>,
     next_recv: usize,
-    boxes: Vec<Vec<(i64, i64)>>,
+    boxes: Vec<NestBox>,
     wait_since: Instant,
 }
 
@@ -1427,7 +1730,9 @@ impl RankTask for DistTask {
         let rank = res.rank();
         let sh = Arc::clone(&self.sh);
         let nests = &sh.plan.kernel.nests;
+        let phases = nests.len() + 1;
         loop {
+            let (runs, ph) = (&sh.runs[..], self.phase % phases);
             match self.st {
                 TaskState::Start => {
                     self.t_start = Instant::now();
@@ -1436,14 +1741,14 @@ impl RankTask for DistTask {
                 }
                 TaskState::PhaseEntry => {
                     let rm = resident(&mut self.rm, rank)?;
-                    if self.phase > nests.len() {
-                        // All phases (incl. commit barrier) done.
-                        leave_rank(&sh, &self.coords, rm, &mut self.metrics, self.t_start);
-                        let metrics = std::mem::take(&mut self.metrics);
+                    let Some(q) = runs.get(self.phase / phases) else {
+                        // Every dispatch (incl. its commit barrier) done.
+                        let mut metrics = std::mem::take(&mut self.metrics);
+                        metrics.wall_seconds = self.t_start.elapsed().as_secs_f64();
                         let rm = self.rm.take();
                         let rm = rm.ok_or_else(|| exec_err(rank, "rank task finished twice"))?;
                         return Ok(Step::Done(RankOutput { metrics, rm }));
-                    }
+                    };
                     res.save_checkpoint(self.phase, || rm.windows());
                     if res.crash_pending(self.phase) {
                         let (restored, state) = res.crash_and_restore(self.phase)?;
@@ -1451,20 +1756,22 @@ impl RankTask for DistTask {
                         rm.restore(state);
                         continue;
                     }
-                    let nest = nests.get(self.phase).filter(|n| n.domain_cells() > 0);
-                    let Some(nest) = nest else {
+                    // A nest of an earlier nest's trail ran in that phase.
+                    let trails = sh.plan.trails.get(..ph).into_iter().flatten();
+                    let ran = trails.flatten().any(|t| ph < t.end);
+                    if nests.get(ph).is_none_or(|n| n.domain_cells() == 0 || ran) {
                         self.st = TaskState::Barrier;
                         continue;
-                    };
+                    }
                     let send = |dst, tag, payload| res.send(link, dst, tag, payload);
                     let (coords, own, metrics) = (&self.coords, &self.own, &mut self.metrics);
                     (self.recvs, self.boxes) =
-                        begin_phase(&sh, nest, rank, coords, own, rm, metrics, send)?;
+                        begin_phase(&sh, q, ph, rank, coords, own, rm, metrics, send)?;
                     (self.next_recv, self.wait_since) = (0, Instant::now());
                     self.st = TaskState::Wait;
                 }
                 TaskState::Wait => {
-                    let nest = &nests[self.phase];
+                    let (q, nest) = (&runs[self.phase / phases], &nests[ph]);
                     let rm = resident(&mut self.rm, rank)?;
                     while let Some(r) = self.recvs.get(self.next_recv) {
                         let Some(payload) = res.recv_poll(link, r.src, r.tag)? else {
@@ -1476,12 +1783,16 @@ impl RankTask for DistTask {
                     // Wait time includes parked time: the latency the
                     // overlap schedule exists to hide.
                     self.metrics.wait_seconds += self.wait_since.elapsed().as_secs_f64();
-                    finish_phase(&sh, nest, rank, rm, &mut self.metrics, &self.boxes)?;
+                    finish_phase(&sh, q, rank, rm, &mut self.metrics, &self.boxes)?;
                     self.st = TaskState::Barrier;
                 }
                 TaskState::Barrier => {
                     if !res.barrier_poll(link)? {
                         return Ok(Step::Blocked);
+                    }
+                    if ph + 1 == phases {
+                        let rm = resident(&mut self.rm, rank)?;
+                        repoison(&sh, &runs[self.phase / phases], &self.coords, rm);
                     }
                     self.phase += 1;
                     self.st = TaskState::PhaseEntry;
@@ -1495,172 +1806,135 @@ impl RankTask for DistTask {
 // Driver
 // --------------------------------------------------------------------------
 
-/// Execute one distributed kernel dispatch for real: run every rank of
-/// `grid` on the selected substrate under `plan` (the crash spec, if any,
-/// is interpreted against this dispatch's phase counter) against the
-/// resident windows of `session`, and report measured per-rank timings plus
-/// scheduler/transport counters. A `session` that does not match this
-/// dispatch (first dispatch, other buffers, a buffer written since) is
-/// gathered and replaced by a freshly scattered one — the cold case of the
-/// same path. Results stay in the windows: the written argument buffers are
-/// marked stale in `memory` until [`DistSession::gather`] runs. Returns
-/// `Ok(None)`, leaving `session` untouched, when the kernel is outside the
-/// supported shape — the caller gathers the session and runs the legacy
-/// modeled path. A failed run drops the session.
-pub fn run_distributed(
-    kernel: &CompiledKernel,
-    memory: &mut Memory,
-    args: &[KernelArg],
-    grid: &ProcessGrid,
-    plan: FaultPlan,
-    opts: &DistOptions,
-    session: &mut Option<DistSession>,
-) -> Result<Option<DistOutcome>> {
-    let Some(setup) = DistSetup::build(kernel, grid, args, opts.mode) else {
-        return Ok(None);
-    };
-    let size = grid.size() as usize;
-    let mut driver = vec![RankMetrics::default(); size];
-    let mut scatter_wall = 0.0;
-    let mut s = match session.take() {
-        Some(s) if s.ranks.len() == size && s.matches(kernel, grid, args, memory) => {
-            driver.iter_mut().for_each(|m| m.resident_hits = 1);
-            s
+impl DistSession {
+    /// Run every queued dispatch for real, as one run of every rank of the
+    /// session's grid on the selected substrate: one task per rank looping
+    /// over the dispatches (per-dispatch scalars, the same phases and
+    /// exchanges), one transport per rank under the queued run's fault
+    /// plan. Report measured per-rank timings plus scheduler/transport
+    /// counters, summed over the dispatches. Results stay in the windows:
+    /// the written argument buffers stay marked stale in `memory` until
+    /// [`DistSession::gather`] runs, the others are current again. `None`
+    /// when nothing is queued. A failed run leaves the session without its
+    /// windows: drop it.
+    pub fn run(&mut self, memory: &mut Memory, opts: &DistOptions) -> Result<Option<DistOutcome>> {
+        if self.queue.is_empty() {
+            return Ok(None);
         }
-        old => {
-            let gathered = old.map_or_else(Vec::new, |mut o| o.gather(memory));
-            for (m, secs) in driver.iter_mut().zip(gathered) {
-                (m.gather_seconds, m.gathers) = (secs, 1);
-            }
-            let (t, workers) = (Instant::now(), effective_workers(opts.workers, size));
-            let s = DistSession::scatter(kernel, &setup, grid, args, memory, workers, &mut driver)?;
-            scatter_wall = t.elapsed().as_secs_f64();
-            s
-        }
-    };
-
-    // Deep halos: cycle 0 exchanges, cycles 1..k run on the ghosts it left.
-    let (depth, cycle) = (kernel.halo_depth as i64, s.cycle);
-    let deep = deep_capable(kernel).then_some((depth, cycle));
-    s.cycle = if deep.is_some() {
-        (cycle + 1) % depth
-    } else {
-        0
-    };
-    let scalars: Vec<f64> = args
-        .iter()
-        .filter_map(|a| match a {
-            KernelArg::Scalar(s) => Some(*s),
-            KernelArg::Buf(_) => None,
-        })
-        .collect();
-    let shared = Arc::new(Shared {
-        plan: Arc::clone(&s.plan),
-        scalars,
-        deep,
-        poison: s.cycle == 0,
-        mems: s.ranks.drain(..).map(|rm| Mutex::new(Some(rm))).collect(),
-    });
-    let cfg = ResilientConfig {
-        checkpoint_interval: 1,
-        ..ResilientConfig::default()
-    };
-
-    let map_err = |e: MpiSimError| match e.into_compile_error() {
-        Ok(compile_err) => compile_err,
-        Err(other) => IrError::new(format!("distributed execution failed: {other}")),
-    };
-    let body_shared = Arc::clone(&shared);
-    let (results, workers, steals, parks, traffic) = match opts.mode {
-        DistMode::Threads => {
-            let results = run_resilient(size, plan, cfg, move |ctx| {
-                ctx.block_on(&mut DistTask::new(ctx.rank(), Arc::clone(&body_shared)))
-            })
-            .map_err(map_err)?;
-            (results, size, 0u64, 0u64, None)
-        }
-        DistMode::Coop => {
-            let ccfg = CoopConfig {
-                workers: opts.workers,
-                node_size: opts.node_size,
-                agg_flush_messages: 0,
-            };
-            let (outs, stats) = run_tasks(size, ccfg, move |rank| {
-                let task = DistTask::new(rank, Arc::clone(&body_shared));
-                Resilient::new(task, rank, size, &plan, cfg)
-            })
-            .map_err(map_err)?;
-            (outs, stats.workers, stats.steals, stats.parks, Some(stats))
-        }
-    };
-
-    // The windows go back to the session; nothing is copied to the caller.
-    let mut fault_stats = FaultStats::default();
-    let mut per_rank = Vec::with_capacity(size);
-    let (mut bytes_exchanged, mut messages, mut body_wall) = (0u64, 0u64, 0.0f64);
-    for ((out, stats), d) in results.into_iter().zip(driver) {
-        fault_stats.merge(&stats);
-        bytes_exchanged += out.metrics.bytes_sent;
-        messages += out.metrics.messages_sent;
-        body_wall = body_wall.max(out.metrics.wall_seconds);
-        s.ranks.push(out.rm);
-        per_rank.push(RankMetrics {
-            wall_seconds: out.metrics.wall_seconds + d.scatter_seconds + d.gather_seconds,
-            scatter_seconds: d.scatter_seconds,
-            gather_seconds: d.gather_seconds,
-            scatters: d.scatters,
-            gathers: d.gathers,
-            resident_hits: d.resident_hits,
-            ..out.metrics
-        });
-    }
-    for &(_, buf) in &s.plan.outs {
-        memory.mark_stale(buf);
-    }
-    s.stale = true;
-    s.record_generations(memory);
-    *session = Some(s);
-
-    // Gather is serial on the driver (a rank's destination in the caller's
-    // array is one contiguous block only under a 1-D decomposition); scatter
-    // ran fanned out, so it costs its wall, not the sum over ranks.
-    let gather: f64 = per_rank.iter().map(|r| r.gather_seconds).sum();
-    let exchange_rounds = if deep.is_some() && cycle > 0 {
-        0
-    } else {
-        kernel
+        let (kernel, size) = (&self.plan.kernel, self.ranks.len());
+        let dispatches = self.queue.len() as u64;
+        // Deep-halo cycles after the first run on its ghosts, exchanging nothing.
+        let exchanging = kernel
             .nests
             .iter()
             .filter(|n| !n.exchanges.is_empty())
-            .count() as u64
-    };
-    let (logical_messages, physical_messages, logical_bytes, physical_bytes) = match &traffic {
-        Some(s) => (
-            s.logical_messages,
-            s.physical_envelopes,
-            s.logical_bytes,
-            s.physical_bytes,
-        ),
-        None => (messages, messages, bytes_exchanged, bytes_exchanged),
-    };
-    Ok(Some(DistOutcome {
-        per_rank,
-        makespan_seconds: body_wall + scatter_wall + gather,
-        fault_stats,
-        schedule: setup.schedule,
-        bytes_exchanged,
-        messages,
-        scheduler: opts.mode,
-        workers,
-        steals,
-        parks,
-        logical_messages,
-        physical_messages,
-        logical_bytes,
-        physical_bytes,
-        halo_depth: kernel.halo_depth,
-        exchange_rounds,
-    }))
+            .count();
+        let cycle0 = self
+            .queue
+            .iter()
+            .filter(|q| q.deep.is_none_or(|d| d.1 == 0));
+        let exchange_rounds = (exchanging * cycle0.count()) as u64;
+        let shared = Arc::new(Shared {
+            plan: Arc::clone(&self.plan),
+            runs: std::mem::take(&mut self.queue),
+            mems: self
+                .ranks
+                .drain(..)
+                .map(|rm| Mutex::new(Some(rm)))
+                .collect(),
+        });
+        let cfg = ResilientConfig {
+            checkpoint_interval: 1,
+            ..ResilientConfig::default()
+        };
+
+        let map_err = |e: MpiSimError| match e.into_compile_error() {
+            Ok(compile_err) => compile_err,
+            Err(other) => IrError::new(format!("distributed execution failed: {other}")),
+        };
+        let (body_shared, faults) = (Arc::clone(&shared), self.faults.clone());
+        let (results, workers, steals, parks, traffic) = match opts.mode {
+            DistMode::Threads => {
+                let results = run_resilient(size, faults, cfg, move |ctx| {
+                    ctx.block_on(&mut DistTask::new(ctx.rank(), Arc::clone(&body_shared)))
+                })
+                .map_err(map_err)?;
+                (results, size, 0u64, 0u64, None)
+            }
+            DistMode::Coop => {
+                let ccfg = CoopConfig {
+                    workers: opts.workers,
+                    node_size: opts.node_size,
+                    agg_flush_messages: 0,
+                };
+                let (outs, stats) = run_tasks(size, ccfg, move |rank| {
+                    let task = DistTask::new(rank, Arc::clone(&body_shared));
+                    Resilient::new(task, rank, size, &faults, cfg)
+                })
+                .map_err(map_err)?;
+                (outs, stats.workers, stats.steals, stats.parks, Some(stats))
+            }
+        };
+
+        // The windows go back to the session; nothing is copied to the caller.
+        let mut fault_stats = FaultStats::default();
+        let mut per_rank = Vec::with_capacity(size);
+        let (mut bytes_exchanged, mut messages, mut body_wall) = (0u64, 0u64, 0.0f64);
+        let driver = std::mem::take(&mut self.driver);
+        for ((out, stats), d) in results.into_iter().zip(driver) {
+            fault_stats.merge(&stats);
+            bytes_exchanged += out.metrics.bytes_sent;
+            messages += out.metrics.messages_sent;
+            body_wall = body_wall.max(out.metrics.wall_seconds);
+            self.ranks.push(out.rm);
+            per_rank.push(RankMetrics {
+                wall_seconds: out.metrics.wall_seconds + d.scatter_seconds + d.gather_seconds,
+                scatter_seconds: d.scatter_seconds,
+                gather_seconds: d.gather_seconds,
+                scatters: d.scatters,
+                gathers: d.gathers,
+                resident_hits: d.resident_hits + dispatches - 1,
+                ..out.metrics
+            });
+        }
+        let outs = self.plan.outs.iter().map(|o| o.1);
+        for &(_, buf) in &self.plan.args {
+            if !outs.clone().any(|b| b == buf) {
+                memory.clear_stale(buf);
+            }
+        }
+        self.stale = true;
+        self.record_generations(memory);
+
+        let (logical_messages, physical_messages, logical_bytes, physical_bytes) = match &traffic {
+            Some(s) => (
+                s.logical_messages,
+                s.physical_envelopes,
+                s.logical_bytes,
+                s.physical_bytes,
+            ),
+            None => (messages, messages, bytes_exchanged, bytes_exchanged),
+        };
+        Ok(Some(DistOutcome {
+            per_rank,
+            makespan_seconds: body_wall + self.driver_wall,
+            fault_stats,
+            schedule: self.plan.schedule,
+            bytes_exchanged,
+            messages,
+            scheduler: opts.mode,
+            workers,
+            steals,
+            parks,
+            logical_messages,
+            physical_messages,
+            logical_bytes,
+            physical_bytes,
+            halo_depth: self.plan.kernel.halo_depth,
+            dispatches,
+            exchange_rounds,
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -1889,6 +2163,9 @@ mod tests {
             from: ndims - grid.len(),
             args,
             outs: Vec::new(),
+            read_first: vec![true; 4],
+            schedule: HaloSchedule::Overlap,
+            trails: Vec::new(),
             margin: 1,
             budget,
         }
@@ -1966,6 +2243,66 @@ mod tests {
             assert_eq!(err.diagnostics[0].code, codes::MEM_BUDGET, "{err}");
             assert_eq!(tight.used(), 0, "{workers} workers: ledger must drain");
         }
+    }
+
+    /// Region `stencil_region_1` of `src`, lowered for one CPU.
+    fn time_step(src: &str) -> CompiledKernel {
+        use fsc_ir::Pass as _;
+        use fsc_passes::stencil_to_scf::{lower_stencils, LoweringTarget};
+        let mut m = fsc_fortran::compile_to_fir(src).unwrap();
+        fsc_passes::discover::discover_stencils(&mut m).unwrap();
+        fsc_passes::merge::merge_adjacent_applies(&mut m).unwrap();
+        let mut st = fsc_passes::extract::extract_stencils(&mut m).unwrap();
+        lower_stencils(&mut st, LoweringTarget::Cpu).unwrap();
+        fsc_passes::canonicalize::Canonicalize.run(&mut st).unwrap();
+        crate::kernel::compile_kernel(&st, "stencil_region_1").unwrap()
+    }
+
+    #[test]
+    fn only_views_read_before_they_are_written_are_seeded() {
+        // GS's step reads `u` at offsets, writes `un`, then copies `un`
+        // into `u`: `u` is seeded, `un` is written first, at any bounds.
+        let gs = fsc_workloads::gauss_seidel::fortran_source(6, 2);
+        for source in [
+            gs.clone(),
+            gs.replace("(0:n+1, 0:n+1, 0:n+1)", "(n+2, n+2, n+2)"),
+        ] {
+            let k = time_step(&source);
+            let (un, u) = (k.nests[0].out_views[0], k.nests[1].out_views[0]);
+            let seeded = k.read_first();
+            assert!(seeded[u] && !seeded[un], "{seeded:?}");
+        }
+        // A later nest reading outside the cells the first one wrote, the
+        // writing nest reading the view itself, a read a plane off.
+        let mut k = time_step(&gs);
+        let un = k.nests[0].out_views[0];
+        assert!(!k.read_first()[un]);
+        k.nests[1].bounds[0].0 -= 1;
+        assert!(
+            k.read_first()[un],
+            "the copy reads a cell the stencil never wrote"
+        );
+        let mut k = time_step(&gs);
+        k.nests[0].reach.insert((un, false), vec![(0, 0); 3]);
+        assert!(k.read_first()[un], "the stencil reads what it writes");
+        let mut k = time_step(&gs);
+        k.nests[1]
+            .reach
+            .insert((un, false), vec![(0, 0), (0, 0), (1, 1)]);
+        assert!(k.read_first()[un], "the copy reads a plane off");
+    }
+
+    #[test]
+    fn whole_planes_move_as_one_run() {
+        let strides = [1i64, 4, 12];
+        let runs = |region: &[(i64, i64)]| {
+            let mut out = Vec::new();
+            for_each_run(&strides, region, |lin, len| out.push((lin, len)));
+            out
+        };
+        assert_eq!(runs(&[(0, 4), (0, 3), (1, 3)]), [(12, 24)]);
+        assert_eq!(runs(&[(0, 4), (1, 3), (1, 3)]), [(16, 8), (28, 8)]);
+        assert_eq!(runs(&[(1, 3), (0, 3), (1, 2)]), [(13, 2), (17, 2), (21, 2)]);
     }
 
     #[test]

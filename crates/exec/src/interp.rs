@@ -40,8 +40,11 @@ pub trait RegionDispatcher {
 
     /// Land every result the dispatcher still holds outside `memory` or
     /// has queued (buffers it marked stale). The interpreter calls this
-    /// before host code touches a stale buffer and when the run ends.
-    fn sync(&mut self, _memory: &mut Memory) {}
+    /// before host code touches a stale buffer and when the run ends; an
+    /// error (a queued dispatch failed) ends the run.
+    fn sync(&mut self, _memory: &mut Memory) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// A dispatcher that rejects all external calls.
@@ -91,16 +94,17 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
 
     /// Land every result the dispatcher deferred; call once the program has
     /// run and before reading [`Interpreter::memory`].
-    pub fn sync(&mut self) {
-        self.dispatcher.sync(&mut self.memory);
+    pub fn sync(&mut self) -> Result<()> {
+        self.dispatcher.sync(&mut self.memory)
     }
 
     /// Host code is about to read, write or release `buf`.
     #[inline]
-    fn host_access(&mut self, buf: crate::BufId) {
+    fn host_access(&mut self, buf: crate::BufId) -> Result<()> {
         if self.memory.is_stale(buf) {
-            self.dispatcher.sync(&mut self.memory);
+            return self.dispatcher.sync(&mut self.memory);
         }
+        Ok(())
     }
 
     /// Run the function with the given symbol name.
@@ -354,7 +358,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                 // storage itself is retained (ids stay valid for post-run
                 // array bindings), but the bytes stop counting as live.
                 if let Ref::Array { buf, .. } = self.get_ref(data.operands[0])? {
-                    self.host_access(buf);
+                    self.host_access(buf)?;
                     self.memory.release_buffer(buf);
                 }
             }
@@ -368,7 +372,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                         Scalar::Bool(b) => Value::Bool(b),
                     },
                     Ref::Elem { buf, linear } => {
-                        self.host_access(buf);
+                        self.host_access(buf)?;
                         Value::F64(self.memory.buffer(buf)[linear as usize])
                     }
                     Ref::Array { .. } => return Err(err("fir.load of whole array")),
@@ -392,7 +396,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     }
                     Ref::Elem { buf, linear } => {
                         let f = value.as_number().ok_or_else(|| err("non-numeric store"))?;
-                        self.host_access(buf);
+                        self.host_access(buf)?;
                         self.memory.buffer_mut(buf)[linear as usize] = f;
                     }
                     Ref::Array { .. } => return Err(err("fir.store to whole array")),
@@ -571,7 +575,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                 // Release accounting (the storage stays resident for id
                 // stability; its byte charge returns to the ledger).
                 if let Ref::Array { buf, .. } = self.get_ref(data.operands[0])? {
-                    self.host_access(buf);
+                    self.host_access(buf)?;
                     self.memory.release_buffer(buf);
                 }
             }
@@ -595,7 +599,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
             "memref.load" => {
                 self.stats.loads += 1;
                 let (buf, linear) = self.memref_address(op, 0)?;
-                self.host_access(buf);
+                self.host_access(buf)?;
                 let v = self.memory.buffer(buf)[linear as usize];
                 // Integer-element memrefs (scalars lowered by
                 // convert-fir-to-standard) read back as integers.
@@ -615,7 +619,7 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     .as_number()
                     .ok_or_else(|| err("non-numeric memref.store"))?;
                 let (buf, linear) = self.memref_address(op, 1)?;
-                self.host_access(buf);
+                self.host_access(buf)?;
                 self.memory.buffer_mut(buf)[linear as usize] = value;
             }
             "memref.copy" => {
@@ -625,8 +629,8 @@ impl<'m, D: RegionDispatcher> Interpreter<'m, D> {
                     return Err(err("memref.copy of non-arrays"));
                 };
                 if sb != db {
-                    self.host_access(sb);
-                    self.host_access(db);
+                    self.host_access(sb)?;
+                    self.host_access(db)?;
                     self.memory.copy_buffer(sb, db)?;
                 }
             }

@@ -19,7 +19,7 @@
 //!
 //! On top of the 1:1 fragments a peephole stitches **linear-combination
 //! chains** (`acc = seed ± c·load ± …`, optionally scaled and stored) into
-//! a single [`LinChain`] fragment with the accumulator held in a register
+//! a single `LinChain` fragment with the accumulator held in a register
 //! across taps; a seed or tap may also be a row scalar or the `c·i`
 //! coordinate ramp, so an affine fill is one chain. This is the one CPU code generator for linear stencils:
 //! sums (Gauss–Seidel, Listing 1), linear combinations and copies (a

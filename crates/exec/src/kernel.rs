@@ -175,9 +175,18 @@ pub struct Nest {
     /// once when the pipeline set neither). Tests and ablations override
     /// it via [`CompiledKernel::force_plan`].
     pub plan: ExecPlan,
+    /// The subscript constants of its accesses, per view and direction.
+    pub(crate) reach: Reach,
 }
 
 impl Nest {
+    /// Per dimension, the `(min, max)` subscript constant of its loads (or
+    /// stores) of `view` — lower bound folded in — or `None` when it has
+    /// none.
+    pub(crate) fn subscripts(&self, view: usize, store: bool) -> Option<&[(i64, i64)]> {
+        self.reach.get(&(view, store)).map(Vec::as_slice)
+    }
+
     /// Number of grid cells in this nest's iteration domain.
     pub fn domain_cells(&self) -> u64 {
         self.bounds
@@ -302,14 +311,24 @@ impl CompiledKernel {
     /// Each nest's lag, in slowest-dimension planes, when a single-threaded
     /// [`run_kernel`] runs this region pipelined; `None` when it runs the
     /// nests in order (no legal schedule, one nest with cells, or one step
-    /// spanning the domain). A run on more than one thread is in order.
+    /// and block spanning the domain). A run on more than one thread is in
+    /// order.
     pub fn lags(&self) -> Option<&[i64]> {
+        let (p, live) = self.stepping()?;
+        (live > 1).then_some(p.lags.as_slice())
+    }
+
+    /// The pipeline a single-threaded [`Sweep`] of this region steps
+    /// through and its nests with cells; `None` when one step and one block
+    /// span the domain (or there is no legal schedule), so every nest runs
+    /// whole and in order.
+    fn stepping(&self) -> Option<(&Pipeline, usize)> {
         let p = self.pipeline.as_ref()?;
         let live = self.nests.iter().filter(|n| n.domain_cells() > 0).count();
         let slow = self.nests.first()?.bounds.len().checked_sub(1)?;
         let lagged = self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n));
         let (first, end) = dim_range(lagged, slow);
-        (live > 1 && p.planes < end.saturating_sub(first)).then_some(p.lags.as_slice())
+        (p.planes < end.saturating_sub(first) || p.rows < i64::MAX).then_some((p, live))
     }
 
     /// Each nest's slabs in a [`run_kernel`] on `threads` workers (the
@@ -321,27 +340,29 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// One line for `fsc`: `pipelined, lags [0, 1], period 2, 1 plane/step,
-    /// 19 rows/block` (no block when one spans the rows) or `in order`; on
-    /// `threads > 1`, `in order, slabs [2, 1]`.
+    /// One line for `fsc`, what a single-threaded [`Sweep`] of the region
+    /// runs: `pipelined, lags [0, 1], period 2, 1 plane/step, 19
+    /// rows/block` (no block when one spans the rows); for one nest with
+    /// cells, which a dispatch alone runs whole, `in order alone, batched:
+    /// period 0, 1 plane/step, 56 rows/block`; `in order` when one step and
+    /// block span the domain. On `threads > 1`, `in order, slabs [2, 1]`.
     pub fn schedule(&self, threads: usize) -> String {
         if threads > 1 {
             return format!("in order, slabs {:?}", self.slabs(threads));
         }
-        match (self.lags(), &self.pipeline) {
-            (Some(lags), Some(p)) => {
-                let plural = if p.planes == 1 { "" } else { "s" };
-                let mut line = format!(
-                    "pipelined, lags {lags:?}, period {}, {} plane{plural}/step",
-                    p.period, p.planes
-                );
-                if p.rows < i64::MAX {
-                    line += &format!(", {} rows/block", p.rows);
-                }
-                line
-            }
-            _ => "in order".to_string(),
+        let Some((p, live)) = self.stepping() else {
+            return "in order".to_string();
+        };
+        let mut line = match live {
+            1 => "in order alone, batched: ".to_string(),
+            _ => format!("pipelined, lags {:?}, ", p.lags),
+        };
+        let plural = if p.planes == 1 { "" } else { "s" };
+        line += &format!("period {}, {} plane{plural}/step", p.period, p.planes);
+        if p.rows < i64::MAX {
+            line += &format!(", {} rows/block", p.rows);
         }
+        line
     }
 
     /// Work metrics for one invocation (summed over nests).
@@ -552,7 +573,6 @@ fn compile_nests(
     let mut views: Vec<ViewSpec> = Vec::new();
     let mut view_of_value: HashMap<ValueId, usize> = HashMap::new();
     let mut nests: Vec<Nest> = Vec::new();
-    let mut reaches: Vec<Reach> = Vec::new();
     let mut jit_warnings: Vec<Diagnostic> = Vec::new();
     let mut pending_exchanges: Vec<MpiExchange> = Vec::new();
     let mut pending_snapshots: Vec<usize> = Vec::new();
@@ -659,7 +679,7 @@ fn compile_nests(
             | mpi::COMM_SIZE => {}
             "arith.constant" | gpu::HOST_REGISTER | gpu::MEMCPY | gpu::ALLOC | gpu::DEALLOC => {}
             scf::PARALLEL | omp::PARALLEL => {
-                let (nest, reach) = compile_one_nest(
+                let nest = compile_one_nest(
                     module,
                     op,
                     &views,
@@ -670,7 +690,6 @@ fn compile_nests(
                     &mut jit_warnings,
                 )?;
                 nests.push(nest);
-                reaches.push(reach);
             }
             func::RETURN | gpu::RETURN => {}
             other => return Err(err(format!("unexpected op '{other}' in region body"))),
@@ -679,7 +698,7 @@ fn compile_nests(
     if nests.is_empty() {
         return Err(err("no loop nest found in region"));
     }
-    let pipeline = pipeline_for(&views, &nests, &reaches);
+    let pipeline = pipeline_for(&views, &nests);
     Ok((views, nests, jit_warnings, pipeline))
 }
 
@@ -720,16 +739,16 @@ type Reach = HashMap<(usize, bool), Vec<(i64, i64)>>;
 /// does not split), a view has fewer dimensions than the domain, or a nest
 /// stores one view at two slowest-dim offsets (its cells are written from
 /// two planes, and a tiled sweep does not visit planes in order).
-fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option<Pipeline> {
+fn pipeline_for(views: &[ViewSpec], nests: &[Nest]) -> Option<Pipeline> {
     let rank = nests.first()?.bounds.len();
     let slow = rank.checked_sub(1)?;
     let unsplittable = nests
         .iter()
         .any(|n| !n.snapshots.is_empty() || !n.exchanges.is_empty());
     let two_stores = |dim: usize| {
-        reaches
+        nests
             .iter()
-            .flatten()
+            .flat_map(|n| &n.reach)
             .any(|(&(_, store), r)| store && r.get(dim).is_some_and(|&(lo, hi)| lo != hi))
     };
     if nests.iter().all(|n| n.domain_cells() == 0)
@@ -739,15 +758,15 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
     {
         return None;
     }
-    let (lags, period) = lag_rule(reaches, slow, views.len())?;
+    let (lags, period) = lag_rule(nests, slow, views.len())?;
     let bytes_of = |dims: &[i64]| dims.iter().fold(8i64, |b, &e| b.saturating_mul(e));
     let plane_bytes = views.iter().map(|v| bytes_of(&v.extents[..slow])).max()?;
     let set_bytes = plane_bytes.saturating_mul(views.len() as i64).max(1);
     let planes = (STEP_BYTES / set_bytes).max(1);
     // S: at step s nest i touches planes s − L_i + [lo, hi].
     let (mut lead, mut trail) = (i64::MIN, i64::MAX);
-    for (r, &lag) in reaches.iter().zip(&lags) {
-        for &(lo, hi) in r.values().filter_map(|range| range.get(slow)) {
+    for (n, &lag) in nests.iter().zip(&lags) {
+        for &(lo, hi) in n.reach.values().filter_map(|range| range.get(slow)) {
             lead = lead.max(hi.saturating_sub(lag));
             trail = trail.min(lo.saturating_sub(lag));
         }
@@ -766,7 +785,7 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
     let row_set = row_bytes.saturating_mul(views.len() as i64);
     let mut rows = (STEP_BYTES / window.saturating_mul(row_set).max(1)).max(1);
     let (row_lags, row_period) = (rank > 2 && !two_stores(1))
-        .then(|| lag_rule(reaches, 1, views.len()))
+        .then(|| lag_rule(nests, 1, views.len()))
         .flatten()
         .unwrap_or_else(|| (vec![0; nests.len()], 0));
     let lagged = nests.iter().zip(&row_lags).map(|(n, &lag)| (lag, n));
@@ -787,8 +806,8 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest], reaches: &[Reach]) -> Option
 
 /// The lag rule of [`pipeline_for`] along dimension `dim`: each nest's
 /// lag and the period of the next dispatch.
-fn lag_rule(reaches: &[Reach], dim: usize, views: usize) -> Option<(Vec<i64>, i64)> {
-    let n = reaches.len();
+fn lag_rule(nests: &[Nest], dim: usize, views: usize) -> Option<(Vec<i64>, i64)> {
+    let n = nests.len();
     let mut lags = vec![0i64; 2 * n];
     for j in 1..2 * n {
         let mut lag = lags[j - 1];
@@ -797,8 +816,11 @@ fn lag_rule(reaches: &[Reach], dim: usize, views: usize) -> Option<(Vec<i64>, i6
                 // (later access in j, earlier access in i): flow, output, anti.
                 for (later, earlier) in [(false, true), (true, true), (true, false)] {
                     if let (Some(b), Some(a)) = (
-                        reaches[j % n].get(&(v, later)).and_then(|r| r.get(dim)),
-                        reaches[i % n].get(&(v, earlier)).and_then(|r| r.get(dim)),
+                        nests[j % n].reach.get(&(v, later)).and_then(|r| r.get(dim)),
+                        nests[i % n]
+                            .reach
+                            .get(&(v, earlier))
+                            .and_then(|r| r.get(dim)),
                     ) {
                         lag = lag.max(lags[i].saturating_add(b.1.saturating_sub(a.0)));
                     }
@@ -810,6 +832,122 @@ fn lag_rule(reaches: &[Reach], dim: usize, views: usize) -> Option<(Vec<i64>, i6
     let period = (0..n).map(|i| lags[n + i] - lags[i]).max()?;
     lags.truncate(n);
     Some((lags, period))
+}
+
+/// Pointwise nests that run, on each rank, in the phase of the exchanging
+/// nest before them, plane-interleaved with its interior (DESIGN.md §9).
+pub(crate) struct Trail {
+    /// One past the last of them.
+    pub(crate) end: usize,
+    /// Per nest from the exchanging one on, its lag in slowest-dimension
+    /// planes ([`lag_rule`]), and the planes a step runs ([`STEP_BYTES`]).
+    pub(crate) lags: Vec<i64>,
+    pub(crate) planes: i64,
+}
+
+impl CompiledKernel {
+    /// Per nest, the [`Trail`] after it when it exchanges halos: the nests
+    /// up to the next one that exchanges or refreshes a snapshot, when the
+    /// lag rule schedules them — not where [`pipeline_for`] refuses for a
+    /// reason other than the exchange (a view of lower rank, a view stored
+    /// at two slowest-dimension offsets) or two views share an argument
+    /// (the rule compares views, not buffers).
+    pub(crate) fn trails(&self) -> Vec<Option<Trail>> {
+        let (nests, views) = (&self.nests, &self.views);
+        let slow = nests
+            .first()
+            .map_or(0, |n| n.bounds.len().saturating_sub(1));
+        let plain = views.iter().enumerate().all(|(i, v)| {
+            v.extents.len() == slow + 1 && views[..i].iter().all(|w| w.source != v.source)
+        });
+        let plane = |v: &ViewSpec| {
+            let plane = v.extents.iter().take(slow);
+            plane.fold(8i64, |b, &e| b.saturating_mul(e))
+        };
+        let set_bytes = views.iter().map(plane).max().unwrap_or(0);
+        let set_bytes = set_bytes.saturating_mul(views.len() as i64);
+        let trail = |g: usize| {
+            nests.get(g).filter(|n| plain && !n.exchanges.is_empty())?;
+            let stops =
+                |&j: &usize| !nests[j].exchanges.is_empty() || !nests[j].snapshots.is_empty();
+            let end = (g + 1..nests.len()).find(stops).unwrap_or(nests.len());
+            let group = nests
+                .get(g..end)
+                .filter(|t| t.len() > 1 && nests[g].snapshots.is_empty())?;
+            let two_stores = group
+                .iter()
+                .flat_map(|n| &n.reach)
+                .any(|(&(_, store), r)| store && r.get(slow).is_some_and(|&(lo, hi)| lo != hi));
+            let (lags, _) = lag_rule(group, slow, views.len()).filter(|_| !two_stores)?;
+            let planes = (STEP_BYTES / set_bytes.max(1)).max(1);
+            Some(Trail { end, lags, planes })
+        };
+        (0..nests.len()).map(trail).collect()
+    }
+
+    /// Per view, whether a dispatch may read it before writing it. A view is
+    /// *write-first* when the first nest touching it stores it at offset 0
+    /// (a subscript constant of minus the lower bound in every dimension)
+    /// and neither loads, exchanges nor snapshots it, and every later nest
+    /// touching it loads it only at offset 0 inside the first nest's bounds
+    /// and stores it at one offset per dimension. On every rank of a
+    /// distributed run each cell of it read was then written before by the
+    /// same dispatch on the same rank — a later nest's box lies inside the
+    /// first one's, deep-halo extension or not — so the scatter need not
+    /// seed it. A view no nest touches is never read either.
+    pub(crate) fn read_first(&self) -> Vec<bool> {
+        let views = &self.views;
+        let write_first = |v: usize| {
+            let snapshot = ViewSource::SnapshotOf(v);
+            let moved = |n: &Nest| {
+                n.exchanges.iter().any(|e| e.view == v)
+                    || n.snapshots.iter().any(|&s| views[s].source == snapshot)
+            };
+            let touches = |n: &&Nest| moved(n) || n.reach.keys().any(|&(w, _)| w == v);
+            let mut touching = self.nests.iter().filter(touches);
+            let Some(first) = touching.next() else {
+                return true;
+            };
+            let lb = |d: usize| views[v].lbs.as_ref().map_or(0, |l| l[d]);
+            let at_zero =
+                |r: &[(i64, i64)]| r.iter().enumerate().all(|(d, &o)| o == (-lb(d), -lb(d)));
+            let inside = |n: &Nest| {
+                let within = |(a, b): (&(i64, i64), &(i64, i64))| b.0 <= a.0 && a.1 <= b.1;
+                n.bounds.iter().zip(&first.bounds).all(within)
+            };
+            let one_offset = |r: &[(i64, i64)]| r.iter().all(|o| o.0 == o.1);
+            first.subscripts(v, true).is_some_and(at_zero)
+                && first.subscripts(v, false).is_none()
+                && !moved(first)
+                && touching.all(|n| {
+                    !moved(n)
+                        && n.subscripts(v, false)
+                            .is_none_or(|r| at_zero(r) && inside(n))
+                        && n.subscripts(v, true).is_none_or(one_offset)
+                })
+        };
+        (0..views.len()).map(|v| !write_first(v)).collect()
+    }
+}
+
+/// Per dimension, the offsets `(a, b)` such that cell `p` of `later` and
+/// cell `q` of `earlier` touch one element, at least one of them storing
+/// it, only if `p + a ≤ q ≤ p + b`: the cells of `earlier` that must have
+/// run before `later` runs `p`. `a > b` where the nests share no view.
+pub(crate) fn dependence_window(later: &Nest, earlier: &Nest) -> Vec<(i64, i64)> {
+    let mut window = vec![(i64::MAX, i64::MIN); later.bounds.len()];
+    for (&(v, later_stores), l) in &later.reach {
+        for earlier_stores in [false, true] {
+            let e = earlier.reach.get(&(v, earlier_stores));
+            let Some(e) = e.filter(|_| later_stores || earlier_stores) else {
+                continue;
+            };
+            for (w, (l, e)) in window.iter_mut().zip(l.iter().zip(e)) {
+                *w = (w.0.min(l.0 - e.1), w.1.max(l.1 - e.0));
+            }
+        }
+    }
+    window
 }
 
 /// First and one-past-last coordinate along dimension `dim` of a sweep:
@@ -838,7 +976,7 @@ fn compile_one_nest(
     exchanges: Vec<MpiExchange>,
     snapshots: Vec<usize>,
     jit_warnings: &mut Vec<Diagnostic>,
-) -> Result<(Nest, Reach)> {
+) -> Result<Nest> {
     let mut iv_bounds: HashMap<ValueId, (i64, i64)> = HashMap::new();
     let mut tile_of_iv: HashMap<ValueId, i64> = HashMap::new();
     let innermost = collect_loops(module, loop_root, &mut iv_bounds, &mut tile_of_iv)?;
@@ -973,8 +1111,9 @@ fn compile_one_nest(
         halo_schedule,
         snapshots,
         plan,
+        reach,
     };
-    Ok((nest, reach))
+    Ok(nest)
 }
 
 /// Descend a loop structure (`scf.parallel` / `omp.parallel{wsloop}` with
@@ -1415,7 +1554,7 @@ impl NestRun<'_> {
 
 impl<'k> Sweep<'k> {
     /// Resolve one dispatch of `kernel` on `threads` (snapshot views get
-    /// call-local storage) and check each nest's outputs ([`NestIo::new`]).
+    /// call-local storage) and check each nest's outputs (`NestIo::new`).
     pub fn new(
         kernel: &'k CompiledKernel,
         memory: &mut Memory,
@@ -1464,7 +1603,8 @@ impl<'k> Sweep<'k> {
         &self.bufs
     }
 
-    /// True while the pipeline applies and [`WINDOW_BYTES`] has room.
+    /// True while the pipeline applies and its window of planes
+    /// (`WINDOW_BYTES`) has room.
     pub fn has_room(&self) -> bool {
         self.pipeline.is_some_and(|p| self.scalars.len() < p.batch)
     }
@@ -1584,7 +1724,7 @@ fn release_snapshots(kernel: &CompiledKernel, bufs: &[BufId], memory: &mut Memor
     }
 }
 
-fn scalar_args(args: &[KernelArg]) -> Vec<f64> {
+pub(crate) fn scalar_args(args: &[KernelArg]) -> Vec<f64> {
     args.iter()
         .filter_map(|a| match a {
             KernelArg::Scalar(s) => Some(*s),
@@ -3232,6 +3372,38 @@ end program gs2
     }
 
     #[test]
+    fn the_copy_depends_on_the_stencil_one_plane_either_side() {
+        // The copy overwrites `u`, which the stencil reads at ±1, and reads
+        // `un` where the stencil wrote it; a nest touching no view depends
+        // on nothing.
+        let src = fsc_workloads::gauss_seidel::fortran_source(6, 2);
+        let k = compile_region(&src, "stencil_region_1");
+        let (stencil, copy) = (&k.nests[0], &k.nests[1]);
+        assert_eq!(dependence_window(copy, stencil), vec![(-1, 1); 3]);
+        assert_eq!(dependence_window(stencil, copy), vec![(-1, 1); 3]);
+        let mut alone = copy.clone();
+        alone.reach.clear();
+        assert!(dependence_window(&alone, stencil).iter().all(|w| w.0 > w.1));
+    }
+
+    #[test]
+    fn a_one_nest_region_prints_the_batched_sweep_it_runs() {
+        // A dispatch of PW's one advection nest runs whole, a sweep of ten
+        // steps through planes and blocks of rows; a small grid fits one
+        // step and one block.
+        let pw = |n: usize| {
+            let src = fsc_workloads::pw_advection::fortran_source_repeated(n, 10);
+            compile_region(&src, "stencil_region_1")
+        };
+        assert_eq!(
+            pw(128).schedule(1),
+            "in order alone, batched: period 0, 1 plane/step, 56 rows/block"
+        );
+        assert_eq!(pw(3).schedule(1), "in order");
+        assert_eq!(pw(128).schedule(2), "in order, slabs [2]");
+    }
+
+    #[test]
     fn the_window_bounds_a_sweep() {
         let gs = |n: usize| {
             let src = fsc_workloads::gauss_seidel::fortran_source(n, 2);
@@ -3327,6 +3499,7 @@ end program gs2
             halo_schedule: None,
             snapshots: Vec::new(),
             plan: ExecPlan::default(),
+            reach: HashMap::from([((1, false), vec![(0, 0)]), ((0, true), vec![(-1, 1)])]),
         };
         CompiledKernel {
             name: "two_offsets".into(),

@@ -117,7 +117,7 @@ pub enum SpecBody {
     /// `f`: 0 = u, 1 = v, 2 = w) is `((cx*gx + cy*gy) + (cu*a)*(b+c)) -
     /// (cd*d)*(e+f)` with `g = a*(b+c) - d*(e+f)` per horizontal dimension
     /// and the z taps unfactored (MONC's split vertical coefficients); the
-    /// taps are the loads [`pw_taps`] names.
+    /// taps are the loads `pw_taps` names.
     PwAdvect {
         /// Store destinations of `su`, `sv`, `sw`.
         out: [Access; 3],

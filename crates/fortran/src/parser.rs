@@ -4,7 +4,7 @@
 //! a failed statement records a located [`Diagnostic`] and synchronizes at
 //! the next statement boundary (end-of-statement token), a failed unit
 //! synchronizes at the next `program`/`subroutine`, so one file reports
-//! every problem it contains (bounded by [`MAX_ERRORS`]). When anything
+//! every problem it contains (bounded by `MAX_ERRORS`). When anything
 //! was recorded the overall result is an [`IrError`] carrying the full
 //! batch; the partially-parsed AST is never handed downstream.
 

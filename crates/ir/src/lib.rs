@@ -18,7 +18,7 @@
 //!   structural equality is cheap).
 //!
 //! On top of this sit a [`builder::OpBuilder`] for construction, a generic
-//! textual [`print`](crate::print)er and [`parse`](crate::parse)r that round-trip, a structural
+//! textual [`print`](mod@print)er and [`parse`]r that round-trip, a structural
 //! [`verifier`], a [`pass::PassManager`], and rewrite helpers used by the
 //! stencil discovery and lowering passes.
 //!

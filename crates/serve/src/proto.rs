@@ -117,7 +117,7 @@ pub fn parse_target(s: &str) -> Result<Target, String> {
 impl Request {
     /// Parse one request line. Errors are protocol errors: the caller
     /// should answer with [`error_response`] under [`codes::SERVER_PROTOCOL`],
-    /// using the id recovered by [`recover_id`] when possible.
+    /// using the id recovered by [`Request::recover_id`] when possible.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Json::parse(line)?;
         let id = v.get("id").and_then(Json::as_i64).unwrap_or(0);

@@ -387,7 +387,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Size specification for [`vec`]: a range or an exact count.
+    /// Size specification for [`vec()`]: a range or an exact count.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         pub min: usize,

@@ -1297,8 +1297,8 @@ end program pingpong
 
 #[test]
 fn a_distributed_time_loop_keeps_its_halo_counts() {
-    // No distributed dispatch joins a sweep: GS n=96 x 10 on two ranks
-    // exchanges what it did before sweeps existed.
+    // GS n=96 x 10 on two ranks exchanges what it did before sweeps
+    // existed, now that its ten time steps run as one queued rank run.
     let opts = CompileOptions {
         overlap_halos: true,
         dist_workers: 2,
@@ -1316,7 +1316,7 @@ fn a_distributed_time_loop_keeps_its_halo_counts() {
     );
     assert_eq!(
         exec.report.sweeps,
-        (1, 1),
-        "only the init region runs on the host"
+        (11, 2),
+        "the init region's sweep, then the ten time steps' rank run"
     );
 }

@@ -363,3 +363,294 @@ end program wide
         assert_eq!(nans.count(), 2 * 12 * 12, "iters={iters}");
     }
 }
+
+/// `got`'s `arrays` bit for bit against the FIR interpreter's and `cpu`'s
+/// runs of `source`.
+fn assert_bits_flang_and_cpu(tag: &str, source: &str, got: &Execution, arrays: &[&str]) {
+    for target in [Target::FlangOnly, Target::StencilCpu] {
+        let want = run(source, &CompileOptions::for_target(target.clone()));
+        assert_bits(&format!("{tag} vs {target:?}"), got, &want, arrays);
+    }
+}
+
+#[test]
+fn queued_dispatches_run_as_one_rank_run() {
+    // k time steps of GS queue on the resident ranks and run as one rank
+    // run, on every grid shape, halo depth and schedule: the init region's
+    // host sweep and that run are the run's two sweeps.
+    for k in [1usize, 2, 10] {
+        let source = gauss_seidel::fortran_source(8, k);
+        let reference: Vec<Execution> = [Target::FlangOnly, Target::StencilCpu]
+            .map(|t| run(&source, &CompileOptions::for_target(t)))
+            .into();
+        for grid in [&[2i64][..], &[2, 2], &[2, 2, 2]] {
+            let ranks = grid.iter().product::<i64>() as u64;
+            for (depth, overlap) in [(1u32, true), (1, false), (2, true), (2, false)] {
+                let tag = format!("k={k} grid={grid:?} depth={depth} overlap={overlap}");
+                let opts = CompileOptions {
+                    overlap_halos: overlap,
+                    halo_depth: depth,
+                    ..dist(grid)
+                };
+                let exec = run(&source, &opts);
+                for want in &reference {
+                    assert_bits(&tag, &exec, want, &["u", "un"]);
+                }
+                assert_eq!(exec.report.sweeps, (k as u64 + 1, 2), "{tag}");
+                let d = report(&exec);
+                assert_eq!(d.dispatches, k as u64, "{tag}");
+                assert_eq!((d.scatters, d.gathers), (ranks, ranks), "{tag}");
+                assert_eq!(d.resident_hits, (k as u64 - 1) * ranks, "{tag}");
+            }
+        }
+    }
+}
+
+#[test]
+fn host_access_between_dispatches_ends_the_queued_run() {
+    // A host read or write of a held array after every step runs the
+    // queued dispatch first: one rank run per step, each on current data.
+    let read = gs_with_step_tail(8, 4, "  real(kind=8) :: c\n", "    c = u(3, 4, 5)\n");
+    let write = gs_with_step_tail(8, 4, "", "    u(3, 4, 5) = u(3, 4, 5) + 0.25\n");
+    for (what, source) in [("read", read), ("write", write)] {
+        for grid in [&[2i64][..], &[2, 2]] {
+            let tag = format!("host {what} grid={grid:?}");
+            let exec = run(&source, &dist(grid));
+            assert_bits_flang_and_cpu(&tag, &source, &exec, &["u", "un"]);
+            assert_eq!(exec.report.sweeps, (5, 5), "{tag}");
+            assert_eq!(report(&exec).dispatches, 4, "{tag}");
+        }
+    }
+}
+
+#[test]
+fn a_crash_planned_at_any_queued_dispatch_replays_bit_identically() {
+    // The crash planned for dispatch c fires in that dispatch's phases of
+    // the one rank run, restores from the phase checkpoint before it and
+    // replays to the fault-free result.
+    let source = gauss_seidel::fortran_source(8, 10);
+    let mut compiled = Compiler::compile(&source, &dist(&[2, 2])).unwrap();
+    for mode in [DistMode::Coop, DistMode::Threads] {
+        compiled.dist_options.mode = mode;
+        for at in [0usize, 3, 9] {
+            let tag = format!("{mode:?} crash at dispatch {at}");
+            let crashed = compiled
+                .run_with_faults(FaultPlan::none(7).with_crash(1, at))
+                .unwrap();
+            assert_bits_flang_and_cpu(&tag, &source, &crashed, &["u", "un"]);
+            let f = crashed.report.resilience.unwrap();
+            assert_eq!((f.injected_crashes, f.restores), (1, 1), "{tag}");
+            assert_eq!(
+                f.checkpoints,
+                10 * 3 * 4 + 1,
+                "{tag}: one per rank and phase"
+            );
+            assert_eq!(crashed.report.sweeps, (11, 2), "{tag}");
+        }
+    }
+}
+
+#[test]
+fn a_view_read_at_an_offset_before_the_kernel_writes_it_is_seeded() {
+    // `w` is read one plane either side by the first nest and rewritten by
+    // the second, so every dispatch reads the values a seeded window brings
+    // (or the last dispatch left); `v` is written before anything reads it
+    // and starts as the NaN sentinel, which no read ever sees.
+    let source = "program seeded
+  implicit none
+  integer, parameter :: n = 10
+  integer :: i, j, k, t
+  real(kind=8) :: v(0:n+1, 0:n+1, 0:n+1), w(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        w(i, j, k) = 0.01 * i + 0.02 * j * j + 0.03 * k
+        v(i, j, k) = -1.0
+      end do
+    end do
+  end do
+  do t = 1, 3
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          v(i, j, k) = 0.5 * (w(i, j, k-1) + w(i, j, k+1)) + 0.125
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          w(i, j, k) = v(i, j, k)
+        end do
+      end do
+    end do
+  end do
+end program seeded
+";
+    for grid in [&[2i64][..], &[2, 2]] {
+        let tag = format!("grid={grid:?}");
+        let exec = run(source, &dist(grid));
+        assert_bits_flang_and_cpu(&tag, source, &exec, &["v", "w"]);
+        let d = report(&exec);
+        assert_eq!(d.provenance, Some(DistProvenance::Measured), "{tag}: {d:?}");
+        assert_eq!(d.dispatches, 3, "{tag}");
+        assert_eq!(exec.report.sweeps, (4, 2), "{tag}");
+    }
+}
+
+#[test]
+fn the_never_written_boundary_of_a_write_first_view_stays_the_callers() {
+    // GS's `un` is written before it is read, so its windows start as NaN;
+    // the gather copies only what the nests wrote, and the boundary the
+    // init region set on the host comes back untouched, bit for bit.
+    let source = gauss_seidel::fortran_source(10, 3);
+    let want = run(&source, &CompileOptions::for_target(Target::StencilCpu));
+    for grid in [&[2i64][..], &[2, 2], &[2, 2, 2]] {
+        let exec = run(&source, &dist(grid));
+        assert_bits(&format!("{grid:?}"), &exec, &want, &["un", "u"]);
+        assert!(exec.array("un").unwrap().iter().all(|x| x.is_finite()));
+    }
+}
+
+#[test]
+fn a_dispatch_on_other_buffers_starts_its_own_rank_run() {
+    // One region called on (u, un) and then on (un, u): the second call is
+    // the same kernel on other buffers, so it cannot join the first's run.
+    let source = "
+subroutine relax(src, dst)
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i, j, k
+  real(kind=8) :: src(0:n+1, 0:n+1, 0:n+1), dst(0:n+1, 0:n+1, 0:n+1)
+  do k = 1, n
+    do j = 1, n
+      do i = 1, n
+        dst(i, j, k) = (src(i-1, j, k) + src(i+1, j, k) + src(i, j-1, k) &
+                     + src(i, j+1, k) + src(i, j, k-1) + src(i, j, k+1)) / 6.0
+      end do
+    end do
+  end do
+end subroutine relax
+
+program pingpong
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i, j, k, t
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i * j + 0.02 * k * k + 0.03 * i
+      end do
+    end do
+  end do
+  do t = 1, 3
+    call relax(u, un)
+    call relax(un, u)
+  end do
+end program pingpong
+";
+    for grid in [&[2i64][..], &[2, 2]] {
+        let tag = format!("grid={grid:?}");
+        let exec = run(source, &dist(grid));
+        assert_bits_flang_and_cpu(&tag, source, &exec, &["u", "un"]);
+        let d = report(&exec);
+        assert_eq!(d.provenance, Some(DistProvenance::Measured), "{tag}: {d:?}");
+        assert_eq!(d.dispatches, 6, "{tag}");
+        assert_eq!(exec.report.sweeps, (7, 7), "{tag}: one run per dispatch");
+    }
+}
+
+#[test]
+fn pointwise_nests_after_an_exchange_interleave_bit_identically() {
+    // The stencil exchanges `u`; the three pointwise nests after it run in
+    // its phase, plane by plane behind its interior: the copy overwrites
+    // what the stencil read, the next reads what the copy wrote, the last
+    // what the stencil and the one before it wrote.
+    let source = "program trail
+  implicit none
+  integer, parameter :: n = 12
+  integer :: i, j, k, t
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)
+  real(kind=8) :: w(0:n+1, 0:n+1, 0:n+1), z(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i + 0.02 * j * k + 0.03 * k
+      end do
+    end do
+  end do
+  do t = 1, 4
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          un(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) + u(i, j-1, k) &
+                       + u(i, j+1, k) + u(i, j, k-1) + u(i, j, k+1)) / 6.0
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          u(i, j, k) = un(i, j, k)
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          w(i, j, k) = 0.5 * u(i, j, k)
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          z(i, j, k) = w(i, j, k) + un(i, j, k)
+        end do
+      end do
+    end do
+  end do
+end program trail
+";
+    let compiled = Compiler::compile(source, &dist(&[2])).unwrap();
+    let nests: Vec<usize> = compiled.kernels.values().map(|k| k.nests.len()).collect();
+    assert!(nests.contains(&4), "one region of four nests: {nests:?}");
+    for grid in [&[2i64][..], &[2, 2], &[2, 2, 2]] {
+        for (depth, overlap) in [(1u32, true), (1, false), (2, true)] {
+            let tag = format!("grid={grid:?} depth={depth} overlap={overlap}");
+            let opts = CompileOptions {
+                overlap_halos: overlap,
+                halo_depth: depth,
+                ..dist(grid)
+            };
+            let exec = run(source, &opts);
+            assert_bits_flang_and_cpu(&tag, source, &exec, &["u", "un", "w", "z"]);
+            let d = report(&exec);
+            assert_eq!(d.provenance, Some(DistProvenance::Measured), "{tag}: {d:?}");
+            assert_eq!(exec.report.sweeps, (5, 2), "{tag}");
+        }
+    }
+}
+
+#[test]
+fn a_trail_one_plane_a_step_keeps_the_copy_a_plane_behind() {
+    // Planes of 256² doubles on two views fill a step with one plane, so
+    // each rank's four planes take several steps and the copy's lag of one
+    // plane is what keeps it from overwriting `u` the stencil still reads.
+    let source = gauss_seidel::fortran_source(254, 2)
+        .replace("(0:n+1, 0:n+1, 0:n+1)", "(0:n+1, 0:n+1, 0:m+1)")
+        .replace("do k = 0, n+1", "do k = 0, m+1")
+        .replace("    do k = 1, n\n", "    do k = 1, m\n")
+        .replace(
+            "  integer :: i, j, k, t\n",
+            "  integer, parameter :: m = 8\n  integer :: i, j, k, t\n",
+        );
+    assert!(source.contains("do k = 1, m\n") && source.contains("0:m+1"));
+    let want = run(&source, &CompileOptions::for_target(Target::StencilCpu));
+    for grid in [&[2i64][..], &[2, 2]] {
+        let exec = run(&source, &dist(grid));
+        assert_bits(&format!("{grid:?}"), &exec, &want, &["u", "un"]);
+        assert_eq!(report(&exec).provenance, Some(DistProvenance::Measured));
+    }
+}
