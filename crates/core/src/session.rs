@@ -452,25 +452,15 @@ impl CompileService {
     /// forever; a follower whose own [`CompileRequest::deadline`] expires
     /// while waiting gets a coded `E0803` error.
     pub fn compile(&self, request: &CompileRequest) -> Result<CompileOutcome> {
-        let fp = request.fingerprint();
         let t0 = Instant::now();
         let deadline = request.deadline.map(|d| t0 + d);
 
         loop {
-            if let Some(artifact) = self
-                .artifacts
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(fp)
-            {
-                self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(CompileOutcome {
-                    compiled: artifact,
-                    fingerprint: fp,
-                    source: ArtifactSource::Cached,
-                    wall: t0.elapsed(),
-                });
+            if let Some(mut hit) = self.cached(request) {
+                hit.wall = t0.elapsed();
+                return Ok(hit);
             }
+            let fp = request.fingerprint();
 
             // Singleflight: first requester of a fingerprint becomes leader,
             // everyone else parks on the leader's slot.
@@ -516,6 +506,27 @@ impl CompileService {
                 }
             }
         }
+    }
+
+    /// The cached artifact for `request`, if the artifact cache holds one.
+    /// A hit counts in `artifact_hits` exactly as [`CompileService::compile`]
+    /// counts it (it probes here first); a miss counts nothing, so a caller
+    /// that then queues the request for `compile` is not counted twice.
+    pub fn cached(&self, request: &CompileRequest) -> Option<CompileOutcome> {
+        let t0 = Instant::now();
+        let fp = request.fingerprint();
+        let compiled = self
+            .artifacts
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(fp)?;
+        self.artifact_hits.fetch_add(1, Ordering::Relaxed);
+        Some(CompileOutcome {
+            compiled,
+            fingerprint: fp,
+            source: ArtifactSource::Cached,
+            wall: t0.elapsed(),
+        })
     }
 
     /// The leader path: run the compiler, cache the artifact, publish to
@@ -755,6 +766,23 @@ mod tests {
         assert!(Arc::ptr_eq(&first.compiled, &second.compiled));
         let m = service.metrics();
         assert_eq!((m.compiles, m.artifact_hits, m.errors), (1, 1, 0));
+    }
+
+    /// `cached` never compiles, and counts a hit as `compile` does: a miss
+    /// moves no counter.
+    #[test]
+    fn cached_probes_without_compiling_and_counts_only_hits() {
+        let service = CompileService::default();
+        let req = request(4);
+        assert!(service.cached(&req).is_none());
+        assert_eq!(service.metrics(), ServiceMetrics::default());
+        let fresh = service.compile(&req).unwrap();
+        let hit = service.cached(&req).expect("an artifact cached by compile");
+        assert_eq!(hit.source, ArtifactSource::Cached);
+        assert_eq!(hit.fingerprint, req.fingerprint());
+        assert!(Arc::ptr_eq(&fresh.compiled, &hit.compiled));
+        let m = service.metrics();
+        assert_eq!((m.compiles, m.artifact_hits, m.dedup_waits), (1, 1, 0));
     }
 
     /// The singleflight guarantee: many identical concurrent requests run

@@ -10,8 +10,9 @@
 //! process (on a private socket) so one command produces a full
 //! closed-loop measurement. `--smoke` is the CI gate:
 //! a small storm that must finish with **zero failed requests**, a
-//! **non-zero artifact reuse rate**, and **singleflight holding**
-//! (server-side compiles == distinct request shapes issued).
+//! **non-zero artifact reuse rate**, **singleflight holding**
+//! (server-side compiles == distinct request shapes issued), and, in a
+//! one-client pass after the storm, hits **answered on their reader**.
 //!
 //! Busy rejections (`E0801`) are part of the admission-control contract,
 //! not failures: the generator retries them with linear backoff and
@@ -942,11 +943,18 @@ fn main() {
     let wall = t0.elapsed();
     latencies.sort_unstable();
 
-    let (ok, failed, busy_retries) = (
+    let (ok, mut failed, busy_retries) = (
         counters.0.load(Ordering::Relaxed),
         counters.1.load(Ordering::Relaxed),
         counters.2.load(Ordering::Relaxed),
     );
+    if smoke {
+        // The mix once more, one request at a time: on the idle server every
+        // hit runs on its reader (the storm's queue seldom empties).
+        let settled = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        drive_client(&socket_path, (0..shapes.len()).collect(), &shapes, &settled);
+        failed += settled.1.load(Ordering::Relaxed);
+    }
 
     let stats = Client::connect(&socket_path)
         .ok()
@@ -1022,6 +1030,10 @@ fn main() {
         }
         if !singleflight_ok {
             eprintln!("loadgen: FAILED — singleflight violated (compiles {compiles} > shapes {unique_shapes})");
+            std::process::exit(1);
+        }
+        if stat("answered_inline") <= 0.0 {
+            eprintln!("loadgen: FAILED — no cache hit was answered on its connection's reader");
             std::process::exit(1);
         }
     }

@@ -11,9 +11,9 @@
 //!
 //! | site              | what happens                                     |
 //! |-------------------|--------------------------------------------------|
-//! | worker panic      | `panic!` in the worker loop, outside any
-//! |                   | `catch_unwind` — the thread dies, the supervisor
-//! |                   | must answer `E0804` and respawn                  |
+//! | worker panic      | `panic!` in the job body (worker or reader),
+//! |                   | outside any `catch_unwind` — the thread dies, the
+//! |                   | supervisor must answer `E0804` and respawn       |
 //! | slow compile      | a sleep inside the singleflight leader's critical
 //! |                   | section (via the service pre-compile hook) — the
 //! |                   | watchdog must answer `E0803` and reclaim the slot|
@@ -40,8 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct ChaosPlan {
     /// RNG seed; the same plan draws the same decision streams.
     pub seed: u64,
-    /// Probability a picked-up job kills its worker thread with a raw
-    /// panic (outside any `catch_unwind`).
+    /// Probability a started job kills its thread (worker or reader) with
+    /// a raw panic (outside any `catch_unwind`).
     pub worker_panic_prob: f64,
     /// Probability a compile is artificially slowed by
     /// [`Self::slow_compile_ms`] inside the singleflight leader section.
@@ -57,7 +57,7 @@ pub struct ChaosPlan {
     /// Probability a response line is truncated mid-frame and the
     /// connection shut down.
     pub truncate_prob: f64,
-    /// Probability a job pick-up purges the in-memory artifact cache.
+    /// Probability a job start purges the in-memory artifact cache.
     pub purge_artifacts_prob: f64,
     /// Probability a job's *first* memory-reservation attempt is forced to
     /// fail as if the server ledger were exhausted — the admission path

@@ -19,6 +19,10 @@ pub struct ServerMetrics {
     pub rejected: AtomicU64,
     /// Requests answered `ok:true`.
     pub completed: AtomicU64,
+    /// Requests answered by the connection reader that admitted them: a
+    /// cache hit run there instead of queued (counted in `completed` or
+    /// `failed` too).
+    pub answered_inline: AtomicU64,
     /// Requests answered `ok:false` (compile/run errors — not rejections).
     pub failed: AtomicU64,
     /// Protocol errors answered `E0802`.
@@ -29,10 +33,11 @@ pub struct ServerMetrics {
     /// worker that found the job already expired at pick-up, or by the
     /// session layer for an expired parked follower.
     pub deadline_kills: AtomicU64,
-    /// Worker threads that died by panic and were respawned (`E0804` went
-    /// to the in-flight client, when there was one).
+    /// Threads that died by panic: workers, which are respawned, and
+    /// connection readers running a job (`E0804` went to the in-flight
+    /// client, when there was one).
     pub worker_crashes: AtomicU64,
-    /// Jobs whose worker finished after the watchdog or supervisor had
+    /// Jobs whose thread finished after the watchdog or supervisor had
     /// already answered the client (the late response is discarded — the
     /// exactly-once guarantee).
     pub late_completions: AtomicU64,
@@ -91,7 +96,8 @@ pub struct ServerMetrics {
     pub exec_generic_vm: AtomicU64,
     /// Time from admission to response written.
     pub latency: Log2Histogram,
-    /// Time a request sat queued before a worker picked it up.
+    /// Time a request sat queued before a worker picked it up (about zero
+    /// for one its reader ran).
     pub queue_wait: Log2Histogram,
 }
 

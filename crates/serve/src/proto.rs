@@ -175,15 +175,19 @@ impl Request {
     }
 }
 
-/// Render an `ok:false` response line (no trailing newline).
-pub fn error_response(id: i64, code: &str, message: &str) -> String {
+/// An `ok:false` response value.
+pub fn error_json(id: i64, code: &str, message: &str) -> Json {
     ObjBuilder::new()
         .num("id", id as f64)
         .bool("ok", false)
         .str("code", code)
         .str("error", message)
         .build()
-        .render()
+}
+
+/// Render an `ok:false` response line (no trailing newline).
+pub fn error_response(id: i64, code: &str, message: &str) -> String {
+    error_json(id, code, message).render()
 }
 
 /// The stable busy rejection for a request that failed admission control.
@@ -219,11 +223,11 @@ pub fn crash_response(id: i64) -> String {
 /// estimate cannot be reserved against the server budget even after the
 /// squeeze rung and a bounded park. **Not** retryable on this server — a
 /// request this size will keep failing until the budget is raised.
-pub fn mem_reject_response(id: i64, est_bytes: u64, budget_bytes: Option<u64>) -> String {
+pub fn mem_reject_json(id: i64, est_bytes: u64, budget_bytes: Option<u64>) -> Json {
     let budget = budget_bytes
         .map(|b| format!("{b} byte server budget"))
         .unwrap_or_else(|| "unbounded server budget".to_string());
-    error_response(
+    error_json(
         id,
         codes::SERVER_MEM_REJECT,
         &format!(

@@ -5,16 +5,16 @@
 //!
 //! ```text
 //!             ┌───────────┐   accept   ┌──────────────┐  parse + admit
-//!  clients ──▶│  accept   │───────────▶│ connection  │────────┐
-//!             │  thread   │  (per conn)│ reader      │        ▼
+//!  clients ──▶│  accept   │───────────▶│ connection   │────────┐
+//!             │  thread   │  (per conn)│ reader       │        ▼
 //!             └───────────┘            └──────────────┘  bounded queue
 //!                                            │            (reject E0801
-//!                                     inline │ ping/stats  beyond depth,
-//!                                            ▼             brownout below)
-//!                                       response line          │
-//!                                            ▲                 ▼
-//!                                            │           ┌──────────┐
-//!                                            ├───────────│ worker   │×N
+//!                      inline: ping/stats,   │             beyond depth,
+//!                      and a cache hit when  │             brownout below)
+//!                      the queue is empty    │                 │
+//!                      and a slot is free    ▼                 ▼
+//!                                       response line    ┌──────────┐
+//!                                            ▲───────────│ worker   │×N
 //!                                            │           │ pool     │
 //!                                            │           └──────────┘
 //!                                            │                 ▲ respawn
@@ -24,6 +24,10 @@
 //!                                                        └──────────┘
 //! ```
 //!
+//! * **Who runs a job**: a cache hit runs on its connection's reader when
+//!   nothing is queued and a slot is free (no worker wake-up); the rest
+//!   queue for the pool. Jobs on workers and readers together never exceed
+//!   `workers`. A connection's next frame waits while its reader runs one.
 //! * **Admission control**: the work queue is bounded; a request arriving
 //!   when it is full is answered `E0801` immediately by the connection
 //!   thread — backpressure is explicit and cheap, never a hang or a
@@ -32,13 +36,15 @@
 //!   (request `deadline_ms` or the server default). The supervisor's
 //!   watchdog answers overdue jobs `E0803` and reclaims the singleflight
 //!   slot (`CompileService::abandon_stale`) so parked duplicates are
-//!   promoted instead of wedged. The worker's own late result is
+//!   promoted instead of wedged. The executing thread's own late result is
 //!   discarded through a per-job `answered` flag — every request is
 //!   answered **exactly once**.
-//! * **Crash-only workers**: the worker loop runs with no top-level
-//!   `catch_unwind`; a panic kills the thread. The supervisor detects the
-//!   death, answers the in-flight request `E0804`, releases the slot, and
-//!   respawns the worker. A worker stuck past `deadline + hang_grace` is
+//! * **Crash-only execution**: a job runs with no `catch_unwind`; a panic
+//!   kills its thread. Worker and reader alike register the job with the
+//!   supervisor before anything can hang or die, so the supervisor
+//!   detects the death, answers the in-flight request `E0804`, releases
+//!   both slots, and respawns a worker. A job stuck past
+//!   `deadline + hang_grace` gives its slot back; a stuck worker is
 //!   retired in place and a replacement spawned so pool capacity
 //!   recovers.
 //! * **Brownout**: under queue pressure the server sheds *cost* before
@@ -53,7 +59,7 @@
 //!   connection holding a *partial* frame longer than `idle_timeout` is
 //!   closed (slow-loris containment). Client half-close just ends the
 //!   reader; already-queued jobs still answer into the write half.
-//! * **Sharing**: every worker holds the same `Arc<CompileService>`
+//! * **Sharing**: every thread holds the same `Arc<CompileService>`
 //!   (singleflight + bounded artifact cache, see `fsc_core::session`).
 //! * **Attestation**: each response reports how its artifact was obtained
 //!   (fresh/deduped/cached), the degradation rung that ran, the brownout
@@ -65,12 +71,18 @@
 //!   (`loadgen --chaos`) drives a server with all of it armed and asserts
 //!   the exactly-once, no-wedge, bit-identity invariants.
 
+// Readers run jobs too: a coded answer, never a panic (but chaos's own).
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,7 +97,7 @@ use crate::chaos::{ChaosInjector, ChaosPlan};
 use crate::checksum_arrays;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    busy_response, crash_response, deadline_response, error_response, mem_reject_response,
+    busy_response, crash_response, deadline_response, error_json, error_response, mem_reject_json,
     CompileSpec, Op, Request,
 };
 
@@ -182,10 +194,12 @@ impl BrownoutLevel {
     }
 }
 
-/// One admitted unit of work.
+/// One admitted compile or run request.
 struct Job {
     id: i64,
-    op: Op,
+    spec: CompileSpec,
+    /// The arrays a run returns; `None` for a compile.
+    arrays: Option<Vec<String>>,
     reply: Arc<Mutex<UnixStream>>,
     admitted: Instant,
     /// Compile/run budget, measured from `admitted`.
@@ -196,7 +210,7 @@ struct Job {
     answered: Arc<AtomicBool>,
 }
 
-/// What the supervisor can see of a job a worker currently holds.
+/// What the supervisor can see of a job a thread is executing.
 struct ActiveJob {
     id: i64,
     fingerprint: u64,
@@ -206,32 +220,46 @@ struct ActiveJob {
     deadline: Duration,
     /// The watchdog already answered `E0803` and reclaimed the slot.
     killed: bool,
-    /// A replacement worker has already been spawned for this hang.
-    replaced: bool,
+    /// The watchdog gave this hung job's pool slot back.
+    slot_released: bool,
 }
 
-/// Per-worker shared state: the registered in-flight job plus a retire
-/// flag (a retired worker exits at its next loop head).
+/// What the supervisor sees of a thread that runs jobs: the registered
+/// in-flight job plus a retire flag (a retired worker exits at its next
+/// loop head; readers ignore it).
 #[derive(Default)]
-struct WorkerCell {
+struct JobCell {
     active: Mutex<Option<ActiveJob>>,
     retired: AtomicBool,
 }
 
-struct WorkerSlot {
+/// A thread the supervisor watches: a pool worker or a connection reader.
+struct Watched {
     handle: Option<JoinHandle<()>>,
-    cell: Arc<WorkerCell>,
+    cell: Arc<JobCell>,
+}
+
+/// The work queue and the execution slots, under one lock: a job starts
+/// (popped by a worker, or run by its reader) only while
+/// `running < workers`.
+#[derive(Default)]
+struct Pool {
+    jobs: VecDeque<Job>,
+    /// Jobs executing, on workers and connection readers together.
+    running: usize,
 }
 
 struct ServerInner {
     config: ServerConfig,
     service: Arc<CompileService>,
-    queue: Mutex<VecDeque<Job>>,
+    pool: Mutex<Pool>,
     work_ready: Condvar,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     supervisor_stop: AtomicBool,
-    workers: Mutex<Vec<WorkerSlot>>,
+    workers: Mutex<Vec<Watched>>,
+    /// Connection readers, watched like workers while they run a job.
+    conns: Mutex<Vec<Watched>>,
     next_worker: AtomicU64,
     chaos: Option<Arc<ChaosInjector>>,
     /// Server-wide run-memory reservation ledger (see
@@ -281,44 +309,39 @@ impl Server {
             service,
             mem_ledger,
             config,
-            queue: Mutex::new(VecDeque::new()),
+            pool: Mutex::new(Pool::default()),
             work_ready: Condvar::new(),
             metrics: ServerMetrics::new(),
             shutdown: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
             next_worker: AtomicU64::new(0),
             chaos,
         });
-
-        {
-            let mut workers = inner.workers.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..inner.config.workers {
-                workers.push(spawn_worker(&inner));
-            }
+        // A failed spawn below drops `server`, and `stop` winds down the rest.
+        let mut server = Server {
+            socket_path: socket_path.to_path_buf(),
+            inner: inner.clone(),
+            accept: None,
+            supervisor: None,
+        };
+        for _ in 0..inner.config.workers {
+            let worker = spawn_worker(&inner)?;
+            lock(&inner.workers).push(worker);
         }
-
-        let accept = {
-            let inner = inner.clone();
+        let accepting = inner.clone();
+        server.accept = Some(
             std::thread::Builder::new()
                 .name("fsc-accept".into())
-                .spawn(move || accept_loop(&listener, &inner))
-                .expect("spawn acceptor")
-        };
-        let supervisor = {
-            let inner = inner.clone();
+                .spawn(move || accept_loop(&listener, &accepting))?,
+        );
+        server.supervisor = Some(
             std::thread::Builder::new()
                 .name("fsc-supervisor".into())
-                .spawn(move || supervisor_loop(&inner))
-                .expect("spawn supervisor")
-        };
-
-        Ok(Server {
-            socket_path: socket_path.to_path_buf(),
-            inner,
-            accept: Some(accept),
-            supervisor: Some(supervisor),
-        })
+                .spawn(move || supervisor_loop(&inner))?,
+        );
+        Ok(server)
     }
 
     /// The socket path clients connect to.
@@ -344,7 +367,8 @@ impl Server {
 
     /// Stop accepting, drain queued jobs, join every thread — within the
     /// configured hard `stop_timeout`. In-flight requests complete (their
-    /// workers drain the queue before exiting); a worker still stuck when
+    /// workers drain the queue before exiting, and jobs running on
+    /// connection readers are waited for); a worker still stuck when
     /// the timeout expires is detached, and any job left in the queue is
     /// answered with a coded rejection rather than dropped. Idempotent.
     pub fn stop(&mut self) {
@@ -359,16 +383,9 @@ impl Server {
         let hard = Instant::now() + self.inner.config.stop_timeout;
         loop {
             {
-                let mut workers = self.inner.workers.lock().unwrap_or_else(|e| e.into_inner());
-                workers.retain_mut(|slot| match &slot.handle {
-                    Some(h) if h.is_finished() => {
-                        let _ = slot.handle.take().unwrap().join();
-                        false
-                    }
-                    Some(_) => true,
-                    None => false,
-                });
-                if workers.is_empty() {
+                let mut workers = lock(&self.inner.workers);
+                workers.retain_mut(|slot| !reap(&self.inner, slot));
+                if workers.is_empty() && lock(&self.inner.pool).running == 0 {
                     break;
                 }
                 if Instant::now() >= hard {
@@ -392,10 +409,7 @@ impl Server {
 
         // Anything still queued has no worker left to run it: answer it
         // (coded), never drop it silently.
-        let leftovers: Vec<Job> = {
-            let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.drain(..).collect()
-        };
+        let leftovers: Vec<Job> = lock(&self.inner.pool).jobs.drain(..).collect();
         for job in leftovers {
             if !job.answered.swap(true, Ordering::SeqCst) {
                 self.inner
@@ -427,20 +441,21 @@ impl Drop for Server {
     }
 }
 
-fn spawn_worker(inner: &Arc<ServerInner>) -> WorkerSlot {
-    let cell = Arc::new(WorkerCell::default());
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn spawn_worker(inner: &Arc<ServerInner>) -> std::io::Result<Watched> {
+    let cell = Arc::new(JobCell::default());
     let idx = inner.next_worker.fetch_add(1, Ordering::Relaxed);
-    let handle = {
-        let (inner, cell) = (inner.clone(), cell.clone());
-        std::thread::Builder::new()
-            .name(format!("fsc-worker-{idx}"))
-            .spawn(move || worker_loop(&inner, &cell))
-            .expect("spawn worker")
-    };
-    WorkerSlot {
+    let (inner, worker_cell) = (inner.clone(), cell.clone());
+    let handle = std::thread::Builder::new()
+        .name(format!("fsc-worker-{idx}"))
+        .spawn(move || worker_loop(&inner, &worker_cell))?;
+    Ok(Watched {
         handle: Some(handle),
         cell,
-    }
+    })
 }
 
 fn accept_loop(listener: &UnixListener, inner: &Arc<ServerInner>) {
@@ -449,12 +464,20 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<ServerInner>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let inner = inner.clone();
-        // Connection readers are detached: they hold only an Arc and exit
-        // within one read-timeout tick of shutdown (or on client EOF).
-        let _ = std::thread::Builder::new()
+        let cell = Arc::new(JobCell::default());
+        let (reader, reader_cell) = (inner.clone(), cell.clone());
+        // Connection readers are never joined on shutdown: they exit within
+        // one read-timeout tick of it (or on client EOF). The supervisor
+        // watches them for the jobs they run.
+        let spawned = std::thread::Builder::new()
             .name("fsc-conn".into())
-            .spawn(move || connection_loop(stream, &inner));
+            .spawn(move || connection_loop(stream, &reader, &reader_cell));
+        if let Ok(handle) = spawned {
+            lock(&inner.conns).push(Watched {
+                handle: Some(handle),
+                cell,
+            });
+        }
     }
 }
 
@@ -462,7 +485,7 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<ServerInner>) {
 /// partial-frame idle deadline. Oversized frames answer `E0802` inline
 /// and the reader resyncs at the next newline; a connection that dribbles
 /// a partial frame for longer than `idle_timeout` is closed.
-fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>) {
+fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>, cell: &JobCell) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     // Bounded writes: a client that stops reading must never wedge a
     // worker, the watchdog, or this reader on a full socket buffer.
@@ -492,7 +515,7 @@ fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>) {
                         partial_since = None;
                         let trimmed = line.trim();
                         if !trimmed.is_empty() {
-                            handle_line(trimmed, &reply, inner);
+                            handle_line(trimmed, &reply, inner, cell);
                         }
                     } else if !discarding {
                         buf.push(b);
@@ -546,21 +569,21 @@ fn connection_loop(stream: UnixStream, inner: &Arc<ServerInner>) {
 /// frame.
 fn write_line(reply: &Arc<Mutex<UnixStream>>, mut line: String) {
     line.push('\n');
-    let mut w = reply.lock().unwrap_or_else(|e| e.into_inner());
+    let mut w = lock(reply);
     let _ = w.write_all(line.as_bytes());
     let _ = w.flush();
 }
 
 /// Write a job response, possibly truncated mid-frame by the chaos layer
 /// (the client sees a cut line + EOF — a transport error it must retry).
-fn write_response(inner: &Arc<ServerInner>, reply: &Arc<Mutex<UnixStream>>, line: String) {
+fn write_response(inner: &ServerInner, reply: &Arc<Mutex<UnixStream>>, line: String) {
     if let Some(ch) = &inner.chaos {
         if ch.truncate_frame() {
             inner
                 .metrics
                 .truncated_writes
                 .fetch_add(1, Ordering::Relaxed);
-            let mut w = reply.lock().unwrap_or_else(|e| e.into_inner());
+            let mut w = lock(reply);
             let cut = line.len() / 2;
             let _ = w.write_all(&line.as_bytes()[..cut]);
             let _ = w.flush();
@@ -593,8 +616,14 @@ fn mem_occupancy(inner: &ServerInner) -> f64 {
 }
 
 /// Parse, then either answer inline (ping/stats/shutdown/protocol error/
-/// admission rejection) or enqueue for the worker pool.
-fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInner>) {
+/// admission rejection, and a cache hit that may start now) or enqueue for
+/// the worker pool.
+fn handle_line(
+    line: &str,
+    reply: &Arc<Mutex<UnixStream>>,
+    inner: &Arc<ServerInner>,
+    cell: &JobCell,
+) {
     let request = match Request::parse(line) {
         Ok(r) => r,
         Err(e) => {
@@ -641,264 +670,341 @@ fn handle_line(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<ServerInn
             inner.shutdown.store(true, Ordering::SeqCst);
             inner.work_ready.notify_all();
         }
-        op @ (Op::Compile(_) | Op::Run(..)) => {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                // Workers may already have drained and exited; admitting
-                // now could strand the job. Shed it instead.
-                inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                write_line(
-                    reply,
-                    error_response(
-                        request.id,
-                        codes::SERVER_BUSY,
-                        "server is shutting down; retry elsewhere",
-                    ),
-                );
-                return;
-            }
-            let deadline = match &op {
-                Op::Compile(spec) | Op::Run(spec, _) => spec
-                    .deadline_ms
-                    .map(Duration::from_millis)
-                    .unwrap_or(inner.config.default_deadline),
-                _ => unreachable!(),
-            };
-            let mut queue = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if queue.len() >= inner.config.queue_depth {
-                drop(queue);
-                inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.brownout_level.store(2, Ordering::Relaxed);
-                write_line(reply, busy_response(request.id, inner.config.queue_depth));
-                return;
-            }
-            let occupancy = (queue.len() + 1) as f64 / inner.config.queue_depth.max(1) as f64;
-            // Memory pressure browns out on the same ladder: the request
-            // is served leaner while reservations are scarce.
-            let brownout = brownout_level(&inner.config, occupancy.max(mem_occupancy(inner)));
-            if brownout == BrownoutLevel::ReducedRung {
-                inner
-                    .metrics
-                    .brownout_reduced_rung
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            inner
-                .metrics
-                .brownout_level
-                .store(brownout.gauge(), Ordering::Relaxed);
-            queue.push_back(Job {
-                id: request.id,
-                op,
-                reply: reply.clone(),
-                admitted: Instant::now(),
-                deadline,
-                brownout,
-                answered: Arc::new(AtomicBool::new(false)),
-            });
-            inner
-                .metrics
-                .queue_depth
-                .store(queue.len() as u64, Ordering::Relaxed);
-            drop(queue);
-            inner.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-            inner.work_ready.notify_one();
-        }
+        Op::Compile(spec) => admit(request.id, spec, None, reply, inner, cell),
+        Op::Run(spec, arrays) => admit(request.id, spec, Some(arrays), reply, inner, cell),
     }
 }
 
-/// The worker body. Deliberately **no** top-level `catch_unwind`: a panic
-/// anywhere in here (chaos-injected or real) kills the thread, and the
-/// supervisor's death detection answers the client `E0804`, releases the
-/// singleflight slot and respawns — the crash-only discipline under test.
-fn worker_loop(inner: &Arc<ServerInner>, cell: &Arc<WorkerCell>) {
+/// Admission control for a compile or run job: reject it, run it here (a
+/// cache hit that may start now), or queue it for the pool.
+fn admit(
+    id: i64,
+    spec: CompileSpec,
+    arrays: Option<Vec<String>>,
+    reply: &Arc<Mutex<UnixStream>>,
+    inner: &Arc<ServerInner>,
+    cell: &JobCell,
+) {
+    if inner.shutdown.load(Ordering::SeqCst) {
+        // Workers may already have drained and exited; admitting now could
+        // strand the job. Shed it instead.
+        inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        let message = "server is shutting down; retry elsewhere";
+        return write_line(reply, error_response(id, codes::SERVER_BUSY, message));
+    }
+    let deadline = spec
+        .deadline_ms
+        .map(Duration::from_millis)
+        .unwrap_or(inner.config.default_deadline);
+    let mut pool = lock(&inner.pool);
+    if pool.jobs.len() >= inner.config.queue_depth {
+        drop(pool);
+        inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.brownout_level.store(2, Ordering::Relaxed);
+        return write_line(reply, busy_response(id, inner.config.queue_depth));
+    }
+    let occupancy = (pool.jobs.len() + 1) as f64 / inner.config.queue_depth.max(1) as f64;
+    // Memory pressure browns out on the same ladder: the request is served
+    // leaner while reservations are scarce.
+    let brownout = brownout_level(&inner.config, occupancy.max(mem_occupancy(inner)));
+    if brownout == BrownoutLevel::ReducedRung {
+        inner
+            .metrics
+            .brownout_reduced_rung
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    inner
+        .metrics
+        .brownout_level
+        .store(brownout.gauge(), Ordering::Relaxed);
+    inner.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+    let job = Job {
+        id,
+        spec,
+        arrays,
+        reply: reply.clone(),
+        admitted: Instant::now(),
+        deadline,
+        brownout,
+        answered: Arc::new(AtomicBool::new(false)),
+    };
+    // A hit runs here when it overtakes nothing and a slot is free. The
+    // slot is taken first and the cache probed outside the pool lock, so a
+    // probe waiting on the cache never holds up the pool (a miss may then
+    // find the queue refilled, and overshoot its depth by a few jobs).
+    if pool.jobs.is_empty()
+        && pool.running < inner.config.workers
+        && !inner.shutdown.load(Ordering::SeqCst)
+    {
+        pool.running += 1;
+        drop(pool);
+        let request = to_compile_request(&job);
+        if let Some(hit) = inner.service.cached(&request) {
+            return execute(inner, cell, job, request, Some(hit));
+        }
+        pool = lock(&inner.pool);
+        pool.running -= 1;
+    }
+    pool.jobs.push_back(job);
+    inner
+        .metrics
+        .queue_depth
+        .store(pool.jobs.len() as u64, Ordering::Relaxed);
+    drop(pool);
+    inner.work_ready.notify_one();
+}
+
+/// The worker body: take a queued job when a slot is free, run it, repeat.
+fn worker_loop(inner: &Arc<ServerInner>, cell: &JobCell) {
     loop {
         let job = {
-            let mut queue = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut pool = lock(&inner.pool);
             loop {
                 if cell.retired.load(Ordering::SeqCst) {
                     break None;
                 }
-                if let Some(job) = queue.pop_front() {
-                    inner
-                        .metrics
-                        .queue_depth
-                        .store(queue.len() as u64, Ordering::Relaxed);
-                    break Some(job);
+                if pool.running < inner.config.workers {
+                    if let Some(job) = pool.jobs.pop_front() {
+                        pool.running += 1;
+                        inner
+                            .metrics
+                            .queue_depth
+                            .store(pool.jobs.len() as u64, Ordering::Relaxed);
+                        break Some(job);
+                    }
                 }
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if inner.shutdown.load(Ordering::SeqCst) && pool.jobs.is_empty() {
                     break None;
                 }
-                queue = inner
+                pool = inner
                     .work_ready
-                    .wait(queue)
+                    .wait(pool)
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(job) = job else { return };
-        inner.metrics.queue_wait.record(job.admitted.elapsed());
-
-        // A job that already overran its budget while queued is answered
-        // E0803 without burning a compile on it.
-        if job.admitted.elapsed() > job.deadline {
-            if !job.answered.swap(true, Ordering::SeqCst) {
-                inner.metrics.deadline_kills.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.latency.record(job.admitted.elapsed());
-                write_response(
-                    inner,
-                    &job.reply,
-                    deadline_response(job.id, job.deadline.as_millis() as u64),
-                );
-            }
-            continue;
-        }
-
-        let (spec, arrays) = match &job.op {
-            Op::Compile(spec) => (spec, None),
-            Op::Run(spec, arrays) => (spec, Some(arrays.clone())),
-            _ => unreachable!("only compile/run jobs are queued"),
-        };
-        let request = to_compile_request(spec, &job);
-        let fingerprint = request.fingerprint();
-
-        // Register with the watchdog before anything can hang or die —
-        // from here on, a worker death is answered `E0804` by the
-        // supervisor and a budget overrun `E0803` by the watchdog, so the
-        // job can no longer be lost.
-        *cell.active.lock().unwrap_or_else(|e| e.into_inner()) = Some(ActiveJob {
-            id: job.id,
-            fingerprint,
-            reply: job.reply.clone(),
-            answered: job.answered.clone(),
-            admitted: job.admitted,
-            deadline: job.deadline,
-            killed: false,
-            replaced: false,
-        });
-
-        if let Some(ch) = &inner.chaos {
-            if ch.purge_artifacts() {
-                inner.service.purge_artifacts();
-            }
-            if ch.worker_panic() {
-                // Outside any catch_unwind — this thread dies here, with
-                // the job registered, so the supervisor owns the answer.
-                panic!("chaos: injected worker panic");
-            }
-        }
-
-        let response = process_job(&job, &request, arrays.as_deref(), inner);
-
-        *cell.active.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        if job.answered.swap(true, Ordering::SeqCst) {
-            // The watchdog (or supervisor at stop) got there first; the
-            // late result is discarded — exactly-once holds.
-            inner
-                .metrics
-                .late_completions
-                .fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
-        if ok {
-            inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.metrics.latency.record(job.admitted.elapsed());
-        write_response(inner, &job.reply, response.render());
+        let request = to_compile_request(&job);
+        execute(inner, cell, job, request, None);
     }
 }
 
+/// Run one admitted job on the calling thread, which holds one pool slot
+/// for it: a worker that took the job off the queue, or the connection
+/// reader that admitted it with its artifact already cached (`hit`).
+/// Deliberately **no** `catch_unwind`: a panic anywhere in here
+/// (chaos-injected or real) kills the thread, and the supervisor's death
+/// detection answers the client `E0804` and releases the singleflight and
+/// pool slots — the crash-only discipline under test.
+fn execute(
+    inner: &Arc<ServerInner>,
+    cell: &JobCell,
+    job: Job,
+    request: CompileRequest,
+    hit: Option<CompileOutcome>,
+) {
+    let on_reader = hit.is_some();
+    inner.metrics.queue_wait.record(job.admitted.elapsed());
+
+    // A job that already overran its budget while queued is answered
+    // E0803 without burning a compile on it.
+    if job.admitted.elapsed() > job.deadline {
+        if !job.answered.swap(true, Ordering::SeqCst) {
+            inner.metrics.deadline_kills.fetch_add(1, Ordering::Relaxed);
+            let line = deadline_response(job.id, job.deadline.as_millis() as u64);
+            answer(inner, &job, false, on_reader, line);
+        }
+        return release_slot(inner);
+    }
+
+    // Register with the watchdog before anything can hang or die — from
+    // here on, a thread death is answered `E0804` by the supervisor and a
+    // budget overrun `E0803` by the watchdog, so the job can no longer be
+    // lost.
+    *lock(&cell.active) = Some(ActiveJob {
+        id: job.id,
+        fingerprint: hit
+            .as_ref()
+            .map_or_else(|| request.fingerprint(), |o| o.fingerprint),
+        reply: job.reply.clone(),
+        answered: job.answered.clone(),
+        admitted: job.admitted,
+        deadline: job.deadline,
+        killed: false,
+        slot_released: false,
+    });
+
+    if let Some(ch) = &inner.chaos {
+        if ch.purge_artifacts() {
+            inner.service.purge_artifacts();
+        }
+        if ch.worker_panic() {
+            chaos_panic();
+        }
+    }
+
+    let response = process_job(&job, &request, hit, inner);
+
+    // The slot is still this job's unless the watchdog gave it back; it is
+    // released once the answer is out, so `stop` waits for the answer.
+    let slot_released = lock(&cell.active).take().is_some_and(|a| a.slot_released);
+    if job.answered.swap(true, Ordering::SeqCst) {
+        // The watchdog (or supervisor at stop) got there first; the late
+        // result is discarded — exactly-once holds.
+        inner
+            .metrics
+            .late_completions
+            .fetch_add(1, Ordering::Relaxed);
+    } else {
+        let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
+        answer(inner, &job, ok, on_reader, response.render());
+    }
+    if !slot_released {
+        release_slot(inner);
+    }
+}
+
+/// The chaos worker-panic site. Outside any catch_unwind — the thread dies
+/// here, with its job registered, so the supervisor owns the answer.
+#[allow(clippy::panic, reason = "an injected crash is this site's purpose")]
+fn chaos_panic() -> ! {
+    panic!("chaos: injected worker panic");
+}
+
+/// Count and write the one answer of a job its executing thread answers.
+fn answer(inner: &ServerInner, job: &Job, ok: bool, on_reader: bool, line: String) {
+    let m = &inner.metrics;
+    if ok {
+        m.completed.fetch_add(1, Ordering::Relaxed);
+    } else {
+        m.failed.fetch_add(1, Ordering::Relaxed);
+    }
+    if on_reader {
+        m.answered_inline.fetch_add(1, Ordering::Relaxed);
+    }
+    m.latency.record(job.admitted.elapsed());
+    write_response(inner, &job.reply, line);
+}
+
+/// Give a pool slot back, waking a worker when a queued job waits for one.
+fn release_slot(inner: &ServerInner) {
+    let mut pool = lock(&inner.pool);
+    pool.running = pool.running.saturating_sub(1);
+    if !pool.jobs.is_empty() {
+        inner.work_ready.notify_one();
+    }
+}
+
+/// Join `slot`'s thread if it has finished; one that died by panic has its
+/// registered job answered `E0804`, its singleflight slot reclaimed and
+/// its pool slot released. Returns whether the thread is gone.
+fn reap(inner: &ServerInner, slot: &mut Watched) -> bool {
+    let Some(handle) = slot.handle.take_if(|h| h.is_finished()) else {
+        return slot.handle.is_none();
+    };
+    if handle.join().is_ok() {
+        return true;
+    }
+    inner.metrics.worker_crashes.fetch_add(1, Ordering::Relaxed);
+    if let Some(job) = lock(&slot.cell.active).take() {
+        // The dead thread may have been a singleflight leader; reclaim so
+        // duplicates are promoted.
+        inner.service.abandon_stale(job.fingerprint, Duration::ZERO);
+        if !job.slot_released {
+            release_slot(inner);
+        }
+        if !job.answered.swap(true, Ordering::SeqCst) {
+            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.latency.record(job.admitted.elapsed());
+            write_response(inner, &job.reply, crash_response(job.id));
+        }
+    }
+    true
+}
+
+/// The deadline watchdog over `cell`'s registered job. Past its budget the
+/// client is answered `E0803` and the singleflight slot reclaimed; past
+/// `deadline + hang_grace` the job's pool slot is given back, and the
+/// return is true so a hung worker can be retired and replaced.
+fn watch(inner: &ServerInner, cell: &JobCell) -> bool {
+    let mut active = lock(&cell.active);
+    let Some(job) = active.as_mut() else {
+        return false;
+    };
+    let elapsed = job.admitted.elapsed();
+    if !job.killed && elapsed > job.deadline {
+        job.killed = true;
+        // Reclaim the singleflight slot so parked duplicates are promoted.
+        // The age guard (half this job's budget) spares a freshly-promoted
+        // healthy leader from a cascading kill.
+        inner
+            .service
+            .abandon_stale(job.fingerprint, job.deadline / 2);
+        if !job.answered.swap(true, Ordering::SeqCst) {
+            inner.metrics.deadline_kills.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.latency.record(elapsed);
+            write_response(
+                inner,
+                &job.reply,
+                deadline_response(job.id, job.deadline.as_millis() as u64),
+            );
+        }
+    }
+    // Hang containment: stuck well past its budget, the job gives its slot
+    // back (its late answer is already suppressed).
+    if job.killed
+        && !job.slot_released
+        && elapsed > job.deadline + inner.config.hang_grace
+        && !inner.shutdown.load(Ordering::SeqCst)
+    {
+        job.slot_released = true;
+        release_slot(inner);
+        return true;
+    }
+    false
+}
+
 /// The supervisor: death detection + deadline watchdog + hang
-/// replacement, on a short tick. Runs until [`Server::stop`] has drained
-/// everything.
+/// replacement, on a short tick, over the workers and the connection
+/// readers alike. Runs until [`Server::stop`] has drained everything.
 fn supervisor_loop(inner: &Arc<ServerInner>) {
     while !inner.supervisor_stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(5));
-        let mut replacements = 0usize;
-        {
-            let mut workers = inner.workers.lock().unwrap_or_else(|e| e.into_inner());
-            for slot in workers.iter_mut() {
-                // 1. Crash detection: a finished thread outside shutdown
-                //    died by panic (clean exits only happen on shutdown or
-                //    retirement).
-                let finished = slot
-                    .handle
-                    .as_ref()
-                    .map(|h| h.is_finished())
-                    .unwrap_or(false);
-                if finished {
-                    let crashed = slot.handle.take().unwrap().join().is_err();
-                    if crashed {
-                        inner.metrics.worker_crashes.fetch_add(1, Ordering::Relaxed);
-                        let job = slot
-                            .cell
-                            .active
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .take();
-                        if let Some(job) = job {
-                            // Dead worker may have been a singleflight
-                            // leader; reclaim so duplicates are promoted.
-                            inner.service.abandon_stale(job.fingerprint, Duration::ZERO);
-                            if !job.answered.swap(true, Ordering::SeqCst) {
-                                inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                                inner.metrics.latency.record(job.admitted.elapsed());
-                                write_response(inner, &job.reply, crash_response(job.id));
-                            }
-                        }
-                        if !inner.shutdown.load(Ordering::SeqCst) {
-                            // Crash-only: respawn in place.
-                            *slot = spawn_worker(inner);
-                        }
-                    }
-                    continue;
+        let mut hung = 0usize;
+        let mut workers = lock(&inner.workers);
+        workers.retain_mut(|slot| {
+            if !reap(inner, slot) {
+                if watch(inner, &slot.cell) {
+                    // Retire the hung worker in place (it exits at its next
+                    // loop head) and restore pool capacity below.
+                    slot.cell.retired.store(true, Ordering::SeqCst);
+                    hung += 1;
                 }
-                // 2. Deadline watchdog over the registered in-flight job.
-                let mut active = slot.cell.active.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(job) = active.as_mut() {
-                    let elapsed = job.admitted.elapsed();
-                    if !job.killed && elapsed > job.deadline {
-                        job.killed = true;
-                        // Reclaim the singleflight slot so parked
-                        // duplicates are promoted. The age guard (half
-                        // this job's budget) spares a freshly-promoted
-                        // healthy leader from a cascading kill.
-                        inner
-                            .service
-                            .abandon_stale(job.fingerprint, job.deadline / 2);
-                        if !job.answered.swap(true, Ordering::SeqCst) {
-                            inner.metrics.deadline_kills.fetch_add(1, Ordering::Relaxed);
-                            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                            inner.metrics.latency.record(elapsed);
-                            write_response(
-                                inner,
-                                &job.reply,
-                                deadline_response(job.id, job.deadline.as_millis() as u64),
-                            );
-                        }
-                    }
-                    // 3. Hang containment: the worker is stuck well past
-                    //    its budget — retire it in place and restore pool
-                    //    capacity with a replacement. The retired worker
-                    //    exits at its next loop head; its late answer is
-                    //    already suppressed.
-                    if job.killed
-                        && !job.replaced
-                        && elapsed > job.deadline + inner.config.hang_grace
-                        && !inner.shutdown.load(Ordering::SeqCst)
-                    {
-                        job.replaced = true;
-                        slot.cell.retired.store(true, Ordering::SeqCst);
-                        replacements += 1;
-                    }
-                }
+                return true;
             }
-            for _ in 0..replacements {
-                let slot = spawn_worker(inner);
-                workers.push(slot);
+            // A worker exits cleanly only when retired or at shutdown; one
+            // that died is respawned in place (crash-only), a failed spawn
+            // retried on the next tick.
+            if slot.cell.retired.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
+                return false;
             }
+            if let Ok(fresh) = spawn_worker(inner) {
+                *slot = fresh;
+            }
+            true
+        });
+        for _ in 0..hung {
+            workers.extend(spawn_worker(inner).ok());
         }
+        drop(workers);
+        // A hung reader keeps its connection; it only gives its slot back.
+        lock(&inner.conns).retain_mut(|conn| {
+            let gone = reap(inner, conn);
+            if !gone {
+                watch(inner, &conn.cell);
+            }
+            !gone
+        });
     }
 }
 
@@ -942,7 +1048,7 @@ fn admit_memory(
     let mut outcome = outcome;
     let mut need = match estimate(&outcome) {
         Ok(n) => n,
-        Err(e) => return Err(error_json(job.id, &e)),
+        Err(e) => return Err(ir_error_json(job.id, &e)),
     };
     // The chaos memory-pressure site forces the first attempt to fail as
     // if the ledger were exhausted, driving the squeeze path even when
@@ -963,9 +1069,9 @@ fn admit_memory(
                         need = lean_need;
                     }
                 }
-                Err(e) => return Err(error_json(job.id, &e)),
+                Err(e) => return Err(ir_error_json(job.id, &e)),
             },
-            Err(e) => return Err(error_json(job.id, &e)),
+            Err(e) => return Err(ir_error_json(job.id, &e)),
         }
         reserved = inner.mem_ledger.try_reserve(need).is_ok();
     }
@@ -988,8 +1094,7 @@ fn admit_memory(
 
     if !reserved {
         inner.metrics.mem_rejected.fetch_add(1, Ordering::Relaxed);
-        let line = mem_reject_response(job.id, need, inner.mem_ledger.limit());
-        return Err(Json::parse(&line).expect("mem reject responses are valid JSON"));
+        return Err(mem_reject_json(job.id, need, inner.mem_ledger.limit()));
     }
     let reservation = MemReservation {
         ledger: inner.mem_ledger.clone(),
@@ -998,18 +1103,19 @@ fn admit_memory(
     Ok((outcome, need, reservation))
 }
 
-/// Compile (and run) one admitted job, producing the response value.
+/// Compile (unless `hit` already holds the artifact) and run one admitted
+/// job, producing the response value.
 fn process_job(
     job: &Job,
     request: &CompileRequest,
-    arrays: Option<&[String]>,
+    hit: Option<CompileOutcome>,
     inner: &Arc<ServerInner>,
 ) -> Json {
-    let outcome = match inner.service.compile(request) {
+    let outcome = match hit.map_or_else(|| inner.service.compile(request), Ok) {
         Ok(o) => o,
-        Err(e) => return error_json(job.id, &e),
+        Err(e) => return ir_error_json(job.id, &e),
     };
-    let Some(arrays) = arrays else {
+    let Some(arrays) = &job.arrays else {
         // Compile-only jobs execute nothing: no run-memory admission.
         return attest(job.id, &outcome, job.brownout).build();
     };
@@ -1025,7 +1131,7 @@ fn process_job(
     let budget = MemoryBudget::limited(est_bytes);
     let execution = match outcome.compiled.run_governed(budget) {
         Ok(x) => x,
-        Err(e) => return error_json(job.id, &e),
+        Err(e) => return ir_error_json(job.id, &e),
     };
     {
         // Per-tier execution gauges: one tick per tier the run attested.
@@ -1073,14 +1179,14 @@ fn process_job(
     b.build()
 }
 
-fn to_compile_request(spec: &CompileSpec, job: &Job) -> CompileRequest {
-    let mut options = spec.options();
+fn to_compile_request(job: &Job) -> CompileRequest {
+    let mut options = job.spec.options();
     // Brownout: compile on the cheap scf rung (fewer passes, bit-identical
     // results — DESIGN.md §7's ladder guarantee).
     if job.brownout == BrownoutLevel::ReducedRung && !matches!(options.target, Target::FlangOnly) {
         options.force_rung = Some(DegradationRung::ScfFallback);
     }
-    let mut request = CompileRequest::with_options(spec.source.clone(), options);
+    let mut request = CompileRequest::with_options(job.spec.source.clone(), options);
     // Parked followers must give up in step with the watchdog: their
     // session-level budget is what remains of the job's budget.
     request.deadline = Some(job.deadline.saturating_sub(job.admitted.elapsed()));
@@ -1145,9 +1251,9 @@ fn render_arrays(execution: &Execution, names: &[String]) -> Json {
     b.build()
 }
 
-fn error_json(id: i64, error: &fsc_ir::IrError) -> Json {
+fn ir_error_json(id: i64, error: &fsc_ir::IrError) -> Json {
     let code = error.primary().map(|d| d.code).unwrap_or(codes::EXEC);
-    Json::parse(&error_response(id, code, &error.message)).expect("error responses are valid JSON")
+    error_json(id, code, &error.message)
 }
 
 fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
@@ -1160,6 +1266,10 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
         .num("accepted", m.accepted.load(Ordering::Relaxed) as f64)
         .num("rejected", m.rejected.load(Ordering::Relaxed) as f64)
         .num("completed", m.completed.load(Ordering::Relaxed) as f64)
+        .num(
+            "answered_inline",
+            m.answered_inline.load(Ordering::Relaxed) as f64,
+        )
         .num("failed", m.failed.load(Ordering::Relaxed) as f64)
         .num(
             "protocol_errors",

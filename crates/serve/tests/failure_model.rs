@@ -1,6 +1,7 @@
 //! End-to-end tests of the compile server's failure model (DESIGN.md
 //! §11): deadlines, crash-only worker recovery, brownout degradation,
-//! bounded frames, and graceful shutdown — each
+//! bounded frames, and graceful shutdown — on the worker pool and on the
+//! connection readers that run cache hits — each
 //! exercised through the real Unix socket with a real client, asserting
 //! the *coded response* contract: every admitted request is answered
 //! exactly once, success or stable error code, and degraded service is
@@ -11,7 +12,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use fsc_core::{CompileOptions, Compiler, Target};
+use fsc_core::{CompileOptions, CompileRequest, Compiler, Target};
 use fsc_ir::json::Json;
 use fsc_serve::{checksum_arrays, ChaosPlan, Client, Server, ServerConfig};
 
@@ -58,6 +59,22 @@ fn code(v: &Json) -> Option<&str> {
 
 fn stat(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+/// A program whose run takes long enough (hundreds of ms unoptimised) to
+/// be caught in flight.
+fn big_source() -> String {
+    fsc_workloads::gauss_seidel::fortran_source(48, 8)
+}
+
+/// Put `source`'s `cpu` artifact in the server's cache without running
+/// it, so the next request for it is a hit.
+fn warm(server: &Server, source: &str) {
+    let request = CompileRequest::with_options(
+        source.to_string(),
+        CompileOptions::for_target(Target::StencilCpu),
+    );
+    server.service().compile(&request).unwrap();
 }
 
 /// A compile stuck past its budget is answered `E0803` by the watchdog,
@@ -153,7 +170,17 @@ fn graceful_drain_completes_inflight_and_queued_work() {
     let socket = scratch.join("serve.sock");
     let mut server = Server::start(&socket, cfg).unwrap();
 
-    // Three distinct shapes: one in flight, two queued behind it.
+    // A hit in flight on its reader (its artifact is cached, at the cost
+    // of one injected nap), the three misses queued behind it.
+    warm(&server, &big_source());
+    let hit = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&socket).unwrap();
+            c.run(&big_source(), "cpu", false, &[]).unwrap()
+        })
+    };
+    std::thread::sleep(Duration::from_millis(30));
     let shapes: Vec<String> = (4..7)
         .map(|n| fsc_workloads::gauss_seidel::fortran_source(n, 1))
         .collect();
@@ -181,6 +208,9 @@ fn graceful_drain_completes_inflight_and_queued_work() {
         let v = handle.join().expect("client thread");
         assert!(ok(&v), "queued work must drain, not drop: {}", v.render());
     }
+    let v = hit.join().expect("client thread");
+    assert!(ok(&v), "the in-flight hit must complete: {}", v.render());
+    assert_eq!(v.get("artifact").and_then(Json::as_str), Some("cached"));
 }
 
 /// `stop()` must honor its hard timeout even when a worker is wedged in a
@@ -327,5 +357,150 @@ fn brownout_forces_the_scf_rung_bit_identically() {
 
     let stats = client.stats().unwrap();
     assert!(stat(&stats, "brownout_reduced_rung") >= 1.0);
+    server.stop();
+}
+
+/// `stop()` waits for a job running on a connection reader as it waits
+/// for workers: when `stop` returns, the hit's answer is already in the
+/// client's socket.
+#[test]
+fn stop_waits_for_a_hit_running_on_its_reader() {
+    let scratch = Scratch::new("inline-stop");
+    let mut server = Server::start(&scratch.join("serve.sock"), config()).unwrap();
+    warm(&server, &big_source());
+    let mut raw = UnixStream::connect(server.socket_path()).unwrap();
+    let request = fsc_ir::json::ObjBuilder::new()
+        .num("id", 1.0)
+        .str("op", "run")
+        .str("source", &big_source())
+        .str("target", "cpu")
+        .build()
+        .render();
+    raw.write_all(format!("{request}\n").as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // the run is in flight
+    assert_eq!(server.service().metrics().artifact_hits, 1);
+    server.stop();
+
+    raw.set_nonblocking(true).unwrap();
+    let mut reply = Vec::new();
+    let _ = raw.read_to_end(&mut reply); // stops at WouldBlock or EOF
+    let reply = String::from_utf8_lossy(&reply);
+    let v = Json::parse(reply.trim()).expect("the answer was written before stop returned");
+    assert!(ok(&v), "{}", v.render());
+}
+
+/// A hit never overtakes a queued job, and never runs beyond the pool's
+/// slots: with the one worker busy on a slow miss, a run whose artifact is
+/// cached is queued behind it (`queue_depth` 1, `answered_inline` still 0)
+/// and answered by the worker. On the idle server the same hit is answered
+/// by its reader.
+#[test]
+fn a_hit_queues_behind_a_busy_pool() {
+    let scratch = Scratch::new("inline-busy");
+    let mut cfg = config();
+    cfg.workers = 1;
+    cfg.chaos = Some(ChaosPlan {
+        slow_compile_prob: 1.0,
+        slow_compile_ms: 600,
+        ..ChaosPlan::none(23)
+    });
+    let socket = scratch.join("serve.sock");
+    let mut server = Server::start(&socket, cfg).unwrap();
+    warm(&server, &source());
+
+    let run = |src: String| {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&socket).unwrap();
+            c.run(&src, "cpu", false, &[]).unwrap()
+        })
+    };
+    let miss = run(fsc_workloads::gauss_seidel::fortran_source(5, 1));
+    std::thread::sleep(Duration::from_millis(100)); // the miss holds the slot
+    let hit = run(source());
+    let mut client = Client::connect(&socket).unwrap();
+    let stats = loop {
+        let s = client.stats().unwrap();
+        if stat(&s, "accepted") == 2.0 {
+            break s;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(stat(&stats, "queue_depth"), 1.0, "{}", stats.render());
+    assert_eq!(stat(&stats, "answered_inline"), 0.0, "{}", stats.render());
+
+    for handle in [miss, hit] {
+        let v = handle.join().expect("client thread");
+        assert!(ok(&v), "{}", v.render());
+    }
+    assert_eq!(stat(&client.stats().unwrap(), "answered_inline"), 0.0);
+
+    // The worker gives its slot back just after writing its answer.
+    std::thread::sleep(Duration::from_millis(100));
+    let v = client.run(&source(), "cpu", false, &[]).unwrap();
+    assert_eq!(v.get("artifact").and_then(Json::as_str), Some("cached"));
+    assert_eq!(stat(&client.stats().unwrap(), "answered_inline"), 1.0);
+    server.stop();
+}
+
+/// The watchdog covers a hit running on its reader: past a 1 ms budget it
+/// is answered `E0803` exactly once, and the same connection then serves
+/// the next request normally (the reader's late result is discarded).
+#[test]
+fn a_hit_past_its_deadline_answers_e0803_once() {
+    let scratch = Scratch::new("inline-deadline");
+    let mut server = Server::start(&scratch.join("serve.sock"), config()).unwrap();
+    warm(&server, &big_source());
+
+    let mut client = Client::connect(server.socket_path()).unwrap();
+    let v = client
+        .call(
+            fsc_ir::json::ObjBuilder::new()
+                .str("op", "run")
+                .str("source", &big_source())
+                .str("target", "cpu")
+                .num("deadline_ms", 1.0),
+        )
+        .unwrap();
+    assert_eq!(code(&v), Some("E0803"), "got: {}", v.render());
+
+    // One answer per request: the next reply on this connection is the
+    // next request's, not the killed run's.
+    let v = client.run(&source(), "cpu", false, &[]).unwrap();
+    assert!(ok(&v), "the connection must serve on: {}", v.render());
+    let stats = client.stats().unwrap();
+    assert!(stat(&stats, "deadline_kills") >= 1.0);
+    assert_eq!(stat(&stats, "late_completions"), 1.0);
+    assert_eq!(stat(&stats, "failed"), 1.0);
+    server.stop();
+}
+
+/// A connection reader that dies running a hit is answered `E0804` by the
+/// supervisor, which also gives its slot back: with a one-worker pool, a
+/// fresh connection is then served.
+#[test]
+fn a_reader_that_dies_running_a_hit_is_answered_e0804() {
+    let scratch = Scratch::new("inline-crash");
+    let mut cfg = config();
+    cfg.workers = 1;
+    cfg.chaos = Some(ChaosPlan {
+        worker_panic_prob: 1.0,
+        ..ChaosPlan::none(29)
+    });
+    let mut server = Server::start(&scratch.join("serve.sock"), cfg).unwrap();
+    warm(&server, &source());
+
+    let mut client = Client::connect(server.socket_path()).unwrap();
+    let v = client.run(&source(), "cpu", false, &[]).unwrap();
+    assert_eq!(code(&v), Some("E0804"), "got: {}", v.render());
+
+    server.chaos().unwrap().disarm();
+    let mut fresh = Client::connect(server.socket_path()).unwrap();
+    let v = fresh.run(&source(), "cpu", false, &[]).unwrap();
+    assert!(ok(&v), "a fresh connection must be served: {}", v.render());
+    let stats = fresh.stats().unwrap();
+    assert_eq!(stat(&stats, "worker_crashes"), 1.0);
+    assert_eq!(stat(&stats, "completed"), 1.0);
+    assert_eq!(stat(&stats, "answered_inline"), 1.0);
     server.stop();
 }

@@ -15,12 +15,12 @@
 //!
 //! A second test pins the admission-control contract deterministically:
 //! with zero workers and a queue bound of one, the second job is rejected
-//! `E0801` while the first sits queued.
+//! `E0801` while the first — a run whose artifact is cached — sits queued.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
-use fsc_core::{CompileOptions, Compiler, Target};
+use fsc_core::{CompileOptions, CompileRequest, Compiler, DegradationRung, Target};
 use fsc_ir::json::Json;
 use fsc_serve::{checksum_arrays, Client, Server, ServerConfig};
 
@@ -198,7 +198,9 @@ fn sixty_four_concurrent_mixed_requests() {
 /// Admission control, deterministically: no workers ever drain the
 /// queue, so with a bound of one the first job is admitted and the
 /// second is rejected with the stable `E0801` code — immediately, by the
-/// connection thread, while the first job still sits queued.
+/// connection thread, while the first job still sits queued. The first
+/// job is a run whose artifact is cached: with no slot to run in, it is
+/// queued like any other, never run on its reader.
 #[test]
 fn admission_control_rejects_beyond_queue_depth() {
     let dir = scratch_dir("admission");
@@ -209,8 +211,16 @@ fn admission_control_rejects_beyond_queue_depth() {
     };
     let server = Server::start(&dir.join("serve.sock"), config).unwrap();
     let source = fsc_workloads::gauss_seidel::fortran_source(4, 1);
+    // Cache the run's artifact at both rungs: with a queue bound of one,
+    // admission runs at full occupancy, which browns the request out.
+    for force_rung in [None, Some(DegradationRung::ScfFallback)] {
+        let mut options = CompileOptions::for_target(Target::StencilCpu);
+        options.force_rung = force_rung;
+        let request = CompileRequest::with_options(source.clone(), options);
+        server.service().compile(&request).unwrap();
+    }
 
-    // Fill the queue. The compile response will never come (no workers),
+    // Fill the queue. The run response will never come (no workers),
     // so fire-and-forget on a dedicated connection; the inline stats
     // round-trip afterwards proves the job was admitted first.
     let mut filler = Client::connect(server.socket_path()).unwrap();
@@ -219,13 +229,13 @@ fn admission_control_rejects_beyond_queue_depth() {
         let raw = std::os::unix::net::UnixStream::connect(server.socket_path()).unwrap();
         let mut w = &raw;
         let line = format!(
-            "{{\"op\":\"compile\",\"id\":1,\"source\":{},\"target\":\"cpu\"}}\n",
+            "{{\"op\":\"run\",\"id\":1,\"source\":{},\"target\":\"cpu\"}}\n",
             fsc_ir::json::escape_string(&source)
         );
         w.write_all(line.as_bytes()).unwrap();
         w.flush().unwrap();
         // Same connection: requests are handled in order, so once stats
-        // answers, the compile job is in the queue.
+        // answers, the run job is in the queue.
         let stats = loop {
             let s = filler.stats().unwrap();
             if s.get("accepted").and_then(Json::as_i64) == Some(1) {
@@ -234,6 +244,7 @@ fn admission_control_rejects_beyond_queue_depth() {
             std::thread::sleep(std::time::Duration::from_millis(5));
         };
         assert_eq!(stats.get("queue_depth").and_then(Json::as_i64), Some(1));
+        assert_eq!(stats.get("answered_inline").and_then(Json::as_i64), Some(0));
         // Keep `raw` alive until after the rejection below.
         let mut rejected_client = Client::connect(server.socket_path()).unwrap();
         let v = rejected_client.compile(&source, "cpu").unwrap();
@@ -247,6 +258,9 @@ fn admission_control_rejects_beyond_queue_depth() {
     }
     let stats = filler.stats().unwrap();
     assert_eq!(stats.get("rejected").and_then(Json::as_i64), Some(1));
+    // Never run: no probe of the cache, no answer.
+    assert_eq!(stats.get("artifact_hits").and_then(Json::as_i64), Some(0));
+    assert_eq!(stats.get("completed").and_then(Json::as_i64), Some(0));
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1320,3 +1320,83 @@ fn a_distributed_time_loop_keeps_its_halo_counts() {
         "the init region's sweep, then the ten time steps' rank run"
     );
 }
+
+/// A GS-like time loop over `u`, `un` and `w` (n = 12, four steps) whose
+/// step is the stencil `un = avg(u)` followed by `steps`, one pointwise
+/// nest each.
+fn three_nest_time_loop(steps: [&str; 2]) -> String {
+    let nest = |body: &str| {
+        format!(
+            "    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          {body}
+        end do
+      end do
+    end do
+"
+        )
+    };
+    format!(
+        "program steps
+  implicit none
+  integer, parameter :: n = 12
+  integer :: i, j, k, t
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1), w(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i * j + 0.02 * k * k + 0.03 * i
+      end do
+    end do
+  end do
+  do t = 1, 4
+{}{}{}  end do
+end program steps
+",
+        nest("un(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) + u(i, j-1, k) + u(i, j+1, k) + u(i, j, k-1) + u(i, j, k+1)) / 6.0"),
+        nest(steps[0]),
+        nest(steps[1]),
+    )
+}
+
+#[test]
+fn pointwise_nests_of_a_time_step_run_in_kernels_merged_or_not() {
+    // `w = 0.5*un; u = un` read the same `un` at offset zero and write
+    // different arrays: the two nests merge into one with two stores,
+    // which is why the step dispatches two nests' cells, not three. No
+    // nest is left to the FIR interpreter in either order.
+    for (steps, nests) in [
+        (
+            ["w(i, j, k) = 0.5 * un(i, j, k)", "u(i, j, k) = un(i, j, k)"],
+            2,
+        ),
+        (
+            ["u(i, j, k) = un(i, j, k)", "w(i, j, k) = 0.5 * u(i, j, k)"],
+            3,
+        ),
+    ] {
+        let source = three_nest_time_loop(steps);
+        assert_matches_interpreter(&source, &["u", "un", "w"]);
+        let options = CompileOptions::for_target(Target::StencilCpu);
+        let exec = Compiler::run(&source, &options).unwrap();
+        let host = &exec.report.interp;
+        assert_eq!((host.flops, host.loads), (0, 0), "{steps:?}: {host:?}");
+        // The seeding nest's 14³ cells, then four steps of `nests` nests
+        // over 12³.
+        assert_eq!(exec.report.kernel_cells, 2744 + 4 * nests * 1728);
+        let compiled = Compiler::compile(&source, &options).unwrap();
+        let step = compiled
+            .kernels
+            .values()
+            .find(|k| k.nests.len() > 1)
+            .expect("the time step's region");
+        let stores: Vec<_> = step
+            .nests
+            .iter()
+            .map(|n| n.program.stores_per_cell)
+            .collect();
+        assert_eq!(stores.len() as u64, nests, "{steps:?}: {stores:?}");
+        assert_eq!(stores.iter().sum::<u64>(), 3, "{steps:?}: {stores:?}");
+    }
+}
