@@ -114,10 +114,12 @@ timeout --kill-after=30s 300s \
 echo "== jit smoke =="
 # The stitched jit tier (DESIGN.md §14): the three non-template kernels
 # must land on the jit by default and stay bit-identical to both VM
-# tiers, PW 24^3 must run on the specialized tier (its fused advection
-# body) bit-identical to the forced jit and generic VM, and Gauss–Seidel
-# forced onto the jit must stay within 1.2x of the hand-specialized
-# template (all asserted inside the binary).
+# tiers; PW 24^3 must run on the specialized tier (its fused advection
+# body) bit-identical to the forced jit and generic VM; Gauss–Seidel must
+# run every nest on the jit as one fragment (its update and copy unit
+# chains, its init one affine chain), bit-identical to the generic VM;
+# and PW's init must stitch to three chains (all asserted inside the
+# binary).
 timeout --kill-after=30s 300s \
   cargo run -q -p fsc-bench --bin fig8_jit_tier -- --smoke
 # `fsc` names the copy its row loops run, read from the one detection
@@ -169,6 +171,20 @@ if [[ $(uname -m) == x86_64 ]]; then
       exit bad
     }' || { echo "an AVX-512F row copy is not zmm code of its own"; exit 1; }
 fi
+
+echo "== jit text gate =="
+# The jit's machine code earns its bytes (DESIGN.md §14): the text symbols
+# of the release `fsc` whose names contain `fsc_exec::jit::` may sum to at
+# most JIT_TEXT_BOUND bytes. It was 917157 with one monomorph per chain
+# form of up to 8 taps; one runtime-arity chain loop and the kept forms
+# measure 230496. The bound may only shrink.
+JIT_TEXT_BOUND=240000
+cargo build -q --release --example fsc
+jit_text=$(nm -S -t d -C "${CARGO_TARGET_DIR:-target}/release/examples/fsc" \
+  | awk '$3 ~ /^[tT]$/ && /fsc_exec::jit::/ { s += $2 } END { print s + 0 }')
+echo "fsc_exec::jit text: $jit_text bytes (bound $JIT_TEXT_BOUND)"
+[[ $jit_text -gt 0 && $jit_text -le $JIT_TEXT_BOUND ]] \
+  || { echo "fsc_exec::jit text is $jit_text bytes, above the bound of $JIT_TEXT_BOUND"; exit 1; }
 
 echo "== small-nest smoke =="
 # An openmp nest is split into slabs only when its work repays a spawn

@@ -6,13 +6,15 @@
 //! 24³ and 48³:
 //!
 //! * **specialized** — the hand-specialized PW advection row (only PW's
-//!   advection nest has one: the other rows read `[ran jit]`);
+//!   advection nest has one, so only PW has this row);
 //! * **jit**         — template-stitched row programs (dispatch-free);
 //! * **fused-vm**    — the superinstruction vector VM;
 //! * **generic-vm**  — the instruction-per-op vector VM.
 //!
-//! Every point is verified **bit-identical** to the generic VM before it
-//! is reported, and the run report must attest the tier that executed.
+//! Every point is the median of [`REPS`] runs, verified **bit-identical**
+//! to the generic VM before it is reported. A forced tier that ran on no
+//! nest (`specialized` on all but PW) is not reported: its row would time
+//! the tier the ladder fell back to a second time.
 //! A closing line reports the process-wide stitch counters (every compile
 //! stitches its own programs; there is no jit cache — DESIGN.md §14).
 //!
@@ -111,15 +113,21 @@ fn result_bits(compiled: &mut Compiled, arrays: &[&str]) -> Vec<u64> {
         .collect()
 }
 
-/// Best-of-`reps` wall time for one full run.
-fn best_seconds(compiled: &mut Compiled, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        compiled.run().expect("bench run");
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+/// Runs timed per point: the median of five moves with a tier's speed, not
+/// with the luck of its fastest run.
+const REPS: usize = 5;
+
+/// Median wall time of [`REPS`] full runs.
+fn median_seconds(compiled: &mut Compiled) -> f64 {
+    let mut secs: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            compiled.run().expect("bench run");
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[REPS / 2]
 }
 
 /// Does any nest in the compiled program carry `path` as its tier?
@@ -146,7 +154,7 @@ fn tier_set(compiled: &Compiled) -> Vec<ExecPath> {
 
 /// The throughput sweep: every workload × tier at one size. Each tier's
 /// result is bit-compared against the generic VM before it is reported.
-fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
+fn sweep(n: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
     for w in workloads() {
         let source = (w.source)(n);
         let mut generic =
@@ -165,10 +173,13 @@ fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
                 w.name
             );
             // A tier the ladder cannot provide (e.g. `specialized` for a
-            // non-template nest) silently keeps the best available tier;
-            // label those rows with the tier set that actually ran so the
-            // figure reads honestly.
+            // non-template nest) silently keeps the best available tier:
+            // a row where it ran on no nest is left out, and one where it
+            // ran on some is labelled with the tier set that ran.
             let tiers = tier_set(&compiled);
+            if !tiers.contains(&tier) {
+                continue;
+            }
             let label = if tiers == [tier] {
                 format!("{} {}", w.name, tier)
             } else {
@@ -179,7 +190,7 @@ fn sweep(n: usize, reps: usize, only: Option<ExecPath>, rows: &mut Vec<Row>) {
                     .join("+");
                 format!("{} {} [ran {ran}]", w.name, tier)
             };
-            let secs = best_seconds(&mut compiled, reps);
+            let secs = median_seconds(&mut compiled);
             rows.push(Row::new(label, n, mcells_per_sec((w.cells)(n), secs)));
         }
     }
@@ -309,7 +320,7 @@ fn main() {
     }
     let mut rows = Vec::new();
     for n in [24usize, 48] {
-        sweep(n, 3, only, &mut rows);
+        sweep(n, only, &mut rows);
     }
     print_rows(
         "Figure 8: execution tiers (MCells/s, higher is better)",

@@ -322,13 +322,18 @@ impl ArtifactCache {
         self.map.get(&fp).map(|(artifact, _)| artifact.clone())
     }
 
-    fn insert(&mut self, fp: u64, artifact: Arc<Compiled>, size: u64) {
+    /// Admit `artifact` under `fp` and return the artifacts that made room
+    /// for it: the caller drops them once the cache's lock is released, so
+    /// no hit waits on freeing a victim.
+    #[must_use = "drop the victims after releasing the cache's lock"]
+    fn insert(&mut self, fp: u64, artifact: Arc<Compiled>, size: u64) -> Vec<Arc<Compiled>> {
+        let mut victims = Vec::new();
         if self.map.contains_key(&fp) {
-            return;
+            return victims;
         }
         if size > self.byte_capacity {
             self.oversize_rejects += 1;
-            return;
+            return victims;
         }
         self.map.insert(fp, (artifact, size));
         self.order.push_back(fp);
@@ -343,23 +348,31 @@ impl ArtifactCache {
                 break;
             }
             self.order.pop_front();
-            if let Some((_, sz)) = self.map.remove(&victim) {
+            if let Some((evicted, sz)) = self.map.remove(&victim) {
                 self.bytes = self.bytes.saturating_sub(sz);
                 self.evicted_artifacts += 1;
                 self.evicted_bytes += sz;
+                victims.push(evicted);
             }
         }
+        victims
     }
 
-    /// Drop every entry but keep the caps and the cumulative counters
+    /// Take every entry out but keep the caps and the cumulative counters
     /// (a purge is an eviction of everything, and `/stats` must not go
-    /// backwards).
-    fn purge(&mut self) {
+    /// backwards). Returns the entries, dropped as [`insert`]'s victims are.
+    ///
+    /// [`insert`]: ArtifactCache::insert
+    #[must_use = "drop the entries after releasing the cache's lock"]
+    fn purge(&mut self) -> Vec<Arc<Compiled>> {
         self.evicted_artifacts += self.map.len() as u64;
         self.evicted_bytes += self.bytes;
-        self.map.clear();
         self.order.clear();
         self.bytes = 0;
+        self.map
+            .drain()
+            .map(|(_, (artifact, _))| artifact)
+            .collect()
     }
 }
 
@@ -566,10 +579,13 @@ impl CompileService {
 
         if let Ok(artifact) = &result {
             let size = artifact.approx_bytes();
-            self.artifacts
+            let victims = self
+                .artifacts
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(fp, artifact.clone(), size);
+            // Freed here, the lock released: a hit never waits on a free.
+            drop(victims);
         } else {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -649,10 +665,12 @@ impl CompileService {
     /// request of each fingerprint to recompile; results must still be
     /// bit-identical).
     pub fn purge_artifacts(&self) {
-        self.artifacts
+        let purged = self
+            .artifacts
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .purge();
+        drop(purged);
     }
 
     /// Compile and run in one call.
@@ -1020,19 +1038,19 @@ mod tests {
         let req = request(4);
         let artifact = Arc::new(Compiler::compile(&req.source, &req.options).unwrap());
         let mut cache = ArtifactCache::new(8, 1000);
-        cache.insert(1, artifact.clone(), 400);
-        cache.insert(2, artifact.clone(), 400);
+        assert!(cache.insert(1, artifact.clone(), 400).is_empty());
+        assert!(cache.insert(2, artifact.clone(), 400).is_empty());
         assert_eq!(cache.bytes, 800);
 
         // A giant larger than the entire cache: refused, residents intact.
-        cache.insert(3, artifact.clone(), 5000);
+        assert!(cache.insert(3, artifact.clone(), 5000).is_empty());
         assert!(cache.get(3).is_none(), "the giant must not be cached");
         assert!(cache.get(1).is_some() && cache.get(2).is_some());
         assert_eq!((cache.bytes, cache.oversize_rejects), (800, 1));
         assert_eq!(cache.evicted_artifacts, 0);
 
         // A fitting artifact evicts exactly enough, oldest first.
-        cache.insert(4, artifact.clone(), 400);
+        assert_eq!(cache.insert(4, artifact.clone(), 400).len(), 1);
         assert!(cache.get(1).is_none(), "byte pressure evicts FIFO");
         assert!(cache.get(2).is_some() && cache.get(4).is_some());
         assert_eq!((cache.bytes, cache.evicted_artifacts), (800, 1));
@@ -1094,6 +1112,42 @@ mod tests {
             (m.reuse_rate() - 0.25).abs() < 1e-9,
             "1 reuse in 4 requests: {m:?}"
         );
+    }
+
+    /// `insert` hands back exactly the artifacts its counters count as
+    /// evicted, oldest first, and keeps no reference to them: the caller's
+    /// drop is the one that frees them. `purge` hands back the rest.
+    #[test]
+    fn insert_returns_the_artifacts_it_counts_as_evicted() {
+        let compiled = |n| {
+            let req = request(n);
+            Arc::new(Compiler::compile(&req.source, &req.options).unwrap())
+        };
+        let artifacts: Vec<Arc<Compiled>> = (4..8).map(compiled).collect();
+        let mut cache = ArtifactCache::new(2, 10_000);
+        let mut victims = Vec::new();
+        for (fp, artifact) in (0u64..).zip(&artifacts) {
+            victims.extend(cache.insert(fp, artifact.clone(), 100 + fp));
+        }
+        assert_eq!(victims.len(), 2);
+        for (victim, artifact) in victims.iter().zip(&artifacts) {
+            assert!(Arc::ptr_eq(victim, artifact), "evicted FIFO");
+        }
+        assert_eq!(
+            (cache.evicted_artifacts, cache.evicted_bytes),
+            (2, 100 + 101)
+        );
+        // Held by `artifacts` and `victims` only: not by the cache.
+        assert!(artifacts[..2].iter().all(|a| Arc::strong_count(a) == 2));
+        assert!(artifacts[2..].iter().all(|a| Arc::strong_count(a) == 2));
+        drop(victims);
+        assert!(artifacts[..2].iter().all(|a| Arc::strong_count(a) == 1));
+
+        let purged = cache.purge();
+        assert_eq!(purged.len(), 2);
+        assert_eq!((cache.evicted_artifacts, cache.evicted_bytes), (4, 406));
+        drop(purged);
+        assert!(artifacts.iter().all(|a| Arc::strong_count(a) == 1));
     }
 
     /// Purging counts as eviction (counters are monotonic) and leaves

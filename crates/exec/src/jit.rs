@@ -19,20 +19,15 @@
 //!
 //! On top of the 1:1 fragments a peephole stitches **linear-combination
 //! chains** (`acc = seed ± c·load ± …`, optionally scaled and stored) into
-//! a single `LinChain` fragment with the accumulator held in a register
-//! across taps; a seed or tap may also be a row scalar or the `c·i`
-//! coordinate ramp, so an affine fill is one chain. This is the one CPU code generator for linear stencils:
-//! sums (Gauss–Seidel, Listing 1), linear combinations and copies (a
-//! chain of no taps) run here. Chain arithmetic reproduces the VM's exact
-//! per-cell operation sequence (two roundings per multiply–accumulate,
-//! left-folded order), so every tier stays bit-identical; the differential
-//! proptests force all of them.
-//!
-//! View-offset address arithmetic is resolved at stitch time: offsets are
-//! already linearised against the strides by the kernel compiler, so
-//! fragments index `cursor + off` directly. The `unroll` knob of the
-//! [`ExecPlan`] selects the unroll-4 loop skeleton inside chain fragments:
-//! four cells per iteration, each with its own accumulator chain.
+//! one `LinChain` fragment of any arity; a seed or tap may also be a row
+//! scalar or the `c·i` ramp, so an affine fill is one chain too. Its
+//! choices are checked once per 256-cell strip, each step one pass over the
+//! strip; only GS's update keeps a monomorph of its own (`Fixed`, its pair
+//! table in EXPERIMENTS.md), with the plan's unroll-4 skeleton. Chains
+//! reproduce the VM's per-cell operation sequence (two roundings per
+//! multiply–accumulate, left-folded order), so every tier stays
+//! bit-identical. View offsets are linearised by the kernel compiler, so
+//! fragments index `cursor + off` directly.
 //!
 //! # No cache
 //!
@@ -52,6 +47,7 @@
 )]
 
 use std::collections::HashSet;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -66,10 +62,6 @@ use crate::plan::ExecPlan;
 /// Registers above this are declared pathological and skipped (the row
 /// scratch is `num_regs * width` doubles per thread).
 const MAX_JIT_REGS: u16 = 4096;
-
-/// Longest chain folded into a single monomorphized fragment; longer
-/// chains continue into a follow-up chain seeded by the accumulator.
-const MAX_CHAIN_TAPS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Skip reasons
@@ -130,8 +122,6 @@ struct RowCtx<'a, 'i, 'o> {
     /// Scalar registers: the prelude's for the box, the row scalars' for
     /// this row.
     pre: &'a mut [f64],
-    /// A row of ones: the operand of a chain's scalar seed or tap.
-    ones: &'a [f64],
 }
 
 /// One stitched fragment: `run` picks a copy of its `Row` once per row,
@@ -139,12 +129,18 @@ struct RowCtx<'a, 'i, 'o> {
 trait RowOp: Send + Sync + std::fmt::Debug {
     fn run(&self, ctx: &mut RowCtx<'_, '_, '_>);
     fn run_box(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars);
+    fn chain(&self) -> Option<&LinChain>;
 }
 
 /// A fragment's row loop, inlined into the copies of `row_op`, or of
 /// `box_op` for a chain.
 trait Row: Send + Sync + std::fmt::Debug {
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>);
+
+    /// The chain a chain fragment runs; `None` for a 1:1 fragment.
+    fn chain(&self) -> Option<&LinChain> {
+        None
+    }
 
     /// One row at the host's vector width.
     fn run_row(&self, ctx: &mut RowCtx<'_, '_, '_>)
@@ -197,6 +193,10 @@ impl<T: Row> RowOp for T {
 
     fn run_box(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars) {
         self.run_rows(ctx, walk, rows);
+    }
+
+    fn chain(&self) -> Option<&LinChain> {
+        Row::chain(self)
     }
 }
 
@@ -407,7 +407,7 @@ struct BinRow<K: BinK> {
     dst: u16,
     a: u16,
     b: u16,
-    _k: std::marker::PhantomData<K>,
+    _k: PhantomData<K>,
 }
 impl<K: BinK> Row for BinRow<K> {
     #[inline(always)]
@@ -425,7 +425,7 @@ impl<K: BinK> Row for BinRow<K> {
 struct UnRow<K: UnK> {
     dst: u16,
     a: u16,
-    _k: std::marker::PhantomData<K>,
+    _k: PhantomData<K>,
 }
 impl<K: UnK> Row for UnRow<K> {
     #[inline(always)]
@@ -444,7 +444,7 @@ struct CmpRow<K: CmpK> {
     dst: u16,
     a: u16,
     b: u16,
-    _k: std::marker::PhantomData<K>,
+    _k: PhantomData<K>,
 }
 impl<K: CmpK> Row for CmpRow<K> {
     #[inline(always)]
@@ -483,7 +483,7 @@ struct MaRow<K: MaK> {
     a: u16,
     b: u16,
     c: u16,
-    _k: std::marker::PhantomData<K>,
+    _k: PhantomData<K>,
 }
 impl<K: MaK> Row for MaRow<K> {
     #[inline(always)]
@@ -503,7 +503,7 @@ struct BinLoadRow<K: BinK, const LOAD_LEFT: bool> {
     a: u16,
     view: u16,
     off: i64,
-    _k: std::marker::PhantomData<K>,
+    _k: PhantomData<K>,
 }
 impl<K: BinK, const LOAD_LEFT: bool> Row for BinLoadRow<K, LOAD_LEFT> {
     #[inline(always)]
@@ -532,17 +532,16 @@ impl<K: BinK, const LOAD_LEFT: bool> Row for BinLoadRow<K, LOAD_LEFT> {
 enum Src {
     /// A direct load (the absorbed `Load` / `BinLoad{Mul}` seed, a tap).
     View { view: u16, off: i64 },
-    /// An already-materialised register row: the accumulator of a chain
-    /// cut at [`MAX_CHAIN_TAPS`], or a `Coord` ramp filled per box.
+    /// An already-materialised register row: a fragment's result or a
+    /// `Coord` ramp filled per box.
     Reg(u16),
-    /// A row of ones, scaled by the coefficient: a scalar operand
-    /// (`s · 1.0` is `s` exactly).
+    /// One, scaled by the coefficient: a scalar operand (`s · 1.0` is `s`
+    /// exactly, so the term is the coefficient itself).
     Ones,
 }
 
-/// Per-tap coefficient. `One`/`NegOne` reproduce plain add/sub taps
-/// (`1.0 * x` and `-1.0 * x` are exact, so the accumulated value is
-/// bit-identical to the VM's `acc + x` / `acc - x`); `Pre` reads a scalar
+/// Per-tap coefficient. `One`/`NegOne` are plain add/sub taps (`acc + x`
+/// and `acc + -1.0 · x`, the VM's `acc - x` bits); `Pre` reads a scalar
 /// register, negated for `CMinusMul` (`c - m` ≡ `c + (-a)*b` exactly);
 /// `Prod` is the product of two, rounded once as the VM's `mul_acc` does.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -559,6 +558,21 @@ struct ChainTap {
     coef: TapCoef,
 }
 
+impl ChainTap {
+    fn new(src: Src, coef: TapCoef) -> Self {
+        Self { src, coef }
+    }
+}
+
+/// What a chain does to its sum before the sink: nothing, or divide or
+/// multiply by a scalar register.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Scale {
+    None,
+    Div(u16),
+    Mul(u16),
+}
+
 /// Where the chain result lands.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Sink {
@@ -566,9 +580,19 @@ enum Sink {
     Store { view: u16, off: i64 },
 }
 
-/// Detected chain shape, before monomorphization.
+/// Cells a chain evaluates per pass: one strip's accumulators stay in L1
+/// while each step passes over them, and a row of the benchmark grids
+/// (GS 194 cells, PW 130) is one strip.
+const STRIP: usize = 256;
+
+/// A linear-combination chain, any number of taps (none for a copy): the
+/// seed, optionally scaled, then each tap in bytecode order, then the
+/// scale, into a register row or straight into the stored view. A row is
+/// swept strip by strip, each step one pass over the strip, so every cell
+/// sees the VM's operations in the VM's order and each choice is made once
+/// per strip, never per cell.
 #[derive(Debug, Clone, PartialEq)]
-struct ChainSpec {
+struct LinChain {
     /// Final destination register (post-scale).
     dst: u16,
     seed: Src,
@@ -577,86 +601,159 @@ struct ChainSpec {
     /// scalar seed over [`Src::Ones`]).
     seed_coef: Option<u16>,
     taps: Vec<ChainTap>,
-    /// `0` none, `1` divide by prelude reg, `2` multiply by prelude reg.
-    scale_kind: u8,
-    scale_reg: u16,
+    scale: Scale,
     sink: Sink,
 }
 
-impl ChainSpec {
-    /// An unscaled seed plus unit taps: stitched as a `UNIT` chain.
+impl LinChain {
+    /// An unscaled seed plus unit taps: every tap an add, no multiply.
     fn is_unit(&self) -> bool {
         self.seed_coef.is_none() && self.taps.iter().all(|t| t.coef == TapCoef::One)
     }
-}
 
-/// The stitched chain fragment: `K` taps monomorphized (none for a copy),
-/// seed scaling and result scaling folded in, optional direct store sink,
-/// unroll-4 skeleton from the plan. `UNIT` chains (every tap
-/// [`TapCoef::One`], unscaled seed: Gauss–Seidel, Listing 1, copies) add
-/// each tap without a multiply.
-#[derive(Debug)]
-struct LinChain<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> {
-    dst: u16,
-    seed: Src,
-    seed_coef: u16,
-    taps: [ChainTap; K],
-    scale_reg: u16,
-    sink: Sink,
-    unroll4: bool,
-}
+    /// The chain's form: `<taps, seed scaled, scale kind, unit>`.
+    fn form(&self) -> (usize, bool, u8, bool) {
+        let scale = match self.scale {
+            Scale::None => 0,
+            Scale::Div(_) => 1,
+            Scale::Mul(_) => 2,
+        };
+        let unit = self.is_unit();
+        (self.taps.len(), self.seed_coef.is_some(), scale, unit)
+    }
 
-/// A chain's operands for one row.
-struct ChainRow<'r, const K: usize> {
-    seed: &'r [f64],
-    seed_coef: f64,
-    coefs: [f64; K],
-    bases: [&'r [f64]; K],
-    scale: f64,
-}
+    /// The one form kept as a monomorph of its own, [`Fixed`]: GS's
+    /// update, an unscaled seed, five unit taps and a divide.
+    const KEPT: (usize, bool, u8, bool) = (5, false, 1, true);
 
-impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
-    LinChain<K, SEED_SCALED, SCALE, UNIT>
-{
-    /// Cell `x`. A function, not a closure: a closure's body is not
-    /// reliably inlined into `row_op`'s copies, which then call it per
-    /// cell at baseline width (`ci.sh == vector width gate ==`).
+    /// The fragment that runs the chain: the kept form's [`Fixed`]
+    /// monomorph, else the chain itself.
+    fn stitch(self, unroll4: bool) -> Box<dyn RowOp> {
+        if self.form() == Self::KEPT {
+            Box::new(Fixed::<6> {
+                chain: self,
+                unroll4,
+            })
+        } else {
+            Box::new(self)
+        }
+    }
+
+    /// `const <taps, seed scaled, scale kind, unit>` for the kept form,
+    /// `runtime <…>` for any other.
+    fn describe(&self) -> String {
+        let form @ (k, seed_scaled, scale, unit) = self.form();
+        let run = if form == Self::KEPT {
+            "const"
+        } else {
+            "runtime"
+        };
+        format!("{run} <{k}, {seed_scaled}, {scale}, {unit}>")
+    }
+
+    /// The row the chain writes this row (its register row, or the stored
+    /// view's) and where it reads its operands.
     #[inline(always)]
-    fn lane(r: &ChainRow<'_, K>, x: usize) -> f64 {
-        let mut acc = r.seed[x];
-        if SEED_SCALED {
-            // `coef * value`, never `value * coef`: operand order must
-            // mirror the VM's `mul` bit-for-bit.
-            #[allow(clippy::assign_op_pattern)]
-            {
-                acc = r.seed_coef * acc;
+    fn operands<'r>(
+        &self,
+        ctx: &'r mut RowCtx<'_, '_, '_>,
+    ) -> Option<(&'r mut [f64], Operands<'r>)> {
+        let w = ctx.w;
+        let RowCtx {
+            regs,
+            inputs,
+            outputs,
+            out_view_map,
+            cursors,
+            pre,
+            ..
+        } = ctx;
+        let (d, lo) = split_dst(regs, w, self.dst);
+        let d = match self.sink {
+            Sink::Reg => d,
+            Sink::Store { view, off } => {
+                // As in `StoreRow`: `NestIo::new` gave the view a slot.
+                let slot = out_view_map[view as usize]?;
+                let base = (cursors[view as usize] + off) as usize;
+                &mut outputs[usize::from(slot)][base..base + w]
+            }
+        };
+        let (inputs, cursors, pre) = (&**inputs, &**cursors, &**pre);
+        Some((
+            d,
+            Operands {
+                inputs,
+                cursors,
+                lo,
+                pre,
+                w,
+            },
+        ))
+    }
+
+    /// The strip at `x` of `acc`: seed, taps, scale, one pass each.
+    #[inline(always)]
+    fn strip(&self, acc: &mut [f64], rows: &Operands<'_>, x: usize) {
+        let (n, pre) = (acc.len(), rows.pre);
+        // `coef * value`, never `value * coef`: operand order mirrors the
+        // VM's `mul` bit for bit. The ones' value is the coefficient.
+        match (rows.strip(self.seed, x, n), self.seed_coef) {
+            (Some(v), None) => acc.copy_from_slice(v),
+            (Some(v), Some(c)) => {
+                let c = pre[c as usize];
+                for (a, &v) in acc.iter_mut().zip(v) {
+                    *a = c * v;
+                }
+            }
+            (None, c) => acc.fill(c.map_or(1.0, |c| pre[c as usize])),
+        }
+        for tap in &self.taps {
+            match (rows.strip(tap.src, x, n), tap.coef) {
+                (Some(v), TapCoef::One) => {
+                    for (a, &v) in acc.iter_mut().zip(v) {
+                        *a += v;
+                    }
+                }
+                // `-1.0 · v` is `-v` exactly: `acc + -1.0 · v` is `acc - v`.
+                (Some(v), coef) => {
+                    let c = coef_value(coef, pre);
+                    for (a, &v) in acc.iter_mut().zip(v) {
+                        *a += c * v;
+                    }
+                }
+                (None, coef) => {
+                    let c = coef_value(coef, pre);
+                    for a in acc.iter_mut() {
+                        *a += c;
+                    }
+                }
             }
         }
-        // Indexed, not zipped: an unoptimised build runs this per tap per
-        // cell, and the iterator's calls there made the jit no faster than
-        // the generic VM.
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..K {
-            // `1.0 * x` is `x` exactly, so a unit tap skips the multiply.
-            acc += if UNIT {
-                r.bases[t][x]
-            } else {
-                r.coefs[t] * r.bases[t][x]
-            };
-        }
-        match SCALE {
-            1 => acc / r.scale,
-            2 => acc * r.scale,
-            _ => acc,
+        match self.scale {
+            Scale::None => {}
+            Scale::Div(r) => {
+                let s = pre[r as usize];
+                for a in acc.iter_mut() {
+                    *a /= s;
+                }
+            }
+            Scale::Mul(r) => {
+                let s = pre[r as usize];
+                for a in acc.iter_mut() {
+                    *a *= s;
+                }
+            }
         }
     }
 }
 
-impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool> Row
-    for LinChain<K, SEED_SCALED, SCALE, UNIT>
-{
+impl Row for LinChain {
+    fn chain(&self) -> Option<&LinChain> {
+        Some(self)
+    }
+
     /// A box of one row: a chain has `box_op`'s copies only, not also
-    /// `row_op`'s (each copy is a few kilobytes of text).
+    /// `row_op`'s.
     fn run_row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         box_op::run(self, ctx, &Walk::ONE_ROW, &RowScalars::NONE);
     }
@@ -667,72 +764,129 @@ impl<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>
 
     #[inline(always)]
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let w = ctx.w;
-        let RowCtx {
-            regs,
-            inputs,
-            outputs,
-            out_view_map,
-            cursors,
-            pre,
-            ones,
-            ..
-        } = ctx;
-        let (d, lo) = split_dst(regs, w, self.dst);
-        // Filled by a loop: built with `array::map`, the rows' lengths were
-        // lost to LLVM and the plain loop below stayed scalar.
-        let mut coefs = [0.0f64; K];
-        let mut bases: [&[f64]; K] = [&[]; K];
-        for (t, tap) in self.taps.iter().enumerate() {
-            coefs[t] = match tap.coef {
-                TapCoef::One => 1.0,
-                TapCoef::NegOne => -1.0,
-                TapCoef::Pre { reg, negate } => negated(pre[reg as usize], negate),
-                TapCoef::Prod { a, b, negate } => {
-                    negated(pre[a as usize] * pre[b as usize], negate)
-                }
-            };
-            bases[t] = src_row(tap.src, inputs, cursors, lo, ones, w);
+        // The destination row holds the accumulators.
+        let Some((d, rows)) = self.operands(ctx) else {
+            return;
+        };
+        for (x, acc) in (0..).step_by(STRIP).zip(d.chunks_mut(STRIP)) {
+            self.strip(acc, &rows, x);
         }
-        let r = ChainRow {
-            seed: src_row(self.seed, inputs, cursors, lo, ones, w),
-            seed_coef: if SEED_SCALED {
-                pre[self.seed_coef as usize]
-            } else {
-                0.0
-            },
-            coefs,
-            bases,
-            scale: if SCALE != 0 {
-                pre[self.scale_reg as usize]
-            } else {
-                0.0
-            },
+    }
+}
+
+/// The chain form kept as a monomorph of its own, [`LinChain::KEPT`]: an
+/// unscaled seed plus `N - 1` taps, each added without a multiply, then a
+/// divide. Each cell's accumulator stays in a register across the taps,
+/// four cells per iteration when the plan unrolls.
+#[derive(Debug)]
+struct Fixed<const N: usize> {
+    chain: LinChain,
+    unroll4: bool,
+}
+
+impl<const N: usize> Fixed<N> {
+    /// Cell `x` of the seed and tap rows `ops`. A function, not a closure:
+    /// a closure's body is not reliably inlined into `box_op`'s copies,
+    /// which then call it per cell (`ci.sh == vector width gate ==`).
+    #[inline(always)]
+    fn lane(ops: &[&[f64]; N], scale: f64, x: usize) -> f64 {
+        let mut acc = ops[0][x];
+        // Indexed, not zipped: an unoptimised build runs this per tap per
+        // cell, and the iterator's calls there made the jit no faster than
+        // the generic VM.
+        #[allow(clippy::needless_range_loop)]
+        for t in 1..N {
+            acc += ops[t][x];
+        }
+        acc / scale
+    }
+}
+
+impl<const N: usize> Row for Fixed<N> {
+    fn chain(&self) -> Option<&LinChain> {
+        Some(&self.chain)
+    }
+
+    /// As [`LinChain`]'s: `box_op`'s copies only.
+    fn run_row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        box_op::run(self, ctx, &Walk::ONE_ROW, &RowScalars::NONE);
+    }
+
+    fn run_rows(&self, ctx: &mut RowCtx<'_, '_, '_>, walk: &Walk<'_>, rows: &RowScalars) {
+        box_op::run(self, ctx, walk, rows);
+    }
+
+    #[inline(always)]
+    fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        let (w, chain) = (ctx.w, &self.chain);
+        let Some((d, rows)) = chain.operands(ctx) else {
+            return;
         };
-        let d: &mut [f64] = match self.sink {
-            Sink::Reg => d,
-            Sink::Store { view, off } => {
-                // As in `StoreRow`: `NestIo::new` gave the view a slot.
-                let Some(slot) = out_view_map[view as usize] else {
-                    return;
-                };
-                let base = (cursors[view as usize] + off) as usize;
-                &mut outputs[usize::from(slot)][base..base + w]
-            }
+        let Scale::Div(scale) = chain.scale else {
+            return;
         };
+        let scale = rows.pre[usize::from(scale)];
+        let mut ops: [&[f64]; N] = [&[]; N];
+        let srcs = std::iter::once(chain.seed).chain(chain.taps.iter().map(|t| t.src));
+        for (op, src) in ops.iter_mut().zip(srcs) {
+            *op = rows.strip(src, 0, w).unwrap_or_default();
+        }
+        // Every row `w` long, checked once: no cell is bounds-checked. (A
+        // unit chain reads no ones: a scalar has a coefficient.)
+        if d.len() != w || ops.iter().any(|op| op.len() != w) {
+            return;
+        }
         let mut x = 0;
         if self.unroll4 {
             while x + 4 <= w {
-                d[x] = Self::lane(&r, x);
-                d[x + 1] = Self::lane(&r, x + 1);
-                d[x + 2] = Self::lane(&r, x + 2);
-                d[x + 3] = Self::lane(&r, x + 3);
+                d[x] = Self::lane(&ops, scale, x);
+                d[x + 1] = Self::lane(&ops, scale, x + 1);
+                d[x + 2] = Self::lane(&ops, scale, x + 2);
+                d[x + 3] = Self::lane(&ops, scale, x + 3);
                 x += 4;
             }
         }
         while x < w {
-            d[x] = Self::lane(&r, x);
+            d[x] = Self::lane(&ops, scale, x);
             x += 1;
+        }
+    }
+}
+
+/// A tap's coefficient this row.
+#[inline(always)]
+fn coef_value(coef: TapCoef, pre: &[f64]) -> f64 {
+    match coef {
+        TapCoef::One => 1.0,
+        TapCoef::NegOne => -1.0,
+        TapCoef::Pre { reg, negate } => negated(pre[reg as usize], negate),
+        TapCoef::Prod { a, b, negate } => negated(pre[a as usize] * pre[b as usize], negate),
+    }
+}
+
+/// Where a chain's operands are read this row.
+struct Operands<'r> {
+    inputs: &'r [&'r [f64]],
+    cursors: &'r [i64],
+    /// The register rows below the chain's destination.
+    lo: &'r [f64],
+    /// The scalar registers.
+    pre: &'r [f64],
+    w: usize,
+}
+
+impl<'r> Operands<'r> {
+    /// Cells `x..x + n` of `src`'s row; `None` for [`Src::Ones`], whose
+    /// term is its coefficient.
+    #[inline(always)]
+    fn strip(&self, src: Src, x: usize, n: usize) -> Option<&'r [f64]> {
+        match src {
+            Src::View { view, off } => {
+                let base = (self.cursors[view as usize] + off) as usize + x;
+                Some(&self.inputs[view as usize][base..base + n])
+            }
+            Src::Reg(r) => Some(&row(self.lo, self.w, r)[x..x + n]),
+            Src::Ones => None,
         }
     }
 }
@@ -743,72 +897,6 @@ fn negated(v: f64, negate: bool) -> f64 {
         -v
     } else {
         v
-    }
-}
-
-/// The row a chain operand reads this row.
-#[inline(always)]
-fn src_row<'r>(
-    src: Src,
-    inputs: &[&'r [f64]],
-    cursors: &[i64],
-    lo: &'r [f64],
-    ones: &'r [f64],
-    w: usize,
-) -> &'r [f64] {
-    match src {
-        Src::View { view, off } => {
-            let base = (cursors[view as usize] + off) as usize;
-            &inputs[view as usize][base..base + w]
-        }
-        Src::Reg(r) => row(lo, w, r),
-        Src::Ones => &ones[..w],
-    }
-}
-
-/// Monomorphize a detected chain: `K` × seed-scaled × scale-kind, and
-/// `UNIT` for the unscaled seeds.
-fn box_chain(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
-    fn mk<const K: usize>(spec: &ChainSpec, unroll4: bool) -> Box<dyn RowOp> {
-        // `box_chain` picked `K` as `spec.taps.len()`.
-        let taps: [ChainTap; K] = std::array::from_fn(|t| spec.taps[t]);
-        macro_rules! chain {
-            ($ss:literal, $sc:literal, $unit:literal) => {
-                Box::new(LinChain::<K, $ss, $sc, $unit> {
-                    dst: spec.dst,
-                    seed: spec.seed,
-                    seed_coef: spec.seed_coef.unwrap_or(0),
-                    taps,
-                    scale_reg: spec.scale_reg,
-                    sink: spec.sink,
-                    unroll4,
-                })
-            };
-        }
-        match (spec.seed_coef.is_some(), spec.is_unit(), spec.scale_kind) {
-            (false, false, 0) => chain!(false, 0, false),
-            (false, false, 1) => chain!(false, 1, false),
-            (false, false, 2) => chain!(false, 2, false),
-            (false, true, 0) => chain!(false, 0, true),
-            (false, true, 1) => chain!(false, 1, true),
-            (false, true, 2) => chain!(false, 2, true),
-            (true, _, 0) => chain!(true, 0, false),
-            (true, _, 1) => chain!(true, 1, false),
-            (true, _, 2) => chain!(true, 2, false),
-            _ => unreachable!("scale kind out of range"),
-        }
-    }
-    match spec.taps.len() {
-        0 => mk::<0>(spec, unroll4),
-        1 => mk::<1>(spec, unroll4),
-        2 => mk::<2>(spec, unroll4),
-        3 => mk::<3>(spec, unroll4),
-        4 => mk::<4>(spec, unroll4),
-        5 => mk::<5>(spec, unroll4),
-        6 => mk::<6>(spec, unroll4),
-        7 => mk::<7>(spec, unroll4),
-        8 => mk::<8>(spec, unroll4),
-        n => unreachable!("chain arity {n} exceeds MAX_CHAIN_TAPS"),
     }
 }
 
@@ -848,7 +936,7 @@ fn dst_reg(instr: &Instr) -> Option<u16> {
 /// One emission unit after chain detection.
 enum StitchItem {
     Plain(Instr),
-    Chain(ChainSpec),
+    Chain(LinChain),
 }
 
 /// How the stitched program holds a register's value.
@@ -936,21 +1024,10 @@ impl ChainScan {
     /// is a scalar or a ramp.
     fn affine_tap(&self, m: u16, negate: bool) -> Option<ChainTap> {
         if self.scalar(m) {
-            let coef = TapCoef::Pre { reg: m, negate };
-            Some(ChainTap {
-                src: Src::Ones,
-                coef,
-            })
+            Some(ChainTap::new(Src::Ones, TapCoef::Pre { reg: m, negate }))
         } else if self.ramp(m) {
-            let coef = if negate {
-                TapCoef::NegOne
-            } else {
-                TapCoef::One
-            };
-            Some(ChainTap {
-                src: Src::Reg(m),
-                coef,
-            })
+            let coef = [TapCoef::One, TapCoef::NegOne][usize::from(negate)];
+            Some(ChainTap::new(Src::Reg(m), coef))
         } else {
             None
         }
@@ -967,17 +1044,12 @@ impl ChainScan {
             return None;
         };
         if self.scalar(other) {
-            let coef = TapCoef::Prod { a, b, negate };
-            Some(ChainTap {
-                src: Src::Ones,
-                coef,
-            })
+            Some(ChainTap::new(Src::Ones, TapCoef::Prod { a, b, negate }))
         } else if self.ramp(other) {
-            let coef = TapCoef::Pre { reg: s, negate };
-            Some(ChainTap {
-                src: Src::Reg(other),
-                coef,
-            })
+            Some(ChainTap::new(
+                Src::Reg(other),
+                TapCoef::Pre { reg: s, negate },
+            ))
         } else {
             None
         }
@@ -1070,7 +1142,7 @@ impl ChainScan {
 
     /// Try to start a chain at instruction `i`; returns the spec and the
     /// index just past the consumed instructions.
-    fn chain_from(&self, i: usize) -> Option<(ChainSpec, usize)> {
+    fn chain_from(&self, i: usize) -> Option<(LinChain, usize)> {
         // Absorbable seed: a single-use Load, or a single-use product of a
         // scalar coefficient and a load (`c*l0 + …`) or a ramp (`c*i + …`).
         let seeded = match self.ins[i] {
@@ -1099,13 +1171,12 @@ impl ChainScan {
             },
             _ => None,
         };
-        let start = |dst, seed, seed_coef| ChainSpec {
+        let start = |dst, seed, seed_coef| LinChain {
             dst,
             seed,
             seed_coef,
             taps: Vec::new(),
-            scale_kind: 0,
-            scale_reg: 0,
+            scale: Scale::None,
             sink: Sink::Reg,
         };
         if let Some((seed, seed_coef, dst)) = seeded {
@@ -1118,8 +1189,8 @@ impl ChainScan {
             }
         }
         // Otherwise the chain may still start from what `i` itself, a link,
-        // accumulates onto: a register row (the accumulator of a chain cut
-        // at `MAX_CHAIN_TAPS`, a ramp) or a scalar, seeded over the ones.
+        // accumulates onto: a register row (a fragment's result, a ramp) or
+        // a scalar, seeded over the ones.
         self.acc_candidates(i)
             .into_iter()
             .flatten()
@@ -1162,11 +1233,8 @@ impl ChainScan {
 
     /// Grow `spec` with further links, then fold a trailing scale and
     /// store. Returns the index just past everything consumed.
-    fn grow(&self, spec: &mut ChainSpec, mut j: usize) -> usize {
+    fn grow(&self, spec: &mut LinChain, mut j: usize) -> usize {
         loop {
-            if spec.taps.len() >= MAX_CHAIN_TAPS {
-                break;
-            }
             // The accumulator must be consumed *only* by the next link.
             if !self.used_once(spec.dst) {
                 break;
@@ -1184,14 +1252,13 @@ impl ChainScan {
         if self.used_once(spec.dst) {
             if let Some(&Instr::Bin { dst, kind, a, b }) = self.ins.get(j) {
                 let folded = match kind {
-                    BinKind::Div if a == spec.dst && self.scalar(b) => Some((1u8, b)),
-                    BinKind::Mul if a == spec.dst && self.scalar(b) => Some((2u8, b)),
-                    BinKind::Mul if b == spec.dst && self.scalar(a) => Some((2u8, a)),
+                    BinKind::Div if a == spec.dst && self.scalar(b) => Some(Scale::Div(b)),
+                    BinKind::Mul if a == spec.dst && self.scalar(b) => Some(Scale::Mul(b)),
+                    BinKind::Mul if b == spec.dst && self.scalar(a) => Some(Scale::Mul(a)),
                     _ => None,
                 };
-                if let Some((sk, sr)) = folded {
-                    spec.scale_kind = sk;
-                    spec.scale_reg = sr;
+                if let Some(scale) = folded {
+                    spec.scale = scale;
                     spec.dst = dst;
                     j += 1;
                 }
@@ -1245,8 +1312,6 @@ pub struct JitProgram {
     /// `Coord` rows along dimension 0, filled per box.
     ramps: Vec<u16>,
     num_regs: u16,
-    chained_taps: usize,
-    unit_chains: usize,
 }
 
 /// A stitched program's register files for the boxes of one nest: rows of
@@ -1256,7 +1321,6 @@ pub struct JitProgram {
 pub struct JitRegs {
     rows: Vec<f64>,
     pre: Vec<f64>,
-    ones: Vec<f64>,
     /// Row width, first column and scalar arguments (as bits) filled for.
     filled: Option<(usize, i64, Vec<u64>)>,
 }
@@ -1308,25 +1372,20 @@ impl JitProgram {
         let (scan, row_instrs, ramps) = ChainScan::new(program);
         let items = scan.items();
         let mut steps: Vec<Box<dyn RowOp>> = Vec::with_capacity(items.len());
-        let (mut chained_taps, mut unit_chains) = (0, 0);
         // Row scalars a plain fragment reads as a row are filled each row.
         let mut fills = Vec::new();
-        for item in &items {
+        for item in items {
             match item {
                 StitchItem::Plain(instr) => {
-                    operand_regs(instr, &mut scratch);
+                    operand_regs(&instr, &mut scratch);
                     for &r in &scratch {
                         if scan.held[usize::from(r)] == Held::RowScalar && !fills.contains(&r) {
                             fills.push(r);
                         }
                     }
-                    steps.push(box_instr(instr));
+                    steps.push(box_instr(&instr));
                 }
-                StitchItem::Chain(spec) => {
-                    chained_taps += spec.taps.len();
-                    unit_chains += usize::from(spec.is_unit());
-                    steps.push(box_chain(spec, unroll4));
-                }
+                StitchItem::Chain(chain) => steps.push(chain.stitch(unroll4)),
             }
         }
         let prelude_dsts = prelude.iter().filter_map(dst_reg).collect();
@@ -1340,8 +1399,6 @@ impl JitProgram {
             },
             ramps,
             num_regs: program.num_regs,
-            chained_taps,
-            unit_chains,
         })
     }
 
@@ -1350,15 +1407,27 @@ impl JitProgram {
         self.steps.len()
     }
 
-    /// Taps folded into linear-combination chains.
-    pub fn chained_taps(&self) -> usize {
-        self.chained_taps
+    fn chains(&self) -> impl Iterator<Item = &LinChain> {
+        self.steps.iter().filter_map(|step| step.chain())
     }
 
-    /// Chains stitched as `UNIT` (unscaled seed, every tap added without a
-    /// multiply).
+    /// Taps folded into linear-combination chains.
+    pub fn chained_taps(&self) -> usize {
+        self.chains().map(|chain| chain.taps.len()).sum()
+    }
+
+    /// Unit chains: an unscaled seed, every tap added without a multiply.
     pub fn unit_chains(&self) -> usize {
-        self.unit_chains
+        self.chains().filter(|chain| chain.is_unit()).count()
+    }
+
+    /// Each fragment's form, in order: `const <taps, seed scaled, scale
+    /// kind, unit>` for a chain run by a monomorph of its form, `runtime
+    /// <…>` for one run by the runtime-arity chain loop (scale kind `0`
+    /// none, `1` divide, `2` multiply), `1:1` for any other fragment.
+    pub fn chain_forms(&self) -> Vec<String> {
+        let form = |chain: Option<&LinChain>| chain.map_or("1:1".into(), LinChain::describe);
+        self.steps.iter().map(|step| form(step.chain())).collect()
     }
 
     /// Conservative in-memory footprint, charged to whichever cache holds
@@ -1369,8 +1438,8 @@ impl JitProgram {
     }
 
     /// Fill what stays put over a box of rows `w` wide from column
-    /// `coord0`: the prelude's values and rows, the `Coord` ramps and the
-    /// row of ones. Nothing to do when `regs` already holds them.
+    /// `coord0`: the prelude's values and rows and the `Coord` ramps.
+    /// Nothing to do when `regs` already holds them.
     pub fn prepare(&self, regs: &mut JitRegs, w: usize, coord0: i64, scalars: &[f64]) {
         let filled = |(fw, fc, bits): &(usize, i64, Vec<u64>)| {
             *fw == w
@@ -1396,8 +1465,6 @@ impl JitProgram {
                 *r = (coord0 + x as i64) as f64;
             }
         }
-        regs.ones.clear();
-        regs.ones.resize(w, 1.0);
         regs.filled = Some((w, coord0, scalars.iter().map(|s| s.to_bits()).collect()));
     }
 
@@ -1426,9 +1493,7 @@ impl JitProgram {
         if ub0 <= lb0 {
             return;
         }
-        let JitRegs {
-            rows, pre, ones, ..
-        } = regs;
+        let JitRegs { rows, pre, .. } = regs;
         let mut ctx = RowCtx {
             regs: rows,
             w: (ub0 - lb0) as usize,
@@ -1439,7 +1504,6 @@ impl JitProgram {
             coords,
             scalars,
             pre,
-            ones,
         };
         self.rows.eval(&mut ctx);
         if let [step] = self.steps.as_slice() {
@@ -1460,17 +1524,31 @@ impl JitProgram {
 
 /// Monomorphize one plain instruction into its fragment.
 fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
-    fn pd<K>() -> std::marker::PhantomData<K> {
-        std::marker::PhantomData
+    fn bin<K: BinK>(dst: u16, a: u16, b: u16) -> Box<dyn RowOp> {
+        let _k = PhantomData;
+        Box::new(BinRow::<K> { dst, a, b, _k })
+    }
+    fn un<K: UnK>(dst: u16, a: u16) -> Box<dyn RowOp> {
+        let _k = PhantomData;
+        Box::new(UnRow::<K> { dst, a, _k })
+    }
+    fn cmp<K: CmpK>(dst: u16, a: u16, b: u16) -> Box<dyn RowOp> {
+        let _k = PhantomData;
+        Box::new(CmpRow::<K> { dst, a, b, _k })
+    }
+    fn ma<K: MaK>(dst: u16, a: u16, b: u16, c: u16) -> Box<dyn RowOp> {
+        let _k = PhantomData;
+        Box::new(MaRow::<K> { dst, a, b, c, _k })
     }
     fn bl<K: BinK>(dst: u16, a: u16, view: u16, off: i64, load_left: bool) -> Box<dyn RowOp> {
+        let _k = PhantomData;
         if load_left {
             Box::new(BinLoadRow::<K, true> {
                 dst,
                 a,
                 view,
                 off,
-                _k: pd(),
+                _k,
             })
         } else {
             Box::new(BinLoadRow::<K, false> {
@@ -1478,7 +1556,7 @@ fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
                 a,
                 view,
                 off,
-                _k: pd(),
+                _k,
             })
         }
     }
@@ -1490,138 +1568,40 @@ fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
         Instr::Store { view, off, src } => Box::new(StoreRow { view, off, src }),
         Instr::Select { dst, c, a, b } => Box::new(SelectRow { dst, c, a, b }),
         Instr::Bin { dst, kind, a, b } => match kind {
-            BinKind::Add => Box::new(BinRow::<ZAdd> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Sub => Box::new(BinRow::<ZSub> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Mul => Box::new(BinRow::<ZMul> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Div => Box::new(BinRow::<ZDiv> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Min => Box::new(BinRow::<ZMin> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Max => Box::new(BinRow::<ZMax> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Pow => Box::new(BinRow::<ZPow> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Atan2 => Box::new(BinRow::<ZAtan2> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::CopySign => Box::new(BinRow::<ZCopySign> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            BinKind::Rem => Box::new(BinRow::<ZRem> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
+            BinKind::Add => bin::<ZAdd>(dst, a, b),
+            BinKind::Sub => bin::<ZSub>(dst, a, b),
+            BinKind::Mul => bin::<ZMul>(dst, a, b),
+            BinKind::Div => bin::<ZDiv>(dst, a, b),
+            BinKind::Min => bin::<ZMin>(dst, a, b),
+            BinKind::Max => bin::<ZMax>(dst, a, b),
+            BinKind::Pow => bin::<ZPow>(dst, a, b),
+            BinKind::Atan2 => bin::<ZAtan2>(dst, a, b),
+            BinKind::CopySign => bin::<ZCopySign>(dst, a, b),
+            BinKind::Rem => bin::<ZRem>(dst, a, b),
         },
         Instr::Un { dst, kind, a } => match kind {
-            UnKind::Neg => Box::new(UnRow::<ZNeg> { dst, a, _k: pd() }),
-            UnKind::Sqrt => Box::new(UnRow::<ZSqrt> { dst, a, _k: pd() }),
-            UnKind::Abs => Box::new(UnRow::<ZAbs> { dst, a, _k: pd() }),
-            UnKind::Exp => Box::new(UnRow::<ZExp> { dst, a, _k: pd() }),
-            UnKind::Log => Box::new(UnRow::<ZLog> { dst, a, _k: pd() }),
-            UnKind::Sin => Box::new(UnRow::<ZSin> { dst, a, _k: pd() }),
-            UnKind::Cos => Box::new(UnRow::<ZCos> { dst, a, _k: pd() }),
-            UnKind::Tanh => Box::new(UnRow::<ZTanh> { dst, a, _k: pd() }),
-            UnKind::Trunc => Box::new(UnRow::<ZTrunc> { dst, a, _k: pd() }),
+            UnKind::Neg => un::<ZNeg>(dst, a),
+            UnKind::Sqrt => un::<ZSqrt>(dst, a),
+            UnKind::Abs => un::<ZAbs>(dst, a),
+            UnKind::Exp => un::<ZExp>(dst, a),
+            UnKind::Log => un::<ZLog>(dst, a),
+            UnKind::Sin => un::<ZSin>(dst, a),
+            UnKind::Cos => un::<ZCos>(dst, a),
+            UnKind::Tanh => un::<ZTanh>(dst, a),
+            UnKind::Trunc => un::<ZTrunc>(dst, a),
         },
         Instr::Cmp { dst, kind, a, b } => match kind {
-            CmpKind::Eq => Box::new(CmpRow::<ZEq> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            CmpKind::Ne => Box::new(CmpRow::<ZNe> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            CmpKind::Lt => Box::new(CmpRow::<ZLt> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            CmpKind::Le => Box::new(CmpRow::<ZLe> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            CmpKind::Gt => Box::new(CmpRow::<ZGt> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
-            CmpKind::Ge => Box::new(CmpRow::<ZGe> {
-                dst,
-                a,
-                b,
-                _k: pd(),
-            }),
+            CmpKind::Eq => cmp::<ZEq>(dst, a, b),
+            CmpKind::Ne => cmp::<ZNe>(dst, a, b),
+            CmpKind::Lt => cmp::<ZLt>(dst, a, b),
+            CmpKind::Le => cmp::<ZLe>(dst, a, b),
+            CmpKind::Gt => cmp::<ZGt>(dst, a, b),
+            CmpKind::Ge => cmp::<ZGe>(dst, a, b),
         },
         Instr::MulAdd { dst, a, b, c, kind } => match kind {
-            MaKind::CPlusMul => Box::new(MaRow::<ZCPlusMul> {
-                dst,
-                a,
-                b,
-                c,
-                _k: pd(),
-            }),
-            MaKind::CMinusMul => Box::new(MaRow::<ZCMinusMul> {
-                dst,
-                a,
-                b,
-                c,
-                _k: pd(),
-            }),
-            MaKind::MulMinusC => Box::new(MaRow::<ZMulMinusC> {
-                dst,
-                a,
-                b,
-                c,
-                _k: pd(),
-            }),
+            MaKind::CPlusMul => ma::<ZCPlusMul>(dst, a, b, c),
+            MaKind::CMinusMul => ma::<ZCMinusMul>(dst, a, b, c),
+            MaKind::MulMinusC => ma::<ZMulMinusC>(dst, a, b, c),
         },
         Instr::BinLoad {
             dst,
@@ -1967,34 +1947,200 @@ mod tests {
         p
     }
 
-    /// Sums and signed combinations of any arity: past `MAX_CHAIN_TAPS`
-    /// taps a chain continues in one seeded by its accumulator. The fused
-    /// program stitched at unroll 1 and 4 gives the generic VM's bits.
+    /// A chain's form: whether its seed is scaled, how it scales its sum,
+    /// whether every tap is a unit add, and whether it sinks into a store
+    /// (else a register row another fragment reads).
+    #[derive(Debug, Clone, Copy)]
+    struct Form {
+        seed_scaled: bool,
+        scale: Scale,
+        unit: bool,
+        store: bool,
+    }
+
+    /// Every form: 2 seeds × 3 scales × {unit, mixed} taps × 2 sinks.
+    fn forms() -> Vec<Form> {
+        let mut forms = Vec::new();
+        for seed_scaled in [false, true] {
+            for scale in [Scale::None, Scale::Div(2), Scale::Mul(1)] {
+                for unit in [true, false] {
+                    for store in [true, false] {
+                        forms.push(Form {
+                            seed_scaled,
+                            scale,
+                            unit,
+                            store,
+                        });
+                    }
+                }
+            }
+        }
+        forms
+    }
+
+    /// Widths around the chain's strip: one cell, 8-lane tails, a strip's
+    /// tail, one strip, a strip and one, two strips and a tail.
+    const CHAIN_WIDTHS: [usize; 8] = [1, 63, 64, 65, 255, 256, 257, 520];
+
+    /// `k` taps onto a seed at `in(0)`, in `form`, as fused bytecode: the
+    /// prelude holds `0.5`, `arg0` and `3.0`, register 3 is the `i` ramp.
+    /// Unit taps add `in(t)`; mixed ones cycle through every operand and
+    /// coefficient a chain folds: `± in(t)`, `in(t)·arg0`, `− 0.5·in(t)`,
+    /// `+ 3.0`, `− 0.5·arg0`, `± i` and `i·3.0`. A register sink is read
+    /// by an `abs` before the store.
+    fn form_program(k: usize, form: Form) -> BodyProgram {
+        let mut instrs = vec![
+            Instr::Const { dst: 0, val: 0.5 },
+            Instr::Arg { dst: 1, arg: 0 },
+            Instr::Const { dst: 2, val: 3.0 },
+            Instr::Coord { dst: 3, dim: 0 },
+        ];
+        let ramp = 3;
+        let mut acc = 4u16;
+        instrs.push(if form.seed_scaled {
+            Instr::BinLoad {
+                dst: acc,
+                kind: BinKind::Mul,
+                a: 0,
+                view: 0,
+                off: 0,
+                load_left: false,
+            }
+        } else {
+            Instr::Load {
+                dst: acc,
+                view: 0,
+                off: 0,
+            }
+        });
+        for t in 1..=k {
+            let (c, off) = (acc, t as i64);
+            let (l, dst) = (c + 1, c + 2);
+            let bin_load = |kind| Instr::BinLoad {
+                dst: l,
+                kind,
+                a: c,
+                view: 0,
+                off,
+                load_left: false,
+            };
+            let load = Instr::Load {
+                dst: l,
+                view: 0,
+                off,
+            };
+            let ma = |kind, a, b| Instr::MulAdd { dst, a, b, c, kind };
+            let bin = |kind, a, b| Instr::Bin { dst, kind, a, b };
+            let step: Vec<Instr> = match if form.unit { 0 } else { t % 9 } {
+                0 => vec![bin_load(BinKind::Add)],
+                1 => vec![bin_load(BinKind::Sub)],
+                2 => vec![load, ma(MaKind::CPlusMul, l, 1)],
+                3 => vec![load, ma(MaKind::CMinusMul, 0, l)],
+                4 => vec![bin(BinKind::Add, c, 2)],
+                5 => vec![ma(MaKind::CMinusMul, 0, 1)],
+                6 => vec![bin(BinKind::Add, ramp, c)],
+                7 => vec![bin(BinKind::Sub, c, ramp)],
+                _ => vec![ma(MaKind::CPlusMul, ramp, 2)],
+            };
+            // A `BinLoad` link's result is `l`; the others' is `dst`.
+            acc = match step[..] {
+                [Instr::BinLoad { .. }] => l,
+                _ => dst,
+            };
+            instrs.extend(step);
+        }
+        let scaled = acc + 1;
+        match form.scale {
+            Scale::None => {}
+            Scale::Div(r) => instrs.push(Instr::Bin {
+                dst: scaled,
+                kind: BinKind::Div,
+                a: acc,
+                b: r,
+            }),
+            Scale::Mul(r) => instrs.push(Instr::Bin {
+                dst: scaled,
+                kind: BinKind::Mul,
+                a: r,
+                b: acc,
+            }),
+        }
+        if form.scale != Scale::None {
+            acc = scaled;
+        }
+        if !form.store {
+            instrs.push(Instr::Un {
+                dst: acc + 1,
+                kind: UnKind::Abs,
+                a: acc,
+            });
+            acc += 1;
+        }
+        instrs.push(Instr::Store {
+            view: 1,
+            off: 0,
+            src: acc,
+        });
+        let mut p = BodyProgram {
+            instrs,
+            prelude_len: 3,
+            num_regs: acc + 1,
+            ..BodyProgram::default()
+        };
+        p.finalize_stats();
+        p
+    }
+
+    /// Every form at arities 0 to 12, unroll 1 and 4, over rows that end
+    /// anywhere in a strip: one chain of all `k` taps (a register-sunk one
+    /// then `abs` and a store; no chain for a bare seed read by `abs`),
+    /// with the generic VM's bits. The kernel compiler's sums and signed
+    /// combinations, fused, are one chain at any arity too.
     #[test]
     fn chains_of_any_arity_match_the_vm() {
+        for (k, form, unroll) in (0..=12)
+            .flat_map(|k| forms().into_iter().map(move |form| (k, form)))
+            .flat_map(|(k, form)| [(k, form, 1), (k, form, 4)])
+        {
+            let program = form_program(k, form);
+            let plan = ExecPlan {
+                unroll,
+                ..ExecPlan::default()
+            };
+            let jit = JitProgram::build(&program, &plan).expect("stitchable");
+            let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
+            let chained = k > 0 || form.store;
+            let unit = chained && !form.seed_scaled && (form.unit || k == 0);
+            let steps = match (chained, form.store) {
+                (true, true) => 1,
+                (true, false) => 3,
+                (false, _) => 3 + usize::from(form.scale != Scale::None),
+            };
+            assert_eq!(shape, (steps, k, usize::from(unit)), "k = {k}, {form:?}");
+            for w in CHAIN_WIDTHS {
+                let vm = run_vm(&program, w);
+                assert!(w == 1 || vm.iter().any(|&x| x != 0.0));
+                assert_eq!(
+                    bits(&run_jit(&program, &plan, w)),
+                    bits(&vm),
+                    "k = {k}, {form:?}, unroll {unroll}, w = {w}"
+                );
+            }
+        }
         for k in [2u16, 6, 8, 9, 12] {
             for signed in [false, true] {
                 let program = k_term_program(k, signed);
                 let fused = fuse_program(&program);
-                let chains = usize::from(k - 1).div_ceil(MAX_CHAIN_TAPS);
-                for unroll in [1, 4] {
-                    let plan = ExecPlan {
-                        unroll,
-                        ..ExecPlan::default()
-                    };
-                    let jit = JitProgram::build(&fused, &plan).expect("stitchable");
-                    let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
-                    let unit = if signed { 0 } else { chains };
-                    assert_eq!(shape, (chains, usize::from(k - 1), unit), "k = {k}");
-                    for w in [1usize, 7, 16, 33] {
-                        let vm = run_vm(&program, w);
-                        assert!(vm.iter().any(|&x| x != 0.0));
-                        assert_eq!(
-                            bits(&run_jit(&fused, &plan, w)),
-                            bits(&vm),
-                            "k = {k}, signed {signed}, unroll {unroll}, w = {w}"
-                        );
-                    }
+                let jit = JitProgram::build(&fused, &ExecPlan::default()).expect("stitchable");
+                let shape = (jit.steps_len(), jit.chained_taps(), jit.unit_chains());
+                assert_eq!(shape, (1, usize::from(k - 1), usize::from(!signed)));
+                for w in CHAIN_WIDTHS {
+                    let vm = run_vm(&program, w);
+                    assert_eq!(
+                        bits(&run_jit(&fused, &ExecPlan::default(), w)),
+                        bits(&vm),
+                        "k = {k}, signed {signed}, w = {w}"
+                    );
                 }
             }
         }
@@ -2053,28 +2199,42 @@ mod tests {
         out
     }
 
-    /// Chains of 0 to 8 taps, `UNIT` and scaled, unrolled by 1 and 4, are
-    /// one fragment that sweeps a box's rows itself: bit-identical to the
-    /// same program run row by row, with and without windowed buffers.
-    /// (`k` counts the programs: two copies, then sums of 2 to 9 terms.)
+    /// A store-sunk chain of every form, 0 to 12 taps, unrolled by 1 and
+    /// 4, is one fragment that sweeps a box's rows itself: bit-identical
+    /// to the same program run row by row, with and without windowed
+    /// buffers. So are the kernel compiler's sums of 2 to 9 terms.
     #[test]
     fn one_fragment_sweeps_a_box_as_its_rows_do() {
+        let forms = (0..=12).flat_map(|k| {
+            forms()
+                .into_iter()
+                .filter(|f| f.store)
+                .map(move |f| form_program(k, f))
+        });
         let sums = (2..=9u16).flat_map(|k| [false, true].map(|signed| k_term_program(k, signed)));
-        let programs: Vec<BodyProgram> = copies().into_iter().chain(sums).collect();
+        let programs: Vec<BodyProgram> = copies()
+            .into_iter()
+            .chain(forms)
+            .chain(sums.map(|p| fuse_program(&p)))
+            .collect();
         for (k, unroll) in (0..programs.len()).flat_map(|k| [(k, 1), (k, 4)]) {
-            let program = fuse_program(&programs[k]);
+            let program = &programs[k];
             let plan = ExecPlan {
                 unroll,
                 ..ExecPlan::default()
             };
-            let jit = JitProgram::build(&program, &plan).expect("stitchable");
-            assert_eq!(jit.steps_len(), 1, "k = {k}");
-            let by_rows = run_boxes(&program, &plan, &rows_of(&BOX), [0, 0]);
+            let jit = JitProgram::build(program, &plan).expect("stitchable");
+            assert_eq!(jit.steps_len(), 1, "program {k}");
+            let by_rows = run_boxes(program, &plan, &rows_of(&BOX), [0, 0]);
             assert!(by_rows.iter().any(|&x| x != 0.0));
-            let whole = run_boxes(&program, &plan, &[BOX.to_vec()], [0, 0]);
-            assert_eq!(bits(&whole), bits(&by_rows), "k = {k}, unroll {unroll}");
-            let windowed = run_boxes(&program, &plan, &[BOX.to_vec()], [24, 192]);
-            assert_eq!(bits(&windowed), bits(&by_rows[192..]), "k = {k}, windowed");
+            let whole = run_boxes(program, &plan, &[BOX.to_vec()], [0, 0]);
+            assert_eq!(bits(&whole), bits(&by_rows), "program {k}, unroll {unroll}");
+            let windowed = run_boxes(program, &plan, &[BOX.to_vec()], [24, 192]);
+            assert_eq!(
+                bits(&windowed),
+                bits(&by_rows[192..]),
+                "program {k}, windowed"
+            );
         }
     }
 
@@ -2234,7 +2394,6 @@ mod tests {
         let input = wide::testing::seeded(w + 16, 1);
         let mut pre = wide::testing::seeded(COPY_REGS, 2);
         let mut regs = wide::testing::seeded(COPY_REGS * w, 3);
-        let ones = vec![1.0; w];
         let mut out = vec![0.0; w + 16];
         let mut ctx = RowCtx {
             regs: &mut regs,
@@ -2246,7 +2405,6 @@ mod tests {
             coords: &mut [0, 5],
             scalars: &[0.5],
             pre: &mut pre,
-            ones: &ones,
         };
         let (walk, rows) = (&Walk::ONE_ROW, &RowScalars::NONE);
         match (host, boxed) {
@@ -2371,72 +2529,84 @@ mod tests {
         });
     }
 
-    /// Every `LinChain` monomorph, copies (no taps) included: seeded from a
-    /// view or a register, sunk into a register or a store, plain or
-    /// unrolled by 4; `UNIT` ones with unit taps only.
+    /// `chain` as its form's kept monomorph, if it has one, through both
+    /// copies, plain and unrolled by 4. (A unit chain the stitcher builds
+    /// is never seeded by the ones: a scalar seed has a coefficient.)
+    fn fixed_copies(chain: &LinChain) {
+        if chain.form() == LinChain::KEPT && chain.seed != Src::Ones {
+            for unroll4 in [false, true] {
+                both_copies(Fixed::<6> {
+                    chain: chain.clone(),
+                    unroll4,
+                });
+            }
+        }
+    }
+
+    /// The chain's box loop through both copies, every form crossed:
+    /// 0 to 12 taps, unit or mixed (views, a register row and the ones,
+    /// under every coefficient), seeded from a view, a register or the
+    /// ones, scaled or not, each scale, sunk into a register or a store.
     #[test]
     fn chain_copies_are_bit_identical() {
-        fn chain<const K: usize, const SEED_SCALED: bool, const SCALE: u8, const UNIT: bool>() {
-            let coefs = [
-                TapCoef::One,
-                TapCoef::NegOne,
-                TapCoef::Pre {
-                    reg: 4,
-                    negate: false,
-                },
-                TapCoef::Pre {
-                    reg: 5,
-                    negate: true,
-                },
-                TapCoef::Prod {
-                    a: 4,
-                    b: 5,
-                    negate: true,
-                },
-            ];
-            // Views, a register row and the ones, as affine chains read them.
-            let srcs = |t: usize| match t % 3 {
-                0 => Src::View {
-                    view: 0,
-                    off: t as i64 * 2 - 1,
-                },
-                1 => Src::Reg(t as u16 % 3),
-                _ if UNIT => Src::Reg(2),
-                _ => Src::Ones,
-            };
-            let taps = std::array::from_fn(|t| ChainTap {
-                src: srcs(t),
-                coef: if UNIT { TapCoef::One } else { coefs[t % 5] },
-            });
-            for seed in [Src::View { view: 0, off: 3 }, Src::Reg(1), Src::Ones] {
-                for sink in [Sink::Reg, Sink::Store { view: 1, off: 1 }] {
-                    for unroll4 in [false, true] {
-                        both_copies(LinChain::<K, SEED_SCALED, SCALE, UNIT> {
-                            dst: 6,
-                            seed,
-                            seed_coef: 2,
-                            taps,
-                            scale_reg: 3,
-                            sink,
-                            unroll4,
-                        });
+        let coefs = [
+            TapCoef::One,
+            TapCoef::NegOne,
+            TapCoef::Pre {
+                reg: 4,
+                negate: false,
+            },
+            TapCoef::Pre {
+                reg: 5,
+                negate: true,
+            },
+            TapCoef::Prod {
+                a: 4,
+                b: 5,
+                negate: true,
+            },
+        ];
+        let srcs = |t: usize| match t % 3 {
+            0 => Src::View {
+                view: 0,
+                off: t as i64 % 7 * 2 - 1,
+            },
+            1 => Src::Reg(t as u16 % 3),
+            _ => Src::Ones,
+        };
+        for k in 0..=12 {
+            for unit in [true, false] {
+                let taps: Vec<ChainTap> = (0..k)
+                    .map(|t| match unit {
+                        true => ChainTap {
+                            src: if t % 3 == 2 { Src::Reg(2) } else { srcs(t) },
+                            coef: TapCoef::One,
+                        },
+                        false => ChainTap {
+                            src: srcs(t),
+                            coef: coefs[t % 5],
+                        },
+                    })
+                    .collect();
+                for seed in [Src::View { view: 0, off: 3 }, Src::Reg(1), Src::Ones] {
+                    for seed_coef in [None, Some(2)] {
+                        for scale in [Scale::None, Scale::Div(3), Scale::Mul(3)] {
+                            for sink in [Sink::Reg, Sink::Store { view: 1, off: 1 }] {
+                                let chain = LinChain {
+                                    dst: 6,
+                                    seed,
+                                    seed_coef,
+                                    taps: taps.clone(),
+                                    scale,
+                                    sink,
+                                };
+                                fixed_copies(&chain);
+                                both_copies(chain);
+                            }
+                        }
                     }
                 }
             }
         }
-        macro_rules! chains {
-            ($($k:literal)*) => {$(
-                chain::<$k, false, 0, false>();
-                chain::<$k, false, 1, false>();
-                chain::<$k, false, 2, false>();
-                chain::<$k, false, 0, true>();
-                chain::<$k, false, 1, true>();
-                chain::<$k, false, 2, true>();
-                chain::<$k, true, 0, false>();
-                chain::<$k, true, 1, false>();
-                chain::<$k, true, 2, false>();
-            )*};
-        }
-        chains!(0 1 2 3 4 5 6 7 8);
     }
 }

@@ -595,7 +595,8 @@ fn write_response(inner: &ServerInner, reply: &Arc<Mutex<UnixStream>>, line: Str
 }
 
 /// The brownout level implied by `occupancy` (fraction of the queue bound
-/// in use, measured after admitting the request).
+/// taken by the jobs already waiting, the request being admitted not
+/// counted: an idle server never browns out).
 fn brownout_level(config: &ServerConfig, occupancy: f64) -> BrownoutLevel {
     if occupancy >= config.brownout_l2 {
         BrownoutLevel::ReducedRung
@@ -703,7 +704,7 @@ fn admit(
         inner.metrics.brownout_level.store(2, Ordering::Relaxed);
         return write_line(reply, busy_response(id, inner.config.queue_depth));
     }
-    let occupancy = (pool.jobs.len() + 1) as f64 / inner.config.queue_depth.max(1) as f64;
+    let occupancy = pool.jobs.len() as f64 / inner.config.queue_depth.max(1) as f64;
     // Memory pressure browns out on the same ladder: the request is served
     // leaner while reservations are scarce.
     let brownout = brownout_level(&inner.config, occupancy.max(mem_occupancy(inner)));

@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
-use fsc_core::{CompileOptions, CompileRequest, Compiler, DegradationRung, Target};
+use fsc_core::{CompileOptions, CompileRequest, Compiler, Target};
 use fsc_ir::json::Json;
 use fsc_serve::{checksum_arrays, Client, Server, ServerConfig};
 
@@ -211,14 +211,9 @@ fn admission_control_rejects_beyond_queue_depth() {
     };
     let server = Server::start(&dir.join("serve.sock"), config).unwrap();
     let source = fsc_workloads::gauss_seidel::fortran_source(4, 1);
-    // Cache the run's artifact at both rungs: with a queue bound of one,
-    // admission runs at full occupancy, which browns the request out.
-    for force_rung in [None, Some(DegradationRung::ScfFallback)] {
-        let mut options = CompileOptions::for_target(Target::StencilCpu);
-        options.force_rung = force_rung;
-        let request = CompileRequest::with_options(source.clone(), options);
-        server.service().compile(&request).unwrap();
-    }
+    let options = CompileOptions::for_target(Target::StencilCpu);
+    let request = CompileRequest::with_options(source.clone(), options);
+    server.service().compile(&request).unwrap();
 
     // Fill the queue. The run response will never come (no workers),
     // so fire-and-forget on a dedicated connection; the inline stats
@@ -261,6 +256,43 @@ fn admission_control_rejects_beyond_queue_depth() {
     // Never run: no probe of the cache, no answer.
     assert_eq!(stats.get("artifact_hits").and_then(Json::as_i64), Some(0));
     assert_eq!(stats.get("completed").and_then(Json::as_i64), Some(0));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Occupancy counts the jobs already waiting, not the request being
+/// admitted: an idle server with a queue bound of one answers a run at
+/// brownout level 0, on the top rung.
+#[test]
+fn an_idle_server_with_a_queue_of_one_does_not_brown_out() {
+    let dir = scratch_dir("idle-brownout");
+    let config = ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(&dir.join("serve.sock"), config).unwrap();
+    let source = fsc_workloads::gauss_seidel::fortran_source(4, 1);
+    let mut client = Client::connect(server.socket_path()).unwrap();
+    let v = client.run(&source, "cpu", false, &["u"]).unwrap();
+    assert_eq!(
+        v.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        v.render()
+    );
+    assert_eq!(v.get("brownout").and_then(Json::as_str), Some("none"));
+    assert_eq!(
+        v.get("rung").and_then(Json::as_str),
+        Some("full stencil pipeline")
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("brownout_level").and_then(Json::as_i64), Some(0));
+    assert_eq!(
+        stats.get("brownout_reduced_rung").and_then(Json::as_i64),
+        Some(0)
+    );
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
