@@ -176,9 +176,9 @@ echo "== jit text gate =="
 # The jit's machine code earns its bytes (DESIGN.md §14): the text symbols
 # of the release `fsc` whose names contain `fsc_exec::jit::` may sum to at
 # most JIT_TEXT_BOUND bytes. It was 917157 with one monomorph per chain
-# form of up to 8 taps; one runtime-arity chain loop and the kept forms
-# measure 230496. The bound may only shrink.
-JIT_TEXT_BOUND=240000
+# form of up to 8 taps; one runtime-arity chain loop and the one kept form
+# measure 163238. The bound may only shrink.
+JIT_TEXT_BOUND=171000
 cargo build -q --release --example fsc
 jit_text=$(nm -S -t d -C "${CARGO_TARGET_DIR:-target}/release/examples/fsc" \
   | awk '$3 ~ /^[tT]$/ && /fsc_exec::jit::/ { s += $2 } END { print s + 0 }')

@@ -23,7 +23,8 @@
 //! scalar or the `c·i` ramp, so an affine fill is one chain too. Its
 //! choices are checked once per 256-cell strip, each step one pass over the
 //! strip; only GS's update keeps a monomorph of its own (`Fixed`, its pair
-//! table in EXPERIMENTS.md), with the plan's unroll-4 skeleton. Chains
+//! tables in EXPERIMENTS.md), a cell per iteration, or four where the plan
+//! unrolls (a pipeline with the tiling pass: the GPU and tiled flows). Chains
 //! reproduce the VM's per-cell operation sequence (two roundings per
 //! multiply–accumulate, left-folded order), so every tier stays
 //! bit-identical. View offsets are linearised by the kernel compiler, so
@@ -47,7 +48,6 @@
 )]
 
 use std::collections::HashSet;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -407,7 +407,7 @@ struct BinRow<K: BinK> {
     dst: u16,
     a: u16,
     b: u16,
-    _k: PhantomData<K>,
+    _k: std::marker::PhantomData<K>,
 }
 impl<K: BinK> Row for BinRow<K> {
     #[inline(always)]
@@ -425,7 +425,7 @@ impl<K: BinK> Row for BinRow<K> {
 struct UnRow<K: UnK> {
     dst: u16,
     a: u16,
-    _k: PhantomData<K>,
+    _k: std::marker::PhantomData<K>,
 }
 impl<K: UnK> Row for UnRow<K> {
     #[inline(always)]
@@ -444,7 +444,7 @@ struct CmpRow<K: CmpK> {
     dst: u16,
     a: u16,
     b: u16,
-    _k: PhantomData<K>,
+    _k: std::marker::PhantomData<K>,
 }
 impl<K: CmpK> Row for CmpRow<K> {
     #[inline(always)]
@@ -483,7 +483,7 @@ struct MaRow<K: MaK> {
     a: u16,
     b: u16,
     c: u16,
-    _k: PhantomData<K>,
+    _k: std::marker::PhantomData<K>,
 }
 impl<K: MaK> Row for MaRow<K> {
     #[inline(always)]
@@ -503,7 +503,7 @@ struct BinLoadRow<K: BinK, const LOAD_LEFT: bool> {
     a: u16,
     view: u16,
     off: i64,
-    _k: PhantomData<K>,
+    _k: std::marker::PhantomData<K>,
 }
 impl<K: BinK, const LOAD_LEFT: bool> Row for BinLoadRow<K, LOAD_LEFT> {
     #[inline(always)]
@@ -556,12 +556,6 @@ enum TapCoef {
 struct ChainTap {
     src: Src,
     coef: TapCoef,
-}
-
-impl ChainTap {
-    fn new(src: Src, coef: TapCoef) -> Self {
-        Self { src, coef }
-    }
 }
 
 /// What a chain does to its sum before the sink: nothing, or divide or
@@ -622,28 +616,25 @@ impl LinChain {
         (self.taps.len(), self.seed_coef.is_some(), scale, unit)
     }
 
-    /// The one form kept as a monomorph of its own, [`Fixed`]: GS's
-    /// update, an unscaled seed, five unit taps and a divide.
-    const KEPT: (usize, bool, u8, bool) = (5, false, 1, true);
-
-    /// The fragment that runs the chain: the kept form's [`Fixed`]
-    /// monomorph, else the chain itself.
+    /// The fragment that runs the chain: [`Fixed`] when the chain has its
+    /// form, else the chain itself.
     fn stitch(self, unroll4: bool) -> Box<dyn RowOp> {
-        if self.form() == Self::KEPT {
-            Box::new(Fixed::<6> {
+        match Fixed::resolve(&self) {
+            Some((ops, scale)) => Box::new(Fixed {
                 chain: self,
+                ops,
+                scale,
                 unroll4,
-            })
-        } else {
-            Box::new(self)
+            }),
+            None => Box::new(self),
         }
     }
 
-    /// `const <taps, seed scaled, scale kind, unit>` for the kept form,
-    /// `runtime <…>` for any other.
+    /// `const <taps, seed scaled, scale kind, unit>` for a chain run by
+    /// [`Fixed`], `runtime <…>` for any other.
     fn describe(&self) -> String {
-        let form @ (k, seed_scaled, scale, unit) = self.form();
-        let run = if form == Self::KEPT {
+        let (k, seed_scaled, scale, unit) = self.form();
+        let run = if Fixed::resolve(self).is_some() {
             "const"
         } else {
             "runtime"
@@ -774,35 +765,74 @@ impl Row for LinChain {
     }
 }
 
-/// The chain form kept as a monomorph of its own, [`LinChain::KEPT`]: an
-/// unscaled seed plus `N - 1` taps, each added without a multiply, then a
-/// divide. Each cell's accumulator stays in a register across the taps,
-/// four cells per iteration when the plan unrolls.
+/// A row an operand reads: a view's or a register's.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    View { view: u16, off: i64 },
+    Reg(u16),
+}
+
+impl Src {
+    /// The row this operand reads; `None` for the ones.
+    #[inline(always)]
+    fn operand(self) -> Option<Operand> {
+        match self {
+            Src::View { view, off } => Some(Operand::View { view, off }),
+            Src::Reg(r) => Some(Operand::Reg(r)),
+            Src::Ones => None,
+        }
+    }
+}
+
+/// The one chain form kept as a monomorph of its own: Gauss–Seidel's
+/// update, an unscaled seed plus five taps, each added without a multiply,
+/// then a divide. Each cell's accumulator stays in a register across the
+/// taps, four cells per iteration when the plan unrolls.
 #[derive(Debug)]
-struct Fixed<const N: usize> {
+struct Fixed {
     chain: LinChain,
+    /// The seed's row, then each tap's.
+    ops: [Operand; 6],
+    /// The scalar register divided by.
+    scale: u16,
     unroll4: bool,
 }
 
-impl<const N: usize> Fixed<N> {
+impl Fixed {
+    /// `chain`'s rows and divisor when it has the kept form.
+    fn resolve(chain: &LinChain) -> Option<([Operand; 6], u16)> {
+        let Scale::Div(scale) = chain.scale else {
+            return None;
+        };
+        if chain.taps.len() != 5 || !chain.is_unit() {
+            return None;
+        }
+        let mut ops = [Operand::Reg(0); 6];
+        let srcs = std::iter::once(chain.seed).chain(chain.taps.iter().map(|t| t.src));
+        for (op, src) in ops.iter_mut().zip(srcs) {
+            *op = src.operand()?;
+        }
+        Some((ops, scale))
+    }
+
     /// Cell `x` of the seed and tap rows `ops`. A function, not a closure:
     /// a closure's body is not reliably inlined into `box_op`'s copies,
     /// which then call it per cell (`ci.sh == vector width gate ==`).
     #[inline(always)]
-    fn lane(ops: &[&[f64]; N], scale: f64, x: usize) -> f64 {
+    fn lane(ops: &[&[f64]; 6], scale: f64, x: usize) -> f64 {
         let mut acc = ops[0][x];
         // Indexed, not zipped: an unoptimised build runs this per tap per
         // cell, and the iterator's calls there made the jit no faster than
         // the generic VM.
         #[allow(clippy::needless_range_loop)]
-        for t in 1..N {
+        for t in 1..6 {
             acc += ops[t][x];
         }
         acc / scale
     }
 }
 
-impl<const N: usize> Row for Fixed<N> {
+impl Row for Fixed {
     fn chain(&self) -> Option<&LinChain> {
         Some(&self.chain)
     }
@@ -818,22 +848,19 @@ impl<const N: usize> Row for Fixed<N> {
 
     #[inline(always)]
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        let (w, chain) = (ctx.w, &self.chain);
-        let Some((d, rows)) = chain.operands(ctx) else {
+        let w = ctx.w;
+        let Some((d, rows)) = self.chain.operands(ctx) else {
             return;
         };
-        let Scale::Div(scale) = chain.scale else {
-            return;
-        };
-        let scale = rows.pre[usize::from(scale)];
-        let mut ops: [&[f64]; N] = [&[]; N];
-        let srcs = std::iter::once(chain.seed).chain(chain.taps.iter().map(|t| t.src));
-        for (op, src) in ops.iter_mut().zip(srcs) {
-            *op = rows.strip(src, 0, w).unwrap_or_default();
+        let scale = rows.pre[usize::from(self.scale)];
+        let mut ops: [&[f64]; 6] = [&[]; 6];
+        for (row, &op) in ops.iter_mut().zip(&self.ops) {
+            *row = rows.row(op);
         }
-        // Every row `w` long, checked once: no cell is bounds-checked. (A
-        // unit chain reads no ones: a scalar has a coefficient.)
+        // Every row is `w` long by construction; checked once here so that
+        // no cell is bounds-checked.
         if d.len() != w || ops.iter().any(|op| op.len() != w) {
+            debug_assert!(false, "a row of a kept chain is not {w} cells");
             return;
         }
         let mut x = 0;
@@ -880,13 +907,18 @@ impl<'r> Operands<'r> {
     /// term is its coefficient.
     #[inline(always)]
     fn strip(&self, src: Src, x: usize, n: usize) -> Option<&'r [f64]> {
-        match src {
-            Src::View { view, off } => {
-                let base = (self.cursors[view as usize] + off) as usize + x;
-                Some(&self.inputs[view as usize][base..base + n])
+        Some(&self.row(src.operand()?)[x..x + n])
+    }
+
+    /// The row `op` reads.
+    #[inline(always)]
+    fn row(&self, op: Operand) -> &'r [f64] {
+        match op {
+            Operand::View { view, off } => {
+                let base = (self.cursors[view as usize] + off) as usize;
+                &self.inputs[view as usize][base..base + self.w]
             }
-            Src::Reg(r) => Some(&row(self.lo, self.w, r)[x..x + n]),
-            Src::Ones => None,
+            Operand::Reg(r) => row(self.lo, self.w, r),
         }
     }
 }
@@ -1024,10 +1056,21 @@ impl ChainScan {
     /// is a scalar or a ramp.
     fn affine_tap(&self, m: u16, negate: bool) -> Option<ChainTap> {
         if self.scalar(m) {
-            Some(ChainTap::new(Src::Ones, TapCoef::Pre { reg: m, negate }))
+            let coef = TapCoef::Pre { reg: m, negate };
+            Some(ChainTap {
+                src: Src::Ones,
+                coef,
+            })
         } else if self.ramp(m) {
-            let coef = [TapCoef::One, TapCoef::NegOne][usize::from(negate)];
-            Some(ChainTap::new(Src::Reg(m), coef))
+            let coef = if negate {
+                TapCoef::NegOne
+            } else {
+                TapCoef::One
+            };
+            Some(ChainTap {
+                src: Src::Reg(m),
+                coef,
+            })
         } else {
             None
         }
@@ -1044,12 +1087,17 @@ impl ChainScan {
             return None;
         };
         if self.scalar(other) {
-            Some(ChainTap::new(Src::Ones, TapCoef::Prod { a, b, negate }))
+            let coef = TapCoef::Prod { a, b, negate };
+            Some(ChainTap {
+                src: Src::Ones,
+                coef,
+            })
         } else if self.ramp(other) {
-            Some(ChainTap::new(
-                Src::Reg(other),
-                TapCoef::Pre { reg: s, negate },
-            ))
+            let coef = TapCoef::Pre { reg: s, negate };
+            Some(ChainTap {
+                src: Src::Reg(other),
+                coef,
+            })
         } else {
             None
         }
@@ -1524,31 +1572,17 @@ impl JitProgram {
 
 /// Monomorphize one plain instruction into its fragment.
 fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
-    fn bin<K: BinK>(dst: u16, a: u16, b: u16) -> Box<dyn RowOp> {
-        let _k = PhantomData;
-        Box::new(BinRow::<K> { dst, a, b, _k })
-    }
-    fn un<K: UnK>(dst: u16, a: u16) -> Box<dyn RowOp> {
-        let _k = PhantomData;
-        Box::new(UnRow::<K> { dst, a, _k })
-    }
-    fn cmp<K: CmpK>(dst: u16, a: u16, b: u16) -> Box<dyn RowOp> {
-        let _k = PhantomData;
-        Box::new(CmpRow::<K> { dst, a, b, _k })
-    }
-    fn ma<K: MaK>(dst: u16, a: u16, b: u16, c: u16) -> Box<dyn RowOp> {
-        let _k = PhantomData;
-        Box::new(MaRow::<K> { dst, a, b, c, _k })
+    fn pd<K>() -> std::marker::PhantomData<K> {
+        std::marker::PhantomData
     }
     fn bl<K: BinK>(dst: u16, a: u16, view: u16, off: i64, load_left: bool) -> Box<dyn RowOp> {
-        let _k = PhantomData;
         if load_left {
             Box::new(BinLoadRow::<K, true> {
                 dst,
                 a,
                 view,
                 off,
-                _k,
+                _k: pd(),
             })
         } else {
             Box::new(BinLoadRow::<K, false> {
@@ -1556,7 +1590,7 @@ fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
                 a,
                 view,
                 off,
-                _k,
+                _k: pd(),
             })
         }
     }
@@ -1568,40 +1602,138 @@ fn box_instr(instr: &Instr) -> Box<dyn RowOp> {
         Instr::Store { view, off, src } => Box::new(StoreRow { view, off, src }),
         Instr::Select { dst, c, a, b } => Box::new(SelectRow { dst, c, a, b }),
         Instr::Bin { dst, kind, a, b } => match kind {
-            BinKind::Add => bin::<ZAdd>(dst, a, b),
-            BinKind::Sub => bin::<ZSub>(dst, a, b),
-            BinKind::Mul => bin::<ZMul>(dst, a, b),
-            BinKind::Div => bin::<ZDiv>(dst, a, b),
-            BinKind::Min => bin::<ZMin>(dst, a, b),
-            BinKind::Max => bin::<ZMax>(dst, a, b),
-            BinKind::Pow => bin::<ZPow>(dst, a, b),
-            BinKind::Atan2 => bin::<ZAtan2>(dst, a, b),
-            BinKind::CopySign => bin::<ZCopySign>(dst, a, b),
-            BinKind::Rem => bin::<ZRem>(dst, a, b),
+            BinKind::Add => Box::new(BinRow::<ZAdd> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Sub => Box::new(BinRow::<ZSub> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Mul => Box::new(BinRow::<ZMul> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Div => Box::new(BinRow::<ZDiv> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Min => Box::new(BinRow::<ZMin> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Max => Box::new(BinRow::<ZMax> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Pow => Box::new(BinRow::<ZPow> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Atan2 => Box::new(BinRow::<ZAtan2> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::CopySign => Box::new(BinRow::<ZCopySign> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            BinKind::Rem => Box::new(BinRow::<ZRem> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
         },
         Instr::Un { dst, kind, a } => match kind {
-            UnKind::Neg => un::<ZNeg>(dst, a),
-            UnKind::Sqrt => un::<ZSqrt>(dst, a),
-            UnKind::Abs => un::<ZAbs>(dst, a),
-            UnKind::Exp => un::<ZExp>(dst, a),
-            UnKind::Log => un::<ZLog>(dst, a),
-            UnKind::Sin => un::<ZSin>(dst, a),
-            UnKind::Cos => un::<ZCos>(dst, a),
-            UnKind::Tanh => un::<ZTanh>(dst, a),
-            UnKind::Trunc => un::<ZTrunc>(dst, a),
+            UnKind::Neg => Box::new(UnRow::<ZNeg> { dst, a, _k: pd() }),
+            UnKind::Sqrt => Box::new(UnRow::<ZSqrt> { dst, a, _k: pd() }),
+            UnKind::Abs => Box::new(UnRow::<ZAbs> { dst, a, _k: pd() }),
+            UnKind::Exp => Box::new(UnRow::<ZExp> { dst, a, _k: pd() }),
+            UnKind::Log => Box::new(UnRow::<ZLog> { dst, a, _k: pd() }),
+            UnKind::Sin => Box::new(UnRow::<ZSin> { dst, a, _k: pd() }),
+            UnKind::Cos => Box::new(UnRow::<ZCos> { dst, a, _k: pd() }),
+            UnKind::Tanh => Box::new(UnRow::<ZTanh> { dst, a, _k: pd() }),
+            UnKind::Trunc => Box::new(UnRow::<ZTrunc> { dst, a, _k: pd() }),
         },
         Instr::Cmp { dst, kind, a, b } => match kind {
-            CmpKind::Eq => cmp::<ZEq>(dst, a, b),
-            CmpKind::Ne => cmp::<ZNe>(dst, a, b),
-            CmpKind::Lt => cmp::<ZLt>(dst, a, b),
-            CmpKind::Le => cmp::<ZLe>(dst, a, b),
-            CmpKind::Gt => cmp::<ZGt>(dst, a, b),
-            CmpKind::Ge => cmp::<ZGe>(dst, a, b),
+            CmpKind::Eq => Box::new(CmpRow::<ZEq> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            CmpKind::Ne => Box::new(CmpRow::<ZNe> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            CmpKind::Lt => Box::new(CmpRow::<ZLt> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            CmpKind::Le => Box::new(CmpRow::<ZLe> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            CmpKind::Gt => Box::new(CmpRow::<ZGt> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
+            CmpKind::Ge => Box::new(CmpRow::<ZGe> {
+                dst,
+                a,
+                b,
+                _k: pd(),
+            }),
         },
         Instr::MulAdd { dst, a, b, c, kind } => match kind {
-            MaKind::CPlusMul => ma::<ZCPlusMul>(dst, a, b, c),
-            MaKind::CMinusMul => ma::<ZCMinusMul>(dst, a, b, c),
-            MaKind::MulMinusC => ma::<ZMulMinusC>(dst, a, b, c),
+            MaKind::CPlusMul => Box::new(MaRow::<ZCPlusMul> {
+                dst,
+                a,
+                b,
+                c,
+                _k: pd(),
+            }),
+            MaKind::CMinusMul => Box::new(MaRow::<ZCMinusMul> {
+                dst,
+                a,
+                b,
+                c,
+                _k: pd(),
+            }),
+            MaKind::MulMinusC => Box::new(MaRow::<ZMulMinusC> {
+                dst,
+                a,
+                b,
+                c,
+                _k: pd(),
+            }),
         },
         Instr::BinLoad {
             dst,
@@ -2529,14 +2661,15 @@ mod tests {
         });
     }
 
-    /// `chain` as its form's kept monomorph, if it has one, through both
-    /// copies, plain and unrolled by 4. (A unit chain the stitcher builds
-    /// is never seeded by the ones: a scalar seed has a coefficient.)
+    /// `chain` as [`Fixed`], if it has the kept form, through both copies,
+    /// plain and unrolled by 4.
     fn fixed_copies(chain: &LinChain) {
-        if chain.form() == LinChain::KEPT && chain.seed != Src::Ones {
+        if let Some((ops, scale)) = Fixed::resolve(chain) {
             for unroll4 in [false, true] {
-                both_copies(Fixed::<6> {
+                both_copies(Fixed {
                     chain: chain.clone(),
+                    ops,
+                    scale,
                     unroll4,
                 });
             }
