@@ -45,6 +45,9 @@ done
 # One way to execute a nest (the kernel engine's tier ladder): the "Flang
 # only" line is the generic VM on the unfused lift, not a runner of its own.
 if grep -rnE 'fn (run_kernel_naive|naive_cell|run_cell_checked)\b' crates/ --include='*.rs'; then echo "a second per-cell runner is back under crates/: the Flang-only line runs on the generic VM"; exit 1; fi
+# One step loop (fsc_exec::kernel's `Pipeline::walk`): a host sweep and a
+# rank's trail run the same work items, each nest's state built once per run.
+if grep -rnE 'fn (run_steps|run_nest_box_based)\b' crates/ --include='*.rs'; then echo "a second step loop or per-box nest runner is back under crates/: walk Pipeline::walk's items"; exit 1; fi
 # Every timed number comes from a figure bin: no criterion benches.
 if [[ -e shims/criterion ]] || grep -qsw criterion Cargo.toml ./*/Cargo.toml ./*/*/Cargo.toml; then echo "shims/criterion exists or a Cargo.toml names criterion: time it in a figure bin"; exit 1; fi
 

@@ -15,6 +15,13 @@
 //! stencil, OpenMP stencil, GPU stencil (with either data strategy), or
 //! distributed-memory stencil via DMP/MPI.
 
+// Compiling and running act on request input: every failure is a
+// coded error.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod session;
 
 pub use session::{
@@ -43,7 +50,7 @@ use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{Attribute, IrError, Module, Result, Type};
 use fsc_mpisim::fault::{CrashSpec, FaultPlan, FaultStats};
 use fsc_mpisim::resilient::{run_resilient, ResilientConfig};
-use fsc_mpisim::{CostModel, ProcessGrid};
+use fsc_mpisim::{CostModel, MpiSimError, ProcessGrid};
 use fsc_passes::pipeline::{payload_message, HardenedPipeline};
 use fsc_passes::pipelines;
 use std::panic::AssertUnwindSafe;
@@ -1123,7 +1130,12 @@ impl<'k> KernelDispatcher<'k> {
                 if ctx.crash_pending(it) {
                     let (restored, state) = ctx.crash_and_restore(it)?;
                     it = restored;
-                    field = state.into_iter().next().expect("checkpointed field");
+                    let restored = state.into_iter().next();
+                    field = restored.ok_or_else(|| {
+                        let what = "resilient exchange: a restored checkpoint holds no field";
+                        let diag = Diagnostic::error(codes::EXEC, what);
+                        MpiSimError::compile_failure(rank, IrError::from_diagnostic(diag))
+                    })?;
                     continue;
                 }
                 if rank > 0 {

@@ -96,8 +96,8 @@ use std::time::Instant;
 
 use crate::budget::MemoryBudget;
 use crate::kernel::{
-    dependence_window, run_nest_box_based, scalar_args, CompiledKernel, HaloSchedule, KernelArg,
-    MpiExchange, Nest, Trail, ViewSource, ViewSpec,
+    dependence_window, scalar_args, CompiledKernel, HaloSchedule, KernelArg, MpiExchange, Nest,
+    NestRun, Pipeline, ViewSource, ViewSpec,
 };
 use crate::value::{BufId, Memory};
 use fsc_ir::diag::{codes, Diagnostic};
@@ -612,7 +612,8 @@ fn deep_capable(kernel: &CompiledKernel) -> bool {
 // --------------------------------------------------------------------------
 
 /// One rank's working set: windowed buffers, per-view flat base offsets and
-/// window slab ranges, and the deduplicated checkpoint order.
+/// window slab ranges, the deduplicated checkpoint order, and per nest what
+/// its boxes reuse.
 struct RankMem {
     mem: Memory,
     bufs: Vec<BufId>,
@@ -622,6 +623,9 @@ struct RankMem {
     bases: Vec<i64>,
     /// Slab range each view's buffer stores along the slowest dimension.
     wins: Vec<(i64, i64)>,
+    /// Per nest with cells, its outputs (checked once, when the windows
+    /// are built) and row-walk state, kept for every box it runs here.
+    runs: Vec<Option<NestRun>>,
 }
 
 impl RankMem {
@@ -634,6 +638,15 @@ impl RankMem {
     fn restore(&mut self, state: Vec<Vec<f64>>) {
         for (&b, data) in self.ck_bufs.iter().zip(state) {
             self.mem.restore_buffer(b, data);
+        }
+    }
+
+    /// Run one box of `kernel`'s nest `j` against the windowed buffers.
+    fn run_box(&mut self, kernel: &CompiledKernel, j: usize, scalars: &[f64], b: &[(i64, i64)]) {
+        let (nest, views) = (&kernel.nests[j], &kernel.views);
+        let (bufs, bases) = (&self.bufs, &self.bases);
+        if let Some(run) = &mut self.runs[j] {
+            run.run(nest, views, bufs, &mut self.mem, scalars, b, bases, 1);
         }
     }
 }
@@ -700,9 +713,9 @@ struct Plan {
     windowed: bool,
     /// The schedule every exchanging nest runs under.
     schedule: HaloSchedule,
-    /// Per nest, the pointwise nests that run in its phase
+    /// Per nest, the schedule of the pointwise nests that run in its phase
     /// ([`CompiledKernel::trails`]).
-    trails: Vec<Option<Trail>>,
+    trails: Vec<Option<Pipeline>>,
     /// Halo margin on the slowest dimension: the widest exchange. Deep-halo
     /// widths are pre-multiplied by `k`, so the redundant compute band
     /// (`(k−1)·w` cells) is covered automatically.
@@ -714,6 +727,15 @@ struct Plan {
 }
 
 impl Plan {
+    /// Whether nest `ph` opens a phase of its own: it has cells and no
+    /// earlier nest's trail ran it.
+    fn opens_phase(&self, ph: usize) -> bool {
+        let trails = self.trails.iter().enumerate().take(ph);
+        let mut ends = trails.filter_map(|(g, t)| Some(g + t.as_ref()?.lags.len()));
+        let nest = self.kernel.nests.get(ph);
+        nest.is_some_and(|n| n.domain_cells() > 0 && ends.all(|end| end <= ph))
+    }
+
     /// This rank's partition of canonical dimension `d` (a decomposed one).
     fn part(&self, d: usize, coords: &[i64]) -> (i64, i64) {
         let a = d - self.from;
@@ -906,12 +928,17 @@ fn scatter_rank(p: &Plan, coords: &[i64], caller: &Memory) -> Result<RankMem> {
         bases.push(view.strides[l] * win.0);
         wins.push(win);
     }
+    let nests = p.kernel.nests.iter();
+    let live = nests.map(|n| (n.domain_cells() > 0).then_some(n));
+    let runs = live.map(|n| n.map(|n| NestRun::new(n, views, &bufs)).transpose());
+    let runs = runs.collect::<Result<_>>()?;
     Ok(RankMem {
         mem,
         bufs,
         ck_bufs,
         bases,
         wins,
+        runs,
     })
 }
 
@@ -1338,13 +1365,12 @@ struct PendingRecv {
 /// phase updates the same redundant ghost band the exchanging sweep
 /// computed, keeping ghost replicas in lockstep across cycles.
 fn phase_exec_box(
-    sh: &Shared,
-    q: &Queued,
+    p: &Plan,
+    deep: Option<(i64, i64)>,
     nest: &Nest,
     coords: &[i64],
     own: &[(i64, i64)],
 ) -> (Vec<(i64, i64)>, bool) {
-    let p = &*sh.plan;
     let pointwise = nest.exchanges.is_empty();
     let base = if pointwise {
         nest_exec_box(
@@ -1357,7 +1383,7 @@ fn phase_exec_box(
     } else {
         own.to_vec()
     };
-    let Some((depth, cycle)) = q.deep else {
+    let Some((depth, cycle)) = deep else {
         return (base, true);
     };
     let mut exec = base.clone();
@@ -1442,8 +1468,7 @@ fn post_halo_sends(
 /// `e.direction`) delivers to me from my `-e.direction` neighbour and fills
 /// my halo on that side. Regions derive from the sender's partition —
 /// identical on both ends.
-fn build_halo_recvs(sh: &Shared, nest: &Nest, rank: usize) -> Vec<PendingRecv> {
-    let p = &*sh.plan;
+fn build_halo_recvs(p: &Plan, nest: &Nest, rank: usize) -> Vec<PendingRecv> {
     let mut recvs = Vec::new();
     for e in &nest.exchanges {
         let axis = e.dim - p.from;
@@ -1504,77 +1529,67 @@ fn unpack_halo(sh: &Shared, nest: &Nest, rm: &mut RankMem, r: &PendingRecv, payl
     }
 }
 
-/// Run one compute box of `nest` against the rank's windowed buffers.
-fn run_rank_box(
-    sh: &Shared,
-    q: &Queued,
-    nest: &Nest,
-    rm: &mut RankMem,
-    rank: usize,
-    local: &[(i64, i64)],
-) -> Result2<()> {
-    run_nest_box_based(
-        nest,
-        &sh.plan.kernel.views,
-        &rm.bufs,
-        &mut rm.mem,
-        &q.scalars,
-        local,
-        &rm.bases,
-    )
-    .map_err(|e| wrap(rank, e))
-}
-
 /// A box of a nest, by nest index.
 type NestBox = (usize, Vec<(i64, i64)>);
 
-/// Nest `ph` on one rank up to its first blocking point: refresh
-/// snapshots, post the sends and — under the overlap schedule — sweep the
-/// interior while the faces are in flight, with the pointwise nests of its
-/// trail ([`CompiledKernel::trails`]) interleaved plane by plane on each cell whose
-/// dependences ([`dependence_window`]) on every nest before it lie in what
-/// that nest swept so far. Returns the receives to wait for and the boxes
-/// to sweep, in order, once they have landed: the nest's boundary shells
-/// (its whole box under the blocking schedule), then the rest of each
-/// trailing nest's box.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn begin_phase(
-    sh: &Shared,
-    q: &Queued,
+/// What one rank does in nest `ph`'s phase ([`phase_work`]): whether it
+/// sends and receives halos, the receives, the schedule of the nests that
+/// run before the wait — `ph`'s trail ([`CompiledKernel::trails`]) or `ph`
+/// alone — with each one's early box, and the boxes swept, in order, once
+/// the receives landed.
+struct PhaseWork {
+    exchange: bool,
+    recvs: Vec<PendingRecv>,
+    schedule: Pipeline,
+    early: Vec<Vec<(i64, i64)>>,
+    after: Vec<NestBox>,
+}
+
+/// The [`PhaseWork`] of nest `ph` on rank `rank` (at `coords`, owning
+/// `own`) in a dispatch of deep-halo cycle `deep`. Under the overlap
+/// schedule `ph` sweeps its interior before the wait and its boundary
+/// shells after it, and each trailing nest, before the wait, the cells
+/// whose dependences ([`dependence_window`]) on every nest before it lie
+/// in what that nest swept so far; under the blocking schedule every box
+/// runs whole after the wait.
+fn phase_work(
+    p: &Plan,
+    deep: Option<(i64, i64)>,
     ph: usize,
     rank: usize,
     coords: &[i64],
     own: &[(i64, i64)],
-    rm: &mut RankMem,
-    metrics: &mut RankMetrics,
-    send: impl FnMut(usize, i64, Vec<f64>) -> Result2<()>,
-) -> Result2<(Vec<PendingRecv>, Vec<NestBox>)> {
-    let (nests, trail) = (&sh.plan.kernel.nests, sh.plan.trails[ph].as_ref());
+) -> PhaseWork {
+    let (nests, trail) = (&p.kernel.nests, p.trails[ph].as_ref());
     let nest = &nests[ph];
-    refresh_snapshots(sh, nest, rm, rank)?;
-    let (exec_box, exchange) = phase_exec_box(sh, q, nest, coords, own);
-    let mut recvs = Vec::new();
-    if exchange {
-        post_halo_sends(sh, nest, coords, rank, rm, metrics, send)?;
-        recvs = build_halo_recvs(sh, nest, rank);
-    }
-    let trailing = ph + 1..trail.map_or(0, |t| t.end);
+    let (exec_box, exchange) = phase_exec_box(p, deep, nest, coords, own);
+    let recvs = match exchange {
+        true => build_halo_recvs(p, nest, rank),
+        false => Vec::new(),
+    };
+    let schedule = trail.cloned().unwrap_or_else(|| Pipeline::in_order(1));
+    let trailing = ph + 1..ph + schedule.lags.len();
+    let (mut early, mut after) = (Vec::new(), Vec::new());
     if nest.halo_schedule != Some(HaloSchedule::Overlap) {
-        let trailers = trailing.map(|j| (j, phase_exec_box(sh, q, &nests[j], coords, own).0));
-        return Ok((
+        after.push((ph, exec_box));
+        after.extend(trailing.map(|j| (j, phase_exec_box(p, deep, &nests[j], coords, own).0)));
+        return PhaseWork {
+            exchange,
             recvs,
-            std::iter::once((ph, exec_box)).chain(trailers).collect(),
-        ));
+            schedule,
+            early,
+            after,
+        };
     }
     let (shrink_lo, shrink_hi) = halo_shrinks(&recvs, exec_box.len());
     let (interior, shells) = split_interior_boundary(&exec_box, &shrink_lo, &shrink_hi);
-    let mut after: Vec<NestBox> = shells.into_iter().map(|b| (ph, b)).collect();
+    after.extend(shells.into_iter().map(|b| (ph, b)));
     // Per nest so far, its box and the part of it swept before the wait.
-    let mut early = vec![(exec_box, interior)];
+    let mut swept = vec![(exec_box, interior)];
     for j in trailing {
-        let (exec, _) = phase_exec_box(sh, q, &nests[j], coords, own);
+        let (exec, _) = phase_exec_box(p, deep, &nests[j], coords, own);
         let mut inner = exec.clone();
-        for (i, (whole, swept)) in early.iter().enumerate() {
+        for (i, (whole, swept)) in swept.iter().enumerate() {
             let window = dependence_window(&nests[j], &nests[ph + i]);
             // Only a dimension in which the earlier nest leaves cells for
             // later keeps this one's window inside what it swept.
@@ -1589,65 +1604,50 @@ fn begin_phase(
         let hi: Vec<i64> = inner.iter().zip(&exec).map(|(i, e)| e.1 - i.1).collect();
         let (inner, rest) = split_interior_boundary(&exec, &lo, &hi);
         after.extend(rest.into_iter().map(|b| (j, b)));
-        early.push((exec, inner));
+        swept.push((exec, inner));
     }
-    let t = Instant::now();
-    let early: Vec<_> = early.into_iter().map(|(_, swept)| swept).collect();
-    match trail {
-        Some(trail) => run_steps(sh, q, ph, &early, trail, rm, rank)?,
-        None => run_rank_box(sh, q, nest, rm, rank, &early[0])?,
+    early.extend(swept.into_iter().map(|(_, swept)| swept));
+    PhaseWork {
+        exchange,
+        recvs,
+        schedule,
+        early,
+        after,
     }
-    metrics.interior_seconds += t.elapsed().as_secs_f64();
-    Ok((recvs, after))
 }
 
-/// Run nest `first + k` over `boxes[k]` plane-interleaved: step `s` sweeps
-/// each over the slowest-dimension planes `[s − lag_k, s − lag_k + planes)`
-/// of its box, in nest order — the lag rule keeps every dependence between
-/// them, as in a host sweep.
-fn run_steps(
+/// Nest `ph` on one rank up to its first blocking point: refresh
+/// snapshots, post the sends and walk the early boxes of its
+/// [`PhaseWork`] ([`Pipeline::walk`]) while the faces are in flight.
+/// Returns the receives to wait for and the boxes to sweep once they have
+/// landed.
+#[allow(clippy::too_many_arguments)]
+fn begin_phase(
     sh: &Shared,
     q: &Queued,
-    first: usize,
-    boxes: &[Vec<(i64, i64)>],
-    trail: &Trail,
-    rm: &mut RankMem,
+    ph: usize,
     rank: usize,
-) -> Result2<()> {
-    let slow = sh.plan.bounds.len() - 1;
-    let live = || (boxes.iter().zip(&trail.lags)).filter(|(b, _)| region_cells(b) > 0);
-    let start = live().map(|(b, lag)| b[slow].0 + lag).min().unwrap_or(0);
-    let end = live().map(|(b, lag)| b[slow].1 + lag).max().unwrap_or(0);
-    let mut step = start;
-    while step < end {
-        for (k, (b, lag)) in boxes.iter().zip(&trail.lags).enumerate() {
-            let mut local = b.clone();
-            let from = step - lag;
-            local[slow] = (b[slow].0.max(from), b[slow].1.min(from + trail.planes));
-            if region_cells(&local) > 0 {
-                run_rank_box(sh, q, &sh.plan.kernel.nests[first + k], rm, rank, &local)?;
-            }
-        }
-        step += trail.planes;
-    }
-    Ok(())
-}
-
-/// The rest of the phase, once every receive of [`begin_phase`] landed.
-fn finish_phase(
-    sh: &Shared,
-    q: &Queued,
-    rank: usize,
+    coords: &[i64],
+    own: &[(i64, i64)],
     rm: &mut RankMem,
     metrics: &mut RankMetrics,
-    boxes: &[NestBox],
-) -> Result2<()> {
-    let t = Instant::now();
-    for (j, b) in boxes {
-        run_rank_box(sh, q, &sh.plan.kernel.nests[*j], rm, rank, b)?;
+    send: impl FnMut(usize, i64, Vec<f64>) -> Result2<()>,
+) -> Result2<(Vec<PendingRecv>, Vec<NestBox>)> {
+    let p = &*sh.plan;
+    let work = phase_work(p, q.deep, ph, rank, coords, own);
+    refresh_snapshots(sh, &p.kernel.nests[ph], rm, rank)?;
+    if work.exchange {
+        post_halo_sends(sh, &p.kernel.nests[ph], coords, rank, rm, metrics, send)?;
     }
-    metrics.boundary_seconds += t.elapsed().as_secs_f64();
-    Ok(())
+    if !work.early.is_empty() {
+        let t = Instant::now();
+        let boxes: Vec<&[(i64, i64)]> = work.early.iter().map(Vec::as_slice).collect();
+        work.schedule.walk(&boxes, 1, |item| {
+            rm.run_box(&p.kernel, ph + item.nest, &q.scalars, item.bounds);
+        });
+        metrics.interior_seconds += t.elapsed().as_secs_f64();
+    }
+    Ok((work.recvs, work.after))
 }
 
 // --------------------------------------------------------------------------
@@ -1756,10 +1756,7 @@ impl RankTask for DistTask {
                         rm.restore(state);
                         continue;
                     }
-                    // A nest of an earlier nest's trail ran in that phase.
-                    let trails = sh.plan.trails.get(..ph).into_iter().flatten();
-                    let ran = trails.flatten().any(|t| ph < t.end);
-                    if nests.get(ph).is_none_or(|n| n.domain_cells() == 0 || ran) {
+                    if !sh.plan.opens_phase(ph) {
                         self.st = TaskState::Barrier;
                         continue;
                     }
@@ -1783,7 +1780,12 @@ impl RankTask for DistTask {
                     // Wait time includes parked time: the latency the
                     // overlap schedule exists to hide.
                     self.metrics.wait_seconds += self.wait_since.elapsed().as_secs_f64();
-                    finish_phase(&sh, q, rank, rm, &mut self.metrics, &self.boxes)?;
+                    // The rest of the phase, once every receive landed.
+                    let t = Instant::now();
+                    for (j, b) in &self.boxes {
+                        rm.run_box(&sh.plan.kernel, *j, &q.scalars, b);
+                    }
+                    self.metrics.boundary_seconds += t.elapsed().as_secs_f64();
                     self.st = TaskState::Barrier;
                 }
                 TaskState::Barrier => {
@@ -1940,6 +1942,7 @@ impl DistSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::order::{check_order, walked, Event, Piece};
 
     /// The per-cell reference walk the row-wise one must agree with.
     fn for_each_cell(strides: &[i64], region: &[(i64, i64)], mut f: impl FnMut(usize)) {
@@ -2107,6 +2110,7 @@ mod tests {
             ck_bufs,
             bases,
             wins,
+            runs: Vec::new(),
         }
     }
 
@@ -2290,6 +2294,222 @@ mod tests {
             .reach
             .insert((un, false), vec![(0, 0), (0, 0), (1, 1)]);
         assert!(k.read_first()[un], "the copy reads a plane off");
+    }
+
+    /// Region `stencil_region_1` of `src` lowered for `grid` at halo depth
+    /// `depth`, overlapped.
+    fn dmp_step(src: &str, grid: &[i64], depth: u32) -> CompiledKernel {
+        use fsc_passes::pipelines::{discovery_pipeline, dmp_pipeline_deep};
+        let mut m = fsc_fortran::compile_to_fir(src).unwrap();
+        discovery_pipeline().run(&mut m).unwrap();
+        let mut st = fsc_passes::extract::extract_stencils(&mut m).unwrap();
+        let pm = dmp_pipeline_deep(grid, true, depth).unwrap();
+        pm.run(&mut st).unwrap();
+        crate::kernel::compile_kernel(&st, "stencil_region_1").unwrap()
+    }
+
+    /// One dispatch of `k` on `grid` queued on a fresh session over
+    /// arguments seeded from their position (scalars 0.5).
+    fn queued(k: &CompiledKernel, grid: &[i64], memory: &mut Memory) -> Result<DistSession> {
+        let args: Vec<KernelArg> = (0..k.args.len())
+            .map(
+                |i| match k.views.iter().find(|v| v.source == ViewSource::Arg(i)) {
+                    Some(view) => {
+                        let b = memory.alloc_buffer(view.len());
+                        let seed =
+                            |(c, x): (usize, &mut f64)| *x = ((c * 7 + i * 13) as f64 * 0.37).sin();
+                        memory.buffer_mut(b).iter_mut().enumerate().for_each(seed);
+                        KernelArg::Buf(b)
+                    }
+                    None => KernelArg::Scalar(0.5),
+                },
+            )
+            .collect();
+        let (grid, faults) = (ProcessGrid::new(grid.to_vec()), FaultPlan::none(0));
+        let mut session = None;
+        let opts = DistOptions::default();
+        assert!(queue(
+            k,
+            memory,
+            &args,
+            &grid,
+            &faults,
+            &opts,
+            &mut session
+        )?);
+        session.ok_or_else(|| IrError::new("queued without a session"))
+    }
+
+    /// GS's step, then three pointwise nests after its copy: the next reads
+    /// what the copy wrote, the last what the stencil and the one before
+    /// it wrote.
+    const FOUR_NESTS: &str = "program trail
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i, j, k, t
+  real(kind=8) :: u(0:n+1, 0:n+1, 0:n+1), un(0:n+1, 0:n+1, 0:n+1)
+  real(kind=8) :: w(0:n+1, 0:n+1, 0:n+1), z(0:n+1, 0:n+1, 0:n+1)
+  do k = 0, n+1
+    do j = 0, n+1
+      do i = 0, n+1
+        u(i, j, k) = 0.01 * i + 0.02 * j * k + 0.03 * k
+      end do
+    end do
+  end do
+  do t = 1, 2
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          un(i, j, k) = (u(i-1, j, k) + u(i+1, j, k) + u(i, j-1, k) &
+                       + u(i, j+1, k) + u(i, j, k-1) + u(i, j, k+1)) / 6.0
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          u(i, j, k) = un(i, j, k)
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          w(i, j, k) = 0.5 * u(i, j, k)
+        end do
+      end do
+    end do
+    do k = 1, n
+      do j = 1, n
+        do i = 1, n
+          z(i, j, k) = w(i, j, k) + un(i, j, k)
+        end do
+      end do
+    end do
+  end do
+end program trail
+";
+
+    /// What rank `rank` must run in `dispatches` dispatches of `p`'s
+    /// kernel — each nest's box ([`phase_exec_box`]) — and what it does,
+    /// phase by phase: the trail's walk, the unpacks at the wait, the boxes
+    /// after it.
+    fn rank_events(p: &Plan, rank: usize, dispatches: usize) -> (Vec<Piece>, Vec<Event>) {
+        let coords = p.grid.coords(rank as i64);
+        let own = owned_box(&p.bounds, &p.kernel.decomposition, &coords, p.from);
+        let (views, depth) = (&p.kernel.views, p.kernel.halo_depth as i64);
+        let (mut work, mut events) = (Vec::new(), Vec::new());
+        for c in 0..dispatches {
+            let deep = deep_capable(&p.kernel).then_some((depth, c as i64 % depth));
+            for (j, nest) in p.kernel.nests.iter().enumerate() {
+                work.push((c, j, phase_exec_box(p, deep, nest, &coords, &own).0));
+            }
+            for ph in (0..p.kernel.nests.len()).filter(|&ph| p.opens_phase(ph)) {
+                let phase = phase_work(p, deep, ph, rank, &coords, &own);
+                let boxes: Vec<&[(i64, i64)]> = phase.early.iter().map(Vec::as_slice).collect();
+                for mut e in walked(&phase.schedule, &boxes, 1, ph) {
+                    if let Event::Run { dispatch, .. } = &mut e {
+                        *dispatch = c;
+                    }
+                    events.push(e);
+                }
+                let snapshots = |r: &PendingRecv| {
+                    let of = ViewSource::SnapshotOf(r.view);
+                    let nest = &p.kernel.nests[ph];
+                    let snapshots = nest
+                        .snapshots
+                        .iter()
+                        .copied()
+                        .filter(|&s| views[s].source == of);
+                    std::iter::once(r.view).chain(snapshots).collect::<Vec<_>>()
+                };
+                for r in &phase.recvs {
+                    for view in snapshots(r) {
+                        let region = r.region.clone();
+                        events.push(Event::Unpack {
+                            dispatch: c,
+                            nest: ph,
+                            view,
+                            region,
+                        });
+                    }
+                }
+                for (nest, bounds) in phase.after {
+                    events.push(Event::Run {
+                        dispatch: c,
+                        nest,
+                        bounds,
+                    });
+                }
+            }
+        }
+        (work, events)
+    }
+
+    #[test]
+    fn every_rank_runs_its_phases_in_program_order() {
+        // The trail's lag, the early cut of each trailing nest and the
+        // interior's halo shrink each keep a dependence: checked cell by
+        // cell on every rank, a halo unpack a write at the phase's wait,
+        // with steps of one and two planes and the compiled step.
+        let gs = fsc_workloads::gauss_seidel::fortran_source(8, 2);
+        for (name, src) in [("gs", gs.as_str()), ("four nests", FOUR_NESTS)] {
+            for grid in [&[2i64][..], &[2, 2]] {
+                for depth in [1u32, 2] {
+                    let k = dmp_step(src, grid, depth);
+                    let mut memory = Memory::new();
+                    let mut session = queued(&k, grid, &mut memory).unwrap();
+                    let p = Arc::get_mut(&mut session.plan).expect("the session's plan");
+                    assert!(p.trails.iter().flatten().count() > 0, "{name}: a trail");
+                    let compiled: Vec<Option<i64>> =
+                        p.trails.iter().map(|t| Some(t.as_ref()?.planes)).collect();
+                    for planes in [Some(1), Some(2), None] {
+                        for (t, &c) in p.trails.iter_mut().zip(&compiled) {
+                            if let Some(t) = t {
+                                t.planes = planes.or(c).unwrap_or(1);
+                            }
+                        }
+                        for rank in 0..p.grid.size() as usize {
+                            let (work, events) = rank_events(p, rank, 2);
+                            // A trailing nest runs before the first wait.
+                            let wait = events
+                                .iter()
+                                .position(|e| matches!(e, Event::Unpack { .. }));
+                            let early = events[..wait.expect("a halo unpack")].iter();
+                            let trailing = |e: &Event| matches!(e, Event::Run { nest: 1.., .. });
+                            assert!(
+                                early.clone().any(trailing),
+                                "{name} {grid:?} {depth} rank {rank}"
+                            );
+                            if let Err(e) = check_order(&p.kernel, &work, &events) {
+                                panic!("{name} grid {grid:?} depth {depth} planes {planes:?} rank {rank}: {e}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_outside_the_outputs_is_refused_before_any_rank_computes() {
+        // As on the host (`kernel::tests::a_store_outside_the_outputs_…`):
+        // every rank checks each nest's outputs once, when its windows are
+        // built, so the queued dispatch never reaches a rank body.
+        let gs = fsc_workloads::gauss_seidel::fortran_source(6, 2);
+        for grid in [&[2i64][..], &[2, 2]] {
+            let mut k = dmp_step(&gs, grid, 1);
+            k.nests[1].out_views.clear();
+            let mut memory = Memory::new();
+            let e = match queued(&k, grid, &mut memory) {
+                Ok(_) => panic!("grid {grid:?}: a stray store was queued"),
+                Err(e) => e,
+            };
+            assert_eq!(e.primary().map(|d| d.code), Some(codes::EXEC), "{e}");
+            let bufs = (0..memory.buffer_count() as u32).map(BufId);
+            assert!(bufs.clone().count() > 0);
+            assert!(bufs.clone().all(|b| !memory.is_stale(b)), "nothing queued");
+        }
     }
 
     #[test]

@@ -292,8 +292,19 @@ impl RowScalars {
         fills: Vec::new(),
     };
 
+    /// Evaluate them for the row `ctx` points at. Only the emptiness check
+    /// is inlined into a box loop: the evaluation stays out of line, where
+    /// inlined it was cloned into every fragment type's loop (`ci.sh == jit
+    /// text gate ==`).
     #[inline]
     fn eval(&self, ctx: &mut RowCtx<'_, '_, '_>) {
+        if !self.instrs.is_empty() || !self.fills.is_empty() {
+            self.eval_row(ctx);
+        }
+    }
+
+    #[inline(never)]
+    fn eval_row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
         for instr in &self.instrs {
             exec_scalar_instr(instr, ctx.pre, ctx.coords, ctx.scalars);
         }
@@ -392,7 +403,7 @@ struct StoreRow {
 impl Row for StoreRow {
     #[inline(always)]
     fn row(&self, ctx: &mut RowCtx<'_, '_, '_>) {
-        // `NestIo::new` gave every stored view a slot (else `E0701`).
+        // `NestRun::new` gave every stored view a slot (else `E0701`).
         let Some(slot) = ctx.out_view_map[self.view as usize] else {
             return;
         };
@@ -663,7 +674,7 @@ impl LinChain {
         let d = match self.sink {
             Sink::Reg => d,
             Sink::Store { view, off } => {
-                // As in `StoreRow`: `NestIo::new` gave the view a slot.
+                // As in `StoreRow`: `NestRun::new` gave the view a slot.
                 let slot = out_view_map[view as usize]?;
                 let base = (cursors[view as usize] + off) as usize;
                 &mut outputs[usize::from(slot)][base..base + w]

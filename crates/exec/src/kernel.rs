@@ -307,12 +307,102 @@ pub(crate) struct Pipeline {
     pub(crate) rows: i64,
 }
 
+/// One work item of a sweep: dispatch `dispatch` runs the `nest`-th of the
+/// walk's nests over `bounds`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Item<'b> {
+    pub(crate) dispatch: usize,
+    pub(crate) nest: usize,
+    pub(crate) bounds: &'b [(i64, i64)],
+}
+
+impl Pipeline {
+    /// `nests` nests run whole and in order: every lag 0, one step and one
+    /// block spanning the domain, one dispatch.
+    pub(crate) fn in_order(nests: usize) -> Self {
+        Self {
+            lags: vec![0; nests],
+            planes: i64::MAX,
+            period: 0,
+            batch: 1,
+            row_lags: vec![0; nests],
+            row_period: 0,
+            rows: i64::MAX,
+        }
+    }
+
+    /// The one step loop: hand `run` the work items of `dispatches`
+    /// dispatches of nests whose base boxes are `boxes` (nest `i` at lag
+    /// `lags[i]`), in the order they run. Items come phase by phase, a
+    /// phase being one step of one block of rows: step `s` of block `b`
+    /// runs nest `i` of dispatch `c` over the slowest-dimension planes
+    /// `[s − c·D − L_i, s − c·D − L_i + B)` and the dimension-1 rows
+    /// `[b·J − c·Dʲ − Lʲ_i, (b+1)·J − c·Dʲ − Lʲ_i)` of its box, dispatches
+    /// and then nests in order, and a box clipped to nothing yields no
+    /// item; steps advance by `B`, blocks by `J` (DESIGN.md §15).
+    pub(crate) fn walk(
+        &self,
+        boxes: &[&[(i64, i64)]],
+        dispatches: usize,
+        mut run: impl FnMut(Item<'_>),
+    ) {
+        let Some(slow) = boxes.first().and_then(|b| b.len().checked_sub(1)) else {
+            return;
+        };
+        let (last, planes) = (dispatches as i64 - 1, self.planes.max(1));
+        // Dimension 1 is the slowest of a rank-2 domain: its steps split it.
+        let rows = if slow < 2 { i64::MAX } else { self.rows.max(1) };
+        let range = |lags: &[i64], dim| dim_range(boxes.iter().copied(), lags, dim);
+        let (first_step, end) = range(&self.lags, slow);
+        let end = end.saturating_add(self.period.saturating_mul(last));
+        // Unblocked rows are one block, whatever the rank.
+        let (mut row, row_end) = if rows == i64::MAX {
+            (0, 1)
+        } else {
+            range(&self.row_lags, 1)
+        };
+        let row_end = row_end.saturating_add(self.row_period.saturating_mul(last));
+        let clip = |(lb, ub): (i64, i64), from: i64, n: i64| {
+            (lb.max(from), ub.min(from.saturating_add(n)))
+        };
+        let mut local = Vec::with_capacity(slow + 1);
+        while row < row_end {
+            let mut step = first_step;
+            while step < end {
+                for dispatch in 0..dispatches {
+                    let c = dispatch as i64;
+                    let nests = boxes.iter().zip(&self.lags).zip(&self.row_lags);
+                    for (nest, ((b, &lag), &row_lag)) in nests.enumerate() {
+                        let plane = step.saturating_sub(self.period.saturating_mul(c) + lag);
+                        let from = row.saturating_sub(self.row_period.saturating_mul(c) + row_lag);
+                        local.clear();
+                        local.extend_from_slice(b);
+                        local[slow] = clip(local[slow], plane, planes);
+                        if rows < i64::MAX {
+                            local[1] = clip(local[1], from, rows);
+                        }
+                        if local.iter().all(|&(lb, ub)| lb < ub) {
+                            run(Item {
+                                dispatch,
+                                nest,
+                                bounds: &local,
+                            });
+                        }
+                    }
+                }
+                step = step.saturating_add(planes);
+            }
+            row = row.saturating_add(rows);
+        }
+    }
+}
+
 impl CompiledKernel {
     /// Each nest's lag, in slowest-dimension planes, when a single-threaded
-    /// [`run_kernel`] runs this region pipelined; `None` when it runs the
-    /// nests in order (no legal schedule, one nest with cells, or one step
-    /// and block spanning the domain). A run on more than one thread is in
-    /// order.
+    /// [`run_kernel`] runs this region pipelined (an `omp` region on one
+    /// thread too); `None` when it runs the nests in order (no legal
+    /// schedule, one nest with cells, or one step and block spanning the
+    /// domain). A run on more than one thread is in order.
     pub fn lags(&self) -> Option<&[i64]> {
         let (p, live) = self.stepping()?;
         (live > 1).then_some(p.lags.as_slice())
@@ -326,8 +416,7 @@ impl CompiledKernel {
         let p = self.pipeline.as_ref()?;
         let live = self.nests.iter().filter(|n| n.domain_cells() > 0).count();
         let slow = self.nests.first()?.bounds.len().checked_sub(1)?;
-        let lagged = self.nests.iter().zip(&p.lags).map(|(n, &lag)| (lag, n));
-        let (first, end) = dim_range(lagged, slow);
+        let (first, end) = dim_range(self.nests.iter().map(|n| &n.bounds[..]), &p.lags, slow);
         (p.planes < end.saturating_sub(first) || p.rows < i64::MAX).then_some((p, live))
     }
 
@@ -345,7 +434,8 @@ impl CompiledKernel {
     /// rows/block` (no block when one spans the rows); for one nest with
     /// cells, which a dispatch alone runs whole, `in order alone, batched:
     /// period 0, 1 plane/step, 56 rows/block`; `in order` when one step and
-    /// block span the domain. On `threads > 1`, `in order, slabs [2, 1]`.
+    /// block span the domain. On `threads > 1`, `in order, slabs [2, 1]`;
+    /// an `omp` region on one thread prints what `cpu` prints.
     pub fn schedule(&self, threads: usize) -> String {
         if threads > 1 {
             return format!("in order, slabs {:?}", self.slabs(threads));
@@ -519,9 +609,6 @@ pub fn compile_kernel(module: &Module, func_name: &str) -> Result<CompiledKernel
         },
         None => PlanKind::Cpu,
     };
-    // Work-shared nests run in order: a pipeline would pay a thread spawn
-    // per step.
-    let pipeline = pipeline.filter(|_| !matches!(kind, PlanKind::Omp { .. }));
     Ok(CompiledKernel {
         name: func_name.to_string(),
         args,
@@ -698,7 +785,12 @@ fn compile_nests(
     if nests.is_empty() {
         return Err(err("no loop nest found in region"));
     }
-    let pipeline = pipeline_for(&views, &nests);
+    // Snapshot refreshes and halo exchanges are per-nest events the step
+    // loop does not split: such a region runs in order, never batched.
+    let unsplittable = nests
+        .iter()
+        .any(|n| !n.snapshots.is_empty() || !n.exchanges.is_empty());
+    let pipeline = pipeline_for(&views, &nests).filter(|_| !unsplittable);
     Ok((views, nests, jit_warnings, pipeline))
 }
 
@@ -734,17 +826,13 @@ type Reach = HashMap<(usize, bool), Vec<(i64, i64)>>;
 /// dimension 1 is the slowest, and a nest storing one view at two row
 /// offsets run whole planes.
 ///
-/// `None` — run in order, never batched — when no nest has cells, a nest
-/// refreshes snapshots or exchanges halos (per-nest events the step loop
-/// does not split), a view has fewer dimensions than the domain, or a nest
-/// stores one view at two slowest-dim offsets (its cells are written from
-/// two planes, and a tiled sweep does not visit planes in order).
+/// `None` — run in order, never batched — when no nest has cells, a view
+/// has fewer dimensions than the domain, or a nest stores one view at two
+/// slowest-dim offsets (its cells are written from two planes, and a tiled
+/// sweep does not visit planes in order).
 fn pipeline_for(views: &[ViewSpec], nests: &[Nest]) -> Option<Pipeline> {
     let rank = nests.first()?.bounds.len();
     let slow = rank.checked_sub(1)?;
-    let unsplittable = nests
-        .iter()
-        .any(|n| !n.snapshots.is_empty() || !n.exchanges.is_empty());
     let two_stores = |dim: usize| {
         nests
             .iter()
@@ -752,7 +840,6 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest]) -> Option<Pipeline> {
             .any(|(&(_, store), r)| store && r.get(dim).is_some_and(|&(lo, hi)| lo != hi))
     };
     if nests.iter().all(|n| n.domain_cells() == 0)
-        || unsplittable
         || two_stores(slow)
         || views.iter().any(|v| v.extents.len() != rank)
     {
@@ -788,8 +875,7 @@ fn pipeline_for(views: &[ViewSpec], nests: &[Nest]) -> Option<Pipeline> {
         .then(|| lag_rule(nests, 1, views.len()))
         .flatten()
         .unwrap_or_else(|| (vec![0; nests.len()], 0));
-    let lagged = nests.iter().zip(&row_lags).map(|(n, &lag)| (lag, n));
-    let (first, end) = dim_range(lagged, 1);
+    let (first, end) = dim_range(nests.iter().map(|n| &n.bounds[..]), &row_lags, 1);
     if rank < 3 || two_stores(1) || rows >= end.saturating_sub(first) {
         rows = i64::MAX;
     }
@@ -834,38 +920,18 @@ fn lag_rule(nests: &[Nest], dim: usize, views: usize) -> Option<(Vec<i64>, i64)>
     Some((lags, period))
 }
 
-/// Pointwise nests that run, on each rank, in the phase of the exchanging
-/// nest before them, plane-interleaved with its interior (DESIGN.md §9).
-pub(crate) struct Trail {
-    /// One past the last of them.
-    pub(crate) end: usize,
-    /// Per nest from the exchanging one on, its lag in slowest-dimension
-    /// planes ([`lag_rule`]), and the planes a step runs ([`STEP_BYTES`]).
-    pub(crate) lags: Vec<i64>,
-    pub(crate) planes: i64,
-}
-
 impl CompiledKernel {
-    /// Per nest, the [`Trail`] after it when it exchanges halos: the nests
-    /// up to the next one that exchanges or refreshes a snapshot, when the
-    /// lag rule schedules them — not where [`pipeline_for`] refuses for a
-    /// reason other than the exchange (a view of lower rank, a view stored
-    /// at two slowest-dimension offsets) or two views share an argument
-    /// (the rule compares views, not buffers).
-    pub(crate) fn trails(&self) -> Vec<Option<Trail>> {
+    /// Per nest, when it exchanges halos, the [`Pipeline`] of its trail:
+    /// it and the pointwise nests after it up to the next one that
+    /// exchanges or refreshes a snapshot, which run on each rank in its
+    /// phase, plane-interleaved with its interior (DESIGN.md §9): the
+    /// lags and planes of [`pipeline_for`] over them, one dispatch, no row
+    /// blocks. `None` where that refuses, or where two views share an
+    /// argument (the lag rule compares views, not buffers).
+    pub(crate) fn trails(&self) -> Vec<Option<Pipeline>> {
         let (nests, views) = (&self.nests, &self.views);
-        let slow = nests
-            .first()
-            .map_or(0, |n| n.bounds.len().saturating_sub(1));
-        let plain = views.iter().enumerate().all(|(i, v)| {
-            v.extents.len() == slow + 1 && views[..i].iter().all(|w| w.source != v.source)
-        });
-        let plane = |v: &ViewSpec| {
-            let plane = v.extents.iter().take(slow);
-            plane.fold(8i64, |b, &e| b.saturating_mul(e))
-        };
-        let set_bytes = views.iter().map(plane).max().unwrap_or(0);
-        let set_bytes = set_bytes.saturating_mul(views.len() as i64);
+        let shared = |(i, v): (usize, &ViewSpec)| views[..i].iter().any(|w| w.source == v.source);
+        let plain = !views.iter().enumerate().any(shared);
         let trail = |g: usize| {
             nests.get(g).filter(|n| plain && !n.exchanges.is_empty())?;
             let stops =
@@ -874,13 +940,12 @@ impl CompiledKernel {
             let group = nests
                 .get(g..end)
                 .filter(|t| t.len() > 1 && nests[g].snapshots.is_empty())?;
-            let two_stores = group
-                .iter()
-                .flat_map(|n| &n.reach)
-                .any(|(&(_, store), r)| store && r.get(slow).is_some_and(|&(lo, hi)| lo != hi));
-            let (lags, _) = lag_rule(group, slow, views.len()).filter(|_| !two_stores)?;
-            let planes = (STEP_BYTES / set_bytes.max(1)).max(1);
-            Some(Trail { end, lags, planes })
+            let Pipeline { lags, planes, .. } = pipeline_for(views, group)?;
+            Some(Pipeline {
+                lags,
+                planes,
+                ..Pipeline::in_order(group.len())
+            })
         };
         (0..nests.len()).map(trail).collect()
     }
@@ -951,14 +1016,17 @@ pub(crate) fn dependence_window(later: &Nest, earlier: &Nest) -> Vec<(i64, i64)>
 }
 
 /// First and one-past-last coordinate along dimension `dim` of a sweep:
-/// every nest's bounds shifted by its lag. Nests without cells take no
-/// part.
-fn dim_range<'n>(nests: impl Iterator<Item = (i64, &'n Nest)>, dim: usize) -> (i64, i64) {
-    nests
-        .filter(|(_, n)| n.domain_cells() > 0)
-        .filter_map(|(lag, n)| {
-            n.bounds
-                .get(dim)
+/// every box shifted by its lag. Boxes without cells take no part.
+fn dim_range<'b>(
+    boxes: impl Iterator<Item = &'b [(i64, i64)]>,
+    lags: &[i64],
+    dim: usize,
+) -> (i64, i64) {
+    boxes
+        .zip(lags.iter().copied())
+        .filter(|(b, _)| b.iter().all(|&(lb, ub)| lb < ub))
+        .filter_map(|(b, lag)| {
+            b.get(dim)
                 .map(|&(lb, ub)| (lb.saturating_add(lag), ub.saturating_add(lag)))
         })
         .fold((i64::MAX, i64::MIN), |(first, end), (lo, hi)| {
@@ -1493,68 +1561,186 @@ pub fn run_kernel(
 
 /// Consecutive dispatches of one region on the same buffers, checked when
 /// the first is resolved ([`Sweep::new`]), then run as one pass that
-/// cannot fail ([`Sweep::run`]).
+/// cannot fail ([`Sweep::run`]): the work items `Pipeline::walk` yields
+/// from every nest's bounds.
 ///
-/// Block `b` runs every step; step `s` of it runs nest `i` of dispatch `c`
-/// over the slowest-dimension planes `[s − c·D − L_i, s − c·D − L_i + B)`
-/// and the dimension-1 rows `[b·J − c·Dʲ − Lʲ_i, (b+1)·J − c·Dʲ − Lʲ_i)`,
-/// clipped to its bounds, dispatches and then nests in order; steps advance
-/// by `B`, blocks by `J`. With the kernel's pipeline (lags `L` and `Lʲ`,
-/// periods `D` and `Dʲ`, `B` planes per step, `J` rows per block, see
-/// [`CompiledKernel::lags`]) a nest reads what the nests before it wrote a
-/// lag ago, still in cache. Otherwise every lag is 0, `B` and `J` span the
-/// domain and the sweep holds one dispatch, each nest whole and in order
-/// (refreshing its snapshots first): whenever `threads > 1` (a step would
-/// pay a spawn or fall below [`SPLIT_WORK`]) or two views share a buffer
-/// (the lags compare views). Every cell runs the same instructions on the
-/// same values either way.
+/// With the kernel's pipeline (lags `L` and `Lʲ`, periods `D` and `Dʲ`,
+/// `B` planes per step, `J` rows per block, see [`CompiledKernel::lags`])
+/// a nest reads what the nests before it wrote a lag ago, still in cache.
+/// Otherwise the schedule is `Pipeline::in_order` and the sweep holds one
+/// dispatch, each nest whole and in order (refreshing its snapshots first):
+/// whenever `threads > 1` (a step would pay a spawn or fall below
+/// [`SPLIT_WORK`]) or two views share a buffer (the lags compare views).
+/// Every cell runs the same instructions on the same values either way.
 pub struct Sweep<'k> {
     kernel: &'k CompiledKernel,
     /// The buffer behind each view.
     bufs: Vec<BufId>,
     /// The kernel's pipeline, when this dispatch may use it.
     pipeline: Option<&'k Pipeline>,
-    /// One per nest with cells.
-    work: Vec<NestRun<'k>>,
+    /// Per nest, what its boxes reuse; `None` for a nest without cells.
+    work: Vec<Option<NestRun>>,
     threads: usize,
     /// Scalar arguments, one vector per dispatch.
     scalars: Vec<Vec<f64>>,
 }
 
-/// A nest's part in a [`Sweep`], and what its boxes reuse.
-struct NestRun<'k> {
-    nest: &'k Nest,
-    /// Planes and rows it trails the step and the block by.
-    lag: i64,
-    row_lag: i64,
-    io: NestIo,
+/// A nest's part in a sweep or a rank run, resolved once and reused by
+/// every box it runs: its outputs — each box moves them out of the arena,
+/// so they are mutable while the inputs stay shared, and puts them back —
+/// the snapshots it refreshes and the state of its row walk.
+pub(crate) struct NestRun {
+    /// Output slot per view (`None` for views the nest only reads).
+    out_slots: Vec<Option<u16>>,
+    /// The buffer behind each output slot.
+    out_bufs: Vec<BufId>,
+    /// The outputs while a box runs, and the rows of its inputs and
+    /// outputs (kept for their allocations).
+    taken: Vec<Vec<f64>>,
+    ins: Vec<&'static [f64]>,
+    outs: Vec<&'static mut [f64]>,
     /// `(source, snapshot)` buffers it refreshes.
     refresh: Vec<(BufId, BufId)>,
-    /// The box of the current step.
-    local: Vec<(i64, i64)>,
     state: RangeState,
 }
 
-impl NestRun<'_> {
-    /// Clip the nest's bounds to planes from `plane` and rows from `row`,
-    /// `planes` and `rows` of them (`i64::MAX` rows: all), into `local`;
-    /// `false` when nothing is left.
-    fn clip(&mut self, plane: i64, planes: i64, row: i64, rows: i64) -> bool {
-        self.local.clone_from(&self.nest.bounds);
-        let rank = self.local.len();
-        let mut cut = |d: usize, from: i64, n: i64| {
-            let (lb, ub) = &mut self.local[d];
-            (*lb, *ub) = ((*lb).max(from), (*ub).min(from.saturating_add(n)));
-            lb < ub
-        };
-        let planes_left = rank > 0 && cut(rank - 1, plane, planes);
-        planes_left && (rows == i64::MAX || cut(1, row, rows))
+impl NestRun {
+    pub(crate) fn new(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Self> {
+        let mut out_slots: Vec<Option<u16>> = vec![None; views.len()];
+        let mut out_bufs: Vec<BufId> = Vec::with_capacity(nest.out_views.len());
+        for (slot, &v) in nest.out_views.iter().enumerate() {
+            out_slots[v] = Some(slot as u16);
+            out_bufs.push(bufs[v]);
+        }
+        // Input views of THIS nest must not alias its outputs (snapshot
+        // copies guarantee this for in-place stencils), and every store
+        // must land in an output slot: each tier's store indexes the slots
+        // unchecked, so a stray one is refused here, before anything runs.
+        for instr in &nest.program.instrs {
+            match *instr {
+                Instr::Load { view, .. } => {
+                    let v = usize::from(view);
+                    if out_slots[v].is_none() && out_bufs.contains(&bufs[v]) {
+                        return Err(err("output buffer aliases an input view"));
+                    }
+                }
+                Instr::Store { view, .. } if out_slots[usize::from(view)].is_none() => {
+                    return Err(IrError::from_diagnostic(Diagnostic::error(
+                        codes::EXEC,
+                        format!("kernel stores to view {view}, which is not an output of its nest"),
+                    )));
+                }
+                _ => {}
+            }
+        }
+        Ok(Self {
+            taken: Vec::with_capacity(out_bufs.len()),
+            ins: Vec::with_capacity(views.len()),
+            outs: Vec::with_capacity(out_bufs.len()),
+            out_slots,
+            out_bufs,
+            refresh: snapshot_pairs(nest, views, bufs)?,
+            state: RangeState::new(views, nest.bounds.len()),
+        })
+    }
+    /// Move the outputs out of `memory` (into the kept allocation).
+    fn take(&mut self, memory: &mut Memory) -> Vec<Vec<f64>> {
+        let mut taken = std::mem::take(&mut self.taken);
+        taken.extend(self.out_bufs.iter().map(|&b| memory.take_buffer(b)));
+        taken
+    }
+
+    fn restore(&mut self, memory: &mut Memory, mut taken: Vec<Vec<f64>>) {
+        for (&b, data) in self.out_bufs.iter().zip(taken.drain(..)) {
+            memory.restore_buffer(b, data);
+        }
+        self.taken = taken;
+    }
+
+    /// Every view's contents, empty for the taken outputs.
+    fn inputs<'m>(&mut self, bufs: &[BufId], memory: &'m Memory) -> Vec<&'m [f64]> {
+        let mut ins = recycle(std::mem::take(&mut self.ins));
+        ins.extend(
+            bufs.iter()
+                .zip(&self.out_slots)
+                .map(|(&b, slot)| match slot {
+                    Some(_) => &[][..],
+                    None => memory.buffer(b),
+                }),
+        );
+        ins
+    }
+
+    /// Run `nest` over the box `local` (nothing when it is empty), buffers
+    /// windowed by `bases`: `bases[v]` is the flat offset of view `v`'s
+    /// buffer origin within the full (global-coordinate) array, so a rank
+    /// holding only a slab of the domain runs boxes in global coordinates
+    /// against a buffer that stores just its window (all zero for full-size
+    /// buffers). `threads > 1` work-shares the box over `slab_count` slabs
+    /// of zero-based buffers, when that is more than one: the planner splits
+    /// the slowest dimension first and keeps factoring into the next-slower
+    /// ones when the slowest extent alone cannot feed the budget.
+    /// Store offsets can make a fine split's slabs overlap; then the
+    /// coarser slowest-dimension-only split is tried, and if its slabs
+    /// overlap too the box runs on the calling thread, which is always
+    /// legal.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &mut self,
+        nest: &Nest,
+        views: &[ViewSpec],
+        bufs: &[BufId],
+        memory: &mut Memory,
+        scalars: &[f64],
+        local: &[(i64, i64)],
+        bases: &[i64],
+        threads: usize,
+    ) {
+        if local.iter().any(|&(lb, ub)| lb >= ub) {
+            return;
+        }
+        let mut taken = self.take(memory);
+        {
+            let inputs = self.inputs(bufs, memory);
+            let budget = if threads > 1 {
+                slab_count(local, nest.program.instrs.len(), threads)
+            } else {
+                1
+            };
+            let shared = budget > 1 && {
+                let fine = plan_tasks(local, budget);
+                let coarse = || plan_tasks_outer_only(local, budget);
+                let mut run = |tasks: &[Vec<(i64, i64)>]| {
+                    tasks.len() > 1
+                        && run_sliced(
+                            nest,
+                            views,
+                            &inputs,
+                            &mut taken,
+                            &self.out_slots,
+                            scalars,
+                            tasks,
+                            budget,
+                        )
+                };
+                run(&fine) || run(&coarse())
+            };
+            if !shared {
+                let mut outputs = recycle(std::mem::take(&mut self.outs));
+                outputs.extend(taken.iter_mut().map(Vec::as_mut_slice));
+                let io = (&inputs[..], &mut outputs[..], bases, &self.out_slots[..]);
+                run_box(nest, views, io, scalars, local, &mut self.state);
+                self.outs = recycle(outputs);
+            }
+            self.ins = recycle(inputs);
+        }
+        self.restore(memory, taken);
     }
 }
 
 impl<'k> Sweep<'k> {
     /// Resolve one dispatch of `kernel` on `threads` (snapshot views get
-    /// call-local storage) and check each nest's outputs (`NestIo::new`).
+    /// call-local storage) and check each nest's outputs (`NestRun::new`).
     pub fn new(
         kernel: &'k CompiledKernel,
         memory: &mut Memory,
@@ -1569,22 +1755,13 @@ impl<'k> Sweep<'k> {
             .filter(|_| threads <= 1 && !aliased);
         // Degenerate domains (n ≤ 2·halo leaves no interior) have nothing
         // to compute, not even a snapshot refresh.
-        let work: Result<Vec<NestRun>> = kernel
+        let work: Result<Vec<Option<NestRun>>> = kernel
             .nests
             .iter()
-            .enumerate()
-            .filter(|(_, nest)| nest.domain_cells() > 0)
-            .map(|(i, nest)| {
-                let lag_of = |lags: &[i64]| lags.get(i).copied().unwrap_or(0);
-                Ok(NestRun {
-                    nest,
-                    lag: pipeline.map_or(0, |p| lag_of(&p.lags)),
-                    row_lag: pipeline.map_or(0, |p| lag_of(&p.row_lags)),
-                    io: NestIo::new(nest, &kernel.views, &bufs)?,
-                    refresh: snapshot_pairs(nest, &kernel.views, &bufs)?,
-                    local: Vec::with_capacity(nest.bounds.len()),
-                    state: RangeState::new(&kernel.views, nest.bounds.len()),
-                })
+            .map(|nest| {
+                let live = nest.domain_cells() > 0;
+                live.then(|| NestRun::new(nest, &kernel.views, &bufs))
+                    .transpose()
             })
             .collect();
         let work = work.inspect_err(|_| release_snapshots(kernel, &bufs, memory))?;
@@ -1623,67 +1800,53 @@ impl<'k> Sweep<'k> {
         joins
     }
 
+    /// The schedule this sweep walks: the kernel's pipeline when it may use
+    /// it and more than one item would run, else every nest in order.
+    fn schedule(&self) -> std::borrow::Cow<'k, Pipeline> {
+        let live = self.work.iter().flatten().count();
+        match self.pipeline {
+            Some(p) if live * self.scalars.len() > 1 => std::borrow::Cow::Borrowed(p),
+            _ => std::borrow::Cow::Owned(Pipeline::in_order(self.work.len())),
+        }
+    }
+
     /// Run every dispatch in one pass, then hand back snapshot storage.
     /// Returns the dispatches run.
     pub fn run(self, memory: &mut Memory) -> usize {
+        let schedule = self.schedule();
         let Sweep {
             kernel,
             bufs,
-            pipeline,
             mut work,
             threads,
             scalars,
+            ..
         } = self;
-        let views = &kernel.views;
-        let ((period, planes), (row_period, rows)) = match pipeline {
-            Some(p) if work.len() * scalars.len() > 1 => {
-                ((p.period, p.planes.max(1)), (p.row_period, p.rows.max(1)))
-            }
-            _ => ((0, i64::MAX), (0, i64::MAX)),
-        };
-        let last = scalars.len() as i64 - 1;
-        let slow = work
-            .first()
-            .map_or(0, |w| w.nest.bounds.len().saturating_sub(1));
-        // Dimension 1 is the slowest of a rank-2 domain: its steps split it.
-        let rows = if slow < 2 { i64::MAX } else { rows };
-        let (first_step, end) = dim_range(work.iter().map(|w| (w.lag, w.nest)), slow);
-        let end = end.saturating_add(period.saturating_mul(last));
-        // Unblocked rows are one block, whatever the rank.
-        let (mut row, row_end) = match rows {
-            i64::MAX => (0, 1),
-            _ => dim_range(work.iter().map(|w| (w.row_lag, w.nest)), 1),
-        };
-        let row_end = row_end.saturating_add(row_period.saturating_mul(last));
+        let (nests, views) = (&kernel.nests, &kernel.views);
+        let boxes: Vec<&[(i64, i64)]> = nests.iter().map(|n| &n.bounds[..]).collect();
         let bases = vec![0i64; views.len()];
-        while row < row_end {
-            let mut step = first_step;
-            while step < end {
-                for (c, scalars) in scalars.iter().enumerate() {
-                    let c = c as i64;
-                    for w in &mut work {
-                        let plane = step.saturating_sub(period.saturating_mul(c) + w.lag);
-                        let from = row.saturating_sub(row_period.saturating_mul(c) + w.row_lag);
-                        if !w.clip(plane, planes, from, rows) {
-                            continue;
-                        }
-                        for &(src, dst) in &w.refresh {
-                            // A snapshot has its source's length (`resolve_views`).
-                            let mut snapshot = memory.take_buffer(dst);
-                            snapshot.copy_from_slice(memory.buffer(src));
-                            memory.restore_buffer(dst, snapshot);
-                        }
-                        let local = &w.local;
-                        let (nest, io, state) = (w.nest, &mut w.io, &mut w.state);
-                        io.run(
-                            nest, views, &bufs, memory, scalars, local, &bases, threads, state,
-                        );
-                    }
-                }
-                step = step.saturating_add(planes);
+        schedule.walk(&boxes, scalars.len(), |item| {
+            let Some(w) = work[item.nest].as_mut() else {
+                return;
+            };
+            for &(src, dst) in &w.refresh {
+                // A snapshot has its source's length (`resolve_views`).
+                let mut snapshot = memory.take_buffer(dst);
+                snapshot.copy_from_slice(memory.buffer(src));
+                memory.restore_buffer(dst, snapshot);
             }
-            row = row.saturating_add(rows);
-        }
+            let (nest, scalars) = (&nests[item.nest], &scalars[item.dispatch]);
+            w.run(
+                nest,
+                views,
+                &bufs,
+                memory,
+                scalars,
+                item.bounds,
+                &bases,
+                threads,
+            );
+        });
         release_snapshots(kernel, &bufs, memory);
         scalars.len()
     }
@@ -1745,188 +1908,12 @@ fn snapshot_pairs(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Vec
     Ok(pairs)
 }
 
-/// A nest's outputs, resolved once per dispatch: each run moves them out
-/// of the arena, so they are mutable while the inputs stay shared, and
-/// puts them back.
-struct NestIo {
-    /// Output slot per view (`None` for views the nest only reads).
-    out_slots: Vec<Option<u16>>,
-    /// The buffer behind each output slot.
-    out_bufs: Vec<BufId>,
-    /// The outputs while a box runs, and the rows of its inputs and
-    /// outputs (kept for their allocations).
-    taken: Vec<Vec<f64>>,
-    ins: Vec<&'static [f64]>,
-    outs: Vec<&'static mut [f64]>,
-}
-
 /// An empty vector in `v`'s allocation for elements of the same layout —
 /// here one borrow at another lifetime — so a box's rows cost no
 /// allocation (`collect` reuses a vector in place).
 fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
     v.clear();
     v.into_iter().map(|_| unreachable!("cleared")).collect()
-}
-
-impl NestIo {
-    fn new(nest: &Nest, views: &[ViewSpec], bufs: &[BufId]) -> Result<Self> {
-        let mut out_slots: Vec<Option<u16>> = vec![None; views.len()];
-        let mut out_bufs: Vec<BufId> = Vec::with_capacity(nest.out_views.len());
-        for (slot, &v) in nest.out_views.iter().enumerate() {
-            out_slots[v] = Some(slot as u16);
-            out_bufs.push(bufs[v]);
-        }
-        // Input views of THIS nest must not alias its outputs (snapshot
-        // copies guarantee this for in-place stencils), and every store
-        // must land in an output slot: each tier's store indexes the slots
-        // unchecked, so a stray one is refused here, before anything runs.
-        for instr in &nest.program.instrs {
-            match *instr {
-                Instr::Load { view, .. } => {
-                    let v = usize::from(view);
-                    if out_slots[v].is_none() && out_bufs.contains(&bufs[v]) {
-                        return Err(err("output buffer aliases an input view"));
-                    }
-                }
-                Instr::Store { view, .. } if out_slots[usize::from(view)].is_none() => {
-                    return Err(IrError::from_diagnostic(Diagnostic::error(
-                        codes::EXEC,
-                        format!("kernel stores to view {view}, which is not an output of its nest"),
-                    )));
-                }
-                _ => {}
-            }
-        }
-        Ok(Self {
-            taken: Vec::with_capacity(out_bufs.len()),
-            ins: Vec::with_capacity(views.len()),
-            outs: Vec::with_capacity(out_bufs.len()),
-            out_slots,
-            out_bufs,
-        })
-    }
-
-    /// Move the outputs out of `memory` (into the kept allocation).
-    fn take(&mut self, memory: &mut Memory) -> Vec<Vec<f64>> {
-        let mut taken = std::mem::take(&mut self.taken);
-        taken.extend(self.out_bufs.iter().map(|&b| memory.take_buffer(b)));
-        taken
-    }
-
-    fn restore(&mut self, memory: &mut Memory, mut taken: Vec<Vec<f64>>) {
-        for (&b, data) in self.out_bufs.iter().zip(taken.drain(..)) {
-            memory.restore_buffer(b, data);
-        }
-        self.taken = taken;
-    }
-
-    /// Every view's contents, empty for the taken outputs.
-    fn inputs<'m>(&mut self, bufs: &[BufId], memory: &'m Memory) -> Vec<&'m [f64]> {
-        let mut ins = recycle(std::mem::take(&mut self.ins));
-        ins.extend(
-            bufs.iter()
-                .zip(&self.out_slots)
-                .map(|(&b, slot)| match slot {
-                    Some(_) => &[][..],
-                    None => memory.buffer(b),
-                }),
-        );
-        ins
-    }
-
-    /// Run `nest` over the box `local`, buffers windowed by `bases` (see
-    /// [`run_nest_box_based`]), reusing `state` between calls.
-    /// `threads > 1` work-shares the box over `slab_count` slabs of
-    /// zero-based buffers, when that is more than one: the planner splits
-    /// the slowest dimension first and keeps factoring into the next-slower
-    /// ones when the slowest extent alone cannot feed the budget.
-    /// Store offsets can make a fine split's slabs overlap; then the
-    /// coarser slowest-dimension-only split is tried, and if its slabs
-    /// overlap too the box runs on the calling thread, which is always
-    /// legal.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        nest: &Nest,
-        views: &[ViewSpec],
-        bufs: &[BufId],
-        memory: &mut Memory,
-        scalars: &[f64],
-        local: &[(i64, i64)],
-        bases: &[i64],
-        threads: usize,
-        state: &mut RangeState,
-    ) {
-        let mut taken = self.take(memory);
-        {
-            let inputs = self.inputs(bufs, memory);
-            let budget = if threads > 1 {
-                slab_count(local, nest.program.instrs.len(), threads)
-            } else {
-                1
-            };
-            let shared = budget > 1 && {
-                let fine = plan_tasks(local, budget);
-                let coarse = || plan_tasks_outer_only(local, budget);
-                let mut run = |tasks: &[Vec<(i64, i64)>]| {
-                    tasks.len() > 1
-                        && run_sliced(
-                            nest,
-                            views,
-                            &inputs,
-                            &mut taken,
-                            &self.out_slots,
-                            scalars,
-                            tasks,
-                            budget,
-                        )
-                };
-                run(&fine) || run(&coarse())
-            };
-            if !shared {
-                let mut outputs = recycle(std::mem::take(&mut self.outs));
-                outputs.extend(taken.iter_mut().map(Vec::as_mut_slice));
-                let io = (&inputs[..], &mut outputs[..], bases, &self.out_slots[..]);
-                run_box(nest, views, io, scalars, local, state);
-                self.outs = recycle(outputs);
-            }
-            self.ins = recycle(inputs);
-        }
-        self.restore(memory, taken);
-    }
-}
-
-/// One nest over an explicit sub-box of its iteration domain, serially —
-/// the distributed executor's per-rank building block (owned blocks,
-/// interiors, boundary shells). Same take/alias discipline as
-/// [`run_kernel`], but always single-threaded: the rank bodies themselves
-/// already run as scheduler tasks (or threads), one per rank.
-///
-/// Buffers may be *windowed*: `bases[v]` is the flat offset of view `v`'s
-/// buffer origin within the full (global-coordinate) array, so a rank
-/// holding only a slab of the domain can execute boxes expressed in global
-/// coordinates against a buffer that stores just its window. The offset
-/// rides the existing slab-start plumbing in [`run_range`]: every per-view
-/// cursor subtracts it, on every execution tier. Pass all-zero `bases` for
-/// full-size buffers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_nest_box_based(
-    nest: &Nest,
-    views: &[ViewSpec],
-    bufs: &[BufId],
-    memory: &mut Memory,
-    scalars: &[f64],
-    local: &[(i64, i64)],
-    bases: &[i64],
-) -> Result<()> {
-    if local.iter().any(|&(lb, ub)| lb >= ub) {
-        return Ok(());
-    }
-    let mut state = RangeState::new(views, local.len());
-    NestIo::new(nest, views, bufs)?.run(
-        nest, views, bufs, memory, scalars, local, bases, 1, &mut state,
-    );
-    Ok(())
 }
 
 /// What a box reads and writes: the input views, the output slabs, each
@@ -2377,8 +2364,239 @@ fn run_sliced(
     true
 }
 
+/// The legality check of a sweep's order, cell by cell, beside the lag
+/// algebra that derives it: a bit comparison misses a broken dependence
+/// wherever stale and fresh values agree, this check does not.
+#[cfg(test)]
+pub(crate) mod order {
+    use super::{CompiledKernel, Instr, Item, Pipeline, Sweep, ViewSource};
+    use std::collections::HashMap;
+    /// Something a sweep or a rank does to memory, in the order it does it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) enum Event {
+        /// Dispatch `dispatch` runs the kernel's nest `nest` over `bounds`.
+        Run {
+            dispatch: usize,
+            nest: usize,
+            bounds: Vec<(i64, i64)>,
+        },
+        /// Halo cells of view `view` land in `region` (slab indices) at a
+        /// phase's wait: a write that dispatch `dispatch`'s nest `nest`
+        /// follows in program order.
+        Unpack {
+            dispatch: usize,
+            nest: usize,
+            view: usize,
+            region: Vec<(i64, i64)>,
+        },
+    }
+
+    impl Event {
+        /// `item` of a walk whose nest `i` is the kernel's nest `first + i`.
+        pub(crate) fn of(item: Item<'_>, first: usize) -> Self {
+            Event::Run {
+                dispatch: item.dispatch,
+                nest: first + item.nest,
+                bounds: item.bounds.to_vec(),
+            }
+        }
+    }
+
+    /// The items `p` walks over `boxes` for `dispatches` dispatches, its
+    /// nest `i` the kernel's nest `first + i`.
+    pub(crate) fn walked(
+        p: &Pipeline,
+        boxes: &[&[(i64, i64)]],
+        dispatches: usize,
+        first: usize,
+    ) -> Vec<Event> {
+        let mut events = Vec::new();
+        p.walk(boxes, dispatches, |item| {
+            events.push(Event::of(item, first))
+        });
+        events
+    }
+
+    impl Sweep<'_> {
+        /// Each dispatch's nests with cells, over their bounds.
+        pub(crate) fn work(&self) -> Vec<Piece> {
+            let live = self
+                .kernel
+                .nests
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| self.work[*i].is_some());
+            let live: Vec<_> = live.map(|(i, n)| (i, n.bounds.clone())).collect();
+            let dispatches = 0..self.scalars.len();
+            dispatches
+                .flat_map(|c| live.iter().map(move |(i, b)| (c, *i, b.clone())))
+                .collect()
+        }
+
+        /// The items [`Sweep::run`] runs, in order.
+        pub(crate) fn events(&self) -> Vec<Event> {
+            let boxes: Vec<&[(i64, i64)]> =
+                self.kernel.nests.iter().map(|n| &n.bounds[..]).collect();
+            let live =
+                |e: &Event| matches!(e, Event::Run { nest, .. } if self.work[*nest].is_some());
+            let events = walked(&self.schedule(), &boxes, self.scalars.len(), 0);
+            events.into_iter().filter(live).collect()
+        }
+    }
+
+    /// Call `f` with every cell of `bounds`.
+    fn for_each_cell(
+        bounds: &[(i64, i64)],
+        mut f: impl FnMut(&[i64]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if bounds.iter().any(|&(lb, ub)| lb >= ub) {
+            return Ok(());
+        }
+        let mut p: Vec<i64> = bounds.iter().map(|b| b.0).collect();
+        loop {
+            f(&p)?;
+            let mut d = 0;
+            loop {
+                let Some(c) = p.get_mut(d) else {
+                    return Ok(());
+                };
+                *c += 1;
+                if *c < bounds[d].1 {
+                    break;
+                }
+                *c = bounds[d].0;
+                d += 1;
+            }
+        }
+    }
+
+    /// A `(dispatch, nest)` a sweep must run, with the box it runs.
+    pub(crate) type Piece = (usize, usize, Vec<(i64, i64)>);
+
+    /// Expand `events` into per-element reads and writes — the loads and
+    /// stores of each nest's program at each cell of its box, an unpack's
+    /// region as writes — and check that every two accesses of one element
+    /// of which one writes run in program order: dispatch, then nest, an
+    /// unpack before its nest; and that the runs cover each box of `work`
+    /// once, and nothing else. Runs no arithmetic.
+    pub(crate) fn check_order(
+        kernel: &CompiledKernel,
+        work: &[Piece],
+        events: &[Event],
+    ) -> Result<(), String> {
+        let views = &kernel.views;
+        // Per `(dispatch, nest)` of the work, its box and the cells run.
+        let mut ran: HashMap<_, _> = work
+            .iter()
+            .map(|(c, i, b)| {
+                let cells = b.iter().map(|&(lb, ub)| (ub - lb).max(0) as usize);
+                ((*c, *i), (&b[..], vec![false; cells.product()]))
+            })
+            .collect();
+        let mut cover = |c: usize, i: usize, p: &[i64]| {
+            let here = || format!("order: dispatch {c} runs nest {i} at {p:?}");
+            let (whole, seen) = ran
+                .get_mut(&(c, i))
+                .ok_or_else(|| format!("{}, not its work", here()))?;
+            let mut at = 0;
+            for (&x, &(lb, ub)) in p.iter().zip(whole.iter()).rev() {
+                if !(lb..ub).contains(&x) {
+                    return Err(format!("{} outside its box {whole:?}", here()));
+                }
+                at = at * (ub - lb) as usize + (x - lb) as usize;
+            }
+            if std::mem::replace(&mut seen[at], true) {
+                return Err(format!("{} twice", here()));
+            }
+            Ok(())
+        };
+        let buffer = |v: usize| match views[v].source {
+            ViewSource::Arg(i) => i,
+            ViewSource::SnapshotOf(s) => kernel.args.len() + s,
+        };
+        // Per buffer and flat index, one past the latest position of an
+        // access so far and of a write (0: none); a position is
+        // `dispatch·2³² + nest·2 + part`, an unpack part 0, a run part 1.
+        let mut last: Vec<Vec<(u64, u64)>> = vec![Vec::new(); kernel.args.len() + views.len()];
+        for (v, view) in views.iter().enumerate() {
+            let len = &mut last[buffer(v)];
+            len.resize(len.len().max(view.len()), (0, 0));
+        }
+        let mut access = |v: usize, at: i64, pos: u64, write: bool| {
+            let what = if write { "write" } else { "read" };
+            let here = || format!("the {what} of view {v} element {at} at position {pos:#x}");
+            let slot = usize::try_from(at)
+                .ok()
+                .and_then(|at| last[buffer(v)].get_mut(at));
+            let (any, wrote) = slot.ok_or_else(|| format!("order: {} is out of bounds", here()))?;
+            let conflict = if write { *any } else { *wrote };
+            if conflict > pos + 1 {
+                return Err(format!(
+                    "order: {} runs after position {:#x}",
+                    here(),
+                    conflict - 1
+                ));
+            }
+            *any = (*any).max(pos + 1);
+            if write {
+                *wrote = (*wrote).max(pos + 1);
+            }
+            Ok(())
+        };
+        let flat = |v: usize, p: &[i64]| -> i64 {
+            p.iter().zip(&views[v].strides).map(|(c, s)| c * s).sum()
+        };
+        let pos = |dispatch: usize, nest: usize, part: u64| {
+            ((dispatch as u64) << 32) | (nest as u64) << 1 | part
+        };
+        for e in events {
+            match e {
+                Event::Run {
+                    dispatch,
+                    nest,
+                    bounds,
+                } => {
+                    let accesses: Vec<(usize, i64, bool)> = kernel.nests[*nest]
+                        .program
+                        .instrs
+                        .iter()
+                        .filter_map(|instr| match *instr {
+                            Instr::Load { view, off, .. } => Some((usize::from(view), off, false)),
+                            Instr::Store { view, off, .. } => Some((usize::from(view), off, true)),
+                            _ => None,
+                        })
+                        .collect();
+                    let at = pos(*dispatch, *nest, 1);
+                    for_each_cell(bounds, |p| {
+                        cover(*dispatch, *nest, p)?;
+                        let mut each = accesses.iter();
+                        each.try_for_each(|&(v, off, write)| access(v, flat(v, p) + off, at, write))
+                    })?;
+                }
+                Event::Unpack {
+                    dispatch,
+                    nest,
+                    view,
+                    region,
+                } => {
+                    let at = pos(*dispatch, *nest, 0);
+                    for_each_cell(region, |r| access(*view, flat(*view, r), at, true))?;
+                }
+            }
+        }
+        let mut missed = ran.iter().filter(|(_, (_, seen))| seen.contains(&false));
+        match missed.next() {
+            Some(((c, i), (whole, _))) => Err(format!(
+                "order: dispatch {c} leaves cells of nest {i}'s box {whole:?} unrun"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::order::check_order;
     use super::*;
     use fsc_ir::Pass as _;
     use fsc_passes::discover::discover_stencils;
@@ -2476,7 +2694,7 @@ end program average
         for (src, dst) in snapshot_pairs(nest, &k.views, &bufs).unwrap() {
             memory.copy_buffer(src, dst).unwrap();
         }
-        let mut io = NestIo::new(nest, &k.views, &bufs).unwrap();
+        let mut io = NestRun::new(nest, &k.views, &bufs).unwrap();
         let mut taken = io.take(memory);
         let split = {
             let inputs = io.inputs(&bufs, memory);
@@ -3101,6 +3319,28 @@ end program gs2
         (contents(&memory, &seeded), sweeps)
     }
 
+    /// [`check_order`] on one single-threaded sweep of `n` dispatches of `k`.
+    fn sweep_order(k: &CompiledKernel, n: usize) -> std::result::Result<(), String> {
+        let mut memory = Memory::new();
+        let args = seeded_args(k, &mut memory);
+        let mut sweep = Sweep::new(k, &mut memory, &args, 1).unwrap();
+        for _ in 1..n {
+            assert!(sweep.join(k, &args), "{n} dispatches fit one window");
+        }
+        check_order(k, &sweep.work(), &sweep.events())
+    }
+
+    /// [`check_order`] over single-threaded sweeps of every dispatch count
+    /// up to the window's (at most 8).
+    fn assert_in_order(k: &CompiledKernel, what: &str) {
+        let batch = k.pipeline.as_ref().map_or(1, |p| p.batch);
+        for n in 1..=batch.min(8) {
+            if let Err(e) = sweep_order(k, n) {
+                panic!("{what}, {n} dispatches: {e}");
+            }
+        }
+    }
+
     /// Dispatch counts every batch test runs.
     const BATCHES: [usize; 5] = [1, 2, 3, 4, 8];
 
@@ -3109,12 +3349,39 @@ end program gs2
     /// block spanning the rows.
     const ROWS: [i64; 5] = [1, 2, 3, 7, i64::MAX];
 
+    /// [`assert_steps_in_order`], then [`assert_steps_same_bits`].
+    fn assert_steps_bit_identical(k: CompiledKernel) -> (Vec<i64>, i64) {
+        assert_steps_in_order(&k);
+        assert_steps_same_bits(k)
+    }
+
+    /// [`check_order`] over sweeps of `k` in steps of 1, 2 and 3 planes and
+    /// in one step spanning the domain, in blocks of each of [`ROWS`]: no
+    /// value is compared.
+    fn assert_steps_in_order(k: &CompiledKernel) {
+        let mut k = k.clone();
+        let p = k.pipeline.take().expect("a legal pipeline");
+        for planes in [1, 2, 3, i64::MAX] {
+            for rows in ROWS {
+                k.pipeline = Some(Pipeline {
+                    planes,
+                    rows,
+                    ..p.clone()
+                });
+                assert_in_order(
+                    &k,
+                    &format!("{planes} planes/step, {rows} rows/block, {p:?}"),
+                );
+            }
+        }
+    }
+
     /// Sweep `k` in steps of 1, 2 and 3 planes and in one step spanning the
     /// domain, in blocks of each of [`ROWS`], on every forced tier: each run
     /// must equal the in-order run bit for bit, and a sweep of each of
     /// [`BATCHES`] dispatches the same dispatches run one at a time. Returns
     /// the compiled lags and period.
-    fn assert_steps_bit_identical(mut k: CompiledKernel) -> (Vec<i64>, i64) {
+    fn assert_steps_same_bits(mut k: CompiledKernel) -> (Vec<i64>, i64) {
         let p = k.pipeline.take().expect("a legal pipeline");
         for tier in [
             ExecPath::Specialized,
@@ -3367,7 +3634,12 @@ end program gs2
             let k = compile_region(&src, "stencil_region_1");
             assert_eq!(k.nests.len(), 1);
             assert_eq!(k.lags(), None, "one nest runs in order");
-            assert_eq!(assert_steps_bit_identical(k), (vec![0], 0));
+            // The order is the same at either size; the values see the
+            // vector loop's full strips at 16.
+            if n == 3 {
+                assert_steps_in_order(&k);
+            }
+            assert_eq!(assert_steps_same_bits(k), (vec![0], 0));
         }
     }
 
@@ -3384,6 +3656,34 @@ end program gs2
         let mut alone = copy.clone();
         alone.reach.clear();
         assert!(dependence_window(&alone, stencil).iter().all(|w| w.0 > w.1));
+    }
+
+    #[test]
+    fn an_openmp_region_on_one_thread_runs_the_cpu_pipeline() {
+        // The thread count at run time decides: on one thread an `omp`
+        // kernel sweeps as `cpu` does, on two in order.
+        let omp = |n: usize| {
+            let src = fsc_workloads::gauss_seidel::fortran_source(n, 2);
+            let mut m = fsc_fortran::compile_to_fir(&src).unwrap();
+            discover_stencils(&mut m).unwrap();
+            merge_adjacent_applies(&mut m).unwrap();
+            let mut st = extract_stencils(&mut m).unwrap();
+            let pm = fsc_passes::pipelines::openmp_pipeline(1).unwrap();
+            pm.run(&mut st).unwrap();
+            compile_kernel(&st, "stencil_region_1").unwrap()
+        };
+        let big = omp(192);
+        assert!(matches!(big.kind, PlanKind::Omp { num_threads: 1 }));
+        assert_eq!(
+            big.schedule(1),
+            "pipelined, lags [0, 1], period 2, 1 plane/step, 19 rows/block"
+        );
+        assert_eq!(big.schedule(2), "in order, slabs [2, 2]");
+        let k = omp(5);
+        assert_eq!(assert_steps_bit_identical(k.clone()), (vec![0, 1], 2));
+        let mut memory = Memory::new();
+        let args = seeded_args(&k, &mut memory);
+        assert!(!Sweep::new(&k, &mut memory, &args, 2).unwrap().has_room());
     }
 
     #[test]

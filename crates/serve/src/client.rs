@@ -26,6 +26,13 @@
 //! results (even `shutdown` is idempotent), which is what makes
 //! fingerprint-keyed blind retry correct rather than merely convenient.
 
+// A client runs against servers that fail on purpose: every failure is an
+// error the caller sees.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -248,21 +255,22 @@ impl ResilientClient {
                 let nap = self.backoff(attempt - 1);
                 std::thread::sleep(nap);
             }
-            if self.conn.is_none() {
-                match Client::connect(&self.socket_path) {
+            let conn = match self.conn.take() {
+                Some(c) => c,
+                None => match Client::connect(&self.socket_path) {
                     Ok(c) => {
                         if attempt > 0 {
                             self.reconnects += 1;
                         }
-                        self.conn = Some(c);
+                        c
                     }
                     Err(e) => {
                         last = format!("connect failed: {e}");
                         continue;
                     }
-                }
-            }
-            let conn = self.conn.as_mut().expect("connection present");
+                },
+            };
+            let conn = self.conn.insert(conn);
             match conn.call(make()) {
                 Ok(v) => {
                     if v.get("ok").and_then(Json::as_bool) == Some(true) {

@@ -1177,6 +1177,21 @@ fn batched_time_loops_match_the_interpreter() {
     let omp = CompileOptions::for_target(Target::StencilOpenMp { threads: 2 });
     let exec = Compiler::run(&gs_time_loop(24, 8), &omp).unwrap();
     assert_eq!(exec.report.sweeps, (9, 9), "omp:2 dispatches run alone");
+    // On one thread an openmp region keeps its pipeline: its time steps
+    // run as one sweep, bit-identical to the interpreter.
+    let omp1 = CompileOptions::for_target(Target::StencilOpenMp { threads: 1 });
+    let exec = Compiler::run(&gs_time_loop(24, 8), &omp1).unwrap();
+    assert_eq!(exec.report.sweeps, (9, 2), "omp:1 batches as cpu does");
+    let reference = interpreted(&gs_time_loop(24, 8), &["u", "un"]);
+    for (name, want) in ["u", "un"].iter().zip(&reference) {
+        let got = exec.array(name).unwrap();
+        let same = got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "omp:1 {name} differs from the interpreter");
+    }
 }
 
 /// GS over `u` and `un` with `body` after the two sweeps of each of four
